@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <memory>
 #include <new>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "check/check.hpp"
 #include "fault/fault.hpp"
@@ -33,6 +38,20 @@ std::uint64_t make_locked(const Tx* tx) {
   return reinterpret_cast<std::uint64_t>(tx) | kLockBit;
 }
 std::uint64_t make_version(std::uint64_t ts) { return ts << 1; }
+
+// Transactional data words are read speculatively while a committer may be
+// writing them back (the versioned-lock re-check discards such reads), so
+// every access to them is a relaxed atomic: the same x86-64 code as a
+// plain access, but defined behaviour under the C++ memory model.
+std::uint64_t load_relaxed(const void* word) {
+  return std::atomic_ref<std::uint64_t>(
+             *static_cast<std::uint64_t*>(const_cast<void*>(word)))
+      .load(std::memory_order_relaxed);
+}
+void store_relaxed(void* word, std::uint64_t v) {
+  std::atomic_ref<std::uint64_t>(*static_cast<std::uint64_t*>(word))
+      .store(v, std::memory_order_relaxed);
+}
 
 // Byte mask for an n-byte field at byte offset `off` within a word.
 std::uint64_t byte_mask(unsigned off, unsigned n) {
@@ -157,6 +176,7 @@ void TxObjectCache::drain(alloc::Allocator& a) {
 // ---------------------------------------------------------------------------
 
 void Tx::begin() {
+  doomed_ = false;
   stm_->tx_window_[tid_]->flag = true;
   // Epoch snapshot must precede any transactional allocation: blocks of
   // this transaction are homed to the phase current at its begin.
@@ -249,6 +269,7 @@ WriteEntry* Tx::find_write(std::uintptr_t word_addr) {
 }
 
 std::uint64_t Tx::load_word(const void* addr) {
+  if (TMX_UNLIKELY(doomed_)) return 0;
   TMX_ASSERT((reinterpret_cast<std::uintptr_t>(addr) & 7) == 0);
   if (hw_mode_) return load_word_hw(addr);
   ++stats_.reads;
@@ -259,12 +280,14 @@ std::uint64_t Tx::load_word(const void* addr) {
   std::uint64_t v = l->v.load(std::memory_order_acquire);
   for (;;) {
     if (is_locked(v)) {
-      if (owner_of(v) != this) conflict(AbortCause::kReadLocked, addr);
+      if (owner_of(v) != this) {
+        conflict(AbortCause::kReadLocked, addr);
+        return 0;
+      }
       // Read-own-write. Write-through already updated memory; write-back
       // composes the buffered bytes over the current memory word.
       sim::probe(addr, 8, false);
-      std::uint64_t mem =
-          *static_cast<const volatile std::uint64_t*>(addr);
+      std::uint64_t mem = load_relaxed(addr);
       if (stm_->cfg_.design != StmDesign::kWriteThroughEtl) {
         if (WriteEntry* e =
                 find_write(reinterpret_cast<std::uintptr_t>(addr))) {
@@ -275,8 +298,7 @@ std::uint64_t Tx::load_word(const void* addr) {
     }
     const std::uint64_t ver = version_of(v);
     sim::probe(addr, 8, false);
-    const std::uint64_t val =
-        *static_cast<const volatile std::uint64_t*>(addr);
+    const std::uint64_t val = load_relaxed(addr);
     const std::uint64_t v2 = l->v.load(std::memory_order_acquire);
     if (v2 != v) {  // concurrent commit touched this stripe; re-inspect
       v = v2;
@@ -284,7 +306,10 @@ std::uint64_t Tx::load_word(const void* addr) {
     }
     if (ver > end_ts_) {
       // The stripe is newer than our snapshot: try to extend it.
-      if (!extend()) conflict(AbortCause::kValidation);
+      if (!extend()) {
+        conflict(AbortCause::kValidation);
+        return 0;
+      }
       v = l->v.load(std::memory_order_acquire);
       continue;
     }
@@ -302,6 +327,7 @@ std::uint64_t Tx::load_word(const void* addr) {
 }
 
 void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
+  if (TMX_UNLIKELY(doomed_)) return;
   TMX_ASSERT((reinterpret_cast<std::uintptr_t>(addr) & 7) == 0);
   if (hw_mode_) {
     store_word_hw(addr, value, mask);
@@ -317,9 +343,11 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
     const std::uint64_t v = l0->v.load(std::memory_order_acquire);
     if (is_locked(v) && owner_of(v) != this) {
       conflict(AbortCause::kWriteLocked, addr);  // another commit in flight
+      return;
     }
     if (!is_locked(v) && version_of(v) > end_ts_ && !extend()) {
       conflict(AbortCause::kValidation);
+      return;
     }
     const auto word = reinterpret_cast<std::uintptr_t>(addr);
     if (WriteEntry* e = find_write(word)) {
@@ -340,15 +368,19 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
   auto apply_through = [&](std::uintptr_t word) {
     auto* wp = reinterpret_cast<std::uint64_t*>(word);
     if (find_write(word) == nullptr) {
-      push_write(WriteEntry{word, /*old value*/ *wp, ~std::uint64_t{0}, l,
-                            /*prev=*/0, /*acquired=*/false});
+      push_write(WriteEntry{word, /*old value*/ load_relaxed(wp),
+                            ~std::uint64_t{0}, l, /*prev=*/0,
+                            /*acquired=*/false});
     }
     sim::probe(wp, 8, true);
-    *wp = (*wp & ~mask) | (value & mask);
+    store_relaxed(wp, (load_relaxed(wp) & ~mask) | (value & mask));
   };
   for (;;) {
     if (is_locked(v)) {
-      if (owner_of(v) != this) conflict(AbortCause::kWriteLocked, addr);
+      if (owner_of(v) != this) {
+        conflict(AbortCause::kWriteLocked, addr);
+        return;
+      }
       const auto word = reinterpret_cast<std::uintptr_t>(addr);
       if (!write_back) {
         apply_through(word);
@@ -364,7 +396,10 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
       return;
     }
     if (version_of(v) > end_ts_) {
-      if (!extend()) conflict(AbortCause::kValidation);
+      if (!extend()) {
+        conflict(AbortCause::kValidation);
+        return;
+      }
       v = l->v.load(std::memory_order_acquire);
       continue;
     }
@@ -380,10 +415,11 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
     const auto word = reinterpret_cast<std::uintptr_t>(addr);
     if (!write_back) {
       auto* wp = reinterpret_cast<std::uint64_t*>(word);
-      push_write(WriteEntry{word, /*old value*/ *wp, ~std::uint64_t{0}, l,
-                            /*prev=*/v, /*acquired=*/true});
+      push_write(WriteEntry{word, /*old value*/ load_relaxed(wp),
+                            ~std::uint64_t{0}, l, /*prev=*/v,
+                            /*acquired=*/true});
       sim::probe(wp, 8, true);
-      *wp = (*wp & ~mask) | (value & mask);
+      store_relaxed(wp, (load_relaxed(wp) & ~mask) | (value & mask));
       return;
     }
     push_write(WriteEntry{word, value, mask, l, /*prev=*/v,
@@ -419,12 +455,14 @@ bool Tx::extend() {
 }
 
 void Tx::commit() {
+  if (TMX_UNLIKELY(doomed_)) return;
   // Fault plane: an injected spurious abort surfaces as a validation
   // failure at commit entry. Irrevocable transactions are shielded — they
   // must not abort.
   if (TMX_UNLIKELY(fault::enabled()) && !irrevocable_ &&
       fault::should_inject_abort()) {
     conflict(AbortCause::kValidation);
+    return;
   }
   sim::tick(sim::Cost::kBarrier);
   sim::yield();
@@ -461,15 +499,18 @@ void Tx::commit() {
         if (owner_of(v) == this) continue;  // duplicate stripe
         conflict(AbortCause::kWriteLocked,
                  reinterpret_cast<const void*>(e.addr));
+        return;
       }
       if (version_of(v) > end_ts_ && !extend()) {
         conflict(AbortCause::kValidation);
+        return;
       }
       sim::tick(sim::Cost::kAtomicRmw);
       if (!e.lock->v.compare_exchange_strong(v, make_locked(this),
                                              std::memory_order_acq_rel)) {
         conflict(AbortCause::kWriteLocked,
                  reinterpret_cast<const void*>(e.addr));
+        return;
       }
       e.prev = v;
       e.acquired = true;
@@ -482,6 +523,7 @@ void Tx::commit() {
       stm_->clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (ts > start_ts_ + 1 && !validate()) {
     conflict(AbortCause::kValidation);
+    return;
   }
   // Write back the buffered values (write-through already updated
   // memory), then release the locks at version ts.
@@ -490,9 +532,10 @@ void Tx::commit() {
       auto* word = reinterpret_cast<std::uint64_t*>(e.addr);
       sim::probe(word, 8, true);
       if (e.mask == ~std::uint64_t{0}) {
-        *word = e.value;
+        store_relaxed(word, e.value);
       } else {
-        *word = (*word & ~e.mask) | (e.value & e.mask);
+        store_relaxed(word,
+                      (load_relaxed(word) & ~e.mask) | (e.value & e.mask));
       }
     }
   }
@@ -510,7 +553,7 @@ void Tx::commit() {
         }
       }
       cw.push_back(check::CommittedWrite{
-          e.addr, bm, *reinterpret_cast<const std::uint64_t*>(e.addr)});
+          e.addr, bm, load_relaxed(reinterpret_cast<const void*>(e.addr))});
     }
     check::on_tx_commit(tid_, cw.data(), cw.size(), tx_allocs_.data(),
                         tx_allocs_.size(), tx_frees_.data(), tx_frees_.size(),
@@ -554,7 +597,7 @@ void Tx::rollback(AbortCause cause, std::uintptr_t addr) {
   // (readers are shut out while the locks are held).
   if (stm_->cfg_.design == StmDesign::kWriteThroughEtl) {
     for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
-      *reinterpret_cast<std::uint64_t*>(it->addr) = it->value;
+      store_relaxed(reinterpret_cast<void*>(it->addr), it->value);
     }
   }
   // Release encounter-time locks, restoring the pre-acquisition versions.
@@ -602,6 +645,7 @@ void Tx::rollback(AbortCause cause, std::uintptr_t addr) {
 }
 
 void Tx::read_bytes(const void* addr, void* out, std::size_t n) {
+  if (TMX_UNLIKELY(doomed_)) return;
   if (TMX_UNLIKELY(check::enabled()) && !hw_mode_) {
     if (check::on_tx_access(tid_, addr, n, /*write=*/false,
                             /*write_in_place=*/false)) {
@@ -618,6 +662,7 @@ void Tx::read_bytes(const void* addr, void* out, std::size_t n) {
     const unsigned take = static_cast<unsigned>(
         n < static_cast<std::size_t>(8 - off) ? n : 8 - off);
     const std::uint64_t w = load_word(reinterpret_cast<const void*>(word));
+    if (TMX_UNLIKELY(doomed_)) return;
     std::memcpy(dst, reinterpret_cast<const char*>(&w) + off, take);
     a += take;
     dst += take;
@@ -626,6 +671,7 @@ void Tx::read_bytes(const void* addr, void* out, std::size_t n) {
 }
 
 void Tx::write_bytes(void* addr, const void* in, std::size_t n) {
+  if (TMX_UNLIKELY(doomed_)) return;
   if (TMX_UNLIKELY(check::enabled()) && !hw_mode_) {
     const bool in_place =
         stm_->cfg_.design == StmDesign::kWriteThroughEtl;
@@ -647,6 +693,7 @@ void Tx::write_bytes(void* addr, const void* in, std::size_t n) {
     std::uint64_t w = 0;
     std::memcpy(reinterpret_cast<char*>(&w) + off, src, take);
     store_word(reinterpret_cast<void*>(word), w, byte_mask(off, take));
+    if (TMX_UNLIKELY(doomed_)) return;
     a += take;
     src += take;
     n -= take;
@@ -654,6 +701,7 @@ void Tx::write_bytes(void* addr, const void* in, std::size_t n) {
 }
 
 void* Tx::malloc(std::size_t size) {
+  if (TMX_UNLIKELY(doomed_)) return nullptr;
   ++stats_.tx_mallocs;
   if (stm_->cfg_.tx_alloc_cache) {
     if (void* p = alloc_cache_.take(size)) {
@@ -667,14 +715,14 @@ void* Tx::malloc(std::size_t size) {
   }
   void* p = stm_->cfg_.allocator->allocate(size);
   if (TMX_UNLIKELY(p == nullptr)) {
-    // Recoverable OOM (injected or genuine): abort cleanly so the caller's
+    // Recoverable OOM (injected or genuine): doom the attempt so the
     // rollback undoes tx_allocs_/tx_frees_, then retry per the contention
     // manager (a retry cap escalates to irrevocable mode, whose allocations
     // are shielded from injection). An irrevocable transaction cannot
     // abort, so a genuine exhaustion there surfaces as a plain nullptr.
     ++stats_.oom_nulls;
-    if (TMX_UNLIKELY(irrevocable_)) return nullptr;
-    conflict(AbortCause::kOom);
+    if (!irrevocable_) conflict(AbortCause::kOom);
+    return nullptr;
   }
   // The *requested* size is recorded: on abort the object is offered back
   // to the cache under a bin its capacity is guaranteed to satisfy.
@@ -686,12 +734,22 @@ void* Tx::malloc(std::size_t size) {
 }
 
 void Tx::free(void* p) {
-  if (p == nullptr) return;
+  if (p == nullptr || TMX_UNLIKELY(doomed_)) return;
   ++stats_.tx_frees;
   tx_frees_.push_back(p);
   if (TMX_UNLIKELY(check::enabled()) && !hw_mode_) {
     check::on_tx_free(tid_, p);
   }
+}
+
+void Tx::abort_jump() {
+  TMX_ASSERT_MSG(checkpoint_ != nullptr, "abort outside Stm::atomically");
+#if defined(__SANITIZE_ADDRESS__)
+  // The skipped frames never run their epilogues, which would unpoison
+  // their stack redzones.
+  __asan_handle_no_return();
+#endif
+  __builtin_longjmp(checkpoint_, 1);
 }
 
 
@@ -700,6 +758,7 @@ void Tx::free(void* p) {
 // ---------------------------------------------------------------------------
 
 void Tx::begin_hw() {
+  doomed_ = false;
   hw_mode_ = true;
   stm_->tx_window_[tid_]->flag = true;
   if (TMX_UNLIKELY(stm_->tx_hints_)) {
@@ -731,16 +790,21 @@ std::uint64_t Tx::load_word_hw(const void* addr) {
   VLock* l = stm_->lock_for(addr);
   sim::probe(l, 8, false);
   const std::uint64_t v = l->v.load(std::memory_order_acquire);
-  if (is_locked(v)) hw_abort(HwAbortCause::kConflict);  // sw tx owns it
+  if (is_locked(v)) {
+    hw_abort(HwAbortCause::kConflict);  // sw tx owns it
+    return 0;
+  }
   sim::probe(addr, 8, false);
-  std::uint64_t mem = *static_cast<const volatile std::uint64_t*>(addr);
+  std::uint64_t mem = load_relaxed(addr);
   const std::uint64_t v2 = l->v.load(std::memory_order_acquire);
   if (v2 != v || version_of(v) > end_ts_) {
     hw_abort(HwAbortCause::kConflict);  // line changed under the snapshot
+    return 0;
   }
   read_set_.push_back(ReadEntry{l, version_of(v)});
   if (read_set_.size() > stm_->cfg_.htm.max_read_entries) {
     hw_abort(HwAbortCause::kCapacity);
+    return 0;
   }
   if (WriteEntry* e = find_write(reinterpret_cast<std::uintptr_t>(addr))) {
     mem = (mem & ~e->mask) | (e->value & e->mask);
@@ -757,6 +821,7 @@ void Tx::store_word_hw(void* addr, std::uint64_t value, std::uint64_t mask) {
   const std::uint64_t v = l->v.load(std::memory_order_acquire);
   if (is_locked(v) || version_of(v) > end_ts_) {
     hw_abort(HwAbortCause::kConflict);
+    return;
   }
   const auto word = reinterpret_cast<std::uintptr_t>(addr);
   if (WriteEntry* e = find_write(word)) {
@@ -772,9 +837,11 @@ void Tx::store_word_hw(void* addr, std::uint64_t value, std::uint64_t mask) {
 }
 
 void Tx::commit_hw() {
+  if (TMX_UNLIKELY(doomed_)) return;
   sim::tick(sim::Cost::kBarrier);
   if (backoff_rng_.uniform() < stm_->cfg_.htm.spurious_abort) {
     hw_abort(HwAbortCause::kSpurious);  // best-effort: no guarantees
+    return;
   }
   if (write_set_.empty()) {
     // Read-only: each read was consistent with the begin snapshot.
@@ -822,6 +889,7 @@ void Tx::commit_hw() {
       }();
   if (!all_acquired || !validate()) {
     hw_abort(HwAbortCause::kConflict);  // rollback_hw releases the locks
+    return;
   }
   const std::uint64_t ts =
       stm_->clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -829,9 +897,10 @@ void Tx::commit_hw() {
     auto* word = reinterpret_cast<std::uint64_t*>(e.addr);
     sim::probe(word, 8, true);
     if (e.mask == ~std::uint64_t{0}) {
-      *word = e.value;
+      store_relaxed(word, e.value);
     } else {
-      *word = (*word & ~e.mask) | (e.value & e.mask);
+      store_relaxed(word,
+                    (load_relaxed(word) & ~e.mask) | (e.value & e.mask));
     }
   }
   for (const WriteEntry& e : write_set_) {

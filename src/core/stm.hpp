@@ -187,20 +187,17 @@ class Tx;
 void publish_metrics(const TxStats& stats, obs::MetricsRegistry& reg,
                      const std::string& prefix = "stm.");
 
-// Control-flow signal for aborts; caught by Stm::atomically. Deliberately
-// not derived from std::exception so user catch(...) blocks inside
-// transactions are encouraged to rethrow it untouched. `addr` is the
-// faulting address when the conflict was detected at a specific barrier
-// (read/write lock collisions), 0 for validation failures and explicit
-// restarts — the abort-attribution profiler keys on it.
+// The pending-abort record of a doomed attempt (see Tx::conflict): why it
+// was doomed, and where. `cause` is the software-path cause; `hw_cause` the
+// hardware-path one (hybrid mode), kExplicit for software causes raised on
+// the hardware path (restart, OOM). `addr` is the faulting address when the
+// conflict was detected at a specific barrier (read/write lock collisions),
+// 0 for validation failures and explicit restarts — the abort-attribution
+// profiler keys on it.
 struct TxAbortSignal {
-  AbortCause cause;
+  AbortCause cause = AbortCause::kValidation;
+  HwAbortCause hw_cause = HwAbortCause::kExplicit;
   std::uintptr_t addr = 0;
-};
-
-// Hardware-path abort signal (hybrid mode only).
-struct HwAbortSignal {
-  HwAbortCause cause;
 };
 
 namespace detail {
@@ -295,9 +292,18 @@ class TxObjectCache {
 
 // A transaction descriptor. One per logical thread, reused across
 // transactions; obtained only through Stm::atomically.
+//
+// Aborts do not unwind. A conflict dooms the attempt (see conflict): from
+// then on every out-of-line entry point below returns at once, and the
+// inline accessors, which run in the body's own frames, jump back to the
+// checkpoint Stm::atomically took before the attempt. A transaction body
+// must therefore hold no local with a non-trivial destructor across an
+// accessor call: the jump skips destructors (tmx-lint's tx-frame-dtor).
 class Tx {
  public:
   // -- Word accessors (addr must be 8-byte aligned) --
+  // Once the attempt is doomed, load_word returns 0 and store_word does
+  // nothing; the body leaves at its next typed accessor or when it returns.
   std::uint64_t load_word(const void* addr);
   void store_word(void* addr, std::uint64_t value,
                   std::uint64_t mask = ~std::uint64_t{0});
@@ -308,6 +314,7 @@ class Tx {
     static_assert(std::is_trivially_copyable_v<T>);
     T out;
     read_bytes(addr, &out, sizeof(T));
+    leave_if_doomed();
     return out;
   }
 
@@ -315,9 +322,12 @@ class Tx {
   void store(T* addr, const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
     write_bytes(addr, &value, sizeof(T));
+    leave_if_doomed();
   }
 
   // -- Transactional memory management --
+  // malloc returns nullptr when it dooms the attempt (allocator OOM), and
+  // in irrevocable mode on genuine exhaustion.
   void* malloc(std::size_t size);
   void free(void* p);
 
@@ -325,7 +335,15 @@ class Tx {
   // Tallied under its own cause so application-driven restarts are never
   // mistaken for genuine validation failures.
   [[noreturn]] void restart() {
-    throw TxAbortSignal{AbortCause::kExplicit};
+    if (!doomed_) conflict(AbortCause::kExplicit);
+    abort_jump();
+  }
+
+  // Leaves a doomed attempt for atomically's checkpoint. The typed
+  // accessors call it after every barrier; code calling the out-of-line
+  // entry points directly (the access policies) calls it likewise.
+  void leave_if_doomed() {
+    if (TMX_UNLIKELY(doomed_)) abort_jump();
   }
 
   int tid() const { return tid_; }
@@ -342,9 +360,19 @@ class Tx {
   void rollback(AbortCause cause, std::uintptr_t addr = 0);
   bool validate();
   bool extend();
-  [[noreturn]] void conflict(AbortCause cause, const void* addr = nullptr) {
-    throw TxAbortSignal{cause, reinterpret_cast<std::uintptr_t>(addr)};
+  // Dooms the attempt: records why and where in the pending-abort record.
+  // The caller returns at once; nothing ticks, yields or probes until the
+  // attempt is rolled back.
+  void conflict(AbortCause cause, const void* addr = nullptr) {
+    pending_ = TxAbortSignal{cause, HwAbortCause::kExplicit,
+                             reinterpret_cast<std::uintptr_t>(addr)};
+    doomed_ = true;
   }
+  // The one jump back to the checkpoint: cold, out of line, and only ever
+  // called from the body's frames (the inline accessors and restart), never
+  // from inside an out-of-line entry point, so wrappers around those stay
+  // balanced.
+  [[noreturn, gnu::cold, gnu::noinline]] void abort_jump();
 
   // Hardware path (hybrid mode).
   void begin_hw();
@@ -352,8 +380,9 @@ class Tx {
   void rollback_hw(HwAbortCause cause);
   std::uint64_t load_word_hw(const void* addr);
   void store_word_hw(void* addr, std::uint64_t value, std::uint64_t mask);
-  [[noreturn]] void hw_abort(HwAbortCause cause) {
-    throw HwAbortSignal{cause};
+  void hw_abort(HwAbortCause cause) {
+    pending_.hw_cause = cause;
+    doomed_ = true;
   }
 
   void read_bytes(const void* addr, void* out, std::size_t n);
@@ -368,6 +397,11 @@ class Tx {
   Stm* stm_ = nullptr;
   int tid_ = 0;
   bool hw_mode_ = false;
+  bool doomed_ = false;  // the current attempt must roll back
+  // The running atomically's checkpoint (a __builtin_setjmp buffer on its
+  // frame), and why the current attempt is doomed.
+  void** checkpoint_ = nullptr;
+  TxAbortSignal pending_{};
   std::uint64_t start_ts_ = 0;
   std::uint64_t end_ts_ = 0;
   std::vector<detail::ReadEntry> read_set_;
@@ -410,6 +444,11 @@ class Stm {
   // Runs `body` as a transaction, retrying per the contention manager until
   // it commits. The allocation-instrumentation region is set to Tx for the
   // duration. Must not be nested.
+  //
+  // Every attempt starts from a __builtin_setjmp checkpoint on this frame.
+  // A doomed attempt comes back to it either by the jump (Tx::abort_jump,
+  // from the body's frames) or by returning from the body and the commit,
+  // which do nothing once doomed; either way it is rolled back here.
   template <typename F>
   void atomically(F&& body) {
     const int tid = sim::self_tid();  // hoisted: four uses, one TLS read
@@ -419,6 +458,8 @@ class Stm {
     in_tx_[tid]->flag = true;
     tx.stm_ = this;
     tx.tid_ = tid;
+    void* checkpoint[5];  // the layout __builtin_setjmp requires
+    tx.checkpoint_ = checkpoint;
     // Per-transaction watchdog: the clock is read once up front only when
     // the budget is armed, so the disabled path costs a single branch.
     const std::uint64_t tx_cycles0 =
@@ -434,15 +475,12 @@ class Stm {
         if (TMX_UNLIKELY(cfg_.retry_cap != 0)) serial_gate(tx);
         if (TMX_UNLIKELY(tx_hints_)) maintenance_gate(tx);
         tx.begin_hw();
-        try {
+        if (__builtin_setjmp(checkpoint) == 0) {
           body(tx);
           tx.commit_hw();
-          done = true;
-        } catch (HwAbortSignal& sig) {
-          tx.rollback_hw(sig.cause);
-        } catch (TxAbortSignal&) {
-          tx.rollback_hw(HwAbortCause::kExplicit);
+          done = !tx.doomed_;
         }
+        if (!done) tx.rollback_hw(tx.pending_.hw_cause);
       }
       if (!done) ++tx.stats_.fallbacks;
     }
@@ -453,12 +491,13 @@ class Stm {
       if (TMX_UNLIKELY(cfg_.retry_cap != 0)) serial_gate(tx);
       if (TMX_UNLIKELY(tx_hints_)) maintenance_gate(tx);
       tx.begin();
-      try {
+      if (__builtin_setjmp(checkpoint) == 0) {
         body(tx);
         tx.commit();
-        done = true;
-      } catch (TxAbortSignal& sig) {
-        tx.rollback(sig.cause, sig.addr);
+        done = !tx.doomed_;
+      }
+      if (!done) {
+        tx.rollback(tx.pending_.cause, tx.pending_.addr);
         if (TMX_UNLIKELY(cfg_.tx_cycle_budget != 0) &&
             sim::now_cycles() - tx_cycles0 > cfg_.tx_cycle_budget) {
           sim::watchdog_trip("transaction", cfg_.tx_cycle_budget,
@@ -467,6 +506,7 @@ class Stm {
         contention_wait(tx);
       }
     }
+    tx.checkpoint_ = nullptr;
     if (TMX_UNLIKELY(tx.irrevocable_)) {
       exit_serial(tx);
       // An irrevocable transaction can never abort, so the rollback-path

@@ -153,11 +153,14 @@ AppResult run_bayes(const AppContext& ctx) {
   std::atomic<int> edges_added{0};
 
   // Would adding u -> v close a cycle? True iff v is an ancestor of u.
-  // Walks parent links transactionally.
-  auto creates_cycle = [&](const ds::TxAccess& acc, int u, int v) {
-    std::vector<int> stack{u};
-    std::vector<bool> seen(P.vars, false);
-    seen[u] = true;  // tmx-lint: allow(naked-store) — lambda-local scratch
+  // Walks parent links transactionally. The walk's stack and visited set
+  // are the caller's per-worker scratch: an abort jumps over this frame
+  // without running destructors.
+  auto creates_cycle = [&](const ds::TxAccess& acc, int u, int v,
+                           std::vector<int>& stack, std::vector<bool>& seen) {
+    stack.assign(1, u);
+    seen.assign(static_cast<std::size_t>(P.vars), false);
+    seen[u] = true;  // tmx-lint: allow(naked-store) — worker-private scratch
     while (!stack.empty()) {
       const int w = stack.back();
       stack.pop_back();
@@ -166,7 +169,7 @@ AppResult run_bayes(const AppContext& ctx) {
            pn = acc.load(&pn->next)) {
         const int pv = static_cast<int>(acc.load(&pn->var));
         if (!seen[pv]) {
-          // tmx-lint: allow(naked-store) — lambda-local scratch
+          // tmx-lint: allow(naked-store) — worker-private scratch
           seen[pv] = true;
           stack.push_back(pv);
         }
@@ -179,6 +182,8 @@ AppResult run_bayes(const AppContext& ctx) {
   const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
     (void)tid;
     alloc::RegionScope par(alloc::Region::Par);
+    std::vector<int> cycle_stack;  // creates_cycle scratch
+    std::vector<bool> cycle_seen;
     for (;;) {
       void* item = nullptr;
       stm.atomically([&](stm::Tx& tx) {
@@ -227,7 +232,7 @@ AppResult run_bayes(const AppContext& ctx) {
         applied = false;
         const ds::TxAccess acc{&tx};
         if (acc.load(&net[v].version) != version) return;  // stale compute
-        if (creates_cycle(acc, u, v)) return;
+        if (creates_cycle(acc, u, v, cycle_stack, cycle_seen)) return;
         auto* pn = static_cast<ParentNode*>(acc.malloc(sizeof(ParentNode)));
         acc.store(&pn->var, static_cast<std::uint64_t>(u));
         acc.store(&pn->next, acc.load(&net[v].parents));

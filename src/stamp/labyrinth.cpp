@@ -99,6 +99,10 @@ AppResult run_labyrinth(const AppContext& ctx) {
   const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
     (void)tid;
     alloc::RegionScope par(alloc::Region::Par);
+    // BFS scratch, kept outside the transaction: an abort jumps over the
+    // body's frames without running destructors.
+    std::vector<int> frontier;
+    std::vector<int> next;
     for (;;) {
       void* item = nullptr;
       stm.atomically([&](stm::Tx& tx) {
@@ -128,8 +132,8 @@ AppResult run_labyrinth(const AppContext& ctx) {
         }
         dist[req.src] = 0;  // tmx-lint: allow(naked-store) — private buffer
         // Private BFS expansion.
-        std::vector<int> frontier{req.src};
-        std::vector<int> next;
+        frontier.assign(1, req.src);
+        next.clear();
         bool reached = false;
         int nb[6];
         while (!frontier.empty() && !reached) {

@@ -146,8 +146,9 @@ Tri* locate(const A& acc, Mesh& m, Tri* start, const Pt& p, Rng& rng) {
     const Pt a = m.points[v0], b = m.points[v1], c = m.points[v2];
     int out[3];
     int n = 0;
+    // tmx-lint: allow(naked-store) — `out` is a local array
     if (orient(a, b, p) < 0) out[n++] = 0;
-    if (orient(b, c, p) < 0) out[n++] = 1;
+    if (orient(b, c, p) < 0) out[n++] = 1;  // tmx-lint: allow(naked-store)
     if (orient(c, a, p) < 0) out[n++] = 2;
     if (n == 0) return t;
     t = acc.load(&t->nbr[out[n == 1 ? 0 : rng.below(n)]]);
@@ -155,31 +156,50 @@ Tri* locate(const A& acc, Mesh& m, Tri* start, const Pt& p, Rng& rng) {
   return nullptr;
 }
 
+struct Boundary {
+  std::uint64_t a, b;  // oriented edge, cavity interior to the left
+  Tri* outside;        // neighbor across (may be null on the hull)
+  std::uint64_t out_edge;
+};
+
+// Per-worker buffers of insert_point, kept outside the transaction: an
+// abort jumps over the body's frames without running destructors, so a
+// transaction holds no vector of its own. insert_point clears them first.
+struct CavityScratch {
+  std::vector<Tri*> cavity;
+  std::vector<Tri*> stack;
+  std::vector<Boundary> boundary;
+  std::vector<Boundary> real_boundary;
+  std::vector<Tri*> fresh;  // the new triangles, once insert_point succeeds
+};
+
 // Inserts point index `pi` into the mesh by cavity carving, starting the
-// location walk at `hint`. When `out_new` is non-null the new triangles
-// are appended to it. Returns false if the point could not be located.
+// location walk at `hint`. On success the new triangles are in `s.fresh`.
+// Returns false if the point could not be located.
 template <typename A>
 bool insert_point(const A& acc, Mesh& m, Tri* hint, std::uint64_t pi,
-                  std::vector<Tri*>* out_new, Rng& rng) {
+                  CavityScratch& s, Rng& rng) {
+  s.cavity.clear();
+  s.stack.clear();
+  s.boundary.clear();
+  s.real_boundary.clear();
+  s.fresh.clear();
   const Pt p = m.points[pi];
   Tri* t0 = locate(acc, m, hint, p, rng);
   if (t0 == nullptr) return false;
 
   // Cavity BFS: all live triangles whose circumcircle contains p.
-  std::vector<Tri*> cavity{t0};
-  std::vector<Tri*> stack{t0};
+  std::vector<Tri*>& cavity = s.cavity;
+  std::vector<Tri*>& stack = s.stack;
+  cavity.push_back(t0);
+  stack.push_back(t0);
   auto in_cavity = [&](Tri* t) {
     for (Tri* c : cavity) {
       if (c == t) return true;
     }
     return false;
   };
-  struct Boundary {
-    std::uint64_t a, b;  // oriented edge, cavity interior to the left
-    Tri* outside;        // neighbor across (may be null on the hull)
-    std::uint64_t out_edge;
-  };
-  std::vector<Boundary> boundary;
+  std::vector<Boundary>& boundary = s.boundary;
   while (!stack.empty()) {
     Tri* t = stack.back();
     stack.pop_back();
@@ -219,7 +239,7 @@ bool insert_point(const A& acc, Mesh& m, Tri* hint, std::uint64_t pi,
   // Note: edges between two cavity members are interior and vanish. The
   // loop above may have classified an edge as boundary before its neighbor
   // joined the cavity; filter those out now.
-  std::vector<Boundary> real_boundary;
+  std::vector<Boundary>& real_boundary = s.real_boundary;
   for (const Boundary& e : boundary) {
     if (e.outside == nullptr || !in_cavity(e.outside)) {
       real_boundary.push_back(e);
@@ -236,12 +256,13 @@ bool insert_point(const A& acc, Mesh& m, Tri* hint, std::uint64_t pi,
   }
 
   // Re-triangulate: a fan of (p, a, b) triangles over the boundary.
-  std::vector<Tri*> fresh;
-  fresh.reserve(real_boundary.size());
+  std::vector<Tri*>& fresh = s.fresh;
   for (const Boundary& e : real_boundary) {
     auto* nt = static_cast<Tri*>(acc.malloc(sizeof(Tri)));
-    nt->v[0] = pi;  // immutable fields can be written raw: the triangle is
-    nt->v[1] = e.a; // private until it is linked below
+    // Immutable fields can be written raw: the triangle is private until it
+    // is linked below. tmx-lint: allow(naked-store)
+    nt->v[0] = pi;
+    nt->v[1] = e.a;  // tmx-lint: allow(naked-store)
     nt->v[2] = e.b;
     acc.store(&nt->dead, std::uint64_t{0});
     acc.store(&nt->in_queue, std::uint64_t{0});
@@ -268,9 +289,6 @@ bool insert_point(const A& acc, Mesh& m, Tri* hint, std::uint64_t pi,
   // current seed, repoint it at one of the new triangles.
   if (in_cavity(acc.load(&m.seed))) {
     acc.store(&m.seed, fresh[0]);
-  }
-  if (out_new != nullptr) {
-    for (Tri* t : fresh) out_new->push_back(t);
   }
   return true;
 }
@@ -305,15 +323,15 @@ AppResult run_yada(const AppContext& ctx) {
   {
     Rng rng(ctx.seed);
     Tri* hint = mesh.seed;
+    CavityScratch scratch;
     const bool dbg = std::getenv("TMX_YADA_DEBUG") != nullptr;
     for (int i = 0; i < P.points; ++i) {
       if (dbg && i % 50 == 0) std::fprintf(stderr, "[yada] seq insert %d\n", i);
       const Pt p{rng.uniform() * 2.0 - 1.0, rng.uniform() * 2.0 - 1.0};
       const std::uint64_t pi = mesh.add_point(p);
-      std::vector<Tri*> created;
-      const bool ok = insert_point(seq, mesh, hint, pi, &created, rng);
+      const bool ok = insert_point(seq, mesh, hint, pi, scratch, rng);
       TMX_ASSERT_MSG(ok, "sequential Delaunay insertion failed");
-      hint = created.back();
+      hint = scratch.fresh.back();
     }
   }
 
@@ -377,6 +395,7 @@ AppResult run_yada(const AppContext& ctx) {
   const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);
     Rng rng(thread_seed(ctx.seed ^ 0xda7a, tid));
+    CavityScratch scratch;
     for (;;) {
       if (insertions.load(std::memory_order_relaxed) >= P.max_insertions) {
         break;
@@ -443,12 +462,11 @@ AppResult run_yada(const AppContext& ctx) {
           // tmx-lint: allow(naked-store)
           mesh.points[pi] = cc;  // retry recomputed the circumcenter
         }
-        std::vector<Tri*> created;
-        if (!insert_point(acc, mesh, bad, pi, &created, rng)) {
+        if (!insert_point(acc, mesh, bad, pi, scratch, rng)) {
           ++walk_failures;
           tx.restart();  // walk raced with a carve, or geometry defeated it
         }
-        for (Tri* t : created) {
+        for (Tri* t : scratch.fresh) {
           if (is_bad(t)) {
             acc.store(&t->in_queue, std::uint64_t{1});
             work.push(acc, t);

@@ -57,8 +57,15 @@ struct TxAccess {
   void store(T* p, const T& v) const {
     tx->store(p, v);
   }
-  void* malloc(std::size_t n) const { return tx->malloc(n); }
-  void free(void* p) const { tx->free(p); }
+  void* malloc(std::size_t n) const {
+    void* p = tx->malloc(n);
+    tx->leave_if_doomed();
+    return p;
+  }
+  void free(void* p) const {
+    tx->free(p);
+    tx->leave_if_doomed();
+  }
 };
 
 }  // namespace tmx::ds

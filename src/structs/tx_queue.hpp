@@ -52,6 +52,7 @@ class TxQueue {
     Node* h = acc.load(&head_);
     Node* first = acc.load(&h->next);
     if (first == nullptr) return false;
+    // tmx-lint: allow(naked-store) — the caller's out-parameter
     *out = acc.load(&first->data);
     acc.store(&head_, first);
     // `first` becomes the new dummy; the old dummy is released.

@@ -139,7 +139,7 @@ class TxSkipList {
            nx = acc.load(&n->next[level])) {
         n = nx;
       }
-      preds[level] = n;
+      preds[level] = n;  // tmx-lint: allow(naked-store) — caller's array
     }
     Node* cand = acc.load(&n->next[0]);
     return (cand != nullptr && acc.load(&cand->key) == key) ? cand : nullptr;

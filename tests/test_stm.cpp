@@ -325,6 +325,161 @@ TEST_F(StmFixture, WorksUnderRealThreadsToo) {
   EXPECT_EQ(counter, 8000u);
 }
 
+// --- The abort path: a conflict dooms the attempt, the body jumps back to
+// atomically's checkpoint, and atomically rolls back and retries. ---
+
+// A 24-byte value whose three words sit on three stripes (shift = 3), and
+// a second thread that holds the middle word's stripe for 10k cycles.
+struct MidWordConflict {
+  struct alignas(8) Big {
+    std::uint64_t a, b, c;
+  };
+  std::unique_ptr<alloc::Allocator> allocator =
+      alloc::create_allocator("system");
+  std::unique_ptr<Stm> stm;
+  Big v{1, 2, 3};
+
+  MidWordConflict() {
+    Config cfg;
+    cfg.allocator = allocator.get();
+    cfg.shift = 3;
+    stm = std::make_unique<Stm>(cfg);
+  }
+
+  // Runs `body` on thread 1 while thread 0 holds v.b's stripe.
+  template <typename F>
+  void run(F body) {
+    sim::RunConfig rc;
+    rc.threads = 2;
+    rc.cache_model = false;
+    sim::run_parallel(rc, [&](int tid) {
+      if (tid == 0) {
+        stm->atomically([&](Tx& tx) {
+          tx.store(&v.b, std::uint64_t{22});
+          sim::tick(10000);
+        });
+      } else {
+        sim::tick(1000);  // start once thread 0 owns the stripe
+        stm->atomically(body);
+      }
+    });
+  }
+};
+
+TEST(StmAbortPath, ConflictOnTheSecondWordOfALoadStopsTheAttempt) {
+  MidWordConflict f;
+  MidWordConflict::Big seen{};
+  f.run([&](Tx& tx) { seen = tx.load(&f.v); });
+  const TxStats& st = f.stm->thread_stats(1);
+  ASSERT_GE(st.aborts, 1u);
+  EXPECT_EQ(st.aborts_by_cause[static_cast<int>(AbortCause::kReadLocked)],
+            st.aborts);
+  // Every aborted attempt read a and b, never c; the committed one all 3.
+  EXPECT_EQ(st.reads, 2 * st.aborts + 3);
+  EXPECT_EQ(seen.a, 1u);
+  EXPECT_EQ(seen.b, 22u);
+  EXPECT_EQ(seen.c, 3u);
+}
+
+TEST(StmAbortPath, ConflictOnTheSecondWordOfAStoreStopsTheAttempt) {
+  MidWordConflict f;
+  f.run([&](Tx& tx) { tx.store(&f.v, MidWordConflict::Big{7, 8, 9}); });
+  const TxStats& st = f.stm->thread_stats(1);
+  ASSERT_GE(st.aborts, 1u);
+  EXPECT_EQ(st.aborts_by_cause[static_cast<int>(AbortCause::kWriteLocked)],
+            st.aborts);
+  EXPECT_EQ(st.writes, 2 * st.aborts + 3);
+  EXPECT_EQ(f.v.a, 7u);
+  EXPECT_EQ(f.v.b, 8u);
+  EXPECT_EQ(f.v.c, 9u);
+}
+
+// Fails the next `fail_next` allocations: an injected OOM.
+class OomInjector final : public alloc::Allocator {
+ public:
+  explicit OomInjector(alloc::Allocator& inner) : inner_(inner) {}
+  void* allocate(std::size_t size) override {
+    if (fail_next > 0) {
+      --fail_next;
+      return nullptr;
+    }
+    return inner_.allocate(size);
+  }
+  void deallocate(void* p) override { inner_.deallocate(p); }
+  std::size_t usable_size(const void* p) const override {
+    return inner_.usable_size(p);
+  }
+  const alloc::AllocatorTraits& traits() const override {
+    return inner_.traits();
+  }
+  int fail_next = 0;
+
+ private:
+  alloc::Allocator& inner_;
+};
+
+// Tx::malloc called directly returns nullptr when it dooms the attempt;
+// the store into that block does nothing and leaves for the checkpoint.
+TEST(StmAbortPath, DirectMallocUnderOomRollsBackAndRetries) {
+  auto system = alloc::create_allocator("system");
+  OomInjector oom(*system);
+  oom.fail_next = 1;
+  Config cfg;
+  cfg.allocator = &oom;
+  Stm s(cfg);
+  alignas(8) std::uint64_t x = 0;
+  std::uint64_t* block = nullptr;
+  int attempts = 0;
+  s.atomically([&](Tx& tx) {
+    ++attempts;
+    tx.store(&x, tx.load(&x) + 1);
+    block = static_cast<std::uint64_t*>(tx.malloc(sizeof(std::uint64_t)));
+    tx.store(block, std::uint64_t{42});
+  });
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(x, 1u);
+  ASSERT_NE(block, nullptr);
+  EXPECT_EQ(*block, 42u);
+  s.seq_free(block);
+
+  const TxStats st = s.stats();
+  EXPECT_EQ(st.commits, 1u);
+  EXPECT_EQ(st.aborts, 1u);
+  EXPECT_EQ(st.oom_nulls, 1u);
+  obs::MetricsRegistry reg;
+  publish_metrics(st, reg);
+  EXPECT_EQ(reg.counter("stm.oom.aborts"), 1u);
+}
+
+// Each jump returns the fiber's stack to where the checkpoint left it:
+// 100k restarts fit a 256 KiB stack.
+TEST(StmAbortPath, RestartsDoNotGrowTheStack) {
+  auto system = alloc::create_allocator("system");
+  Config cfg;
+  cfg.allocator = system.get();
+  Stm s(cfg);
+  constexpr int kRestarts = 100000;
+  int attempts = 0;
+  sim::RunConfig rc;
+  rc.threads = 1;
+  rc.cache_model = false;
+  rc.stack_size = 256 * 1024;
+  sim::run_parallel(rc, [&](int) {
+    s.atomically([&](Tx& tx) {
+      if (attempts++ < kRestarts) tx.restart();
+    });
+  });
+  EXPECT_EQ(attempts, kRestarts + 1);
+  EXPECT_EQ(s.stats().aborts, static_cast<std::uint64_t>(kRestarts));
+  EXPECT_EQ(s.stats().commits, 1u);
+}
+
+// Descriptors sit on the host heap, whose layout cache-on runs observe: the
+// checkpoint lives on atomically's frame and a descriptor keeps its slot.
+TEST(StmAbortPath, DescriptorKeepsItsPaddedSize) {
+  EXPECT_EQ(sizeof(Padded<Tx>), 2048u);
+}
+
 TEST_F(StmFixture, StatsResetWorks) {
   alignas(8) std::uint64_t x = 0;
   stm->atomically([&](Tx& tx) { tx.store(&x, std::uint64_t{1}); });

@@ -3,6 +3,7 @@
 // This file is never compiled.
 #include <atomic>
 #include <cstdlib>
+#include <vector>
 
 struct Node {
   int value;
@@ -19,10 +20,8 @@ void fixture(Stm& stm, std::atomic<int>& counter, Node* head, int* cell) {
     head->value = 1;                  // naked-store (member)
     head[1].value = 2;                // (member of indexed lvalue)
     counter.fetch_add(1);             // atomic-in-tx
-    try {
-      tx.store(&head->value, 3);
-    } catch (...) {                   // catch-swallow (no rethrow)
-    }
+    std::vector<Node*> seen;          // tx-frame-dtor
+    seen.push_back(tx.load(&head->next));
     free(p);                          // raw-alloc
     std::free(q);                     // raw-alloc
     (void)n;

@@ -6,8 +6,10 @@
 //
 // A *TX region* is the body of a lambda passed to Stm::atomically (detected
 // as the identifier `atomically` followed by a parenthesized lambda) or of
-// any lambda/function whose parameter list mentions `stm::Tx&` or
-// `TxAccess`. Inside a TX region the rules are:
+// any lambda/function whose parameter list mentions `stm::Tx&`, `TxAccess`
+// or the access policy `const A& acc` (the structures' and STAMP ports'
+// operations, instantiated with TxAccess inside transactions). Inside a TX
+// region the rules are:
 //
 //   raw-alloc       malloc/free/calloc/realloc/strdup/aligned_alloc called
 //                   directly (or std::-qualified) instead of through
@@ -25,10 +27,13 @@
 //   atomic-in-tx    std::atomic RMW (fetch_*/exchange/compare_exchange*)
 //                   inside a transaction: the side effect escapes the
 //                   write set and replays on every retry.
-//   catch-swallow   a catch block inside a TX region with no rethrow:
-//                   aborts propagate as TxAbortSignal exceptions, so a
-//                   swallowing handler breaks rollback and retry (missing
-//                   abort-path cleanup).
+//   tx-frame-dtor   a local of a non-trivially-destructible standard type
+//                   (std::vector, std::string, std::unique_ptr,
+//                   std::function, std::map, ...) declared inside a TX
+//                   region: an abort jumps from the barrier back to
+//                   Stm::atomically's checkpoint without running
+//                   destructors, so the local leaks. Keep such buffers as
+//                   per-worker scratch outside the transaction.
 //
 // Suppression: `// tmx-lint: allow(rule)` on the offending line, or an
 // allowlist file (--allowlist) of `rule path-substring` pairs. Findings are
@@ -283,9 +288,12 @@ std::vector<Region> find_tx_regions(const std::vector<Token>& toks) {
       add_body_after(i + 2, toks[i].line);
       continue;
     }
-    // Any callable whose parameter list mentions stm::Tx& or TxAccess:
-    // scan a parameter list "(...)" and look at the token after ")".
-    if (toks[i].text == "Tx" || toks[i].text == "TxAccess") {
+    // Any callable whose parameter list mentions stm::Tx&, TxAccess or the
+    // access policy `const A& acc`: scan a parameter list "(...)" and look
+    // at the token after ")".
+    const bool policy = toks[i].text == "A" && toks[i + 1].text == "&" &&
+                        i + 2 < toks.size() && toks[i + 2].text == "acc";
+    if (toks[i].text == "Tx" || toks[i].text == "TxAccess" || policy) {
       // Walk back to the enclosing "(" at depth 1 — cheap bounded scan.
       int depth = 0;
       std::size_t open = std::string::npos;
@@ -354,6 +362,46 @@ bool is_atomic_rmw_name(const std::string& s) {
     if (s == n) return true;
   }
   return false;
+}
+
+// Standard types whose destructor releases something: containers, strings,
+// streams, owning pointers and type-erased callables.
+bool is_dtor_type_name(const std::string& s) {
+  static const char* kNames[] = {
+      "vector",        "deque",         "list",
+      "forward_list",  "queue",         "stack",
+      "priority_queue", "map",          "multimap",
+      "set",           "multiset",      "unordered_map",
+      "unordered_multimap", "unordered_set", "unordered_multiset",
+      "string",        "wstring",       "basic_string",
+      "stringstream",  "ostringstream", "istringstream",
+      "unique_ptr",    "shared_ptr",    "weak_ptr",
+      "function",      "any"};
+  for (const char* n : kNames) {
+    if (s == n) return true;
+  }
+  return false;
+}
+
+bool is_identifier(const std::string& s) {
+  return !s.empty() &&
+         (std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_');
+}
+
+// From toks[open] == "<", return the index just past the matching ">"
+// (">>" closes two levels).
+std::size_t skip_template_args(const std::vector<Token>& toks,
+                               std::size_t open) {
+  int depth = 0;
+  for (std::size_t i = open; i < toks.size(); ++i) {
+    const std::string& s = toks[i].text;
+    if (s == "<") ++depth;
+    if (s == ">") --depth;
+    if (s == ">>") depth -= 2;
+    if (s == ";" || s == "{") return i;  // not a template argument list
+    if (depth <= 0) return i + 1;
+  }
+  return toks.size();
 }
 
 void lint_region(const std::string& file, const std::vector<Token>& toks,
@@ -435,25 +483,30 @@ void lint_region(const std::string& file, const std::vector<Token>& toks,
                                "set and replays on every retry"});
     }
 
-    // catch-swallow: catch block with no rethrow.
-    if (t.text == "catch") {
-      std::size_t j = i;
-      while (j < reg.end && toks[j].text != "{") ++j;
-      if (j >= reg.end) continue;
-      const std::size_t close = match_brace(toks, j);
-      bool rethrows = false;
-      for (std::size_t k = j; k < close; ++k) {
-        if (toks[k].text == "throw") {
-          rethrows = true;
-          break;
-        }
+    // tx-frame-dtor: `std::T<...> name` or `auto name = std::T...` with T
+    // non-trivially destructible. References, pointers, nested names
+    // (std::vector<int>::iterator) and template arguments are not locals of
+    // that type.
+    if (t.text == "std" && next(i) == "::" && prev(i) != "::" &&
+        prev(i) != "<" && prev(i) != "," && i + 2 < reg.end &&
+        is_dtor_type_name(toks[i + 2].text)) {
+      std::size_t j = i + 3;
+      if (j < reg.end && toks[j].text == "<") j = skip_template_args(toks, j);
+      const std::string& after = next(j);
+      const bool declared =
+          j + 1 < reg.end && is_identifier(toks[j].text) &&
+          (after == ";" || after == "=" || after == "(" || after == "{" ||
+           after == ",");
+      const bool auto_init = prev(i) == "=" && i >= 3 &&
+                             is_identifier(toks[i - 2].text) &&
+                             toks[i - 3].text == "auto";
+      if (declared || auto_init) {
+        out->push_back({file, t.line, "tx-frame-dtor",
+                        "std::" + toks[i + 2].text +
+                            " local inside a transaction: an abort jumps "
+                            "over its destructor (use per-worker scratch "
+                            "outside atomically)"});
       }
-      if (!rethrows) {
-        out->push_back({file, t.line, "catch-swallow",
-                        "catch inside a transaction without rethrow "
-                        "swallows TxAbortSignal and breaks rollback"});
-      }
-      i = close;
     }
   }
 }
@@ -516,7 +569,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help") {
       std::printf("usage: tmx_lint [--allowlist FILE] [--quiet] FILE...\n"
                   "rules: raw-alloc raw-new-delete naked-store atomic-in-tx "
-                  "catch-swallow\n"
+                  "tx-frame-dtor\n"
                   "suppress: '// tmx-lint: allow(rule)' on the line, or an "
                   "allowlist of 'rule path-substring' pairs\n");
       return 0;
