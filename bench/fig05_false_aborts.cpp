@@ -6,9 +6,9 @@
 // distinct locks and no aborts occur.
 #include <memory>
 
-#include "alloc/instrument.hpp"
 #include "bench_common.hpp"
 #include "core/stm.hpp"
+#include "harness/alloc_stack.hpp"
 #include "harness/obs_session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -26,14 +26,12 @@ struct CaseResult {
 CaseResult run_case(const std::string& alloc_name, unsigned shift,
                     int rounds) {
   using namespace tmx;
-  std::unique_ptr<alloc::Allocator> allocator =
-      alloc::create_allocator(alloc_name);
-  // With a tracer listening, route allocations through the instrumenting
-  // wrapper so --record-trace captures see the kAlloc/kFree events.
-  if (obs::trace_enabled()) {
-    allocator =
-        std::make_unique<alloc::InstrumentingAllocator>(std::move(allocator));
-  }
+  // With a tracer listening, the instrumenting wrapper emits the
+  // kAlloc/kFree events --record-trace captures.
+  const std::unique_ptr<alloc::Allocator> allocator =
+      harness::build_allocator_stack({.allocator = alloc_name,
+                                      .threads = 2,
+                                      .instrument = obs::trace_enabled()});
   stm::Config cfg;
   cfg.allocator = allocator.get();
   cfg.shift = shift;

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tmx::alloc {
@@ -78,10 +79,9 @@ class Allocator {
   }
 
   // The provider backing this allocator's reservations, or nullptr for
-  // models without one (the system passthrough). The harness uses this to
-  // apply --numa-policy and to report per-node footprints; wrappers
-  // forward to the inner allocator. Models register theirs once via
-  // adopt_page_provider() in their constructor.
+  // models without one (the system passthrough). The base os_reserved()
+  // reads it; wrappers forward to the inner allocator. Models register
+  // theirs once via adopt_page_provider() in their constructor.
   virtual PageProvider* page_provider() { return provider_; }
 
   // -- Transaction-lifecycle hints (tmx::phase) --
@@ -100,9 +100,9 @@ class Allocator {
   virtual void tx_abort_hint(int) {}
   virtual void on_quiescence(bool) {}
 
-  // The wrapped allocator for the instrument/fault/check/prof shells,
-  // nullptr for leaf models. Lets tools unwrap the stack to reach a
-  // specific model (phase::as_phase) without widening every wrapper API.
+  // The wrapped allocator for the plane wrappers, nullptr for leaf models.
+  // Lets tools unwrap the stack to reach a specific layer (find_layer)
+  // without widening every wrapper API.
   virtual Allocator* inner_allocator() { return nullptr; }
 
  protected:
@@ -124,6 +124,46 @@ class Allocator {
   std::atomic<std::size_t> live_bytes_{0};
   PageProvider* provider_ = nullptr;
 };
+
+// Base of the plane wrappers (instrument, fault, check, guard, prof): owns
+// the wrapped allocator and forwards every call to it, so a wrapper
+// overrides only the calls it intercepts. harness/alloc_stack.hpp assembles
+// the wrappers in their one fixed order.
+class ForwardingAllocator : public Allocator {
+ public:
+  explicit ForwardingAllocator(std::unique_ptr<Allocator> inner)
+      : inner_(std::move(inner)) {}
+
+  // Defined out of line (registry.cpp): with the bodies visible here the
+  // compiler speculatively devirtualizes every Allocator call in the tree
+  // to them, adding a compare and inlined forwarding to each model call.
+  void* allocate(std::size_t size) override;
+  void deallocate(void* p) override;
+  std::size_t usable_size(const void* p) const override;
+  const AllocatorTraits& traits() const override;
+  std::size_t os_reserved() const override;
+  std::size_t live_bytes() const override;
+  PageProvider* page_provider() override;
+  bool wants_tx_hints() const override;
+  void tx_begin_hint(int tid) override;
+  void tx_commit_hint(int tid) override;
+  void tx_abort_hint(int tid) override;
+  void on_quiescence(bool serial) override;
+  Allocator* inner_allocator() override;
+
+ protected:
+  const std::unique_ptr<Allocator> inner_;
+};
+
+// The outermost layer of `a`'s stack that is a T, walking inner_allocator()
+// from `a` down to the model; nullptr when no layer is.
+template <class T>
+T* find_layer(Allocator* a) {
+  for (; a != nullptr; a = a->inner_allocator()) {
+    if (auto* layer = dynamic_cast<T*>(a)) return layer;
+  }
+  return nullptr;
+}
 
 // ---------------------------------------------------------------------------
 // Registry: runtime allocator selection (the study's LD_PRELOAD equivalent).

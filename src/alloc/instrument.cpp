@@ -37,10 +37,6 @@ const char* size_bucket_name(int bucket) {
   return names[bucket];
 }
 
-InstrumentingAllocator::InstrumentingAllocator(
-    std::unique_ptr<Allocator> inner)
-    : inner_(std::move(inner)) {}
-
 void* InstrumentingAllocator::allocate(std::size_t size) {
   const int tid = sim::self_tid();
   Counters& c = *counters_[tid];

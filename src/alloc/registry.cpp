@@ -20,6 +20,38 @@ std::size_t Allocator::os_reserved() const {
   return p != nullptr ? p->total_reserved() : 0;
 }
 
+void* ForwardingAllocator::allocate(std::size_t size) {
+  return inner_->allocate(size);
+}
+void ForwardingAllocator::deallocate(void* p) { inner_->deallocate(p); }
+std::size_t ForwardingAllocator::usable_size(const void* p) const {
+  return inner_->usable_size(p);
+}
+const AllocatorTraits& ForwardingAllocator::traits() const {
+  return inner_->traits();
+}
+std::size_t ForwardingAllocator::os_reserved() const {
+  return inner_->os_reserved();
+}
+std::size_t ForwardingAllocator::live_bytes() const {
+  return inner_->live_bytes();
+}
+PageProvider* ForwardingAllocator::page_provider() {
+  return inner_->page_provider();
+}
+bool ForwardingAllocator::wants_tx_hints() const {
+  return inner_->wants_tx_hints();
+}
+void ForwardingAllocator::tx_begin_hint(int tid) { inner_->tx_begin_hint(tid); }
+void ForwardingAllocator::tx_commit_hint(int tid) {
+  inner_->tx_commit_hint(tid);
+}
+void ForwardingAllocator::tx_abort_hint(int tid) { inner_->tx_abort_hint(tid); }
+void ForwardingAllocator::on_quiescence(bool serial) {
+  inner_->on_quiescence(serial);
+}
+Allocator* ForwardingAllocator::inner_allocator() { return inner_.get(); }
+
 std::vector<std::string> allocator_names() {
   return {"glibc", "hoard", "tbb", "tcmalloc", "jemalloc", "phase", "system"};
 }

@@ -7,9 +7,6 @@
 
 namespace tmx::fault {
 
-FaultyAllocator::FaultyAllocator(std::unique_ptr<alloc::Allocator> inner)
-    : inner_(std::move(inner)) {}
-
 FaultyAllocator::~FaultyAllocator() {
   // Nothing may stay parked past the wrapper's lifetime.
   for (auto& q : queues_) {

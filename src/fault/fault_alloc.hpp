@@ -1,11 +1,6 @@
 // FaultyAllocator: applies the installed FaultPlan's malloc-level faults to
 // any allocator model, uniformly, without touching the models themselves.
 //
-// Wrap order in the harnesses is Instrumenting(Faulty(model)): the
-// instrumentation layer sits outside, so an injected OOM is recorded in the
-// trace exactly like a genuine one — a malloc event whose returned address
-// is 0 — and record -> replay reproduces the injected schedule for free.
-//
 // Faults applied here:
 //  * kMalloc  — allocate() returns nullptr (rate/budget from the plan).
 //  * kDelayFree — deallocate() parks the block in a per-thread queue and
@@ -18,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "alloc/allocator.hpp"
@@ -27,30 +21,13 @@
 
 namespace tmx::fault {
 
-class FaultyAllocator final : public alloc::Allocator {
+class FaultyAllocator final : public alloc::ForwardingAllocator {
  public:
-  explicit FaultyAllocator(std::unique_ptr<alloc::Allocator> inner);
+  using ForwardingAllocator::ForwardingAllocator;
   ~FaultyAllocator() override;
 
   void* allocate(std::size_t size) override;
   void deallocate(void* p) override;
-  std::size_t usable_size(const void* p) const override {
-    return inner_->usable_size(p);
-  }
-  const alloc::AllocatorTraits& traits() const override {
-    return inner_->traits();
-  }
-  std::size_t os_reserved() const override { return inner_->os_reserved(); }
-  std::size_t live_bytes() const override { return inner_->live_bytes(); }
-  alloc::PageProvider* page_provider() override { return inner_->page_provider(); }
-  bool wants_tx_hints() const override { return inner_->wants_tx_hints(); }
-  void tx_begin_hint(int tid) override { inner_->tx_begin_hint(tid); }
-  void tx_commit_hint(int tid) override { inner_->tx_commit_hint(tid); }
-  void tx_abort_hint(int tid) override { inner_->tx_abort_hint(tid); }
-  void on_quiescence(bool serial) override { inner_->on_quiescence(serial); }
-  alloc::Allocator* inner_allocator() override { return inner_.get(); }
-
-  alloc::Allocator& inner() { return *inner_; }
 
   // Injection counters for this wrapper instance.
   std::uint64_t injected_oom() const;
@@ -71,7 +48,6 @@ class FaultyAllocator final : public alloc::Allocator {
   // has passed.
   void flush_due(ThreadQueue& q);
 
-  std::unique_ptr<alloc::Allocator> inner_;
   std::array<Padded<ThreadQueue>, kMaxThreads> queues_{};
 };
 

@@ -42,12 +42,11 @@
 // runs are still fully deterministic for a fixed seed (byte-stable across
 // processes, the chaos-smoke CI contract) but pin different constants.
 //
-// Layering: guard sits beside check/fault, above sim+alloc. The wrapper
-// order in the harnesses is Prof(Instr(Faulty(Guarded(Checked(model))))):
-// the guard asks tmx::fault for corruption-injection decisions (it is the
-// only layer that knows block layout, so it carries out the injections it
-// must then detect) and sits above the checker so lifetime bookkeeping sees
-// frees when the quarantine actually releases them.
+// Layering: guard sits beside check/fault, above sim+alloc. The guard asks
+// tmx::fault for corruption-injection decisions (it is the only layer that
+// knows block layout, so it carries out the injections it must then
+// detect); its place in the allocator stack is set in
+// harness/alloc_stack.hpp.
 #pragma once
 
 #include <cstdint>

@@ -3,15 +3,11 @@
 // checksums, free-poisoning and a quiescence-aware quarantine — see
 // guard.hpp for the rationale and the determinism contract.
 //
-// Wrap order in the harnesses is Prof(Instr(Faulty(Guarded(Checked(m))))):
-// the guard sits directly above the checker, so a quarantined free reaches
-// the checker's lifetime tables only when the quarantine actually releases
-// it (while parked, the memory is still owned — and poisoned — by the
-// guard). The guard is also the *injector* for the fault plane's corruption
-// sites (corrupt_tag / corrupt_overflow / corrupt_reuse): it is the only
-// layer that knows where the canary and the model's in-band tag live, and
-// it only injects where detection is possible, which is what makes the
-// chaos_soak contract — injected == detected, per site — provable.
+// The guard is also the *injector* for the fault plane's corruption sites
+// (corrupt_tag / corrupt_overflow / corrupt_reuse): it is the only layer
+// that knows where the canary and the model's in-band tag live, and it only
+// injects where detection is possible, which is what makes the chaos_soak
+// contract — injected == detected, per site — provable.
 //
 // Sim-engine only: the block table and quarantine are unsynchronized host
 // containers, correct because fibers interleave only at explicit yield
@@ -20,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 
 #include "alloc/allocator.hpp"
@@ -28,9 +23,9 @@
 
 namespace tmx::guard {
 
-class GuardedAllocator final : public alloc::Allocator {
+class GuardedAllocator final : public alloc::ForwardingAllocator {
  public:
-  explicit GuardedAllocator(std::unique_ptr<alloc::Allocator> inner);
+  using ForwardingAllocator::ForwardingAllocator;
   ~GuardedAllocator() override;
 
   void* allocate(std::size_t size) override;
@@ -41,15 +36,6 @@ class GuardedAllocator final : public alloc::Allocator {
   // block's tag and canary (the "verified on usable_size" contract).
   std::size_t usable_size(const void* p) const override;
 
-  const alloc::AllocatorTraits& traits() const override {
-    return inner_->traits();
-  }
-  std::size_t os_reserved() const override { return inner_->os_reserved(); }
-  std::size_t live_bytes() const override { return inner_->live_bytes(); }
-  alloc::PageProvider* page_provider() override {
-    return inner_->page_provider();
-  }
-
   // The guard always wants hints: commit boundaries with zero in-flight
   // transactions drive the quarantine epoch. The hint bodies are host-only
   // (no tick/yield), so hint delivery alone never perturbs the schedule.
@@ -58,9 +44,6 @@ class GuardedAllocator final : public alloc::Allocator {
   void tx_commit_hint(int tid) override;
   void tx_abort_hint(int tid) override;
   void on_quiescence(bool serial) override;
-
-  alloc::Allocator* inner_allocator() override { return inner_.get(); }
-  alloc::Allocator& inner() { return *inner_; }
 
   // Introspection for tests and harness reporting.
   std::size_t quarantine_blocks() const { return quarantine_.size(); }
@@ -103,7 +86,6 @@ class GuardedAllocator final : public alloc::Allocator {
   // the poison — and the tag — of each block first.
   void release_ready(bool all);
 
-  std::unique_ptr<alloc::Allocator> inner_;
   mutable std::unordered_map<const void*, Record> table_;
   std::deque<QEntry> quarantine_;
   std::size_t quarantine_bytes_ = 0;

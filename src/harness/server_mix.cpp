@@ -8,14 +8,10 @@
 
 #include "alloc/allocator.hpp"
 #include "alloc/instrument.hpp"
-#include "check/check_alloc.hpp"
-#include "fault/fault.hpp"
-#include "fault/fault_alloc.hpp"
 #include "guard/guard.hpp"
-#include "guard/guard_alloc.hpp"
+#include "harness/alloc_stack.hpp"
 #include "obs/tracer.hpp"
 #include "prof/prof.hpp"
-#include "prof/prof_alloc.hpp"
 #include "sim/sync.hpp"
 #include "util/rng.hpp"
 
@@ -47,33 +43,13 @@ struct Mailbox {
 }  // namespace
 
 ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
-  std::unique_ptr<alloc::Allocator> allocator =
-      alloc::create_allocator(cfg.allocator);
-  // Same wrap order as stamp::run_stamp: checker innermost (tracks what the
-  // model hands out), the guard directly above it (quarantined frees reach
-  // the checker only at release), faults above that, instrumentation above
-  // that, and the profiler outermost so its latencies are what the
-  // application experiences through every other layer.
-  if (check::enabled()) {
-    allocator = std::make_unique<check::CheckedAllocator>(std::move(allocator));
-  }
-  if (guard::enabled()) {
-    allocator = std::make_unique<guard::GuardedAllocator>(std::move(allocator));
-  }
-  if (fault::enabled()) {
-    allocator = std::make_unique<fault::FaultyAllocator>(std::move(allocator));
-  }
-  if (obs::trace_enabled()) {
-    allocator =
-        std::make_unique<alloc::InstrumentingAllocator>(std::move(allocator));
-  }
-  if (cfg.prof) {
-    allocator = std::make_unique<prof::ProfilingAllocator>(std::move(allocator));
-    prof::ProfConfig pcfg;
-    pcfg.sample_cycles = cfg.prof_sample_cycles;
-    pcfg.allocator = allocator.get();
-    prof::install(pcfg);
-  }
+  const int workers = cfg.workers > 0 ? cfg.workers : 1;
+  const std::unique_ptr<alloc::Allocator> allocator =
+      build_allocator_stack({.allocator = cfg.allocator,
+                             .threads = workers,
+                             .instrument = obs::trace_enabled(),
+                             .prof = cfg.prof,
+                             .prof_sample_cycles = cfg.prof_sample_cycles});
 
   stm::Config scfg;
   scfg.ort_log2 = cfg.ort_log2;
@@ -83,7 +59,6 @@ ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
   scfg.allocator = allocator.get();
   stm::Stm stm(scfg);
 
-  const int workers = cfg.workers > 0 ? cfg.workers : 1;
   // Shared transactional request counter: every publish transaction
   // read-modify-writes it, so concurrent commits genuinely conflict and the
   // abort-to-retry path carries real traffic (otherwise requests only touch
@@ -213,7 +188,7 @@ ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
   res.live_bytes_end = allocator->live_bytes();
   res.reserved_bytes_end = allocator->os_reserved();
   for (const auto& r : retained) res.retained_blocks += r.size();
-  if (phase::PhaseAllocator* pa = phase::as_phase(allocator.get())) {
+  if (auto* pa = alloc::find_layer<phase::PhaseAllocator>(allocator.get())) {
     res.has_phase = true;
     res.phase = pa->stats();
   }

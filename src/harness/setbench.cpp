@@ -4,11 +4,7 @@
 #include <memory>
 
 #include "alloc/instrument.hpp"
-#include "check/check_alloc.hpp"
-#include "fault/fault.hpp"
-#include "fault/fault_alloc.hpp"
-#include "guard/guard.hpp"
-#include "guard/guard_alloc.hpp"
+#include "harness/alloc_stack.hpp"
 #include "obs/tracer.hpp"
 #include "structs/tx_hashset.hpp"
 #include "structs/tx_list.hpp"
@@ -98,39 +94,14 @@ struct TreeOps final : SetOps {
 }  // namespace
 
 SetBenchResult run_set_bench(const SetBenchConfig& cfg) {
-  // Configure the NUMA view before anything reserves memory: the population
-  // phase and the STM's ORT shards consult the registry at construction.
-  // The default snapshot makes wrapped inner providers inherit the policy.
-  sim::numa_configure(cfg.topology, static_cast<unsigned>(cfg.threads));
-  alloc::set_default_numa(cfg.numa);
-  std::unique_ptr<alloc::Allocator> allocator =
-      alloc::create_allocator(cfg.allocator);
-  if (alloc::PageProvider* pages = allocator->page_provider()) {
-    pages->set_numa(cfg.numa);
-  }
-  // The checker wraps the model innermost (see check_alloc.hpp): it tracks
-  // the blocks the model actually hands out.
-  if (check::enabled()) {
-    allocator = std::make_unique<check::CheckedAllocator>(std::move(allocator));
-  }
-  // The guard sits directly above the checker: quarantined frees reach the
-  // checker's lifetime tables only when the quarantine releases them, so a
-  // zombie read of parked memory is still "live" from check's point of view.
-  if (guard::enabled()) {
-    allocator = std::make_unique<guard::GuardedAllocator>(std::move(allocator));
-  }
-  // Fault injection wraps the model directly, under any instrumentation, so
-  // captures and profiles see the post-fault results.
-  if (fault::enabled()) {
-    allocator = std::make_unique<fault::FaultyAllocator>(std::move(allocator));
-  }
-  // Trace capture needs kAlloc/kFree events, which only the instrumenting
-  // wrapper emits; wrap exactly when a tracer is listening so untraced
-  // runs keep the direct call path.
-  if (obs::trace_enabled()) {
-    allocator =
-        std::make_unique<alloc::InstrumentingAllocator>(std::move(allocator));
-  }
+  // Trace capture needs the kAlloc/kFree events only the instrumenting
+  // wrapper emits; untraced runs keep the direct call path.
+  const std::unique_ptr<alloc::Allocator> allocator =
+      build_allocator_stack({.allocator = cfg.allocator,
+                             .threads = cfg.threads,
+                             .topology = cfg.topology,
+                             .numa = cfg.numa,
+                             .instrument = obs::trace_enabled()});
 
   stm::Config scfg;
   scfg.ort_log2 = cfg.ort_log2;

@@ -721,14 +721,6 @@ PhaseStats PhaseAllocator::stats() const {
   return st;
 }
 
-PhaseAllocator* as_phase(alloc::Allocator* a) {
-  while (a != nullptr) {
-    if (auto* p = dynamic_cast<PhaseAllocator*>(a)) return p;
-    a = a->inner_allocator();
-  }
-  return nullptr;
-}
-
 void publish_metrics(const PhaseStats& stats, obs::MetricsRegistry& reg,
                      const std::string& prefix) {
   reg.set_counter(prefix + "epoch", stats.epoch);

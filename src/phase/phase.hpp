@@ -249,10 +249,6 @@ class PhaseAllocator final : public alloc::Allocator {
   std::atomic<std::uint64_t> remap_refusals_{0};
 };
 
-// Unwraps the instrument/fault/check/prof shells down to the
-// PhaseAllocator, or nullptr when the stack bottoms out elsewhere.
-PhaseAllocator* as_phase(alloc::Allocator* a);
-
 // Publishes alloc.phase.* metrics (epoch, phases, relocations) into the
 // unified metrics registry.
 void publish_metrics(const PhaseStats& stats, obs::MetricsRegistry& reg,

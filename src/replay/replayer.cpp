@@ -200,7 +200,7 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
   // stream balanced even for gappy traces, which can drop a begin or
   // commit: an unmatched marker must not pin the minimum in-flight epoch
   // (that would silently stop phase reclamation for the rest of the run).
-  phase::PhaseAllocator* phase_alloc = phase::as_phase(&ia);
+  auto* phase_alloc = alloc::find_layer<phase::PhaseAllocator>(&ia);
   const bool tx_hints = ia.wants_tx_hints();
   std::vector<std::uint8_t> in_tx(static_cast<std::size_t>(kMaxThreads), 0);
 

@@ -1,12 +1,29 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <ostream>
+#include <string>
+#include <typeinfo>
+#include <vector>
 
+#include "alloc/instrument.hpp"
+#include "alloc/page_provider.hpp"
+#include "check/check_alloc.hpp"
+#include "fault/fault.hpp"
+#include "fault/fault_alloc.hpp"
+#include "guard/guard.hpp"
+#include "guard/guard_alloc.hpp"
+#include "harness/alloc_stack.hpp"
 #include "harness/options.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
+#include "prof/prof.hpp"
+#include "prof/prof_alloc.hpp"
 
 namespace tmx::harness {
 namespace {
@@ -152,6 +169,164 @@ TEST(Table, CsvRoundTrip) {
   std::fclose(f);
   std::remove(path.c_str());
 }
+
+// ---- Allocator stack ----
+
+TEST(AllocStack, NoPlaneOnReturnsTheBareModel) {
+  const auto a = build_allocator_stack({.allocator = "tcmalloc"});
+  EXPECT_EQ(a->inner_allocator(), nullptr);
+  EXPECT_EQ(a->traits().name, "tcmalloc");
+}
+
+// The wrap-order contract of harness/alloc_stack.hpp, outermost first.
+TEST(AllocStack, EveryPlaneOnWrapsInContractOrder) {
+  check::install(check::CheckConfig{});
+  guard::install(guard::GuardConfig{});
+  fault::install(fault::FaultPlan{});
+  {
+    // Harnesses pass obs::trace_enabled() as `instrument`.
+    const auto a = build_allocator_stack(
+        {.allocator = "glibc", .instrument = true, .prof = true});
+    std::vector<std::string> layers;
+    alloc::Allocator* layer = a.get();
+    for (; layer->inner_allocator() != nullptr;
+         layer = layer->inner_allocator()) {
+      layers.emplace_back(typeid(*layer).name());
+    }
+    const std::vector<std::string> expected = {
+        typeid(prof::ProfilingAllocator).name(),
+        typeid(alloc::InstrumentingAllocator).name(),
+        typeid(fault::FaultyAllocator).name(),
+        typeid(guard::GuardedAllocator).name(),
+        typeid(check::CheckedAllocator).name()};
+    EXPECT_EQ(layers, expected);
+    EXPECT_EQ(layer->traits().name, "glibc");
+    EXPECT_EQ(alloc::find_layer<guard::GuardedAllocator>(a.get()),
+              a->inner_allocator()->inner_allocator()->inner_allocator());
+  }
+  prof::uninstall();
+  fault::clear();
+  guard::clear();
+  check::clear();
+}
+
+// Every harness gets the NUMA policy it asks for, not one a previous run in
+// the same process left as the default.
+TEST(AllocStack, DefaultNumaOptionsReplaceAStaleDefault) {
+  alloc::set_default_numa({alloc::NumaOptions::Policy::kInterleave});
+  const auto a = build_allocator_stack({.allocator = "glibc"});
+  ASSERT_NE(a->page_provider(), nullptr);
+  EXPECT_EQ(a->page_provider()->numa().policy,
+            alloc::NumaOptions::Policy::kFirstTouch);
+}
+
+// A leaf that counts every call it receives.
+enum Call {
+  kUsableSize, kTraits, kOsReserved, kLiveBytes, kPageProvider,
+  kWantsTxHints, kTxBeginHint, kTxCommitHint, kTxAbortHint, kOnQuiescence,
+  kNumCalls
+};
+
+class CountingAllocator final : public alloc::Allocator {
+ public:
+  using Counts = std::array<int, kNumCalls>;
+  const Counts& counts() const { return counts_; }
+
+  void* allocate(std::size_t) override { return nullptr; }
+  void deallocate(void*) override {}
+  std::size_t usable_size(const void*) const override {
+    return tally(kUsableSize, 0);
+  }
+  const alloc::AllocatorTraits& traits() const override {
+    return tally(kTraits, traits_);
+  }
+  std::size_t os_reserved() const override { return tally(kOsReserved, 0); }
+  std::size_t live_bytes() const override { return tally(kLiveBytes, 0); }
+  alloc::PageProvider* page_provider() override {
+    return tally(kPageProvider, nullptr);
+  }
+  bool wants_tx_hints() const override { return tally(kWantsTxHints, false); }
+  void tx_begin_hint(int) override { tally(kTxBeginHint, 0); }
+  void tx_commit_hint(int) override { tally(kTxCommitHint, 0); }
+  void tx_abort_hint(int) override { tally(kTxAbortHint, 0); }
+  void on_quiescence(bool) override { tally(kOnQuiescence, 0); }
+
+ private:
+  template <class T>
+  const T& tally(Call c, const T& result) const {
+    ++counts_[c];
+    return result;
+  }
+
+  alloc::AllocatorTraits traits_;
+  mutable Counts counts_{};
+};
+
+struct WrapperCase {
+  const char* name;
+  std::function<std::unique_ptr<alloc::Allocator>(
+      std::unique_ptr<alloc::Allocator>)>
+      wrap;
+  std::vector<Call> intercepted;  // besides allocate/deallocate
+};
+
+void PrintTo(const WrapperCase& wc, std::ostream* os) { *os << wc.name; }
+
+template <class W>
+WrapperCase wrapper_case(const char* name, std::vector<Call> intercepted) {
+  return {name,
+          [](std::unique_ptr<alloc::Allocator> inner) {
+            return std::make_unique<W>(std::move(inner));
+          },
+          std::move(intercepted)};
+}
+
+class ForwardingTest : public ::testing::TestWithParam<WrapperCase> {};
+
+// With its plane idle, each wrapper forwards every call it does not
+// intercept to the wrapped allocator exactly once, and makes no other call.
+TEST_P(ForwardingTest, ForwardsEachUninterceptedCallExactlyOnce) {
+  const std::array<std::function<void(alloc::Allocator&)>, kNumCalls> invoke =
+      {[](alloc::Allocator& a) { (void)a.usable_size(&a); },
+       [](alloc::Allocator& a) { (void)a.traits(); },
+       [](alloc::Allocator& a) { (void)a.os_reserved(); },
+       [](alloc::Allocator& a) { (void)a.live_bytes(); },
+       [](alloc::Allocator& a) { (void)a.page_provider(); },
+       [](alloc::Allocator& a) { (void)a.wants_tx_hints(); },
+       [](alloc::Allocator& a) { a.tx_begin_hint(0); },
+       [](alloc::Allocator& a) { a.tx_commit_hint(0); },
+       [](alloc::Allocator& a) { a.tx_abort_hint(0); },
+       [](alloc::Allocator& a) { a.on_quiescence(false); }};
+  const WrapperCase& wc = GetParam();
+  auto leaf = std::make_unique<CountingAllocator>();
+  const CountingAllocator* counting = leaf.get();
+  const auto w = wc.wrap(std::move(leaf));
+  EXPECT_EQ(w->inner_allocator(), counting);
+  CountingAllocator::Counts expected{};
+  for (int c = 0; c < kNumCalls; ++c) {
+    if (std::find(wc.intercepted.begin(), wc.intercepted.end(), c) !=
+        wc.intercepted.end()) {
+      continue;
+    }
+    invoke[c](*w);
+    ++expected[c];
+    EXPECT_EQ(counting->counts(), expected) << "call " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PlaneWrappers, ForwardingTest,
+    ::testing::Values(
+        wrapper_case<alloc::InstrumentingAllocator>("Instrumenting", {}),
+        wrapper_case<fault::FaultyAllocator>("Faulty", {}),
+        wrapper_case<check::CheckedAllocator>("Checked", {}),
+        wrapper_case<guard::GuardedAllocator>(
+            "Guarded", {kUsableSize, kWantsTxHints, kTxBeginHint,
+                        kTxCommitHint, kTxAbortHint, kOnQuiescence}),
+        wrapper_case<prof::ProfilingAllocator>("Profiling", {})),
+    [](const ::testing::TestParamInfo<WrapperCase>& p) {
+      return std::string(p.param.name);
+    });
 
 }  // namespace
 }  // namespace tmx::harness
