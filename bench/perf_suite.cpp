@@ -12,10 +12,10 @@
 // Scenarios:
 //   * sched_stress — yield-only fiber bodies in a fork-join-imbalance
 //     shape: a balanced fan-out phase across all fibers (every yield is a
-//     genuine switch, stressing the min-heap and the direct fiber-to-fiber
-//     swap), then a serial tail where the last fiber runs alone (every
-//     yield takes the fast-resume path). Half the yields land in each
-//     phase, mirroring Amdahl-style imbalance in real runs.
+//     genuine switch, stressing the run heap's replace-top and the direct
+//     fiber-to-fiber swap), then a serial tail where the last fiber runs
+//     alone (every yield takes the fast-resume path). Half the yields land
+//     in each phase, mirroring Amdahl-style imbalance in real runs.
 //   * list / hashset / rbtree — the paper's synthetic set benchmarks under
 //     glibc at 8 simulated threads with the cache model on: the full
 //     STM-barrier + ORT + cache-model hot path.
@@ -32,9 +32,8 @@
 //     handoffs and direct allocator churn per request. Guards the hot paths
 //     the prof plane hooks into; the idle-hook branch cost is included.
 //   * sched_stress_256 — the scheduler stress at 256 fibers: prices the
-//     per-core run queues and the cross-core min-heap at the scale the
-//     NUMA work targets (the old global heap was O(log threads) per switch
-//     with a cold indexed array; this guards the many-fiber regime).
+//     run heap's O(log threads) replace-top over 256 inline keys, plus the
+//     per-run fiber-stack setup, at the scale the NUMA work targets.
 //   * hashset_numa — the hashset scenario at 256 fibers on a 4-node
 //     topology with interleaved page homing and a per-node sharded ORT:
 //     the full NUMA path (home-node lookup on every L2 miss, remote-latency

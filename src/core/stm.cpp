@@ -592,7 +592,7 @@ void Tx::release_deferred_frees() {
   }
 }
 
-void Tx::rollback(AbortCause cause, std::uintptr_t addr) {
+void Tx::rollback(AbortCause cause, [[maybe_unused]] std::uintptr_t addr) {
   // Write-through: undo the in-place stores before releasing any lock
   // (readers are shut out while the locks are held).
   if (stm_->cfg_.design == StmDesign::kWriteThroughEtl) {

@@ -93,17 +93,20 @@ namespace {
 
 struct Fiber;
 
-// Discrete-event order: smallest virtual time first, ties broken by fiber
-// id — the exact order the original O(threads) min-scan produced.
-bool runs_before(const Fiber* a, const Fiber* b);
-
-// One core's run queue: a binary min-heap of the runnable fibers pinned to
-// that core, keyed by (vtime, id). With the default one-fiber-per-core
-// topology each queue holds at most one fiber; topologies with fewer cores
-// than fibers multiplex several fibers per queue.
-struct CoreQueue {
-  std::vector<Fiber*> q;
+// A runnable fiber's scheduling key, stored inline in the run heap so a
+// compare touches only the heap array. Discrete-event order: smallest
+// virtual time first, ties broken by fiber id — the exact order the
+// original O(threads) min-scan produced. Ids make every key unique.
+struct RunKey {
+  std::uint64_t vtime;
+  int id;
 };
+
+// Branch-free (| and & on the flags, not || and &&): which child of a heap
+// node is smaller is a coin flip the branch predictor cannot learn.
+bool runs_before(RunKey a, RunKey b) {
+  return (a.vtime < b.vtime) | ((a.vtime == b.vtime) & (a.id < b.id));
+}
 
 struct FiberEngine {
 #if TMX_FAST_CTX
@@ -111,23 +114,16 @@ struct FiberEngine {
 #else
   ucontext_t main_ctx{};
 #endif
-  std::vector<std::unique_ptr<Fiber>> fibers;
-  // Two-level runnable structure: per-core queues plus an indexed min-heap
-  // of the cores whose queue is nonempty, keyed by each queue's head
-  // fiber. The global (vtime, id) minimum is the head of cheap[0]'s queue;
-  // `cpos` maps core -> position in `cheap` (-1 when empty) so a head
-  // change re-sifts one path instead of rebuilding. The currently
-  // executing fiber is never queued.
-  std::vector<CoreQueue> queues;
-  std::vector<unsigned> cheap;
-  std::vector<int> cpos;
-  // The running fiber's scheduling quantum: the (vtime, id) key of the
-  // best queued fiber, captured when the running fiber was resumed. The
-  // engine is single-threaded, so no queued fiber's key can change while
-  // one fiber runs — every yield inside the quantum batch-advances with
-  // this one cached compare and zero queue traffic.
-  std::uint64_t q_vtime = 0;
-  int q_id = 0;
+  std::vector<std::unique_ptr<Fiber>> fibers;  // indexed by fiber id
+  // The runnable fibers: a binary min-heap of their keys. The currently
+  // executing fiber is never in it.
+  std::vector<RunKey> heap;
+  // The running fiber's scheduling quantum: the key of the best queued
+  // fiber, captured when the running fiber was resumed. The engine is
+  // single-threaded, so no queued fiber's key can change while one fiber
+  // runs — every yield inside the quantum batch-advances with this one
+  // cached compare and zero heap traffic.
+  RunKey quantum{};
   bool q_valid = false;
   std::uint64_t quantum_absorbed = 0;  // fast resumes in the open quantum
   unsigned last_core = 0;
@@ -142,48 +138,43 @@ struct FiberEngine {
   std::unique_ptr<CacheModel> cache;
   const std::function<void(int)>* body = nullptr;
 
-  bool core_before(unsigned a, unsigned b) const;
-
-  void cheap_sift_up(std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!core_before(cheap[i], cheap[parent])) break;
-      std::swap(cheap[i], cheap[parent]);
-      cpos[cheap[i]] = static_cast<int>(i);
-      cpos[cheap[parent]] = static_cast<int>(parent);
-      i = parent;
+  // Puts `k` at the root, where the old minimum was, and sifts it down.
+  void sift_down_from_root(RunKey k) {
+    const std::size_t n = heap.size();
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+      if (c + 1 < n) c += runs_before(heap[c + 1], heap[c]);
+      if (!runs_before(heap[c], k)) break;
+      heap[i] = heap[c];
+      i = c;
     }
+    heap[i] = k;
   }
 
-  void cheap_sift_down(std::size_t i) {
-    for (;;) {
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = l + 1;
-      std::size_t m = i;
-      if (l < cheap.size() && core_before(cheap[l], cheap[m])) m = l;
-      if (r < cheap.size() && core_before(cheap[r], cheap[m])) m = r;
-      if (m == i) break;
-      std::swap(cheap[i], cheap[m]);
-      cpos[cheap[i]] = static_cast<int>(i);
-      cpos[cheap[m]] = static_cast<int>(m);
-      i = m;
-    }
+  // Removes and returns the minimum (main loop, after a fiber finishes).
+  Fiber* pop_min() {
+    ++sched.heap_ops;
+    Fiber* top = fibers[static_cast<std::size_t>(heap.front().id)].get();
+    const RunKey last = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) sift_down_from_root(last);
+    return top;
   }
 
-  void push_fiber(Fiber* f);
-  Fiber* pop_min();
+  // Swaps `k` in for the minimum and returns the minimum's fiber: one
+  // sift-down per genuine switch. `k` must not precede the minimum.
+  Fiber* replace_min(RunKey k) {
+    ++sched.heap_ops;
+    Fiber* top = fibers[static_cast<std::size_t>(heap.front().id)].get();
+    sift_down_from_root(k);
+    return top;
+  }
 
   // Opens the next quantum: caches the key of the best queued fiber so the
   // fast-resume compare in yield() needs no heap access.
   void begin_quantum() {
-    if (cheap.empty()) {
-      q_valid = false;
-      return;
-    }
-    const Fiber* h = queues[cheap.front()].q.front();
-    q_vtime = fiber_vtime(h);
-    q_id = fiber_id(h);
-    q_valid = true;
+    q_valid = !heap.empty();
+    if (q_valid) quantum = heap.front();
   }
 
   // Closes a quantum at a genuine switch or a fiber finish: a quantum that
@@ -194,9 +185,6 @@ struct FiberEngine {
       quantum_absorbed = 0;
     }
   }
-
-  static std::uint64_t fiber_vtime(const Fiber* f);
-  static int fiber_id(const Fiber* f);
 };
 
 struct Fiber {
@@ -209,16 +197,13 @@ struct Fiber {
   std::uint64_t vtime = 0;
   bool finished = false;
   int id = 0;
-  unsigned core = 0;  // run-queue / cache-model core, id % total_cores
+  unsigned core = 0;  // cache-model core, id % total_cores
   unsigned node = 0;  // NUMA node of that core
   FiberEngine* engine = nullptr;
 #if TMX_ASAN_FIBERS
   void* fake_stack = nullptr;  // ASan save slot while switched away
 #endif
 };
-
-std::uint64_t FiberEngine::fiber_vtime(const Fiber* f) { return f->vtime; }
-int FiberEngine::fiber_id(const Fiber* f) { return f->id; }
 
 #if TMX_ASAN_FIBERS
 // Bracket a context switch: `save` is the outgoing context's save slot
@@ -232,71 +217,6 @@ int FiberEngine::fiber_id(const Fiber* f) { return f->id; }
 #define TMX_FIBER_SWITCH_BEGIN(save, bottom, size) ((void)0)
 #define TMX_FIBER_SWITCH_END(saved) ((void)0)
 #endif
-
-bool runs_before(const Fiber* a, const Fiber* b) {
-  return a->vtime < b->vtime || (a->vtime == b->vtime && a->id < b->id);
-}
-
-bool FiberEngine::core_before(unsigned a, unsigned b) const {
-  return runs_before(queues[a].q.front(), queues[b].q.front());
-}
-
-void FiberEngine::push_fiber(Fiber* f) {
-  ++sched.heap_ops;
-  auto& q = queues[f->core].q;
-  const Fiber* old_head = q.empty() ? nullptr : q.front();
-  std::size_t i = q.size();
-  q.push_back(f);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!runs_before(q[i], q[parent])) break;
-    std::swap(q[i], q[parent]);
-    i = parent;
-  }
-  if (old_head == nullptr) {
-    cpos[f->core] = static_cast<int>(cheap.size());
-    cheap.push_back(f->core);
-    cheap_sift_up(cheap.size() - 1);
-  } else if (q.front() != old_head) {
-    // The queue's head got smaller; its core can only move up.
-    cheap_sift_up(static_cast<std::size_t>(cpos[f->core]));
-  }
-}
-
-Fiber* FiberEngine::pop_min() {
-  ++sched.heap_ops;
-  const unsigned c = cheap.front();
-  auto& q = queues[c].q;
-  Fiber* top = q.front();
-  Fiber* last = q.back();
-  q.pop_back();
-  if (!q.empty()) {
-    q[0] = last;
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = l + 1;
-      std::size_t m = i;
-      if (l < q.size() && runs_before(q[l], q[m])) m = l;
-      if (r < q.size() && runs_before(q[r], q[m])) m = r;
-      if (m == i) break;
-      std::swap(q[i], q[m]);
-      i = m;
-    }
-    // The head got larger (or stayed); its core can only move down.
-    cheap_sift_down(0);
-  } else {
-    cpos[c] = -1;
-    const unsigned lastc = cheap.back();
-    cheap.pop_back();
-    if (!cheap.empty()) {
-      cheap[0] = lastc;
-      cpos[lastc] = 0;
-      cheap_sift_down(0);
-    }
-  }
-  return top;
-}
 
 // The engine runs on a single OS thread; these thread_locals let the hook
 // functions find the current fiber without a lock, and remain null on every
@@ -434,17 +354,19 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
     eng.cache = std::make_unique<CacheModel>(geo, cfg.latency);
   }
 
-  eng.queues.resize(cores);
-  eng.cpos.assign(cores, -1);
-  eng.cheap.reserve(cores);
+  // Every fiber starts runnable at vtime 0; keys in id order already form
+  // a heap.
+  eng.heap.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
     auto f = std::make_unique<Fiber>();
     f->id = static_cast<int>(i);
     f->engine = &eng;
     f->core = i % cores;
     f->node = std::min(f->core / cpn, nodes - 1);
-    f->stack = std::make_unique<char[]>(stack_size);
+    // Not value-initialised: only the pages a fiber touches become resident.
+    f->stack = std::make_unique_for_overwrite<char[]>(stack_size);
     init_fiber_context(f.get(), stack_size);
+    eng.heap.push_back({0, f->id});
     eng.fibers.push_back(std::move(f));
   }
 
@@ -463,13 +385,12 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
   if (TMX_UNLIKELY(check_hooks_on())) {
     if (auto* fork = detail::g_check_hooks.run_fork) fork(cfg.threads);
   }
-  for (auto& f : eng.fibers) eng.push_fiber(f.get());
   // Discrete-event loop: resume the runnable fiber with the smallest
   // virtual time (ties broken by id for determinism). Yields switch fiber
   // to fiber directly, so control returns here only when a fiber finishes;
   // the loop then seeds the next minimum (or exits when all are done).
   bool seeded = false;
-  while (!eng.cheap.empty()) {
+  while (!eng.heap.empty()) {
     Fiber* next = eng.pop_min();
     eng.begin_quantum();
     ++eng.sched.switches;
@@ -603,23 +524,21 @@ void yield() {
   // Batched fast resume: while the yielding fiber stays ahead of the
   // cached quantum bound — the (vtime, id) key of the best queued fiber,
   // which cannot change while this fiber runs — the scheduler would pick
-  // it right back; keep executing with zero queue traffic. This is the
+  // it right back; keep executing with zero heap traffic. This is the
   // overwhelmingly common case at low contention and preserves the
   // min-virtual-time schedule exactly.
-  if (!eng->q_valid || f->vtime < eng->q_vtime ||
-      (f->vtime == eng->q_vtime && f->id < eng->q_id)) {
+  const RunKey self{f->vtime, f->id};
+  if (!eng->q_valid || runs_before(self, eng->quantum)) {
     ++eng->sched.fast_resumes;
     ++eng->quantum_absorbed;
     return;
   }
   // Genuine switch: hand the core straight to the new minimum instead of
-  // bouncing through the scheduler context. Push-then-pop is safe: the
-  // yielding fiber is behind the quantum bound, so it cannot be the
-  // minimum it pops. Control returns to the scheduler context only when a
-  // fiber finishes.
+  // bouncing through the scheduler context. The yielding fiber is behind
+  // the quantum bound, so the minimum it replaces is the next to run.
+  // Control returns to the scheduler context only when a fiber finishes.
   eng->end_quantum();
-  eng->push_fiber(f);
-  Fiber* next = eng->pop_min();
+  Fiber* next = eng->replace_min(self);
   eng->begin_quantum();
   ++eng->sched.switches;
   if (next->core != f->core) ++eng->sched.queue_migrations;

@@ -12,18 +12,18 @@
 //    barriers and allocator internals call tick()/probe()/yield() to
 //    account costs and expose interleavings.
 //
-//    The scheduler is organized for 256-fiber scale: fibers are pinned to
-//    per-core run queues (small binary heaps), a cross-core indexed
-//    min-heap over the queue *heads* yields the global (vtime, id)
-//    minimum, and the running fiber caches the next pending event's key
-//    (its scheduling quantum) so a yield that stays inside the quantum
-//    batch-advances in place with a single compare — no queue or heap
-//    traffic at all (the fast-resume path). Genuine switches swap fiber to
-//    fiber directly through a ~10ns assembly context switch on x86-64
-//    (ucontext elsewhere) instead of round-tripping through the scheduler
-//    context. All of this is pure mechanics under the same
-//    min-virtual-time discipline: tests/test_determinism.cpp pins the
-//    schedule bit-for-bit, at 4, 64 and 256 fibers and across topologies.
+//    The scheduler is organized for 256-fiber scale: the runnable fibers'
+//    (vtime, id) keys sit inline in one binary min-heap, and the running
+//    fiber caches the best queued key (its scheduling quantum) so a yield
+//    that stays inside the quantum batch-advances in place with a single
+//    compare — no heap traffic at all (the fast-resume path). A genuine
+//    switch replaces the heap's minimum with the yielder's key (one
+//    sift-down) and swaps fiber to fiber directly through a ~10ns assembly
+//    context switch on x86-64 (ucontext elsewhere) instead of
+//    round-tripping through the scheduler context. All of this is pure
+//    mechanics under the same min-virtual-time discipline:
+//    tests/test_determinism.cpp pins the schedule bit-for-bit, at 4, 64
+//    and 256 fibers and across topologies.
 //    Reported time = makespan in cycles / frequency.
 //
 //  * EngineKind::Threads — plain std::thread execution measured in wall
@@ -51,10 +51,11 @@ enum class EngineKind { Sim, Threads };
 // main loop when a fiber finishes); `fast_resumes` counts yields where the
 // running fiber was still inside its quantum (ahead of every queued
 // fiber in (vtime, id) order) and kept executing without any context
-// switch; `heap_ops` counts per-core run-queue pushes + pops;
-// `queue_migrations` counts genuine switches where the incoming fiber
-// came from a different core's run queue than the outgoing fiber's (with
-// the default one-fiber-per-core topology every genuine switch migrates);
+// switch; `heap_ops` counts run-heap operations: a pop when a fiber
+// finishes and one replace-top per genuine switch from yield;
+// `queue_migrations` counts genuine switches where the incoming fiber is
+// pinned to a different core than the outgoing fiber (with the default
+// one-fiber-per-core topology every genuine switch migrates);
 // `batch_advances` counts quanta that absorbed at least one fast resume,
 // i.e. scheduling rounds where a fiber batch-advanced through several
 // events before the next genuine switch.
@@ -93,8 +94,9 @@ struct RunConfig {
   // L2 banks, remote-memory latency and sim.numa.* metrics.
   Topology topology{};
   // Sim only: per-fiber stack bytes. 0 = scale-aware auto (1 MiB up to 64
-  // fibers, 256 KiB beyond, so a 256-fiber run reserves 64 MiB of stacks
-  // instead of 256 MiB).
+  // fibers, 256 KiB beyond, so a 256-fiber run reserves 64 MiB of address
+  // space instead of 256 MiB). Stacks are not zero-filled: only the pages
+  // a fiber touches become resident.
   std::size_t stack_size = 0;
   double ghz = 2.0;              // Sim only: cycles -> seconds conversion
   // Sim only: per-run virtual-cycle watchdog (0 = unlimited). When any

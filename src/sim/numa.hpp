@@ -35,7 +35,7 @@ namespace tmx::sim {
 // the paper's flat 8-core machine. cores_per_node == 0 derives
 // ceil(threads / nodes) so every requested logical thread gets a core;
 // when nodes * cores_per_node < threads, fibers share cores round-robin
-// (core = id % total_cores) and per-core run queues hold several fibers.
+// (core = id % total_cores): they share that core's L1 and NUMA node.
 struct Topology {
   unsigned nodes = 1;
   unsigned cores_per_node = 0;  // 0 = auto: ceil(threads / nodes)

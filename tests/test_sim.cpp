@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -90,6 +91,77 @@ TEST(FiberEngine, HooksAreNoopsOutside) {
   EXPECT_EQ(now_cycles(), 0u);
   static int dummy = 0;
   EXPECT_EQ(probe(&dummy, 8, false), 0u);
+}
+
+// The scheduler contract: a fiber runs only while its (vtime, id) key is no
+// larger than the key of every unfinished fiber. Bodies publish their key in
+// a shared table (indexed by id) before each yield and tick pseudo-random
+// multiples of 10 cycles, zero included, so equal vtimes — broken by id —
+// are common. Returns the number of contract violations seen after resumes.
+std::uint64_t run_contract_check(const RunConfig& rc, int yields,
+                                 RunResult* out) {
+  struct Published {
+    std::uint64_t vtime = 0;
+    bool finished = false;
+  };
+  const int n = rc.threads;
+  std::vector<Published> table(static_cast<std::size_t>(n));
+  std::uint64_t violations = 0;
+  const auto check = [&](int tid) {
+    const std::uint64_t v = now_cycles();
+    for (int j = 0; j < n; ++j) {
+      const Published& p = table[static_cast<std::size_t>(j)];
+      if (j == tid || p.finished) continue;
+      if (p.vtime < v || (p.vtime == v && j < tid)) ++violations;
+    }
+  };
+  *out = run_parallel(rc, [&](int tid) {
+    std::uint64_t x =
+        0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(tid + 1);
+    check(tid);
+    for (int i = 0; i < yields; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      tick(10 * (x % 4));
+      table[static_cast<std::size_t>(tid)].vtime = now_cycles();
+      yield();
+      check(tid);
+    }
+    table[static_cast<std::size_t>(tid)].finished = true;
+  });
+  return violations;
+}
+
+TEST(Scheduler, RunsTheMinimumKeyAtEveryResume) {
+  for (int n : {4, 64, 256}) {
+    RunResult r;
+    EXPECT_EQ(run_contract_check(sim_cfg(n), 12800 / n, &r), 0u)
+        << n << " fibers";
+    EXPECT_GT(r.sched.switches, static_cast<std::uint64_t>(n)) << n;
+  }
+}
+
+TEST(Scheduler, RunsTheMinimumKeyOnMultiplexedCores) {
+  // 64 fibers on 2 nodes x 4 cores: eight fibers share every core.
+  RunConfig rc = sim_cfg(64);
+  rc.topology.nodes = 2;
+  rc.topology.cores_per_node = 4;
+  RunResult r;
+  EXPECT_EQ(run_contract_check(rc, 200, &r), 0u);
+  EXPECT_GT(r.sched.queue_migrations, 0u);
+}
+
+TEST(Scheduler, CountersPinnedAt256Fibers) {
+  // Scheduler counters of one 256-fiber contract run, recorded before the
+  // run structure became a single heap. heap_ops is not pinned: it counts
+  // operations of whichever heap the scheduler uses.
+  RunResult r;
+  ASSERT_EQ(run_contract_check(sim_cfg(256), 50, &r), 0u);
+  EXPECT_EQ(r.sched.switches, 9848u);
+  EXPECT_EQ(r.sched.fast_resumes, 3208u);
+  EXPECT_EQ(r.sched.queue_migrations, 9847u);
+  EXPECT_EQ(r.sched.batch_advances, 2432u);
 }
 
 TEST(ThreadEngine, RunsAllThreadsAndMeasuresWallTime) {

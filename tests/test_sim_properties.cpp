@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -154,6 +157,48 @@ TEST(Engine, LargeStacksSurviveDeepRecursion) {
   });
   EXPECT_EQ(depths[0], 1000);
   EXPECT_EQ(depths[1], 1000);
+}
+
+volatile std::uintptr_t g_frame_sink = 0;
+
+TEST(Engine, LargeStacksSurviveDeepRecursionAt256Fibers) {
+  // 256 fibers run on the default 256 KiB stacks, which are not zero-filled.
+  // Every fiber recurses to about half of its stack, yielding on the way
+  // down so all 256 deep stacks are live at once, and checks on the way back
+  // up that each frame still holds the bytes it wrote.
+  constexpr int kDepth = 224;  // >= 512 bytes per frame: >= 112 KiB
+  std::vector<std::uintptr_t> span(256, 0);
+  std::vector<int> intact(256, 0);
+  run_parallel(cfg(256), [&](int tid) {
+    struct Rec {
+      static int go(int depth, int tid, std::uintptr_t* deepest) {
+        char pad[512];
+        std::memset(pad, (depth * 31 + tid) & 0xff, sizeof pad);
+        // The frame escapes, so the fill and the check below must happen.
+        g_frame_sink = reinterpret_cast<std::uintptr_t>(pad);
+        int ok = 1;
+        if (depth == kDepth) {
+          *deepest = reinterpret_cast<std::uintptr_t>(pad);
+        } else {
+          if (depth % 16 == 0) yield();
+          ok = go(depth + 1, tid, deepest);
+        }
+        for (char c : pad) {
+          if (c != static_cast<char>((depth * 31 + tid) & 0xff)) ok = 0;
+        }
+        return ok;
+      }
+    };
+    const char top = 0;
+    std::uintptr_t deepest = 0;
+    intact[tid] = Rec::go(0, tid, &deepest);
+    span[tid] = reinterpret_cast<std::uintptr_t>(&top) - deepest;
+  });
+  for (int t = 0; t < 256; ++t) {
+    EXPECT_EQ(intact[t], 1) << "fiber " << t;
+    EXPECT_GT(span[t], std::uintptr_t{112} << 10) << "fiber " << t;
+    EXPECT_LT(span[t], std::uintptr_t{224} << 10) << "fiber " << t;
+  }
 }
 
 TEST(Barrier, WorksAcrossManyPhasesAndThreadCounts) {
