@@ -29,9 +29,8 @@ CaseResult run_case(const std::string& alloc_name, unsigned shift,
   // With a tracer listening, the instrumenting wrapper emits the
   // kAlloc/kFree events --record-trace captures.
   const std::unique_ptr<alloc::Allocator> allocator =
-      harness::build_allocator_stack({.allocator = alloc_name,
-                                      .threads = 2,
-                                      .instrument = obs::trace_enabled()});
+      harness::build_allocator_stack({.allocator = alloc_name}, 2,
+                                     obs::trace_enabled());
   stm::Config cfg;
   cfg.allocator = allocator.get();
   cfg.shift = shift;

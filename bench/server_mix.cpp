@@ -61,13 +61,16 @@ int main(int argc, char** argv) {
         "suicide|backoff]\n"
         "                  [--guard --guard-quarantine-epochs N "
         "--guard-hard-cap N]\n"
-        "                  [--fault-corrupt-tag-rate P ...] (see --help of "
-        "stamp_runner)\n");
+        "                  [--fault-corrupt-tag-rate P ...] and the shared "
+        "run flags\n"
+        "                  (--engine, --shift, --txcache, --design, --hybrid, "
+        "--numa-*,\n"
+        "                  --ort-shards, --stm-retry-cap, --watchdog-*)\n");
     return 0;
   }
 
   const bool quick = opt.has("quick");
-  harness::ServerMixConfig base;
+  harness::ServerMixConfig base{opt.run_spec()};
   base.workers = static_cast<int>(opt.get_long("workers", quick ? 4 : 8));
   base.requests = static_cast<std::size_t>(
       opt.get_long("requests", quick ? 256 : 4096));
@@ -78,29 +81,15 @@ int main(int argc, char** argv) {
   base.retain_fraction = opt.get_double("retain", 0.04);
   base.size_ln_mu = opt.get_double("mu", 6.0);
   base.size_ln_sigma = opt.get_double("sigma", 1.0);
-  base.cache_model = opt.get_long("cache-model", 1) != 0;
-  base.seed = opt.seed();
-  base.cm = opt.cm();
-  base.prof = opt.prof();
-  base.prof_sample_cycles = opt.prof_sample_cycles();
   base.phase_maintenance_every =
       static_cast<std::size_t>(opt.get_long("phase-maintenance-every", 0));
   const std::string prof_out = base.prof ? opt.prof_out() : "";
 
+  if (!harness::planes_compatible(opt, base)) return 2;
   const bool checking = opt.check_enabled();
-  if (checking) {
-    check::install(opt.check_config(base.shift, base.ort_log2));
-  }
+  if (checking) check::install(opt.check_config(base.shift, base.ort_log2));
   const bool guarding = opt.guard_enabled();
-  if (guarding) {
-    if (opt.phase_config().compact != phase::PhaseConfig::Compact::kOff) {
-      std::fprintf(stderr,
-                   "server_mix: --guard requires --phase-compact off "
-                   "(relocation breaks the guard's address-keyed tables)\n");
-      return 2;
-    }
-    guard::install(opt.guard_config());
-  }
+  if (guarding) guard::install(opt.guard_config());
   if (opt.fault_enabled()) fault::install(opt.fault_plan());
 
   std::printf("server_mix: %d workers, %zu requests, arrival every %llu "

@@ -43,23 +43,18 @@ int main(int argc, char** argv) {
   const std::string names[2] = {a, b};
   for (int s = 0; s < 2; ++s) {
     for (int r = 0; r < reps; ++r) {
-      harness::SetBenchConfig cfg;
+      harness::SetBenchConfig cfg{opt.run_spec()};
       cfg.kind = kind;
       cfg.allocator = names[s];
       cfg.threads = threads;
       cfg.update_pct = updates;
-      cfg.engine = opt.engine();
       cfg.initial = static_cast<std::size_t>(1024 * opt.scale());
       cfg.key_range = static_cast<std::uint64_t>(2048 * opt.scale());
       cfg.ops_per_thread =
           static_cast<std::size_t>((kind == harness::SetKind::kList ? 48
                                                                     : 256) *
                                    opt.scale());
-      cfg.seed = opt.seed() + 1000003ull * r;
-      cfg.cm = opt.cm();
-      cfg.topology = opt.topology();
-      cfg.numa = opt.numa_options();
-      cfg.ort_shards = opt.ort_shards();
+      cfg.seed += 1000003ull * r;
       const auto res = harness::run_set_bench(cfg);
       sides[s].tput += res.throughput / reps;
       sides[s].aborts += res.stats.abort_ratio() / reps;

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
 
   // 4. Run transfers on the simulated multicore (or real threads with
   //    --engine threads).
-  const auto rr = sim::run_parallel(opt.run_config(threads), [&](int tid) {
+  const harness::RunSpec spec = opt.run_spec();
+  const auto rr = sim::run_parallel(spec.run_config(threads), [&](int tid) {
     Rng rng(thread_seed(opt.seed(), tid));
     for (int i = 0; i < 500; ++i) {
       const std::size_t from = rng.below(kAccounts);

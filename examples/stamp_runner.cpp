@@ -93,80 +93,19 @@ int main(int argc, char** argv) {
     sim::install_watchdog_flush([&obs] { obs.finish(); });
   }
 
-  stamp::StampRun run;
-  run.app = app;
-  run.allocator = opt.get("alloc", "glibc");
+  stamp::StampRun run{opt.run_spec(), app};
   run.threads = static_cast<int>(opt.get_long("threads", 8));
-  run.engine = opt.engine();
-  run.cache_model = opt.get_long("cache-model", 1) != 0;
-  run.seed = opt.seed();
   run.scale = opt.scale();
-  run.shift = static_cast<unsigned>(opt.get_long("shift", 5));
-  run.tx_alloc_cache = opt.get_long("txcache", 0) != 0;
-  run.cm = opt.cm();
-  const std::string design = opt.get("design", "wb");
-  if (design == "wt") run.design = stm::StmDesign::kWriteThroughEtl;
-  if (design == "ctl") run.design = stm::StmDesign::kCommitTimeLocking;
-  run.htm_enabled = opt.get_long("hybrid", 0) != 0;
-  // Under injected faults, escalation is the liveness guarantee (an OOM
-  // storm would otherwise retry forever), so it defaults on.
-  run.retry_cap = opt.stm_retry_cap(faults ? 64 : 0);
-  run.tx_cycle_budget = opt.watchdog_tx_cycles();
-  run.watchdog_cycles = opt.watchdog_run_cycles();
-  run.topology = opt.topology();
-  run.numa = opt.numa_options();
-  run.ort_shards = opt.ort_shards();
   // Recording rides on the same instrumenting wrapper profiling uses: it
   // is the only layer that emits kAlloc/kFree events.
   run.instrument = opt.has("profile") || obs.recording();
-  run.prof = opt.prof();
-  run.prof_sample_cycles = opt.prof_sample_cycles();
   obs.set_trace_meta(run.allocator, run.shift, run.ort_log2, run.seed);
 
+  if (!harness::planes_compatible(opt, run)) return 2;
   const bool checking = opt.check_enabled();
-  if (checking) {
-    // The checker's happens-before state rides on the deterministic fiber
-    // engine (one OS thread, virtual-time ordering) and observes memory
-    // through the software barriers and the CheckedAllocator; real threads,
-    // the hardware path and the object cache all bypass one of those.
-    if (run.engine != sim::EngineKind::Sim) {
-      std::fprintf(stderr, "error: --check requires --engine sim\n");
-      return 2;
-    }
-    if (run.htm_enabled) {
-      std::fprintf(stderr, "error: --check requires --hybrid 0 (the "
-                           "hardware path is not instrumented)\n");
-      return 2;
-    }
-    if (run.tx_alloc_cache) {
-      std::fprintf(stderr, "error: --check requires --txcache 0 (the "
-                           "transactional object cache recycles blocks "
-                           "outside the checked allocator)\n");
-      return 2;
-    }
-    check::install(opt.check_config(run.shift, run.ort_log2));
-  }
-
+  if (checking) check::install(opt.check_config(run.shift, run.ort_log2));
   const bool guarding = opt.guard_enabled();
   if (guarding) {
-    // Same foundation as --check: host-side block tables with no internal
-    // synchronization, valid only under the deterministic fiber engine.
-    if (run.engine != sim::EngineKind::Sim) {
-      std::fprintf(stderr, "error: --guard requires --engine sim\n");
-      return 2;
-    }
-    if (run.tx_alloc_cache) {
-      std::fprintf(stderr, "error: --guard requires --txcache 0 (the object "
-                           "cache bins by usable_size, which the guard "
-                           "narrows to the requested size)\n");
-      return 2;
-    }
-    if (opt.phase_config().compact != phase::PhaseConfig::Compact::kOff) {
-      std::fprintf(stderr, "error: --guard requires --phase-compact off "
-                           "(relocation breaks the guard's address-keyed "
-                           "tables)\n");
-      return 2;
-    }
     guard::install(opt.guard_config());
     // A hard-cap trip exits via std::_Exit: flush the obs evidence first,
     // mirroring the watchdog flush hook.
@@ -179,7 +118,7 @@ int main(int argc, char** argv) {
   std::printf("app=%s alloc=%s threads=%d shift=%u txcache=%d design=%s "
               "hybrid=%d\n",
               app.c_str(), run.allocator.c_str(), run.threads, run.shift,
-              run.tx_alloc_cache ? 1 : 0, design.c_str(),
+              run.tx_alloc_cache ? 1 : 0, opt.get("design", "wb").c_str(),
               run.htm_enabled ? 1 : 0);
   std::printf("verified:  %s (%s)\n", r.verified ? "yes" : "NO",
               r.detail.c_str());

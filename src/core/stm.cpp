@@ -960,6 +960,7 @@ Stm::Stm(const Config& cfg) : cfg_(cfg) {
                  "Stm requires a backing allocator");
   tx_hints_ = cfg_.allocator->wants_tx_hints();
   TMX_ASSERT(cfg_.ort_log2 >= 4 && cfg_.ort_log2 <= 26);
+  TMX_ASSERT(cfg_.shift < 64);  // ort_index shifts a uintptr_t by it
   ort_mask_ = (std::size_t{1} << cfg_.ort_log2) - 1;
   ort_ = detail::OrtTable(ort_mask_ + 1);
   if (cfg_.ort_shards > 1) {

@@ -8,12 +8,14 @@
 #include "guard/guard_alloc.hpp"
 #include "prof/prof.hpp"
 #include "prof/prof_alloc.hpp"
+#include "sim/numa.hpp"
 
 namespace tmx::harness {
 
-std::unique_ptr<alloc::Allocator> build_allocator_stack(
-    const AllocatorStackSpec& spec) {
-  sim::numa_configure(spec.topology, static_cast<unsigned>(spec.threads));
+std::unique_ptr<alloc::Allocator> build_allocator_stack(const RunSpec& spec,
+                                                        int threads,
+                                                        bool instrument) {
+  sim::numa_configure(spec.topology, static_cast<unsigned>(threads));
   alloc::set_default_numa(spec.numa);
   std::unique_ptr<alloc::Allocator> a = alloc::create_allocator(spec.allocator);
   if (check::enabled()) {
@@ -25,7 +27,7 @@ std::unique_ptr<alloc::Allocator> build_allocator_stack(
   if (fault::enabled()) {
     a = std::make_unique<fault::FaultyAllocator>(std::move(a));
   }
-  if (spec.instrument) {
+  if (instrument) {
     a = std::make_unique<alloc::InstrumentingAllocator>(std::move(a));
   }
   if (spec.prof) {

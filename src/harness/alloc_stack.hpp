@@ -24,37 +24,28 @@
 //    application experienced through every other layer.
 //
 // Each of check, guard and fault is added exactly when its plane is
-// installed; Instrumenting and Profiling when the caller asks. With no
-// plane on the result is the bare model, so the common path pays no
-// forwarding call.
+// installed; Instrumenting when the caller asks; Profiling when the run
+// spec turns the prof plane on. With no plane on the result is the bare
+// model, so the common path pays no forwarding call.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <string>
 
 #include "alloc/allocator.hpp"
-#include "alloc/page_provider.hpp"
-#include "sim/numa.hpp"
+#include "harness/run_spec.hpp"
 
 namespace tmx::harness {
 
-struct AllocatorStackSpec {
-  std::string allocator;  // registry name
-  // NUMA view installed before the model reserves anything: the topology
-  // for `threads` logical threads, and the placement policy every page
-  // provider snapshots at construction.
-  int threads = 1;
-  sim::Topology topology{};
-  alloc::NumaOptions numa{};
-  bool instrument = false;  // add the InstrumentingAllocator
-  // Add the ProfilingAllocator and prof::install it as the sampled
-  // allocator. Export and prof::uninstall() stay with the caller.
-  bool prof = false;
-  std::uint64_t prof_sample_cycles = 100'000;
-};
-
-std::unique_ptr<alloc::Allocator> build_allocator_stack(
-    const AllocatorStackSpec& spec);
+// Reads three parts of the run spec:
+//  * `allocator`, the registry name of the model;
+//  * `topology` (for `threads` logical threads) and `numa`, the NUMA view
+//    installed before the model reserves anything;
+//  * `prof`, which adds the ProfilingAllocator and prof::installs it as the
+//    sampled allocator every `prof_sample_cycles`. Export and
+//    prof::uninstall() stay with the caller.
+// `instrument` adds the InstrumentingAllocator.
+std::unique_ptr<alloc::Allocator> build_allocator_stack(const RunSpec& spec,
+                                                        int threads,
+                                                        bool instrument);
 
 }  // namespace tmx::harness

@@ -267,15 +267,42 @@ alloc::NumaOptions Options::numa_options() const {
   return o;
 }
 
-sim::RunConfig Options::run_config(int nthreads) const {
-  sim::RunConfig rc;
-  rc.kind = engine();
-  rc.threads = nthreads;
-  rc.seed = seed();
-  rc.cache_model = get_long("cache-model", 1) != 0;
-  rc.watchdog_cycles = watchdog_run_cycles();
-  rc.topology = topology();
-  return rc;
+RunSpec Options::run_spec() const {
+  RunSpec spec;
+  spec.allocator = get("alloc", spec.allocator);
+  spec.engine = engine();
+  spec.cache_model = get_long("cache-model", 1) != 0;
+  spec.seed = seed();
+  spec.topology = topology();
+  spec.numa = numa_options();
+  spec.ort_shards = static_cast<unsigned>(get_long("ort-shards", 0));
+  spec.shift = static_cast<unsigned>(get_long("shift", spec.shift));
+  const std::string design = get("design", "wb");
+  if (design == "wt") {
+    spec.design = stm::StmDesign::kWriteThroughEtl;
+  } else if (design == "ctl") {
+    spec.design = stm::StmDesign::kCommitTimeLocking;
+  } else if (design != "wb") {
+    std::fprintf(stderr, "unknown --design '%s' (wb|wt|ctl)\n",
+                 design.c_str());
+    std::exit(2);
+  }
+  spec.cm = cm();
+  spec.tx_alloc_cache = get_long("txcache", 0) != 0;
+  spec.htm_enabled = get_long("hybrid", 0) != 0;
+  // Under injected faults, escalation is the liveness guarantee (an OOM
+  // storm would otherwise retry forever), so it defaults on.
+  spec.retry_cap = static_cast<unsigned>(
+      get_long("stm-retry-cap", fault_enabled() ? 64 : 0));
+  spec.tx_cycle_budget =
+      static_cast<std::uint64_t>(get_long("watchdog-tx-cycles", 0));
+  spec.watchdog_cycles =
+      static_cast<std::uint64_t>(get_long("watchdog-run-cycles", 0));
+  spec.prof = prof();
+  spec.prof_sample_cycles = static_cast<std::uint64_t>(
+      get_long("prof-sample-cycles",
+               static_cast<long>(spec.prof_sample_cycles)));
+  return spec;
 }
 
 void Options::print_help(const char* what) const {
@@ -368,6 +395,38 @@ void Options::print_help(const char* what) const {
 bool handle_list_allocators(const Options& opt) {
   if (!opt.list_allocators()) return false;
   alloc::print_registry(stdout);
+  return true;
+}
+
+bool planes_compatible(const Options& opt, const RunSpec& spec) {
+  const auto refuse = [](const char* why) {
+    std::fprintf(stderr, "error: %s\n", why);
+    return false;
+  };
+  const bool on_sim = spec.engine == sim::EngineKind::Sim;
+  if (opt.check_enabled()) {
+    if (!on_sim) return refuse("--check requires --engine sim");
+    if (spec.htm_enabled) {
+      return refuse("--check requires --hybrid 0 (the hardware path is not "
+                    "instrumented)");
+    }
+    if (spec.tx_alloc_cache) {
+      return refuse("--check requires --txcache 0 (the transactional object "
+                    "cache recycles blocks outside the checked allocator)");
+    }
+  }
+  if (opt.guard_enabled()) {
+    if (!on_sim) return refuse("--guard requires --engine sim");
+    if (spec.tx_alloc_cache) {
+      return refuse("--guard requires --txcache 0 (the object cache bins by "
+                    "usable_size, which the guard narrows to the requested "
+                    "size)");
+    }
+    if (opt.phase_config().compact != phase::PhaseConfig::Compact::kOff) {
+      return refuse("--guard requires --phase-compact off (relocation "
+                    "breaks the guard's address-keyed tables)");
+    }
+  }
   return true;
 }
 

@@ -13,6 +13,7 @@
 #include "core/stm.hpp"
 #include "fault/fault.hpp"
 #include "guard/guard.hpp"
+#include "harness/run_spec.hpp"
 #include "phase/phase.hpp"
 #include "sim/engine.hpp"
 
@@ -77,21 +78,6 @@ class Options {
   bool fault_enabled() const;
   // The fault plan assembled from the --fault-* flags (see print_help).
   fault::FaultPlan fault_plan() const;
-  // --stm-retry-cap K: escalate to serial-irrevocable after K consecutive
-  // aborts; `fallback` lets binaries pick a safety default when faults are
-  // on (0 = escalation disabled).
-  unsigned stm_retry_cap(unsigned fallback = 0) const {
-    return static_cast<unsigned>(get_long("stm-retry-cap",
-                                          static_cast<long>(fallback)));
-  }
-  // --watchdog-tx-cycles N: per-transaction virtual-cycle budget (0 = off)
-  std::uint64_t watchdog_tx_cycles() const {
-    return static_cast<std::uint64_t>(get_long("watchdog-tx-cycles", 0));
-  }
-  // --watchdog-run-cycles N: whole-run virtual-cycle budget (0 = off)
-  std::uint64_t watchdog_run_cycles() const {
-    return static_cast<std::uint64_t>(get_long("watchdog-run-cycles", 0));
-  }
   // --cm suicide|backoff: contention manager for every transactional run
   // (default suicide, the paper's baseline). Unknown values exit 2.
   stm::ContentionManager cm() const;
@@ -102,11 +88,6 @@ class Options {
   // --prof-out PREFIX: write PREFIX.timeseries.csv, PREFIX.sites.csv and
   // PREFIX.folded when the session finishes (default: prefix "prof")
   std::string prof_out() const { return get("prof-out", "prof"); }
-  // --prof-sample-cycles N: time-series sampler cadence in virtual cycles
-  // (0 disables the sampler; latency and site profiling stay on)
-  std::uint64_t prof_sample_cycles() const {
-    return static_cast<std::uint64_t>(get_long("prof-sample-cycles", 100000));
-  }
 
   // -- Transactional correctness checking (tmx::check) --
   // True when --check was passed (any value).
@@ -141,12 +122,13 @@ class Options {
   sim::Topology topology() const;
   // --numa-policy first-touch|interleave|bind[:NODE]: page-provider homing.
   alloc::NumaOptions numa_options() const;
-  // --ort-shards N: per-node ORT stripe tables (0/1 = single global ORT).
-  unsigned ort_shards() const {
-    return static_cast<unsigned>(get_long("ort-shards", 0));
-  }
 
-  sim::RunConfig run_config(int nthreads) const;
+  // -- The run spec --
+  // Every shared run setting, parsed once. Unknown --engine, --cm and
+  // --design wb|wt|ctl values exit 2; --stm-retry-cap defaults to 64 when
+  // fault injection is on. Harnesses that sweep an --alloc list overwrite
+  // `allocator` per run.
+  RunSpec run_spec() const;
 
   void print_help(const char* what) const;
 
@@ -159,5 +141,15 @@ class Options {
 // registry as the Table 1-style listing and returns true — the caller
 // should then exit 0.
 bool handle_list_allocators(const Options& opt);
+
+// The one compatibility check for the check and guard planes (stamp_runner
+// and server_mix both call it before installing either). Both planes keep
+// host-side block tables without synchronization, valid only under the
+// sim engine, and the transactional object cache bypasses them; the
+// checker also cannot see the hardware path, and the guard's
+// address-keyed tables break under phase compaction. Prints the refusal
+// and returns false when a requested plane cannot run with `spec`; the
+// caller should then exit 2.
+bool planes_compatible(const Options& opt, const RunSpec& spec);
 
 }  // namespace tmx::harness

@@ -45,19 +45,8 @@ struct Mailbox {
 ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
   const int workers = cfg.workers > 0 ? cfg.workers : 1;
   const std::unique_ptr<alloc::Allocator> allocator =
-      build_allocator_stack({.allocator = cfg.allocator,
-                             .threads = workers,
-                             .instrument = obs::trace_enabled(),
-                             .prof = cfg.prof,
-                             .prof_sample_cycles = cfg.prof_sample_cycles});
-
-  stm::Config scfg;
-  scfg.ort_log2 = cfg.ort_log2;
-  scfg.shift = cfg.shift;
-  scfg.cm = cfg.cm;
-  scfg.tx_alloc_cache = cfg.tx_alloc_cache;
-  scfg.allocator = allocator.get();
-  stm::Stm stm(scfg);
+      build_allocator_stack(cfg, workers, obs::trace_enabled());
+  stm::Stm stm(cfg.stm_config(allocator.get()));
 
   // Shared transactional request counter: every publish transaction
   // read-modify-writes it, so concurrent commits genuinely conflict and the
@@ -69,13 +58,7 @@ ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
   std::vector<std::vector<void*>> retained(static_cast<std::size_t>(workers));
   std::atomic<std::uint64_t> handoffs{0};
 
-  sim::RunConfig rc;
-  rc.kind = cfg.engine;
-  rc.threads = workers;
-  rc.seed = cfg.seed;
-  rc.cache_model = cfg.cache_model;
-  rc.watchdog_cycles = cfg.watchdog_cycles;
-
+  const sim::RunConfig rc = cfg.run_config(workers);
   const sim::RunResult rr = sim::run_parallel(rc, [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);
     Rng rng(thread_seed(cfg.seed, tid));

@@ -37,17 +37,18 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "core/stm.hpp"
+#include "harness/run_spec.hpp"
 #include "phase/phase.hpp"
 #include "prof/hdr_histogram.hpp"
 #include "sim/engine.hpp"
 
 namespace tmx::harness {
 
-struct ServerMixConfig {
-  std::string allocator = "glibc";
+// The run's shared settings (allocator, engine, STM configuration, prof
+// plane) come from RunSpec; the fields here describe the workload.
+struct ServerMixConfig : RunSpec {
   int workers = 4;
   std::size_t requests = 512;           // total, striped across workers
   std::uint64_t arrival_cycles = 2000;  // open-loop inter-arrival gap
@@ -55,28 +56,12 @@ struct ServerMixConfig {
   double size_ln_sigma = 1.0;           // ln-space scale (long tail)
   std::size_t allocs_per_request = 6;   // parse-phase blocks per request
   double retain_fraction = 0.04;        // requests leaking until teardown
-  sim::EngineKind engine = sim::EngineKind::Sim;
-  bool cache_model = true;
-  std::uint64_t seed = 20150207;
-
-  unsigned ort_log2 = 20;
-  unsigned shift = 5;
-  bool tx_alloc_cache = false;
-  std::uint64_t watchdog_cycles = 0;
-  stm::ContentionManager cm = stm::ContentionManager::kSuicide;
 
   // Every N requests handled by worker 0, call Stm::maintenance_quiescence
   // — the explicit quiescent point that lets tmx::phase reclaim (and, under
   // --phase-compact, compact) without waiting for a serial-irrevocable
   // escalation. 0 = never; a no-op unless the allocator wants tx hints.
   std::size_t phase_maintenance_every = 0;
-
-  // When true, wraps the allocator in prof::ProfilingAllocator and installs
-  // the profiler around the run (final time-series row sampled before
-  // return). Export and prof::uninstall() are the caller's job, so one
-  // session can aggregate multiple allocators into shared CSVs.
-  bool prof = false;
-  std::uint64_t prof_sample_cycles = 100'000;
 };
 
 struct ServerMixResult {

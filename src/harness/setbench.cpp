@@ -97,24 +97,8 @@ SetBenchResult run_set_bench(const SetBenchConfig& cfg) {
   // Trace capture needs the kAlloc/kFree events only the instrumenting
   // wrapper emits; untraced runs keep the direct call path.
   const std::unique_ptr<alloc::Allocator> allocator =
-      build_allocator_stack({.allocator = cfg.allocator,
-                             .threads = cfg.threads,
-                             .topology = cfg.topology,
-                             .numa = cfg.numa,
-                             .instrument = obs::trace_enabled()});
-
-  stm::Config scfg;
-  scfg.ort_log2 = cfg.ort_log2;
-  scfg.shift = cfg.shift;
-  scfg.design = cfg.design;
-  scfg.cm = cfg.cm;
-  scfg.tx_alloc_cache = cfg.tx_alloc_cache;
-  scfg.htm.enabled = cfg.htm_enabled;
-  scfg.allocator = allocator.get();
-  scfg.retry_cap = cfg.retry_cap;
-  scfg.tx_cycle_budget = cfg.tx_cycle_budget;
-  scfg.ort_shards = cfg.ort_shards;
-  stm::Stm stm(scfg);
+      build_allocator_stack(cfg, cfg.threads, obs::trace_enabled());
+  stm::Stm stm(cfg.stm_config(allocator.get()));
 
   const ds::SeqAccess seq{allocator.get()};
   std::unique_ptr<SetOps> ops;
@@ -136,14 +120,7 @@ SetBenchResult run_set_bench(const SetBenchConfig& cfg) {
   // Per-thread bookkeeping for the post-run size invariant.
   std::atomic<std::int64_t> net_inserted{0};
 
-  sim::RunConfig rc;
-  rc.kind = cfg.engine;
-  rc.threads = cfg.threads;
-  rc.seed = cfg.seed;
-  rc.cache_model = cfg.cache_model;
-  rc.watchdog_cycles = cfg.watchdog_cycles;
-  rc.topology = cfg.topology;
-
+  const sim::RunConfig rc = cfg.run_config(cfg.threads);
   const sim::RunResult rr = sim::run_parallel(rc, [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);
     Rng rng(thread_seed(cfg.seed, tid));

@@ -13,33 +13,19 @@
 #include <string>
 #include <vector>
 
-#include "alloc/page_provider.hpp"
+#include "alloc/instrument.hpp"
 #include "core/stm.hpp"
+#include "harness/run_spec.hpp"
 #include "sim/engine.hpp"
 
 namespace tmx::stamp {
 
 struct AppContext {
   stm::Stm* stm = nullptr;
-  int threads = 1;
-  sim::EngineKind engine = sim::EngineKind::Sim;
-  bool cache_model = true;
-  std::uint64_t seed = 20150207;
-  double scale = 1.0;  // multiplies the default workload size
-  std::uint64_t watchdog_cycles = 0;  // whole-run budget (0 = off)
-  sim::Topology topology{};  // NUMA shape (nodes=1 = flat machine)
+  sim::RunConfig run{};  // engine, threads, seed, cache model, topology
+  double scale = 1.0;    // multiplies the default workload size
 
   alloc::Allocator& allocator() const { return stm->allocator(); }
-  sim::RunConfig run_config() const {
-    sim::RunConfig rc;
-    rc.kind = engine;
-    rc.threads = threads;
-    rc.seed = seed;
-    rc.cache_model = cache_model;
-    rc.watchdog_cycles = watchdog_cycles;
-    rc.topology = topology;
-    return rc;
-  }
 };
 
 struct AppResult {
@@ -66,38 +52,13 @@ bool app_exists(const std::string& name);
 AppResult run_app(const std::string& name, const AppContext& ctx);
 
 // Convenience: builds allocator + STM, runs the app, tears everything down.
-struct StampRun {
+// The run's shared settings (allocator, engine, STM configuration, prof
+// plane) come from harness::RunSpec; the fields here describe the workload.
+struct StampRun : harness::RunSpec {
   std::string app;
-  std::string allocator = "glibc";
   int threads = 1;
-  sim::EngineKind engine = sim::EngineKind::Sim;
-  bool cache_model = true;
-  std::uint64_t seed = 20150207;
   double scale = 1.0;
-  unsigned shift = 5;
-  unsigned ort_log2 = 20;
-  stm::StmDesign design = stm::StmDesign::kWriteBackEtl;
-  bool tx_alloc_cache = false;
-  bool htm_enabled = false;  // hybrid execution
-  stm::ContentionManager cm = stm::ContentionManager::kSuicide;
   bool instrument = false;  // wrap the allocator for Table 5 profiling
-  // Latency/heap profiling plane (tmx::prof): installs the profiler for the
-  // run, wraps the allocator in a ProfilingAllocator (outermost) and takes
-  // a final time-series sample before teardown. Zero-perturbation: the
-  // virtual-time results are bit-identical with prof on or off.
-  bool prof = false;
-  std::uint64_t prof_sample_cycles = 100'000;  // 0 = sampler off
-  // Degradation knobs (see stm::Config): serial-irrevocable escalation after
-  // `retry_cap` consecutive aborts, per-transaction and whole-run
-  // virtual-cycle watchdogs. All 0 (off) by default.
-  unsigned retry_cap = 0;
-  std::uint64_t tx_cycle_budget = 0;
-  std::uint64_t watchdog_cycles = 0;
-  // NUMA shape + placement policy (see --numa-nodes / --numa-policy) and
-  // per-node ORT sharding (0 = single global table).
-  sim::Topology topology{};
-  alloc::NumaOptions numa{};
-  unsigned ort_shards = 0;
 };
 
 struct StampOutcome {

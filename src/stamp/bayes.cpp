@@ -68,7 +68,7 @@ AppResult run_bayes(const AppContext& ctx) {
   // ---- Sequential: sample records from a random ground-truth net ----
   std::vector<std::uint64_t> records(P.records, 0);
   {
-    Rng rng(ctx.seed);
+    Rng rng(ctx.run.seed);
     // Ground truth: vars in topological order 0..V-1, <=2 parents each.
     std::vector<std::vector<int>> gt_parents(P.vars);
     std::vector<std::vector<double>> gt_cpt(P.vars);
@@ -133,7 +133,7 @@ AppResult run_bayes(const AppContext& ctx) {
   // Candidate edges, shuffled, `rounds` passes.
   std::vector<Task> tasks;
   {
-    Rng rng(ctx.seed ^ 0xbe5);
+    Rng rng(ctx.run.seed ^ 0xbe5);
     for (int round = 0; round < P.rounds; ++round) {
       std::size_t first = tasks.size();
       for (int u = 0; u < P.vars; ++u) {
@@ -179,7 +179,7 @@ AppResult run_bayes(const AppContext& ctx) {
   };
 
   // ---- Parallel: hill climbing ----
-  const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
+  const sim::RunResult rr = sim::run_parallel(ctx.run, [&](int tid) {
     (void)tid;
     alloc::RegionScope par(alloc::Region::Par);
     std::vector<int> cycle_stack;  // creates_cycle scratch

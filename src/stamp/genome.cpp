@@ -109,7 +109,7 @@ AppResult run_genome(const AppContext& ctx) {
   const int positions = P.gene_len - kSegLen + 1;
   std::vector<std::uint8_t> gene(P.gene_len);
   {
-    Rng rng(ctx.seed);
+    Rng rng(ctx.run.seed);
     for (auto& nt : gene) nt = static_cast<std::uint8_t>(rng.below(4));
   }
   auto pack_at = [&](int pos) {
@@ -125,7 +125,7 @@ AppResult run_genome(const AppContext& ctx) {
   segments.reserve(2 * positions);
   for (int p = 0; p < positions; ++p) segments.push_back(pack_at(p));
   {
-    Rng rng(ctx.seed ^ 0x5e9);
+    Rng rng(ctx.run.seed ^ 0x5e9);
     for (int i = 0; i < positions; ++i) {
       segments.push_back(pack_at(static_cast<int>(rng.below(positions))));
     }
@@ -139,16 +139,16 @@ AppResult run_genome(const AppContext& ctx) {
   table.init(seq, P.table_buckets);
 
   constexpr std::uint64_t kPrefixMask = ~std::uint64_t{0} >> 2;
-  std::vector<std::vector<std::uint64_t>> unique_per_thread(ctx.threads);
-  sim::Barrier barrier(ctx.threads);
+  std::vector<std::vector<std::uint64_t>> unique_per_thread(ctx.run.threads);
+  sim::Barrier barrier(ctx.run.threads);
 
   // ---- Parallel phases (one timed region, as STAMP runs it) ----
-  const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
+  const sim::RunResult rr = sim::run_parallel(ctx.run, [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);
     auto& mine = unique_per_thread[tid];
 
     // Phase 1: deduplicate segments into the transactional hash set.
-    for (std::size_t i = tid; i < segments.size(); i += ctx.threads) {
+    for (std::size_t i = tid; i < segments.size(); i += ctx.run.threads) {
       const std::uint64_t s = segments[i];
       bool fresh = false;
       stm.atomically([&](stm::Tx& tx) {

@@ -75,7 +75,7 @@ AppResult run_intruder(const AppContext& ctx) {
   std::vector<Fragment*> fragments;
   int attacks_planted = 0;
   {
-    Rng rng(ctx.seed);
+    Rng rng(ctx.run.seed);
     for (int f = 0; f < P.flows; ++f) {
       std::string& pl = payloads[f];
       pl.resize(P.payload_len);
@@ -119,7 +119,7 @@ AppResult run_intruder(const AppContext& ctx) {
   std::atomic<int> flows_done{0};
 
   // ---- Parallel: capture / reassemble / detect ----
-  const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
+  const sim::RunResult rr = sim::run_parallel(ctx.run, [&](int tid) {
     (void)tid;
     alloc::RegionScope par(alloc::Region::Par);
     for (;;) {

@@ -54,7 +54,7 @@ AppResult run_kmeans(const AppContext& ctx) {
   auto* new_counts = static_cast<std::uint64_t*>(
       A.allocate(sizeof(std::uint64_t) * P.clusters));
   {
-    Rng rng(ctx.seed);
+    Rng rng(ctx.run.seed);
     for (int i = 0; i < P.points * P.dims; ++i) {
       points[i] = static_cast<float>(rng.uniform());
     }
@@ -88,14 +88,14 @@ AppResult run_kmeans(const AppContext& ctx) {
   };
 
   // ---- Parallel clustering ----
-  sim::Barrier barrier(ctx.threads);
+  sim::Barrier barrier(ctx.run.threads);
   std::atomic<int> moved{0};
   std::atomic<bool> done{false};
   std::atomic<int> iterations{0};
 
-  const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
+  const sim::RunResult rr = sim::run_parallel(ctx.run, [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);
-    const int chunk = (P.points + ctx.threads - 1) / ctx.threads;
+    const int chunk = (P.points + ctx.run.threads - 1) / ctx.run.threads;
     const int lo = tid * chunk;
     const int hi = std::min(P.points, lo + chunk);
     for (int iter = 0; iter < P.max_iters; ++iter) {

@@ -56,7 +56,7 @@ AppResult run_labyrinth(const AppContext& ctx) {
   // Route endpoints: distinct random empty cells.
   std::vector<Request> requests(P.routes);
   {
-    Rng rng(ctx.seed);
+    Rng rng(ctx.run.seed);
     std::vector<bool> used(cells, false);
     auto pick = [&] {
       for (;;) {
@@ -96,7 +96,7 @@ AppResult run_labyrinth(const AppContext& ctx) {
   std::atomic<int> routed{0};
   std::atomic<int> failed{0};
 
-  const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
+  const sim::RunResult rr = sim::run_parallel(ctx.run, [&](int tid) {
     (void)tid;
     alloc::RegionScope par(alloc::Region::Par);
     // BFS scratch, kept outside the transaction: an abort jumps over the

@@ -37,37 +37,9 @@ StampOutcome run_stamp(const StampRun& run) {
   // Profiling installs fresh per run, scoping the recorded data to this
   // case; the session exports it after the run and uninstalls.
   const std::unique_ptr<alloc::Allocator> allocator =
-      harness::build_allocator_stack(
-          {.allocator = run.allocator,
-           .threads = run.threads,
-           .topology = run.topology,
-           .numa = run.numa,
-           .instrument = run.instrument,
-           .prof = run.prof,
-           .prof_sample_cycles = run.prof_sample_cycles});
-
-  stm::Config scfg;
-  scfg.ort_log2 = run.ort_log2;
-  scfg.shift = run.shift;
-  scfg.design = run.design;
-  scfg.cm = run.cm;
-  scfg.tx_alloc_cache = run.tx_alloc_cache;
-  scfg.htm.enabled = run.htm_enabled;
-  scfg.allocator = allocator.get();
-  scfg.retry_cap = run.retry_cap;
-  scfg.tx_cycle_budget = run.tx_cycle_budget;
-  scfg.ort_shards = run.ort_shards;
-  stm::Stm stm(scfg);
-
-  AppContext ctx;
-  ctx.stm = &stm;
-  ctx.threads = run.threads;
-  ctx.engine = run.engine;
-  ctx.cache_model = run.cache_model;
-  ctx.seed = run.seed;
-  ctx.scale = run.scale;
-  ctx.watchdog_cycles = run.watchdog_cycles;
-  ctx.topology = run.topology;
+      harness::build_allocator_stack(run, run.threads, run.instrument);
+  stm::Stm stm(run.stm_config(allocator.get()));
+  const AppContext ctx{&stm, run.run_config(run.threads), run.scale};
 
   StampOutcome out;
   out.result = run_app(run.app, ctx);

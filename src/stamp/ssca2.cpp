@@ -46,7 +46,7 @@ AppResult run_ssca2(const AppContext& ctx) {
   auto* edge_v = static_cast<std::uint32_t*>(
       A.allocate(sizeof(std::uint32_t) * P.edges));
   {
-    Rng rng(ctx.seed);
+    Rng rng(ctx.run.seed);
     const double a = 0.55, b = 0.10, c = 0.10;  // d = 0.25
     for (int e = 0; e < P.edges; ++e) {
       std::uint32_t u = 0, v = 0;
@@ -83,9 +83,9 @@ AppResult run_ssca2(const AppContext& ctx) {
       A.allocate(sizeof(std::uint32_t) * P.edges));
 
   // ---- Parallel: slot reservation per edge via a transaction ----
-  const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
+  const sim::RunResult rr = sim::run_parallel(ctx.run, [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);
-    const int chunk = (P.edges + ctx.threads - 1) / ctx.threads;
+    const int chunk = (P.edges + ctx.run.threads - 1) / ctx.run.threads;
     const int lo = tid * chunk;
     const int hi = std::min(P.edges, lo + chunk);
     for (int e = lo; e < hi; ++e) {

@@ -74,7 +74,7 @@ AppResult run_vacation(const AppContext& ctx) {
   ds::TxRbTree tables[kNumKinds];
   ds::TxRbTree customers;
   {
-    Rng rng(ctx.seed);
+    Rng rng(ctx.run.seed);
     for (int kind = 0; kind < kNumKinds; ++kind) {
       for (int i = 1; i <= P.relations; ++i) {
         auto* r = static_cast<Resource*>(A.allocate(sizeof(Resource)));
@@ -98,14 +98,14 @@ AppResult run_vacation(const AppContext& ctx) {
   std::atomic<std::uint64_t> customers_deleted{0};
 
   // ---- Parallel: client transactions ----
-  const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
+  const sim::RunResult rr = sim::run_parallel(ctx.run, [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);
-    Rng rng(thread_seed(ctx.seed, tid));
+    Rng rng(thread_seed(ctx.run.seed, tid));
     const std::uint64_t range =
         std::max<std::uint64_t>(1, P.relations * P.query_range / 100);
     // Fixed total work split across threads, as in STAMP (-t is a total).
-    const int my_tx = P.transactions / ctx.threads +
-                      (tid < P.transactions % ctx.threads ? 1 : 0);
+    const int my_tx = P.transactions / ctx.run.threads +
+                      (tid < P.transactions % ctx.run.threads ? 1 : 0);
     for (int t = 0; t < my_tx; ++t) {
       const int action = static_cast<int>(rng.below(100));
       if (action < P.user_pct) {

@@ -321,7 +321,7 @@ AppResult run_yada(const AppContext& ctx) {
     mesh.seed = root;
   }
   {
-    Rng rng(ctx.seed);
+    Rng rng(ctx.run.seed);
     Tri* hint = mesh.seed;
     CavityScratch scratch;
     const bool dbg = std::getenv("TMX_YADA_DEBUG") != nullptr;
@@ -392,9 +392,9 @@ AppResult run_yada(const AppContext& ctx) {
   std::atomic<int> reclaimed{0};
 
   // ---- Parallel: refinement ----
-  const sim::RunResult rr = sim::run_parallel(ctx.run_config(), [&](int tid) {
+  const sim::RunResult rr = sim::run_parallel(ctx.run, [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);
-    Rng rng(thread_seed(ctx.seed ^ 0xda7a, tid));
+    Rng rng(thread_seed(ctx.run.seed ^ 0xda7a, tid));
     CavityScratch scratch;
     for (;;) {
       if (insertions.load(std::memory_order_relaxed) >= P.max_insertions) {

@@ -20,6 +20,7 @@
 #include "guard/guard_alloc.hpp"
 #include "harness/alloc_stack.hpp"
 #include "harness/options.hpp"
+#include "harness/server_mix.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
 #include "prof/prof.hpp"
@@ -148,9 +149,146 @@ TEST(Options, EngineSelection) {
   const char* argv[] = {"prog", "--engine", "threads"};
   Options o(3, const_cast<char**>(argv));
   EXPECT_EQ(o.engine(), sim::EngineKind::Threads);
-  const auto rc = o.run_config(3);
-  EXPECT_EQ(rc.threads, 3);
+}
+
+// Every shared flag lands in its RunSpec field, and from there in the
+// stm::Config and sim::RunConfig the harnesses run with.
+TEST(Options, RunSpecParsesEverySharedFlag) {
+  const char* argv[] = {
+      "prog",           "--alloc",          "tcmalloc",
+      "--engine",       "threads",          "--cache-model",
+      "0",              "--seed",           "42",
+      "--numa-nodes",   "2",                "--numa-cores-per-node",
+      "3",              "--numa-policy",    "interleave",
+      "--ort-shards",   "2",                "--shift",
+      "4",              "--design",         "ctl",
+      "--cm",           "backoff",          "--txcache",
+      "1",              "--hybrid",         "1",
+      "--stm-retry-cap", "9",               "--watchdog-tx-cycles",
+      "1234",           "--watchdog-run-cycles", "5678",
+      "--prof",         "--prof-sample-cycles", "777"};
+  const Options o(static_cast<int>(std::size(argv)),
+                  const_cast<char**>(argv));
+  const RunSpec s = o.run_spec();
+  EXPECT_EQ(s.allocator, "tcmalloc");
+  EXPECT_EQ(s.engine, sim::EngineKind::Threads);
+  EXPECT_FALSE(s.cache_model);
+  EXPECT_EQ(s.seed, 42u);
+  EXPECT_EQ(s.topology.nodes, 2u);
+  EXPECT_EQ(s.topology.cores_per_node, 3u);
+  EXPECT_EQ(s.numa.policy, alloc::NumaOptions::Policy::kInterleave);
+  EXPECT_EQ(s.ort_shards, 2u);
+  EXPECT_EQ(s.ort_log2, 20u);  // no flag: the paper's 2^20 locks
+  EXPECT_EQ(s.shift, 4u);
+  EXPECT_EQ(s.design, stm::StmDesign::kCommitTimeLocking);
+  EXPECT_EQ(s.cm, stm::ContentionManager::kBackoff);
+  EXPECT_TRUE(s.tx_alloc_cache);
+  EXPECT_TRUE(s.htm_enabled);
+  EXPECT_EQ(s.retry_cap, 9u);
+  EXPECT_EQ(s.tx_cycle_budget, 1234u);
+  EXPECT_EQ(s.watchdog_cycles, 5678u);
+  EXPECT_TRUE(s.prof);
+  EXPECT_EQ(s.prof_sample_cycles, 777u);
+
+  const auto backing = alloc::create_allocator("system");
+  const stm::Config c = s.stm_config(backing.get());
+  EXPECT_EQ(c.allocator, backing.get());
+  EXPECT_EQ(c.ort_log2, 20u);
+  EXPECT_EQ(c.shift, 4u);
+  EXPECT_EQ(c.ort_shards, 2u);
+  EXPECT_EQ(c.design, stm::StmDesign::kCommitTimeLocking);
+  EXPECT_EQ(c.cm, stm::ContentionManager::kBackoff);
+  EXPECT_TRUE(c.tx_alloc_cache);
+  EXPECT_TRUE(c.htm.enabled);
+  EXPECT_EQ(c.retry_cap, 9u);
+  EXPECT_EQ(c.tx_cycle_budget, 1234u);
+
+  const sim::RunConfig rc = s.run_config(3);
   EXPECT_EQ(rc.kind, sim::EngineKind::Threads);
+  EXPECT_EQ(rc.threads, 3);
+  EXPECT_EQ(rc.seed, 42u);
+  EXPECT_FALSE(rc.cache_model);
+  EXPECT_EQ(rc.topology.nodes, 2u);
+  EXPECT_EQ(rc.topology.cores_per_node, 3u);
+  EXPECT_EQ(rc.watchdog_cycles, 5678u);
+}
+
+TEST(Options, RunSpecWithoutFlagsKeepsTheDefaults) {
+  const char* argv[] = {"prog"};
+  const RunSpec s = Options(1, const_cast<char**>(argv)).run_spec();
+  EXPECT_EQ(s.allocator, RunSpec{}.allocator);
+  EXPECT_EQ(s.seed, RunSpec{}.seed);
+  EXPECT_EQ(s.shift, RunSpec{}.shift);
+  EXPECT_EQ(s.design, stm::StmDesign::kWriteBackEtl);
+  EXPECT_EQ(s.retry_cap, 0u);
+  EXPECT_EQ(s.prof_sample_cycles, RunSpec{}.prof_sample_cycles);
+  EXPECT_TRUE(s.cache_model);
+  EXPECT_FALSE(s.prof);
+}
+
+// Escalation is the liveness guarantee under injected faults, so the retry
+// cap defaults on with them; an explicit --stm-retry-cap still wins.
+TEST(Options, RetryCapDefaultsTo64WhenFaultsAreOn) {
+  const char* faulty[] = {"prog", "--fault-spurious-rate", "0.1"};
+  EXPECT_EQ(Options(3, const_cast<char**>(faulty)).run_spec().retry_cap, 64u);
+  const char* capped[] = {"prog", "--fault-spurious-rate", "0.1",
+                          "--stm-retry-cap", "8"};
+  EXPECT_EQ(Options(5, const_cast<char**>(capped)).run_spec().retry_cap, 8u);
+}
+
+TEST(OptionsDeathTest, UnknownDesignExits2) {
+  const char* argv[] = {"prog", "--design", "bogus"};
+  const Options o(3, const_cast<char**>(argv));
+  EXPECT_EXIT(o.run_spec(), ::testing::ExitedWithCode(2),
+              "unknown --design 'bogus' \\(wb\\|wt\\|ctl\\)");
+}
+
+// The check and guard refusals shared by stamp_runner and server_mix.
+TEST(Options, PlanesCompatibleRefusesWhatThePlanesCannotSee) {
+  const char* check[] = {"prog", "--check"};
+  const char* guard[] = {"prog", "--guard"};
+  const char* compact[] = {"prog", "--guard", "--phase-compact", "checked"};
+  const Options c(2, const_cast<char**>(check));
+  const Options g(2, const_cast<char**>(guard));
+  const Options gc(4, const_cast<char**>(compact));
+  const RunSpec plain;
+  EXPECT_TRUE(planes_compatible(c, plain));
+  EXPECT_TRUE(planes_compatible(g, plain));
+  EXPECT_FALSE(planes_compatible(gc, plain));
+  for (const Options* o : {&c, &g}) {
+    RunSpec threads;
+    threads.engine = sim::EngineKind::Threads;
+    EXPECT_FALSE(planes_compatible(*o, threads));
+    RunSpec txcache;
+    txcache.tx_alloc_cache = true;
+    EXPECT_FALSE(planes_compatible(*o, txcache));
+  }
+  RunSpec hybrid;
+  hybrid.htm_enabled = true;
+  EXPECT_FALSE(planes_compatible(c, hybrid));
+  EXPECT_TRUE(planes_compatible(g, hybrid));
+  const char* none[] = {"prog"};
+  EXPECT_TRUE(planes_compatible(Options(1, const_cast<char**>(none)), hybrid));
+}
+
+// server_mix runs on its whole spec: fields it used to drop (here the NUMA
+// topology and hybrid execution) change the run.
+TEST(ServerMix, HonoursTheWholeRunSpec) {
+  ServerMixConfig cfg;
+  cfg.allocator = "tbb";
+  cfg.requests = 96;
+  const ServerMixResult flat = run_server_mix(cfg);
+  EXPECT_EQ(flat.stats.hw_starts, 0u);
+
+  ServerMixConfig numa = cfg;
+  numa.topology.nodes = 2;
+  const ServerMixResult wide = run_server_mix(numa);
+  EXPECT_EQ(wide.requests, flat.requests);
+  EXPECT_NE(wide.latency.sum(), flat.latency.sum());
+
+  ServerMixConfig hybrid = cfg;
+  hybrid.htm_enabled = true;
+  EXPECT_GT(run_server_mix(hybrid).stats.hw_starts, 0u);
 }
 
 TEST(Table, CsvRoundTrip) {
@@ -173,7 +311,7 @@ TEST(Table, CsvRoundTrip) {
 // ---- Allocator stack ----
 
 TEST(AllocStack, NoPlaneOnReturnsTheBareModel) {
-  const auto a = build_allocator_stack({.allocator = "tcmalloc"});
+  const auto a = build_allocator_stack({.allocator = "tcmalloc"}, 1, false);
   EXPECT_EQ(a->inner_allocator(), nullptr);
   EXPECT_EQ(a->traits().name, "tcmalloc");
 }
@@ -185,8 +323,8 @@ TEST(AllocStack, EveryPlaneOnWrapsInContractOrder) {
   fault::install(fault::FaultPlan{});
   {
     // Harnesses pass obs::trace_enabled() as `instrument`.
-    const auto a = build_allocator_stack(
-        {.allocator = "glibc", .instrument = true, .prof = true});
+    const auto a =
+        build_allocator_stack({.allocator = "glibc", .prof = true}, 1, true);
     std::vector<std::string> layers;
     alloc::Allocator* layer = a.get();
     for (; layer->inner_allocator() != nullptr;
@@ -214,7 +352,7 @@ TEST(AllocStack, EveryPlaneOnWrapsInContractOrder) {
 // the same process left as the default.
 TEST(AllocStack, DefaultNumaOptionsReplaceAStaleDefault) {
   alloc::set_default_numa({alloc::NumaOptions::Policy::kInterleave});
-  const auto a = build_allocator_stack({.allocator = "glibc"});
+  const auto a = build_allocator_stack({.allocator = "glibc"}, 1, false);
   ASSERT_NE(a->page_provider(), nullptr);
   EXPECT_EQ(a->page_provider()->numa().policy,
             alloc::NumaOptions::Policy::kFirstTouch);

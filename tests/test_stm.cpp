@@ -35,6 +35,16 @@ struct StmFixture : ::testing::Test {
   }
 };
 
+// The ORT maps an address with `addr >> shift`, undefined for shifts of 64
+// or more; the constructor refuses them.
+TEST(StmDeathTest, ShiftOf64OrMoreIsRejected) {
+  const auto allocator = alloc::create_allocator("system");
+  Config cfg;
+  cfg.allocator = allocator.get();
+  cfg.shift = 64;
+  EXPECT_DEATH(Stm{cfg}, "shift < 64");
+}
+
 TEST_F(StmFixture, CommittedWriteIsVisible) {
   alignas(8) std::uint64_t x = 0;
   stm->atomically([&](Tx& tx) { tx.store(&x, std::uint64_t{42}); });
