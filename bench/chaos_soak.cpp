@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     gcfg.commits_per_epoch = 128u << chaos.below(3);          // 128..512
     gcfg.max_findings = 4096;
     gcfg.hard_cap = 0;  // graceful degradation: never trip mid-run
-    guard::install(gcfg);
+    cfg.guard = gcfg;
 
     fault::FaultPlan plan;
     plan.seed = cfg.seed ^ 0xFA17ull;
@@ -113,35 +113,31 @@ int main(int argc, char** argv) {
     plan.corrupt_reuse_rate =
         0.002 + 0.002 * static_cast<double>(chaos.below(4));
     plan.corrupt_budget = 4 + chaos.below(13);                // 4..16
-    fault::install(plan);
+    cfg.fault = plan;
 
-    const harness::ServerMixResult res = harness::run_server_mix(cfg);
-    (void)res;  // completing at all is the graceful-degradation half
-
-    const fault::FaultStats fs = fault::stats();
+    // Completing at all is the graceful-degradation half.
+    const harness::PlaneOutputs res = harness::run_server_mix(cfg).planes;
+    const fault::FaultStats& fs = *res.fault;
+    const guard::Summary& gs = *res.guard;
     const std::uint64_t inj_tag =
         fs.injected[static_cast<int>(fault::Site::kCorruptTag)];
     const std::uint64_t inj_ovfl =
         fs.injected[static_cast<int>(fault::Site::kCorruptOverflow)];
     const std::uint64_t inj_reuse =
         fs.injected[static_cast<int>(fault::Site::kCorruptReuse)];
-    const std::uint64_t det_tag = guard::count(guard::FindingKind::kTagSmash);
-    const std::uint64_t det_ovfl =
-        guard::count(guard::FindingKind::kCanarySmash);
-    const std::uint64_t det_reuse =
-        guard::count(guard::FindingKind::kPoisonWrite);
-    const guard::GuardStats gs = guard::stats();
+    const std::uint64_t det_tag = gs.count(guard::FindingKind::kTagSmash);
+    const std::uint64_t det_ovfl = gs.count(guard::FindingKind::kCanarySmash);
+    const std::uint64_t det_reuse = gs.count(guard::FindingKind::kPoisonWrite);
 
     std::printf("%-5d %-10s %3d %5zu | %9" PRIu64 " %9" PRIu64 " %9" PRIu64
                 " | %9" PRIu64 " %9" PRIu64 " %9" PRIu64 " | %6" PRIu64
                 " %6" PRIu64 "\n",
                 r, alloc_name.c_str(), cfg.workers, cfg.requests, inj_tag,
                 inj_ovfl, inj_reuse, det_tag, det_ovfl, det_reuse,
-                gs.quarantined, gs.leaked);
+                gs.stats.quarantined, gs.stats.leaked);
 
-    const std::uint64_t strays =
-        guard::count(guard::FindingKind::kDoubleFree) +
-        guard::count(guard::FindingKind::kInvalidFree);
+    const std::uint64_t strays = gs.count(guard::FindingKind::kDoubleFree) +
+                                 gs.count(guard::FindingKind::kInvalidFree);
     if (det_tag != inj_tag || det_ovfl != inj_ovfl ||
         det_reuse != inj_reuse || strays != 0) {
       std::printf("  MISMATCH: injected {%" PRIu64 ",%" PRIu64 ",%" PRIu64
@@ -149,18 +145,17 @@ int main(int argc, char** argv) {
                   "} strays %" PRIu64 "\n",
                   inj_tag, inj_ovfl, inj_reuse, det_tag, det_ovfl, det_reuse,
                   strays);
-      guard::print_findings(stderr);
+      guard::print_findings(gs, stderr);
       ++mismatches;
     }
     total_injected += inj_tag + inj_ovfl + inj_reuse;
     total_detected += det_tag + det_ovfl + det_reuse;
 
-    guard::publish_metrics(obs::MetricsRegistry::global(),
-                           "chaos.round" + std::to_string(r) + ".guard.");
-    fault::publish_metrics(obs::MetricsRegistry::global(),
-                           "chaos.round" + std::to_string(r) + ".fault.");
-    fault::clear();
-    guard::clear();
+    const std::string round = "chaos.round" + std::to_string(r);
+    guard::publish_metrics(gs, obs::MetricsRegistry::global(),
+                           round + ".guard.");
+    fault::publish_metrics(fs, obs::MetricsRegistry::global(),
+                           round + ".fault.");
   }
 
   std::printf("\nchaos_soak: %d/%d rounds clean, %" PRIu64 " corruptions "

@@ -4,12 +4,11 @@
 // nodes share one versioned lock under shift=5 and the reader of y falsely
 // aborts against the writer of x; with Glibc's 32-byte blocks they map to
 // distinct locks and no aborts occur.
-#include <memory>
 
 #include "bench_common.hpp"
 #include "core/stm.hpp"
-#include "harness/alloc_stack.hpp"
 #include "harness/obs_session.hpp"
+#include "harness/run_context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sim/engine.hpp"
@@ -26,20 +25,19 @@ struct CaseResult {
 CaseResult run_case(const std::string& alloc_name, unsigned shift,
                     int rounds) {
   using namespace tmx;
+  harness::RunContext run({.allocator = alloc_name}, 2);
   // With a tracer listening, the instrumenting wrapper emits the
   // kAlloc/kFree events --record-trace captures.
-  const std::unique_ptr<alloc::Allocator> allocator =
-      harness::build_allocator_stack({.allocator = alloc_name}, 2,
-                                     obs::trace_enabled());
+  alloc::Allocator& allocator = run.allocator(obs::trace_enabled());
   stm::Config cfg;
-  cfg.allocator = allocator.get();
+  cfg.allocator = &allocator;
   cfg.shift = shift;
   stm::Stm stm(cfg);
 
   // Allocate two 16-byte nodes in sequence, exactly as the list benchmark
   // main thread does (Figure 5's setup).
-  auto* x = static_cast<std::uint64_t*>(allocator->allocate(16));
-  auto* y = static_cast<std::uint64_t*>(allocator->allocate(16));
+  auto* x = static_cast<std::uint64_t*>(allocator.allocate(16));
+  auto* y = static_cast<std::uint64_t*>(allocator.allocate(16));
   *x = *y = 0;
 
   sim::RunConfig rc;

@@ -117,7 +117,7 @@ void sched_stress(int threads, std::uint64_t yields_per_fiber) {
 }
 
 std::uint64_t set_bench(tmx::harness::SetKind kind, std::size_t ops_per_thread,
-                        std::size_t initial) {
+                        std::size_t initial, bool checked = false) {
   tmx::harness::SetBenchConfig cfg;
   cfg.kind = kind;
   cfg.allocator = "glibc";
@@ -127,7 +127,13 @@ std::uint64_t set_bench(tmx::harness::SetKind kind, std::size_t ops_per_thread,
   cfg.key_range = 2 * initial;
   cfg.ops_per_thread = ops_per_thread;
   cfg.seed = 20150207;
+  if (checked) cfg.check = tmx::check::CheckConfig{};
   const tmx::harness::SetBenchResult r = tmx::harness::run_set_bench(cfg);
+  if (checked && r.planes.check->hard_count() != 0) {
+    tmx::check::print_reports(*r.planes.check, stderr);
+    std::fprintf(stderr, "perf_suite: %s is not check-clean\n",
+                 tmx::harness::set_kind_name(kind));
+  }
   return r.ops;
 }
 
@@ -155,10 +161,12 @@ std::uint64_t hashset_numa(std::size_t ops_per_thread) {
 // backing it. Epochs advance on the STM's commit hints (allocator default
 // cadence) and retired phases reclaim opportunistically whenever a commit
 // leaves no transaction in flight — the hint-driven hot path end to end.
-std::uint64_t hashset_phase(std::size_t ops_per_thread) {
+std::uint64_t hashset_phase(std::size_t ops_per_thread,
+                            const tmx::phase::PhaseConfig& phase) {
   tmx::harness::SetBenchConfig cfg;
   cfg.kind = tmx::harness::SetKind::kHashSet;
   cfg.allocator = "phase";
+  cfg.phase = phase;
   cfg.threads = 8;
   cfg.cache_model = true;
   cfg.initial = 4096;
@@ -202,7 +210,6 @@ bool write_json(const std::string& path, const std::vector<ScenarioResult>& rs,
 
 int main(int argc, char** argv) {
   tmx::harness::Options opts(argc, argv);
-  opts.apply_phase_config();
   if (opts.has("help")) {
     opts.print_help(
         "perf_suite: host wall-clock per simulated M-op for the substrate "
@@ -259,13 +266,8 @@ int main(int argc, char** argv) {
     const std::size_t ops = 4000 * scale;
     results.push_back(
         run_scenario("hashset_checked", 8 * ops, reps, [&] {
-          tmx::check::install(tmx::check::CheckConfig{});
-          (void)set_bench(tmx::harness::SetKind::kHashSet, ops, 4096);
-          if (tmx::check::hard_count() != 0) {
-            tmx::check::print_reports(stderr);
-            std::fprintf(stderr, "perf_suite: hashset is not check-clean\n");
-          }
-          tmx::check::clear();
+          (void)set_bench(tmx::harness::SetKind::kHashSet, ops, 4096,
+                          /*checked=*/true);
         }));
   }
   {
@@ -315,9 +317,10 @@ int main(int argc, char** argv) {
   }
   {
     const std::size_t ops = 4000 * scale;
+    const tmx::phase::PhaseConfig phase = opts.run_spec().phase;
     results.push_back(
         run_scenario("hashset_phase", 8 * ops, reps,
-                     [&] { (void)hashset_phase(ops); }));
+                     [&] { (void)hashset_phase(ops, phase); }));
   }
 
   if (!write_json(out_path, results, quick)) {

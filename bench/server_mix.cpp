@@ -16,7 +16,6 @@
 #include <string>
 
 #include "check/check.hpp"
-#include "fault/fault.hpp"
 #include "guard/guard.hpp"
 #include "harness/options.hpp"
 #include "harness/server_mix.hpp"
@@ -42,7 +41,6 @@ bool write_text(const std::string& path, const std::string& text) {
 
 int main(int argc, char** argv) {
   harness::Options opt(argc, argv);
-  opt.apply_phase_config();
   if (harness::handle_list_allocators(opt)) return 0;
   if (opt.has("help")) {
     std::printf(
@@ -85,12 +83,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(opt.get_long("phase-maintenance-every", 0));
   const std::string prof_out = base.prof ? opt.prof_out() : "";
 
-  if (!harness::planes_compatible(opt, base)) return 2;
-  const bool checking = opt.check_enabled();
-  if (checking) check::install(opt.check_config(base.shift, base.ort_log2));
-  const bool guarding = opt.guard_enabled();
-  if (guarding) guard::install(opt.guard_config());
-  if (opt.fault_enabled()) fault::install(opt.fault_plan());
+  if (!harness::planes_compatible(base)) return 2;
 
   std::printf("server_mix: %d workers, %zu requests, arrival every %llu "
               "cycles, retain %.1f%%\n\n",
@@ -106,7 +99,10 @@ int main(int argc, char** argv) {
   std::string folded;
   std::uint64_t hard_findings = 0;
   std::uint64_t guard_findings = 0;
+  auto& reg = obs::MetricsRegistry::global();
 
+  // Each run opens its own planes, so a row is the one its allocator
+  // prints alone, wherever it sits in the --alloc list.
   for (const auto& name : opt.allocators()) {
     harness::ServerMixConfig cfg = base;
     cfg.allocator = name;
@@ -136,38 +132,27 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.phase.bytes_relocated),
                   static_cast<unsigned long long>(r.phase.relocation_vetoes),
                   static_cast<unsigned long long>(r.phase.remap_refusals));
-      phase::publish_metrics(r.phase, obs::MetricsRegistry::global(),
-                             "alloc.phase." + name + ".");
+      phase::publish_metrics(r.phase, reg, "alloc.phase." + name + ".");
     }
-    if (checking) {
-      // Harvest and reset per allocator: the next run's fresh allocator
-      // reuses addresses, and stale shadow state would alias into it.
-      check::publish_metrics(obs::MetricsRegistry::global(),
-                             "check." + name + ".");
-      hard_findings += check::hard_count();
-      if (check::hard_count() > 0) check::print_reports(stdout);
-      check::reset();
+    if (const auto& cs = r.planes.check) {
+      check::publish_metrics(*cs, reg, "check." + name + ".");
+      hard_findings += cs->hard_count();
+      if (cs->hard_count() > 0) check::print_reports(*cs, stdout);
     }
-    if (guarding) {
-      guard::publish_metrics(obs::MetricsRegistry::global(),
-                             "guard." + name + ".");
-      guard_findings += guard::corruptions();
+    if (const auto& gs = r.planes.guard) {
+      guard::publish_metrics(*gs, reg, "guard." + name + ".");
+      guard_findings += gs->corruptions();
       // Findings carry raw addresses (ASLR-dependent): stderr, so stdout
       // stays byte-stable for the CI diff.
-      if (guard::corruptions() > 0) guard::print_findings(stderr);
-      guard::reset();
+      if (gs->corruptions() > 0) guard::print_findings(*gs, stderr);
     }
-    if (base.prof) {
-      prof::publish_metrics(obs::MetricsRegistry::global(),
-                            "prof." + name + ".");
-      prof::append_timeseries_csv(timeseries, name);
-      prof::append_sites_csv(sites, name);
-      prof::append_folded(folded);
-      prof::uninstall();
+    if (const auto& p = r.planes.prof) {
+      prof::publish_metrics(*p, reg, "prof." + name + ".");
+      timeseries += p->timeseries_csv;
+      sites += p->sites_csv;
+      folded += p->folded;
     }
   }
-  if (checking) check::clear();
-  if (guarding) guard::clear();
 
   int rc = hard_findings > 0 ? 4 : 0;  // dirty run, distinct from a write
                                        // failure below (3)
@@ -189,8 +174,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (!opt.metrics_out().empty() &&
-      !obs::MetricsRegistry::global().write_json(opt.metrics_out())) {
+  if (!opt.metrics_out().empty() && !reg.write_json(opt.metrics_out())) {
     std::fprintf(stderr, "server_mix: failed to write %s\n",
                  opt.metrics_out().c_str());
     rc = 3;

@@ -12,7 +12,6 @@
 int main(int argc, char** argv) {
   using namespace tmx;
   harness::Options opt(argc, argv);
-  opt.apply_phase_config();
   if (harness::handle_list_allocators(opt)) return 0;
   if (opt.has("help")) {
     std::printf(

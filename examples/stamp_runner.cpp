@@ -5,13 +5,12 @@
 //   ./build/examples/stamp_runner --app intruder --alloc tcmalloc
 //       --engine threads --scale 2 --txcache 1 --shift 4
 #include <cstdio>
+#include <vector>
 
 #include "alloc/allocator.hpp"
-#include "check/check.hpp"
-#include "fault/fault.hpp"
-#include "guard/guard.hpp"
 #include "harness/obs_session.hpp"
 #include "harness/options.hpp"
+#include "harness/run_context.hpp"
 #include "obs/metrics.hpp"
 #include "replay/replayer.hpp"
 #include "sim/engine.hpp"
@@ -37,7 +36,13 @@ int replay_mode(const tmx::harness::Options& opt) {
   cfg.cache_model = opt.get_long("cache-model", 1) != 0;
   cfg.strict_gaps = opt.has("strict-gaps");
   cfg.seed = opt.seed();
-  const auto results = replay::replay_compare(trace, opt.allocators(), cfg);
+  std::vector<replay::ReplayResult> results;
+  {
+    // The replays share one run context: it hands the --phase-* config to
+    // the phase model, and closing it publishes their sim.* totals.
+    const harness::RunContext context({.phase = opt.run_spec().phase});
+    results = replay::replay_compare(trace, opt.allocators(), cfg);
+  }
   replay::print_comparison(trace, results, stdout);
   bool all_ok = true;
   for (const auto& r : results) {
@@ -59,7 +64,6 @@ int replay_mode(const tmx::harness::Options& opt) {
 int main(int argc, char** argv) {
   using namespace tmx;
   harness::Options opt(argc, argv);
-  opt.apply_phase_config();
   if (harness::handle_list_allocators(opt)) return 0;
   if (!opt.replay_trace().empty()) return replay_mode(opt);
   const std::string app = opt.get("app", "");
@@ -84,15 +88,6 @@ int main(int argc, char** argv) {
 
   harness::ObsSession obs(opt);
 
-  const bool faults = opt.fault_enabled();
-  if (faults) {
-    fault::install(opt.fault_plan());
-    // Breaching either watchdog must still leave the metrics/trace evidence
-    // behind: the trip path exits via std::_Exit, so flush through the
-    // session first.
-    sim::install_watchdog_flush([&obs] { obs.finish(); });
-  }
-
   stamp::StampRun run{opt.run_spec(), app};
   run.threads = static_cast<int>(opt.get_long("threads", 8));
   run.scale = opt.scale();
@@ -101,12 +96,14 @@ int main(int argc, char** argv) {
   run.instrument = opt.has("profile") || obs.recording();
   obs.set_trace_meta(run.allocator, run.shift, run.ort_log2, run.seed);
 
-  if (!harness::planes_compatible(opt, run)) return 2;
-  const bool checking = opt.check_enabled();
-  if (checking) check::install(opt.check_config(run.shift, run.ort_log2));
-  const bool guarding = opt.guard_enabled();
-  if (guarding) {
-    guard::install(opt.guard_config());
+  if (run.fault) {
+    // Breaching either watchdog must still leave the metrics/trace evidence
+    // behind: the trip path exits via std::_Exit, so flush through the
+    // session first.
+    sim::install_watchdog_flush([&obs] { obs.finish(); });
+  }
+  if (!harness::planes_compatible(run)) return 2;
+  if (run.guard) {
     // A hard-cap trip exits via std::_Exit: flush the obs evidence first,
     // mirroring the watchdog flush hook.
     static harness::ObsSession* s_obs = &obs;
@@ -115,6 +112,8 @@ int main(int argc, char** argv) {
 
   const auto out = stamp::run_stamp(run);
   const auto& r = out.result;
+  const harness::PlaneOutputs& planes = out.planes;
+  if (planes.prof) obs.set_profile(*planes.prof);
   std::printf("app=%s alloc=%s threads=%d shift=%u txcache=%d design=%s "
               "hybrid=%d\n",
               app.c_str(), run.allocator.c_str(), run.threads, run.shift,
@@ -165,10 +164,11 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(p.bytes));
     }
   }
-  stm::publish_metrics(r.stats, obs::MetricsRegistry::global());
-  if (faults) {
-    fault::publish_metrics(obs::MetricsRegistry::global());
-    const fault::FaultStats fs = fault::stats();
+  auto& reg = obs::MetricsRegistry::global();
+  stm::publish_metrics(r.stats, reg);
+  if (planes.fault) {
+    const fault::FaultStats& fs = *planes.fault;
+    fault::publish_metrics(fs, reg);
     std::printf("faults:    oom=%llu reserve=%llu spurious=%llu "
                 "delayed-free=%llu   irrevocable entries: %llu\n",
                 static_cast<unsigned long long>(
@@ -182,54 +182,53 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.stats.irrevocable_entries));
   }
   int rc = r.verified ? 0 : 1;
-  if (checking) {
-    check::publish_metrics(obs::MetricsRegistry::global());
+  if (planes.check) {
+    const check::Summary& cs = *planes.check;
+    check::publish_metrics(cs, reg);
     std::printf("check:     races=%llu leaks=%llu uaf=%llu double-free=%llu "
                 "unpublished=%llu invalid=%llu zombie-reads=%llu\n",
                 static_cast<unsigned long long>(
-                    check::count(check::ReportKind::kRace)),
+                    cs.count(check::ReportKind::kRace)),
                 static_cast<unsigned long long>(
-                    check::count(check::ReportKind::kTxLeak)),
+                    cs.count(check::ReportKind::kTxLeak)),
                 static_cast<unsigned long long>(
-                    check::count(check::ReportKind::kUseAfterFree)),
+                    cs.count(check::ReportKind::kUseAfterFree)),
                 static_cast<unsigned long long>(
-                    check::count(check::ReportKind::kDoubleFree)),
+                    cs.count(check::ReportKind::kDoubleFree)),
                 static_cast<unsigned long long>(
-                    check::count(check::ReportKind::kFreeUnpublished)),
+                    cs.count(check::ReportKind::kFreeUnpublished)),
                 static_cast<unsigned long long>(
-                    check::count(check::ReportKind::kInvalidFree)),
-                static_cast<unsigned long long>(check::zombie_reads()));
-    if (check::hard_count() > 0) {
-      check::print_reports(stdout);
+                    cs.count(check::ReportKind::kInvalidFree)),
+                static_cast<unsigned long long>(cs.zombie_reads()));
+    if (cs.hard_count() > 0) {
+      check::print_reports(cs, stdout);
       rc = 4;  // dirty run: distinct from verification failure (1)
     }
-    check::clear();
   }
-  if (guarding) {
-    guard::publish_metrics(obs::MetricsRegistry::global());
-    const guard::GuardStats gs = guard::stats();
+  if (planes.guard) {
+    const guard::Summary& gs = *planes.guard;
+    guard::publish_metrics(gs, reg);
     std::printf("guard:     canary=%llu tag=%llu poison=%llu double-free=%llu "
                 "invalid=%llu   quarantined=%llu released=%llu leaked=%llu "
                 "audits=%llu\n",
                 static_cast<unsigned long long>(
-                    guard::count(guard::FindingKind::kCanarySmash)),
+                    gs.count(guard::FindingKind::kCanarySmash)),
                 static_cast<unsigned long long>(
-                    guard::count(guard::FindingKind::kTagSmash)),
+                    gs.count(guard::FindingKind::kTagSmash)),
                 static_cast<unsigned long long>(
-                    guard::count(guard::FindingKind::kPoisonWrite)),
+                    gs.count(guard::FindingKind::kPoisonWrite)),
                 static_cast<unsigned long long>(
-                    guard::count(guard::FindingKind::kDoubleFree)),
+                    gs.count(guard::FindingKind::kDoubleFree)),
                 static_cast<unsigned long long>(
-                    guard::count(guard::FindingKind::kInvalidFree)),
-                static_cast<unsigned long long>(gs.quarantined),
-                static_cast<unsigned long long>(gs.released),
-                static_cast<unsigned long long>(gs.leaked),
-                static_cast<unsigned long long>(gs.audits));
-    if (guard::corruptions() > 0) {
-      guard::print_findings(stderr);
+                    gs.count(guard::FindingKind::kInvalidFree)),
+                static_cast<unsigned long long>(gs.stats.quarantined),
+                static_cast<unsigned long long>(gs.stats.released),
+                static_cast<unsigned long long>(gs.stats.leaked),
+                static_cast<unsigned long long>(gs.stats.audits));
+    if (gs.corruptions() > 0) {
+      guard::print_findings(gs, stderr);
       rc = guard::kExitCode;  // corruption: distinct from check (4)
     }
-    guard::clear();
   }
   // finish() explicitly so a failed --metrics-out/--trace write turns into
   // a nonzero exit instead of a stderr line nobody checks.

@@ -16,9 +16,11 @@
 //   ./build/examples/trace_replay --selfcheck
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "alloc/allocator.hpp"
 #include "harness/options.hpp"
+#include "harness/run_context.hpp"
 #include "obs/metrics.hpp"
 #include "replay/replayer.hpp"
 #include "replay/synth.hpp"
@@ -137,6 +139,7 @@ int selfcheck(const harness::Options& opt) {
 
   replay::ReplayConfig cfg = replay_config(opt);
   cfg.cache_model = opt.get_long("cache-model", 0) != 0;
+  const harness::RunContext context({.phase = opt.run_spec().phase});
   bool ok = true;
   for (const auto& model : alloc::allocator_names()) {
     if (model == "system") continue;  // host malloc: addresses unreproducible
@@ -174,7 +177,6 @@ int selfcheck(const harness::Options& opt) {
 
 int main(int argc, char** argv) {
   harness::Options opt(argc, argv);
-  opt.apply_phase_config();
   if (harness::handle_list_allocators(opt)) return 0;
   if (opt.has("selfcheck")) return selfcheck(opt);
   const std::string inspect_path = opt.get("inspect", "");
@@ -224,8 +226,13 @@ int main(int argc, char** argv) {
                  replay::read_status_name(st));
     return 2;
   }
-  const auto results =
-      replay::replay_compare(t, opt.allocators(), replay_config(opt));
+  std::vector<replay::ReplayResult> results;
+  {
+    // The replays share one run context: it hands the --phase-* config to
+    // the phase model, and closing it publishes their sim.* totals.
+    const harness::RunContext context({.phase = opt.run_spec().phase});
+    results = replay::replay_compare(t, opt.allocators(), replay_config(opt));
+  }
   replay::print_comparison(t, results, stdout);
   bool all_ok = true;
   for (const auto& r : results) {

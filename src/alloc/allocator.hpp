@@ -127,7 +127,7 @@ class Allocator {
 
 // Base of the plane wrappers (instrument, fault, check, guard, prof): owns
 // the wrapped allocator and forwards every call to it, so a wrapper
-// overrides only the calls it intercepts. harness/alloc_stack.hpp assembles
+// overrides only the calls it intercepts. harness/run_context.hpp assembles
 // the wrappers in their one fixed order.
 class ForwardingAllocator : public Allocator {
  public:

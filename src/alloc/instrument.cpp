@@ -6,11 +6,6 @@
 
 namespace tmx::alloc {
 
-namespace {
-// Region markers are per logical thread, so they work under both engines.
-Padded<Region> g_region[kMaxThreads];
-}  // namespace
-
 const char* region_name(Region r) {
   switch (r) {
     case Region::Seq: return "seq";
@@ -20,9 +15,11 @@ const char* region_name(Region r) {
   return "?";
 }
 
-Region current_region() { return *g_region[sim::self_tid()]; }
+// Region markers are per logical thread of the run, so they work under both
+// engines.
+Region current_region() { return *sim::context().region[sim::self_tid()]; }
 
-void set_region(Region r) { *g_region[sim::self_tid()] = r; }
+void set_region(Region r) { *sim::context().region[sim::self_tid()] = r; }
 
 int size_bucket(std::size_t size) {
   for (int i = 0; i < kNumSizeBuckets - 1; ++i) {

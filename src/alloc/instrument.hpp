@@ -30,7 +30,7 @@ inline constexpr int kNumRegions = 3;
 
 const char* region_name(Region r);
 
-// Per-logical-thread region marker.
+// Per-logical-thread region marker, kept in the run context.
 Region current_region();
 void set_region(Region r);
 

@@ -12,16 +12,6 @@
 
 namespace tmx::alloc {
 
-namespace {
-NumaOptions& default_numa_ref() {
-  static NumaOptions o;
-  return o;
-}
-}  // namespace
-
-void set_default_numa(const NumaOptions& o) { default_numa_ref() = o; }
-NumaOptions default_numa() { return default_numa_ref(); }
-
 PageProvider::~PageProvider() {
   for (const Mapping& m : mappings_) {
     sim::numa_unregister_range(m.base);

@@ -7,7 +7,7 @@
 //
 // NUMA placement: each reservation is assigned a home node under the
 // provider's policy (first-touch by the reserving fiber's node, round-robin
-// interleave, or a fixed bind) and registered with the sim-level NUMA
+// interleave, or a fixed bind) and registered with the run's NUMA
 // registry, so the cache model charges remote-memory latency for off-node
 // lines and the sharded ORT can stripe by home node. Placement is pure
 // bookkeeping — it never ticks virtual time beyond the existing syscall
@@ -18,26 +18,15 @@
 #include <cstddef>
 #include <vector>
 
+#include "sim/context.hpp"
 #include "sim/sync.hpp"
 
 namespace tmx::alloc {
 
-// How a provider assigns reservations to NUMA nodes. kFirstTouch mirrors
-// the kernel default (memory lands on the node of the thread that faults
-// it in — here, the fiber that triggers the reservation); kInterleave
-// spreads consecutive reservations round-robin across all nodes;
-// kBind pins everything to bind_node.
-struct NumaOptions {
-  enum class Policy { kFirstTouch, kInterleave, kBind };
-  Policy policy = Policy::kFirstTouch;
-  unsigned bind_node = 0;
-};
-
-// Process-wide default snapshot by every provider at construction (the
-// harness sets this from --numa-policy before building the allocator
-// stack, so wrapped inner allocators inherit it without plumbing).
-void set_default_numa(const NumaOptions& o);
-NumaOptions default_numa();
+// Placement policies (first-touch, interleave, bind; see sim/numa.hpp).
+// Every provider snapshots the run context's policy at construction, so
+// wrapped inner allocators inherit it without plumbing.
+using NumaOptions = sim::NumaOptions;
 
 class PageProvider {
  public:
@@ -123,7 +112,7 @@ class PageProvider {
   std::vector<Mapping> mappings_;
   std::atomic<std::size_t> total_{0};
   std::atomic<std::size_t> peak_{0};
-  NumaOptions numa_ = default_numa();
+  NumaOptions numa_ = sim::context().numa_policy;
   std::atomic<unsigned> interleave_next_{0};
   std::atomic<std::size_t> node_reserved_[kMaxNodes]{};
 };

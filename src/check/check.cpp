@@ -1,6 +1,6 @@
-// tmx::check plumbing: install/clear, report bookkeeping, site scopes, and
-// the trampolines that feed engine events (fork/join/lock/barrier) into the
-// race prong.
+// tmx::check plumbing: opening on a run context, report bookkeeping, site
+// scopes, and the trampolines that feed engine events (fork/join/lock/
+// barrier) into the race prong.
 
 #include "check/check.hpp"
 
@@ -10,30 +10,11 @@
 #include "check/check_internal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
-#include "phase/phase.hpp"
 #include "sim/engine.hpp"
 
 namespace tmx::check {
 
 namespace detail {
-
-bool g_enabled = false;
-bool g_race = false;
-bool g_lifetime = false;
-
-namespace {
-std::unique_ptr<State>& state_holder() {
-  static std::unique_ptr<State> holder;
-  return holder;
-}
-}  // namespace
-
-State* state() { return state_holder().get(); }
-
-// Internal setter shared by install/clear/reset below.
-static void set_state(std::unique_ptr<State> s) {
-  state_holder() = std::move(s);
-}
 
 const char* site_or(int tid, const char* fallback) {
   State* s = state();
@@ -54,19 +35,19 @@ std::size_t stripe_of(std::uintptr_t addr) {
 void emit(Report r) {
   State* s = state();
   if (s == nullptr) return;
-  ++s->counts[static_cast<std::size_t>(r.kind)];
+  ++s->found.counts[static_cast<int>(r.kind)];
   TMX_OBS_EVENT(obs::EventKind::kCheckReport, r.addr, r.stripe,
                 static_cast<std::uint8_t>(r.kind));
   // One stored report per (kind, site, other-site): a racy loop floods the
   // counters, not the report list.
-  for (const Report& prev : s->reports) {
+  for (const Report& prev : s->found.reports) {
     if (prev.kind == r.kind && prev.site == r.site &&
         prev.other_site == r.other_site) {
       return;
     }
   }
-  if (s->reports.size() < s->cfg.max_reports) {
-    s->reports.push_back(std::move(r));
+  if (s->found.reports.size() < s->cfg.max_reports) {
+    s->found.reports.push_back(std::move(r));
   }
 }
 
@@ -110,104 +91,51 @@ void hook_barrier_depart(const void* b) {
 
 }  // namespace
 
-void install(const CheckConfig& cfg) {
-  clear();
-  if (!cfg.any()) return;
-  auto s = std::make_unique<State>();
-  s->cfg = cfg;
-  detail::set_state(std::move(s));
-  detail::g_race = cfg.race;
-  detail::g_lifetime = cfg.lifetime;
-  detail::g_enabled = true;
-  if (cfg.race) {
-    sim::CheckHooks hooks;
-    hooks.run_fork = &hook_run_fork;
-    hooks.run_join = &hook_run_join;
-    hooks.lock_acquired = &hook_lock_acquired;
-    hooks.lock_released = &hook_lock_released;
-    hooks.barrier_arrive = &hook_barrier_arrive;
-    hooks.barrier_depart = &hook_barrier_depart;
-    sim::install_check_hooks(hooks);
-  } else {
-    // The lifetime prong still wants fork/join so reset points are known,
-    // but needs no lock/barrier edges.
-    sim::CheckHooks hooks;
-    hooks.run_fork = &hook_run_fork;
-    hooks.run_join = &hook_run_join;
-    sim::install_check_hooks(hooks);
-  }
-  if (cfg.lifetime) {
-    // Gate phase compaction on the publication analysis: tmx::phase asks
-    // before moving a block and reports every completed move back.
-    phase::CheckBridge bridge;
-    bridge.relocatable = &relocatable;
-    bridge.on_relocated = &on_block_relocate;
-    phase::install_check_bridge(bridge);
-  }
-}
-
-void clear() {
-  detail::g_enabled = false;
-  detail::g_race = false;
-  detail::g_lifetime = false;
-  sim::install_check_hooks(sim::CheckHooks{});
-  phase::clear_check_bridge();
-  detail::set_state(nullptr);
-}
-
-const CheckConfig& config() {
-  static const CheckConfig kOff{false, false};
-  State* s = detail::state();
-  return s != nullptr ? s->cfg : kOff;
-}
-
-const std::vector<Report>& reports() {
-  static const std::vector<Report> kEmpty;
-  State* s = detail::state();
-  if (s == nullptr) return kEmpty;
-  detail::flush_leak_suspects(*s);
-  return s->reports;
-}
-
-std::uint64_t count(ReportKind k) {
-  State* s = detail::state();
-  if (s == nullptr) return 0;
-  detail::flush_leak_suspects(*s);
-  return s->counts[static_cast<std::size_t>(k)];
-}
-
-std::uint64_t hard_count() {
-  State* s = detail::state();
-  if (s == nullptr) return 0;
-  detail::flush_leak_suspects(*s);
+std::uint64_t Summary::hard_count() const {
   std::uint64_t n = 0;
   for (int k = 0; k < kNumReportKinds; ++k) {
-    if (static_cast<ReportKind>(k) == ReportKind::kZombieRead) continue;
-    n += s->counts[static_cast<std::size_t>(k)];
+    if (static_cast<ReportKind>(k) != ReportKind::kZombieRead) n += counts[k];
   }
   return n;
 }
 
-std::uint64_t zombie_reads() { return count(ReportKind::kZombieRead); }
-
-void reset() {
-  State* s = detail::state();
-  if (s == nullptr) return;
-  const CheckConfig cfg = s->cfg;
-  detail::set_state(std::make_unique<State>());
-  detail::state()->cfg = cfg;
+void open(sim::RunContext& ctx, const CheckConfig& cfg) {
+  if (!cfg.any()) return;
+  ctx.check = std::make_shared<State>();
+  ctx.check->cfg = cfg;
+  // The lifetime prong still wants fork/join so reset points are known,
+  // but needs no lock/barrier edges.
+  ctx.check_hooks.run_fork = &hook_run_fork;
+  ctx.check_hooks.run_join = &hook_run_join;
+  if (cfg.race) {
+    ctx.check_hooks.lock_acquired = &hook_lock_acquired;
+    ctx.check_hooks.lock_released = &hook_lock_released;
+    ctx.check_hooks.barrier_arrive = &hook_barrier_arrive;
+    ctx.check_hooks.barrier_depart = &hook_barrier_depart;
+  }
+  if (cfg.lifetime) {
+    // Gate phase compaction on the publication analysis: tmx::phase asks
+    // before moving a block and reports every completed move back.
+    ctx.check_hooks.relocatable = &relocatable;
+    ctx.check_hooks.on_relocated = &on_block_relocate;
+  }
 }
 
-void print_reports(std::FILE* out) {
+const Summary& summary() {
+  static const Summary kEmpty;
   State* s = detail::state();
-  if (s == nullptr) return;
+  if (s == nullptr) return kEmpty;
   detail::flush_leak_suspects(*s);
+  return s->found;
+}
+
+void print_reports(const Summary& s, std::FILE* out) {
   std::uint64_t total = 0;
-  for (std::uint64_t c : s->counts) total += c;
+  for (std::uint64_t c : s.counts) total += c;
   std::fprintf(out, "tmx::check: %" PRIu64 " finding(s) (%" PRIu64
                     " hard), %zu distinct:\n",
-               total, hard_count(), s->reports.size());
-  for (const Report& r : s->reports) {
+               total, s.hard_count(), s.reports.size());
+  for (const Report& r : s.reports) {
     std::fprintf(out,
                  "  [%s] tid=%d cycle=%" PRIu64 " addr=0x%" PRIxPTR
                  " stripe=%zu site=%s",
@@ -223,23 +151,19 @@ void print_reports(std::FILE* out) {
   }
 }
 
-void publish_metrics(obs::MetricsRegistry& reg, const std::string& prefix) {
-  State* s = detail::state();
-  if (s == nullptr) return;
-  detail::flush_leak_suspects(*s);
-  const auto c = [&](ReportKind k) {
-    return s->counts[static_cast<std::size_t>(k)];
-  };
-  reg.set_counter(prefix + "races", c(ReportKind::kRace));
-  reg.set_counter(prefix + "leaks", c(ReportKind::kTxLeak));
-  reg.set_counter(prefix + "use_after_free", c(ReportKind::kUseAfterFree));
-  reg.set_counter(prefix + "double_frees", c(ReportKind::kDoubleFree));
+void publish_metrics(const Summary& s, obs::MetricsRegistry& reg,
+                     const std::string& prefix) {
+  reg.set_counter(prefix + "races", s.count(ReportKind::kRace));
+  reg.set_counter(prefix + "leaks", s.count(ReportKind::kTxLeak));
+  reg.set_counter(prefix + "use_after_free",
+                  s.count(ReportKind::kUseAfterFree));
+  reg.set_counter(prefix + "double_frees", s.count(ReportKind::kDoubleFree));
   reg.set_counter(prefix + "free_unpublished",
-                  c(ReportKind::kFreeUnpublished));
-  reg.set_counter(prefix + "invalid_frees", c(ReportKind::kInvalidFree));
-  reg.set_counter(prefix + "zombie_reads", c(ReportKind::kZombieRead));
+                  s.count(ReportKind::kFreeUnpublished));
+  reg.set_counter(prefix + "invalid_frees", s.count(ReportKind::kInvalidFree));
+  reg.set_counter(prefix + "zombie_reads", s.count(ReportKind::kZombieRead));
   reg.set_counter(prefix + "reports",
-                  static_cast<std::uint64_t>(s->reports.size()));
+                  static_cast<std::uint64_t>(s.reports.size()));
 }
 
 const char* current_site() { return detail::site_or(sim::self_tid(), "?"); }

@@ -26,20 +26,25 @@
 //    transactions — see DESIGN.md), double frees across commit/abort/retry,
 //    and frees of another transaction's unpublished allocation. Complete
 //    coverage requires routing the backing allocator through
-//    CheckedAllocator (check_alloc.hpp); the harnesses do this whenever
-//    --check is active.
+//    CheckedAllocator (check_alloc.hpp); the run context does this whenever
+//    RunSpec::check is set (--check).
 //
-// Overhead contract (mirrors tmx::fault): with no checker installed every
-// hook is one predictable branch on a plain global bool — no virtual time
-// is ticked, no map is touched, and the golden determinism constants are
-// unchanged. The checker itself never calls tick()/yield()/probe(), so even
+// Each run opens its own checker on its run context (sim/context.hpp), so
+// shadow state and findings never leak from one run into the next; the
+// harness returns the run's Summary in its result.
+//
+// Overhead contract (mirrors tmx::fault): with no checker open every hook
+// is one predictable branch on the run context's check slot — no virtual
+// time is ticked, no map is touched, and the golden determinism constants
+// are unchanged. The checker itself never calls tick()/yield()/probe(), so even
 // a checker-ON run keeps the exact schedule and cycle counts of a
 // checker-OFF run; only host time changes.
 //
 // Layering: check sits beside fault, between sim and the higher layers. It
 // depends on sim/obs/util only; core, structs, stamp and the harness call
-// into it. The engine reaches back through installed function pointers
-// (sim::install_check_hooks), never by symbol.
+// into it. The engine and tmx::phase reach back through the function
+// pointers the checker puts in the run context (sim::CheckHooks), never by
+// symbol.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +53,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/context.hpp"
 #include "util/macros.hpp"
 
 namespace tmx::obs {
@@ -98,49 +104,47 @@ struct Report {
   std::uint64_t other_cycle = 0;
   std::string other_site;
   std::string detail;           // one-line human-readable explanation
+
+  bool operator==(const Report&) const = default;
 };
 
-namespace detail {
-// The one-branch guards every hook checks first. Raw bools, written only by
-// install()/clear() at quiescent points.
-extern bool g_enabled;
-extern bool g_race;
-extern bool g_lifetime;
-}  // namespace detail
+// What one run's checker found: every finding counted per kind, the
+// distinct ones kept verbatim.
+struct Summary {
+  std::vector<Report> reports;  // one per (kind, site, other site), capped
+  std::uint64_t counts[kNumReportKinds] = {};
 
-inline bool enabled() { return detail::g_enabled; }
-inline bool race_enabled() { return detail::g_race; }
-inline bool lifetime_enabled() { return detail::g_lifetime; }
+  std::uint64_t count(ReportKind k) const {
+    return counts[static_cast<int>(k)];
+  }
+  // Hard findings only (everything except kZombieRead): the "check-clean"
+  // predicate used by harness exit codes and the CI gate.
+  std::uint64_t hard_count() const;
+  std::uint64_t zombie_reads() const { return count(ReportKind::kZombieRead); }
 
-// Installs the checker process-wide (and the sim::CheckHooks that feed it
-// fork/join/lock/barrier edges). Not thread-safe: install before
-// run_parallel, like the tracer and the fault plane. Only supported under
-// the deterministic Sim engine; the checker state is not synchronized for
-// real threads.
-void install(const CheckConfig& cfg);
+  bool operator==(const Summary&) const = default;
+};
 
-// Uninstalls and drops all shadow state and reports.
-void clear();
+// Opens the checker on `ctx` for one run (nothing when `cfg` enables no
+// prong) and points the context's sim::CheckHooks at it: fork/join always,
+// lock and barrier edges for the race prong, the phase-compaction gate for
+// the lifetime prong. Only supported under the deterministic Sim engine;
+// the checker state is not synchronized for real threads.
+void open(sim::RunContext& ctx, const CheckConfig& cfg);
 
-const CheckConfig& config();
+// The one-branch guard every hook checks first.
+inline bool enabled() { return sim::context().check != nullptr; }
 
-// ---- Findings ----
-const std::vector<Report>& reports();
-std::uint64_t count(ReportKind k);
-// Hard findings only (everything except kZombieRead): the "check-clean"
-// predicate used by harness exit codes and the CI gate.
-std::uint64_t hard_count();
-std::uint64_t zombie_reads();
-// Drops findings and all shadow/lifetime state, keeping the checker
-// installed (used between independent bench cases).
-void reset();
+// The open checker's findings so far (empty while the checker is off).
+// Commit-time leak suspects still unfreed are settled into findings first.
+const Summary& summary();
 
-void print_reports(std::FILE* out);
+void print_reports(const Summary& s, std::FILE* out);
 
 // Publishes "check.races", "check.leaks", "check.use_after_free",
 // "check.double_frees", "check.free_unpublished", "check.invalid_frees",
 // "check.zombie_reads" and "check.reports" under `prefix`.
-void publish_metrics(obs::MetricsRegistry& reg,
+void publish_metrics(const Summary& s, obs::MetricsRegistry& reg,
                      const std::string& prefix = "check.");
 
 // ---- Site labels ----
@@ -226,7 +230,7 @@ bool on_block_free(void* p);
 // prong). Used by the STM barrier to decide whether to classify an access.
 bool is_freed(const void* addr);
 
-// Phase-compaction gating (installed into tmx::phase's CheckBridge).
+// Phase-compaction gating (the relocatable/on_relocated check hooks).
 // relocatable: the block starting at `payload` was proven private by the
 // publication analysis — transactional origin, owner committed, and no
 // committed store or explicit publish() ever let a pointer to it escape.
@@ -239,7 +243,7 @@ void on_block_relocate(void* from, void* to, std::size_t usable);
 }  // namespace tmx::check
 
 // Naked-access annotation for non-transactional loads/stores of shared data
-// in parallel phases. One predictable branch when no checker is installed;
+// in parallel phases. One predictable branch when no checker is open;
 // free of any side effect on virtual time either way.
 #define TMX_CHECK_STR2(x) #x
 #define TMX_CHECK_STR(x) TMX_CHECK_STR2(x)

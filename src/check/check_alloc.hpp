@@ -1,7 +1,7 @@
 // CheckedAllocator: routes every allocation and deallocation of a model
 // through the tmx::check lifetime maps, without touching the model itself.
 //
-// It sits innermost, directly on the model (harness/alloc_stack.hpp), and
+// It sits innermost, directly on the model (harness/run_context.hpp), and
 // owns the single authoritative live-block / tombstone tables. On allocate
 // it registers the block (scrubbing tombstones and stale race shadow the
 // recycled range may carry); on deallocate it consults check::on_block_free,
@@ -10,7 +10,7 @@
 // corrupt the real heap and a deliberately buggy test program still runs to
 // completion.
 //
-// With no checker installed the wrapper forwards with one predictable
+// With no checker open the wrapper forwards with one predictable
 // branch per call; the harness only interposes it when --check is active
 // anyway.
 #pragma once

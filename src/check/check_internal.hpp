@@ -147,15 +147,13 @@ struct State {
   // findings are read is reported.
   std::map<std::uintptr_t, Report> leak_suspects;
 
-  std::vector<Report> reports;
-  std::array<std::uint64_t, static_cast<std::size_t>(kNumReportKinds)>
-      counts{};
+  Summary found;
 
   std::array<const char*, kMaxThreads> scoped_site{};
 };
 
-// nullptr when no checker is installed.
-State* state();
+// nullptr when no checker is open on the calling thread's run context.
+inline State* state() { return sim::context().check.get(); }
 
 // Attribution label for thread `tid`: the innermost ScopedSite, or
 // `fallback`, or "?".

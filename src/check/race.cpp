@@ -199,7 +199,7 @@ void race_barrier_depart(int tid, const void* barrier) {
   if (s == nullptr || !s->cfg.race || !s->in_parallel) return;
   BarrierState& b = s->barriers[barrier];
   const std::uint32_t arrivals = b.arrivals[static_cast<std::size_t>(tid)];
-  if (arrivals == 0) return;  // arrived before the checker was installed
+  if (arrivals == 0) return;  // arrived before the checker was opened
   s->vc[static_cast<std::size_t>(tid)].join(b.gather[(arrivals - 1) & 1]);
 }
 

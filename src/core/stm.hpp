@@ -177,6 +177,8 @@ struct TxStats {
       }
     }
   }
+
+  bool operator==(const TxStats&) const = default;
 };
 
 class Stm;

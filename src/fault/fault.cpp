@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "alloc/instrument.hpp"
 #include "obs/metrics.hpp"
@@ -11,14 +12,6 @@
 #include "util/rng.hpp"
 
 namespace tmx::fault {
-
-namespace detail {
-bool g_enabled = false;
-}  // namespace detail
-
-namespace {
-
-FaultPlan g_plan;
 
 // Per-thread, per-site decision state. Each (thread, site) pair owns an
 // independent Bernoulli stream seeded from (plan seed, site, tid), advanced
@@ -32,23 +25,40 @@ struct ThreadState {
   bool shielded = false;
 };
 
-Padded<ThreadState> g_threads[kMaxThreads];
+struct State {
+  explicit State(const FaultPlan& p) : plan(p) {
+    for (int t = 0; t < kMaxThreads; ++t) {
+      for (int s = 0; s < kNumSites; ++s) {
+        threads[t]->streams[s].reseed(
+            thread_seed(plan.seed + 0x517e0000ull * (s + 1), t));
+      }
+    }
+  }
 
-// Site budgets are global across threads. Plain (non-atomic) counters are
-// correct under the simulator (one host thread) and merely approximate
-// under EngineKind::Threads, where fault runs are not deterministic anyway.
-std::atomic<std::uint64_t> g_budget_used[kNumSites];
+  FaultPlan plan;
+  Padded<ThreadState> threads[kMaxThreads];
+  // Site budgets are global across threads. The counters are atomic so a
+  // budget holds under EngineKind::Threads too, where fault runs are not
+  // deterministic anyway.
+  std::atomic<std::uint64_t> budget_used[kNumSites] = {};
+};
 
-std::uint64_t site_budget(Site s) {
+namespace {
+
+State& state() { return *sim::context().fault; }
+
+ThreadState& self() { return *state().threads[sim::self_tid()]; }
+
+std::uint64_t site_budget(const FaultPlan& plan, Site s) {
   switch (s) {
     case Site::kMalloc:
-      return g_plan.oom_budget;
+      return plan.oom_budget;
     case Site::kDelayFree:
-      return g_plan.delay_free_budget;
+      return plan.delay_free_budget;
     case Site::kCorruptTag:
     case Site::kCorruptOverflow:
     case Site::kCorruptReuse:
-      return g_plan.corrupt_budget;  // one budget across all three sites
+      return plan.corrupt_budget;  // one budget across all three sites
     default:
       return UINT64_MAX;
   }
@@ -57,7 +67,8 @@ std::uint64_t site_budget(Site s) {
 // Draws the next decision for (calling thread, site) against `rate`.
 bool decide(Site s, double rate) {
   const int si = static_cast<int>(s);
-  ThreadState& ts = g_threads[sim::self_tid()].value;
+  State& st = state();
+  ThreadState& ts = *st.threads[sim::self_tid()];
   ++ts.decisions[si];
   if (ts.shielded) return false;
   if (rate <= 0.0) return false;
@@ -65,14 +76,14 @@ bool decide(Site s, double rate) {
   // Budget check last, so the stream advances identically whether or not
   // earlier injections exhausted the budget. The three corruption sites
   // share one budget, so they also share one used-counter slot.
-  const std::uint64_t budget = site_budget(s);
+  const std::uint64_t budget = site_budget(st.plan, s);
   const int bi = s >= Site::kCorruptTag ? static_cast<int>(Site::kCorruptTag)
                                         : si;
   if (budget != UINT64_MAX) {
-    std::uint64_t used = g_budget_used[bi].load(std::memory_order_relaxed);
+    std::uint64_t used = st.budget_used[bi].load(std::memory_order_relaxed);
     do {
       if (used >= budget) return false;
-    } while (!g_budget_used[bi].compare_exchange_weak(
+    } while (!st.budget_used[bi].compare_exchange_weak(
         used, used + 1, std::memory_order_relaxed));
   }
   ++ts.injected[si];
@@ -88,86 +99,68 @@ const char* site_name(Site s) {
   return names[static_cast<int>(s)];
 }
 
-void install(const FaultPlan& plan) {
-  g_plan = plan;
-  for (int t = 0; t < kMaxThreads; ++t) {
-    ThreadState& ts = g_threads[t].value;
-    for (int s = 0; s < kNumSites; ++s) {
-      ts.streams[s].reseed(thread_seed(plan.seed + 0x517e0000ull * (s + 1), t));
-      ts.decisions[s] = 0;
-      ts.injected[s] = 0;
-    }
-    ts.shielded = false;
-  }
-  for (auto& b : g_budget_used) b.store(0, std::memory_order_relaxed);
-  detail::g_enabled = true;
+void open(sim::RunContext& ctx, const FaultPlan& plan) {
+  ctx.fault = std::make_shared<State>(plan);
 }
 
-void clear() {
-  detail::g_enabled = false;
-  g_plan = FaultPlan{};
-}
-
-const FaultPlan& plan() { return g_plan; }
+const FaultPlan& plan() { return state().plan; }
 
 bool should_fail_alloc() {
-  if (!g_plan.oom_everywhere &&
+  if (!plan().oom_everywhere &&
       alloc::current_region() != alloc::Region::Tx) {
     return false;
   }
-  return decide(Site::kMalloc, g_plan.oom_rate);
+  return decide(Site::kMalloc, plan().oom_rate);
 }
 
 bool should_fail_reserve(std::size_t request, std::size_t reserved_so_far) {
   // The byte cap models total OS exhaustion: deterministic, rate-free.
-  if (g_plan.reserve_cap_bytes != 0 &&
-      reserved_so_far + request > g_plan.reserve_cap_bytes &&
-      !g_threads[sim::self_tid()].value.shielded) {
-    ++g_threads[sim::self_tid()].value.injected[static_cast<int>(
-        Site::kReserve)];
+  const std::size_t cap = plan().reserve_cap_bytes;
+  if (cap != 0 && reserved_so_far + request > cap && !self().shielded) {
+    ++self().injected[static_cast<int>(Site::kReserve)];
     return true;
   }
-  return decide(Site::kReserve, g_plan.reserve_rate);
+  return decide(Site::kReserve, plan().reserve_rate);
 }
 
 bool should_inject_abort() {
-  return decide(Site::kSpurious, g_plan.spurious_abort_rate);
+  return decide(Site::kSpurious, plan().spurious_abort_rate);
 }
 
 bool should_delay_free() {
-  return decide(Site::kDelayFree, g_plan.delay_free_rate);
+  return decide(Site::kDelayFree, plan().delay_free_rate);
 }
 
 bool should_corrupt_tag() {
-  return decide(Site::kCorruptTag, g_plan.corrupt_tag_rate);
+  return decide(Site::kCorruptTag, plan().corrupt_tag_rate);
 }
 
 bool should_corrupt_overflow() {
-  return decide(Site::kCorruptOverflow, g_plan.corrupt_overflow_rate);
+  return decide(Site::kCorruptOverflow, plan().corrupt_overflow_rate);
 }
 
 bool should_corrupt_reuse() {
-  return decide(Site::kCorruptReuse, g_plan.corrupt_reuse_rate);
+  return decide(Site::kCorruptReuse, plan().corrupt_reuse_rate);
 }
 
-void set_shield(int tid, bool on) { g_threads[tid].value.shielded = on; }
-
-bool shielded(int tid) { return g_threads[tid].value.shielded; }
+void set_shield(int tid, bool on) {
+  if (enabled()) state().threads[tid]->shielded = on;
+}
 
 FaultStats stats() {
   FaultStats out;
-  for (int t = 0; t < kMaxThreads; ++t) {
-    const ThreadState& ts = g_threads[t].value;
+  if (!enabled()) return out;
+  for (const Padded<ThreadState>& t : state().threads) {
     for (int s = 0; s < kNumSites; ++s) {
-      out.decisions[s] += ts.decisions[s];
-      out.injected[s] += ts.injected[s];
+      out.decisions[s] += t->decisions[s];
+      out.injected[s] += t->injected[s];
     }
   }
   return out;
 }
 
-void publish_metrics(obs::MetricsRegistry& reg, const std::string& prefix) {
-  const FaultStats st = stats();
+void publish_metrics(const FaultStats& st, obs::MetricsRegistry& reg,
+                     const std::string& prefix) {
   for (int s = 0; s < kNumSites; ++s) {
     if (st.decisions[s] == 0 && st.injected[s] == 0) continue;
     const std::string site = site_name(static_cast<Site>(s));

@@ -5,11 +5,13 @@
 // failure inside a transaction) are exactly where allocator placement
 // matters most in practice. This module injects those regimes on demand:
 //
-//  * A process-global FaultPlan, installed by the harness from --fault-*
-//    flags, decides — deterministically — when a model malloc returns
-//    nullptr, when a PageProvider reservation fails, when a committing
-//    transaction suffers an extra spurious abort, and when a free is
-//    delayed by a fixed number of virtual cycles.
+//  * A FaultPlan, opened on the run context from RunSpec::fault (the
+//    --fault-* flags), decides — deterministically — when a model malloc
+//    returns nullptr, when a PageProvider reservation fails, when a
+//    committing transaction suffers an extra spurious abort, and when a
+//    free is delayed by a fixed number of virtual cycles. Each run gets
+//    fresh decision streams and budgets, so a run's injected schedule
+//    never depends on the runs before it in the process.
 //
 //  * Every decision is a pure function of (plan seed, site, logical thread
 //    id, per-thread per-site counter). Under the deterministic simulator
@@ -18,8 +20,8 @@
 //    record -> replay, because injected OOMs are captured in traces as
 //    malloc records with address 0.
 //
-//  * When no plan is installed the entire plane collapses to one
-//    predictable branch per hook (`enabled()` reads a plain global bool).
+//  * When no plan is open the entire plane collapses to one predictable
+//    branch per hook (`enabled()` tests the run context's fault slot).
 //    No virtual time is ticked, no RNG is drawn, no atomics are touched:
 //    the golden determinism constants are bit-identical with the plane
 //    compiled in but idle.
@@ -33,6 +35,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+
+#include "sim/context.hpp"
 
 namespace tmx::obs {
 class MetricsRegistry;
@@ -92,39 +96,24 @@ struct FaultPlan {
   double corrupt_overflow_rate = 0.0;
   double corrupt_reuse_rate = 0.0;
   std::uint64_t corrupt_budget = UINT64_MAX;
-
-  // True if any injection is configured (used by harnesses to decide
-  // whether installing the plan is worth it).
-  bool any() const {
-    return oom_rate > 0.0 || reserve_rate > 0.0 || reserve_cap_bytes != 0 ||
-           spurious_abort_rate > 0.0 || delay_free_rate > 0.0 ||
-           corrupt_tag_rate > 0.0 || corrupt_overflow_rate > 0.0 ||
-           corrupt_reuse_rate > 0.0;
-  }
 };
 
 // Injection counters, one row per site.
 struct FaultStats {
   std::uint64_t decisions[kNumSites] = {};  // hook evaluations
   std::uint64_t injected[kNumSites] = {};   // faults actually fired
+
+  bool operator==(const FaultStats&) const = default;
 };
 
-namespace detail {
-// The single global the fast path reads. Everything else lives in fault.cpp.
-extern bool g_enabled;
-}  // namespace detail
-
-// Installs `plan` process-wide and resets all counters and decision
-// streams. Not thread-safe: install before run_parallel, like the tracer.
-void install(const FaultPlan& plan);
-
-// Uninstalls the plan; all hooks return to their zero-cost idle state.
-void clear();
+// Opens the plane on `ctx` for one run: fresh per-thread decision streams
+// seeded from `plan`, zeroed counters and budgets.
+void open(sim::RunContext& ctx, const FaultPlan& plan);
 
 // The one-branch guard every injection site checks first.
-inline bool enabled() { return detail::g_enabled; }
+inline bool enabled() { return sim::context().fault != nullptr; }
 
-// The installed plan. Only meaningful while enabled().
+// The open plan. Only meaningful while enabled().
 const FaultPlan& plan();
 
 // ---- Decision hooks (call only when enabled()) ----
@@ -158,16 +147,17 @@ bool should_corrupt_reuse();
 // While a thread runs serial-irrevocable (stm.cpp), injections must not
 // fire for it: an irrevocable transaction cannot abort, so injected OOMs
 // or spurious aborts would violate the no-aborts guarantee. The STM wraps
-// the irrevocable window in set_shield(tid, true/false).
+// the irrevocable window in set_shield(tid, true/false); both are no-ops
+// while the plane is off.
 void set_shield(int tid, bool on);
-bool shielded(int tid);
 
 // ---- Reporting ----
+// The open plane's counters (all zero while the plane is off).
 FaultStats stats();
 
 // Publishes "fault.<site>.decisions" / "fault.<site>.injected" for every
 // site with at least one decision, under `prefix`.
-void publish_metrics(obs::MetricsRegistry& reg,
+void publish_metrics(const FaultStats& stats, obs::MetricsRegistry& reg,
                      const std::string& prefix = "fault.");
 
 }  // namespace tmx::fault

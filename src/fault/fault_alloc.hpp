@@ -1,4 +1,4 @@
-// FaultyAllocator: applies the installed FaultPlan's malloc-level faults to
+// FaultyAllocator: applies the open FaultPlan's malloc-level faults to
 // any allocator model, uniformly, without touching the models themselves.
 //
 // Faults applied here:
@@ -8,7 +8,7 @@
 //    plan.delay_free_cycles, perturbing reuse patterns deterministically.
 //    Parked blocks are force-flushed on destruction, so nothing leaks.
 //
-// The wrapper is intended for runs with a plan installed; with the plane
+// The wrapper is intended for runs with a plan open; with the plane
 // idle it forwards with a single predictable branch per call.
 #pragma once
 

@@ -1,5 +1,5 @@
-// tmx::guard plumbing: install/clear, finding bookkeeping, site scopes, the
-// hard-cap trip. The heavy lifting (tables, canaries, quarantine) lives in
+// tmx::guard plumbing: opening on a run context, finding bookkeeping, site
+// scopes, the hard-cap trip. The heavy lifting (tables, canaries, quarantine) lives in
 // guard_alloc.cpp.
 
 #include "guard/guard.hpp"
@@ -16,24 +16,15 @@ namespace tmx::guard {
 
 namespace detail {
 
-bool g_enabled = false;
-
-namespace {
-
 struct State {
   GuardConfig cfg;
   const char* scoped_site[kMaxThreads] = {};
-  std::uint64_t counts[kNumFindingKinds] = {};
-  std::vector<Finding> findings;
-  GuardStats stats;
+  Summary found;
 };
 
-std::unique_ptr<State>& state_holder() {
-  static std::unique_ptr<State> holder;
-  return holder;
-}
+namespace {
 
-State* state() { return state_holder().get(); }
+State* state() { return sim::context().guard.get(); }
 
 void (*g_flush)() = nullptr;
 
@@ -50,34 +41,33 @@ const char* site_or(int tid, const char* fallback) {
 
 GuardStats* stats_mut() {
   State* s = state();
-  return s != nullptr ? &s->stats : nullptr;
+  return s != nullptr ? &s->found.stats : nullptr;
 }
 
 void emit(Finding f) {
   State* s = state();
   if (s == nullptr) return;
-  ++s->counts[static_cast<int>(f.kind)];
+  ++s->found.counts[static_cast<int>(f.kind)];
   // One stored finding per (kind, detection site, alloc site): a corrupting
   // loop floods the counters, not the finding list.
   bool dup = false;
-  for (const Finding& prev : s->findings) {
+  for (const Finding& prev : s->found.findings) {
     if (prev.kind == f.kind && prev.site == f.site &&
         prev.alloc_site == f.alloc_site) {
       dup = true;
       break;
     }
   }
-  if (!dup && s->findings.size() < s->cfg.max_findings) {
-    s->findings.push_back(std::move(f));
+  if (!dup && s->found.findings.size() < s->cfg.max_findings) {
+    s->found.findings.push_back(std::move(f));
   }
-  std::uint64_t total = 0;
-  for (std::uint64_t c : s->counts) total += c;
+  const std::uint64_t total = s->found.corruptions();
   if (s->cfg.hard_cap != 0 && total >= s->cfg.hard_cap) {
     std::fprintf(stderr,
                  "tmx::guard: hard corruption cap reached (%" PRIu64
                  " findings, cap %" PRIu64 ")\n",
                  total, s->cfg.hard_cap);
-    print_findings(stderr);
+    print_findings(s->found, stderr);
     if (g_flush != nullptr) g_flush();
     std::_Exit(kExitCode);
   }
@@ -98,17 +88,15 @@ const char* finding_kind_name(FindingKind k) {
   return "?";
 }
 
-void install(const GuardConfig& cfg) {
-  clear();
-  auto s = std::make_unique<detail::State>();
-  s->cfg = cfg;
-  detail::state_holder() = std::move(s);
-  detail::g_enabled = true;
+std::uint64_t Summary::corruptions() const {
+  std::uint64_t n = 0;
+  for (std::uint64_t c : counts) n += c;
+  return n;
 }
 
-void clear() {
-  detail::g_enabled = false;
-  detail::state_holder() = nullptr;
+void open(sim::RunContext& ctx, const GuardConfig& cfg) {
+  ctx.guard = std::make_shared<detail::State>();
+  ctx.guard->cfg = cfg;
 }
 
 const GuardConfig& config() {
@@ -117,47 +105,17 @@ const GuardConfig& config() {
   return s != nullptr ? s->cfg : kOff;
 }
 
-const std::vector<Finding>& findings() {
-  static const std::vector<Finding> kEmpty;
+const Summary& summary() {
+  static const Summary kEmpty;
   detail::State* s = state();
-  return s != nullptr ? s->findings : kEmpty;
+  return s != nullptr ? s->found : kEmpty;
 }
 
-std::uint64_t count(FindingKind k) {
-  detail::State* s = state();
-  return s != nullptr ? s->counts[static_cast<int>(k)] : 0;
-}
-
-std::uint64_t corruptions() {
-  detail::State* s = state();
-  if (s == nullptr) return 0;
-  std::uint64_t n = 0;
-  for (std::uint64_t c : s->counts) n += c;
-  return n;
-}
-
-GuardStats stats() {
-  detail::State* s = state();
-  return s != nullptr ? s->stats : GuardStats{};
-}
-
-void reset() {
-  detail::State* s = state();
-  if (s == nullptr) return;
-  const GuardConfig cfg = s->cfg;
-  detail::state_holder() = std::make_unique<detail::State>();
-  state()->cfg = cfg;
-}
-
-void print_findings(std::FILE* out) {
-  detail::State* s = state();
-  if (s == nullptr) return;
-  std::uint64_t total = 0;
-  for (std::uint64_t c : s->counts) total += c;
+void print_findings(const Summary& s, std::FILE* out) {
   std::fprintf(out, "tmx::guard: %" PRIu64 " corruption finding(s), %zu "
                     "distinct:\n",
-               total, s->findings.size());
-  for (const Finding& f : s->findings) {
+               s.corruptions(), s.findings.size());
+  for (const Finding& f : s.findings) {
     std::fprintf(out,
                  "  [%s] tid=%d cycle=%" PRIu64 " addr=0x%" PRIxPTR
                  " requested=%zu usable=%zu alloc_site=%s site=%s",
@@ -170,19 +128,18 @@ void print_findings(std::FILE* out) {
   }
 }
 
-void publish_metrics(obs::MetricsRegistry& reg, const std::string& prefix) {
-  detail::State* s = state();
-  if (s == nullptr) return;
-  const auto c = [&](FindingKind k) {
-    return s->counts[static_cast<int>(k)];
-  };
-  reg.set_counter(prefix + "canary_smashes", c(FindingKind::kCanarySmash));
-  reg.set_counter(prefix + "tag_smashes", c(FindingKind::kTagSmash));
-  reg.set_counter(prefix + "poison_writes", c(FindingKind::kPoisonWrite));
-  reg.set_counter(prefix + "double_frees", c(FindingKind::kDoubleFree));
-  reg.set_counter(prefix + "invalid_frees", c(FindingKind::kInvalidFree));
-  reg.set_counter(prefix + "findings", corruptions());
-  const GuardStats& st = s->stats;
+void publish_metrics(const Summary& s, obs::MetricsRegistry& reg,
+                     const std::string& prefix) {
+  reg.set_counter(prefix + "canary_smashes",
+                  s.count(FindingKind::kCanarySmash));
+  reg.set_counter(prefix + "tag_smashes", s.count(FindingKind::kTagSmash));
+  reg.set_counter(prefix + "poison_writes",
+                  s.count(FindingKind::kPoisonWrite));
+  reg.set_counter(prefix + "double_frees", s.count(FindingKind::kDoubleFree));
+  reg.set_counter(prefix + "invalid_frees",
+                  s.count(FindingKind::kInvalidFree));
+  reg.set_counter(prefix + "findings", s.corruptions());
+  const GuardStats& st = s.stats;
   reg.set_counter(prefix + "blocks_guarded", st.blocks_guarded);
   reg.set_counter(prefix + "canaries_placed", st.canaries_placed);
   reg.set_counter(prefix + "frees_verified", st.frees_verified);

@@ -46,13 +46,15 @@
 // tmx::fault for corruption-injection decisions (it is the only layer that
 // knows block layout, so it carries out the injections it must then
 // detect); its place in the allocator stack is set in
-// harness/alloc_stack.hpp.
+// harness/run_context.hpp.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "sim/context.hpp"
 
 namespace tmx::obs {
 class MetricsRegistry;
@@ -99,12 +101,14 @@ struct Finding {
   std::string alloc_site;    // ScopedSite label at allocation
   std::string site;          // ScopedSite label at detection (free/audit)
   std::string detail;        // one-line explanation
+
+  bool operator==(const Finding&) const = default;
 };
 
 // Exit code for hard corruption: distinct from watchdog (3) and check (4).
 inline constexpr int kExitCode = 5;
 
-// Aggregate counters, process-global across all GuardedAllocator instances.
+// Aggregate counters of one run, across all its GuardedAllocator instances.
 struct GuardStats {
   std::uint64_t blocks_guarded = 0;   // allocations registered
   std::uint64_t canaries_placed = 0;  // blocks that had slack for a canary
@@ -116,48 +120,52 @@ struct GuardStats {
   std::uint64_t audits = 0;           // whole-heap walks at quiescence
   std::uint64_t audit_blocks = 0;     // live blocks verified by audits
   std::uint64_t epochs = 0;           // guard epoch advances
+
+  bool operator==(const GuardStats&) const = default;
 };
 
-namespace detail {
-// The one-branch guard the harness wrapping decision reads.
-extern bool g_enabled;
-}  // namespace detail
+// What one run's guard found and did.
+struct Summary {
+  std::vector<Finding> findings;  // one per (kind, site, alloc site), capped
+  std::uint64_t counts[kNumFindingKinds] = {};
+  GuardStats stats;
 
-inline bool enabled() { return detail::g_enabled; }
+  std::uint64_t count(FindingKind k) const {
+    return counts[static_cast<int>(k)];
+  }
+  // Total corruption findings (every kind is hard for the guard): the
+  // "guard-clean" predicate behind harness exit code 5 and the CI gate.
+  std::uint64_t corruptions() const;
 
-// Installs the guard process-wide and resets findings/stats. Not
-// thread-safe: install before run_parallel, like fault and check. Only
-// supported under the deterministic Sim engine (the block tables are
-// unsynchronized host maps).
-void install(const GuardConfig& cfg);
+  bool operator==(const Summary&) const = default;
+};
 
-// Uninstalls; drops findings, stats and site labels.
-void clear();
+// Opens the guard on `ctx` for one run. Only supported under the
+// deterministic Sim engine (the block tables are unsynchronized host maps).
+void open(sim::RunContext& ctx, const GuardConfig& cfg);
 
+// The one-branch guard the allocator stack's wrapping decision reads.
+inline bool enabled() { return sim::context().guard != nullptr; }
+
+// The open guard's config (defaults while the guard is off).
 const GuardConfig& config();
 
-// ---- Findings ----
-const std::vector<Finding>& findings();
-std::uint64_t count(FindingKind k);
-// Total corruption findings (every kind is hard for the guard): the
-// "guard-clean" predicate behind harness exit code 5 and the CI gate.
-std::uint64_t corruptions();
-GuardStats stats();
-// Drops findings and stats, keeping the guard installed (used between
-// independent bench cases; per-block tables live in the wrapper instances
-// and die with them).
-void reset();
+// The open guard's findings and counters so far (empty while off). Per-block
+// tables live in the wrapper instances; a GuardedAllocator's final audit
+// runs when it is destroyed.
+const Summary& summary();
 
-void print_findings(std::FILE* out);
+void print_findings(const Summary& s, std::FILE* out);
 
 // Publishes "guard.canary_smashes", "guard.tag_smashes",
 // "guard.poison_writes", "guard.double_frees", "guard.invalid_frees",
 // "guard.findings" plus the GuardStats fields under `prefix`.
-void publish_metrics(obs::MetricsRegistry& reg,
+void publish_metrics(const Summary& s, obs::MetricsRegistry& reg,
                      const std::string& prefix = "guard.");
 
 // Diagnostics hook run just before the hard-cap _Exit(5) (harnesses flush
-// obs metrics here, mirroring sim::install_watchdog_flush).
+// obs metrics here, mirroring sim::install_watchdog_flush). Process-wide,
+// like the watchdog's.
 void install_exit_flush(void (*flush)());
 
 // ---- Site labels ----
@@ -180,7 +188,7 @@ namespace detail {
 // Emits one finding: counts it, stores it (deduped, capped), trips the
 // hard cap. Called by GuardedAllocator only.
 void emit(Finding f);
-// Mutable aggregate counters (nullptr when not installed).
+// Mutable aggregate counters (nullptr while the guard is off).
 GuardStats* stats_mut();
 // Site label of `tid`, or `fallback` when none is in scope.
 const char* site_or(int tid, const char* fallback);

@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_json.hpp"
 #include "obs/tracer.hpp"
-#include "prof/prof.hpp"
 
 namespace tmx::harness {
 
@@ -99,19 +98,14 @@ void ObsSession::finish() {
 
   // Profiler artifacts first: prof.* metrics must land in the registry
   // before the --metrics-out write below snapshots it.
-  if (prof::enabled()) {
-    prof::publish_metrics(obs::MetricsRegistry::global());
+  if (profile_) {
+    prof::publish_metrics(*profile_, obs::MetricsRegistry::global());
     if (!prof_out_.empty()) {
-      const std::string& label = recorder_.meta.allocator;
-      std::string ts = prof::timeseries_csv_header();
-      prof::append_timeseries_csv(ts, label);
-      std::string sites = prof::sites_csv_header();
-      prof::append_sites_csv(sites, label);
-      std::string folded;
-      prof::append_folded(folded);
-      if (write_text(prof_out_ + ".timeseries.csv", ts) &&
-          write_text(prof_out_ + ".sites.csv", sites) &&
-          write_text(prof_out_ + ".folded", folded)) {
+      if (write_text(prof_out_ + ".timeseries.csv",
+                     prof::timeseries_csv_header() + profile_->timeseries_csv) &&
+          write_text(prof_out_ + ".sites.csv",
+                     prof::sites_csv_header() + profile_->sites_csv) &&
+          write_text(prof_out_ + ".folded", profile_->folded)) {
         std::fprintf(stderr, "prof: wrote %s.{timeseries.csv,sites.csv,folded}\n",
                      prof_out_.c_str());
       } else {
@@ -119,7 +113,6 @@ void ObsSession::finish() {
         ok_ = false;
       }
     }
-    prof::uninstall();
   }
 
   if (attribution_ && !reported_per_case_ && tracing_) {

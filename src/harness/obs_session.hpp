@@ -9,20 +9,21 @@
 // obs.trace.dropped metrics and surfaced in the finish() summary either
 // way.
 //
-// When --prof is active (the binary installed the tmx::prof plane),
-// finish() additionally publishes the prof.* metrics into the global
-// registry before the --metrics-out write, emits the profiler artifacts
-// (<prof-out>.timeseries.csv / .sites.csv / .folded) and uninstalls the
-// plane. The CSV label column is the allocator from set_trace_meta.
+// When the binary hands it a run's profile (set_profile, the prof plane's
+// output), finish() additionally publishes the prof.* metrics into the
+// global registry before the --metrics-out write and emits the profiler
+// artifacts (<prof-out>.timeseries.csv / .sites.csv / .folded).
 //
 // Benches with several independent cases call report_attribution_and_clear()
 // between them to get a per-case report and a fresh trace window.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/event.hpp"
+#include "prof/prof.hpp"
 #include "replay/recorder.hpp"
 #include "util/macros.hpp"
 
@@ -47,6 +48,9 @@ class ObsSession {
   // ones with an exact-replay guarantee — see replay/recorder.hpp).
   void set_trace_meta(const std::string& allocator, unsigned shift,
                       unsigned ort_log2, std::uint64_t seed);
+
+  // The run's profile, published and written out by finish().
+  void set_profile(const prof::Profile& p) { profile_ = p; }
 
   // Prints the abort-attribution report for the events recorded since the
   // last call (or session start), labeled `label`, then clears the tracer
@@ -79,6 +83,7 @@ class ObsSession {
   std::string metrics_path_;
   std::string record_path_;
   std::string prof_out_;
+  std::optional<prof::Profile> profile_;
   std::vector<obs::Event> collected_;
   std::uint64_t drops_by_thread_[kMaxThreads] = {};
   replay::Recorder recorder_;

@@ -298,10 +298,14 @@ RunSpec Options::run_spec() const {
       static_cast<std::uint64_t>(get_long("watchdog-tx-cycles", 0));
   spec.watchdog_cycles =
       static_cast<std::uint64_t>(get_long("watchdog-run-cycles", 0));
+  if (fault_enabled()) spec.fault = fault_plan();
+  if (has("check")) spec.check = check_config(spec.shift, spec.ort_log2);
+  if (guard_enabled()) spec.guard = guard_config();
   spec.prof = prof();
   spec.prof_sample_cycles = static_cast<std::uint64_t>(
       get_long("prof-sample-cycles",
                static_cast<long>(spec.prof_sample_cycles)));
+  spec.phase = phase_config();
   return spec;
 }
 
@@ -398,13 +402,13 @@ bool handle_list_allocators(const Options& opt) {
   return true;
 }
 
-bool planes_compatible(const Options& opt, const RunSpec& spec) {
+bool planes_compatible(const RunSpec& spec) {
   const auto refuse = [](const char* why) {
     std::fprintf(stderr, "error: %s\n", why);
     return false;
   };
   const bool on_sim = spec.engine == sim::EngineKind::Sim;
-  if (opt.check_enabled()) {
+  if (spec.check) {
     if (!on_sim) return refuse("--check requires --engine sim");
     if (spec.htm_enabled) {
       return refuse("--check requires --hybrid 0 (the hardware path is not "
@@ -415,14 +419,14 @@ bool planes_compatible(const Options& opt, const RunSpec& spec) {
                     "cache recycles blocks outside the checked allocator)");
     }
   }
-  if (opt.guard_enabled()) {
+  if (spec.guard) {
     if (!on_sim) return refuse("--guard requires --engine sim");
     if (spec.tx_alloc_cache) {
       return refuse("--guard requires --txcache 0 (the object cache bins by "
                     "usable_size, which the guard narrows to the requested "
                     "size)");
     }
-    if (opt.phase_config().compact != phase::PhaseConfig::Compact::kOff) {
+    if (spec.phase.compact != phase::PhaseConfig::Compact::kOff) {
       return refuse("--guard requires --phase-compact off (relocation "
                     "breaks the guard's address-keyed tables)");
     }

@@ -9,12 +9,8 @@
 #include <vector>
 
 #include "alloc/page_provider.hpp"
-#include "check/check.hpp"
 #include "core/stm.hpp"
-#include "fault/fault.hpp"
-#include "guard/guard.hpp"
 #include "harness/run_spec.hpp"
-#include "phase/phase.hpp"
 #include "sim/engine.hpp"
 
 namespace tmx::harness {
@@ -73,48 +69,16 @@ class Options {
   // --list-allocators: print the allocator registry (Table 1) and exit
   bool list_allocators() const { return has("list-allocators"); }
 
-  // -- Fault injection / graceful degradation (tmx::fault) --
-  // True when any --fault-* flag was passed (the plan should be installed).
-  bool fault_enabled() const;
-  // The fault plan assembled from the --fault-* flags (see print_help).
-  fault::FaultPlan fault_plan() const;
   // --cm suicide|backoff: contention manager for every transactional run
   // (default suicide, the paper's baseline). Unknown values exit 2.
   stm::ContentionManager cm() const;
 
   // -- Profiling (tmx::prof) --
-  // --prof: install the latency/heap profiling plane for the run
+  // --prof: turn the latency/heap profiling plane on for the run
   bool prof() const { return has("prof"); }
   // --prof-out PREFIX: write PREFIX.timeseries.csv, PREFIX.sites.csv and
   // PREFIX.folded when the session finishes (default: prefix "prof")
   std::string prof_out() const { return get("prof-out", "prof"); }
-
-  // -- Transactional correctness checking (tmx::check) --
-  // True when --check was passed (any value).
-  bool check_enabled() const { return has("check"); }
-  // The CheckConfig assembled from --check race,lifetime (bare --check or
-  // --check all = both prongs) and --check-max-reports. `shift`/`ort_log2`
-  // must match the checked run so report stripes line up with the ORT.
-  check::CheckConfig check_config(unsigned shift, unsigned ort_log2) const;
-
-  // -- Heap-integrity hardening (tmx::guard) --
-  // True when --guard or any --guard-* flag was passed.
-  bool guard_enabled() const;
-  // The GuardConfig assembled from --guard-quarantine-epochs,
-  // --guard-commits-per-epoch, --guard-max-findings and --guard-hard-cap.
-  guard::GuardConfig guard_config() const;
-
-  // -- Phase-lifetime allocator (tmx::phase) --
-  // The PhaseConfig assembled from --phase-commits-per-epoch,
-  // --phase-slab-bytes and --phase-compact off|checked|all. Call
-  // apply_phase_config() once after parsing (before any allocator is
-  // built); it installs the config as the process-wide default that every
-  // PhaseAllocator snapshots at construction. Harmless when "phase" is not
-  // among the selected allocators.
-  phase::PhaseConfig phase_config() const;
-  void apply_phase_config() const {
-    phase::set_default_config(phase_config());
-  }
 
   // -- NUMA topology / placement (sim engine) --
   // --numa-nodes N, --numa-cores-per-node C (0 = threads/nodes): two-level
@@ -124,15 +88,26 @@ class Options {
   alloc::NumaOptions numa_options() const;
 
   // -- The run spec --
-  // Every shared run setting, parsed once. Unknown --engine, --cm and
-  // --design wb|wt|ctl values exit 2; --stm-retry-cap defaults to 64 when
-  // fault injection is on. Harnesses that sweep an --alloc list overwrite
-  // `allocator` per run.
+  // Every shared run setting, parsed once, the planes included: `fault`
+  // is set when any --fault-* flag is given, `check` by --check
+  // race,lifetime (bare --check or --check all = both prongs) and
+  // --check-max-reports, `guard` by --guard or any --guard-* flag, and
+  // `phase` from the --phase-* flags. Unknown --engine, --cm, --design,
+  // --check, --phase-compact and --fault-oom-region values exit 2;
+  // --stm-retry-cap defaults to 64 when fault injection is on. Harnesses
+  // that sweep an --alloc list overwrite `allocator` per run.
   RunSpec run_spec() const;
 
   void print_help(const char* what) const;
 
  private:
+  bool fault_enabled() const;
+  fault::FaultPlan fault_plan() const;
+  check::CheckConfig check_config(unsigned shift, unsigned ort_log2) const;
+  bool guard_enabled() const;
+  guard::GuardConfig guard_config() const;
+  phase::PhaseConfig phase_config() const;
+
   std::vector<std::pair<std::string, std::string>> kv_;
 };
 
@@ -143,13 +118,13 @@ class Options {
 bool handle_list_allocators(const Options& opt);
 
 // The one compatibility check for the check and guard planes (stamp_runner
-// and server_mix both call it before installing either). Both planes keep
-// host-side block tables without synchronization, valid only under the
-// sim engine, and the transactional object cache bypasses them; the
-// checker also cannot see the hardware path, and the guard's
-// address-keyed tables break under phase compaction. Prints the refusal
-// and returns false when a requested plane cannot run with `spec`; the
-// caller should then exit 2.
-bool planes_compatible(const Options& opt, const RunSpec& spec);
+// and server_mix both call it before running). Both planes keep host-side
+// block tables without synchronization, valid only under the sim engine,
+// and the transactional object cache bypasses them; the checker also
+// cannot see the hardware path, and the guard's address-keyed tables break
+// under phase compaction. Prints the refusal and returns false when a
+// plane `spec` turns on cannot run with the rest of it; the caller should
+// then exit 2.
+bool planes_compatible(const RunSpec& spec);
 
 }  // namespace tmx::harness

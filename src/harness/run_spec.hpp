@@ -2,7 +2,8 @@
 // its planes, the execution engine and simulated machine, and the STM
 // configuration. The workload configs (SetBenchConfig, stamp::StampRun,
 // ServerMixConfig) derive from RunSpec and add only their own fields;
-// Options::run_spec() fills it from the shared command-line flags.
+// Options::run_spec() fills it from the shared command-line flags, and a
+// harness::RunContext (run_context.hpp) builds the run from it.
 //
 // stm_config() and run_config() are the one place these settings become
 // an stm::Config and a sim::RunConfig. The thread count is per workload
@@ -10,10 +11,15 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "alloc/page_provider.hpp"
+#include "check/check.hpp"
 #include "core/stm.hpp"
+#include "fault/fault.hpp"
+#include "guard/guard.hpp"
+#include "phase/phase.hpp"
 #include "sim/engine.hpp"
 
 namespace tmx::harness {
@@ -42,12 +48,17 @@ struct RunSpec {
   std::uint64_t tx_cycle_budget = 0;
   std::uint64_t watchdog_cycles = 0;  // whole-run virtual-cycle budget
 
-  // Latency/heap profiling plane (tmx::prof): the allocator stack adds the
-  // ProfilingAllocator and installs the profiler. Export and
-  // prof::uninstall() stay with the caller. Zero-perturbation: the
+  // The opt-in planes; each one that is set opens on the run's context
+  // and adds its wrapper to the allocator stack (run_context.hpp).
+  std::optional<fault::FaultPlan> fault{};    // fault injection (--fault-*)
+  std::optional<check::CheckConfig> check{};  // race/lifetime checker
+  std::optional<guard::GuardConfig> guard{};  // heap-integrity hardening
+  // Latency/heap profiling plane (tmx::prof). Zero-perturbation: the
   // virtual-time results are bit-identical with prof on or off.
   bool prof = false;
   std::uint64_t prof_sample_cycles = 100'000;  // 0 = sampler off
+  // Config of the phase allocator (--alloc phase), which snapshots it.
+  phase::PhaseConfig phase{};
 
   stm::Config stm_config(alloc::Allocator* backing) const;
   sim::RunConfig run_config(int threads) const;

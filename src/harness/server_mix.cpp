@@ -9,7 +9,6 @@
 #include "alloc/allocator.hpp"
 #include "alloc/instrument.hpp"
 #include "guard/guard.hpp"
-#include "harness/alloc_stack.hpp"
 #include "obs/tracer.hpp"
 #include "prof/prof.hpp"
 #include "sim/sync.hpp"
@@ -40,13 +39,9 @@ struct Mailbox {
   std::vector<void*> blocks;
 };
 
-}  // namespace
-
-ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
-  const int workers = cfg.workers > 0 ? cfg.workers : 1;
-  const std::unique_ptr<alloc::Allocator> allocator =
-      build_allocator_stack(cfg, workers, obs::trace_enabled());
-  stm::Stm stm(cfg.stm_config(allocator.get()));
+ServerMixResult run_on(const ServerMixConfig& cfg, int workers,
+                       alloc::Allocator& allocator) {
+  stm::Stm stm(cfg.stm_config(&allocator));
 
   // Shared transactional request counter: every publish transaction
   // read-modify-writes it, so concurrent commits genuinely conflict and the
@@ -99,7 +94,7 @@ ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
         for (std::size_t k = 0; k < cfg.allocs_per_request; ++k) {
           const std::size_t sz =
               lognormal_size(rng, cfg.size_ln_mu, cfg.size_ln_sigma);
-          void* p = allocator->allocate(sz);
+          void* p = allocator.allocate(sz);
           if (p != nullptr) {
             *static_cast<unsigned char*>(p) =
                 static_cast<unsigned char>(i);
@@ -139,7 +134,7 @@ ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
       } else {
         prof::ScopedSite site("request;retire");
         guard::ScopedSite gsite("request;retire");
-        for (std::size_t k = 0; k < live; ++k) allocator->deallocate(parse[k]);
+        for (std::size_t k = 0; k < live; ++k) allocator.deallocate(parse[k]);
       }
 
       const std::uint64_t now = sim::now_cycles();
@@ -168,10 +163,10 @@ ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
   for (const auto& h : lat) res.latency.merge(h);
   res.stats = stm.stats();
   res.handoffs = handoffs.load(std::memory_order_relaxed);
-  res.live_bytes_end = allocator->live_bytes();
-  res.reserved_bytes_end = allocator->os_reserved();
+  res.live_bytes_end = allocator.live_bytes();
+  res.reserved_bytes_end = allocator.os_reserved();
   for (const auto& r : retained) res.retained_blocks += r.size();
-  if (auto* pa = alloc::find_layer<phase::PhaseAllocator>(allocator.get())) {
+  if (auto* pa = alloc::find_layer<phase::PhaseAllocator>(&allocator)) {
     res.has_phase = true;
     res.phase = pa->stats();
   }
@@ -179,11 +174,22 @@ ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
   // Teardown: retained blocks and undrained mailboxes go back to the
   // allocator (sequentially, by the main thread).
   for (auto& r : retained) {
-    for (void* p : r) allocator->deallocate(p);
+    for (void* p : r) allocator.deallocate(p);
   }
   for (int w = 0; w < workers; ++w) {
-    for (void* p : mail[w].blocks) allocator->deallocate(p);
+    for (void* p : mail[w].blocks) allocator.deallocate(p);
   }
+  return res;
+}
+
+}  // namespace
+
+ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
+  const int workers = cfg.workers > 0 ? cfg.workers : 1;
+  RunContext run(cfg, workers);
+  ServerMixResult res =
+      run_on(cfg, workers, run.allocator(obs::trace_enabled()));
+  res.planes = run.finish();
   return res;
 }
 

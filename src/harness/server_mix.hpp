@@ -39,6 +39,7 @@
 #include <cstdint>
 
 #include "core/stm.hpp"
+#include "harness/run_context.hpp"
 #include "harness/run_spec.hpp"
 #include "phase/phase.hpp"
 #include "prof/hdr_histogram.hpp"
@@ -81,6 +82,7 @@ struct ServerMixResult {
   // Filled when the allocator stack bottoms out in tmx::phase.
   bool has_phase = false;
   phase::PhaseStats phase{};
+  PlaneOutputs planes;
   double throughput() const {
     return seconds > 0 ? static_cast<double>(requests) / seconds : 0.0;
   }
@@ -92,6 +94,7 @@ struct ServerMixResult {
   }
 };
 
+// Runs the workload in its own run context.
 ServerMixResult run_server_mix(const ServerMixConfig& cfg);
 
 }  // namespace tmx::harness

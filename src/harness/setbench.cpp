@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "alloc/instrument.hpp"
-#include "harness/alloc_stack.hpp"
 #include "obs/tracer.hpp"
 #include "structs/tx_hashset.hpp"
 #include "structs/tx_list.hpp"
@@ -91,16 +90,10 @@ struct TreeOps final : SetOps {
   ds::TxRbTree set;
 };
 
-}  // namespace
+SetBenchResult run_on(const SetBenchConfig& cfg, alloc::Allocator& allocator) {
+  stm::Stm stm(cfg.stm_config(&allocator));
 
-SetBenchResult run_set_bench(const SetBenchConfig& cfg) {
-  // Trace capture needs the kAlloc/kFree events only the instrumenting
-  // wrapper emits; untraced runs keep the direct call path.
-  const std::unique_ptr<alloc::Allocator> allocator =
-      build_allocator_stack(cfg, cfg.threads, obs::trace_enabled());
-  stm::Stm stm(cfg.stm_config(allocator.get()));
-
-  const ds::SeqAccess seq{allocator.get()};
+  const ds::SeqAccess seq{&allocator};
   std::unique_ptr<SetOps> ops;
   switch (cfg.kind) {
     case SetKind::kList: ops = std::make_unique<ListOps>(seq); break;
@@ -170,6 +163,17 @@ SetBenchResult run_set_bench(const SetBenchConfig& cfg) {
       static_cast<std::int64_t>(res.final_size) ==
       static_cast<std::int64_t>(cfg.initial) + net_inserted.load();
   ops->destroy(seq);
+  return res;
+}
+
+}  // namespace
+
+SetBenchResult run_set_bench(const SetBenchConfig& cfg) {
+  RunContext run(cfg, cfg.threads);
+  // Trace capture needs the kAlloc/kFree events only the instrumenting
+  // wrapper emits; untraced runs keep the direct call path.
+  SetBenchResult res = run_on(cfg, run.allocator(obs::trace_enabled()));
+  res.planes = run.finish();
   return res;
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "core/stm.hpp"
+#include "harness/run_context.hpp"
 #include "harness/run_spec.hpp"
 #include "sim/engine.hpp"
 
@@ -39,8 +40,10 @@ struct SetBenchResult {
   sim::CacheStats cache{};
   std::size_t final_size = 0;
   bool size_consistent = false;  // final size matches the op bookkeeping
+  PlaneOutputs planes;
 };
 
+// Runs the benchmark in its own run context.
 SetBenchResult run_set_bench(const SetBenchConfig& cfg);
 
 }  // namespace tmx::harness

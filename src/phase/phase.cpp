@@ -9,20 +9,6 @@
 
 namespace tmx::phase {
 
-namespace {
-
-PhaseConfig g_default_config;
-CheckBridge g_bridge;
-
-}  // namespace
-
-void set_default_config(const PhaseConfig& c) { g_default_config = c; }
-PhaseConfig default_config() { return g_default_config; }
-
-void install_check_bridge(const CheckBridge& b) { g_bridge = b; }
-void clear_check_bridge() { g_bridge = CheckBridge{}; }
-const CheckBridge& check_bridge() { return g_bridge; }
-
 // A phase: every slab and dedicated reservation whose blocks were born in
 // one epoch. Retired phases linger until empty (or compacted empty), then
 // the whole unit returns to the OS.
@@ -60,6 +46,10 @@ struct PhaseAllocator::LargeBlock {
   bool freed = false;
   Phase* phase = nullptr;
 };
+
+PhaseAllocator::PhaseAllocator()
+    : PhaseAllocator(sim::context().phase != nullptr ? *sim::context().phase
+                                                     : PhaseConfig{}) {}
 
 PhaseAllocator::PhaseAllocator(const PhaseConfig& cfg) : cfg_(cfg) {
   static_assert(sizeof(Slab) <= kSlabHeaderSize,
@@ -521,8 +511,8 @@ bool PhaseAllocator::relocate_block(
   void* old_p = h + 1;
   const std::size_t usable = h->usable;
   if (cfg_.compact == PhaseConfig::Compact::kChecked) {
-    const CheckBridge& br = check_bridge();
-    if (br.relocatable == nullptr || !br.relocatable(old_p)) {
+    const auto relocatable = sim::check_hooks().relocatable;
+    if (relocatable == nullptr || !relocatable(old_p)) {
       relocation_vetoes_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
@@ -572,8 +562,9 @@ bool PhaseAllocator::relocate_block(
     compaction_used_.store(true, std::memory_order_relaxed);
     fwd_[reinterpret_cast<std::uintptr_t>(old_p)] = {
         reinterpret_cast<std::uintptr_t>(new_p), usable};
-    const CheckBridge& br = check_bridge();
-    if (br.on_relocated != nullptr) br.on_relocated(old_p, new_p, usable);
+    if (const auto on_relocated = sim::check_hooks().on_relocated) {
+      on_relocated(old_p, new_p, usable);
+    }
     if (listener_ != nullptr) listener_(old_p, new_p, usable, listener_ctx_);
     blocks_relocated_.fetch_add(1, std::memory_order_relaxed);
     bytes_relocated_.fetch_add(usable, std::memory_order_relaxed);
@@ -591,8 +582,8 @@ bool PhaseAllocator::relocate_large(Phase* ph, LargeBlock* lb) {
   void* old_p = old_base + kHeaderSize;
   const std::size_t usable = lb->length - kHeaderSize;
   if (cfg_.compact == PhaseConfig::Compact::kChecked) {
-    const CheckBridge& br = check_bridge();
-    if (br.relocatable == nullptr || !br.relocatable(old_p)) {
+    const auto relocatable = sim::check_hooks().relocatable;
+    if (relocatable == nullptr || !relocatable(old_p)) {
       relocation_vetoes_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
@@ -630,8 +621,9 @@ bool PhaseAllocator::relocate_large(Phase* ph, LargeBlock* lb) {
           reinterpret_cast<std::uintptr_t>(new_p), usable};
       ph->live_blocks.fetch_sub(1, std::memory_order_relaxed);
       tp->live_blocks.fetch_add(1, std::memory_order_relaxed);
-      const CheckBridge& br = check_bridge();
-      if (br.on_relocated != nullptr) br.on_relocated(old_p, new_p, usable);
+      if (const auto on_relocated = sim::check_hooks().on_relocated) {
+        on_relocated(old_p, new_p, usable);
+      }
       if (listener_ != nullptr) {
         listener_(old_p, new_p, usable, listener_ctx_);
       }

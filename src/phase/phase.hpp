@@ -26,8 +26,9 @@
 //    current phase during serial-irrevocable windows, using
 //    PageProvider::remap for dedicated large-block reservations and
 //    per-block relocation for slab blocks. Relocation is gated by the
-//    tmx::check lifetime checker's publication verdict (see CheckBridge):
-//    only blocks the fixpoint proved unpublished/privatized may move.
+//    tmx::check lifetime checker's publication verdict (the relocatable
+//    hook of sim::CheckHooks): only blocks the fixpoint proved
+//    unpublished/privatized may move.
 //
 // Engine contract: epoch accounting works under both engines, but
 // reclamation and compaction (munmap, cross-thread slab detach) run only
@@ -75,7 +76,7 @@ struct PhaseConfig {
   // Straggler compaction during proven-quiescent windows:
   //   kOff     — retired phases wait for their stragglers to die;
   //   kChecked — relocate only blocks the lifetime checker's publication
-  //              fixpoint proved private (no checker installed = no
+  //              fixpoint proved private (no checker open = no
   //              compaction);
   //   kAll     — relocate every surviving block (trust the workload never
   //              to read through a stale pointer; the replayer and tests
@@ -84,29 +85,6 @@ struct PhaseConfig {
   enum class Compact { kOff, kChecked, kAll };
   Compact compact = Compact::kOff;
 };
-
-// Process-wide default, snapshotted by every PhaseAllocator at
-// construction — same pattern as alloc::set_default_numa: the harness sets
-// it from --phase-* flags before building the allocator stack.
-void set_default_config(const PhaseConfig& c);
-PhaseConfig default_config();
-
-// Function-pointer bridge to the tmx::check lifetime checker, mirroring
-// sim::install_check_hooks: the checker installs these at check::install
-// time, so tmx::phase never links against tmx::check. With no bridge
-// installed, Compact::kChecked relocates nothing.
-struct CheckBridge {
-  // True when the checker proved the block at `payload` relocatable:
-  // allocated transactionally, its owning transaction committed, and the
-  // publication fixpoint never saw a committed pointer to it escape.
-  bool (*relocatable)(const void* payload) = nullptr;
-  // The block moved: the checker re-keys its live entry and tombstones the
-  // source range so stale-pointer accesses surface as use-after-free.
-  void (*on_relocated)(void* from, void* to, std::size_t usable) = nullptr;
-};
-void install_check_bridge(const CheckBridge& b);
-void clear_check_bridge();
-const CheckBridge& check_bridge();
 
 struct PhaseStats {
   std::uint64_t epoch = 0;            // current epoch number
@@ -117,13 +95,16 @@ struct PhaseStats {
   std::uint64_t compactions = 0;      // quiescent windows that compacted
   std::uint64_t blocks_relocated = 0;
   std::uint64_t bytes_relocated = 0;
-  std::uint64_t relocation_vetoes = 0;  // checker said no (or no bridge)
+  std::uint64_t relocation_vetoes = 0;  // checker said no (or none open)
   std::uint64_t remap_refusals = 0;     // fault plane / OS refused a move
 };
 
 class PhaseAllocator final : public alloc::Allocator {
  public:
-  explicit PhaseAllocator(const PhaseConfig& cfg = default_config());
+  // Snapshots the run context's config (RunSpec::phase, the --phase-*
+  // flags; defaults when the context has none).
+  PhaseAllocator();
+  explicit PhaseAllocator(const PhaseConfig& cfg);
   ~PhaseAllocator() override;
 
   void* allocate(std::size_t size) override;

@@ -83,6 +83,8 @@ class HdrHistogram {
 
   // Adds another histogram's counts (per-worker histograms merged after a
   // parallel region). Identical bucket geometry makes this an array add.
+  bool operator==(const HdrHistogram&) const = default;
+
   void merge(const HdrHistogram& o) {
     for (std::size_t i = 0; i < kNumBuckets; ++i) counts_[i] += o.counts_[i];
     count_ += o.count_;

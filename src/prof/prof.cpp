@@ -14,10 +14,6 @@
 
 namespace tmx::prof {
 
-namespace detail {
-bool g_enabled = false;
-}  // namespace detail
-
 namespace {
 
 constexpr int kMaxSiteDepth = 16;
@@ -74,9 +70,13 @@ struct Sample {
   std::uint64_t frees = 0;
 };
 
-// All mutable profiler state. Heap-allocated on install so an idle process
-// carries one pointer; every member lives on the host heap and is mutated
-// without ever touching virtual time.
+}  // namespace
+
+namespace detail {
+
+// All mutable profiler state of one run. Heap-allocated when the plane
+// opens, so an idle run carries one null pointer; every member lives on the
+// host heap and is mutated without ever touching virtual time.
 struct State {
   ProfConfig cfg;
 
@@ -103,7 +103,13 @@ struct State {
   std::uint32_t epoch = 0;
 };
 
-State* g_state = nullptr;
+}  // namespace detail
+
+namespace {
+
+using detail::State;
+
+State* state() { return sim::context().prof.get(); }
 
 std::uint32_t intern_site_locked(State& s, const std::string& path) {
   const auto it = s.site_ids.find(path);
@@ -165,41 +171,21 @@ const char* op_name(Op op) {
   return "?";
 }
 
-void install(const ProfConfig& cfg) {
-  uninstall();
-  g_state = new State;
-  g_state->cfg = cfg;
-  g_state->next_sample_due = cfg.sample_cycles;
-  {
-    // Site 0 catches allocations made outside any ScopedSite.
-    std::lock_guard<std::mutex> g(g_state->mu);
-    intern_site_locked(*g_state, "(root)");
-  }
-  detail::g_enabled = true;
-}
-
-void uninstall() {
-  detail::g_enabled = false;
-  delete g_state;
-  g_state = nullptr;
-}
-
-void reset() {
-  if (g_state == nullptr) return;
-  const ProfConfig cfg = g_state->cfg;
-  install(cfg);
-}
-
-const ProfConfig& config() {
-  static const ProfConfig kIdle{};
-  return g_state == nullptr ? kIdle : g_state->cfg;
+void open(sim::RunContext& ctx, const ProfConfig& cfg) {
+  ctx.prof = std::make_shared<State>();
+  State& s = *ctx.prof;
+  s.cfg = cfg;
+  s.next_sample_due = cfg.sample_cycles;
+  // Site 0 catches allocations made outside any ScopedSite.
+  std::lock_guard<std::mutex> g(s.mu);
+  intern_site_locked(s, "(root)");
 }
 
 // ---- Site labels ----
 
 ScopedSite::ScopedSite(const char* label) : pushed_(false) {
   if (!enabled()) return;
-  State& s = *g_state;
+  State& s = *state();
   SiteStack& st = s.stacks[sim::self_tid()];
   if (st.depth >= kMaxSiteDepth) return;  // deeper frames fold into the top
   std::string path;
@@ -216,25 +202,27 @@ ScopedSite::ScopedSite(const char* label) : pushed_(false) {
 }
 
 ScopedSite::~ScopedSite() {
-  if (!pushed_ || g_state == nullptr) return;
-  SiteStack& st = g_state->stacks[sim::self_tid()];
+  if (!pushed_ || !enabled()) return;
+  SiteStack& st = state()->stacks[sim::self_tid()];
   if (st.depth > 0) --st.depth;
 }
 
 void advance_epoch() {
-  if (g_state == nullptr) return;
-  std::lock_guard<std::mutex> g(g_state->mu);
-  ++g_state->epoch;
+  State* s = state();
+  if (s == nullptr) return;
+  std::lock_guard<std::mutex> g(s->mu);
+  ++s->epoch;
 }
 
 std::uint32_t current_epoch() {
-  return g_state == nullptr ? 0 : g_state->epoch;
+  const State* s = state();
+  return s == nullptr ? 0 : s->epoch;
 }
 
 // ---- Hooks ----
 
 void on_alloc(void* p, std::size_t usable, std::uint64_t latency) {
-  State& s = *g_state;
+  State& s = *state();
   s.hist[static_cast<int>(Op::kMalloc)].record(latency);
   ++s.mallocs;
   const std::uint64_t now = sim::now_cycles();
@@ -254,7 +242,7 @@ void on_alloc(void* p, std::size_t usable, std::uint64_t latency) {
 }
 
 void on_free(void* p, std::uint64_t latency) {
-  State& s = *g_state;
+  State& s = *state();
   s.hist[static_cast<int>(Op::kFree)].record(latency);
   ++s.frees;
   const std::uint64_t now = sim::now_cycles();
@@ -280,7 +268,7 @@ void on_free(void* p, std::uint64_t latency) {
 }
 
 void on_tx_begin(int tid) {
-  State& s = *g_state;
+  State& s = *state();
   TxState& t = s.tx[tid];
   const std::uint64_t now = sim::now_cycles();
   if (t.retry_pending) {
@@ -292,7 +280,7 @@ void on_tx_begin(int tid) {
 }
 
 void on_tx_commit(int tid) {
-  State& s = *g_state;
+  State& s = *state();
   TxState& t = s.tx[tid];
   const std::uint64_t now = sim::now_cycles();
   s.hist[static_cast<int>(Op::kTxCommit)].record(now - t.first_begin);
@@ -302,7 +290,7 @@ void on_tx_commit(int tid) {
 }
 
 void on_tx_abort(int tid) {
-  State& s = *g_state;
+  State& s = *state();
   TxState& t = s.tx[tid];
   const std::uint64_t now = sim::now_cycles();
   t.abort_cycle = now;
@@ -314,43 +302,18 @@ void on_tx_abort(int tid) {
 void sample_now() { sample_at(sim::now_cycles()); }
 
 void sample_at(std::uint64_t cycles) {
-  if (g_state == nullptr) return;
-  std::lock_guard<std::mutex> g(g_state->mu);
-  snapshot_locked(*g_state, cycles);
-}
-
-// ---- Introspection ----
-
-const HdrHistogram& op_histogram(Op op) {
-  static const HdrHistogram kEmpty{};
-  return g_state == nullptr ? kEmpty : g_state->hist[static_cast<int>(op)];
-}
-
-std::uint64_t op_count(Op op) { return op_histogram(op).count(); }
-
-std::uint64_t cross_thread_frees() {
-  return g_state == nullptr ? 0 : g_state->cross_thread_frees;
-}
-
-std::size_t site_count() {
-  return g_state == nullptr ? 0 : g_state->sites.size();
-}
-
-std::size_t sample_count() {
-  return g_state == nullptr ? 0 : g_state->samples.size();
-}
-
-std::uint64_t samples_dropped() {
-  return g_state == nullptr ? 0 : g_state->samples_dropped;
+  State* s = state();
+  if (s == nullptr) return;
+  std::lock_guard<std::mutex> g(s->mu);
+  snapshot_locked(*s, cycles);
 }
 
 // ---- Export ----
 
-void publish_metrics(obs::MetricsRegistry& reg, const std::string& prefix) {
-  if (g_state == nullptr) return;
-  State& s = *g_state;
+void publish_metrics(const Profile& p, obs::MetricsRegistry& reg,
+                     const std::string& prefix) {
   for (int i = 0; i < kNumOps; ++i) {
-    const HdrHistogram& h = s.hist[i];
+    const HdrHistogram& h = p.latency[i];
     const std::string base = prefix + "lat." + op_name(static_cast<Op>(i));
     // Integer counters throughout: percentiles are bucket lower bounds in
     // whole cycles, so the metrics JSON is byte-stable across runs.
@@ -362,14 +325,14 @@ void publish_metrics(obs::MetricsRegistry& reg, const std::string& prefix) {
     reg.set_counter(base + ".count", h.count());
     reg.set_counter(base + ".sum", h.sum());
   }
-  reg.set_counter(prefix + "mallocs", s.mallocs);
-  reg.set_counter(prefix + "frees", s.frees);
-  reg.set_counter(prefix + "commits", s.commits);
-  reg.set_counter(prefix + "aborts", s.aborts);
-  reg.set_counter(prefix + "cross_thread_frees", s.cross_thread_frees);
-  reg.set_counter(prefix + "sites", s.sites.size());
-  reg.set_counter(prefix + "samples", s.samples.size());
-  reg.set_counter(prefix + "samples_dropped", s.samples_dropped);
+  reg.set_counter(prefix + "mallocs", p.mallocs);
+  reg.set_counter(prefix + "frees", p.frees);
+  reg.set_counter(prefix + "commits", p.commits);
+  reg.set_counter(prefix + "aborts", p.aborts);
+  reg.set_counter(prefix + "cross_thread_frees", p.cross_thread_frees);
+  reg.set_counter(prefix + "sites", p.sites);
+  reg.set_counter(prefix + "samples", p.samples);
+  reg.set_counter(prefix + "samples_dropped", p.samples_dropped);
 }
 
 std::string timeseries_csv_header() {
@@ -377,9 +340,11 @@ std::string timeseries_csv_header() {
          "commits,aborts,mallocs,frees\n";
 }
 
-void append_timeseries_csv(std::string& out, const std::string& label) {
-  if (g_state == nullptr) return;
-  for (const Sample& r : g_state->samples) {
+namespace {
+
+void append_timeseries_csv(const State& s, std::string& out,
+                           const std::string& label) {
+  for (const Sample& r : s.samples) {
     out += label;
     out += ',';
     append_u64(out, r.cycles);
@@ -403,14 +368,7 @@ void append_timeseries_csv(std::string& out, const std::string& label) {
   }
 }
 
-std::string sites_csv_header() {
-  return "label,site,epoch,allocs,alloc_bytes,frees,free_bytes,"
-         "cross_thread_frees,live_bytes,peak_bytes\n";
-}
-
-void append_sites_csv(std::string& out, const std::string& label) {
-  if (g_state == nullptr) return;
-  State& s = *g_state;
+void append_sites_csv(State& s, std::string& out, const std::string& label) {
   std::vector<const SiteStats*> sorted;
   {
     std::lock_guard<std::mutex> g(s.mu);
@@ -472,9 +430,7 @@ void append_sites_csv(std::string& out, const std::string& label) {
   }
 }
 
-void append_folded(std::string& out) {
-  if (g_state == nullptr) return;
-  State& s = *g_state;
+void append_folded(State& s, std::string& out) {
   std::vector<std::pair<std::string, std::uint64_t>> rows;
   {
     std::lock_guard<std::mutex> g(s.mu);
@@ -491,6 +447,32 @@ void append_folded(std::string& out) {
     append_u64(out, bytes);
     out += '\n';
   }
+}
+
+}  // namespace
+
+std::string sites_csv_header() {
+  return "label,site,epoch,allocs,alloc_bytes,frees,free_bytes,"
+         "cross_thread_frees,live_bytes,peak_bytes\n";
+}
+
+Profile profile(const std::string& label) {
+  Profile p;
+  State* s = state();
+  if (s == nullptr) return p;
+  std::copy(std::begin(s->hist), std::end(s->hist), std::begin(p.latency));
+  p.mallocs = s->mallocs;
+  p.frees = s->frees;
+  p.commits = s->commits;
+  p.aborts = s->aborts;
+  p.cross_thread_frees = s->cross_thread_frees;
+  p.sites = s->sites.size();
+  p.samples = s->samples.size();
+  p.samples_dropped = s->samples_dropped;
+  append_timeseries_csv(*s, p.timeseries_csv, label);
+  append_sites_csv(*s, p.sites_csv, label);
+  append_folded(*s, p.folded);
+  return p;
 }
 
 }  // namespace tmx::prof

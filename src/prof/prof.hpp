@@ -27,9 +27,12 @@
 //    timer thread): a hook fires, sees virtual time passed the next due
 //    tick, and snapshots — reads only.
 //
+// Each run opens its own profiler on its run context (sim/context.hpp) and
+// the harness returns the run's Profile in its result.
+//
 // Overhead contract (mirrors tmx::check / tmx::fault): with no profiler
-// installed every hook is one predictable branch on a plain global bool.
-// Installed or not, the plane never calls sim::tick()/yield()/probe() —
+// open every hook is one predictable branch on the run context's prof slot.
+// Open or not, the plane never calls sim::tick()/yield()/probe() —
 // latency is measured by *reading* sim::now_cycles() around calls that tick
 // on their own — so a prof-ON run keeps the exact schedule, cycle counts
 // and commit/abort totals of a prof-OFF run; only host time changes.
@@ -44,6 +47,7 @@
 #include <string>
 
 #include "prof/hdr_histogram.hpp"
+#include "sim/context.hpp"
 #include "util/macros.hpp"
 
 namespace tmx::obs {
@@ -77,26 +81,11 @@ enum class Op : int {
 inline constexpr int kNumOps = 4;
 const char* op_name(Op op);  // "malloc", "free", "tx_commit", "tx_abort_retry"
 
-namespace detail {
-// One-branch guard, raw bool, written only by install()/uninstall() at
-// quiescent points (same discipline as check::detail::g_enabled).
-extern bool g_enabled;
-}  // namespace detail
+// Opens the profiler on `ctx` for one run.
+void open(sim::RunContext& ctx, const ProfConfig& cfg);
 
-inline bool enabled() { return detail::g_enabled; }
-
-// Installs the profiler process-wide. Not thread-safe: install before
-// run_parallel, like the tracer, the checker and the fault plane.
-void install(const ProfConfig& cfg);
-
-// Uninstalls and drops all state (histograms, sites, samples).
-void uninstall();
-
-// Drops recorded data but keeps the profiler installed (between bench
-// cases that reuse one session).
-void reset();
-
-const ProfConfig& config();
+// The one-branch guard every hook checks first.
+inline bool enabled() { return sim::context().prof != nullptr; }
 
 // ---- Site labels ----
 // Pushes `label` (a string literal or otherwise outliving the scope) onto
@@ -138,34 +127,44 @@ void on_tx_abort(int tid);
 void sample_now();
 void sample_at(std::uint64_t cycles);
 
-// ---- Introspection (tests, exporters) ----
-const HdrHistogram& op_histogram(Op op);
-std::uint64_t op_count(Op op);
-std::uint64_t cross_thread_frees();
-std::size_t site_count();
-std::size_t sample_count();
-std::uint64_t samples_dropped();
-
 // ---- Export ----
+// One run's profile, detached from the run: the latency histograms and
+// counters, and the three data families rendered with the run's label.
+struct Profile {
+  HdrHistogram latency[kNumOps];
+  std::uint64_t mallocs = 0;
+  std::uint64_t frees = 0;
+  std::uint64_t commits = 0;
+  std::uint64_t aborts = 0;
+  std::uint64_t cross_thread_frees = 0;
+  std::uint64_t sites = 0;
+  std::uint64_t samples = 0;
+  std::uint64_t samples_dropped = 0;
+  // Time-series rows, one per snapshot, `label` in the leading column so
+  // multi-allocator files concatenate under timeseries_csv_header().
+  std::string timeseries_csv;
+  // Per-site per-epoch rows: one per (site, epoch) with activity plus a
+  // closing "all"-epoch row per site carrying live/peak bytes, sorted by
+  // folded path for byte-stable output (header: sites_csv_header()).
+  std::string sites_csv;
+  // Folded-stack lines ("a;b;c <total allocated bytes>\n", sorted), the
+  // format flamegraph.pl and speedscope consume.
+  std::string folded;
+
+  const HdrHistogram& op(Op o) const { return latency[static_cast<int>(o)]; }
+  bool operator==(const Profile&) const = default;
+};
+
+// The open profiler's data so far, rows labeled `label`.
+Profile profile(const std::string& label);
+
 // Publishes "prof.lat.<op>.{p50,p95,p99,p999,max,count,sum}" plus
 // "prof.{mallocs,frees,commits,aborts,cross_thread_frees,sites,samples,
 // samples_dropped}" under `prefix` into `reg`.
-void publish_metrics(obs::MetricsRegistry& reg,
+void publish_metrics(const Profile& p, obs::MetricsRegistry& reg,
                      const std::string& prefix = "prof.");
 
-// Time-series CSV. Header (once per file), then one row per snapshot with
-// `label` in the leading column so multi-allocator files concatenate.
 std::string timeseries_csv_header();
-void append_timeseries_csv(std::string& out, const std::string& label);
-
-// Per-site per-epoch CSV. One row per (site, epoch) with activity plus a
-// closing "all"-epoch row per site carrying live/peak bytes. Sites are
-// sorted by folded path for byte-stable output.
 std::string sites_csv_header();
-void append_sites_csv(std::string& out, const std::string& label);
-
-// Folded-stack lines ("a;b;c <total allocated bytes>\n", sorted), the
-// format flamegraph.pl and speedscope consume.
-void append_folded(std::string& out);
 
 }  // namespace tmx::prof

@@ -1,7 +1,7 @@
 // ProfilingAllocator: measures per-call latency of an allocator model in
 // virtual cycles and feeds the prof plane's histograms and site registry.
 //
-// It sits outermost (harness/alloc_stack.hpp), so a malloc's recorded
+// It sits outermost (harness/run_context.hpp), so a malloc's recorded
 // latency is what the *application* experienced — model cost plus lock
 // waits plus any wrapper overheads that tick virtual time — and frees are
 // recorded at the moment application code (or the STM's deferred-free

@@ -89,6 +89,8 @@ struct CacheStats {
     numa_local += o.numa_local;
     numa_remote += o.numa_remote;
   }
+
+  bool operator==(const CacheStats&) const = default;
 };
 
 // Publishes the cache counters into the unified metrics registry under

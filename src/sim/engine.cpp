@@ -8,8 +8,8 @@
 #include <memory>
 #include <thread>
 
-#include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "sim/context.hpp"
 #include "util/macros.hpp"
 
 // Fiber context switching. On x86-64 the engine uses a hand-rolled SysV
@@ -323,7 +323,8 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
   const unsigned nodes = cfg.topology.nodes == 0 ? 1 : cfg.topology.nodes;
   const unsigned cpn = cfg.topology.resolved_cores_per_node(threads);
   const unsigned cores = nodes * cpn;
-  numa_configure(cfg.topology, threads);
+  RunContext& ctx = context();
+  ctx.numa.configure(cfg.topology, threads);
   // Scale-aware stacks: 1 MiB per fiber is comfortable at paper scale but
   // 256 MiB of reservation at 256 fibers; beyond 64 fibers bodies are flat
   // harness loops and 256 KiB is plenty.
@@ -383,7 +384,7 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
 
   const int saved_tid = g_tid;
   if (TMX_UNLIKELY(check_hooks_on())) {
-    if (auto* fork = detail::g_check_hooks.run_fork) fork(cfg.threads);
+    if (auto* fork = ctx.check_hooks.run_fork) fork(cfg.threads);
   }
   // Discrete-event loop: resume the runnable fiber with the smallest
   // virtual time (ties broken by id for determinism). Yields switch fiber
@@ -413,7 +414,7 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
   }
 
   if (TMX_UNLIKELY(check_hooks_on())) {
-    if (auto* join = detail::g_check_hooks.run_join) join(cfg.threads);
+    if (auto* join = ctx.check_hooks.run_join) join(cfg.threads);
   }
 
   RunResult r;
@@ -425,19 +426,15 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
   r.seconds = static_cast<double>(r.cycles) / (cfg.ghz * 1e9);
   if (eng.cache) r.cache = eng.cache->total_stats();
   r.sched = eng.sched;
-  // Accumulate (not overwrite): a bench runs many simulated cases and
-  // --metrics-out should report the whole process. Safe here: run_sim
-  // executes on the single thread driving the engine.
-  auto& reg = obs::MetricsRegistry::global();
-  reg.add_counter("sim.sched.switches", eng.sched.switches);
-  reg.add_counter("sim.sched.fast_resumes", eng.sched.fast_resumes);
-  reg.add_counter("sim.sched.heap_ops", eng.sched.heap_ops);
-  reg.add_counter("sim.sched.queue_migrations", eng.sched.queue_migrations);
-  reg.add_counter("sim.sched.batch_advances", eng.sched.batch_advances);
+  // Accumulate (not overwrite): a context can hold many simulated runs (a
+  // STAMP app's phases, a replay's parallel groups), and its totals cover
+  // them all.
+  ++ctx.sim_runs;
+  ctx.sched.add(eng.sched);
   if (nodes > 1) {
-    reg.add_counter("sim.numa.nodes", nodes);
-    reg.add_counter("sim.numa.local_accesses", r.cache.numa_local);
-    reg.add_counter("sim.numa.remote_accesses", r.cache.numa_remote);
+    ctx.numa_nodes += nodes;
+    ctx.numa_local += r.cache.numa_local;
+    ctx.numa_remote += r.cache.numa_remote;
   }
 #if TMX_TRACING
   if (obs::trace_enabled()) {
@@ -459,8 +456,10 @@ RunResult run_threads(const RunConfig& cfg,
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;
   workers.reserve(cfg.threads);
+  RunContext* const ctx = detail::t_context;
   for (int i = 1; i < cfg.threads; ++i) {
     workers.emplace_back([&, i] {
+      detail::t_context = ctx;  // the workers run in the caller's context
       g_tid = i;
       ready.fetch_add(1, std::memory_order_release);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
@@ -624,25 +623,12 @@ void watchdog_trip(const char* what, std::uint64_t limit,
 }
 
 namespace detail {
-bool g_check_hooks_on = false;
-CheckHooks g_check_hooks{};
+namespace {
+// Stands in while no run context is open: no plane, one flat node.
+// Constant-initialized, so it is usable from any static initializer.
+constinit RunContext g_idle_context;
+}  // namespace
+constinit thread_local RunContext* t_context = &g_idle_context;
 }  // namespace detail
-
-void install_check_hooks(const CheckHooks& hooks) {
-  detail::g_check_hooks = hooks;
-  detail::g_check_hooks_on =
-      hooks.run_fork != nullptr || hooks.run_join != nullptr ||
-      hooks.lock_acquired != nullptr || hooks.lock_released != nullptr ||
-      hooks.barrier_arrive != nullptr || hooks.barrier_depart != nullptr;
-}
-
-void publish_metrics(const SchedStats& stats, obs::MetricsRegistry& reg,
-                     const std::string& prefix) {
-  reg.set_counter(prefix + "switches", stats.switches);
-  reg.set_counter(prefix + "fast_resumes", stats.fast_resumes);
-  reg.set_counter(prefix + "heap_ops", stats.heap_ops);
-  reg.set_counter(prefix + "queue_migrations", stats.queue_migrations);
-  reg.set_counter(prefix + "batch_advances", stats.batch_advances);
-}
 
 }  // namespace tmx::sim

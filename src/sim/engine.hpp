@@ -36,51 +36,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "sim/cache_model.hpp"
+#include "sim/context.hpp"
 #include "sim/numa.hpp"
 
 namespace tmx::sim {
 
 enum class EngineKind { Sim, Threads };
-
-// Scheduler counters for one simulated run. `switches` counts fiber
-// resumes (direct fiber->fiber swaps from yield, plus re-seeds from the
-// main loop when a fiber finishes); `fast_resumes` counts yields where the
-// running fiber was still inside its quantum (ahead of every queued
-// fiber in (vtime, id) order) and kept executing without any context
-// switch; `heap_ops` counts run-heap operations: a pop when a fiber
-// finishes and one replace-top per genuine switch from yield;
-// `queue_migrations` counts genuine switches where the incoming fiber is
-// pinned to a different core than the outgoing fiber (with the default
-// one-fiber-per-core topology every genuine switch migrates);
-// `batch_advances` counts quanta that absorbed at least one fast resume,
-// i.e. scheduling rounds where a fiber batch-advanced through several
-// events before the next genuine switch.
-struct SchedStats {
-  std::uint64_t switches = 0;
-  std::uint64_t fast_resumes = 0;
-  std::uint64_t heap_ops = 0;
-  std::uint64_t queue_migrations = 0;
-  std::uint64_t batch_advances = 0;
-
-  void add(const SchedStats& o) {
-    switches += o.switches;
-    fast_resumes += o.fast_resumes;
-    heap_ops += o.heap_ops;
-    queue_migrations += o.queue_migrations;
-    batch_advances += o.batch_advances;
-  }
-};
-
-// Publishes the scheduler counters into the unified metrics registry under
-// `prefix` ("sim.sched.switches", ...). run_parallel also accumulates every
-// simulated run's counters into MetricsRegistry::global() so --metrics-out
-// captures them without per-bench plumbing.
-void publish_metrics(const SchedStats& stats, obs::MetricsRegistry& reg,
-                     const std::string& prefix = "sim.sched.");
 
 struct RunConfig {
   EngineKind kind = EngineKind::Sim;
@@ -116,8 +80,8 @@ struct RunResult {
   bool simulated = false;
 };
 
-// Runs body(tid) for tid in [0, threads) under the selected engine.
-// Not reentrant: engines must not be nested.
+// Runs body(tid) for tid in [0, threads) under the selected engine, in the
+// calling thread's run context. Not reentrant: engines must not be nested.
 RunResult run_parallel(const RunConfig& cfg,
                        const std::function<void(int)>& body);
 
@@ -170,35 +134,10 @@ void install_watchdog_flush(std::function<void()> flush);
                                 std::uint64_t actual);
 
 // ---- Checker hooks ----
-// tmx::check observes the engine's synchronization edges (fork/join,
-// allocator-lock release->acquire, barrier arrive->depart) without the
-// engine depending on the check library: the checker installs function
-// pointers here, mirroring how tmx::obs installs its time source. Every
-// call site is guarded by check_hooks_on() — one predictable branch when no
-// checker is installed, and the hooks themselves never touch virtual time,
-// so the schedule is identical either way.
-
-struct CheckHooks {
-  void (*run_fork)(int threads) = nullptr;    // before fibers are seeded
-  void (*run_join)(int threads) = nullptr;    // after all fibers finish
-  void (*lock_acquired)(const void* lock) = nullptr;
-  void (*lock_released)(const void* lock) = nullptr;
-  void (*barrier_arrive)(const void* barrier) = nullptr;
-  void (*barrier_depart)(const void* barrier) = nullptr;
-};
-
-namespace detail {
-extern bool g_check_hooks_on;
-extern CheckHooks g_check_hooks;
-}  // namespace detail
-
-inline bool check_hooks_on() { return detail::g_check_hooks_on; }
-inline const CheckHooks& check_hooks() { return detail::g_check_hooks; }
-
-// Install (all-non-null semantics not required; unset members are skipped)
-// or remove ({} / all-null) the hooks. Not thread-safe: call at quiescent
-// points only, like obs::install_time_source.
-void install_check_hooks(const CheckHooks& hooks);
+// The calling run's CheckHooks (sim/context.hpp); on while a checker is
+// open on the run context.
+inline bool check_hooks_on() { return context().check != nullptr; }
+inline const CheckHooks& check_hooks() { return context().check_hooks; }
 
 // Cost constants used across modules for non-memory work.
 struct Cost {

@@ -1,55 +1,32 @@
 #include "sim/numa.hpp"
 
 #include <algorithm>
-#include <mutex>
-#include <vector>
 
+#include "sim/context.hpp"
 #include "util/macros.hpp"
 
 namespace tmx::sim {
-namespace {
 
-struct Range {
-  std::uintptr_t base = 0;
-  std::uintptr_t end = 0;
-  unsigned node = 0;
-};
-
-struct NumaState {
-  std::mutex mu;
-  unsigned nodes = 1;
-  unsigned cores_per_node = 1;
-  std::vector<Range> ranges;  // sorted by base, disjoint
-};
-
-NumaState& state() {
-  static NumaState s;
-  return s;
-}
-
-}  // namespace
-
-void numa_configure(const Topology& topo, unsigned threads) {
-  NumaState& s = state();
-  std::lock_guard<std::mutex> g(s.mu);
-  s.nodes = topo.nodes == 0 ? 1 : topo.nodes;
-  s.cores_per_node = topo.resolved_cores_per_node(threads);
+void NumaRegistry::configure(const Topology& topo, unsigned threads) {
+  std::lock_guard<std::mutex> g(mu);
+  nodes = topo.nodes == 0 ? 1 : topo.nodes;
+  cores_per_node = topo.resolved_cores_per_node(threads);
 }
 
 unsigned numa_nodes() {
-  NumaState& s = state();
+  NumaRegistry& s = context().numa;
   std::lock_guard<std::mutex> g(s.mu);
   return s.nodes;
 }
 
 unsigned numa_cores_per_node() {
-  NumaState& s = state();
+  NumaRegistry& s = context().numa;
   std::lock_guard<std::mutex> g(s.mu);
   return s.cores_per_node;
 }
 
 unsigned numa_node_of_core(unsigned core) {
-  NumaState& s = state();
+  NumaRegistry& s = context().numa;
   std::lock_guard<std::mutex> g(s.mu);
   const unsigned node = core / s.cores_per_node;
   return node < s.nodes ? node : s.nodes - 1;
@@ -57,42 +34,44 @@ unsigned numa_node_of_core(unsigned core) {
 
 void numa_register_range(const void* base, std::size_t len, unsigned node) {
   if (len == 0) return;
-  NumaState& s = state();
+  NumaRegistry& s = context().numa;
   std::lock_guard<std::mutex> g(s.mu);
-  Range r;
+  NumaRegistry::Range r;
   r.base = reinterpret_cast<std::uintptr_t>(base);
   r.end = r.base + len;
   r.node = node < s.nodes ? node : s.nodes - 1;
   const auto it = std::lower_bound(
       s.ranges.begin(), s.ranges.end(), r,
-      [](const Range& a, const Range& b) { return a.base < b.base; });
+      [](const NumaRegistry::Range& a, const NumaRegistry::Range& b) {
+        return a.base < b.base;
+      });
   s.ranges.insert(it, r);
 }
 
 void numa_unregister_range(const void* base) {
-  NumaState& s = state();
+  NumaRegistry& s = context().numa;
   std::lock_guard<std::mutex> g(s.mu);
   const auto key = reinterpret_cast<std::uintptr_t>(base);
   const auto it = std::lower_bound(
       s.ranges.begin(), s.ranges.end(), key,
-      [](const Range& a, std::uintptr_t b) { return a.base < b; });
+      [](const NumaRegistry::Range& a, std::uintptr_t b) { return a.base < b; });
   if (it != s.ranges.end() && it->base == key) s.ranges.erase(it);
 }
 
 int numa_home_node(std::uintptr_t addr) {
-  NumaState& s = state();
+  NumaRegistry& s = context().numa;
   std::lock_guard<std::mutex> g(s.mu);
   // First range with base > addr; the candidate is its predecessor.
   auto it = std::upper_bound(
       s.ranges.begin(), s.ranges.end(), addr,
-      [](std::uintptr_t a, const Range& b) { return a < b.base; });
+      [](std::uintptr_t a, const NumaRegistry::Range& b) { return a < b.base; });
   if (it == s.ranges.begin()) return -1;
   --it;
   return addr < it->end ? static_cast<int>(it->node) : -1;
 }
 
 std::size_t numa_range_count() {
-  NumaState& s = state();
+  NumaRegistry& s = context().numa;
   std::lock_guard<std::mutex> g(s.mu);
   return s.ranges.size();
 }

@@ -3,12 +3,15 @@
 //
 // The paper's testbed is a single-socket 8-core Xeon; scale-out studies
 // (ROADMAP item 5, arXiv 2206.01359) need a `nodes x cores_per_node`
-// topology where the *placement* of a page decides its access latency. The
-// simulator keeps that placement in a process-wide registry:
+// topology where the *placement* of a page decides its access latency.
+// Each run keeps that placement in its own registry (RunContext::numa,
+// sim/context.hpp), which the functions below read through the calling
+// thread's run context:
 //
-//  * the engine assigns each fiber a core and a node from
-//    RunConfig::topology and answers numa_self_node() for the running
-//    fiber;
+//  * the run context configures the registry from the run's topology when
+//    it opens, before any allocator reserves memory, and the engine assigns
+//    each fiber a core and a node and answers numa_self_node() for the
+//    running fiber;
 //  * the page provider registers every reservation's home node here
 //    (first-touch / interleave / bind policies, see alloc/page_provider);
 //  * the cache model asks numa_home_node(addr) on its miss path and
@@ -28,6 +31,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
+#include <vector>
 
 namespace tmx::sim {
 
@@ -48,10 +53,34 @@ struct Topology {
   }
 };
 
-// Installs the topology for subsequent runs and range registrations.
-// Called by run_parallel on entry; harnesses call it *before* building
-// allocators so interleave/bind policies know the node count. Idempotent.
-void numa_configure(const Topology& topo, unsigned threads);
+// How a page provider assigns reservations to NUMA nodes. kFirstTouch
+// mirrors the kernel default (memory lands on the node of the thread that
+// faults it in — here, the fiber that triggers the reservation);
+// kInterleave spreads consecutive reservations round-robin across all
+// nodes; kBind pins everything to bind_node.
+struct NumaOptions {
+  enum class Policy { kFirstTouch, kInterleave, kBind };
+  Policy policy = Policy::kFirstTouch;
+  unsigned bind_node = 0;
+};
+
+// One run's NUMA view: the machine shape and the address -> home-node
+// ranges. The functions below are its interface; configure() is called by
+// the run context when it opens and by run_parallel on entry.
+struct NumaRegistry {
+  struct Range {
+    std::uintptr_t base = 0;
+    std::uintptr_t end = 0;
+    unsigned node = 0;
+  };
+
+  void configure(const Topology& topo, unsigned threads);
+
+  std::mutex mu;
+  unsigned nodes = 1;
+  unsigned cores_per_node = 1;
+  std::vector<Range> ranges;  // sorted by base, disjoint
+};
 
 unsigned numa_nodes();
 unsigned numa_cores_per_node();

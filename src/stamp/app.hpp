@@ -15,6 +15,7 @@
 
 #include "alloc/instrument.hpp"
 #include "core/stm.hpp"
+#include "harness/run_context.hpp"
 #include "harness/run_spec.hpp"
 #include "sim/engine.hpp"
 
@@ -51,9 +52,10 @@ std::vector<std::string> app_names();
 bool app_exists(const std::string& name);
 AppResult run_app(const std::string& name, const AppContext& ctx);
 
-// Convenience: builds allocator + STM, runs the app, tears everything down.
-// The run's shared settings (allocator, engine, STM configuration, prof
-// plane) come from harness::RunSpec; the fields here describe the workload.
+// Convenience: opens a run context, builds allocator + STM, runs the app,
+// tears everything down. The run's shared settings (allocator, engine, STM
+// configuration, planes) come from harness::RunSpec; the fields here
+// describe the workload.
 struct StampRun : harness::RunSpec {
   std::string app;
   int threads = 1;
@@ -64,6 +66,7 @@ struct StampRun : harness::RunSpec {
 struct StampOutcome {
   AppResult result;
   alloc::AllocationProfile profile{};  // filled when instrument was set
+  harness::PlaneOutputs planes;
 };
 
 StampOutcome run_stamp(const StampRun& run);

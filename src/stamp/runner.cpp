@@ -2,7 +2,6 @@
 #include <cstdlib>
 
 #include "alloc/instrument.hpp"
-#include "harness/alloc_stack.hpp"
 #include "prof/prof.hpp"
 #include "stamp/app.hpp"
 
@@ -34,22 +33,22 @@ AppResult run_app(const std::string& name, const AppContext& ctx) {
 }
 
 StampOutcome run_stamp(const StampRun& run) {
-  // Profiling installs fresh per run, scoping the recorded data to this
-  // case; the session exports it after the run and uninstalls.
-  const std::unique_ptr<alloc::Allocator> allocator =
-      harness::build_allocator_stack(run, run.threads, run.instrument);
-  stm::Stm stm(run.stm_config(allocator.get()));
-  const AppContext ctx{&stm, run.run_config(run.threads), run.scale};
-
+  harness::RunContext context(run, run.threads);
   StampOutcome out;
-  out.result = run_app(run.app, ctx);
-  if (auto* instr =
-          alloc::find_layer<alloc::InstrumentingAllocator>(allocator.get())) {
-    out.profile = instr->profile();
+  {
+    alloc::Allocator& allocator = context.allocator(run.instrument);
+    stm::Stm stm(run.stm_config(&allocator));
+    out.result = run_app(run.app, {&stm, run.run_config(run.threads),
+                                   run.scale});
+    if (auto* instr =
+            alloc::find_layer<alloc::InstrumentingAllocator>(&allocator)) {
+      out.profile = instr->profile();
+    }
+    // Final RSS/fragmentation row while the observed allocator is still
+    // alive.
+    if (run.prof) prof::sample_now();
   }
-  // Final RSS/fragmentation row while the observed allocator is still
-  // alive; after return the profiler only holds copied data.
-  if (run.prof) prof::sample_now();
+  out.planes = context.finish();
   return out;
 }
 

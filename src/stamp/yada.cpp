@@ -14,8 +14,6 @@
 // whichever thread pops them (STAMP's garbage-flag protocol).
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "alloc/instrument.hpp"
@@ -324,9 +322,7 @@ AppResult run_yada(const AppContext& ctx) {
     Rng rng(ctx.run.seed);
     Tri* hint = mesh.seed;
     CavityScratch scratch;
-    const bool dbg = std::getenv("TMX_YADA_DEBUG") != nullptr;
     for (int i = 0; i < P.points; ++i) {
-      if (dbg && i % 50 == 0) std::fprintf(stderr, "[yada] seq insert %d\n", i);
       const Pt p{rng.uniform() * 2.0 - 1.0, rng.uniform() * 2.0 - 1.0};
       const std::uint64_t pi = mesh.add_point(p);
       const bool ok = insert_point(seq, mesh, hint, pi, scratch, rng);
@@ -363,9 +359,6 @@ AppResult run_yada(const AppContext& ctx) {
                         mesh.points[t->v[2]]) < mesh.min_angle;
   };
 
-  if (std::getenv("TMX_YADA_DEBUG")) {
-    std::fprintf(stderr, "[yada] construction done\n");
-  }
   ds::TxQueue work(seq);
   std::size_t initial_bad = 0;
   {
@@ -380,16 +373,12 @@ AppResult run_yada(const AppContext& ctx) {
     }
   }
 
-  if (std::getenv("TMX_YADA_DEBUG")) {
-    std::fprintf(stderr, "[yada] initial_bad=%zu\n", initial_bad);
-  }
   // One point slot can be consumed per queue pop; resize the pool to the
   // worst case now that the initial queue length is known.
   mesh.points.resize(3 + P.points + initial_bad + 8 * P.max_insertions + 64);
 
   std::atomic<int> insertions{0};
   std::atomic<int> skipped{0};
-  std::atomic<int> reclaimed{0};
 
   // ---- Parallel: refinement ----
   const sim::RunResult rr = sim::run_parallel(ctx.run, [&](int tid) {
@@ -406,16 +395,6 @@ AppResult run_yada(const AppContext& ctx) {
       });
       if (item == nullptr) break;
       auto* bad = static_cast<Tri*>(item);
-      if (const char* dbg = std::getenv("TMX_YADA_DEBUG")) {
-        (void)dbg;
-        static std::atomic<int> pops{0};
-        const int n = pops.fetch_add(1) + 1;
-        if (n % 50 == 0) {
-          std::fprintf(stderr, "[yada] pops=%d ins=%d skip=%d reclaim=%d\n",
-                       n, insertions.load(), skipped.load(),
-                       reclaimed.load());
-        }
-      }
 
       bool inserted = false;
       bool was_dead = false;
@@ -474,9 +453,8 @@ AppResult run_yada(const AppContext& ctx) {
         }
         inserted = true;
       });
-      if (was_dead) {
-        reclaimed.fetch_add(1, std::memory_order_relaxed);
-      } else if (out_of_domain) {
+      if (was_dead) continue;  // reclaimed, not an insertion attempt
+      if (out_of_domain) {
         skipped.fetch_add(1, std::memory_order_relaxed);
       } else if (inserted) {
         insertions.fetch_add(1, std::memory_order_relaxed);
@@ -484,9 +462,6 @@ AppResult run_yada(const AppContext& ctx) {
     }
   });
 
-  if (std::getenv("TMX_YADA_DEBUG")) {
-    std::fprintf(stderr, "[yada] parallel done ins=%d\n", insertions.load());
-  }
   // Drain the queue (sequentially): left-over entries are either dead
   // triangles to reclaim or bad triangles beyond the insertion budget.
   {
@@ -501,15 +476,9 @@ AppResult run_yada(const AppContext& ctx) {
     }
   }
 
-  if (std::getenv("TMX_YADA_DEBUG")) {
-    std::fprintf(stderr, "[yada] drain done\n");
-  }
   // ---- Verification ----
   std::vector<Tri*> live;
   flood_live(live);
-  if (std::getenv("TMX_YADA_DEBUG")) {
-    std::fprintf(stderr, "[yada] flood done live=%zu\n", live.size());
-  }
   bool ok = true;
   std::size_t final_bad = 0;
   for (Tri* t : live) {

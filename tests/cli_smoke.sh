@@ -1,15 +1,24 @@
 #!/usr/bin/env bash
-# End-to-end drives of the shared run flags through stamp_runner and
-# server_mix: seeded runs must repeat byte for byte, and each failure mode
-# must exit with its own code. The cache model is off for the same reason
-# as in plane_onoff.sh: cache set indices depend on absolute host
-# addresses.
+# End-to-end drives of the shared run flags and the opt-in planes through
+# the CLI binaries: seeded runs must repeat byte for byte, every plane must
+# run clean on the shipped workloads, and each failure mode must exit with
+# its own code. The cache model is off for the same reason as in
+# plane_onoff.sh: cache set indices depend on absolute host addresses.
 #
 #   cli_smoke.sh fault_repeat     <stamp_runner>  faulty run, metrics twice
 #   cli_smoke.sh fault_escalation <stamp_runner>  retry cap engages
 #   cli_smoke.sh fault_watchdog   <stamp_runner>  run budget exits 3
 #   cli_smoke.sh chaos_corrupt    <stamp_runner>  corruption exits 5
+#   cli_smoke.sh server_mix_fault_order <server_mix>  a faulty allocator's
+#                                 row does not depend on the rows before it
+#   cli_smoke.sh stamp_check_clean <stamp_runner> every app runs check-clean
+#   cli_smoke.sh phase_compact_clean <server_mix> <stamp_runner>
+#                                 compaction runs check-clean
 #   cli_smoke.sh phase_repeat     <server_mix>    seeded stdout twice
+#   cli_smoke.sh chaos_soak       <chaos_soak>    injected == detected, twice
+#   cli_smoke.sh prof_files       <server_mix>    all three prof data families
+#   cli_smoke.sh replay_synth     <trace_replay>  byte-stable capture, replayed
+#                                 through four models
 #   cli_smoke.sh list_allocators  <stamp_runner> <trace_replay> <allocator_duel>
 set -euo pipefail
 
@@ -57,12 +66,64 @@ case "$drive" in
     expect_exit 5 "${bins[0]}" "${vacation[@]}" --scale 0.3 --guard \
       --fault-corrupt-tag-rate 0.05 --fault-corrupt-budget 4
     ;;
+  server_mix_fault_order)
+    args=(--quick --cache-model 0 --fault-delay-free-rate 0.05
+          --fault-spurious-rate 0.02 --fault-oom-rate 0.01
+          --fault-oom-budget 5)
+    "${bins[0]}" "${args[@]}" --alloc tbb | grep '^tbb ' > alone.out
+    "${bins[0]}" "${args[@]}" --alloc hoard,glibc,tbb | grep '^tbb ' > last.out
+    diff alone.out last.out
+    ;;
+  stamp_check_clean)
+    # stamp_runner exits 4 on any hard finding.
+    for app in bayes genome intruder kmeans labyrinth ssca2 vacation yada; do
+      "${bins[0]}" --app "$app" --alloc glibc --threads 4 --scale 0.3 \
+        --cache-model 0 --check > /dev/null
+    done
+    ;;
+  phase_compact_clean)
+    # Exit 0 means verified and check-clean: relocation introduced no
+    # lifetime bug the publication analysis missed.
+    "${bins[0]}" --quick --cache-model 0 --alloc glibc,phase --check \
+      --phase-compact checked --phase-maintenance-every 32 > /dev/null
+    "${bins[1]}" --app vacation --alloc phase --threads 4 --scale 0.3 \
+      --cache-model 0 --check --phase-compact checked > /dev/null
+    ;;
   phase_repeat)
     args=(--quick --cache-model 0 --alloc phase --seed 7
           --phase-maintenance-every 32)
     "${bins[0]}" "${args[@]}" > a.out
     "${bins[0]}" "${args[@]}" > b.out
     diff a.out b.out
+    ;;
+  chaos_soak)
+    # chaos_soak exits 1 on any detection mismatch.
+    "${bins[0]}" --quick --seed 7 --cache-model 0 > a.out
+    grep -q "4/4 rounds clean" a.out
+    "${bins[0]}" --quick --seed 7 --cache-model 0 > b.out
+    diff a.out b.out
+    ;;
+  prof_files)
+    "${bins[0]}" --quick --cache-model 0 --prof --prof-out mix > /dev/null \
+      2>&1
+    head -1 mix.timeseries.csv | grep -qx \
+      "label,cycles,live_bytes,reserved_bytes,reserved_pages,frag,commits,aborts,mallocs,frees"
+    head -1 mix.sites.csv | grep -qx \
+      "label,site,epoch,allocs,alloc_bytes,frees,free_bytes,cross_thread_frees,live_bytes,peak_bytes"
+    for alloc in glibc hoard tbb tcmalloc; do
+      grep -q "^$alloc," mix.timeseries.csv
+      grep -q "^$alloc," mix.sites.csv
+    done
+    grep -q "request;parse" mix.folded
+    ;;
+  replay_synth)
+    synth=(--synth --threads 4 --ops 2000 --seed 7)
+    "${bins[0]}" "${synth[@]}" --record-trace a.tmxtrc > /dev/null
+    "${bins[0]}" "${synth[@]}" --record-trace b.tmxtrc > /dev/null
+    cmp a.tmxtrc b.tmxtrc
+    "${bins[0]}" --inspect a.tmxtrc > /dev/null
+    "${bins[0]}" --replay-trace a.tmxtrc --alloc glibc,hoard,tbb,tcmalloc \
+      --cache-model 0 > /dev/null
     ;;
   list_allocators)
     for i in 0 1 2; do "${bins[$i]}" --list-allocators > "l$i.out"; done

@@ -4,14 +4,15 @@
 // controls (ISSUE: a naked-access race and a tx-leak/double-free app, each
 // asserted down to the exact reporting site), and the STAMP/structs sweeps
 // are its negative controls: every shipped workload must run check-clean.
-// Every test installs its own checker and clears it on teardown so the rest
-// of the suite — including the golden determinism constants — runs with all
-// hooks off.
+// Every test opens its own checker on a run context that closes on teardown,
+// so the rest of the suite — including the golden determinism constants —
+// runs with all hooks off.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "alloc/allocator.hpp"
@@ -19,6 +20,7 @@
 #include "check/check.hpp"
 #include "check/check_alloc.hpp"
 #include "core/stm.hpp"
+#include "harness/run_context.hpp"
 #include "harness/setbench.hpp"
 #include "obs/metrics.hpp"
 #include "phase/phase.hpp"
@@ -30,7 +32,11 @@ namespace tmx::check {
 namespace {
 
 struct CheckFixture : ::testing::Test {
-  void TearDown() override { clear(); }
+  // Opens `cfg` on a fresh run context, closing the previous one.
+  void open_run(const CheckConfig& cfg) {
+    run_.emplace(harness::RunSpec{.check = cfg});
+  }
+  std::optional<harness::RunContext> run_;
 };
 
 sim::RunConfig sim_config(int threads) {
@@ -55,7 +61,7 @@ std::string site_at(int line) {
 // The checker must report exactly one race, attributed to the right
 // threads, virtual cycles, and file:line sites of both accesses.
 TEST_F(CheckFixture, NakedRaceReportedWithExactAttribution) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   std::uint64_t shared = 0;
   std::string site[2];
   std::uint64_t cycle[2] = {0, 0};
@@ -67,10 +73,10 @@ TEST_F(CheckFixture, NakedRaceReportedWithExactAttribution) {
     shared = static_cast<std::uint64_t>(tid + 1);
   });
 
-  ASSERT_EQ(count(ReportKind::kRace), 1u);
-  EXPECT_EQ(hard_count(), 1u);
-  ASSERT_EQ(reports().size(), 1u);
-  const Report& r = reports()[0];
+  ASSERT_EQ(summary().count(ReportKind::kRace), 1u);
+  EXPECT_EQ(summary().hard_count(), 1u);
+  ASSERT_EQ(summary().reports.size(), 1u);
+  const Report& r = summary().reports[0];
   EXPECT_EQ(r.kind, ReportKind::kRace);
   // Fiber 0 reaches its access first in virtual time; fiber 1's later
   // access trips the detector.
@@ -86,7 +92,7 @@ TEST_F(CheckFixture, NakedRaceReportedWithExactAttribution) {
 // The same conflicting pair, but ordered by a SpinLock release->acquire
 // edge (and, for a second word, by a barrier arrive->depart edge): no race.
 TEST_F(CheckFixture, LockAndBarrierEdgesSuppressRaces) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   std::uint64_t locked_word = 0;
   std::uint64_t phased_word = 0;
   sim::SpinLock lock;
@@ -107,14 +113,14 @@ TEST_F(CheckFixture, LockAndBarrierEdgesSuppressRaces) {
       EXPECT_EQ(phased_word, 42u);
     }
   });
-  EXPECT_EQ(count(ReportKind::kRace), 0u);
-  EXPECT_EQ(hard_count(), 0u);
+  EXPECT_EQ(summary().count(ReportKind::kRace), 0u);
+  EXPECT_EQ(summary().hard_count(), 0u);
 }
 
 // Transactional conflicts on the same word are the STM's business, not a
 // race: the checker must stay quiet however many aborts the conflict costs.
 TEST_F(CheckFixture, TxTxConflictsAreNotRaces) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   auto allocator =
       std::make_unique<CheckedAllocator>(alloc::create_allocator("glibc"));
   stm::Config cfg;
@@ -127,7 +133,7 @@ TEST_F(CheckFixture, TxTxConflictsAreNotRaces) {
     }
   });
   EXPECT_EQ(word, 64u);
-  EXPECT_EQ(count(ReportKind::kRace), 0u);
+  EXPECT_EQ(summary().count(ReportKind::kRace), 0u);
 }
 
 // The global-version-clock edge: a commit's fetch_add releases, a later
@@ -135,7 +141,7 @@ TEST_F(CheckFixture, TxTxConflictsAreNotRaces) {
 // committed transaction and read after a later begin is therefore ordered —
 // while the same read without the intervening begin must race.
 TEST_F(CheckFixture, CommitToBeginEdgeOrdersNakedAccesses) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   auto allocator =
       std::make_unique<CheckedAllocator>(alloc::create_allocator("glibc"));
   stm::Config cfg;
@@ -158,7 +164,7 @@ TEST_F(CheckFixture, CommitToBeginEdgeOrdersNakedAccesses) {
       EXPECT_EQ(naked_word, 7u);
     }
   });
-  EXPECT_EQ(count(ReportKind::kRace), 0u);
+  EXPECT_EQ(summary().count(ReportKind::kRace), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -168,7 +174,7 @@ TEST_F(CheckFixture, CommitToBeginEdgeOrdersNakedAccesses) {
 // A transaction allocates, then commits without freeing or publishing the
 // block: a tx-leak, attributed to the allocation's scoped site.
 TEST_F(CheckFixture, TxLeakReportedWithAllocationSite) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   auto allocator =
       std::make_unique<CheckedAllocator>(alloc::create_allocator("glibc"));
   stm::Config cfg;
@@ -182,10 +188,10 @@ TEST_F(CheckFixture, TxLeakReportedWithAllocationSite) {
     });
   });
 
-  ASSERT_EQ(count(ReportKind::kTxLeak), 1u);
-  EXPECT_EQ(hard_count(), 1u);
-  ASSERT_EQ(reports().size(), 1u);
-  const Report& r = reports()[0];
+  ASSERT_EQ(summary().count(ReportKind::kTxLeak), 1u);
+  EXPECT_EQ(summary().hard_count(), 1u);
+  ASSERT_EQ(summary().reports.size(), 1u);
+  const Report& r = summary().reports[0];
   EXPECT_EQ(r.kind, ReportKind::kTxLeak);
   EXPECT_EQ(r.tid, 0);
   EXPECT_EQ(r.site, "leaky-alloc");
@@ -195,7 +201,7 @@ TEST_F(CheckFixture, TxLeakReportedWithAllocationSite) {
 // publishing the pointer, and privatization (the committing thread frees
 // its own unpublished allocation later through a local).
 TEST_F(CheckFixture, PublishedAndPrivatizedAllocationsAreNotLeaks) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   auto allocator =
       std::make_unique<CheckedAllocator>(alloc::create_allocator("glibc"));
   stm::Config cfg;
@@ -216,14 +222,14 @@ TEST_F(CheckFixture, PublishedAndPrivatizedAllocationsAreNotLeaks) {
   });
   stm.seq_free(published);
 
-  EXPECT_EQ(count(ReportKind::kTxLeak), 0u);
-  EXPECT_EQ(hard_count(), 0u);
+  EXPECT_EQ(summary().count(ReportKind::kTxLeak), 0u);
+  EXPECT_EQ(summary().hard_count(), 0u);
 }
 
 // Naked double free: reported with both free sites, and the second call is
 // swallowed — the inner allocator sees exactly one deallocation.
 TEST_F(CheckFixture, NakedDoubleFreeReportedAndSwallowed) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   auto inner = std::make_unique<alloc::InstrumentingAllocator>(
       alloc::create_allocator("glibc"));
   alloc::InstrumentingAllocator* probe = inner.get();
@@ -249,9 +255,9 @@ TEST_F(CheckFixture, NakedDoubleFreeReportedAndSwallowed) {
   }
   EXPECT_EQ(inner_frees(), 1u);  // swallowed, not forwarded
 
-  ASSERT_EQ(count(ReportKind::kDoubleFree), 1u);
-  ASSERT_EQ(reports().size(), 1u);
-  const Report& r = reports()[0];
+  ASSERT_EQ(summary().count(ReportKind::kDoubleFree), 1u);
+  ASSERT_EQ(summary().reports.size(), 1u);
+  const Report& r = summary().reports[0];
   EXPECT_EQ(r.kind, ReportKind::kDoubleFree);
   EXPECT_EQ(r.site, "second-free");
   EXPECT_EQ(r.other_site, "first-free");
@@ -260,7 +266,7 @@ TEST_F(CheckFixture, NakedDoubleFreeReportedAndSwallowed) {
 // Double free across transactions: one transaction's deferred free executes
 // at its commit; a later transaction freeing the same block is caught.
 TEST_F(CheckFixture, TxDoubleFreeAcrossCommitsReported) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   auto allocator =
       std::make_unique<CheckedAllocator>(alloc::create_allocator("glibc"));
   stm::Config cfg;
@@ -272,12 +278,12 @@ TEST_F(CheckFixture, TxDoubleFreeAcrossCommitsReported) {
     stm.atomically([&](stm::Tx& tx) { tx.free(p); });
     stm.atomically([&](stm::Tx& tx) { tx.free(p); });  // already gone
   });
-  EXPECT_GE(count(ReportKind::kDoubleFree), 1u);
-  EXPECT_GE(hard_count(), 1u);
+  EXPECT_GE(summary().count(ReportKind::kDoubleFree), 1u);
+  EXPECT_GE(summary().hard_count(), 1u);
 }
 
 TEST_F(CheckFixture, NakedUseAfterFreeIsAlwaysHard) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   CheckedAllocator ca(alloc::create_allocator("glibc"));
   void* p = ca.allocate(64);
   ASSERT_NE(p, nullptr);
@@ -288,23 +294,23 @@ TEST_F(CheckFixture, NakedUseAfterFreeIsAlwaysHard) {
   sim::run_parallel(sim_config(1), [&](int) {
     naked_access(p, 8, /*write=*/false, "stale-read");
   });
-  ASSERT_EQ(count(ReportKind::kUseAfterFree), 1u);
-  EXPECT_EQ(hard_count(), 1u);
-  const Report& r = reports()[0];
+  ASSERT_EQ(summary().count(ReportKind::kUseAfterFree), 1u);
+  EXPECT_EQ(summary().hard_count(), 1u);
+  const Report& r = summary().reports[0];
   EXPECT_EQ(r.site, "stale-read");
   EXPECT_EQ(r.other_site, "the-free");
-  EXPECT_EQ(zombie_reads(), 0u);
+  EXPECT_EQ(summary().zombie_reads(), 0u);
 }
 
 TEST_F(CheckFixture, InvalidFreeReportedAndSwallowed) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   CheckedAllocator ca(alloc::create_allocator("glibc"));
   void* p = ca.allocate(32);  // turns allocation tracking on
   std::uint64_t local = 0;
   ca.deallocate(&local);  // never allocated; must not reach the model
   ca.deallocate(p);
-  EXPECT_EQ(count(ReportKind::kInvalidFree), 1u);
-  EXPECT_EQ(count(ReportKind::kDoubleFree), 0u);
+  EXPECT_EQ(summary().count(ReportKind::kInvalidFree), 1u);
+  EXPECT_EQ(summary().count(ReportKind::kDoubleFree), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -312,35 +318,32 @@ TEST_F(CheckFixture, InvalidFreeReportedAndSwallowed) {
 // ---------------------------------------------------------------------------
 
 // All eight STAMP ports, under the checker with the allocator routed
-// through CheckedAllocator (run_stamp interposes it when a checker is
-// installed). Zombie reads are benign by construction and allowed; any hard
-// finding fails, with the reports printed for diagnosis.
+// through CheckedAllocator (run_stamp interposes it when the run spec turns
+// the checker on). Zombie reads are benign by construction and allowed; any
+// hard finding fails, with the reports printed for diagnosis.
 TEST_F(CheckFixture, StampAppsRunCheckClean) {
-  CheckConfig cc;
-  install(cc);
   for (const std::string& app : stamp::app_names()) {
-    reset();
     stamp::StampRun run;
     run.app = app;
     run.allocator = "glibc";
     run.threads = 2;
     run.scale = 0.25;
     run.cache_model = false;
+    run.check = CheckConfig{};
     const stamp::StampOutcome out = stamp::run_stamp(run);
     EXPECT_TRUE(out.result.verified) << app << ": " << out.result.detail;
-    if (hard_count() != 0) {
-      print_reports(stderr);
+    const Summary& found = *out.planes.check;
+    if (found.hard_count() != 0) {
+      print_reports(found, stderr);
     }
-    EXPECT_EQ(hard_count(), 0u) << app << " is not check-clean";
+    EXPECT_EQ(found.hard_count(), 0u) << app << " is not check-clean";
   }
 }
 
 TEST_F(CheckFixture, StructBenchesRunCheckClean) {
-  install(CheckConfig{});
   for (const harness::SetKind kind :
        {harness::SetKind::kList, harness::SetKind::kHashSet,
         harness::SetKind::kRbTree}) {
-    reset();
     harness::SetBenchConfig cfg;
     cfg.kind = kind;
     cfg.allocator = "glibc";
@@ -349,13 +352,15 @@ TEST_F(CheckFixture, StructBenchesRunCheckClean) {
     cfg.initial = 256;
     cfg.key_range = 512;
     cfg.ops_per_thread = 200;
+    cfg.check = CheckConfig{};
     const harness::SetBenchResult r = harness::run_set_bench(cfg);
     EXPECT_TRUE(r.size_consistent);
-    if (hard_count() != 0) {
-      print_reports(stderr);
+    const Summary& found = *r.planes.check;
+    if (found.hard_count() != 0) {
+      print_reports(found, stderr);
     }
-    EXPECT_EQ(hard_count(), 0u) << "set bench " << static_cast<int>(kind)
-                                << " is not check-clean";
+    EXPECT_EQ(found.hard_count(), 0u) << "set bench " << static_cast<int>(kind)
+                                      << " is not check-clean";
   }
 }
 
@@ -367,7 +372,7 @@ TEST_F(CheckFixture, StructBenchesRunCheckClean) {
 // the checker-OFF schedule bit-for-bit (cycles, commits, aborts). This is
 // the same configuration family as the golden determinism tests.
 TEST_F(CheckFixture, CheckerOnDoesNotPerturbVirtualTime) {
-  const auto run_once = [] {
+  const auto run_once = [](bool checked) {
     harness::SetBenchConfig cfg;
     cfg.kind = harness::SetKind::kList;
     cfg.allocator = "glibc";
@@ -377,13 +382,12 @@ TEST_F(CheckFixture, CheckerOnDoesNotPerturbVirtualTime) {
     cfg.key_range = 1024;
     cfg.ops_per_thread = 200;
     cfg.seed = 20150207;
+    if (checked) cfg.check = CheckConfig{};
     return harness::run_set_bench(cfg);
   };
-  const harness::SetBenchResult off = run_once();
-  install(CheckConfig{});
-  const harness::SetBenchResult on = run_once();
-  EXPECT_EQ(hard_count(), 0u);
-  clear();
+  const harness::SetBenchResult off = run_once(false);
+  const harness::SetBenchResult on = run_once(true);
+  EXPECT_EQ(on.planes.check->hard_count(), 0u);
 
   EXPECT_EQ(off.seconds, on.seconds);  // virtual cycles, exactly
   EXPECT_EQ(off.stats.commits, on.stats.commits);
@@ -392,13 +396,13 @@ TEST_F(CheckFixture, CheckerOnDoesNotPerturbVirtualTime) {
 }
 
 TEST_F(CheckFixture, MetricsPublishFindingCounters) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   CheckedAllocator ca(alloc::create_allocator("glibc"));
   void* p = ca.allocate(16);
   ca.deallocate(p);
   ca.deallocate(p);
   obs::MetricsRegistry reg;
-  publish_metrics(reg);
+  publish_metrics(summary(), reg);
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("check.double_frees"), std::string::npos);
   EXPECT_NE(json.find("check.races"), std::string::npos);
@@ -427,7 +431,7 @@ void capture_reloc(void* from, void* to, std::size_t, void* ctx) {
 // naked-origin block are vetoed — exactly the conservative gate
 // --phase-compact checked promises.
 TEST_F(CheckFixture, PhaseCompactionMovesOnlyProvenPrivateBlocks) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   phase::PhaseConfig pc;
   pc.commits_per_epoch = 1;
   pc.compact = phase::PhaseConfig::Compact::kChecked;
@@ -485,25 +489,25 @@ TEST_F(CheckFixture, PhaseCompactionMovesOnlyProvenPrivateBlocks) {
   allocator->deallocate(naked_blk);
   EXPECT_EQ(pa->live_bytes(), 0u);
 
-  ASSERT_EQ(count(ReportKind::kUseAfterFree), 1u);
-  EXPECT_EQ(hard_count(), 1u);
+  ASSERT_EQ(summary().count(ReportKind::kUseAfterFree), 1u);
+  EXPECT_EQ(summary().hard_count(), 1u);
   bool saw_uaf = false;
-  for (const Report& r : reports()) {
+  for (const Report& r : summary().reports) {
     if (r.kind != ReportKind::kUseAfterFree) continue;
     saw_uaf = true;
     EXPECT_EQ(r.site, "stale-read");
     EXPECT_EQ(r.other_site, "phase-compaction");
   }
   EXPECT_TRUE(saw_uaf);
-  EXPECT_EQ(count(ReportKind::kInvalidFree), 0u);
-  EXPECT_EQ(count(ReportKind::kDoubleFree), 0u);
-  EXPECT_EQ(count(ReportKind::kTxLeak), 0u);
+  EXPECT_EQ(summary().count(ReportKind::kInvalidFree), 0u);
+  EXPECT_EQ(summary().count(ReportKind::kDoubleFree), 0u);
+  EXPECT_EQ(summary().count(ReportKind::kTxLeak), 0u);
 }
 
 // An in-flight reader pins its begin-epoch: maintenance during the window
 // must neither reclaim nor relocate anything the reader could still touch.
 TEST_F(CheckFixture, InflightTransactionBlocksCompactionOfItsEpoch) {
-  install(CheckConfig{});
+  open_run(CheckConfig{});
   phase::PhaseConfig pc;
   pc.commits_per_epoch = 1;
   pc.compact = phase::PhaseConfig::Compact::kChecked;
@@ -530,7 +534,7 @@ TEST_F(CheckFixture, InflightTransactionBlocksCompactionOfItsEpoch) {
   allocator->deallocate(q);
   pa->force_quiesce();
   EXPECT_GE(pa->stats().phases_reclaimed, 1u);
-  EXPECT_EQ(hard_count(), 0u);
+  EXPECT_EQ(summary().hard_count(), 0u);
 }
 
 }  // namespace

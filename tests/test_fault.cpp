@@ -1,18 +1,20 @@
 // tmx::fault — deterministic injection, graceful degradation, and the
 // serial-irrevocable escalation path.
 //
-// Every test installs its own FaultPlan and clears it on teardown, so the
-// rest of the suite (and the golden determinism constants) runs with the
-// plane idle.
+// Every test opens its own FaultPlan on a run context that closes on
+// teardown, so the rest of the suite (and the golden determinism
+// constants) runs with the plane idle.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "alloc/instrument.hpp"
 #include "core/stm.hpp"
 #include "fault/fault.hpp"
 #include "fault/fault_alloc.hpp"
+#include "harness/run_context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "replay/recorder.hpp"
@@ -23,11 +25,15 @@ namespace tmx::fault {
 namespace {
 
 struct FaultFixture : ::testing::Test {
-  void TearDown() override { clear(); }
+  // Opens `plan` on a fresh run context, closing the previous one.
+  void open_run(const FaultPlan& plan) {
+    run_.emplace(harness::RunSpec{.fault = plan});
+  }
+  std::optional<harness::RunContext> run_;
 };
 
 // The decision stream is a pure function of (seed, site, tid, counter):
-// reinstalling the same plan replays the identical accept/reject pattern.
+// reopening the same plan replays the identical accept/reject pattern.
 TEST_F(FaultFixture, DecisionStreamIsSeedDeterministic) {
   FaultPlan plan;
   plan.oom_rate = 0.3;
@@ -40,14 +46,14 @@ TEST_F(FaultFixture, DecisionStreamIsSeedDeterministic) {
     return out;
   };
 
-  install(plan);
+  open_run(plan);
   const std::vector<bool> first = draw(256);
-  install(plan);
+  open_run(plan);
   const std::vector<bool> second = draw(256);
   EXPECT_EQ(first, second);
 
   plan.seed += 1;
-  install(plan);
+  open_run(plan);
   const std::vector<bool> other = draw(256);
   EXPECT_NE(first, other);
 
@@ -71,7 +77,7 @@ TEST_F(FaultFixture, DisabledPlaneInjectsNothing) {
 TEST_F(FaultFixture, OomRegionFilterRestrictsToTransactions) {
   FaultPlan plan;
   plan.oom_rate = 1.0;  // every eligible allocation fails
-  install(plan);
+  open_run(plan);
   FaultyAllocator fa(alloc::create_allocator("tcmalloc"));
 
   // Outside Region::Tx the default plan never fires.
@@ -91,7 +97,7 @@ TEST_F(FaultFixture, OomBudgetBoundsInjections) {
   plan.oom_rate = 1.0;
   plan.oom_everywhere = true;
   plan.oom_budget = 3;
-  install(plan);
+  open_run(plan);
   FaultyAllocator fa(alloc::create_allocator("tcmalloc"));
 
   int nulls = 0;
@@ -111,7 +117,7 @@ TEST_F(FaultFixture, DelayedFreeParksUntilVirtualDeadline) {
   FaultPlan plan;
   plan.delay_free_rate = 1.0;
   plan.delay_free_cycles = 500;
-  install(plan);
+  open_run(plan);
 
   auto inner = std::make_unique<alloc::InstrumentingAllocator>(
       alloc::create_allocator("tcmalloc"));
@@ -152,7 +158,7 @@ TEST_F(FaultFixture, TxOomAbortsAndRetries) {
   FaultPlan plan;
   plan.oom_rate = 1.0;
   plan.oom_budget = 2;
-  install(plan);
+  open_run(plan);
 
   auto allocator = std::make_unique<FaultyAllocator>(
       alloc::create_allocator("tcmalloc"));
@@ -179,7 +185,7 @@ TEST_F(FaultFixture, TxOomAbortsAndRetries) {
 TEST_F(FaultFixture, RetryCapEscalatesToIrrevocable) {
   FaultPlan plan;
   plan.oom_rate = 1.0;
-  install(plan);
+  open_run(plan);
 
   auto allocator = std::make_unique<FaultyAllocator>(
       alloc::create_allocator("tcmalloc"));
@@ -212,7 +218,7 @@ TEST_F(FaultFixture, SpuriousAbortInjection) {
   FaultPlan plan;
   plan.spurious_abort_rate = 1.0;
   plan.oom_rate = 0.0;
-  install(plan);
+  open_run(plan);
 
   auto allocator = std::make_unique<FaultyAllocator>(
       alloc::create_allocator("tcmalloc"));
@@ -233,7 +239,7 @@ TEST_F(FaultFixture, SpuriousAbortInjection) {
 TEST_F(FaultFixture, ReserveCapExhaustsProvider) {
   FaultPlan plan;
   plan.reserve_cap_bytes = 8 << 20;  // a few chunks, then hard exhaustion
-  install(plan);
+  open_run(plan);
 
   FaultyAllocator fa(alloc::create_allocator("tbb"));
   alloc::RegionScope tx(alloc::Region::Tx);
@@ -259,10 +265,10 @@ TEST_F(FaultFixture, FaultScheduleSurvivesRecordReplay) {
   if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   FaultPlan plan;
   plan.oom_rate = 0.2;
-  install(plan);
+  open_run(plan);
 
   auto run_once = [&](replay::Trace* trace_out) {
-    install(plan);  // reset streams and counters
+    open_run(plan);  // fresh streams and counters
     auto allocator = std::make_unique<alloc::InstrumentingAllocator>(
         std::make_unique<FaultyAllocator>(alloc::create_allocator("tbb")));
     stm::Config cfg;
@@ -317,7 +323,7 @@ TEST_F(FaultFixture, FaultScheduleSurvivesRecordReplay) {
 
   // The capture carries the injected OOMs; replay reports them and is
   // itself reproducible.
-  clear();
+  run_.reset();
   replay::ReplayConfig rcfg;
   rcfg.allocator = "tbb";
   rcfg.cache_model = false;
@@ -337,11 +343,11 @@ TEST_F(FaultFixture, PublishMetricsEmitsActiveSitesOnly) {
   FaultPlan plan;
   plan.oom_rate = 1.0;
   plan.oom_everywhere = true;
-  install(plan);
+  open_run(plan);
   (void)should_fail_alloc();
 
   obs::MetricsRegistry reg;
-  publish_metrics(reg);
+  publish_metrics(stats(), reg);
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("fault.oom.decisions"), std::string::npos);
   EXPECT_NE(json.find("fault.oom.injected"), std::string::npos);
@@ -373,7 +379,7 @@ TEST(FaultWatchdog, TxBudgetBreachExitsNonzero) {
       {
         FaultPlan plan;
         plan.oom_rate = 1.0;  // unbounded storm, no escalation configured
-        install(plan);
+        const harness::RunContext run({.fault = plan});
         auto allocator = std::make_unique<FaultyAllocator>(
             alloc::create_allocator("tcmalloc"));
         stm::Config cfg;

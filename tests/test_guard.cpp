@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "alloc/allocator.hpp"
@@ -17,6 +18,7 @@
 #include "fault/fault.hpp"
 #include "guard/guard.hpp"
 #include "guard/guard_alloc.hpp"
+#include "harness/run_context.hpp"
 #include "harness/setbench.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
@@ -25,10 +27,13 @@ namespace tmx::guard {
 namespace {
 
 struct GuardFixture : ::testing::Test {
-  void TearDown() override {
-    clear();
-    fault::clear();
+  // Opens the guard (and a fault plan, if any) on a fresh run context that
+  // closes on teardown.
+  void open_run(const GuardConfig& cfg,
+                const std::optional<fault::FaultPlan>& plan = {}) {
+    run_.emplace(harness::RunSpec{.fault = plan, .guard = cfg});
   }
+  std::optional<harness::RunContext> run_;
 
   // Guard over the glibc model: the only registered model with in-band
   // boundary tags (tag_offset 7 / tag_bytes 7), so every finding kind is
@@ -44,11 +49,10 @@ struct GuardFixture : ::testing::Test {
 TEST_F(GuardFixture, TagScribbleDetectedAtFreeAndAttributed) {
   GuardConfig cfg;
   cfg.quarantine_epochs = 0;  // detection is independent of quarantine
-  install(cfg);
   fault::FaultPlan plan;
   plan.corrupt_tag_rate = 1.0;
   plan.corrupt_budget = 1;
-  fault::install(plan);
+  open_run(cfg, plan);
 
   auto ga = make_glibc();
   void* p = nullptr;
@@ -62,32 +66,31 @@ TEST_F(GuardFixture, TagScribbleDetectedAtFreeAndAttributed) {
     ga->deallocate(p);
   }
 
-  EXPECT_EQ(count(FindingKind::kTagSmash), 1u);
-  EXPECT_EQ(corruptions(), 1u);
+  EXPECT_EQ(summary().count(FindingKind::kTagSmash), 1u);
+  EXPECT_EQ(summary().corruptions(), 1u);
   EXPECT_EQ(
       fault::stats().injected[static_cast<int>(fault::Site::kCorruptTag)],
       1u);
-  ASSERT_EQ(findings().size(), 1u);
-  EXPECT_EQ(findings()[0].alloc_site, "test;alloc");
-  EXPECT_EQ(findings()[0].site, "test;free");
+  ASSERT_EQ(summary().findings.size(), 1u);
+  EXPECT_EQ(summary().findings[0].alloc_site, "test;alloc");
+  EXPECT_EQ(summary().findings[0].site, "test;free");
   // Containment: the corrupted block was withheld from the model.
-  EXPECT_EQ(stats().leaked, 1u);
+  EXPECT_EQ(summary().stats.leaked, 1u);
 
   // The budget is spent: a second block round-trips cleanly.
   void* q = ga->allocate(40);
   ASSERT_NE(q, nullptr);
   ga->deallocate(q);
-  EXPECT_EQ(corruptions(), 1u);
+  EXPECT_EQ(summary().corruptions(), 1u);
 }
 
 TEST_F(GuardFixture, OverflowDetectedViaCanary) {
   GuardConfig cfg;
   cfg.quarantine_epochs = 0;
-  install(cfg);
   fault::FaultPlan plan;
   plan.corrupt_overflow_rate = 1.0;
   plan.corrupt_budget = 1;
-  fault::install(plan);
+  open_run(cfg, plan);
 
   auto ga = make_glibc();
   // 20 requested < glibc's rounded usable size, so slack exists and the
@@ -104,26 +107,25 @@ TEST_F(GuardFixture, OverflowDetectedViaCanary) {
 
   // The audit walk catches the smash while the block is still live...
   ga->audit();
-  EXPECT_EQ(count(FindingKind::kCanarySmash), 1u);
-  ASSERT_EQ(findings().size(), 1u);
-  EXPECT_EQ(findings()[0].alloc_site, "test;overflow");
-  EXPECT_EQ(findings()[0].site, "audit");
-  EXPECT_EQ(findings()[0].requested, 20u);
+  EXPECT_EQ(summary().count(FindingKind::kCanarySmash), 1u);
+  ASSERT_EQ(summary().findings.size(), 1u);
+  EXPECT_EQ(summary().findings[0].alloc_site, "test;overflow");
+  EXPECT_EQ(summary().findings[0].site, "audit");
+  EXPECT_EQ(summary().findings[0].requested, 20u);
 
   // ...and the eventual free dedups (still one finding) and leaks.
   ga->deallocate(p);
-  EXPECT_EQ(count(FindingKind::kCanarySmash), 1u);
-  EXPECT_EQ(stats().leaked, 1u);
+  EXPECT_EQ(summary().count(FindingKind::kCanarySmash), 1u);
+  EXPECT_EQ(summary().stats.leaked, 1u);
 }
 
 TEST_F(GuardFixture, EarlyReuseDetectedAtQuarantineRelease) {
   GuardConfig cfg;
   cfg.quarantine_epochs = 1;
-  install(cfg);
   fault::FaultPlan plan;
   plan.corrupt_reuse_rate = 1.0;
   plan.corrupt_budget = 1;
-  fault::install(plan);
+  open_run(cfg, plan);
 
   auto ga = make_glibc();
   void* p = nullptr;
@@ -137,30 +139,30 @@ TEST_F(GuardFixture, EarlyReuseDetectedAtQuarantineRelease) {
   EXPECT_EQ(
       fault::stats().injected[static_cast<int>(fault::Site::kCorruptReuse)],
       1u);
-  EXPECT_EQ(corruptions(), 0u);  // not yet: caught at release
+  EXPECT_EQ(summary().corruptions(), 0u);  // not yet: caught at release
 
   ga->on_quiescence(false);  // proven quiescent: drain + audit
   EXPECT_EQ(ga->quarantine_blocks(), 0u);
-  EXPECT_EQ(count(FindingKind::kPoisonWrite), 1u);
-  ASSERT_EQ(findings().size(), 1u);
-  EXPECT_EQ(findings()[0].alloc_site, "test;reuse");
+  EXPECT_EQ(summary().count(FindingKind::kPoisonWrite), 1u);
+  ASSERT_EQ(summary().findings.size(), 1u);
+  EXPECT_EQ(summary().findings[0].alloc_site, "test;reuse");
 }
 
 TEST_F(GuardFixture, DoubleFreeAndInvalidFreeSwallowed) {
   GuardConfig cfg;
   cfg.quarantine_epochs = 1;
-  install(cfg);
+  open_run(cfg);
 
   auto ga = make_glibc();
   void* p = ga->allocate(32);
   ASSERT_NE(p, nullptr);
   ga->deallocate(p);           // parked
   ga->deallocate(p);           // double free of a quarantined block
-  EXPECT_EQ(count(FindingKind::kDoubleFree), 1u);
+  EXPECT_EQ(summary().count(FindingKind::kDoubleFree), 1u);
 
   std::uint64_t on_stack = 0;
   ga->deallocate(&on_stack);   // never allocated: swallowed, not forwarded
-  EXPECT_EQ(count(FindingKind::kInvalidFree), 1u);
+  EXPECT_EQ(summary().count(FindingKind::kInvalidFree), 1u);
 
   ga->on_quiescence(false);
   EXPECT_EQ(ga->quarantine_blocks(), 0u);
@@ -169,7 +171,7 @@ TEST_F(GuardFixture, DoubleFreeAndInvalidFreeSwallowed) {
 TEST_F(GuardFixture, UsableSizeReportsRequestedNotSlack) {
   GuardConfig cfg;
   cfg.quarantine_epochs = 0;
-  install(cfg);
+  open_run(cfg);
   auto ga = make_glibc();
   void* p = ga->allocate(20);
   ASSERT_NE(p, nullptr);
@@ -177,7 +179,7 @@ TEST_F(GuardFixture, UsableSizeReportsRequestedNotSlack) {
   // The model granted more.
   EXPECT_GE(ga->inner_allocator()->usable_size(p), 24u);
   ga->deallocate(p);
-  EXPECT_EQ(corruptions(), 0u);
+  EXPECT_EQ(summary().corruptions(), 0u);
 }
 
 // ---- Negative control: zombie reads of quarantined memory are benign ----
@@ -185,7 +187,7 @@ TEST_F(GuardFixture, UsableSizeReportsRequestedNotSlack) {
 TEST_F(GuardFixture, ZombieReadOfQuarantinedMemoryRaisesNoFinding) {
   GuardConfig cfg;
   cfg.quarantine_epochs = 1;
-  install(cfg);
+  open_run(cfg);
 
   auto ga = make_glibc();
   void* p = ga->allocate(128);
@@ -203,8 +205,8 @@ TEST_F(GuardFixture, ZombieReadOfQuarantinedMemoryRaisesNoFinding) {
 
   ga->on_quiescence(false);
   EXPECT_EQ(ga->quarantine_blocks(), 0u);
-  EXPECT_EQ(corruptions(), 0u);
-  EXPECT_EQ(stats().released, 1u);
+  EXPECT_EQ(summary().corruptions(), 0u);
+  EXPECT_EQ(summary().stats.released, 1u);
 
   // The same scenario with a *write* is exactly one poison-write finding.
   void* q = ga->allocate(128);
@@ -212,8 +214,8 @@ TEST_F(GuardFixture, ZombieReadOfQuarantinedMemoryRaisesNoFinding) {
   ga->deallocate(q);
   static_cast<unsigned char*>(q)[17] = 0x00;  // use-after-free store
   ga->on_quiescence(false);
-  EXPECT_EQ(count(FindingKind::kPoisonWrite), 1u);
-  EXPECT_EQ(corruptions(), 1u);
+  EXPECT_EQ(summary().count(FindingKind::kPoisonWrite), 1u);
+  EXPECT_EQ(summary().corruptions(), 1u);
 }
 
 // ---- Quarantine drains fully at Stm::maintenance_quiescence ----
@@ -222,7 +224,7 @@ TEST_F(GuardFixture, QuarantineDrainsAtMaintenanceQuiescence) {
   GuardConfig cfg;
   cfg.quarantine_epochs = 4;          // far from aging out on its own
   cfg.commits_per_epoch = 1u << 30;   // commit-driven epochs effectively off
-  install(cfg);
+  open_run(cfg);
 
   auto ga = make_glibc();
   GuardedAllocator* gap = ga.get();
@@ -246,9 +248,9 @@ TEST_F(GuardFixture, QuarantineDrainsAtMaintenanceQuiescence) {
 
   stm.maintenance_quiescence();  // proven quiescent: full drain + audit
   EXPECT_EQ(gap->quarantine_blocks(), 0u);
-  EXPECT_EQ(corruptions(), 0u);
-  EXPECT_GT(stats().released, 0u);
-  EXPECT_GT(stats().audits, 0u);
+  EXPECT_EQ(summary().corruptions(), 0u);
+  EXPECT_GT(summary().stats.released, 0u);
+  EXPECT_GT(summary().stats.audits, 0u);
 }
 
 // ---- Zero-perturbation contract: guard-on reproduces the golden
@@ -269,11 +271,13 @@ std::ostream& operator<<(std::ostream& os, const Outcome& o) {
 }
 
 // Identical configuration to test_determinism's run_golden: same seed, same
-// shape, cache model off.
-Outcome run_golden(harness::SetKind kind, const std::string& alloc) {
+// shape, cache model off — plus the guard, whose summary lands in `found`.
+Outcome run_golden(harness::SetKind kind, const std::string& alloc,
+                   const GuardConfig& guard, Summary* found) {
   harness::SetBenchConfig cfg;
   cfg.kind = kind;
   cfg.allocator = alloc;
+  cfg.guard = guard;
   cfg.threads = 4;
   cfg.cache_model = false;
   cfg.initial = 512;
@@ -282,6 +286,7 @@ Outcome run_golden(harness::SetKind kind, const std::string& alloc) {
   cfg.seed = 20150207;
   const harness::SetBenchResult r = harness::run_set_bench(cfg);
   EXPECT_TRUE(r.size_consistent);
+  *found = *r.planes.guard;
   Outcome o;
   o.cycles = static_cast<std::uint64_t>(std::llround(r.seconds * 2.0e9));
   o.commits = r.stats.commits;
@@ -292,26 +297,30 @@ Outcome run_golden(harness::SetKind kind, const std::string& alloc) {
 TEST_F(GuardFixture, DetectOnlyGuardReproducesGoldenConstants) {
   GuardConfig cfg;
   cfg.quarantine_epochs = 0;  // detect-only: placement-neutral by contract
-  install(cfg);
+  const auto run_golden_guarded = [&](harness::SetKind kind,
+                                      const std::string& alloc) {
+    Summary found;
+    const Outcome o = run_golden(kind, alloc, cfg, &found);
+    // The guard genuinely ran: the run verified its frees.
+    EXPECT_GT(found.stats.blocks_guarded, 0u);
+    EXPECT_GT(found.stats.frees_verified, 0u);
+    EXPECT_EQ(found.corruptions(), 0u);
+    return o;
+  };
 
   // The exact constants test_determinism pins for guard-OFF runs.
-  EXPECT_EQ(run_golden(harness::SetKind::kList, "glibc"),
+  EXPECT_EQ(run_golden_guarded(harness::SetKind::kList, "glibc"),
             (Outcome{1764310, 800, 131}));
-  EXPECT_EQ(run_golden(harness::SetKind::kList, "hoard"),
+  EXPECT_EQ(run_golden_guarded(harness::SetKind::kList, "hoard"),
             (Outcome{2214571, 800, 297}));
-  EXPECT_EQ(run_golden(harness::SetKind::kList, "tbb"),
+  EXPECT_EQ(run_golden_guarded(harness::SetKind::kList, "tbb"),
             (Outcome{2175833, 800, 270}));
-  EXPECT_EQ(run_golden(harness::SetKind::kList, "tcmalloc"),
+  EXPECT_EQ(run_golden_guarded(harness::SetKind::kList, "tcmalloc"),
             (Outcome{2185014, 800, 296}));
-  EXPECT_EQ(run_golden(harness::SetKind::kHashSet, "glibc"),
+  EXPECT_EQ(run_golden_guarded(harness::SetKind::kHashSet, "glibc"),
             (Outcome{23150, 800, 47}));
-  EXPECT_EQ(run_golden(harness::SetKind::kRbTree, "glibc"),
+  EXPECT_EQ(run_golden_guarded(harness::SetKind::kRbTree, "glibc"),
             (Outcome{84668, 800, 80}));
-
-  // The guard genuinely ran: every one of those runs verified its frees.
-  EXPECT_GT(stats().blocks_guarded, 0u);
-  EXPECT_GT(stats().frees_verified, 0u);
-  EXPECT_EQ(corruptions(), 0u);
 }
 
 // Quarantine mode perturbs placement (deferred frees change reuse), so it
@@ -320,13 +329,13 @@ TEST_F(GuardFixture, QuarantineModeIsSelfReproducible) {
   GuardConfig cfg;
   cfg.quarantine_epochs = 1;
   cfg.commits_per_epoch = 64;
-  install(cfg);
 
-  const Outcome a = run_golden(harness::SetKind::kList, "glibc");
-  const Outcome b = run_golden(harness::SetKind::kList, "glibc");
+  Summary found_a, found_b;
+  const Outcome a = run_golden(harness::SetKind::kList, "glibc", cfg, &found_a);
+  const Outcome b = run_golden(harness::SetKind::kList, "glibc", cfg, &found_b);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.commits, 800u);
-  EXPECT_EQ(corruptions(), 0u);
+  EXPECT_EQ(found_a.corruptions() + found_b.corruptions(), 0u);
 }
 
 // ---- Metrics plumbing ----
@@ -334,14 +343,14 @@ TEST_F(GuardFixture, QuarantineModeIsSelfReproducible) {
 TEST_F(GuardFixture, PublishMetricsEmitsGuardCounters) {
   GuardConfig cfg;
   cfg.quarantine_epochs = 1;
-  install(cfg);
+  open_run(cfg);
   auto ga = make_glibc();
   void* p = ga->allocate(32);
   ga->deallocate(p);
   ga->on_quiescence(false);
 
   obs::MetricsRegistry reg;
-  publish_metrics(reg);
+  publish_metrics(summary(), reg);
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("guard.findings"), std::string::npos);
   EXPECT_NE(json.find("guard.blocks_guarded"), std::string::npos);
@@ -360,7 +369,7 @@ TEST(GuardWatchdog, EscalatedTransactionStillTripsTxBudget) {
       {
         fault::FaultPlan plan;
         plan.spurious_abort_rate = 1.0;  // aborts until the cap escalates
-        fault::install(plan);
+        const harness::RunContext run({.fault = plan});
         sim::install_watchdog_flush(
             [] { std::fprintf(stderr, "obs-flushed\n"); });
         auto allocator = alloc::create_allocator("tcmalloc");

@@ -8,6 +8,7 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <typeinfo>
 #include <vector>
 
@@ -18,13 +19,14 @@
 #include "fault/fault_alloc.hpp"
 #include "guard/guard.hpp"
 #include "guard/guard_alloc.hpp"
-#include "harness/alloc_stack.hpp"
 #include "harness/options.hpp"
+#include "harness/run_context.hpp"
 #include "harness/server_mix.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
 #include "prof/prof.hpp"
 #include "prof/prof_alloc.hpp"
+#include "stamp/app.hpp"
 
 namespace tmx::harness {
 namespace {
@@ -166,7 +168,11 @@ TEST(Options, RunSpecParsesEverySharedFlag) {
       "1",              "--hybrid",         "1",
       "--stm-retry-cap", "9",               "--watchdog-tx-cycles",
       "1234",           "--watchdog-run-cycles", "5678",
-      "--prof",         "--prof-sample-cycles", "777"};
+      "--prof",         "--prof-sample-cycles", "777",
+      "--fault-seed",   "11",               "--fault-oom-rate",
+      "0.25",           "--check",          "lifetime",
+      "--guard-quarantine-epochs", "0",     "--phase-compact",
+      "all",            "--phase-slab-bytes", "32768"};
   const Options o(static_cast<int>(std::size(argv)),
                   const_cast<char**>(argv));
   const RunSpec s = o.run_spec();
@@ -189,6 +195,17 @@ TEST(Options, RunSpecParsesEverySharedFlag) {
   EXPECT_EQ(s.watchdog_cycles, 5678u);
   EXPECT_TRUE(s.prof);
   EXPECT_EQ(s.prof_sample_cycles, 777u);
+  ASSERT_TRUE(s.fault);
+  EXPECT_EQ(s.fault->seed, 11u);
+  EXPECT_EQ(s.fault->oom_rate, 0.25);
+  ASSERT_TRUE(s.check);
+  EXPECT_FALSE(s.check->race);
+  EXPECT_TRUE(s.check->lifetime);
+  EXPECT_EQ(s.check->shift, 4u);  // stripes line up with the checked run
+  ASSERT_TRUE(s.guard);
+  EXPECT_EQ(s.guard->quarantine_epochs, 0u);
+  EXPECT_EQ(s.phase.compact, phase::PhaseConfig::Compact::kAll);
+  EXPECT_EQ(s.phase.slab_bytes, 32768u);
 
   const auto backing = alloc::create_allocator("system");
   const stm::Config c = s.stm_config(backing.get());
@@ -224,6 +241,10 @@ TEST(Options, RunSpecWithoutFlagsKeepsTheDefaults) {
   EXPECT_EQ(s.prof_sample_cycles, RunSpec{}.prof_sample_cycles);
   EXPECT_TRUE(s.cache_model);
   EXPECT_FALSE(s.prof);
+  EXPECT_FALSE(s.fault);
+  EXPECT_FALSE(s.check);
+  EXPECT_FALSE(s.guard);
+  EXPECT_EQ(s.phase.compact, phase::PhaseConfig::Compact::kOff);
 }
 
 // Escalation is the liveness guarantee under injected faults, so the retry
@@ -245,30 +266,28 @@ TEST(OptionsDeathTest, UnknownDesignExits2) {
 
 // The check and guard refusals shared by stamp_runner and server_mix.
 TEST(Options, PlanesCompatibleRefusesWhatThePlanesCannotSee) {
-  const char* check[] = {"prog", "--check"};
-  const char* guard[] = {"prog", "--guard"};
-  const char* compact[] = {"prog", "--guard", "--phase-compact", "checked"};
-  const Options c(2, const_cast<char**>(check));
-  const Options g(2, const_cast<char**>(guard));
-  const Options gc(4, const_cast<char**>(compact));
-  const RunSpec plain;
-  EXPECT_TRUE(planes_compatible(c, plain));
-  EXPECT_TRUE(planes_compatible(g, plain));
-  EXPECT_FALSE(planes_compatible(gc, plain));
-  for (const Options* o : {&c, &g}) {
-    RunSpec threads;
+  const RunSpec c{.check = check::CheckConfig{}};
+  const RunSpec g{.guard = guard::GuardConfig{}};
+  RunSpec gc = g;
+  gc.phase.compact = phase::PhaseConfig::Compact::kChecked;
+  EXPECT_TRUE(planes_compatible(c));
+  EXPECT_TRUE(planes_compatible(g));
+  EXPECT_FALSE(planes_compatible(gc));
+  for (const RunSpec* o : {&c, &g}) {
+    RunSpec threads = *o;
     threads.engine = sim::EngineKind::Threads;
-    EXPECT_FALSE(planes_compatible(*o, threads));
-    RunSpec txcache;
+    EXPECT_FALSE(planes_compatible(threads));
+    RunSpec txcache = *o;
     txcache.tx_alloc_cache = true;
-    EXPECT_FALSE(planes_compatible(*o, txcache));
+    EXPECT_FALSE(planes_compatible(txcache));
   }
-  RunSpec hybrid;
-  hybrid.htm_enabled = true;
-  EXPECT_FALSE(planes_compatible(c, hybrid));
-  EXPECT_TRUE(planes_compatible(g, hybrid));
-  const char* none[] = {"prog"};
-  EXPECT_TRUE(planes_compatible(Options(1, const_cast<char**>(none)), hybrid));
+  RunSpec hybrid_c = c;
+  hybrid_c.htm_enabled = true;
+  EXPECT_FALSE(planes_compatible(hybrid_c));
+  RunSpec hybrid_g = g;
+  hybrid_g.htm_enabled = true;
+  EXPECT_TRUE(planes_compatible(hybrid_g));
+  EXPECT_TRUE(planes_compatible({.htm_enabled = true}));
 }
 
 // server_mix runs on its whole spec: fields it used to drop (here the NUMA
@@ -311,51 +330,110 @@ TEST(Table, CsvRoundTrip) {
 // ---- Allocator stack ----
 
 TEST(AllocStack, NoPlaneOnReturnsTheBareModel) {
-  const auto a = build_allocator_stack({.allocator = "tcmalloc"}, 1, false);
-  EXPECT_EQ(a->inner_allocator(), nullptr);
-  EXPECT_EQ(a->traits().name, "tcmalloc");
+  RunContext run({.allocator = "tcmalloc"});
+  alloc::Allocator& a = run.allocator(false);
+  EXPECT_EQ(a.inner_allocator(), nullptr);
+  EXPECT_EQ(a.traits().name, "tcmalloc");
 }
 
-// The wrap-order contract of harness/alloc_stack.hpp, outermost first.
+// The wrap-order contract of harness/run_context.hpp, outermost first.
 TEST(AllocStack, EveryPlaneOnWrapsInContractOrder) {
-  check::install(check::CheckConfig{});
-  guard::install(guard::GuardConfig{});
-  fault::install(fault::FaultPlan{});
-  {
-    // Harnesses pass obs::trace_enabled() as `instrument`.
-    const auto a =
-        build_allocator_stack({.allocator = "glibc", .prof = true}, 1, true);
-    std::vector<std::string> layers;
-    alloc::Allocator* layer = a.get();
-    for (; layer->inner_allocator() != nullptr;
-         layer = layer->inner_allocator()) {
-      layers.emplace_back(typeid(*layer).name());
-    }
-    const std::vector<std::string> expected = {
-        typeid(prof::ProfilingAllocator).name(),
-        typeid(alloc::InstrumentingAllocator).name(),
-        typeid(fault::FaultyAllocator).name(),
-        typeid(guard::GuardedAllocator).name(),
-        typeid(check::CheckedAllocator).name()};
-    EXPECT_EQ(layers, expected);
-    EXPECT_EQ(layer->traits().name, "glibc");
-    EXPECT_EQ(alloc::find_layer<guard::GuardedAllocator>(a.get()),
-              a->inner_allocator()->inner_allocator()->inner_allocator());
+  RunContext run({.allocator = "glibc",
+                  .fault = fault::FaultPlan{},
+                  .check = check::CheckConfig{},
+                  .guard = guard::GuardConfig{},
+                  .prof = true});
+  // Harnesses pass obs::trace_enabled() as `instrument`.
+  alloc::Allocator* const a = &run.allocator(true);
+  std::vector<std::string> layers;
+  alloc::Allocator* layer = a;
+  for (; layer->inner_allocator() != nullptr;
+       layer = layer->inner_allocator()) {
+    layers.emplace_back(typeid(*layer).name());
   }
-  prof::uninstall();
-  fault::clear();
-  guard::clear();
-  check::clear();
+  const std::vector<std::string> expected = {
+      typeid(prof::ProfilingAllocator).name(),
+      typeid(alloc::InstrumentingAllocator).name(),
+      typeid(fault::FaultyAllocator).name(),
+      typeid(guard::GuardedAllocator).name(),
+      typeid(check::CheckedAllocator).name()};
+  EXPECT_EQ(layers, expected);
+  EXPECT_EQ(layer->traits().name, "glibc");
+  EXPECT_EQ(alloc::find_layer<guard::GuardedAllocator>(a),
+            a->inner_allocator()->inner_allocator()->inner_allocator());
 }
 
-// Every harness gets the NUMA policy it asks for, not one a previous run in
-// the same process left as the default.
-TEST(AllocStack, DefaultNumaOptionsReplaceAStaleDefault) {
-  alloc::set_default_numa({alloc::NumaOptions::Policy::kInterleave});
-  const auto a = build_allocator_stack({.allocator = "glibc"}, 1, false);
-  ASSERT_NE(a->page_provider(), nullptr);
-  EXPECT_EQ(a->page_provider()->numa().policy,
-            alloc::NumaOptions::Policy::kFirstTouch);
+// ---- Run context ----
+
+// Every run gets the NUMA policy its own spec asks for, not the one an
+// enclosing (or earlier) run opened with.
+TEST(RunContext, EachRunGetsItsOwnNumaPolicy) {
+  const RunContext outer({.numa = {alloc::NumaOptions::Policy::kInterleave}});
+  RunContext run({.allocator = "glibc"});
+  const alloc::PageProvider* pages = run.allocator(false).page_provider();
+  ASSERT_NE(pages, nullptr);
+  EXPECT_EQ(pages->numa().policy, alloc::NumaOptions::Policy::kFirstTouch);
+}
+
+// Two different seeded runs on two host threads at once get exactly the
+// results they get one after the other: the run contexts share no plane,
+// NUMA registry or per-thread marker. Run A injects faults, run B checks on
+// a sharded two-node machine; both keep the cache model off, whose set
+// indices still depend on host addresses.
+TEST(RunContext, TwoRunsOnTwoHostThreadsMatchSequential) {
+  stamp::StampRun a;
+  a.app = "vacation";
+  a.allocator = "tcmalloc";
+  a.threads = 4;
+  a.scale = 0.2;
+  a.cache_model = false;
+  a.fault = fault::FaultPlan{};
+  a.fault->spurious_abort_rate = 0.02;
+  a.fault->delay_free_rate = 0.05;
+
+  ServerMixConfig b;
+  b.allocator = "tbb";
+  b.cache_model = false;
+  b.check = check::CheckConfig{};
+  b.topology.nodes = 2;
+  b.numa.policy = alloc::NumaOptions::Policy::kInterleave;
+  b.ort_shards = 2;
+
+  stamp::StampOutcome par_a;
+  ServerMixResult par_b;
+  std::thread ta([&] { par_a = stamp::run_stamp(a); });
+  std::thread tb([&] { par_b = run_server_mix(b); });
+  ta.join();
+  tb.join();
+  const stamp::StampOutcome seq_a = stamp::run_stamp(a);
+  const ServerMixResult seq_b = run_server_mix(b);
+
+  EXPECT_TRUE(seq_a.result.verified) << seq_a.result.detail;
+  EXPECT_EQ(par_a.result.seconds, seq_a.result.seconds);
+  EXPECT_EQ(par_a.result.stats, seq_a.result.stats);
+  EXPECT_EQ(par_a.result.cache, seq_a.result.cache);
+  EXPECT_EQ(par_a.result.verified, seq_a.result.verified);
+  EXPECT_EQ(par_a.result.detail, seq_a.result.detail);
+  EXPECT_EQ(par_a.planes, seq_a.planes);
+  ASSERT_TRUE(seq_a.planes.fault);
+  EXPECT_GT(seq_a.planes.fault->injected[static_cast<int>(
+                fault::Site::kSpurious)],
+            0u);
+  EXPECT_FALSE(seq_a.planes.check);
+
+  EXPECT_EQ(par_b.seconds, seq_b.seconds);
+  EXPECT_EQ(par_b.cycles, seq_b.cycles);
+  EXPECT_EQ(par_b.requests, seq_b.requests);
+  EXPECT_EQ(par_b.latency, seq_b.latency);
+  EXPECT_EQ(par_b.stats, seq_b.stats);
+  EXPECT_EQ(par_b.handoffs, seq_b.handoffs);
+  EXPECT_EQ(par_b.live_bytes_end, seq_b.live_bytes_end);
+  EXPECT_EQ(par_b.reserved_bytes_end, seq_b.reserved_bytes_end);
+  EXPECT_EQ(par_b.retained_blocks, seq_b.retained_blocks);
+  EXPECT_EQ(par_b.planes, seq_b.planes);
+  ASSERT_TRUE(seq_b.planes.check);
+  EXPECT_EQ(seq_b.planes.check->hard_count(), 0u);
+  EXPECT_FALSE(seq_b.planes.fault);
 }
 
 // A leaf that counts every call it receives.

@@ -13,6 +13,7 @@
 #include <ostream>
 
 #include "alloc/page_provider.hpp"
+#include "harness/run_context.hpp"
 #include "harness/setbench.hpp"
 #include "sim/numa.hpp"
 
@@ -64,7 +65,7 @@ Outcome outcome_of(const harness::SetBenchResult& r) {
 // ---- Registry + topology units ----
 
 TEST(NumaRegistry, RangeLookupAndUnregister) {
-  sim::numa_configure(sim::Topology{4, 2}, 8);
+  const harness::RunContext run({.topology = {4, 2}}, 8);
   alignas(64) static char blob_a[256];
   alignas(64) static char blob_b[256];
   const std::size_t before = sim::numa_range_count();
@@ -90,7 +91,7 @@ TEST(NumaTopology, CoreToNodeMapping) {
   topo.nodes = 4;
   EXPECT_EQ(topo.resolved_cores_per_node(256), 64u);
   EXPECT_EQ(topo.resolved_cores_per_node(6), 2u);  // ceil(6/4)
-  sim::numa_configure(topo, 256);
+  const harness::RunContext run({.topology = topo}, 256);
   EXPECT_EQ(sim::numa_nodes(), 4u);
   EXPECT_EQ(sim::numa_cores_per_node(), 64u);
   EXPECT_EQ(sim::numa_node_of_core(0), 0u);
@@ -104,7 +105,7 @@ TEST(NumaTopology, CoreToNodeMapping) {
 // ---- Page-provider placement policies ----
 
 TEST(NumaProvider, BindHomesEveryReservation) {
-  sim::numa_configure(sim::Topology{4, 1}, 4);
+  const harness::RunContext run({.topology = {4, 1}}, 4);
   alloc::PageProvider provider;
   alloc::NumaOptions o;
   o.policy = alloc::NumaOptions::Policy::kBind;
@@ -121,7 +122,7 @@ TEST(NumaProvider, BindHomesEveryReservation) {
 }
 
 TEST(NumaProvider, InterleaveRoundRobins) {
-  sim::numa_configure(sim::Topology{4, 1}, 4);
+  const harness::RunContext run({.topology = {4, 1}}, 4);
   alloc::PageProvider provider;
   alloc::NumaOptions o;
   o.policy = alloc::NumaOptions::Policy::kInterleave;
@@ -138,7 +139,7 @@ TEST(NumaProvider, InterleaveRoundRobins) {
 }
 
 TEST(NumaProvider, FirstTouchHomesOnNodeZeroFromMainThread) {
-  sim::numa_configure(sim::Topology{4, 1}, 4);
+  const harness::RunContext run({.topology = {4, 1}}, 4);
   alloc::PageProvider provider;  // default policy: first-touch
   void* p = provider.reserve(1 << 14, 1 << 12);
   ASSERT_NE(p, nullptr);

@@ -8,6 +8,7 @@
 
 #include "alloc/page_provider.hpp"
 #include "fault/fault.hpp"
+#include "harness/run_context.hpp"
 
 namespace tmx::alloc {
 namespace {
@@ -89,9 +90,10 @@ TEST(PageProviderRemap, FaultRefusalLeavesOriginalIntact) {
 
   fault::FaultPlan plan;
   plan.reserve_rate = 1.0;  // every new mapping refused
-  fault::install(plan);
-  EXPECT_EQ(pp.remap(a), nullptr);
-  fault::clear();
+  {
+    const harness::RunContext faulty({.fault = plan});
+    EXPECT_EQ(pp.remap(a), nullptr);
+  }
 
   // The refused move must not have disturbed the original reservation:
   // still registered, still on its node, contents untouched, accounting

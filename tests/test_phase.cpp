@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "harness/run_context.hpp"
 #include "phase/phase.hpp"
 
 namespace tmx::phase {
@@ -157,7 +158,7 @@ TEST(PhaseAlloc, CompactAllMovesStragglersAndForwardsFrees) {
 }
 
 TEST(PhaseAlloc, CheckedCompactionWithoutBridgeVetoesEverything) {
-  clear_check_bridge();
+  // No checker is open on the idle run context: nothing is proven private.
   PhaseConfig pc;
   pc.commits_per_epoch = 1;
   pc.compact = PhaseConfig::Compact::kChecked;
@@ -189,9 +190,10 @@ TEST(PhaseAlloc, RefusedRemapLeavesLargeStragglerInPlace) {
 
   fault::FaultPlan plan;
   plan.reserve_rate = 1.0;  // the fault plane refuses every new mapping
-  fault::install(plan);
-  a.force_quiesce();
-  fault::clear();
+  {
+    const harness::RunContext faulty({.fault = plan});
+    a.force_quiesce();
+  }
 
   const PhaseStats st = a.stats();
   EXPECT_GE(st.remap_refusals, 1u);

@@ -110,10 +110,10 @@ harness::ServerMixConfig small_mix(bool prof) {
 // either way).
 TEST(Prof, OnOffBitForBit) {
   const harness::ServerMixResult off = run_server_mix(small_mix(false));
-  ASSERT_FALSE(prof::enabled());
+  ASSERT_FALSE(off.planes.prof);
 
   const harness::ServerMixResult on = run_server_mix(small_mix(true));
-  ASSERT_TRUE(prof::enabled());
+  ASSERT_TRUE(on.planes.prof);
 
   EXPECT_EQ(on.cycles, off.cycles);
   EXPECT_EQ(on.stats.commits, off.stats.commits);
@@ -125,14 +125,14 @@ TEST(Prof, OnOffBitForBit) {
   EXPECT_EQ(on.latency.sum(), off.latency.sum());
   EXPECT_EQ(on.latency.max(), off.latency.max());
 
-  // While installed, the profiler saw all three data families.
-  EXPECT_GT(prof::op_count(prof::Op::kMalloc), 0u);
-  EXPECT_GT(prof::op_count(prof::Op::kFree), 0u);
-  EXPECT_GT(prof::op_count(prof::Op::kTxCommit), 0u);
-  EXPECT_GT(prof::cross_thread_frees(), 0u);
-  EXPECT_GE(prof::site_count(), 3u);  // (root) + parse + publish at least
-  EXPECT_GT(prof::sample_count(), 0u);
-  prof::uninstall();
+  // The profiler saw all three data families.
+  const prof::Profile& p = *on.planes.prof;
+  EXPECT_GT(p.op(prof::Op::kMalloc).count(), 0u);
+  EXPECT_GT(p.op(prof::Op::kFree).count(), 0u);
+  EXPECT_GT(p.op(prof::Op::kTxCommit).count(), 0u);
+  EXPECT_GT(p.cross_thread_frees, 0u);
+  EXPECT_GE(p.sites, 3u);  // (root) + parse + publish at least
+  EXPECT_GT(p.samples, 0u);
 }
 
 // Same binary, same seed, two runs: the published prof.* metrics JSON must
@@ -140,10 +140,8 @@ TEST(Prof, OnOffBitForBit) {
 TEST(Prof, MetricsJsonByteStable) {
   std::string json[2];
   for (int r = 0; r < 2; ++r) {
-    (void)run_server_mix(small_mix(true));
     obs::MetricsRegistry reg;
-    prof::publish_metrics(reg);
-    prof::uninstall();
+    prof::publish_metrics(*run_server_mix(small_mix(true)).planes.prof, reg);
     json[r] = reg.to_json();
   }
   EXPECT_FALSE(json[0].empty());
@@ -164,11 +162,10 @@ TEST(Prof, ExportsAreStable) {
             "cross_thread_frees,live_bytes,peak_bytes\n");
   std::string ts[2], sites[2], folded[2];
   for (int r = 0; r < 2; ++r) {
-    (void)run_server_mix(small_mix(true));
-    prof::append_timeseries_csv(ts[r], "x");
-    prof::append_sites_csv(sites[r], "x");
-    prof::append_folded(folded[r]);
-    prof::uninstall();
+    const prof::Profile p = *run_server_mix(small_mix(true)).planes.prof;
+    ts[r] = p.timeseries_csv;
+    sites[r] = p.sites_csv;
+    folded[r] = p.folded;
   }
   EXPECT_FALSE(ts[0].empty());
   EXPECT_FALSE(sites[0].empty());
@@ -180,15 +177,13 @@ TEST(Prof, ExportsAreStable) {
   EXPECT_NE(sites[0].find("request;publish"), std::string::npos);
 }
 
-// The STM hooks alone (no profiling allocator in the chain) must also be
-// schedule-invisible: an installed profiler under the golden determinism
+// The whole plane — STM hooks and the profiling allocator — must also be
+// schedule-invisible: a profiled run under the golden determinism
 // configuration reproduces the committed golden constants exactly.
 TEST(Prof, GoldenConstantsWithProfilerInstalled) {
-  prof::ProfConfig pcfg;
-  pcfg.sample_cycles = 0;  // no allocator attached; latency+tx hooks only
-  prof::install(pcfg);
-
   harness::SetBenchConfig cfg;
+  cfg.prof = true;
+  cfg.prof_sample_cycles = 0;  // sampler off: latency+tx hooks only
   cfg.kind = harness::SetKind::kList;
   cfg.allocator = "glibc";
   cfg.threads = 4;
@@ -203,9 +198,9 @@ TEST(Prof, GoldenConstantsWithProfilerInstalled) {
             1764310u);  // test_determinism.cpp GoldenListAcrossAllocators
   EXPECT_EQ(r.stats.commits, 800u);
   EXPECT_EQ(r.stats.aborts, 131u);
-  EXPECT_EQ(prof::op_count(prof::Op::kTxCommit), 800u);
-  EXPECT_EQ(prof::op_count(prof::Op::kTxAbortToRetry), 131u);
-  prof::uninstall();
+  const prof::Profile& p = *r.planes.prof;
+  EXPECT_EQ(p.op(prof::Op::kTxCommit).count(), 800u);
+  EXPECT_EQ(p.op(prof::Op::kTxAbortToRetry).count(), 131u);
 }
 
 }  // namespace
