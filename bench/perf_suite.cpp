@@ -53,8 +53,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "check/check.hpp"
+#include "harness/options.hpp"
+#include "harness/setbench.hpp"
 #include "harness/server_mix.hpp"
 #include "replay/replayer.hpp"
 #include "replay/synth.hpp"
@@ -225,9 +226,10 @@ int main(int argc, char** argv) {
   // quick and full runs, which is what the CI guard compares.
   const std::uint64_t scale = quick ? 1 : 4;
 
-  tmx::bench::banner("perf_suite",
-                     "substrate self-timing (repo perf trajectory, not a "
-                     "paper figure)");
+  std::printf(
+      "== perf_suite ==\nreproduces: substrate self-timing (repo perf "
+      "trajectory, not a paper figure)\n(virtual-time simulation; compare "
+      "shapes/ratios with the paper, not absolute values)\n\n");
   std::printf("  %-14s %9s  %8s  %10s\n", "scenario", "sim ops", "host",
               "rate");
 

@@ -1,0 +1,278 @@
+// tmx_paper: runs the paper's figures and tables (paper.hpp, figures.cpp).
+//
+//   ./build/bench/tmx_paper --figure fig05
+//   ./build/bench/tmx_paper --figure table4 --alloc glibc --threads 2
+//   ./build/bench/tmx_paper --figure all --scale 4
+//
+// --figure takes a comma list of names or `all`; the figures print one
+// after another in table order. With several figures, --csv PATH writes
+// each figure's table to PATH with ".<figure>" inserted before the
+// extension. Exit codes: 2 bad usage or refused plane combination, 3 a
+// requested artifact failed to persist, 4 the check plane found a hard
+// report, 5 the guard plane found heap corruption.
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+
+#include "guard/guard.hpp"
+#include "obs/metrics.hpp"
+#include "obs/tracer.hpp"
+#include "paper.hpp"
+
+namespace tmx::paper {
+
+namespace {
+
+// PATH with ".<tag>" inserted before its extension.
+std::string tagged(const std::string& path, const std::string& tag) {
+  if (path.empty()) return path;
+  const auto slash = path.rfind('/');
+  const auto dot = path.rfind('.');
+  const bool has_ext =
+      dot != std::string::npos && (slash == std::string::npos || dot > slash);
+  return has_ext ? path.substr(0, dot) + "." + tag + path.substr(dot)
+                 : path + "." + tag;
+}
+
+const stm::TxStats* stats_of(const harness::SetBenchResult& r) {
+  return &r.stats;
+}
+const stm::TxStats* stats_of(const stamp::StampOutcome& o) {
+  return &o.result.stats;
+}
+const stm::TxStats* stats_of(const Sample& s) {
+  return s.stats ? &*s.stats : nullptr;
+}
+const sim::CacheStats* cache_of(const harness::SetBenchResult& r) {
+  return &r.cache;
+}
+const sim::CacheStats* cache_of(const stamp::StampOutcome& o) {
+  return &o.result.cache;
+}
+const sim::CacheStats* cache_of(const Sample& s) {
+  return s.cache ? &*s.cache : nullptr;
+}
+
+void check_run(const harness::SetBenchResult& r) {
+  TMX_ASSERT_MSG(r.size_consistent, "set benchmark self-check failed");
+}
+void check_run(const stamp::StampOutcome& o) {
+  TMX_ASSERT_MSG(o.result.verified, "app verification failed");
+}
+void check_run(const Sample&) {}
+
+}  // namespace
+
+Ctx::Ctx(const Figure& f, const harness::Options& o, harness::ObsSession& obs,
+         Findings& findings)
+    : fig(f),
+      opt(o),
+      allocs(f.allocs ? o.allocators(f.allocs) : std::vector<std::string>{}),
+      threads(f.threads ? o.threads(f.threads) : std::vector<int>{}),
+      reps(f.reps ? std::max(1, o.reps(f.reps)) : 1),
+      scale(f.scale * o.scale()),
+      obs_(obs),
+      findings_(findings) {}
+
+harness::RunSpec Ctx::spec(const std::string& alloc) const {
+  harness::RunSpec s = opt.run_spec();
+  s.allocator = alloc;
+  return s;
+}
+
+harness::SetBenchConfig Ctx::set(const std::string& alloc,
+                                 harness::SetKind kind, int th,
+                                 double initial, double key_range,
+                                 double ops_per_thread) const {
+  harness::SetBenchConfig cfg{spec(alloc)};
+  cfg.kind = kind;
+  cfg.threads = th;
+  cfg.initial = static_cast<std::size_t>(initial * scale);
+  cfg.key_range = static_cast<std::uint64_t>(key_range * scale);
+  cfg.ops_per_thread = static_cast<std::size_t>(ops_per_thread * scale);
+  return cfg;
+}
+
+template <class R, class F>
+std::vector<R> Ctx::cell(const harness::RunSpec& spec, const std::string& cell,
+                         F once) {
+  if (!harness::planes_compatible(spec)) std::exit(2);
+  const std::string prefix =
+      std::string(fig.name) + "." + spec.allocator + "." + cell + ".";
+  auto& reg = obs::MetricsRegistry::global();
+  std::vector<R> runs;
+  stm::TxStats stats;
+  sim::CacheStats cache;
+  for (int r = 0; r < reps; ++r) {
+    const std::uint64_t seed = spec.seed + 1000003ull * r;
+    obs_.set_trace_meta(spec.allocator, spec.shift, spec.ort_log2, seed);
+    R run = once(seed);
+    check_run(run);
+    if (const auto* s = stats_of(run)) stats.add(*s);
+    if (const auto* c = cache_of(run)) cache.add(*c);
+
+    // The planes report per run, under the run's own prefix.
+    const std::string run_prefix = prefix + "r" + std::to_string(r) + ".";
+    const harness::PlaneOutputs& planes = run.planes;
+    if (planes.fault) {
+      fault::publish_metrics(*planes.fault, reg, run_prefix + "fault.");
+    }
+    if (const auto& cs = planes.check) {
+      check::publish_metrics(*cs, reg, run_prefix + "check.");
+      findings_.hard += cs->hard_count();
+      if (cs->hard_count() > 0) check::print_reports(*cs, stdout);
+    }
+    if (const auto& gs = planes.guard) {
+      guard::publish_metrics(*gs, reg, run_prefix + "guard.");
+      findings_.corruptions += gs->corruptions();
+      // Findings carry raw addresses: stderr keeps stdout byte-stable.
+      if (gs->corruptions() > 0) guard::print_findings(*gs, stderr);
+    }
+    if (planes.prof) {
+      prof::publish_metrics(*planes.prof, reg, run_prefix + "prof.");
+      obs_.set_profile(*planes.prof);  // --prof-out writes the last run's
+    }
+    runs.push_back(std::move(run));
+  }
+  if (stats_of(runs.front())) {
+    stm::publish_metrics(stats, reg, prefix + "stm.");
+  }
+  if (cache_of(runs.front())) {
+    sim::publish_metrics(cache, reg, prefix + "cache.");
+  }
+  obs_.report_attribution_and_clear(prefix.substr(0, prefix.size() - 1));
+  return runs;
+}
+
+std::vector<harness::SetBenchResult> Ctx::set_bench(
+    const harness::SetBenchConfig& cfg, const std::string& cell_name) {
+  return cell<harness::SetBenchResult>(cfg, cell_name, [&](std::uint64_t seed) {
+    harness::SetBenchConfig c = cfg;
+    c.seed = seed;
+    return harness::run_set_bench(c);
+  });
+}
+
+std::vector<stamp::StampOutcome> Ctx::stamp(const stamp::StampRun& run,
+                                            const std::string& cell_name) {
+  return cell<stamp::StampOutcome>(run, cell_name, [&](std::uint64_t seed) {
+    stamp::StampRun r = run;
+    r.seed = seed;
+    // Trace capture needs the kAlloc/kFree events of the instrumenting
+    // wrapper, as in run_set_bench.
+    r.instrument = r.instrument || obs::trace_enabled();
+    return stamp::run_stamp(r);
+  });
+}
+
+std::vector<Sample> Ctx::raw(const harness::RunSpec& spec, int th,
+                             const std::string& cell_name,
+                             const RawBody& body) {
+  return cell<Sample>(spec, cell_name, [&](std::uint64_t seed) {
+    harness::RunSpec s = spec;
+    s.seed = seed;
+    harness::RunContext context(s, th);
+    Sample out = body(context, s.run_config(th));
+    out.planes = context.finish();
+    return out;
+  });
+}
+
+namespace {
+
+std::string help_text() {
+  std::string s =
+      "tmx_paper: the paper's figures and tables\n"
+      "  --figure NAME[,NAME...]|all  figures to run, in table order\n"
+      "  --apps a,b,...         fig07's applications (default bayes,genome,"
+      "intruder,\n                         labyrinth,vacation,yada)\n"
+      "figures:\n";
+  for (const Figure& f : figures()) {
+    char line[160];
+    std::snprintf(line, sizeof(line), "  %-17s %s\n", f.name, f.title);
+    s += line;
+  }
+  return s;
+}
+
+int usage_error(const std::string& why) {
+  std::fprintf(stderr, "tmx_paper: %s\nfigures: all", why.c_str());
+  for (const Figure& f : figures()) std::fprintf(stderr, " %s", f.name);
+  std::fprintf(stderr, "\n");
+  return 2;
+}
+
+// Runs `fig` once, or once per thread count for a single-count figure.
+void run_figure(const Figure& fig, const harness::Options& opt,
+                harness::ObsSession& obs, Ctx::Findings& findings,
+                const std::string& csv) {
+  std::printf("== %s ==\n", fig.title);
+  std::printf("reproduces: %s\n", fig.reproduces);
+  std::printf(
+      "(virtual-time simulation; compare shapes/ratios with the paper, "
+      "not absolute values)\n\n");
+  Ctx ctx(fig, opt, obs, findings);
+  ctx.csv_path = csv;
+  const bool per_count =
+      fig.threads != nullptr && std::string(fig.threads).find(',') ==
+                                    std::string::npos;
+  if (!per_count || ctx.threads.size() == 1) {
+    fig.body(ctx);
+    return;
+  }
+  const std::vector<int> counts = ctx.threads;
+  for (int th : counts) {
+    std::printf("--- %d threads ---\n", th);
+    ctx.threads = {th};
+    ctx.csv_path = tagged(csv, "p" + std::to_string(th));
+    fig.body(ctx);
+  }
+}
+
+}  // namespace
+
+}  // namespace tmx::paper
+
+int main(int argc, char** argv) {
+  using namespace tmx;
+  using paper::Figure;
+  harness::Options opt(argc, argv);
+  if (opt.has("help")) {
+    opt.print_help(paper::help_text().c_str());
+    return 0;
+  }
+  const auto names = opt.get_list("figure", "");
+  if (names.empty()) return paper::usage_error("--figure is required");
+  const auto named = [&](const std::string& n) {
+    return std::ranges::find(names, n) != names.end();
+  };
+  std::vector<const Figure*> selected;
+  for (const Figure& f : paper::figures()) {
+    if (named("all") || named(f.name)) selected.push_back(&f);
+  }
+  for (const auto& n : names) {
+    if (n != "all" && std::ranges::none_of(paper::figures(), [&](auto& f) {
+          return n == f.name;
+        })) {
+      return paper::usage_error("unknown figure '" + n + "'");
+    }
+  }
+
+  harness::ObsSession obs(opt);
+  // Both budget trips and the guard's hard cap exit through std::_Exit:
+  // flush the obs evidence first.
+  sim::install_watchdog_flush([&obs] { obs.finish(); });
+  static harness::ObsSession* s_obs = &obs;
+  guard::install_exit_flush([] { s_obs->finish(); });
+
+  paper::Ctx::Findings findings;
+  for (const Figure* f : selected) {
+    paper::run_figure(*f, opt, obs, findings,
+                      selected.size() > 1 ? paper::tagged(opt.csv(), f->name)
+                                          : opt.csv());
+  }
+  obs.finish();
+  if (!obs.ok()) return 3;
+  if (findings.corruptions > 0) return guard::kExitCode;
+  return findings.hard > 0 ? 4 : 0;
+}

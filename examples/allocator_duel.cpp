@@ -71,13 +71,13 @@ int main(int argc, char** argv) {
   if (sides[w].aborts < sides[1 - w].aborts * 0.8) {
     std::printf("diagnosis: fewer aborts — the loser's block layout maps "
                 "disjoint objects to shared\nORT stripes or cache lines "
-                "(see Figure 5 of the paper / fig05_false_aborts).\n");
+                "(see Figure 5 of the paper / tmx_paper --figure fig05).\n");
   } else if (sides[w].l1 < sides[1 - w].l1 * 0.8) {
     std::printf("diagnosis: better locality — smaller blocks / denser "
                 "packing.\n");
   } else {
-    std::printf("diagnosis: mixed — inspect with table4_aborts_l1 and "
-                "fig06_shift.\n");
+    std::printf("diagnosis: mixed — inspect with tmx_paper --figure "
+                "table4,fig06.\n");
   }
   return 0;
 }

@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "alloc/allocator.hpp"
-#include "util/env.hpp"
 #include "util/macros.hpp"
 
 namespace tmx::harness {
@@ -100,9 +99,7 @@ std::uint64_t Options::seed() const {
   return static_cast<std::uint64_t>(get_long("seed", 20150207));  // PPoPP'15
 }
 
-double Options::scale() const {
-  return repro_scale() * get_double("scale", 1.0);
-}
+double Options::scale() const { return get_double("scale", 1.0); }
 
 bool Options::fault_enabled() const {
   static const char* kFlags[] = {
@@ -318,7 +315,7 @@ void Options::print_help(const char* what) const {
       "  --alloc a,b,...        allocators (glibc,hoard,tbb,tcmalloc,system)\n"
       "  --reps N               repetitions per configuration\n"
       "  --seed S               experiment seed\n"
-      "  --scale X              workload scale factor (x REPRO_SCALE env)\n"
+      "  --scale X              workload scale factor (default 1)\n"
       "  --csv PATH             also write results as CSV\n"
       "  --cache-model 0|1      toggle the cache simulator (sim engine)\n"
       "NUMA topology / placement (sim engine):\n"

@@ -42,7 +42,7 @@ class Options {
   std::uint64_t seed() const;
   // --csv PATH
   std::string csv() const { return get("csv", ""); }
-  // REPRO_SCALE env times --scale flag
+  // --scale X: workload scale factor (default 1)
   double scale() const;
 
   // -- Observability knobs (tmx::obs) --

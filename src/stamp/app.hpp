@@ -5,8 +5,7 @@
 // an AppResult (timing of the parallel phase, transaction statistics, and a
 // self-verification verdict). Workload sizes derive from the paper's
 // recommended "large" configurations, scaled down by `scale` so the default
-// full-suite run stays in the minutes range (REPRO_SCALE restores larger
-// runs).
+// full-suite run stays in the minutes range (--scale restores larger runs).
 #pragma once
 
 #include <cstdint>

@@ -20,6 +20,10 @@
 #   cli_smoke.sh replay_synth     <trace_replay>  byte-stable capture, replayed
 #                                 through four models
 #   cli_smoke.sh list_allocators  <stamp_runner> <trace_replay> <allocator_duel>
+#   cli_smoke.sh paper_shared_flags <tmx_paper>   --cache-model reaches table4;
+#                                 an unknown figure exits 2
+#   cli_smoke.sh paper_<figure>   <tmx_paper>     the figure runs clean at
+#                                 small scale and repeats byte for byte
 set -euo pipefail
 
 drive=$1
@@ -130,6 +134,26 @@ case "$drive" in
     diff l0.out l1.out
     diff l0.out l2.out
     grep -q '^phase' l0.out
+    ;;
+  paper_shared_flags)
+    # With the cache model off, every L1-miss cell reads 0.0%.
+    "${bins[0]}" --figure table4 --alloc glibc --threads 2 --reps 1 \
+      --scale 0.25 --cache-model 0 > t4.out
+    awk '/:L1miss/ { for (i = 1; i <= NF; ++i) if ($i ~ /:L1miss$/) col[i]
+                     next }
+         length(col) && $1 ~ /^[0-9]+$/ {
+           ++rows
+           for (i in col) if ($i != "0.0%") bad = 1
+         }
+         END { exit (rows == 0 || bad) }' t4.out
+    expect_exit 2 "${bins[0]}" --figure nosuch
+    ;;
+  paper_*)
+    args=(--figure "${drive#paper_}" --cache-model 0 --scale 0.1 --reps 1
+          --threads 1,4)
+    "${bins[0]}" "${args[@]}" > a.out
+    "${bins[0]}" "${args[@]}" > b.out
+    cmp a.out b.out
     ;;
   *)
     echo "cli_smoke.sh: unknown drive '$drive'" >&2

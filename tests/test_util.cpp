@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "util/env.hpp"
 #include "util/macros.hpp"
 #include "util/padded.hpp"
 #include "util/rng.hpp"
@@ -80,16 +79,6 @@ TEST(Padded, ElementsOnDistinctLines) {
     const auto b = reinterpret_cast<std::uintptr_t>(&arr[i + 1]);
     EXPECT_GE(b - a, kCacheLineSize);
   }
-}
-
-TEST(Env, ParsesNumbersAndFallsBack) {
-  ::setenv("TMX_TEST_NUM", "123", 1);
-  EXPECT_EQ(env_long("TMX_TEST_NUM", 7), 123);
-  EXPECT_EQ(env_long("TMX_TEST_MISSING", 7), 7);
-  ::setenv("TMX_TEST_BAD", "12x", 1);
-  EXPECT_EQ(env_long("TMX_TEST_BAD", 7), 7);
-  ::setenv("TMX_TEST_DBL", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("TMX_TEST_DBL", 1.0), 2.5);
 }
 
 }  // namespace
