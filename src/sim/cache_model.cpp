@@ -9,21 +9,21 @@
 namespace tmx::sim {
 
 CacheModel::CacheModel(const CacheGeometry& geo, const LatencyModel& lat)
-    : geo_(geo), lat_(lat) {
+    : geo_(geo), lat_(lat), sharers_(geo.cores) {
   TMX_ASSERT(is_pow2(geo.line_size));
-  TMX_ASSERT(geo.l1_ways <= 255);  // MRU ways are stored in a byte
-  TMX_ASSERT(geo.cores <= kMaxSharerCores);  // sharer masks are 4x64 bits
   if (geo_.nodes == 0) geo_.nodes = 1;
-  cores_per_node_ =
+  const unsigned cores_per_node =
       geo_.cores_per_node != 0
           ? geo_.cores_per_node
           : std::max(1u, (geo_.cores + geo_.nodes - 1) / geo_.nodes);
+  core_node_.resize(geo.cores);
+  for (unsigned c = 0; c < geo.cores; ++c) {
+    core_node_[c] = std::min(c / cores_per_node, geo_.nodes - 1);
+  }
+  line_shift_ = log2_floor(geo.line_size);
   l1_sets_ = static_cast<unsigned>(geo.l1_size / (geo.line_size * geo.l1_ways));
   l2_sets_ = static_cast<unsigned>(geo.l2_size / (geo.line_size * geo.l2_ways));
-  TMX_ASSERT(l1_sets_ > 0 && l2_sets_ > 0);
-  TMX_ASSERT(is_pow2(l1_sets_));
-  // L2 sets need not be a power of two (6MB/24-way gives 4096, which is);
-  // we index with modulo to stay general.
+  TMX_ASSERT(is_pow2(l1_sets_) && is_pow2(l2_sets_));
   const std::size_t l1_lines =
       static_cast<std::size_t>(geo.cores) * l1_sets_ * geo.l1_ways;
   // One private L2 bank per node; the single-node machine is the paper's
@@ -33,7 +33,6 @@ CacheModel::CacheModel(const CacheGeometry& geo, const LatencyModel& lat)
   l1_tags_.assign(l1_lines, kNoTag);
   l1_lru_.assign(l1_lines, 0);
   l1_off_.assign(l1_lines, 0);
-  l1_mru_.assign(static_cast<std::size_t>(geo.cores) * l1_sets_, 0);
   l2_tags_.assign(l2_lines, kNoTag);
   l2_lru_.assign(l2_lines, 0);
   stats_.assign(geo.cores, {});
@@ -45,22 +44,119 @@ CacheStats CacheModel::total_stats() const {
   return t;
 }
 
+CacheModel::SharerDirectory::SharerDirectory(unsigned cores)
+    : words_((std::max(cores, 1u) + 63) / 64), stride_(words_ + 1) {
+  // Start small and let the table grow. The model simulates host
+  // addresses, so the host heap's layout reaches its results, and a large
+  // first allocation measurably unsettled the in-process repeatability
+  // that Determinism.RepeatableWithCacheModel checks.
+  constexpr std::size_t slots = 16;
+  shift_ = 64 - log2_floor(slots);
+  mask_ = slots - 1;
+  slots_.assign(slots * stride_, 0);
+  for (std::size_t i = 0; i <= mask_; ++i) slot(i)[0] = kNoTag;
+}
+
+std::size_t CacheModel::SharerDirectory::probe(std::uintptr_t line) {
+  std::size_t i = home(line);
+  while (slot(i)[0] != line && slot(i)[0] != kNoTag) i = (i + 1) & mask_;
+  return i;
+}
+
+std::uint64_t* CacheModel::SharerDirectory::find(std::uintptr_t line) {
+  std::uint64_t* e = slot(probe(line));
+  return e[0] == line ? e + 1 : nullptr;
+}
+
+void CacheModel::SharerDirectory::add(std::uintptr_t line, unsigned core) {
+  std::uint64_t* e = slot(probe(line));
+  if (e[0] != line) {
+    if (2 * (size_ + 1) > mask_ + 1) {
+      grow();
+      e = slot(probe(line));
+    }
+    e[0] = line;
+    std::fill(e + 1, e + stride_, 0);
+    ++size_;
+  }
+  e[1 + (core >> 6)] |= std::uint64_t{1} << (core & 63);
+}
+
+void CacheModel::SharerDirectory::remove(std::uintptr_t line, unsigned core) {
+  std::size_t i = probe(line);
+  std::uint64_t* e = slot(i);
+  TMX_ASSERT(e[0] == line);  // invariant: a cached tag has an entry
+  e[1 + (core >> 6)] &= ~(std::uint64_t{1} << (core & 63));
+  std::uint64_t any = 0;
+  for (unsigned w = 1; w < stride_; ++w) any |= e[w];
+  if (any != 0) return;
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless that would move it before its home slot.
+  for (std::size_t j = (i + 1) & mask_;; j = (j + 1) & mask_) {
+    std::uint64_t* next = slot(j);
+    if (next[0] == kNoTag) break;
+    if (((j - home(next[0])) & mask_) >= ((j - i) & mask_)) {
+      std::copy(next, next + stride_, slot(i));
+      i = j;
+    }
+  }
+  slot(i)[0] = kNoTag;
+  --size_;
+}
+
+void CacheModel::SharerDirectory::grow() {
+  const std::vector<std::uint64_t> old = std::move(slots_);
+  slots_.assign(2 * (mask_ + 1) * stride_, 0);
+  mask_ = 2 * mask_ + 1;
+  --shift_;
+  for (std::size_t i = 0; i <= mask_; ++i) slot(i)[0] = kNoTag;
+  for (std::size_t o = 0; o < old.size(); o += stride_) {
+    if (old[o] == kNoTag) continue;
+    std::copy(&old[o], &old[o] + stride_, slot(probe(old[o])));
+  }
+}
+
+// Compares every way, keeping the lowest match with a conditional move.
+// (A compare bitmask plus ctz measured slower: each way then costs a
+// variable shift.)
 int CacheModel::find_way(const std::uintptr_t* tags, unsigned ways,
                          std::uintptr_t line_addr) {
+  int found = -1;
+  for (unsigned w = ways; w-- > 0;) {
+    found = tags[w] == line_addr ? static_cast<int>(w) : found;
+  }
+  return found;
+}
+
+int CacheModel::find_way_scan(const std::uintptr_t* tags, unsigned ways,
+                              std::uintptr_t line_addr) {
   for (unsigned w = 0; w < ways; ++w) {
     if (tags[w] == line_addr) return static_cast<int>(w);
   }
   return -1;
 }
 
-int CacheModel::victim_way(const std::uintptr_t* tags,
-                           const std::uint64_t* lru, unsigned ways) {
+// A conditional-move minimum; the strict compare keeps the lowest way on
+// ties.
+unsigned CacheModel::victim_way(const std::uint64_t* lru, unsigned ways) {
+  unsigned v = 0;
+  std::uint64_t oldest = lru[0];
+  for (unsigned w = 1; w < ways; ++w) {
+    const bool older = lru[w] < oldest;
+    v = older ? w : v;
+    oldest = older ? lru[w] : oldest;
+  }
+  return v;
+}
+
+unsigned CacheModel::victim_way_scan(const std::uint64_t* lru,
+                                     unsigned ways) {
   unsigned v = 0;
   for (unsigned w = 0; w < ways; ++w) {
-    if (tags[w] == kNoTag) return static_cast<int>(w);
+    if (lru[w] == 0) return w;
     if (lru[w] < lru[v]) v = w;
   }
-  return static_cast<int>(v);
+  return v;
 }
 
 std::uint64_t CacheModel::access(unsigned core, std::uintptr_t addr,
@@ -84,29 +180,23 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
   CacheStats& st = stats_[core];
   ++st.accesses;
   std::uint64_t latency = 0;
-  const unsigned node = node_of(core);
+  const unsigned node = core_node_[core];
+  const std::uintptr_t line_no = line_addr >> line_shift_;
 
-  const std::size_t set = l1_set_of(line_addr);
+  const std::size_t set = line_no & (l1_sets_ - 1);
   const std::size_t base = l1_base(core, set);
-  const std::size_t mru_slot = static_cast<std::size_t>(core) * l1_sets_ + set;
   std::uintptr_t* tags = &l1_tags_[base];
-  // MRU probe: STM barrier streams revisit the same line in tight clusters
-  // (lock word then data word, retry loops), so checking the last way hit
-  // usually answers without the associative scan. A stale MRU way simply
-  // fails the tag compare and falls through — never a wrong answer.
-  int way = tags[l1_mru_[mru_slot]] == line_addr
-                ? static_cast<int>(l1_mru_[mru_slot])
-                : find_way(tags, geo_.l1_ways, line_addr);
+  int way = find_way(tags, geo_.l1_ways, line_addr);
   if (way >= 0) {
     ++st.l1_hits;
     latency = lat_.l1_hit;
   } else {
     ++st.l1_misses;
     // Consult this node's L2 bank (the shared L2 of the flat machine).
-    const std::size_t set2 = (line_addr / geo_.line_size) % l2_sets_;
+    const std::size_t set2 = line_no & (l2_sets_ - 1);
     const std::size_t base2 =
         (static_cast<std::size_t>(node) * l2_sets_ + set2) * geo_.l2_ways;
-    const int w2 = find_way(&l2_tags_[base2], geo_.l2_ways, line_addr);
+    const int w2 = find_way_scan(&l2_tags_[base2], geo_.l2_ways, line_addr);
     if (w2 >= 0) {
       ++st.l2_hits;
       latency = lat_.l2_hit;
@@ -131,54 +221,49 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
         ++st.numa_local;
         latency = lat_.memory;
       }
-      const int v2 = victim_way(&l2_tags_[base2], &l2_lru_[base2],
-                                geo_.l2_ways);
+      const unsigned v2 = victim_way_scan(&l2_lru_[base2], geo_.l2_ways);
       l2_tags_[base2 + v2] = line_addr;
       l2_lru_[base2 + v2] = tick_;
     }
     TMX_OBS_EVENT(obs::EventKind::kCacheMiss, line_addr, latency,
                   /*miss level=*/w2 >= 0 ? 1 : 2);
-    // Fill L1, updating the sharer map: the victim line (if any) leaves
-    // this core, the new line enters it.
-    way = victim_way(tags, &l1_lru_[base], geo_.l1_ways);
-    if (tags[way] != kNoTag) {
-      const auto old = sharers_.find(tags[way]);
-      if (old != sharers_.end()) {
-        old->second.w[core >> 6] &= ~(std::uint64_t{1} << (core & 63));
-        if (!old->second.any()) sharers_.erase(old);
-      }
-    }
+    // Fill L1, updating the sharer directory: the victim line (if any)
+    // leaves this core, the new line enters it.
+    way = static_cast<int>(victim_way(&l1_lru_[base], geo_.l1_ways));
+    if (tags[way] != kNoTag) sharers_.remove(tags[way], core);
     tags[way] = line_addr;
-    sharers_[line_addr].w[core >> 6] |= std::uint64_t{1} << (core & 63);
+    sharers_.add(line_addr, core);
   }
-  l1_mru_[mru_slot] = static_cast<std::uint8_t>(way);
   l1_lru_[base + way] = tick_;
   l1_off_[base + way] = static_cast<std::uint16_t>(offset);
 
   if (write) {
     // Write-invalidate coherence: purge the line from every other sharing
     // core's L1. The sharer mask lists exactly the cores whose L1 holds
-    // the line (ascending id, matching the original full scan's order),
-    // so the cost is O(sharers) instead of O(cores).
-    const auto it = sharers_.find(line_addr);
-    TMX_ASSERT(it != sharers_.end());
-    SharerMask& mask = it->second;
-    for (unsigned wd = 0; wd < 4; ++wd) {
-      std::uint64_t bits = mask.w[wd];
+    // the line, visited in ascending id as a full scan would, so the cost
+    // is O(sharers) instead of O(cores). Afterwards only the writer holds
+    // it.
+    std::uint64_t* mask = sharers_.find(line_addr);
+    TMX_ASSERT(mask != nullptr);
+    for (unsigned wd = 0; wd < sharers_.words(); ++wd) {
+      const std::uint64_t own =
+          (core >> 6) == wd ? std::uint64_t{1} << (core & 63) : 0;
+      std::uint64_t bits = mask[wd] & ~own;
+      mask[wd] = own;
       while (bits != 0) {
         const unsigned c =
             (wd << 6) + static_cast<unsigned>(__builtin_ctzll(bits));
         bits &= bits - 1;
-        if (c == core) continue;
         const std::size_t rbase = l1_base(c, set);
         const int rw = find_way(&l1_tags_[rbase], geo_.l1_ways, line_addr);
         TMX_ASSERT(rw >= 0);  // mask invariant: bit set => tag present
         l1_tags_[rbase + rw] = kNoTag;
-        mask.w[c >> 6] &= ~(std::uint64_t{1} << (c & 63));
+        l1_lru_[rbase + rw] = 0;  // empty ways are the first victims
         ++st.invalidations;
         const bool false_shared = l1_off_[rbase + rw] != offset;
         if (false_shared) ++st.false_sharing;
-        latency += node_of(c) == node ? lat_.coherence : lat_.remote_coherence;
+        latency += core_node_[c] == node ? lat_.coherence
+                                         : lat_.remote_coherence;
         TMX_OBS_EVENT(obs::EventKind::kCacheInval, line_addr, c,
                       /*false sharing=*/false_shared ? 1 : 0);
       }

@@ -1,7 +1,7 @@
 // Determinism golden tests: the repo's core claim is that the simulator is
 // bit-deterministic, and the hot-path optimizations (indexed scheduler with
-// fast-resume, indexed STM write-set, cache MRU probe) are required to be
-// pure performance work — zero behavioral drift. These tests pin exact
+// fast-resume, indexed STM write-set, cache sharer directory) are required
+// to be pure performance work — zero behavioral drift. These tests pin exact
 // `cycles`, `commits` and `aborts` values for fixed-seed runs, so any future
 // change that perturbs scheduling order, barrier behavior or conflict
 // detection fails loudly instead of silently shifting every figure.
