@@ -29,6 +29,7 @@
 
 #include "fault/fault.hpp"
 #include "guard/guard.hpp"
+#include "harness/obs_session.hpp"
 #include "harness/options.hpp"
 #include "harness/server_mix.hpp"
 #include "obs/metrics.hpp"
@@ -58,6 +59,8 @@ int main(int argc, char** argv) {
   const bool cache_model = opt.get_long("cache-model", 1) != 0;
   const std::size_t base_requests = static_cast<std::size_t>(
       opt.get_long("requests", quick ? 192 : 1024));
+
+  harness::ObsSession obs(opt);
 
   // One stream drives every randomized choice, so (seed, rounds) fully
   // determines the soak — including the injected-corruption schedule.
@@ -151,21 +154,14 @@ int main(int argc, char** argv) {
     total_injected += inj_tag + inj_ovfl + inj_reuse;
     total_detected += det_tag + det_ovfl + det_reuse;
 
-    const std::string round = "chaos.round" + std::to_string(r);
-    guard::publish_metrics(gs, obs::MetricsRegistry::global(),
-                           round + ".guard.");
-    fault::publish_metrics(fs, obs::MetricsRegistry::global(),
-                           round + ".fault.");
+    // The findings are the experiment, not a failure: publish them
+    // without report(), which would turn them into exit code 5.
+    harness::publish_metrics(res, obs::MetricsRegistry::global(),
+                             "chaos.round" + std::to_string(r) + ".");
   }
 
   std::printf("\nchaos_soak: %d/%d rounds clean, %" PRIu64 " corruptions "
               "injected, %" PRIu64 " detected\n",
               rounds - mismatches, rounds, total_injected, total_detected);
-  if (!opt.metrics_out().empty() &&
-      !obs::MetricsRegistry::global().write_json(opt.metrics_out())) {
-    std::fprintf(stderr, "chaos_soak: failed to write %s\n",
-                 opt.metrics_out().c_str());
-    return 3;
-  }
-  return mismatches == 0 ? 0 : 1;
+  return obs.finish(mismatches == 0 ? 0 : 1);
 }

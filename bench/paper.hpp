@@ -55,18 +55,12 @@ struct Sample {
 // A cell is one grid point of one allocator. Its runner repeats it `reps`
 // times at seed + 1000003·r, refuses plane combinations
 // harness::planes_compatible rejects, asserts size_consistent (set bench)
-// and verified (STAMP) on every run, and publishes the summed stm.* and
-// cache.* metrics under "<figure>.<alloc>.<cell>.".
+// and verified (STAMP) on every run, reports each run's planes through
+// the session under "<figure>.<alloc>.<cell>.r<r>.", and publishes the
+// summed stm.* and cache.* metrics under "<figure>.<alloc>.<cell>.".
 class Ctx {
  public:
-  // Check and guard findings, summed over every run of the process.
-  struct Findings {
-    std::uint64_t hard = 0;         // check plane: hard reports
-    std::uint64_t corruptions = 0;  // guard plane: heap corruptions
-  };
-
-  Ctx(const Figure& fig, const harness::Options& opt,
-      harness::ObsSession& obs, Findings& findings);
+  Ctx(const Figure& fig, const harness::Options& opt, harness::ObsSession& obs);
 
   const Figure& fig;
   const harness::Options& opt;
@@ -103,7 +97,6 @@ class Ctx {
                       F once);
 
   harness::ObsSession& obs_;
-  Findings& findings_;
 };
 
 }  // namespace tmx::paper

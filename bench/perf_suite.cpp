@@ -184,8 +184,8 @@ void append_kv(std::string* out, const char* key, double v) {
   *out += buf;
 }
 
-bool write_json(const std::string& path, const std::vector<ScenarioResult>& rs,
-                bool quick) {
+bool write_bench_perf(const std::string& path,
+                      const std::vector<ScenarioResult>& rs, bool quick) {
   std::string out = "{\"schema\":\"tmx-bench-perf-v1\",\"quick\":";
   out += quick ? "true" : "false";
   out += ",\"scenarios\":{";
@@ -325,7 +325,7 @@ int main(int argc, char** argv) {
                      [&] { (void)hashset_phase(ops, phase); }));
   }
 
-  if (!write_json(out_path, results, quick)) {
+  if (!write_bench_perf(out_path, results, quick)) {
     std::fprintf(stderr, "perf_suite: failed to write %s\n", out_path.c_str());
     return 1;
   }

@@ -15,55 +15,35 @@
 #include <cstdio>
 #include <string>
 
-#include "check/check.hpp"
-#include "guard/guard.hpp"
+#include "harness/obs_session.hpp"
 #include "harness/options.hpp"
 #include "harness/server_mix.hpp"
 #include "obs/metrics.hpp"
 #include "phase/phase.hpp"
-#include "prof/prof.hpp"
-
-namespace {
-
-using namespace tmx;
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size() ||
-      text.empty();
-  std::fclose(f);
-  return ok;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace tmx;
   harness::Options opt(argc, argv);
   if (harness::handle_list_allocators(opt)) return 0;
   if (opt.has("help")) {
-    std::printf(
-        "usage: server_mix [--alloc a,b,...] [--workers N] [--requests N]\n"
-        "                  [--arrival CYCLES] [--allocs-per-req N] "
-        "[--retain F]\n"
-        "                  [--mu M --sigma S] [--quick] [--cache-model 0|1]\n"
-        "                  [--seed S] [--prof --prof-out PREFIX "
-        "--prof-sample-cycles N]\n"
-        "                  [--metrics-out PATH] [--list-allocators]\n"
-        "                  [--check race,lifetime] [--phase-compact "
-        "off|checked|all]\n"
-        "                  [--phase-commits-per-epoch N] [--phase-slab-bytes "
-        "B]\n"
-        "                  [--phase-maintenance-every N] [--cm "
-        "suicide|backoff]\n"
-        "                  [--guard --guard-quarantine-epochs N "
-        "--guard-hard-cap N]\n"
-        "                  [--fault-corrupt-tag-rate P ...] and the shared "
-        "run flags\n"
-        "                  (--engine, --shift, --txcache, --design, --hybrid, "
-        "--numa-*,\n"
-        "                  --ort-shards, --stm-retry-cap, --watchdog-*)\n");
+    opt.print_help(
+        "usage: server_mix [options]\n"
+        "server_mix options:\n"
+        "  --quick                smaller run: 4 workers, 256 requests\n"
+        "  --workers N            server worker threads (default 8)\n"
+        "  --requests N           requests in the open-loop arrival stream\n"
+        "                         (default 4096)\n"
+        "  --arrival CYCLES       virtual cycles between arrivals (default "
+        "2000)\n"
+        "  --allocs-per-req N     allocations per request (default 6)\n"
+        "  --retain F             fraction of requests leaking until "
+        "teardown\n"
+        "                         (default 0.04)\n"
+        "  --mu M --sigma S       ln-space size location and scale\n"
+        "                         (default 6.0, 1.0)\n"
+        "  --phase-maintenance-every N  worker 0 calls the quiescent\n"
+        "                         maintenance point every N requests\n"
+        "                         (default 0 = never)");
     return 0;
   }
 
@@ -81,9 +61,9 @@ int main(int argc, char** argv) {
   base.size_ln_sigma = opt.get_double("sigma", 1.0);
   base.phase_maintenance_every =
       static_cast<std::size_t>(opt.get_long("phase-maintenance-every", 0));
-  const std::string prof_out = base.prof ? opt.prof_out() : "";
 
   if (!harness::planes_compatible(base)) return 2;
+  harness::ObsSession obs(opt);
 
   std::printf("server_mix: %d workers, %zu requests, arrival every %llu "
               "cycles, retain %.1f%%\n\n",
@@ -94,11 +74,6 @@ int main(int argc, char** argv) {
               "allocator", "req/s", "p50", "p95", "p99", "p99.9", "max",
               "abort%", "handoffs", "live_B", "rss_B", "frag");
 
-  std::string timeseries = prof::timeseries_csv_header();
-  std::string sites = prof::sites_csv_header();
-  std::string folded;
-  std::uint64_t hard_findings = 0;
-  std::uint64_t guard_findings = 0;
   auto& reg = obs::MetricsRegistry::global();
 
   // Each run opens its own planes, so a row is the one its allocator
@@ -132,52 +107,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.phase.bytes_relocated),
                   static_cast<unsigned long long>(r.phase.relocation_vetoes),
                   static_cast<unsigned long long>(r.phase.remap_refusals));
-      phase::publish_metrics(r.phase, reg, "alloc.phase." + name + ".");
+      phase::publish_metrics(r.phase, reg, name + ".alloc.phase.");
     }
-    if (const auto& cs = r.planes.check) {
-      check::publish_metrics(*cs, reg, "check." + name + ".");
-      hard_findings += cs->hard_count();
-      if (cs->hard_count() > 0) check::print_reports(*cs, stdout);
-    }
-    if (const auto& gs = r.planes.guard) {
-      guard::publish_metrics(*gs, reg, "guard." + name + ".");
-      guard_findings += gs->corruptions();
-      // Findings carry raw addresses (ASLR-dependent): stderr, so stdout
-      // stays byte-stable for the CI diff.
-      if (gs->corruptions() > 0) guard::print_findings(*gs, stderr);
-    }
-    if (const auto& p = r.planes.prof) {
-      prof::publish_metrics(*p, reg, "prof." + name + ".");
-      timeseries += p->timeseries_csv;
-      sites += p->sites_csv;
-      folded += p->folded;
-    }
+    stm::publish_metrics(r.stats, reg, name + ".stm.");
+    obs.report(name + ".", r.planes);
   }
-
-  int rc = hard_findings > 0 ? 4 : 0;  // dirty run, distinct from a write
-                                       // failure below (3)
-  if (guard_findings > 0) rc = guard::kExitCode;  // corruption trumps both
-  if (!prof_out.empty()) {
-    const struct {
-      const char* suffix;
-      const std::string* text;
-    } outs[] = {{".timeseries.csv", &timeseries},
-                {".sites.csv", &sites},
-                {".folded", &folded}};
-    for (const auto& o : outs) {
-      const std::string path = prof_out + o.suffix;
-      if (!write_text(path, *o.text)) {
-        std::fprintf(stderr, "server_mix: failed to write %s\n", path.c_str());
-        rc = 3;
-      } else {
-        std::fprintf(stderr, "server_mix: wrote %s\n", path.c_str());
-      }
-    }
-  }
-  if (!opt.metrics_out().empty() && !reg.write_json(opt.metrics_out())) {
-    std::fprintf(stderr, "server_mix: failed to write %s\n",
-                 opt.metrics_out().c_str());
-    rc = 3;
-  }
-  return rc;
+  return obs.finish(0);
 }

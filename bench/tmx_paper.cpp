@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "guard/guard.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "paper.hpp"
@@ -63,16 +62,14 @@ void check_run(const Sample&) {}
 
 }  // namespace
 
-Ctx::Ctx(const Figure& f, const harness::Options& o, harness::ObsSession& obs,
-         Findings& findings)
+Ctx::Ctx(const Figure& f, const harness::Options& o, harness::ObsSession& obs)
     : fig(f),
       opt(o),
       allocs(f.allocs ? o.allocators(f.allocs) : std::vector<std::string>{}),
       threads(f.threads ? o.threads(f.threads) : std::vector<int>{}),
       reps(f.reps ? std::max(1, o.reps(f.reps)) : 1),
       scale(f.scale * o.scale()),
-      obs_(obs),
-      findings_(findings) {}
+      obs_(obs) {}
 
 harness::RunSpec Ctx::spec(const std::string& alloc) const {
   harness::RunSpec s = opt.run_spec();
@@ -112,26 +109,7 @@ std::vector<R> Ctx::cell(const harness::RunSpec& spec, const std::string& cell,
     if (const auto* c = cache_of(run)) cache.add(*c);
 
     // The planes report per run, under the run's own prefix.
-    const std::string run_prefix = prefix + "r" + std::to_string(r) + ".";
-    const harness::PlaneOutputs& planes = run.planes;
-    if (planes.fault) {
-      fault::publish_metrics(*planes.fault, reg, run_prefix + "fault.");
-    }
-    if (const auto& cs = planes.check) {
-      check::publish_metrics(*cs, reg, run_prefix + "check.");
-      findings_.hard += cs->hard_count();
-      if (cs->hard_count() > 0) check::print_reports(*cs, stdout);
-    }
-    if (const auto& gs = planes.guard) {
-      guard::publish_metrics(*gs, reg, run_prefix + "guard.");
-      findings_.corruptions += gs->corruptions();
-      // Findings carry raw addresses: stderr keeps stdout byte-stable.
-      if (gs->corruptions() > 0) guard::print_findings(*gs, stderr);
-    }
-    if (planes.prof) {
-      prof::publish_metrics(*planes.prof, reg, run_prefix + "prof.");
-      obs_.set_profile(*planes.prof);  // --prof-out writes the last run's
-    }
+    obs_.report(prefix + "r" + std::to_string(r) + ".", run.planes);
     runs.push_back(std::move(run));
   }
   if (stats_of(runs.front())) {
@@ -204,14 +182,13 @@ int usage_error(const std::string& why) {
 
 // Runs `fig` once, or once per thread count for a single-count figure.
 void run_figure(const Figure& fig, const harness::Options& opt,
-                harness::ObsSession& obs, Ctx::Findings& findings,
-                const std::string& csv) {
+                harness::ObsSession& obs, const std::string& csv) {
   std::printf("== %s ==\n", fig.title);
   std::printf("reproduces: %s\n", fig.reproduces);
   std::printf(
       "(virtual-time simulation; compare shapes/ratios with the paper, "
       "not absolute values)\n\n");
-  Ctx ctx(fig, opt, obs, findings);
+  Ctx ctx(fig, opt, obs);
   ctx.csv_path = csv;
   const bool per_count =
       fig.threads != nullptr && std::string(fig.threads).find(',') ==
@@ -259,20 +236,10 @@ int main(int argc, char** argv) {
   }
 
   harness::ObsSession obs(opt);
-  // Both budget trips and the guard's hard cap exit through std::_Exit:
-  // flush the obs evidence first.
-  sim::install_watchdog_flush([&obs] { obs.finish(); });
-  static harness::ObsSession* s_obs = &obs;
-  guard::install_exit_flush([] { s_obs->finish(); });
-
-  paper::Ctx::Findings findings;
   for (const Figure* f : selected) {
-    paper::run_figure(*f, opt, obs, findings,
+    paper::run_figure(*f, opt, obs,
                       selected.size() > 1 ? paper::tagged(opt.csv(), f->name)
                                           : opt.csv());
   }
-  obs.finish();
-  if (!obs.ok()) return 3;
-  if (findings.corruptions > 0) return guard::kExitCode;
-  return findings.hard > 0 ? 4 : 0;
+  return obs.finish(0);
 }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "alloc/allocator.hpp"
+#include "harness/obs_session.hpp"
 #include "harness/options.hpp"
 #include "harness/run_context.hpp"
 #include "obs/metrics.hpp"
@@ -226,6 +227,8 @@ int main(int argc, char** argv) {
                  replay::read_status_name(st));
     return 2;
   }
+  // Only this mode reports: --synth takes --record-trace as its output.
+  harness::ObsSession obs(opt);
   std::vector<replay::ReplayResult> results;
   {
     // The replays share one run context: it hands the --phase-* config to
@@ -243,8 +246,5 @@ int main(int argc, char** argv) {
       all_ok = false;
     }
   }
-  if (!opt.metrics_out().empty()) {
-    obs::MetricsRegistry::global().write_json(opt.metrics_out());
-  }
-  return all_ok ? 0 : 1;
+  return obs.finish(all_ok ? 0 : 1);
 }

@@ -5,7 +5,6 @@
 #include "guard/guard.hpp"
 
 #include <cinttypes>
-#include <cstdlib>
 #include <memory>
 
 #include "obs/metrics.hpp"
@@ -25,8 +24,6 @@ struct State {
 namespace {
 
 State* state() { return sim::context().guard.get(); }
-
-void (*g_flush)() = nullptr;
 
 }  // namespace
 
@@ -68,8 +65,7 @@ void emit(Finding f) {
                  " findings, cap %" PRIu64 ")\n",
                  total, s->cfg.hard_cap);
     print_findings(s->found, stderr);
-    if (g_flush != nullptr) g_flush();
-    std::_Exit(kExitCode);
+    sim::exit_flushed(kExitCode);
   }
 }
 
@@ -151,8 +147,6 @@ void publish_metrics(const Summary& s, obs::MetricsRegistry& reg,
   reg.set_counter(prefix + "audit_blocks", st.audit_blocks);
   reg.set_counter(prefix + "epochs", st.epochs);
 }
-
-void install_exit_flush(void (*flush)()) { detail::g_flush = flush; }
 
 const char* current_site() { return detail::site_or(sim::self_tid(), "?"); }
 

@@ -163,11 +163,6 @@ void print_findings(const Summary& s, std::FILE* out);
 void publish_metrics(const Summary& s, obs::MetricsRegistry& reg,
                      const std::string& prefix = "guard.");
 
-// Diagnostics hook run just before the hard-cap _Exit(5) (harnesses flush
-// obs metrics here, mirroring sim::install_watchdog_flush). Process-wide,
-// like the watchdog's.
-void install_exit_flush(void (*flush)());
-
 // ---- Site labels ----
 // Thread-local label attributing allocations and detections; nests. String
 // must outlive the scope (string literals).

@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_json.hpp"
 #include "obs/tracer.hpp"
+#include "sim/engine.hpp"
 
 namespace tmx::harness {
 
@@ -30,9 +31,13 @@ ObsSession::ObsSession(const Options& opts)
     obs::Tracer::instance().enable(opts.trace_capacity());
     tracing_ = true;
   }
+  sim::install_exit_flush([this] { write_artifacts(); });
 }
 
-ObsSession::~ObsSession() { finish(); }
+ObsSession::~ObsSession() {
+  write_artifacts();
+  sim::install_exit_flush({});
+}
 
 void ObsSession::set_trace_meta(const std::string& allocator, unsigned shift,
                                 unsigned ort_log2, std::uint64_t seed) {
@@ -79,6 +84,38 @@ void ObsSession::report_attribution_and_clear(const std::string& label) {
   reported_per_case_ = true;
 }
 
+void publish_metrics(const PlaneOutputs& planes, obs::MetricsRegistry& reg,
+                     const std::string& prefix) {
+  if (planes.fault) {
+    fault::publish_metrics(*planes.fault, reg, prefix + "fault.");
+  }
+  if (planes.check) {
+    check::publish_metrics(*planes.check, reg, prefix + "check.");
+  }
+  if (planes.guard) {
+    guard::publish_metrics(*planes.guard, reg, prefix + "guard.");
+  }
+  if (planes.prof) prof::publish_metrics(*planes.prof, reg, prefix + "prof.");
+}
+
+void ObsSession::report(const std::string& prefix, const PlaneOutputs& planes) {
+  publish_metrics(planes, obs::MetricsRegistry::global(), prefix);
+  if (const auto& cs = planes.check; cs && cs->hard_count() > 0) {
+    hard_reports_ += cs->hard_count();
+    check::print_reports(*cs, stdout);
+  }
+  if (const auto& gs = planes.guard; gs && gs->corruptions() > 0) {
+    corruptions_ += gs->corruptions();
+    guard::print_findings(*gs, stderr);
+  }
+  if (planes.prof && !prof_out_.empty()) {
+    timeseries_csv_ += planes.prof->timeseries_csv;
+    sites_csv_ += planes.prof->sites_csv;
+    folded_ += planes.prof->folded;
+    profiled_ = true;
+  }
+}
+
 namespace {
 
 bool write_text(const std::string& path, const std::string& text) {
@@ -91,27 +128,30 @@ bool write_text(const std::string& path, const std::string& text) {
 
 }  // namespace
 
-void ObsSession::finish() {
+int ObsSession::finish(int rc) {
+  write_artifacts();
+  if (!ok_) return 3;  // a run whose evidence is missing never succeeds
+  if (corruptions_ > 0) return guard::kExitCode;
+  if (hard_reports_ > 0) return 4;  // dirty run, distinct from rc 1
+  return rc;
+}
+
+void ObsSession::write_artifacts() {
   if (finished_) return;
   finished_ = true;
   collect();
 
-  // Profiler artifacts first: prof.* metrics must land in the registry
-  // before the --metrics-out write below snapshots it.
-  if (profile_) {
-    prof::publish_metrics(*profile_, obs::MetricsRegistry::global());
-    if (!prof_out_.empty()) {
-      if (write_text(prof_out_ + ".timeseries.csv",
-                     prof::timeseries_csv_header() + profile_->timeseries_csv) &&
-          write_text(prof_out_ + ".sites.csv",
-                     prof::sites_csv_header() + profile_->sites_csv) &&
-          write_text(prof_out_ + ".folded", profile_->folded)) {
-        std::fprintf(stderr, "prof: wrote %s.{timeseries.csv,sites.csv,folded}\n",
-                     prof_out_.c_str());
-      } else {
-        std::fprintf(stderr, "prof: failed to write %s.*\n", prof_out_.c_str());
-        ok_ = false;
-      }
+  if (profiled_) {
+    if (write_text(prof_out_ + ".timeseries.csv",
+                   prof::timeseries_csv_header() + timeseries_csv_) &&
+        write_text(prof_out_ + ".sites.csv",
+                   prof::sites_csv_header() + sites_csv_) &&
+        write_text(prof_out_ + ".folded", folded_)) {
+      std::fprintf(stderr, "prof: wrote %s.{timeseries.csv,sites.csv,folded}\n",
+                   prof_out_.c_str());
+    } else {
+      std::fprintf(stderr, "prof: failed to write %s.*\n", prof_out_.c_str());
+      ok_ = false;
     }
   }
 

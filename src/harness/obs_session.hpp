@@ -1,35 +1,52 @@
-// RAII wiring between the harness command line and tmx::obs / tmx::replay.
+// The one report path between a binary and its artifacts.
 //
-// ObsSession enables the tracer when any of --trace / --attribution /
-// --record-trace is given, collects events across the bench's cases, and
-// on finish() (or destruction) writes the Chrome trace (--trace), the
-// metrics registry JSON (--metrics-out), the abort-attribution report
-// (--attribution) and the replayable tmx-trace-v1 capture
-// (--record-trace). Ring-overflow drop counts are published as
-// obs.trace.dropped metrics and surfaced in the finish() summary either
-// way.
+// A binary opens one ObsSession for the process, hands it each run's plane
+// outputs with report(), and returns finish(rc) from main:
 //
-// When the binary hands it a run's profile (set_profile, the prof plane's
-// output), finish() additionally publishes the prof.* metrics into the
-// global registry before the --metrics-out write and emits the profiler
-// artifacts (<prof-out>.timeseries.csv / .sites.csv / .folded).
+//  * report(prefix, planes) publishes the fault/check/guard/prof outputs
+//    under "<prefix><plane>." (publish_metrics below), prints check
+//    reports to stdout and guard findings to stderr (they carry raw
+//    addresses, so stdout stays byte-stable), counts hard reports and
+//    corruptions, and appends the run's prof rows to the --prof-out files.
+//  * finish(rc) writes every artifact: the profiler files
+//    (<prof-out>.timeseries.csv / .sites.csv / .folded), the
+//    abort-attribution report (--attribution), the Chrome trace (--trace),
+//    the replayable tmx-trace-v1 capture (--record-trace) and the
+//    tmx-metrics-v1 document (--metrics-out). It returns the exit code:
+//    3 when an artifact failed to write, else 5 for heap corruption, else
+//    4 for a hard check report, else the workload's `rc`.
+//  * The constructor installs the process's exit-flush hook
+//    (sim::install_exit_flush), so a watchdog or guard hard-cap trip still
+//    writes every artifact before it exits.
 //
-// Benches with several independent cases call report_attribution_and_clear()
-// between them to get a per-case report and a fresh trace window.
+// The tracer is on when any of --trace / --attribution / --record-trace is
+// given; events are collected across the runs. Ring-overflow drop counts
+// are published as obs.trace.dropped metrics and printed either way.
+// Binaries with several independent cases call
+// report_attribution_and_clear() between them to get a per-case report
+// and a fresh trace window.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "harness/run_context.hpp"
 #include "obs/event.hpp"
-#include "prof/prof.hpp"
 #include "replay/recorder.hpp"
 #include "util/macros.hpp"
+
+namespace tmx::obs {
+class MetricsRegistry;
+}
 
 namespace tmx::harness {
 
 class Options;
+
+// Publishes each plane's output in `planes` under "<prefix><plane>.":
+// fault., check., guard. and prof.
+void publish_metrics(const PlaneOutputs& planes, obs::MetricsRegistry& reg,
+                     const std::string& prefix);
 
 class ObsSession {
  public:
@@ -38,8 +55,6 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  bool tracing() const { return tracing_; }
-  bool attribution() const { return attribution_; }
   bool recording() const { return !record_path_.empty(); }
 
   // Stamps the capture configuration into the recorded trace header so a
@@ -49,8 +64,8 @@ class ObsSession {
   void set_trace_meta(const std::string& allocator, unsigned shift,
                       unsigned ort_log2, std::uint64_t seed);
 
-  // The run's profile, published and written out by finish().
-  void set_profile(const prof::Profile& p) { profile_ = p; }
+  // Reports one run's planes into the global registry (see above).
+  void report(const std::string& prefix, const PlaneOutputs& planes);
 
   // Prints the abort-attribution report for the events recorded since the
   // last call (or session start), labeled `label`, then clears the tracer
@@ -58,32 +73,31 @@ class ObsSession {
   // the final Chrome trace. No-op unless --attribution and tracing are on.
   void report_attribution_and_clear(const std::string& label);
 
-  // Writes --trace / --metrics-out outputs and, if no per-case report was
-  // requested, the whole-run attribution. Safe to call once; the destructor
-  // calls it for benches that early-exit.
-  void finish();
-
-  // False once any requested artifact (--trace / --record-trace /
-  // --metrics-out) failed to persist. Binaries call finish() explicitly and
-  // propagate !ok() as a nonzero exit so a run whose evidence is missing
-  // never reports success.
-  bool ok() const { return ok_; }
+  // Writes every artifact once and returns the exit code (see above). The
+  // destructor writes them too, for binaries that exit early.
+  int finish(int rc);
 
  private:
   void collect();
   void absorb_window();
+  void write_artifacts();
 
   bool tracing_ = false;
   bool attribution_ = false;
   bool finished_ = false;
-  bool ok_ = true;
+  bool ok_ = true;  // false once a requested artifact failed to persist
   bool reported_per_case_ = false;
+  bool profiled_ = false;  // some report() carried a profile
   int top_k_ = 8;
+  std::uint64_t hard_reports_ = 0;
+  std::uint64_t corruptions_ = 0;
   std::string trace_path_;
   std::string metrics_path_;
   std::string record_path_;
   std::string prof_out_;
-  std::optional<prof::Profile> profile_;
+  std::string timeseries_csv_;
+  std::string sites_csv_;
+  std::string folded_;
   std::vector<obs::Event> collected_;
   std::uint64_t drops_by_thread_[kMaxThreads] = {};
   replay::Recorder recorder_;

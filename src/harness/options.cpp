@@ -318,6 +318,15 @@ void Options::print_help(const char* what) const {
       "  --scale X              workload scale factor (default 1)\n"
       "  --csv PATH             also write results as CSV\n"
       "  --cache-model 0|1      toggle the cache simulator (sim engine)\n"
+      "STM configuration:\n"
+      "  --shift K              ORT stripe shift: 2^K bytes per lock\n"
+      "                         (default 5)\n"
+      "  --design wb|wt|ctl     write-back, write-through or commit-time\n"
+      "                         locking (default wb)\n"
+      "  --txcache 0|1          thread-local transactional object cache\n"
+      "                         (default 0)\n"
+      "  --hybrid 0|1           hybrid execution: hardware path with the\n"
+      "                         software fallback (default 0)\n"
       "NUMA topology / placement (sim engine):\n"
       "  --numa-nodes N         NUMA nodes in the simulated machine (default\n"
       "                         1 = flat; >1 adds remote-memory latency)\n"
@@ -331,9 +340,8 @@ void Options::print_help(const char* what) const {
       "  --attribution          print top-K abort attribution per stripe\n"
       "  --attribution-topk K   stripes in the attribution report (default 8)\n"
       "  --trace-capacity N     per-thread event ring capacity (default 64Ki)\n"
-      "trace capture / replay:\n"
+      "trace capture:\n"
       "  --record-trace PATH    capture the run as a tmx-trace-v1 trace\n"
-      "  --replay-trace PATH    replay a recorded trace through --alloc models\n"
       "  --list-allocators      print the allocator registry and exit\n"
       "fault injection / degradation:\n"
       "  --fault-seed S           fault-plan seed (default 20150207)\n"

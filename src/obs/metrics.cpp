@@ -8,58 +8,6 @@
 
 namespace tmx::obs {
 
-void Histogram::observe(double x) {
-  if (counts.size() != bounds.size() + 1) {
-    counts.assign(bounds.size() + 1, 0);
-  }
-  std::size_t i = 0;
-  while (i < bounds.size() && x > bounds[i]) ++i;
-  ++counts[i];
-  ++count;
-  sum += x;
-}
-
-namespace {
-
-// Estimated value of the 0-based order statistic `k`: samples are assumed
-// evenly spread inside their bucket (midpoint convention), and the
-// open-ended +inf bucket reports its lower bound.
-double value_at_rank(const std::vector<double>& bounds,
-                     const std::vector<std::uint64_t>& counts,
-                     std::uint64_t k) {
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (k < cum + counts[i]) {
-      const double lo = i == 0 ? 0.0 : bounds[i - 1];
-      if (i >= bounds.size()) return lo;  // open-ended +inf bucket
-      const double within =
-          (static_cast<double>(k - cum) + 0.5) / static_cast<double>(counts[i]);
-      return lo + (bounds[i] - lo) * within;
-    }
-    cum += counts[i];
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
-}
-
-}  // namespace
-
-double Histogram::percentile(double p) const {
-  if (count == 0 || counts.empty()) return 0.0;
-  if (p < 0.0) p = 0.0;
-  if (p > 100.0) p = 100.0;
-  // Linear interpolation between closest ranks (the harness::percentile
-  // convention). The previous target = p/100*count walk degenerated to the
-  // max sample's bucket for every n < 1/(1-p/100) — p95 of 10 samples
-  // reported the top bucket — because the target rank exceeded n-1.
-  const double rank = p / 100.0 * static_cast<double>(count - 1);
-  const std::uint64_t lo_rank = static_cast<std::uint64_t>(rank);
-  const double frac = rank - static_cast<double>(lo_rank);
-  const double lo_v = value_at_rank(bounds, counts, lo_rank);
-  if (frac == 0.0 || lo_rank + 1 >= count) return lo_v;
-  const double hi_v = value_at_rank(bounds, counts, lo_rank + 1);
-  return lo_v + frac * (hi_v - lo_v);
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry r;
   return r;
@@ -79,18 +27,6 @@ void MetricsRegistry::set_gauge(const std::string& name, double value) {
   gauges_[name] = value;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const std::vector<double>& bounds) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    Histogram h;
-    h.bounds = bounds;
-    h.counts.assign(bounds.size() + 1, 0);
-    it = histograms_.emplace(name, std::move(h)).first;
-  }
-  return it->second;
-}
-
 std::uint64_t MetricsRegistry::counter(const std::string& name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
@@ -101,16 +37,9 @@ double MetricsRegistry::gauge(const std::string& name) const {
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-const Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
 void MetricsRegistry::clear() {
   counters_.clear();
   gauges_.clear();
-  histograms_.clear();
 }
 
 namespace {
@@ -143,29 +72,6 @@ std::string MetricsRegistry::to_json() const {
     if (!first) out += ',';
     first = false;
     out += '"' + json::escape(k) + "\":" + num(v);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [k, h] : histograms_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json::escape(k) + "\":{\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i != 0) out += ',';
-      out += num(h.bounds[i]);
-    }
-    out += "],\"counts\":[";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i != 0) out += ',';
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%" PRIu64, h.counts[i]);
-      out += buf;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, h.count);
-    out += "],\"count\":";
-    out += buf;
-    out += ",\"sum\":" + num(h.sum) + "}";
   }
   out += "}}";
   return out;
@@ -203,33 +109,6 @@ bool MetricsRegistry::from_json(const std::string& text,
     for (const auto& [k, v] : gs->object) {
       if (!v.is_number()) return false;
       out->gauges_[k] = v.number;
-    }
-  }
-  if (const json::Value* hs = root.find("histograms"); hs != nullptr) {
-    if (!hs->is_object()) return false;
-    for (const auto& [k, v] : hs->object) {
-      const json::Value* bounds = v.find("bounds");
-      const json::Value* counts = v.find("counts");
-      const json::Value* count = v.find("count");
-      const json::Value* sum = v.find("sum");
-      if (bounds == nullptr || !bounds->is_array() || counts == nullptr ||
-          !counts->is_array() || count == nullptr || !count->is_number() ||
-          sum == nullptr || !sum->is_number()) {
-        return false;
-      }
-      Histogram h;
-      for (const auto& b : bounds->array) {
-        if (!b.is_number()) return false;
-        h.bounds.push_back(b.number);
-      }
-      for (const auto& c : counts->array) {
-        if (!c.is_number()) return false;
-        h.counts.push_back(static_cast<std::uint64_t>(c.number));
-      }
-      if (h.counts.size() != h.bounds.size() + 1) return false;
-      h.count = static_cast<std::uint64_t>(count->number);
-      h.sum = sum->number;
-      out->histograms_.emplace(k, std::move(h));
     }
   }
   return true;

@@ -1,5 +1,4 @@
-// The unified metrics registry: named counters, gauges and fixed-bucket
-// histograms with JSON export.
+// The unified metrics registry: named counters and gauges with JSON export.
 //
 // Before this layer every subsystem reported its own ad-hoc struct
 // (stm::TxStats, alloc::AllocationProfile, sim::CacheStats); the registry
@@ -18,24 +17,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace tmx::obs {
-
-// Fixed-bucket histogram: `bounds` are ascending inclusive upper bounds,
-// with an implicit final +inf bucket; counts.size() == bounds.size() + 1.
-struct Histogram {
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> counts;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-
-  void observe(double x);
-  // Estimated p-th percentile (p in [0,100]) by linear interpolation within
-  // the containing bucket; the open-ended last bucket reports its lower
-  // bound. Returns 0 when empty.
-  double percentile(double p) const;
-};
 
 class MetricsRegistry {
  public:
@@ -48,24 +31,14 @@ class MetricsRegistry {
   void add_counter(const std::string& name, std::uint64_t delta);
   void set_gauge(const std::string& name, double value);
 
-  // Returns the named histogram, creating it with `bounds` on first use
-  // (later calls ignore `bounds`).
-  Histogram& histogram(const std::string& name,
-                       const std::vector<double>& bounds);
-
   std::uint64_t counter(const std::string& name) const;  // 0 when absent
   double gauge(const std::string& name) const;           // 0.0 when absent
-  const Histogram* find_histogram(const std::string& name) const;
 
-  bool empty() const {
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
-  }
+  bool empty() const { return counters_.empty() && gauges_.empty(); }
   void clear();
 
   // Serializes as the stable "tmx-metrics-v1" schema:
-  //   {"schema":"tmx-metrics-v1",
-  //    "counters":{...},"gauges":{...},
-  //    "histograms":{name:{"bounds":[..],"counts":[..],"count":N,"sum":S}}}
+  //   {"schema":"tmx-metrics-v1","counters":{...},"gauges":{...}}
   // Keys are emitted in sorted order so output is diff-friendly.
   std::string to_json() const;
   // Writes to_json() to `path`; false on I/O failure.
@@ -78,7 +51,6 @@ class MetricsRegistry {
  private:
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace tmx::obs

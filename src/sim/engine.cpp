@@ -590,14 +590,22 @@ std::uint64_t probe(const void* addr, unsigned bytes, bool write) {
 std::uint64_t now_cycles() { return g_fiber != nullptr ? g_fiber->vtime : 0; }
 
 namespace {
-std::function<void()>& watchdog_flush_hook() {
+std::function<void()>& exit_flush_hook() {
   static std::function<void()> hook;
   return hook;
 }
 }  // namespace
 
-void install_watchdog_flush(std::function<void()> flush) {
-  watchdog_flush_hook() = std::move(flush);
+void install_exit_flush(std::function<void()> flush) {
+  exit_flush_hook() = std::move(flush);
+}
+
+void exit_flushed(int code) {
+  if (exit_flush_hook()) exit_flush_hook()();
+  std::fflush(nullptr);
+  // Exceptions cannot unwind a fiber trampoline and static destructor
+  // order is undefined mid-simulation, so leave without either.
+  std::_Exit(code);
 }
 
 void watchdog_trip(const char* what, std::uint64_t limit,
@@ -615,11 +623,7 @@ void watchdog_trip(const char* what, std::uint64_t limit,
                    f.get() == g_fiber ? " (running)" : "");
     }
   }
-  if (watchdog_flush_hook()) watchdog_flush_hook()();
-  std::fflush(nullptr);
-  // Exceptions cannot unwind a fiber trampoline and static destructor
-  // order is undefined mid-simulation, so leave without either.
-  std::_Exit(kWatchdogExitCode);
+  exit_flushed(kWatchdogExitCode);
 }
 
 namespace detail {

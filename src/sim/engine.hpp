@@ -122,13 +122,20 @@ std::uint64_t now_cycles();
 
 inline constexpr int kWatchdogExitCode = 3;
 
-// Registers the hook watchdog_trip runs before exiting (typically the
-// harness's ObsSession flush). Replaces any previous hook.
-void install_watchdog_flush(std::function<void()> flush);
+// Registers the process's one exit-flush hook: the harness's ObsSession
+// writes its artifacts there. Replaces any previous hook; an empty
+// function removes it.
+void install_exit_flush(std::function<void()> flush);
+
+// Runs the exit-flush hook, flushes stdio and leaves the process with
+// `code`, without unwinding or running static destructors. Every trip that
+// ends a run mid-simulation exits here: the watchdog and the guard's hard
+// corruption cap.
+[[noreturn]] void exit_flushed(int code);
 
 // Reports a breached virtual-cycle budget (`what` names it: "run" or
-// "transaction"), prints per-fiber clocks when called from a fiber, runs
-// the flush hook, and exits with kWatchdogExitCode. Also usable by
+// "transaction"), prints per-fiber clocks when called from a fiber, and
+// exits through exit_flushed(kWatchdogExitCode). Also usable by
 // non-engine code (the STM's per-transaction budget).
 [[noreturn]] void watchdog_trip(const char* what, std::uint64_t limit,
                                 std::uint64_t actual);

@@ -20,6 +20,12 @@
 #   cli_smoke.sh replay_synth     <trace_replay>  byte-stable capture, replayed
 #                                 through four models
 #   cli_smoke.sh list_allocators  <stamp_runner> <trace_replay> <allocator_duel>
+#   cli_smoke.sh trip_keeps_metrics <server_mix> <stamp_runner>  a guard-cap
+#                                 or watchdog trip still writes --metrics-out
+#   cli_smoke.sh metrics_write_fails <stamp_runner> <server_mix> <chaos_soak>
+#                                 <trace_replay> <tmx_paper>  an unwritable
+#                                 --metrics-out exits 3
+#   cli_smoke.sh paper_prof_runs  <tmx_paper>     --prof-out holds every run
 #   cli_smoke.sh paper_shared_flags <tmx_paper>   --cache-model reaches table4;
 #                                 an unknown figure exits 2
 #   cli_smoke.sh paper_<figure>   <tmx_paper>     the figure runs clean at
@@ -43,6 +49,14 @@ expect_exit() {
   "$@" > /dev/null 2>&1 || rc=$?
   if [ "$rc" -ne "$want" ]; then
     echo "cli_smoke.sh: exit $rc, expected $want: $*" >&2
+    exit 1
+  fi
+}
+
+# Fails unless file $1 is a tmx-metrics-v1 document.
+expect_metrics() {
+  if ! grep -qs '^{"schema":"tmx-metrics-v1",' "$1"; then
+    echo "cli_smoke.sh: $1 is not a tmx-metrics-v1 document" >&2
     exit 1
   fi
 }
@@ -134,6 +148,41 @@ case "$drive" in
     diff l0.out l1.out
     diff l0.out l2.out
     grep -q '^phase' l0.out
+    ;;
+  trip_keeps_metrics)
+    expect_exit 5 "${bins[0]}" --quick --alloc glibc --cache-model 0 --guard \
+      --guard-hard-cap 1 --fault-corrupt-tag-rate 0.2 \
+      --fault-corrupt-budget 4 --metrics-out cap.json
+    expect_metrics cap.json
+    expect_exit 3 "${bins[0]}" --quick --cache-model 0 \
+      --watchdog-run-cycles 10000 --metrics-out mix_budget.json
+    expect_metrics mix_budget.json
+    expect_exit 3 "${bins[1]}" "${vacation[@]}" --scale 0.3 \
+      --watchdog-run-cycles 10000 --metrics-out app_budget.json
+    expect_metrics app_budget.json
+    ;;
+  metrics_write_fails)
+    out=(--metrics-out nodir/m.json)
+    expect_exit 3 "${bins[0]}" "${vacation[@]}" --scale 0.1 "${out[@]}"
+    expect_exit 3 "${bins[1]}" --quick --alloc glibc --cache-model 0 "${out[@]}"
+    expect_exit 3 "${bins[2]}" --quick --rounds 1 --cache-model 0 "${out[@]}"
+    "${bins[3]}" --synth --threads 2 --ops 200 --record-trace t.tmxtrc \
+      > /dev/null
+    expect_exit 3 "${bins[3]}" --replay-trace t.tmxtrc --alloc glibc \
+      --cache-model 0 "${out[@]}"
+    expect_exit 3 "${bins[4]}" --figure table2 --cache-model 0 "${out[@]}"
+    ;;
+  paper_prof_runs)
+    "${bins[0]}" --figure table4 --alloc glibc,tcmalloc --threads 2 --reps 2 \
+      --scale 0.25 --prof --prof-out p --metrics-out m.json > /dev/null 2>&1
+    grep -q '^glibc,' p.sites.csv
+    grep -q '^tcmalloc,' p.sites.csv
+    # Every run's profile is published under the run's own prefix only.
+    expect_metrics m.json
+    if grep -q '"prof\.' m.json; then
+      echo "cli_smoke.sh: m.json has unprefixed prof.* keys" >&2
+      exit 1
+    fi
     ;;
   paper_shared_flags)
     # With the cache model off, every L1-miss cell reads 0.0%.

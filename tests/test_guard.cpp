@@ -370,7 +370,7 @@ TEST(GuardWatchdog, EscalatedTransactionStillTripsTxBudget) {
         fault::FaultPlan plan;
         plan.spurious_abort_rate = 1.0;  // aborts until the cap escalates
         const harness::RunContext run({.fault = plan});
-        sim::install_watchdog_flush(
+        sim::install_exit_flush(
             [] { std::fprintf(stderr, "obs-flushed\n"); });
         auto allocator = alloc::create_allocator("tcmalloc");
         stm::Config cfg;

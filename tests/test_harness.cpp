@@ -19,11 +19,13 @@
 #include "fault/fault_alloc.hpp"
 #include "guard/guard.hpp"
 #include "guard/guard_alloc.hpp"
+#include "harness/obs_session.hpp"
 #include "harness/options.hpp"
 #include "harness/run_context.hpp"
 #include "harness/server_mix.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
+#include "obs/metrics.hpp"
 #include "prof/prof.hpp"
 #include "prof/prof_alloc.hpp"
 #include "stamp/app.hpp"
@@ -325,6 +327,56 @@ TEST(Table, CsvRoundTrip) {
   EXPECT_STREQ(buf, "1,x\n");
   std::fclose(f);
   std::remove(path.c_str());
+}
+
+// ---- Report path ----
+
+// report() publishes each plane under "<prefix><plane>."; finish() ranks an
+// artifact that failed to write (3) over heap corruption (5) over a hard
+// check report (4) over the workload's own rc.
+TEST(ObsSession, ReportPrefixesPlanesAndRanksExitCodes) {
+  PlaneOutputs clean;
+  clean.fault = fault::FaultStats{};
+  clean.fault->injected[static_cast<int>(fault::Site::kMalloc)] = 2;
+  clean.check = check::Summary{};
+  clean.guard = guard::Summary{};
+  clean.prof = prof::Profile{};
+  clean.prof->mallocs = 7;
+  PlaneOutputs dirty = clean;
+  dirty.check->counts[static_cast<int>(check::ReportKind::kRace)] = 1;
+  PlaneOutputs corrupt = clean;
+  corrupt.guard->counts[static_cast<int>(guard::FindingKind::kTagSmash)] = 1;
+
+  // One session over `runs` (run<i>. prefixes) whose workload returns 1.
+  const auto exit_code = [](const std::string& metrics_out,
+                            const std::vector<const PlaneOutputs*>& runs) {
+    const char* argv[] = {"prog", "--metrics-out", metrics_out.c_str()};
+    const Options opt(metrics_out.empty() ? 1 : 3, const_cast<char**>(argv));
+    ObsSession obs(opt);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      obs.report("run" + std::to_string(i) + ".", *runs[i]);
+    }
+    return obs.finish(1);
+  };
+  auto& reg = obs::MetricsRegistry::global();
+  reg.clear();
+  EXPECT_EQ(exit_code("", {&clean}), 1);
+  EXPECT_EQ(reg.counter("run0.fault.oom.injected"), 2u);
+  EXPECT_EQ(reg.counter("run0.prof.mallocs"), 7u);
+  const std::string json = reg.to_json();
+  EXPECT_NE(json.find("\"run0.check.races\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"run0.guard.findings\":0"), std::string::npos);
+  EXPECT_EQ(json.find("\"fault."), std::string::npos);
+  EXPECT_EQ(json.find("\"prof."), std::string::npos);
+
+  EXPECT_EQ(exit_code("", {&clean, &dirty}), 4);
+  EXPECT_EQ(reg.counter("run1.check.races"), 1u);
+  EXPECT_EQ(exit_code("", {&corrupt, &dirty}), 5);
+  EXPECT_EQ(reg.counter("run0.guard.tag_smashes"), 1u);
+  EXPECT_EQ(exit_code(::testing::TempDir() + "/no-such-dir/m.json",
+                      {&corrupt, &dirty}),
+            3);
+  reg.clear();
 }
 
 // ---- Allocator stack ----
