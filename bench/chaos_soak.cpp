@@ -18,7 +18,7 @@
 //
 // stdout is integer counts and site names only — never raw block addresses,
 // which are ASLR-dependent — so two runs at the same seed are byte-identical
-// and the CI chaos-smoke job can diff them.
+// and smoke_chaos_soak can diff them.
 //
 //   ./build/bench/chaos_soak --quick --seed 7
 //   ./build/bench/chaos_soak --rounds 12 --alloc glibc,hoard,tbb,tcmalloc
@@ -37,28 +37,33 @@
 
 int main(int argc, char** argv) {
   using namespace tmx;
-  harness::Options opt(argc, argv);
-  if (harness::handle_list_allocators(opt)) return 0;
-  if (opt.has("help")) {
-    std::printf(
-        "usage: chaos_soak [--rounds N] [--alloc a,b,...] [--seed S]\n"
-        "                  [--requests N] [--quick] [--cache-model 0|1]\n"
-        "                  [--metrics-out PATH] [--list-allocators]\n"
-        "soak contract: every injected corruption is detected and attributed\n"
-        "(tag->tag_smash, overflow->canary_smash, reuse->poison_write), the\n"
-        "corrupted blocks are contained, and every round completes. Exits 1\n"
-        "on any detection mismatch.\n");
-    return 0;
-  }
+  using K = harness::Flag::Kind;
+  // chaos_soak draws every run setting from its seed, so it reads no
+  // other run flag.
+  constexpr harness::Flag kFlags[] = {
+      {"alloc", K::kText, "a,b,...", "glibc,hoard,tbb,tcmalloc",
+       "allocators, taken round-robin"},
+      {"quick", K::kBare, nullptr, nullptr, "short soak"},
+      {"rounds", K::kInt, "N", nullptr, "rounds (default 12; 4 with --quick)"},
+      {"requests", K::kInt, "N", nullptr,
+       "base requests per round (default 1024; 192 with --quick)"},
+      {"seed", K::kInt, "S", "20150207", "seed of every randomized choice"},
+      {"cache-model", K::kInt, "0|1", "1", "cache simulator"},
+  };
+  const harness::Options opt(
+      argc, argv,
+      {{"chaos_soak: exits 1 unless every injected corruption is detected:",
+        kFlags},
+       harness::kReportFlags});
 
   const bool quick = opt.has("quick");
-  const int rounds =
-      static_cast<int>(opt.get_long("rounds", quick ? 4 : 12));
-  const std::vector<std::string> allocs = opt.allocators();
-  const std::uint64_t seed = opt.seed();
-  const bool cache_model = opt.get_long("cache-model", 1) != 0;
+  const int rounds = static_cast<int>(
+      opt.has("rounds") ? opt.get_long("rounds") : quick ? 4 : 12);
+  const std::vector<std::string> allocs = opt.get_list("alloc");
+  const auto seed = static_cast<std::uint64_t>(opt.get_long("seed"));
+  const bool cache_model = opt.get_long("cache-model") != 0;
   const std::size_t base_requests = static_cast<std::size_t>(
-      opt.get_long("requests", quick ? 192 : 1024));
+      opt.has("requests") ? opt.get_long("requests") : quick ? 192 : 1024);
 
   harness::ObsSession obs(opt);
 

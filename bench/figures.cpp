@@ -360,8 +360,7 @@ void fig06(Ctx& c) {
 // names them.
 void fig07(Ctx& c) {
   Table table6({"Application", "Best", "Worst", "Perf. Diff.", "Threads"});
-  for (const auto& app : c.opt.get_list(
-           "apps", "bayes,genome,intruder,labyrinth,vacation,yada")) {
+  for (const auto& app : c.opt.get_list("apps")) {
     std::printf("--- %s — execution time (virtual seconds) ---\n",
                 app.c_str());
     std::vector<std::string> headers = {"threads"};

@@ -66,7 +66,7 @@ class Ctx {
   const harness::Options& opt;
   std::vector<std::string> allocs;
   std::vector<int> threads;
-  int reps;
+  int reps = 1;
   double scale;
   std::string csv_path;
 

@@ -162,12 +162,10 @@ std::uint64_t hashset_numa(std::size_t ops_per_thread) {
 // backing it. Epochs advance on the STM's commit hints (allocator default
 // cadence) and retired phases reclaim opportunistically whenever a commit
 // leaves no transaction in flight — the hint-driven hot path end to end.
-std::uint64_t hashset_phase(std::size_t ops_per_thread,
-                            const tmx::phase::PhaseConfig& phase) {
+std::uint64_t hashset_phase(std::size_t ops_per_thread) {
   tmx::harness::SetBenchConfig cfg;
   cfg.kind = tmx::harness::SetKind::kHashSet;
   cfg.allocator = "phase";
-  cfg.phase = phase;
   cfg.threads = 8;
   cfg.cache_model = true;
   cfg.initial = 4096;
@@ -210,18 +208,17 @@ bool write_bench_perf(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  tmx::harness::Options opts(argc, argv);
-  if (opts.has("help")) {
-    opts.print_help(
-        "perf_suite: host wall-clock per simulated M-op for the substrate "
-        "hot paths\n  --quick        smaller workloads (CI smoke)\n"
-        "  --out PATH     output JSON (default BENCH_perf.json)\n"
-        "  --reps N       repetitions, best kept (default 3)");
-    return 0;
-  }
+  using K = tmx::harness::Flag::Kind;
+  constexpr tmx::harness::Flag kFlags[] = {
+      {"quick", K::kBare, nullptr, nullptr, "smaller workloads (CI smoke)"},
+      {"out", K::kText, "PATH", "BENCH_perf.json", "output JSON"},
+      {"reps", K::kInt, "N", "3", "repetitions, best kept"},
+  };
+  const tmx::harness::Options opts(
+      argc, argv, {{"perf_suite: host time per simulated M-op:", kFlags}});
   const bool quick = opts.has("quick");
-  const int reps = opts.reps(3);
-  const std::string out_path = opts.get("out", "BENCH_perf.json");
+  const int reps = static_cast<int>(opts.get_long("reps"));
+  const std::string out_path = opts.get("out");
   // The workload knobs scale together; Mops/s stays comparable between
   // quick and full runs, which is what the CI guard compares.
   const std::uint64_t scale = quick ? 1 : 4;
@@ -319,10 +316,9 @@ int main(int argc, char** argv) {
   }
   {
     const std::size_t ops = 4000 * scale;
-    const tmx::phase::PhaseConfig phase = opts.run_spec().phase;
     results.push_back(
         run_scenario("hashset_phase", 8 * ops, reps,
-                     [&] { (void)hashset_phase(ops, phase); }));
+                     [&] { (void)hashset_phase(ops); }));
   }
 
   if (!write_bench_perf(out_path, results, quick)) {

@@ -6,7 +6,7 @@
 //   ./build/bench/server_mix --quick --prof --prof-out out/mix
 //
 // All profiler output goes to files/stderr; stdout is byte-identical with
-// and without --prof (the CI prof-smoke step diffs the two), which is the
+// and without --prof (smoke_prof_onoff diffs the two), which is the
 // zero-perturbation contract made observable. Run the comparison with
 // --cache-model 0: with the cache model on, simulated latencies depend on
 // where host-heap metadata lands, so inserting any wrapper (profiler,
@@ -23,44 +23,41 @@
 
 int main(int argc, char** argv) {
   using namespace tmx;
-  harness::Options opt(argc, argv);
-  if (harness::handle_list_allocators(opt)) return 0;
-  if (opt.has("help")) {
-    opt.print_help(
-        "usage: server_mix [options]\n"
-        "server_mix options:\n"
-        "  --quick                smaller run: 4 workers, 256 requests\n"
-        "  --workers N            server worker threads (default 8)\n"
-        "  --requests N           requests in the open-loop arrival stream\n"
-        "                         (default 4096)\n"
-        "  --arrival CYCLES       virtual cycles between arrivals (default "
-        "2000)\n"
-        "  --allocs-per-req N     allocations per request (default 6)\n"
-        "  --retain F             fraction of requests leaking until "
-        "teardown\n"
-        "                         (default 0.04)\n"
-        "  --mu M --sigma S       ln-space size location and scale\n"
-        "                         (default 6.0, 1.0)\n"
-        "  --phase-maintenance-every N  worker 0 calls the quiescent\n"
-        "                         maintenance point every N requests\n"
-        "                         (default 0 = never)");
-    return 0;
-  }
+  using K = harness::Flag::Kind;
+  constexpr harness::Flag kFlags[] = {
+      {"alloc", K::kText, "a,b,...", "glibc,hoard,tbb,tcmalloc",
+       "allocators, one row each"},
+      {"quick", K::kBare, nullptr, nullptr, "smaller run"},
+      {"workers", K::kInt, "N", nullptr, "workers (default 8; 4 with --quick)"},
+      {"requests", K::kInt, "N", nullptr,
+       "open-loop requests (default 4096; 256 with --quick)"},
+      {"arrival", K::kInt, "CYCLES", "2000", "cycles between arrivals"},
+      {"allocs-per-req", K::kInt, "N", "6", "allocations per request"},
+      {"retain", K::kReal, "F", "0.04", "fraction of requests leaking"},
+      {"mu", K::kReal, "M", "6.0", "ln-space size location"},
+      {"sigma", K::kReal, "S", "1.0", "ln-space size scale"},
+      {"phase-maintenance-every", K::kInt, "N", "0",
+       "worker 0's quiescent maintenance cadence (0 = never)"},
+  };
+  const harness::Options opt(
+      argc, argv,
+      {{"server_mix: open-loop request server, one row per allocator:", kFlags},
+       harness::kRunFlags, harness::kReportFlags});
 
   const bool quick = opt.has("quick");
   harness::ServerMixConfig base{opt.run_spec()};
-  base.workers = static_cast<int>(opt.get_long("workers", quick ? 4 : 8));
+  base.workers = static_cast<int>(
+      opt.has("workers") ? opt.get_long("workers") : quick ? 4 : 8);
   base.requests = static_cast<std::size_t>(
-      opt.get_long("requests", quick ? 256 : 4096));
-  base.arrival_cycles =
-      static_cast<std::uint64_t>(opt.get_long("arrival", 2000));
+      opt.has("requests") ? opt.get_long("requests") : quick ? 256 : 4096);
+  base.arrival_cycles = static_cast<std::uint64_t>(opt.get_long("arrival"));
   base.allocs_per_request =
-      static_cast<std::size_t>(opt.get_long("allocs-per-req", 6));
-  base.retain_fraction = opt.get_double("retain", 0.04);
-  base.size_ln_mu = opt.get_double("mu", 6.0);
-  base.size_ln_sigma = opt.get_double("sigma", 1.0);
+      static_cast<std::size_t>(opt.get_long("allocs-per-req"));
+  base.retain_fraction = opt.get_double("retain");
+  base.size_ln_mu = opt.get_double("mu");
+  base.size_ln_sigma = opt.get_double("sigma");
   base.phase_maintenance_every =
-      static_cast<std::size_t>(opt.get_long("phase-maintenance-every", 0));
+      static_cast<std::size_t>(opt.get_long("phase-maintenance-every"));
 
   if (!harness::planes_compatible(base)) return 2;
   harness::ObsSession obs(opt);
@@ -78,7 +75,7 @@ int main(int argc, char** argv) {
 
   // Each run opens its own planes, so a row is the one its allocator
   // prints alone, wherever it sits in the --alloc list.
-  for (const auto& name : opt.allocators()) {
+  for (const auto& name : opt.get_list("alloc")) {
     harness::ServerMixConfig cfg = base;
     cfg.allocator = name;
     const harness::ServerMixResult r = harness::run_server_mix(cfg);

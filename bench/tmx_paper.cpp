@@ -63,13 +63,23 @@ void check_run(const Sample&) {}
 }  // namespace
 
 Ctx::Ctx(const Figure& f, const harness::Options& o, harness::ObsSession& obs)
-    : fig(f),
-      opt(o),
-      allocs(f.allocs ? o.allocators(f.allocs) : std::vector<std::string>{}),
-      threads(f.threads ? o.threads(f.threads) : std::vector<int>{}),
-      reps(f.reps ? std::max(1, o.reps(f.reps)) : 1),
-      scale(f.scale * o.scale()),
-      obs_(obs) {}
+    : fig(f), opt(o), scale(f.scale * o.get_double("scale")), obs_(obs) {
+  // The figure's defaults stand in for an absent --alloc, --threads or
+  // --reps; a figure without one pins the value in its body.
+  if (f.allocs) {
+    allocs = harness::split_list(o.has("alloc") ? o.get("alloc") : f.allocs);
+  }
+  if (f.threads) {
+    for (const auto& t :
+         harness::split_list(o.has("threads") ? o.get("threads") : f.threads)) {
+      threads.push_back(std::stoi(t));
+    }
+  }
+  if (f.reps) {
+    reps = std::max(1, o.has("reps") ? static_cast<int>(o.get_long("reps"))
+                                     : f.reps);
+  }
+}
 
 harness::RunSpec Ctx::spec(const std::string& alloc) const {
   harness::RunSpec s = opt.run_spec();
@@ -158,28 +168,6 @@ std::vector<Sample> Ctx::raw(const harness::RunSpec& spec, int th,
 
 namespace {
 
-std::string help_text() {
-  std::string s =
-      "tmx_paper: the paper's figures and tables\n"
-      "  --figure NAME[,NAME...]|all  figures to run, in table order\n"
-      "  --apps a,b,...         fig07's applications (default bayes,genome,"
-      "intruder,\n                         labyrinth,vacation,yada)\n"
-      "figures:\n";
-  for (const Figure& f : figures()) {
-    char line[160];
-    std::snprintf(line, sizeof(line), "  %-17s %s\n", f.name, f.title);
-    s += line;
-  }
-  return s;
-}
-
-int usage_error(const std::string& why) {
-  std::fprintf(stderr, "tmx_paper: %s\nfigures: all", why.c_str());
-  for (const Figure& f : figures()) std::fprintf(stderr, " %s", f.name);
-  std::fprintf(stderr, "\n");
-  return 2;
-}
-
 // Runs `fig` once, or once per thread count for a single-count figure.
 void run_figure(const Figure& fig, const harness::Options& opt,
                 harness::ObsSession& obs, const std::string& csv) {
@@ -213,13 +201,30 @@ void run_figure(const Figure& fig, const harness::Options& opt,
 int main(int argc, char** argv) {
   using namespace tmx;
   using paper::Figure;
-  harness::Options opt(argc, argv);
-  if (opt.has("help")) {
-    opt.print_help(paper::help_text().c_str());
-    return 0;
+  using K = harness::Flag::Kind;
+  constexpr harness::Flag kFlags[] = {
+      {"figure", K::kText, "NAME[,NAME...]", nullptr, "figures to run, or all"},
+      {"alloc", K::kText, "a,b,...", nullptr,
+       "allocators (default per figure)"},
+      {"threads", K::kInts, "N,N,...", nullptr,
+       "thread counts (default per figure)"},
+      {"reps", K::kInt, "N", nullptr, "repetitions (default per figure)"},
+      {"scale", K::kReal, "X", "1", "workload scale factor"},
+      {"apps", K::kText, "a,b,...",
+       "bayes,genome,intruder,labyrinth,vacation,yada", "fig07's apps"},
+      {"csv", K::kText, "PATH", nullptr,
+       "also write CSV; several figures write PATH.<figure>"},
+  };
+  std::string title = "tmx_paper: the paper's figures, in table order:";
+  for (const Figure& f : paper::figures()) {
+    char line[160];
+    std::snprintf(line, sizeof(line), "\n  %-17s %s", f.name, f.title);
+    title += line;
   }
-  const auto names = opt.get_list("figure", "");
-  if (names.empty()) return paper::usage_error("--figure is required");
+  const harness::Options opt(
+      argc, argv,
+      {{title.c_str(), kFlags}, harness::kRunFlags, harness::kReportFlags});
+  const auto names = opt.get_list("figure");
   const auto named = [&](const std::string& n) {
     return std::ranges::find(names, n) != names.end();
   };
@@ -231,15 +236,22 @@ int main(int argc, char** argv) {
     if (n != "all" && std::ranges::none_of(paper::figures(), [&](auto& f) {
           return n == f.name;
         })) {
-      return paper::usage_error("unknown figure '" + n + "'");
+      std::fprintf(stderr, "tmx_paper: unknown figure '%s' (see --help)\n",
+                   n.c_str());
+      return 2;
     }
+  }
+  if (selected.empty()) {
+    std::fprintf(stderr, "tmx_paper: --figure is required (see --help)\n");
+    return 2;
   }
 
   harness::ObsSession obs(opt);
   for (const Figure* f : selected) {
     paper::run_figure(*f, opt, obs,
-                      selected.size() > 1 ? paper::tagged(opt.csv(), f->name)
-                                          : opt.csv());
+                      selected.size() > 1
+                          ? paper::tagged(opt.get("csv"), f->name)
+                          : opt.get("csv"));
   }
   return obs.finish(0);
 }

@@ -11,22 +11,28 @@
 
 int main(int argc, char** argv) {
   using namespace tmx;
-  harness::Options opt(argc, argv);
-  if (harness::handle_list_allocators(opt)) return 0;
-  if (opt.has("help")) {
-    std::printf(
-        "usage: allocator_duel [--a NAME --b NAME] [--struct "
-        "list|hashset|rbtree]\n                      [--threads N] "
-        "[--updates PCT] [--reps N] [--cm suicide|backoff]\n"
-        "                      [--list-allocators]\n");
-    return 0;
-  }
-  const std::string a = opt.get("a", "glibc");
-  const std::string b = opt.get("b", "tcmalloc");
-  const std::string which = opt.get("struct", "list");
-  const int threads = static_cast<int>(opt.get_long("threads", 8));
-  const double updates = opt.get_double("updates", 60.0) / 100.0;
-  const int reps = opt.reps(3);
+  using K = harness::Flag::Kind;
+  constexpr harness::Flag kFlags[] = {
+      {"a", K::kText, "NAME", "glibc", "first allocator"},
+      {"b", K::kText, "NAME", "tcmalloc", "second allocator"},
+      {"struct", K::kText, "list|hashset|rbtree", "list",
+       "transactional data structure"},
+      {"threads", K::kInt, "N", "8", "client threads"},
+      {"updates", K::kReal, "PCT", "60", "update percentage"},
+      {"reps", K::kInt, "N", "3", "repetitions per allocator, averaged"},
+      {"scale", K::kReal, "X", "1", "workload scale factor"},
+  };
+  const harness::Options opt(
+      argc, argv,
+      {{"allocator_duel: two allocators head to head:", kFlags},
+       harness::kRunFlags});
+  const std::string a = opt.get("a");
+  const std::string b = opt.get("b");
+  const std::string which = opt.get("struct");
+  const int threads = static_cast<int>(opt.get_long("threads"));
+  const double updates = opt.get_double("updates") / 100.0;
+  const int reps = static_cast<int>(opt.get_long("reps"));
+  const double scale = opt.get_double("scale");
 
   harness::SetKind kind = harness::SetKind::kList;
   if (which == "hashset") kind = harness::SetKind::kHashSet;
@@ -47,12 +53,12 @@ int main(int argc, char** argv) {
       cfg.allocator = names[s];
       cfg.threads = threads;
       cfg.update_pct = updates;
-      cfg.initial = static_cast<std::size_t>(1024 * opt.scale());
-      cfg.key_range = static_cast<std::uint64_t>(2048 * opt.scale());
+      cfg.initial = static_cast<std::size_t>(1024 * scale);
+      cfg.key_range = static_cast<std::uint64_t>(2048 * scale);
       cfg.ops_per_thread =
           static_cast<std::size_t>((kind == harness::SetKind::kList ? 48
                                                                     : 256) *
-                                   opt.scale());
+                                   scale);
       cfg.seed += 1000003ull * r;
       const auto res = harness::run_set_bench(cfg);
       sides[s].tput += res.throughput / reps;

@@ -12,15 +12,22 @@
 
 int main(int argc, char** argv) {
   using namespace tmx;
-  harness::Options opt(argc, argv);
-  if (opt.has("help")) {
-    std::printf("usage: hybrid_demo [--alloc A] [--threads N] "
-                "[--struct list|hashset|rbtree]\n");
-    return 0;
-  }
-  const std::string alloc_name = opt.get("alloc", "tcmalloc");
-  const int threads = static_cast<int>(opt.get_long("threads", 8));
-  const std::string which = opt.get("struct", "rbtree");
+  using K = harness::Flag::Kind;
+  constexpr harness::Flag kFlags[] = {
+      {"alloc", K::kText, "NAME", "tcmalloc", "allocator model"},
+      {"threads", K::kInt, "N", "8", "client threads"},
+      {"struct", K::kText, "list|hashset|rbtree", "rbtree",
+       "transactional data structure"},
+      {"scale", K::kReal, "X", "1", "workload scale factor"},
+  };
+  const harness::Options opt(
+      argc, argv,
+      {{"hybrid_demo: software-only, then hybrid (sets --hybrid itself):",
+        kFlags},
+       harness::kRunFlags});
+  const std::string alloc_name = opt.get("alloc");
+  const int threads = static_cast<int>(opt.get_long("threads"));
+  const std::string which = opt.get("struct");
   harness::SetKind kind = harness::SetKind::kRbTree;
   if (which == "list") kind = harness::SetKind::kList;
   if (which == "hashset") kind = harness::SetKind::kHashSet;
@@ -29,16 +36,15 @@ int main(int argc, char** argv) {
               which.c_str(), threads, alloc_name.c_str());
 
   for (bool hybrid : {false, true}) {
-    harness::SetBenchConfig cfg;
+    harness::SetBenchConfig cfg{opt.run_spec()};
     cfg.kind = kind;
     cfg.allocator = alloc_name;
     cfg.threads = threads;
-    cfg.engine = opt.engine();
     cfg.htm_enabled = hybrid;
     cfg.initial = 512;
     cfg.key_range = 1024;
-    cfg.ops_per_thread = static_cast<std::size_t>(128 * opt.scale());
-    cfg.seed = opt.seed();
+    cfg.ops_per_thread =
+        static_cast<std::size_t>(128 * opt.get_double("scale"));
     const auto res = harness::run_set_bench(cfg);
     const auto& st = res.stats;
     std::printf("%s mode:\n", hybrid ? "hybrid (HTM + STM fallback)"

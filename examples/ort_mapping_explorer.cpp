@@ -12,26 +12,28 @@
 
 int main(int argc, char** argv) {
   using namespace tmx;
-  harness::Options opt(argc, argv);
-  if (opt.has("help")) {
-    std::printf(
-        "usage: ort_mapping_explorer [--size BYTES] [--count N] "
-        "[--shift K] [--alloc a,b,...]\n");
-    return 0;
-  }
-  const std::size_t size = static_cast<std::size_t>(opt.get_long("size", 16));
-  const int count = static_cast<int>(opt.get_long("count", 8));
-  const unsigned shift = static_cast<unsigned>(opt.get_long("shift", 5));
+  using K = harness::Flag::Kind;
+  constexpr harness::Flag kFlags[] = {
+      {"alloc", K::kText, "a,b,...", "glibc,hoard,tbb,tcmalloc",
+       "allocators to inspect"},
+      {"size", K::kInt, "BYTES", "16", "allocation size"},
+      {"count", K::kInt, "N", "8", "consecutive allocations"},
+  };
+  const harness::Options opt(
+      argc, argv,
+      {{"ort_mapping_explorer: block layout vs ORT locks:", kFlags},
+       harness::kRunFlags});
+  const harness::RunSpec spec = opt.run_spec();
+  const std::size_t size = static_cast<std::size_t>(opt.get_long("size"));
+  const int count = static_cast<int>(opt.get_long("count"));
 
-  std::printf("ORT mapping: index = (addr >> %u) mod 2^20  "
-              "(stripe = %u bytes)\n\n", shift, 1u << shift);
+  std::printf("ORT mapping: index = (addr >> %u) mod 2^%u  "
+              "(stripe = %u bytes)\n\n", spec.shift, spec.ort_log2,
+              1u << spec.shift);
 
-  for (const auto& name : opt.allocators()) {
+  for (const auto& name : opt.get_list("alloc")) {
     auto allocator = alloc::create_allocator(name);
-    stm::Config cfg;
-    cfg.allocator = allocator.get();
-    cfg.shift = shift;
-    stm::Stm stm(cfg);
+    stm::Stm stm(spec.stm_config(allocator.get()));
 
     std::vector<void*> blocks;
     for (int i = 0; i < count; ++i) blocks.push_back(allocator->allocate(size));

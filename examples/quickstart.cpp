@@ -9,26 +9,34 @@
 #include <cstdio>
 #include <vector>
 
-#include "alloc/allocator.hpp"
 #include "core/stm.hpp"
 #include "harness/options.hpp"
+#include "harness/run_context.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
   using namespace tmx;
-  harness::Options opt(argc, argv);
-  const std::string alloc_name = opt.get("alloc", "tcmalloc");
-  const int threads = static_cast<int>(opt.get_long("threads", 8));
+  using K = harness::Flag::Kind;
+  constexpr harness::Flag kFlags[] = {
+      {"alloc", K::kText, "NAME", "tcmalloc", "allocator model"},
+      {"threads", K::kInt, "N", "8", "threads moving money"},
+  };
+  const harness::Options opt(
+      argc, argv, {{"quickstart: concurrent bank transfers:", kFlags},
+                   harness::kRunFlags});
+  harness::RunSpec spec = opt.run_spec();
+  spec.allocator = opt.get("alloc");
+  const int threads = static_cast<int>(opt.get_long("threads"));
 
-  // 1. Pick an allocator model (the study's LD_PRELOAD equivalent).
-  auto allocator = alloc::create_allocator(alloc_name);
+  // 1. Open a run context: it builds the allocator model (the study's
+  //    LD_PRELOAD equivalent) with any plane the flags turn on.
+  harness::RunContext context(spec, threads);
+  alloc::Allocator& allocator = context.allocator(false);
 
-  // 2. Configure the STM exactly like the paper: WB-ETL, 2^20-entry ORT,
-  //    shift 5, SUICIDE contention management.
-  stm::Config cfg;
-  cfg.allocator = allocator.get();
-  stm::Stm stm(cfg);
+  // 2. Configure the STM from the run spec; its defaults are the paper's:
+  //    WB-ETL, 2^20-entry ORT, shift 5, SUICIDE contention management.
+  stm::Stm stm(spec.stm_config(&allocator));
 
   // 3. Shared state: a small bank.
   constexpr int kAccounts = 64;
@@ -37,9 +45,8 @@ int main(int argc, char** argv) {
 
   // 4. Run transfers on the simulated multicore (or real threads with
   //    --engine threads).
-  const harness::RunSpec spec = opt.run_spec();
   const auto rr = sim::run_parallel(spec.run_config(threads), [&](int tid) {
-    Rng rng(thread_seed(opt.seed(), tid));
+    Rng rng(thread_seed(spec.seed, tid));
     for (int i = 0; i < 500; ++i) {
       const std::size_t from = rng.below(kAccounts);
       const std::size_t to = rng.below(kAccounts);
@@ -57,7 +64,7 @@ int main(int argc, char** argv) {
   std::uint64_t total = 0;
   for (auto v : accounts) total += v;
   const auto st = stm.stats();
-  std::printf("allocator:      %s\n", allocator->traits().name.c_str());
+  std::printf("allocator:      %s\n", allocator.traits().name.c_str());
   std::printf("threads:        %d\n", threads);
   std::printf("total money:    %llu (expected %llu -> %s)\n",
               static_cast<unsigned long long>(total),

@@ -17,24 +17,34 @@
 
 int main(int argc, char** argv) {
   using namespace tmx;
-  harness::Options opt(argc, argv);
-  if (harness::handle_list_allocators(opt)) return 0;
-  const std::string app = opt.get("app", "");
-  if (app.empty() || opt.has("help") || !stamp::app_exists(app)) {
-    std::string usage = "usage: stamp_runner --app NAME [options]\napps:";
-    for (const auto& n : stamp::app_names()) usage += " " + n;
-    usage += "\nstamp_runner options:\n"
-             "  --app NAME             STAMP application to run\n"
-             "  --profile              print the Table 5 allocation profile";
-    opt.print_help(usage.c_str());
-    return app.empty() || opt.has("help") ? 0 : 2;
+  using K = harness::Flag::Kind;
+  std::string names;
+  for (const auto& n : stamp::app_names()) names += " " + n;
+  const std::string app_help = "STAMP application (required):" + names;
+  const harness::Flag flags[] = {
+      {"app", K::kText, "NAME", nullptr, app_help.c_str()},
+      {"alloc", K::kText, "NAME", "glibc", "allocator model"},
+      {"threads", K::kInt, "N", "8", "application threads"},
+      {"scale", K::kReal, "X", "1", "workload scale factor"},
+      {"profile", K::kBare, nullptr, nullptr, "print the Table 5 profile"},
+  };
+  const harness::Options opt(
+      argc, argv,
+      {{"stamp_runner: one STAMP application run:", flags},
+       harness::kRunFlags, harness::kReportFlags});
+  const std::string app = opt.get("app");
+  if (!stamp::app_exists(app)) {
+    std::fprintf(stderr, "stamp_runner: --app needs one of:%s (got '%s')\n",
+                 names.c_str(), app.c_str());
+    return 2;
   }
 
   harness::ObsSession obs(opt);
 
   stamp::StampRun run{opt.run_spec(), app};
-  run.threads = static_cast<int>(opt.get_long("threads", 8));
-  run.scale = opt.scale();
+  run.allocator = opt.get("alloc");
+  run.threads = static_cast<int>(opt.get_long("threads"));
+  run.scale = opt.get_double("scale");
   // Recording rides on the same instrumenting wrapper profiling uses: it
   // is the only layer that emits kAlloc/kFree events.
   run.instrument = opt.has("profile") || obs.recording();
@@ -48,7 +58,7 @@ int main(int argc, char** argv) {
   std::printf("app=%s alloc=%s threads=%d shift=%u txcache=%d design=%s "
               "hybrid=%d\n",
               app.c_str(), run.allocator.c_str(), run.threads, run.shift,
-              run.tx_alloc_cache ? 1 : 0, opt.get("design", "wb").c_str(),
+              run.tx_alloc_cache ? 1 : 0, opt.get("design").c_str(),
               run.htm_enabled ? 1 : 0);
   std::printf("verified:  %s (%s)\n", r.verified ? "yes" : "NO",
               r.detail.c_str());

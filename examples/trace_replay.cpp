@@ -31,25 +31,53 @@ namespace {
 
 using namespace tmx;
 
+using K = harness::Flag::Kind;
+
+constexpr harness::Flag kFlags[] = {
+    {"synth", K::kBare, nullptr, nullptr,
+     "write a synthetic churn trace to --record-trace"},
+    {"replay-trace", K::kText, "PATH", nullptr, "replay through each --alloc"},
+    {"inspect", K::kText, "PATH", nullptr, "print a trace's header and census"},
+    {"selfcheck", K::kBare, nullptr, nullptr, "in-process determinism check"},
+    {"alloc", K::kText, "a,b,...", "glibc,hoard,tbb,tcmalloc",
+     "replay allocators"},
+    {"shift", K::kInt, "K", "0", "replay ORT shift (0 = the trace's)"},
+    {"ort-log2", K::kInt, "L", "0", "replay ORT size (0 = the trace's)"},
+    {"cache-model", K::kInt, "0|1", nullptr,
+     "cache simulator (default 1; 0 with --selfcheck)"},
+    {"strict-gaps", K::kBare, nullptr, nullptr, "refuse gappy traces"},
+    {"seed", K::kInt, "S", "20150207", "synth and replay seed"},
+    {"threads", K::kInt, "N", "4", "synth threads"},
+    {"ops", K::kInt, "N", nullptr,
+     "synth ops per thread (default 1000; 400 with --selfcheck)"},
+    {"live", K::kInt, "N", nullptr,
+     "synth live blocks per thread (default 256; 64 with --selfcheck)"},
+    {"tx-fraction", K::kReal, "F", "1.0", "synth ops inside transactions"},
+    {"op-cycles", K::kInt, "C", "120", "mean synth cycles per op"},
+};
+
 replay::SynthConfig synth_config(const harness::Options& opt) {
+  const bool small = opt.has("selfcheck");
   replay::SynthConfig sc;
-  sc.threads = static_cast<std::uint32_t>(opt.get_long("threads", 4));
-  sc.ops_per_thread = static_cast<std::uint64_t>(opt.get_long("ops", 1000));
-  sc.live_per_thread = static_cast<std::uint32_t>(opt.get_long("live", 256));
-  sc.tx_fraction = opt.get_double("tx-fraction", 1.0);
-  sc.mean_op_cycles =
-      static_cast<std::uint64_t>(opt.get_long("op-cycles", 120));
-  sc.seed = opt.seed();
+  sc.threads = static_cast<std::uint32_t>(opt.get_long("threads"));
+  sc.ops_per_thread = static_cast<std::uint64_t>(
+      opt.has("ops") ? opt.get_long("ops") : small ? 400 : 1000);
+  sc.live_per_thread = static_cast<std::uint32_t>(
+      opt.has("live") ? opt.get_long("live") : small ? 64 : 256);
+  sc.tx_fraction = opt.get_double("tx-fraction");
+  sc.mean_op_cycles = static_cast<std::uint64_t>(opt.get_long("op-cycles"));
+  sc.seed = static_cast<std::uint64_t>(opt.get_long("seed"));
   return sc;
 }
 
 replay::ReplayConfig replay_config(const harness::Options& opt) {
   replay::ReplayConfig cfg;
-  cfg.shift = static_cast<unsigned>(opt.get_long("shift", 0));
-  cfg.ort_log2 = static_cast<unsigned>(opt.get_long("ort-log2", 0));
-  cfg.cache_model = opt.get_long("cache-model", 1) != 0;
+  cfg.shift = static_cast<unsigned>(opt.get_long("shift"));
+  cfg.ort_log2 = static_cast<unsigned>(opt.get_long("ort-log2"));
+  cfg.cache_model = opt.has("cache-model") ? opt.get_long("cache-model") != 0
+                                           : !opt.has("selfcheck");
   cfg.strict_gaps = opt.has("strict-gaps");
-  cfg.seed = opt.seed();
+  cfg.seed = static_cast<std::uint64_t>(opt.get_long("seed"));
   return cfg;
 }
 
@@ -109,10 +137,7 @@ bool results_agree(const replay::ReplayResult& a,
 // (replay/replayer.hpp); cache-on latencies depend on where a model's
 // host-heap metadata happens to land.
 int selfcheck(const harness::Options& opt) {
-  replay::SynthConfig sc = synth_config(opt);
-  sc.ops_per_thread = static_cast<std::uint64_t>(opt.get_long("ops", 400));
-  sc.live_per_thread = static_cast<std::uint32_t>(opt.get_long("live", 64));
-
+  const replay::SynthConfig sc = synth_config(opt);
   const replay::Trace t = replay::generate_synthetic(sc);
   if (t.records.empty()) {
     std::fprintf(stderr, "selfcheck: synthetic generation came up empty\n");
@@ -138,9 +163,8 @@ int selfcheck(const harness::Options& opt) {
     return 1;
   }
 
-  replay::ReplayConfig cfg = replay_config(opt);
-  cfg.cache_model = opt.get_long("cache-model", 0) != 0;
-  const harness::RunContext context({.phase = opt.run_spec().phase});
+  const replay::ReplayConfig cfg = replay_config(opt);
+  const harness::RunContext context{harness::RunSpec{}};
   bool ok = true;
   for (const auto& model : alloc::allocator_names()) {
     if (model == "system") continue;  // host malloc: addresses unreproducible
@@ -177,14 +201,16 @@ int selfcheck(const harness::Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::Options opt(argc, argv);
-  if (harness::handle_list_allocators(opt)) return 0;
+  const harness::Options opt(
+      argc, argv,
+      {{"trace_replay: make, inspect and replay tmx-trace-v1 traces:", kFlags},
+       harness::kReportFlags});
   if (opt.has("selfcheck")) return selfcheck(opt);
-  const std::string inspect_path = opt.get("inspect", "");
+  const std::string inspect_path = opt.get("inspect");
   if (!inspect_path.empty()) return inspect(inspect_path);
 
   if (opt.has("synth")) {
-    const std::string out = opt.record_trace();
+    const std::string out = opt.get("record-trace");
     if (out.empty()) {
       std::fprintf(stderr, "--synth needs --record-trace PATH\n");
       return 2;
@@ -204,21 +230,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string in = opt.replay_trace();
-  if (in.empty() || opt.has("help")) {
-    std::printf(
-        "usage:\n"
-        "  trace_replay --synth --record-trace PATH [--threads N --ops N "
-        "--live N\n"
-        "               --tx-fraction F --op-cycles C --seed S]\n"
-        "  trace_replay --replay-trace PATH [--alloc a,b,...] [--shift K "
-        "--ort-log2 L]\n"
-        "               [--cache-model 0|1] [--strict-gaps] "
-        "[--metrics-out PATH]\n"
-        "  trace_replay --inspect PATH\n"
-        "  trace_replay --selfcheck\n"
-        "  trace_replay --list-allocators\n");
-    return in.empty() && !opt.has("help") ? 2 : 0;
+  const std::string in = opt.get("replay-trace");
+  if (in.empty()) {
+    std::fprintf(stderr, "trace_replay: give one of --synth, --replay-trace, "
+                         "--inspect or --selfcheck (see --help)\n");
+    return 2;
   }
   replay::Trace t;
   const replay::ReadStatus st = replay::read_trace(in, &t);
@@ -231,10 +247,11 @@ int main(int argc, char** argv) {
   harness::ObsSession obs(opt);
   std::vector<replay::ReplayResult> results;
   {
-    // The replays share one run context: it hands the --phase-* config to
-    // the phase model, and closing it publishes their sim.* totals.
-    const harness::RunContext context({.phase = opt.run_spec().phase});
-    results = replay::replay_compare(t, opt.allocators(), replay_config(opt));
+    // The replays share one run context: closing it publishes their sim.*
+    // totals.
+    const harness::RunContext context{harness::RunSpec{}};
+    results = replay::replay_compare(t, opt.get_list("alloc"),
+                                     replay_config(opt));
   }
   replay::print_comparison(t, results, stdout);
   bool all_ok = true;

@@ -40,7 +40,7 @@
 // (enforced by test_guard). With quarantine_epochs >= 1 frees are deferred,
 // which necessarily changes block reuse and therefore the schedule; such
 // runs are still fully deterministic for a fixed seed (byte-stable across
-// processes, the chaos-smoke CI contract) but pin different constants.
+// processes, which smoke_chaos_soak checks) but pin different constants.
 //
 // Layering: guard sits beside check/fault, above sim+alloc. The guard asks
 // tmx::fault for corruption-injection decisions (it is the only layer that

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "harness/options.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_json.hpp"
@@ -12,13 +11,32 @@
 
 namespace tmx::harness {
 
+namespace {
+
+using K = Flag::Kind;
+
+constexpr Flag kReportFlagList[] = {
+    {"metrics-out", K::kText, "PATH", nullptr, "write tmx-metrics-v1 JSON"},
+    {"trace", K::kText, "PATH", nullptr, "write a Chrome trace (Perfetto)"},
+    {"attribution", K::kBare, nullptr, nullptr, "print abort attribution"},
+    {"attribution-topk", K::kInt, "K", "8", "stripes in the attribution"},
+    {"trace-capacity", K::kInt, "N", "65536", "per-thread event ring size"},
+    {"record-trace", K::kText, "PATH", nullptr, "capture a tmx-trace-v1 trace"},
+    {"prof-out", K::kText, "PREFIX", "prof",
+     "with --prof: PREFIX.{timeseries.csv,sites.csv,folded}"},
+};
+
+}  // namespace
+
+const FlagTable kReportFlags{"reports and artifacts:", kReportFlagList};
+
 ObsSession::ObsSession(const Options& opts)
-    : attribution_(opts.attribution()),
-      top_k_(opts.attribution_topk()),
-      trace_path_(opts.trace()),
-      metrics_path_(opts.metrics_out()),
-      record_path_(opts.record_trace()),
-      prof_out_(opts.prof() ? opts.prof_out() : "") {
+    : attribution_(opts.has("attribution")),
+      top_k_(static_cast<int>(opts.get_long("attribution-topk"))),
+      trace_path_(opts.get("trace")),
+      metrics_path_(opts.get("metrics-out")),
+      record_path_(opts.get("record-trace")),
+      prof_out_(opts.get("prof-out")) {
   const bool want_tracing =
       attribution_ || !trace_path_.empty() || !record_path_.empty();
   if (want_tracing) {
@@ -28,7 +46,8 @@ ObsSession::ObsSession(const Options& opts)
                    "but the binary was built with -DTMX_TRACING=OFF; no "
                    "events will be recorded\n");
     }
-    obs::Tracer::instance().enable(opts.trace_capacity());
+    obs::Tracer::instance().enable(
+        static_cast<std::size_t>(opts.get_long("trace-capacity")));
     tracing_ = true;
   }
   sim::install_exit_flush([this] { write_artifacts(); });
@@ -108,7 +127,7 @@ void ObsSession::report(const std::string& prefix, const PlaneOutputs& planes) {
     corruptions_ += gs->corruptions();
     guard::print_findings(*gs, stderr);
   }
-  if (planes.prof && !prof_out_.empty()) {
+  if (planes.prof) {
     timeseries_csv_ += planes.prof->timeseries_csv;
     sites_csv_ += planes.prof->sites_csv;
     folded_ += planes.prof->folded;

@@ -19,8 +19,8 @@
 //    (sim::install_exit_flush), so a watchdog or guard hard-cap trip still
 //    writes every artifact before it exits.
 //
-// The tracer is on when any of --trace / --attribution / --record-trace is
-// given; events are collected across the runs. Ring-overflow drop counts
+// Every flag the session reads is in kReportFlags. The tracer is on when
+// any of --trace / --attribution / --record-trace is given; events are collected across the runs. Ring-overflow drop counts
 // are published as obs.trace.dropped metrics and printed either way.
 // Binaries with several independent cases call
 // report_attribution_and_clear() between them to get a per-case report
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/options.hpp"
 #include "harness/run_context.hpp"
 #include "obs/event.hpp"
 #include "replay/recorder.hpp"
@@ -41,7 +42,8 @@ class MetricsRegistry;
 
 namespace tmx::harness {
 
-class Options;
+// Every flag an ObsSession reads.
+extern const FlagTable kReportFlags;
 
 // Publishes each plane's output in `planes` under "<prefix><plane>.":
 // fault., check., guard. and prof.

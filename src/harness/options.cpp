@@ -1,5 +1,7 @@
 #include "harness/options.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,55 +10,137 @@
 
 namespace tmx::harness {
 
-Options::Options(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      kv_.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      kv_.emplace_back(arg, argv[++i]);
-    } else {
-      kv_.emplace_back(arg, "1");  // bare flag
+namespace {
+
+using K = Flag::Kind;
+
+constexpr Flag kRunFlagList[] = {
+    {"engine", K::kText, "sim|threads", "sim", "execution engine"},
+    {"cache-model", K::kInt, "0|1", "1", "cache simulator (sim engine)"},
+    {"seed", K::kInt, "S", "20150207", "experiment seed"},
+    {"shift", K::kInt, "K", "5", "ORT stripe shift: 2^K bytes per lock"},
+    {"design", K::kText, "wb|wt|ctl", "wb",
+     "write-back, write-through or commit-time locking STM"},
+    {"cm", K::kText, "suicide|backoff", "suicide", "contention manager"},
+    {"txcache", K::kInt, "0|1", "0", "transactional object cache"},
+    {"hybrid", K::kInt, "0|1", "0", "hardware path + software fallback"},
+    {"numa-nodes", K::kInt, "N", "1", "NUMA nodes (1 = flat machine)"},
+    {"numa-cores-per-node", K::kInt, "C", "0", "0 = threads / nodes"},
+    {"numa-policy", K::kText, "first-touch|interleave|bind[:NODE]",
+     "first-touch", "page homing"},
+    {"ort-shards", K::kInt, "N", "0", "per-node ORT tables; 0 = one"},
+    {"stm-retry-cap", K::kInt, "K", nullptr,
+     "irrevocable after K aborts (default 0 = off; 64 with --fault-*)"},
+    {"watchdog-tx-cycles", K::kInt, "N", "0", "per-transaction cycle budget"},
+    {"watchdog-run-cycles", K::kInt, "N", "0", "whole-run cycle budget"},
+    // Any --fault-* flag turns the fault plane on.
+    {"fault-seed", K::kInt, "S", "20150207", "fault-plan seed"},
+    {"fault-oom-rate", K::kReal, "P", "0", "P(malloc returns nullptr)"},
+    {"fault-oom-budget", K::kInt, "N", nullptr, "cap on injected OOMs"},
+    {"fault-oom-region", K::kText, "tx|all", "tx", "where OOM is injected"},
+    {"fault-reserve-rate", K::kReal, "P", "0", "P(page reservation fails)"},
+    {"fault-reserve-cap", K::kInt, "B", "0", "reserved-bytes cap (0 = none)"},
+    {"fault-spurious-rate", K::kReal, "P", "0", "P(extra abort) per commit"},
+    {"fault-delay-free-rate", K::kReal, "P", "0", "P(free is delayed)"},
+    {"fault-delay-free-cycles", K::kInt, "N", "10000", "free delay"},
+    {"fault-corrupt-tag-rate", K::kReal, "P", "0",
+     "P(boundary tag scribbled at free); needs --guard"},
+    {"fault-corrupt-overflow-rate", K::kReal, "P", "0",
+     "P(one-byte overflow past a block)"},
+    {"fault-corrupt-reuse-rate", K::kReal, "P", "0",
+     "P(write into quarantined memory)"},
+    {"fault-corrupt-budget", K::kInt, "N", nullptr, "cap on corruptions"},
+    {"check", K::kOptional, "race,lifetime", nullptr,
+     "checkers (bare: both); a hard report exits 4"},
+    {"check-max-reports", K::kInt, "N", "64", "verbatim reports kept"},
+    // Any --guard* flag turns the guard plane on.
+    {"guard", K::kBare, nullptr, nullptr,
+     "heap-integrity guard; corruption exits 5"},
+    {"guard-quarantine-epochs", K::kInt, "N", "1", "0 = detect-only"},
+    {"guard-commits-per-epoch", K::kInt, "N", "256", "guard epoch length"},
+    {"guard-max-findings", K::kInt, "N", "64", "verbatim findings kept"},
+    {"guard-hard-cap", K::kInt, "N", "64",
+     "exit 5 after N findings (0 = never mid-run)"},
+    {"prof", K::kBare, nullptr, nullptr, "latency/heap profiling plane"},
+    {"prof-sample-cycles", K::kInt, "N", "100000", "sampler cadence; 0 = off"},
+    {"phase-commits-per-epoch", K::kInt, "N", "256", "phase epoch length"},
+    {"phase-slab-bytes", K::kInt, "B", "65536", "phase slab size"},
+    {"phase-compact", K::kText, "off|checked|all", "off",
+     "straggler compaction in quiescent windows"},
+};
+
+constexpr Flag kBuiltinFlagList[] = {
+    {"help", K::kBare, nullptr, nullptr, "print this help and exit"},
+    {"list-allocators", K::kBare, nullptr, nullptr,
+     "print the allocator registry (Table 1) and exit"},
+};
+constexpr FlagTable kBuiltinFlags{"every binary:", kBuiltinFlagList};
+
+constexpr std::size_t kHelpColumn = 30;
+
+bool parse_long(const std::string& s, long* out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  if (out != nullptr) *out = v;
+  return true;
+}
+
+bool parse_double(const std::string& s, double* out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(v)) return false;
+  if (out != nullptr) *out = v;
+  return true;
+}
+
+// What `value` must look like for `kind`; nullptr when it does.
+const char* malformed(Flag::Kind kind, const std::string& value) {
+  switch (kind) {
+    case K::kInt:
+      return parse_long(value, nullptr) ? nullptr : "an integer";
+    case K::kReal:
+      return parse_double(value, nullptr) ? nullptr : "a number";
+    case K::kInts: {
+      const std::vector<std::string> items = split_list(value);
+      for (const auto& item : items) {
+        if (!parse_long(item, nullptr)) return "a comma list of integers";
+      }
+      return items.empty() ? "a comma list of integers" : nullptr;
     }
+    default:
+      return nullptr;
   }
 }
 
-bool Options::has(const std::string& name) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == name) return true;
+// The value of `name` among `choices`; any other value exits 2.
+template <class T>
+T choose(const Options& o, const char* name,
+         std::initializer_list<std::pair<const char*, T>> choices) {
+  const std::string v = o.get(name);
+  std::string all;
+  for (const auto& [key, value] : choices) {
+    if (v == key) return value;
+    all += all.empty() ? key : std::string("|") + key;
   }
-  return false;
+  std::fprintf(stderr, "unknown --%s '%s' (%s)\n", name, v.c_str(),
+               all.c_str());
+  std::exit(2);
 }
 
-std::string Options::get(const std::string& name,
-                         const std::string& fallback) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == name) return v;
-  }
-  return fallback;
-}
+}  // namespace
 
-long Options::get_long(const std::string& name, long fallback) const {
-  const std::string v = get(name, "");
-  return v.empty() ? fallback : std::strtol(v.c_str(), nullptr, 10);
-}
+const FlagTable kRunFlags{"run settings:", kRunFlagList};
 
-double Options::get_double(const std::string& name, double fallback) const {
-  const std::string v = get(name, "");
-  return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
-}
-
-std::vector<std::string> Options::get_list(const std::string& name,
-                                           const std::string& fallback) const {
-  const std::string v = get(name, fallback);
+std::vector<std::string> split_list(const std::string& s) {
   std::vector<std::string> out;
   std::size_t start = 0;
-  while (start <= v.size()) {
-    const auto comma = v.find(',', start);
-    const std::string item = v.substr(
+  while (start <= s.size()) {
+    const auto comma = s.find(',', start);
+    const std::string item = s.substr(
         start, comma == std::string::npos ? std::string::npos : comma - start);
     if (!item.empty()) out.push_back(item);
     if (comma == std::string::npos) break;
@@ -65,346 +149,270 @@ std::vector<std::string> Options::get_list(const std::string& name,
   return out;
 }
 
-std::vector<int> Options::get_int_list(const std::string& name,
-                                       const std::string& fallback) const {
-  std::vector<int> out;
-  for (const auto& s : get_list(name, fallback)) {
-    out.push_back(static_cast<int>(std::strtol(s.c_str(), nullptr, 10)));
+Options::Options(int argc, char** argv,
+                 std::initializer_list<FlagTable> tables)
+    : program_(argc > 0 ? argv[0] : "tmx"), tables_(tables) {
+  program_ = program_.substr(program_.rfind('/') + 1);
+  tables_.push_back(kBuiltinFlags);
+  for (const FlagTable& t : tables_) {
+    for (const Flag& f : t.flags) {
+      TMX_ASSERT_MSG(find(f.name) == &f, "flag declared twice");
+    }
   }
-  return out;
+
+  bool help = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.size() <= 2 || arg.rfind("--", 0) != 0) {
+      usage_error("unexpected argument '" + arg + "'");
+    }
+    const auto eq = arg.find('=');
+    const std::string name =
+        arg.substr(2, eq == std::string::npos ? std::string::npos : eq - 2);
+    const Flag* f = find(name);
+    if (f == nullptr) usage_error("unknown flag '--" + name + "'");
+    std::string value;
+    if (eq != std::string::npos) {
+      if (f->kind == K::kBare) usage_error("--" + name + " takes no value");
+      value = arg.substr(eq + 1);
+    } else if (f->kind != K::kBare && i + 1 < argc &&
+               std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
+      value = argv[++i];
+    } else if (f->kind != K::kBare && f->kind != K::kOptional) {
+      usage_error("--" + name + " needs a value");
+    }
+    if (const char* want = malformed(f->kind, value)) {
+      usage_error("--" + name + " expects " + want + ", got '" + value + "'");
+    }
+    help = help || name == "help";
+    kv_.emplace_back(name, value);
+  }
+
+  if (help) {
+    std::fputs(help_text().c_str(), stdout);
+    std::exit(0);
+  }
+  if (has("list-allocators")) {
+    alloc::print_registry(stdout);
+    std::exit(0);
+  }
 }
 
-sim::EngineKind Options::engine() const {
-  const std::string e = get("engine", "sim");
-  if (e == "sim") return sim::EngineKind::Sim;
-  if (e == "threads") return sim::EngineKind::Threads;
-  std::fprintf(stderr, "unknown --engine '%s' (sim|threads)\n", e.c_str());
+void Options::usage_error(const std::string& why) const {
+  std::fprintf(stderr, "%s: %s (see --help)\n", program_.c_str(), why.c_str());
   std::exit(2);
 }
 
-int Options::reps(int fallback) const {
-  return static_cast<int>(get_long("reps", fallback));
+std::string Options::help_text() const {
+  const std::string indent(kHelpColumn, ' ');
+  std::string s = "usage: " + program_ + " [--flag value ...]\n";
+  for (const FlagTable& t : tables_) {
+    s += '\n';
+    s += t.title;
+    s += '\n';
+    for (const Flag& f : t.flags) {
+      std::string line = "  --";
+      line += f.name;
+      if (f.hint != nullptr) {
+        line += ' ';
+        line += f.hint;
+      }
+      line += line.size() < indent.size() ? indent.substr(line.size())
+                                          : '\n' + indent;
+      line += f.help;
+      if (f.fallback != nullptr && *f.fallback != '\0') {
+        line += " (default ";
+        line += f.fallback;
+        line += ')';
+      }
+      s += line + '\n';
+    }
+  }
+  return s;
 }
 
-std::vector<int> Options::threads(const std::string& fallback) const {
-  return get_int_list("threads", fallback);
+const Flag* Options::find(std::string_view name) const {
+  for (const FlagTable& t : tables_) {
+    for (const Flag& f : t.flags) {
+      if (name == f.name) return &f;
+    }
+  }
+  return nullptr;
 }
 
-std::vector<std::string> Options::allocators(
-    const std::string& fallback) const {
-  return get_list("alloc", fallback);
+const Flag& Options::flag(std::string_view name) const {
+  if (const Flag* f = find(name)) return *f;
+  std::fprintf(stderr, "%s reads --%.*s, which none of its flag tables "
+               "declares\n", program_.c_str(), static_cast<int>(name.size()),
+               name.data());
+  std::abort();
 }
 
-std::uint64_t Options::seed() const {
-  return static_cast<std::uint64_t>(get_long("seed", 20150207));  // PPoPP'15
-}
-
-double Options::scale() const { return get_double("scale", 1.0); }
-
-bool Options::fault_enabled() const {
-  static const char* kFlags[] = {
-      "fault-seed",         "fault-oom-rate",         "fault-oom-budget",
-      "fault-oom-region",   "fault-reserve-rate",     "fault-reserve-cap",
-      "fault-spurious-rate", "fault-delay-free-rate",
-      "fault-delay-free-cycles",
-      "fault-corrupt-tag-rate", "fault-corrupt-overflow-rate",
-      "fault-corrupt-reuse-rate", "fault-corrupt-budget"};
-  for (const char* f : kFlags) {
-    if (has(f)) return true;
+bool Options::has(std::string_view name) const {
+  flag(name);
+  for (const auto& [k, v] : kv_) {
+    if (k == name) return true;
   }
   return false;
 }
 
-fault::FaultPlan Options::fault_plan() const {
-  fault::FaultPlan plan;
-  plan.seed = static_cast<std::uint64_t>(
-      get_long("fault-seed", static_cast<long>(plan.seed)));
-  plan.oom_rate = get_double("fault-oom-rate", 0.0);
-  if (has("fault-oom-budget")) {
-    plan.oom_budget = static_cast<std::uint64_t>(get_long("fault-oom-budget", 0));
-  }
-  const std::string region = get("fault-oom-region", "tx");
-  if (region == "all") {
-    plan.oom_everywhere = true;
-  } else if (region != "tx") {
-    std::fprintf(stderr, "unknown --fault-oom-region '%s' (tx|all)\n",
-                 region.c_str());
-    std::exit(2);
-  }
-  plan.reserve_rate = get_double("fault-reserve-rate", 0.0);
-  plan.reserve_cap_bytes =
-      static_cast<std::uint64_t>(get_long("fault-reserve-cap", 0));
-  plan.spurious_abort_rate = get_double("fault-spurious-rate", 0.0);
-  plan.delay_free_rate = get_double("fault-delay-free-rate", 0.0);
-  plan.delay_free_cycles = static_cast<std::uint64_t>(
-      get_long("fault-delay-free-cycles",
-               static_cast<long>(plan.delay_free_cycles)));
-  plan.corrupt_tag_rate = get_double("fault-corrupt-tag-rate", 0.0);
-  plan.corrupt_overflow_rate = get_double("fault-corrupt-overflow-rate", 0.0);
-  plan.corrupt_reuse_rate = get_double("fault-corrupt-reuse-rate", 0.0);
-  if (has("fault-corrupt-budget")) {
-    plan.corrupt_budget =
-        static_cast<std::uint64_t>(get_long("fault-corrupt-budget", 0));
-  }
-  return plan;
-}
-
-stm::ContentionManager Options::cm() const {
-  const std::string v = get("cm", "suicide");
-  if (v == "suicide") return stm::ContentionManager::kSuicide;
-  if (v == "backoff") return stm::ContentionManager::kBackoff;
-  std::fprintf(stderr, "unknown --cm '%s' (suicide|backoff)\n", v.c_str());
-  std::exit(2);
-}
-
-bool Options::guard_enabled() const {
-  static const char* kFlags[] = {"guard", "guard-quarantine-epochs",
-                                 "guard-commits-per-epoch",
-                                 "guard-max-findings", "guard-hard-cap"};
-  for (const char* f : kFlags) {
-    if (has(f)) return true;
+bool Options::has_prefix(std::string_view prefix) const {
+  for (const auto& [k, v] : kv_) {
+    if (k.rfind(prefix, 0) == 0) return true;
   }
   return false;
 }
 
-guard::GuardConfig Options::guard_config() const {
-  guard::GuardConfig gc;
-  gc.quarantine_epochs = static_cast<std::uint64_t>(
-      get_long("guard-quarantine-epochs",
-               static_cast<long>(gc.quarantine_epochs)));
-  gc.commits_per_epoch = static_cast<std::uint64_t>(
-      get_long("guard-commits-per-epoch",
-               static_cast<long>(gc.commits_per_epoch)));
-  gc.max_findings = static_cast<std::size_t>(
-      get_long("guard-max-findings", static_cast<long>(gc.max_findings)));
-  gc.hard_cap = static_cast<std::size_t>(
-      get_long("guard-hard-cap", static_cast<long>(gc.hard_cap)));
-  return gc;
-}
-
-check::CheckConfig Options::check_config(unsigned shift,
-                                         unsigned ort_log2) const {
-  check::CheckConfig ccfg;
-  ccfg.shift = shift;
-  ccfg.ort_log2 = ort_log2;
-  ccfg.max_reports =
-      static_cast<std::size_t>(get_long("check-max-reports", 64));
-  const std::string v = get("check", "");
-  if (v.empty() || v == "1" || v == "all") return ccfg;  // both prongs
-  ccfg.race = false;
-  ccfg.lifetime = false;
-  for (const auto& item : get_list("check", "")) {
-    if (item == "race") {
-      ccfg.race = true;
-    } else if (item == "lifetime") {
-      ccfg.lifetime = true;
-    } else if (item == "all" || item == "1") {
-      ccfg.race = ccfg.lifetime = true;
-    } else {
-      std::fprintf(stderr, "unknown --check prong '%s' (race|lifetime|all)\n",
-                   item.c_str());
-      std::exit(2);
-    }
+std::string Options::get(std::string_view name) const {
+  const Flag& f = flag(name);
+  for (const auto& [k, v] : kv_) {
+    if (k == name) return v;
   }
-  return ccfg;
+  return f.fallback != nullptr ? f.fallback : "";
 }
 
-phase::PhaseConfig Options::phase_config() const {
-  phase::PhaseConfig pc;
-  pc.commits_per_epoch = static_cast<std::uint64_t>(
-      get_long("phase-commits-per-epoch",
-               static_cast<long>(pc.commits_per_epoch)));
-  pc.slab_bytes = static_cast<std::size_t>(
-      get_long("phase-slab-bytes", static_cast<long>(pc.slab_bytes)));
-  const std::string v = get("phase-compact", "off");
-  if (v == "off") {
-    pc.compact = phase::PhaseConfig::Compact::kOff;
-  } else if (v == "checked") {
-    pc.compact = phase::PhaseConfig::Compact::kChecked;
-  } else if (v == "all") {
-    pc.compact = phase::PhaseConfig::Compact::kAll;
-  } else {
-    std::fprintf(stderr, "unknown --phase-compact '%s' (off|checked|all)\n",
-                 v.c_str());
-    std::exit(2);
-  }
-  return pc;
+long Options::get_long(std::string_view name) const {
+  long v = 0;
+  parse_long(get(name), &v);
+  return v;
 }
 
-sim::Topology Options::topology() const {
-  sim::Topology topo;
-  topo.nodes = static_cast<unsigned>(get_long("numa-nodes", 1));
-  if (topo.nodes == 0) topo.nodes = 1;
-  topo.cores_per_node =
-      static_cast<unsigned>(get_long("numa-cores-per-node", 0));
-  return topo;
+double Options::get_double(std::string_view name) const {
+  double v = 0.0;
+  parse_double(get(name), &v);
+  return v;
 }
 
-alloc::NumaOptions Options::numa_options() const {
-  alloc::NumaOptions o;
-  const std::string v = get("numa-policy", "first-touch");
-  if (v == "first-touch") {
-    o.policy = alloc::NumaOptions::Policy::kFirstTouch;
-  } else if (v == "interleave") {
-    o.policy = alloc::NumaOptions::Policy::kInterleave;
-  } else if (v.rfind("bind", 0) == 0) {
-    o.policy = alloc::NumaOptions::Policy::kBind;
-    const auto colon = v.find(':');
-    if (colon != std::string::npos) {
-      o.bind_node = static_cast<unsigned>(
-          std::strtol(v.c_str() + colon + 1, nullptr, 10));
-    }
-  } else {
-    std::fprintf(stderr,
-                 "unknown --numa-policy '%s' "
-                 "(first-touch|interleave|bind[:NODE])\n",
-                 v.c_str());
-    std::exit(2);
-  }
-  return o;
+std::vector<std::string> Options::get_list(std::string_view name) const {
+  return split_list(get(name));
 }
 
 RunSpec Options::run_spec() const {
+  using Compact = phase::PhaseConfig::Compact;
   RunSpec spec;
-  spec.allocator = get("alloc", spec.allocator);
-  spec.engine = engine();
-  spec.cache_model = get_long("cache-model", 1) != 0;
-  spec.seed = seed();
-  spec.topology = topology();
-  spec.numa = numa_options();
-  spec.ort_shards = static_cast<unsigned>(get_long("ort-shards", 0));
-  spec.shift = static_cast<unsigned>(get_long("shift", spec.shift));
-  const std::string design = get("design", "wb");
-  if (design == "wt") {
-    spec.design = stm::StmDesign::kWriteThroughEtl;
-  } else if (design == "ctl") {
-    spec.design = stm::StmDesign::kCommitTimeLocking;
-  } else if (design != "wb") {
-    std::fprintf(stderr, "unknown --design '%s' (wb|wt|ctl)\n",
-                 design.c_str());
+  spec.engine = choose<sim::EngineKind>(
+      *this, "engine",
+      {{"sim", sim::EngineKind::Sim}, {"threads", sim::EngineKind::Threads}});
+  spec.cache_model = get_long("cache-model") != 0;
+  spec.seed = static_cast<std::uint64_t>(get_long("seed"));
+  spec.topology.nodes = static_cast<unsigned>(get_long("numa-nodes"));
+  if (spec.topology.nodes == 0) spec.topology.nodes = 1;
+  spec.topology.cores_per_node =
+      static_cast<unsigned>(get_long("numa-cores-per-node"));
+  const std::string policy = get("numa-policy");
+  if (policy == "interleave") {
+    spec.numa.policy = alloc::NumaOptions::Policy::kInterleave;
+  } else if (policy.rfind("bind", 0) == 0) {
+    spec.numa.policy = alloc::NumaOptions::Policy::kBind;
+    const auto colon = policy.find(':');
+    if (colon != std::string::npos) {
+      spec.numa.bind_node = static_cast<unsigned>(
+          std::strtol(policy.c_str() + colon + 1, nullptr, 10));
+    }
+  } else if (policy != "first-touch") {
+    std::fprintf(stderr,
+                 "unknown --numa-policy '%s' "
+                 "(first-touch|interleave|bind[:NODE])\n",
+                 policy.c_str());
     std::exit(2);
   }
-  spec.cm = cm();
-  spec.tx_alloc_cache = get_long("txcache", 0) != 0;
-  spec.htm_enabled = get_long("hybrid", 0) != 0;
+  spec.ort_shards = static_cast<unsigned>(get_long("ort-shards"));
+  spec.shift = static_cast<unsigned>(get_long("shift"));
+  spec.design = choose<stm::StmDesign>(
+      *this, "design",
+      {{"wb", stm::StmDesign::kWriteBackEtl},
+       {"wt", stm::StmDesign::kWriteThroughEtl},
+       {"ctl", stm::StmDesign::kCommitTimeLocking}});
+  spec.cm = choose<stm::ContentionManager>(
+      *this, "cm",
+      {{"suicide", stm::ContentionManager::kSuicide},
+       {"backoff", stm::ContentionManager::kBackoff}});
+  spec.tx_alloc_cache = get_long("txcache") != 0;
+  spec.htm_enabled = get_long("hybrid") != 0;
   // Under injected faults, escalation is the liveness guarantee (an OOM
   // storm would otherwise retry forever), so it defaults on.
+  const bool faulty = has_prefix("fault-");
   spec.retry_cap = static_cast<unsigned>(
-      get_long("stm-retry-cap", fault_enabled() ? 64 : 0));
+      has("stm-retry-cap") ? get_long("stm-retry-cap") : faulty ? 64 : 0);
   spec.tx_cycle_budget =
-      static_cast<std::uint64_t>(get_long("watchdog-tx-cycles", 0));
+      static_cast<std::uint64_t>(get_long("watchdog-tx-cycles"));
   spec.watchdog_cycles =
-      static_cast<std::uint64_t>(get_long("watchdog-run-cycles", 0));
-  if (fault_enabled()) spec.fault = fault_plan();
-  if (has("check")) spec.check = check_config(spec.shift, spec.ort_log2);
-  if (guard_enabled()) spec.guard = guard_config();
-  spec.prof = prof();
-  spec.prof_sample_cycles = static_cast<std::uint64_t>(
-      get_long("prof-sample-cycles",
-               static_cast<long>(spec.prof_sample_cycles)));
-  spec.phase = phase_config();
+      static_cast<std::uint64_t>(get_long("watchdog-run-cycles"));
+
+  if (faulty) {
+    fault::FaultPlan& plan = spec.fault.emplace();
+    plan.seed = static_cast<std::uint64_t>(get_long("fault-seed"));
+    plan.oom_rate = get_double("fault-oom-rate");
+    if (has("fault-oom-budget")) {
+      plan.oom_budget =
+          static_cast<std::uint64_t>(get_long("fault-oom-budget"));
+    }
+    plan.oom_everywhere = choose<bool>(*this, "fault-oom-region",
+                                       {{"tx", false}, {"all", true}});
+    plan.reserve_rate = get_double("fault-reserve-rate");
+    plan.reserve_cap_bytes =
+        static_cast<std::uint64_t>(get_long("fault-reserve-cap"));
+    plan.spurious_abort_rate = get_double("fault-spurious-rate");
+    plan.delay_free_rate = get_double("fault-delay-free-rate");
+    plan.delay_free_cycles =
+        static_cast<std::uint64_t>(get_long("fault-delay-free-cycles"));
+    plan.corrupt_tag_rate = get_double("fault-corrupt-tag-rate");
+    plan.corrupt_overflow_rate = get_double("fault-corrupt-overflow-rate");
+    plan.corrupt_reuse_rate = get_double("fault-corrupt-reuse-rate");
+    if (has("fault-corrupt-budget")) {
+      plan.corrupt_budget =
+          static_cast<std::uint64_t>(get_long("fault-corrupt-budget"));
+    }
+  }
+
+  if (has("check")) {
+    check::CheckConfig& ccfg = spec.check.emplace();
+    ccfg.shift = spec.shift;
+    ccfg.ort_log2 = spec.ort_log2;
+    ccfg.max_reports = static_cast<std::size_t>(get_long("check-max-reports"));
+    const std::string v = get("check");
+    if (!v.empty() && v != "1" && v != "all") {
+      ccfg.race = false;
+      ccfg.lifetime = false;
+      for (const auto& item : split_list(v)) {
+        if (item == "race") {
+          ccfg.race = true;
+        } else if (item == "lifetime") {
+          ccfg.lifetime = true;
+        } else if (item == "all" || item == "1") {
+          ccfg.race = ccfg.lifetime = true;
+        } else {
+          std::fprintf(stderr,
+                       "unknown --check prong '%s' (race|lifetime|all)\n",
+                       item.c_str());
+          std::exit(2);
+        }
+      }
+    }
+  }
+
+  if (has_prefix("guard")) {
+    guard::GuardConfig& gc = spec.guard.emplace();
+    gc.quarantine_epochs =
+        static_cast<std::uint64_t>(get_long("guard-quarantine-epochs"));
+    gc.commits_per_epoch =
+        static_cast<std::uint64_t>(get_long("guard-commits-per-epoch"));
+    gc.max_findings = static_cast<std::size_t>(get_long("guard-max-findings"));
+    gc.hard_cap = static_cast<std::size_t>(get_long("guard-hard-cap"));
+  }
+
+  spec.prof = has("prof");
+  spec.prof_sample_cycles =
+      static_cast<std::uint64_t>(get_long("prof-sample-cycles"));
+  spec.phase.commits_per_epoch =
+      static_cast<std::uint64_t>(get_long("phase-commits-per-epoch"));
+  spec.phase.slab_bytes =
+      static_cast<std::size_t>(get_long("phase-slab-bytes"));
+  spec.phase.compact = choose<Compact>(*this, "phase-compact",
+                                       {{"off", Compact::kOff},
+                                        {"checked", Compact::kChecked},
+                                        {"all", Compact::kAll}});
   return spec;
-}
-
-void Options::print_help(const char* what) const {
-  std::printf(
-      "%s\n"
-      "common options:\n"
-      "  --engine sim|threads   execution engine (default sim)\n"
-      "  --threads 1,2,4,8      thread counts\n"
-      "  --alloc a,b,...        allocators (glibc,hoard,tbb,tcmalloc,system)\n"
-      "  --reps N               repetitions per configuration\n"
-      "  --seed S               experiment seed\n"
-      "  --scale X              workload scale factor (default 1)\n"
-      "  --csv PATH             also write results as CSV\n"
-      "  --cache-model 0|1      toggle the cache simulator (sim engine)\n"
-      "STM configuration:\n"
-      "  --shift K              ORT stripe shift: 2^K bytes per lock\n"
-      "                         (default 5)\n"
-      "  --design wb|wt|ctl     write-back, write-through or commit-time\n"
-      "                         locking (default wb)\n"
-      "  --txcache 0|1          thread-local transactional object cache\n"
-      "                         (default 0)\n"
-      "  --hybrid 0|1           hybrid execution: hardware path with the\n"
-      "                         software fallback (default 0)\n"
-      "NUMA topology / placement (sim engine):\n"
-      "  --numa-nodes N         NUMA nodes in the simulated machine (default\n"
-      "                         1 = flat; >1 adds remote-memory latency)\n"
-      "  --numa-cores-per-node C  cores per node (default 0 = threads/nodes)\n"
-      "  --numa-policy P        page homing: first-touch|interleave|bind[:N]\n"
-      "  --ort-shards N         per-node ORT stripe tables (0 = one global\n"
-      "                         table; typically set to --numa-nodes)\n"
-      "observability:\n"
-      "  --trace PATH           write a Chrome trace_event JSON (Perfetto)\n"
-      "  --metrics-out PATH     write the unified metrics registry as JSON\n"
-      "  --attribution          print top-K abort attribution per stripe\n"
-      "  --attribution-topk K   stripes in the attribution report (default 8)\n"
-      "  --trace-capacity N     per-thread event ring capacity (default 64Ki)\n"
-      "trace capture:\n"
-      "  --record-trace PATH    capture the run as a tmx-trace-v1 trace\n"
-      "  --list-allocators      print the allocator registry and exit\n"
-      "fault injection / degradation:\n"
-      "  --fault-seed S           fault-plan seed (default 20150207)\n"
-      "  --fault-oom-rate P       P(malloc returns nullptr) per call\n"
-      "  --fault-oom-budget N     cap injected allocation failures at N\n"
-      "  --fault-oom-region tx|all  restrict OOM to transactional allocs\n"
-      "  --fault-reserve-rate P   P(page reservation refused) per call\n"
-      "  --fault-reserve-cap B    hard byte cap on total page reservations\n"
-      "  --fault-spurious-rate P  P(extra abort injected) per commit\n"
-      "  --fault-delay-free-rate P  P(free parked for a virtual delay)\n"
-      "  --fault-delay-free-cycles N  parked-free delay (default 10000)\n"
-      "  --fault-corrupt-tag-rate P  P(boundary tag scribbled at free) --\n"
-      "                           requires --guard, which performs & detects\n"
-      "  --fault-corrupt-overflow-rate P  P(one-byte overflow past a block)\n"
-      "  --fault-corrupt-reuse-rate P  P(write into quarantined memory)\n"
-      "  --fault-corrupt-budget N cap total injected corruptions (all sites)\n"
-      "  --stm-retry-cap K        serial-irrevocable after K aborts (0 = off;\n"
-      "                           defaults to 64 when faults are enabled)\n"
-      "  --watchdog-tx-cycles N   per-transaction virtual-cycle budget\n"
-      "  --watchdog-run-cycles N  whole-run virtual-cycle budget\n"
-      "  --cm suicide|backoff     contention manager (default suicide)\n"
-      "correctness checking (tmx::check):\n"
-      "  --check race,lifetime    enable the race / lifetime checkers (bare\n"
-      "                           --check = both); sim engine only, requires\n"
-      "                           --txcache 0 and --hybrid 0\n"
-      "  --check-max-reports N    verbatim reports kept (counters keep\n"
-      "                           counting past the cap; default 64)\n"
-      "heap-integrity hardening (tmx::guard):\n"
-      "  --guard                  canaries + boundary-tag verification +\n"
-      "                           quiescence-aware quarantine; sim engine\n"
-      "                           only, requires --txcache 0 and\n"
-      "                           --phase-compact off; exits 5 on hard\n"
-      "                           corruption\n"
-      "  --guard-quarantine-epochs N  epochs a freed block stays poisoned\n"
-      "                           before release (0 = detect-only: verify at\n"
-      "                           free and forward immediately; default 1)\n"
-      "  --guard-commits-per-epoch N  commits between guard epoch advances\n"
-      "                           (default 256)\n"
-      "  --guard-max-findings N   verbatim findings kept (default 64)\n"
-      "  --guard-hard-cap N       exit 5 after N findings (0 = never trip\n"
-      "                           mid-run; default 64)\n"
-      "profiling (tmx::prof):\n"
-      "  --prof                   latency/heap profiling plane (HDR latency\n"
-      "                           histograms, site attribution, RSS series)\n"
-      "  --prof-out PREFIX        write PREFIX.timeseries.csv, PREFIX.sites.csv\n"
-      "                           and PREFIX.folded (default prefix: prof)\n"
-      "  --prof-sample-cycles N   sampler cadence in virtual cycles\n"
-      "                           (default 100000; 0 = sampler off)\n"
-      "phase-lifetime allocator (--alloc phase, tmx::phase):\n"
-      "  --phase-commits-per-epoch N  commits between epoch advances\n"
-      "                           (default 256; smaller = finer reclaim)\n"
-      "  --phase-slab-bytes B     slab size, power of two (default 65536)\n"
-      "  --phase-compact M        straggler compaction in quiescent windows:\n"
-      "                           off|checked|all (checked relocates only\n"
-      "                           blocks the --check lifetime prong proved\n"
-      "                           private; default off)\n",
-      what);
-}
-
-bool handle_list_allocators(const Options& opt) {
-  if (!opt.list_allocators()) return false;
-  alloc::print_registry(stdout);
-  return true;
 }
 
 bool planes_compatible(const RunSpec& spec) {

@@ -30,6 +30,10 @@
 #                                 an unknown figure exits 2
 #   cli_smoke.sh paper_<figure>   <tmx_paper>     the figure runs clean at
 #                                 small scale and repeats byte for byte
+#   cli_smoke.sh flags <binary>...  each binary exits 2 naming an unknown
+#                                 flag, a positional argument or a malformed
+#                                 number, and its --help lists every flag it
+#                                 reads
 set -euo pipefail
 
 drive=$1
@@ -49,6 +53,17 @@ expect_exit() {
   "$@" > /dev/null 2>&1 || rc=$?
   if [ "$rc" -ne "$want" ]; then
     echo "cli_smoke.sh: exit $rc, expected $want: $*" >&2
+    exit 1
+  fi
+}
+
+# Fails unless "${@:2}" exits 2 and names $1 on stderr.
+expect_refused() {
+  local token=$1 rc=0
+  shift
+  "$@" > /dev/null 2> refused.err || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -qF -- "$token" refused.err; then
+    echo "cli_smoke.sh: exit $rc, expected 2 naming '$token': $*" >&2
     exit 1
   fi
 }
@@ -196,6 +211,56 @@ case "$drive" in
          }
          END { exit (rows == 0 || bad) }' t4.out
     expect_exit 2 "${bins[0]}" --figure nosuch
+    ;;
+  flags)
+    run="engine cache-model seed shift design cm txcache hybrid numa-nodes
+         numa-cores-per-node numa-policy ort-shards stm-retry-cap
+         watchdog-tx-cycles watchdog-run-cycles fault-seed fault-oom-rate
+         fault-oom-budget fault-oom-region fault-reserve-rate
+         fault-reserve-cap fault-spurious-rate fault-delay-free-rate
+         fault-delay-free-cycles fault-corrupt-tag-rate
+         fault-corrupt-overflow-rate fault-corrupt-reuse-rate
+         fault-corrupt-budget check check-max-reports guard
+         guard-quarantine-epochs guard-commits-per-epoch guard-max-findings
+         guard-hard-cap prof prof-sample-cycles phase-commits-per-epoch
+         phase-slab-bytes phase-compact"
+    report="metrics-out trace attribution attribution-topk trace-capacity
+            record-trace prof-out"
+    for bin in "${bins[@]}"; do
+      # number: a numeric flag the binary reads; reads: every flag it reads.
+      case "$(basename "$bin")" in
+        stamp_runner) number=threads
+          reads="app alloc threads scale profile $run $report" ;;
+        server_mix) number=workers
+          reads="alloc quick workers requests arrival allocs-per-req retain mu
+                 sigma phase-maintenance-every $run $report" ;;
+        chaos_soak) number=rounds
+          reads="alloc quick rounds requests seed cache-model $report" ;;
+        tmx_paper) number=threads
+          reads="figure alloc threads reps scale apps csv $run $report" ;;
+        perf_suite) number=reps reads="quick out reps" ;;
+        trace_replay) number=threads
+          reads="synth replay-trace inspect selfcheck alloc shift ort-log2
+                 cache-model strict-gaps seed threads ops live tx-fraction
+                 op-cycles $report" ;;
+        allocator_duel) number=threads
+          reads="a b struct threads updates reps scale $run" ;;
+        quickstart) number=threads reads="alloc threads $run" ;;
+        hybrid_demo) number=threads reads="alloc threads struct scale $run" ;;
+        ort_mapping_explorer) number=size reads="alloc size count $run" ;;
+        *) echo "cli_smoke.sh: no flag list for $bin" >&2; exit 1 ;;
+      esac
+      expect_refused "--metrics_out" "$bin" --metrics_out x
+      expect_refused "stray_arg" "$bin" stray_arg
+      expect_refused "--$number expects" "$bin" "--$number" abc
+      "$bin" --help > help.out
+      for flag in $reads help list-allocators; do
+        if ! grep -qE -- "^  --$flag( |$)" help.out; then
+          echo "cli_smoke.sh: $bin --help does not list --$flag" >&2
+          exit 1
+        fi
+      done
+    done
     ;;
   paper_*)
     args=(--figure "${drive#paper_}" --cache-model 0 --scale 0.1 --reps 1

@@ -219,8 +219,8 @@ TEST(Registry, KnowsAllNamesAndRejectsNone) {
 // --list-allocators in every tool (stamp_runner, trace_replay,
 // allocator_duel, server_mix) is print_registry(); this pins the listing to
 // the registry, so a model registered without a traits row (or vice versa)
-// fails here rather than silently shipping an incomplete table. The CI
-// phase-smoke job additionally diffs the tools' outputs pairwise.
+// fails here rather than silently shipping an incomplete table.
+// smoke_list_allocators additionally diffs the tools' outputs pairwise.
 TEST(Registry, PrintedListingStaysInSyncWithRegistry) {
   std::FILE* tmp = std::tmpfile();
   ASSERT_NE(tmp, nullptr);

@@ -126,40 +126,141 @@ TEST(Fmt, Numbers) {
   EXPECT_EQ(fmt_si(12.0, 0), "12");
 }
 
-TEST(Options, ParsesKeyValueForms) {
-  const char* argv[] = {"prog", "--threads", "1,2,4", "--reps=5", "--flag"};
-  Options o(5, const_cast<char**>(argv));
-  EXPECT_TRUE(o.has("threads"));
-  EXPECT_TRUE(o.has("flag"));
-  EXPECT_FALSE(o.has("missing"));
-  EXPECT_EQ(o.get_long("reps", 1), 5);
-  const auto t = o.threads();
-  ASSERT_EQ(t.size(), 3u);
-  EXPECT_EQ(t[0], 1);
-  EXPECT_EQ(t[2], 4);
+constexpr Flag kTestFlags[] = {
+    {"threads", Flag::Kind::kInts, "1,2,4,8", "1,2,4,8", "thread counts"},
+    {"reps", Flag::Kind::kInt, "N", "3", "repetitions"},
+    {"scale", Flag::Kind::kReal, "X", "1", "scale factor"},
+    {"name", Flag::Kind::kText, "S", "dflt", "a text flag"},
+    {"quick", Flag::Kind::kBare, nullptr, nullptr, "a bare flag"},
+};
+
+// Parses `args` the way a binary honouring the run and report flags does.
+Options parse(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return Options(static_cast<int>(args.size()), const_cast<char**>(args.data()),
+                 {{"test:", kTestFlags}, kRunFlags, kReportFlags});
 }
 
-TEST(Options, DefaultsApply) {
-  const char* argv[] = {"prog"};
-  Options o(1, const_cast<char**>(argv));
-  EXPECT_EQ(o.engine(), sim::EngineKind::Sim);
-  EXPECT_EQ(o.reps(7), 7);
-  EXPECT_EQ(o.threads().size(), 4u);
-  EXPECT_EQ(o.allocators().size(), 4u);
-  EXPECT_EQ(o.seed(), 20150207u);
+TEST(Options, ParsesKeyValueForms) {
+  const Options o = parse({"--threads", "1,2,4", "--reps=5", "--quick",
+                           "--name=a=b", "--metrics-out", "m.json"});
+  EXPECT_TRUE(o.has("threads"));
+  EXPECT_TRUE(o.has("quick"));
+  EXPECT_FALSE(o.has("scale"));
+  EXPECT_EQ(o.get_long("reps"), 5);
+  EXPECT_EQ(o.get_list("threads"), (std::vector<std::string>{"1", "2", "4"}));
+  EXPECT_EQ(o.get("name"), "a=b");
+  EXPECT_EQ(o.get("metrics-out"), "m.json");
+}
+
+TEST(Options, AbsentFlagsReadTheirTableDefault) {
+  const Options o = parse({});
+  EXPECT_EQ(o.get_long("reps"), 3);
+  EXPECT_EQ(o.get("threads"), "1,2,4,8");
+  EXPECT_EQ(o.get_double("scale"), 1.0);
+  EXPECT_EQ(o.get("name"), "dflt");
+  EXPECT_EQ(o.get("metrics-out"), "");
+  EXPECT_EQ(o.get_long("seed"), 20150207);
+  EXPECT_FALSE(o.has("quick"));
+}
+
+// --check takes a value only when one follows it.
+TEST(Options, CheckTakesAnOptionalValue) {
+  for (const auto& args : {std::vector<const char*>{"--check"},
+                           {"--check", "--quick"}, {"--check", "all"}}) {
+    const RunSpec s = parse(args).run_spec();
+    ASSERT_TRUE(s.check);
+    EXPECT_TRUE(s.check->race);
+    EXPECT_TRUE(s.check->lifetime);
+  }
+  EXPECT_TRUE(parse({"--check", "--quick"}).has("quick"));
+  const RunSpec race = parse({"--check", "race"}).run_spec();
+  EXPECT_TRUE(race.check->race);
+  EXPECT_FALSE(race.check->lifetime);
+  const RunSpec lifetime = parse({"--check=lifetime"}).run_spec();
+  EXPECT_FALSE(lifetime.check->race);
+  EXPECT_TRUE(lifetime.check->lifetime);
+}
+
+// The fault plane is on exactly when a --fault-* flag is given, and the
+// guard plane when a --guard* flag is.
+TEST(Options, PlanesFollowTheirFlagPrefix) {
+  EXPECT_FALSE(parse({}).run_spec().fault);
+  EXPECT_FALSE(parse({}).run_spec().guard);
+  EXPECT_TRUE(parse({"--fault-delay-free-cycles", "5"}).run_spec().fault);
+  EXPECT_TRUE(parse({"--fault-oom-region", "all"}).run_spec().fault);
+  EXPECT_TRUE(parse({"--guard"}).run_spec().guard);
+  const RunSpec capped = parse({"--guard-hard-cap", "3"}).run_spec();
+  ASSERT_TRUE(capped.guard);
+  EXPECT_EQ(capped.guard->hard_cap, 3u);
+  EXPECT_FALSE(capped.fault);
+}
+
+// A table default and the config default it stands for must agree.
+TEST(Options, TableDefaultsMatchTheConfigDefaults) {
+  const RunSpec s =
+      parse({"--fault-oom-rate", "0", "--check", "--guard"}).run_spec();
+  const fault::FaultPlan plan;
+  ASSERT_TRUE(s.fault);
+  EXPECT_EQ(s.fault->seed, plan.seed);
+  EXPECT_EQ(s.fault->oom_budget, plan.oom_budget);
+  EXPECT_EQ(s.fault->oom_everywhere, plan.oom_everywhere);
+  EXPECT_EQ(s.fault->reserve_cap_bytes, plan.reserve_cap_bytes);
+  EXPECT_EQ(s.fault->delay_free_cycles, plan.delay_free_cycles);
+  EXPECT_EQ(s.fault->corrupt_budget, plan.corrupt_budget);
+  ASSERT_TRUE(s.check);
+  EXPECT_EQ(s.check->max_reports, check::CheckConfig{}.max_reports);
+  const guard::GuardConfig gc;
+  ASSERT_TRUE(s.guard);
+  EXPECT_EQ(s.guard->quarantine_epochs, gc.quarantine_epochs);
+  EXPECT_EQ(s.guard->commits_per_epoch, gc.commits_per_epoch);
+  EXPECT_EQ(s.guard->max_findings, gc.max_findings);
+  EXPECT_EQ(s.guard->hard_cap, gc.hard_cap);
+  const phase::PhaseConfig pc;
+  EXPECT_EQ(s.phase.commits_per_epoch, pc.commits_per_epoch);
+  EXPECT_EQ(s.phase.slab_bytes, pc.slab_bytes);
+  EXPECT_EQ(s.phase.compact, pc.compact);
+}
+
+TEST(OptionsDeathTest, RefusedArgumentsExit2NamingTheArgument) {
+  const std::pair<std::vector<const char*>, const char*> cases[] = {
+      {{"--metrics_out", "m.json"}, "unknown flag '--metrics_out'"},
+      {{"--fault-oom-rat", "0.5"}, "unknown flag '--fault-oom-rat'"},
+      {{"stray"}, "unexpected argument 'stray'"},
+      {{"--quick", "stray"}, "unexpected argument 'stray'"},
+      {{"--reps"}, "--reps needs a value"},
+      {{"--reps", "--quick"}, "--reps needs a value"},
+      {{"--reps", "abc"}, "--reps expects an integer, got 'abc'"},
+      {{"--reps", "5x"}, "--reps expects an integer, got '5x'"},
+      {{"--scale", "1.5.2"}, "--scale expects a number, got '1.5.2'"},
+      {{"--threads", "1,x"}, "--threads expects a comma list of integers"},
+      {{"--quick=1"}, "--quick takes no value"},
+  };
+  for (const auto& [args, message] : cases) {
+    EXPECT_EXIT(parse(args), ::testing::ExitedWithCode(2), message);
+  }
+}
+
+TEST(OptionsDeathTest, HelpAndListAllocatorsExit0) {
+  EXPECT_EXIT(parse({"--help"}), ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(parse({"--list-allocators"}), ::testing::ExitedWithCode(0), "");
+}
+
+TEST(OptionsDeathTest, ReadingAnUndeclaredFlagAborts) {
+  const Options o = parse({});
+  EXPECT_DEATH(o.get("nosuch"), "none of its flag tables declares");
 }
 
 TEST(Options, EngineSelection) {
-  const char* argv[] = {"prog", "--engine", "threads"};
-  Options o(3, const_cast<char**>(argv));
-  EXPECT_EQ(o.engine(), sim::EngineKind::Threads);
+  EXPECT_EQ(parse({"--engine", "threads"}).run_spec().engine,
+            sim::EngineKind::Threads);
 }
 
 // Every shared flag lands in its RunSpec field, and from there in the
 // stm::Config and sim::RunConfig the harnesses run with.
 TEST(Options, RunSpecParsesEverySharedFlag) {
   const char* argv[] = {
-      "prog",           "--alloc",          "tcmalloc",
+      "prog",
       "--engine",       "threads",          "--cache-model",
       "0",              "--seed",           "42",
       "--numa-nodes",   "2",                "--numa-cores-per-node",
@@ -176,9 +277,8 @@ TEST(Options, RunSpecParsesEverySharedFlag) {
       "--guard-quarantine-epochs", "0",     "--phase-compact",
       "all",            "--phase-slab-bytes", "32768"};
   const Options o(static_cast<int>(std::size(argv)),
-                  const_cast<char**>(argv));
+                  const_cast<char**>(argv), {kRunFlags});
   const RunSpec s = o.run_spec();
-  EXPECT_EQ(s.allocator, "tcmalloc");
   EXPECT_EQ(s.engine, sim::EngineKind::Threads);
   EXPECT_FALSE(s.cache_model);
   EXPECT_EQ(s.seed, 42u);
@@ -233,8 +333,7 @@ TEST(Options, RunSpecParsesEverySharedFlag) {
 }
 
 TEST(Options, RunSpecWithoutFlagsKeepsTheDefaults) {
-  const char* argv[] = {"prog"};
-  const RunSpec s = Options(1, const_cast<char**>(argv)).run_spec();
+  const RunSpec s = parse({}).run_spec();
   EXPECT_EQ(s.allocator, RunSpec{}.allocator);
   EXPECT_EQ(s.seed, RunSpec{}.seed);
   EXPECT_EQ(s.shift, RunSpec{}.shift);
@@ -252,16 +351,15 @@ TEST(Options, RunSpecWithoutFlagsKeepsTheDefaults) {
 // Escalation is the liveness guarantee under injected faults, so the retry
 // cap defaults on with them; an explicit --stm-retry-cap still wins.
 TEST(Options, RetryCapDefaultsTo64WhenFaultsAreOn) {
-  const char* faulty[] = {"prog", "--fault-spurious-rate", "0.1"};
-  EXPECT_EQ(Options(3, const_cast<char**>(faulty)).run_spec().retry_cap, 64u);
-  const char* capped[] = {"prog", "--fault-spurious-rate", "0.1",
-                          "--stm-retry-cap", "8"};
-  EXPECT_EQ(Options(5, const_cast<char**>(capped)).run_spec().retry_cap, 8u);
+  EXPECT_EQ(parse({"--fault-spurious-rate", "0.1"}).run_spec().retry_cap, 64u);
+  EXPECT_EQ(parse({"--fault-spurious-rate", "0.1", "--stm-retry-cap", "8"})
+                .run_spec()
+                .retry_cap,
+            8u);
 }
 
 TEST(OptionsDeathTest, UnknownDesignExits2) {
-  const char* argv[] = {"prog", "--design", "bogus"};
-  const Options o(3, const_cast<char**>(argv));
+  const Options o = parse({"--design", "bogus"});
   EXPECT_EXIT(o.run_spec(), ::testing::ExitedWithCode(2),
               "unknown --design 'bogus' \\(wb\\|wt\\|ctl\\)");
 }
@@ -351,7 +449,8 @@ TEST(ObsSession, ReportPrefixesPlanesAndRanksExitCodes) {
   const auto exit_code = [](const std::string& metrics_out,
                             const std::vector<const PlaneOutputs*>& runs) {
     const char* argv[] = {"prog", "--metrics-out", metrics_out.c_str()};
-    const Options opt(metrics_out.empty() ? 1 : 3, const_cast<char**>(argv));
+    const Options opt(metrics_out.empty() ? 1 : 3, const_cast<char**>(argv),
+                      {kReportFlags});
     ObsSession obs(opt);
     for (std::size_t i = 0; i < runs.size(); ++i) {
       obs.report("run" + std::to_string(i) + ".", *runs[i]);
