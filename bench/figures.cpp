@@ -480,7 +480,8 @@ void table4(Ctx& c) {
 }
 
 // Table 5: the STAMP applications' allocations per size class and code
-// region, from a sequential instrumented run (allocator-independent).
+// region, from a sequential instrumented run (allocator-independent; run
+// on glibc, the model of the system malloc).
 void table5(Ctx& c) {
   std::vector<std::string> headers = {"App", "Region"};
   for (int b = 0; b < alloc::kNumSizeBuckets; ++b) {
@@ -491,7 +492,7 @@ void table5(Ctx& c) {
   headers.push_back("size (bytes)");
   Table t(headers);
   for (const auto& app : stamp::app_names()) {
-    stamp::StampRun r{c.spec("system"), app};
+    stamp::StampRun r{c.spec("glibc"), app};
     r.threads = 1;
     r.scale = c.scale;
     r.instrument = true;

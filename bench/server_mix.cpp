@@ -7,11 +7,7 @@
 //
 // All profiler output goes to files/stderr; stdout is byte-identical with
 // and without --prof (smoke_prof_onoff diffs the two), which is the
-// zero-perturbation contract made observable. Run the comparison with
-// --cache-model 0: with the cache model on, simulated latencies depend on
-// where host-heap metadata lands, so inserting any wrapper (profiler,
-// checker, tracer alike) shifts them — the same exact-address caveat
-// trace_replay --selfcheck documents.
+// zero-perturbation contract made observable.
 #include <cstdio>
 #include <string>
 

@@ -6,8 +6,8 @@
 //
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart [--alloc tcmalloc] [--threads 8]
+#include <algorithm>
 #include <cstdio>
-#include <vector>
 
 #include "core/stm.hpp"
 #include "harness/options.hpp"
@@ -38,10 +38,13 @@ int main(int argc, char** argv) {
   //    WB-ETL, 2^20-entry ORT, shift 5, SUICIDE contention management.
   stm::Stm stm(spec.stm_config(&allocator));
 
-  // 3. Shared state: a small bank.
+  // 3. Shared state: a small bank. Everything a transaction touches lives
+  //    in simulated memory: blocks from the allocator, or a root carved
+  //    from the run's address space, as here.
   constexpr int kAccounts = 64;
   constexpr std::uint64_t kInitial = 1000;
-  std::vector<std::uint64_t> accounts(kAccounts, kInitial);
+  const auto accounts = sim::make_region_array<std::uint64_t>(kAccounts);
+  std::fill_n(accounts.get(), kAccounts, kInitial);
 
   // 4. Run transfers on the simulated multicore (or real threads with
   //    --engine threads).
@@ -62,7 +65,7 @@ int main(int argc, char** argv) {
 
   // 5. Inspect the results.
   std::uint64_t total = 0;
-  for (auto v : accounts) total += v;
+  for (int i = 0; i < kAccounts; ++i) total += accounts[i];
   const auto st = stm.stats();
   std::printf("allocator:      %s\n", allocator.traits().name.c_str());
   std::printf("threads:        %d\n", threads);

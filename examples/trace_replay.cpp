@@ -167,7 +167,6 @@ int selfcheck(const harness::Options& opt) {
   const harness::RunContext context{harness::RunSpec{}};
   bool ok = true;
   for (const auto& model : alloc::allocator_names()) {
-    if (model == "system") continue;  // host malloc: addresses unreproducible
     replay::ReplayConfig c = cfg;
     c.allocator = model;
     const replay::ReplayResult r1 = replay::replay_trace(rt, c);

@@ -65,8 +65,7 @@ class Allocator {
 
   // Bytes currently reserved from the OS (for footprint reporting). The
   // base implementation reads the adopted page provider (0 without one), so
-  // models that call adopt_page_provider() need no override; the system
-  // passthrough inherits the 0 default.
+  // models that call adopt_page_provider() need no override.
   virtual std::size_t os_reserved() const;
 
   // Usable bytes currently handed out to the application (allocated and not
@@ -79,7 +78,7 @@ class Allocator {
   }
 
   // The provider backing this allocator's reservations, or nullptr for
-  // models without one (the system passthrough). The base os_reserved()
+  // an allocator without one. The base os_reserved()
   // reads it; wrappers forward to the inner allocator. Models register
   // theirs once via adopt_page_provider() in their constructor.
   virtual PageProvider* page_provider() { return provider_; }
@@ -172,7 +171,8 @@ T* find_layer(Allocator* a) {
 using AllocatorFactory = std::function<std::unique_ptr<Allocator>()>;
 
 // Registered names, in canonical paper order:
-// "glibc", "hoard", "tbb", "tcmalloc", plus the passthrough "system".
+// "glibc", "hoard", "tbb", "tcmalloc", then the "jemalloc" and "phase"
+// extensions.
 std::vector<std::string> allocator_names();
 
 // Creates a fresh instance (experiments never share allocator state).

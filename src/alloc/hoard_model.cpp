@@ -93,13 +93,12 @@ HoardModelAllocator::HoardModelAllocator() {
   global_ = new Heap();
   for (auto& b : global_->bins) b = nullptr;
   global_->is_global = true;
-  caches_ = new std::array<Padded<LocalCache>, kMaxThreads>();
+  caches_ = sim::make_region<std::array<Padded<LocalCache>, kMaxThreads>>();
 }
 
 HoardModelAllocator::~HoardModelAllocator() {
   delete heaps_;
   delete global_;
-  delete caches_;
 }
 
 HoardModelAllocator::Heap* HoardModelAllocator::heap_for_thread(int tid) {

@@ -63,7 +63,8 @@ class HoardModelAllocator final : public Allocator {
   PageProvider pages_;
   std::array<Heap, kHeapCount>* heaps_;
   Heap* global_;
-  std::array<Padded<LocalCache>, kMaxThreads>* caches_;
+  // Probed, so it lives in the run's address space.
+  sim::RegionPtr<std::array<Padded<LocalCache>, kMaxThreads>> caches_;
 };
 
 }  // namespace tmx::alloc

@@ -130,8 +130,8 @@ JemallocModelAllocator::JemallocModelAllocator() {
           "A lock per arena (4 arenas, threads round-robin); the tcache "
           "front is synchronization-free"};
   adopt_page_provider(&pages_);
-  arenas_ = new std::array<Arena, kNumArenas>();
-  tcaches_ = new std::array<Padded<Tcache>, kMaxThreads>();
+  arenas_ = sim::make_region<std::array<Arena, kNumArenas>>();
+  tcaches_ = sim::make_region<std::array<Padded<Tcache>, kMaxThreads>>();
 }
 
 JemallocModelAllocator::~JemallocModelAllocator() {
@@ -153,8 +153,6 @@ JemallocModelAllocator::~JemallocModelAllocator() {
       }
     }
   }
-  delete arenas_;
-  delete tcaches_;
 }
 
 JemallocModelAllocator::Arena* JemallocModelAllocator::arena_for_thread(

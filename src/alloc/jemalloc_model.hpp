@@ -64,8 +64,9 @@ class JemallocModelAllocator final : public Allocator {
 
   AllocatorTraits traits_;
   PageProvider pages_;
-  std::array<Arena, kNumArenas>* arenas_;
-  std::array<Padded<Tcache>, kMaxThreads>* tcaches_;
+  // Probed, so they live in the run's address space.
+  sim::RegionPtr<std::array<Arena, kNumArenas>> arenas_;
+  sim::RegionPtr<std::array<Padded<Tcache>, kMaxThreads>> tcaches_;
 };
 
 }  // namespace tmx::alloc

@@ -1,7 +1,5 @@
 #include "alloc/page_provider.hpp"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <cstring>
 
@@ -15,7 +13,7 @@ namespace tmx::alloc {
 PageProvider::~PageProvider() {
   for (const Mapping& m : mappings_) {
     sim::numa_unregister_range(m.base);
-    munmap(m.base, m.length);
+    space_.release(m.base, m.length);
   }
 }
 
@@ -56,19 +54,12 @@ void* PageProvider::reserve_impl(std::size_t size, std::size_t alignment,
     return nullptr;
   }
 
-  // Over-allocate, then trim to the aligned window. A refused host mapping
-  // is a recoverable OOM, not an invariant violation: it propagates to the
-  // models as nullptr exactly like an injected reservation failure.
-  const std::size_t over = size + alignment;
-  void* raw = mmap(nullptr, over, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (TMX_UNLIKELY(raw == MAP_FAILED)) return nullptr;
-  const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(raw);
-  const std::uintptr_t aligned = round_up(base, alignment);
-  const std::size_t head = aligned - base;
-  const std::size_t tail = over - head - size;
-  if (head != 0) munmap(raw, head);
-  if (tail != 0) munmap(reinterpret_cast<void*>(aligned + size), tail);
+  // A refused carve is a recoverable OOM, not an invariant violation: it
+  // propagates to the models as nullptr exactly like an injected
+  // reservation failure.
+  void* const base =
+      space_.carve(size, alignment, sim::AddressSpace::End::kTop);
+  if (TMX_UNLIKELY(base == nullptr)) return nullptr;
 
   // Home the reservation: policy decides the node (unless the caller pinned
   // one, as remap() does to preserve locality), the sim registry makes the
@@ -78,9 +69,9 @@ void* PageProvider::reserve_impl(std::size_t size, std::size_t alignment,
                             : home_node_for_next_reservation();
   {
     sim::SpinGuard g(lock_);
-    mappings_.push_back({reinterpret_cast<void*>(aligned), size, node});
+    mappings_.push_back({base, size, node});
   }
-  sim::numa_register_range(reinterpret_cast<void*>(aligned), size, node);
+  sim::numa_register_range(base, size, node);
   node_reserved_[std::min(node, kMaxNodes - 1)].fetch_add(
       size, std::memory_order_relaxed);
   const std::size_t now = total_.fetch_add(size, std::memory_order_relaxed) + size;
@@ -88,7 +79,7 @@ void* PageProvider::reserve_impl(std::size_t size, std::size_t alignment,
   while (now > peak &&
          !peak_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
   }
-  return reinterpret_cast<void*>(aligned);
+  return base;
 }
 
 bool PageProvider::release(void* base) {
@@ -104,7 +95,7 @@ bool PageProvider::release(void* base) {
   }
   sim::tick(sim::Cost::kSyscall);
   sim::numa_unregister_range(m.base);
-  munmap(m.base, m.length);
+  space_.release(m.base, m.length);
   node_reserved_[std::min(m.node, kMaxNodes - 1)].fetch_sub(
       m.length, std::memory_order_relaxed);
   total_.fetch_sub(m.length, std::memory_order_relaxed);
@@ -123,9 +114,9 @@ void* PageProvider::remap(void* base) {
   }
   // The reservation's length is already page-rounded and its base is at
   // least page-aligned; re-reserving with page alignment preserves both.
-  // Fault-plane refusal (or host OOM) surfaces here as nullptr, with the
-  // original mapping untouched — the compaction caller keeps the block
-  // where it is.
+  // Fault-plane refusal (or a full address space) surfaces here as nullptr,
+  // with the original reservation untouched — the compaction caller keeps
+  // the block where it is.
   void* fresh = reserve_impl(m.length, kPageSize, static_cast<int>(m.node));
   if (fresh == nullptr) return nullptr;
   std::memcpy(fresh, m.base, m.length);

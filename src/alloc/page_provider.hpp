@@ -1,9 +1,11 @@
 // Aligned virtual-memory chunks for the allocator models.
 //
-// Every allocator obtains its backing store here rather than from ::malloc,
-// so the models control block alignment exactly (64MB arenas for the Glibc
-// model, 64KB superblocks for Hoard, 16KB blocks for TBB, page runs for
-// TCMalloc) — the alignments the paper's ORT-mapping analysis depends on.
+// Every allocator obtains its backing store here rather than from ::malloc:
+// reservations are carved from the run's address space
+// (sim/address_space.hpp), so the models control block alignment exactly
+// (64MB arenas for the Glibc model, 64KB superblocks for Hoard, 16KB blocks
+// for TBB, page runs for TCMalloc) — the alignments the paper's ORT-mapping
+// analysis depends on.
 //
 // NUMA placement: each reservation is assigned a home node under the
 // provider's policy (first-touch by the reserving fiber's node, round-robin
@@ -37,8 +39,9 @@ class PageProvider {
 
   // Returns `size` bytes of zeroed memory whose base address is a multiple
   // of `alignment` (a power of two). Charges a simulated syscall cost.
-  // Returns nullptr when the OS refuses the mapping or the fault plane
-  // simulates exhaustion — callers must treat that as a recoverable OOM.
+  // Returns nullptr when the address space refuses the carve or the fault
+  // plane simulates exhaustion — callers must treat that as a recoverable
+  // OOM.
   void* reserve(std::size_t size, std::size_t alignment);
 
   // Like reserve(), but homes the reservation on `node` regardless of the
@@ -49,16 +52,16 @@ class PageProvider {
                         unsigned node);
 
   // Returns a reservation obtained from reserve()/reserve_on_node() to the
-  // OS. `base` must be a reservation base address; frees the whole mapping,
-  // unregisters its NUMA range and decrements total/per-node bytes
+  // address space. `base` must be a reservation base address; frees it
+  // whole, unregisters its NUMA range and decrements total/per-node bytes
   // (peak_reserved() keeps its high-water mark). Charges a syscall cost.
   // Returns false (and does nothing) if `base` is not a live reservation.
   bool release(void* base);
 
-  // Moves the reservation at `base` to a fresh mapping on the same home
-  // node with the same length and alignment, copying the contents, then
-  // releases the old mapping. Returns the new base, or nullptr when the
-  // fault plane or the OS refuses the new mapping — in that case the
+  // Moves the reservation at `base` to a fresh carve on the same home node
+  // with the same length and alignment, copying the contents, then
+  // releases the old one. Returns the new base, or nullptr when the fault
+  // plane or the address space refuses the new carve — in that case the
   // original reservation is untouched and still valid, so callers degrade
   // gracefully to not compacting. Charges a syscall cost for the new
   // mapping plus the release.
@@ -108,6 +111,7 @@ class PageProvider {
   void* reserve_impl(std::size_t size, std::size_t alignment,
                      int node_override);
 
+  sim::AddressSpace& space_ = sim::context().space;
   mutable sim::SpinLock lock_;
   std::vector<Mapping> mappings_;
   std::atomic<std::size_t> total_{0};

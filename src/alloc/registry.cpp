@@ -5,7 +5,6 @@
 #include "alloc/hoard_model.hpp"
 #include "alloc/jemalloc_model.hpp"
 #include "alloc/page_provider.hpp"
-#include "alloc/system_alloc.hpp"
 #include "alloc/tbb_model.hpp"
 #include "alloc/tcmalloc_model.hpp"
 #include "phase/phase.hpp"
@@ -53,7 +52,7 @@ void ForwardingAllocator::on_quiescence(bool serial) {
 Allocator* ForwardingAllocator::inner_allocator() { return inner_.get(); }
 
 std::vector<std::string> allocator_names() {
-  return {"glibc", "hoard", "tbb", "tcmalloc", "jemalloc", "phase", "system"};
+  return {"glibc", "hoard", "tbb", "tcmalloc", "jemalloc", "phase"};
 }
 
 bool allocator_exists(const std::string& name) {
@@ -70,7 +69,6 @@ std::unique_ptr<Allocator> create_allocator(const std::string& name) {
   if (name == "tcmalloc") return std::make_unique<TcmallocModelAllocator>();
   if (name == "jemalloc") return std::make_unique<JemallocModelAllocator>();
   if (name == "phase") return std::make_unique<phase::PhaseAllocator>();
-  if (name == "system") return std::make_unique<SystemAllocator>();
   std::fprintf(stderr, "unknown allocator '%s'; known:", name.c_str());
   for (const auto& n : allocator_names()) std::fprintf(stderr, " %s", n.c_str());
   std::fprintf(stderr, "\n");
@@ -80,8 +78,8 @@ std::unique_ptr<Allocator> create_allocator(const std::string& name) {
 std::vector<RegisteredAllocator> registered_allocators() {
   std::vector<RegisteredAllocator> out;
   for (const auto& name : allocator_names()) {
-    // Instances are cheap until first use: arenas are mmapped lazily, so
-    // creating one just to read its traits costs a few hundred bytes.
+    // Instances are cheap until first use: carved pages stay untouched
+    // until written, so creating one just to read its traits costs little.
     out.push_back({name, create_allocator(name)->traits()});
   }
   return out;

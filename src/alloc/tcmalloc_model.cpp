@@ -36,11 +36,14 @@ struct TcmallocModelAllocator::ThreadCache {
     std::uint32_t count = 0;
     std::uint32_t next_batch = 1;  // incremental: grows by one per fetch
   };
-  std::vector<PerClass> cls;
+  PerClass cls[kMaxClasses];
   std::size_t total_bytes = 0;
 };
 
-std::size_t TcmallocModelAllocator::num_classes() { return classes().size(); }
+std::size_t TcmallocModelAllocator::num_classes() {
+  TMX_ASSERT(classes().size() <= kMaxClasses);
+  return classes().size();
+}
 
 std::size_t TcmallocModelAllocator::class_index(std::size_t size) {
   const auto& c = classes();
@@ -73,9 +76,8 @@ TcmallocModelAllocator::TcmallocModelAllocator(bool incremental_batch)
           "A spinlock per central free list; a spinlock for the central "
           "page heap; thread caches are synchronization-free"};
   adopt_page_provider(&pages_);
-  central_ = std::make_unique<CentralList[]>(num_classes());
-  caches_ = new std::array<Padded<ThreadCache>, kMaxThreads>();
-  for (auto& pc : *caches_) pc->cls.resize(num_classes());
+  central_ = sim::make_region_array<CentralList>(num_classes());
+  caches_ = sim::make_region<std::array<Padded<ThreadCache>, kMaxThreads>>();
   region_ = static_cast<char*>(pages_.reserve(kRegionSize, kPageSize));
   // A model with no backing region at all is unusable — constructing one
   // is the caller's invariant (fault plans must leave room for it).
@@ -85,7 +87,7 @@ TcmallocModelAllocator::TcmallocModelAllocator(bool incremental_batch)
   pagemap_.assign(kRegionSize / kPageSize, nullptr);
 }
 
-TcmallocModelAllocator::~TcmallocModelAllocator() { delete caches_; }
+TcmallocModelAllocator::~TcmallocModelAllocator() = default;
 
 TcmallocModelAllocator::Span* TcmallocModelAllocator::new_span(
     std::size_t npages, std::uint32_t cls) {
@@ -229,7 +231,7 @@ void TcmallocModelAllocator::release_from_list(ThreadCache& tc,
 
 void TcmallocModelAllocator::cache_gc(ThreadCache& tc) {
   // Move half of every list back to the central lists.
-  for (std::size_t cls = 0; cls < tc.cls.size(); ++cls) {
+  for (std::size_t cls = 0; cls < num_classes(); ++cls) {
     release_from_list(tc, cls, tc.cls[cls].count / 2);
   }
 }

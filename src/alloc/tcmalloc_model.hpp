@@ -46,6 +46,7 @@ class TcmallocModelAllocator final : public Allocator {
   static constexpr std::size_t kCacheByteCap = 512 * 1024;  // GC threshold
   static constexpr std::size_t kMaxListLen = 256;
   static constexpr std::uint32_t kMaxBatch = 128;
+  static constexpr std::size_t kMaxClasses = 64;
 
   static std::size_t class_index(std::size_t size);
   static std::size_t class_size(std::size_t cls);
@@ -96,8 +97,9 @@ class TcmallocModelAllocator final : public Allocator {
   std::vector<std::unique_ptr<Span>> all_spans_;
   bool incremental_batch_;
 
-  std::unique_ptr<CentralList[]> central_;  // one per size class
-  std::array<Padded<ThreadCache>, kMaxThreads>* caches_;
+  // Probed metadata lives in the run's address space.
+  sim::RegionPtr<CentralList[]> central_;  // one per size class
+  sim::RegionPtr<std::array<Padded<ThreadCache>, kMaxThreads>> caches_;
 };
 
 }  // namespace tmx::alloc

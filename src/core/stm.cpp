@@ -1,7 +1,5 @@
 #include "core/stm.hpp"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -26,6 +24,11 @@ using detail::VLock;
 using detail::WriteEntry;
 
 namespace {
+
+// ORT tables are carved 2 MiB-aligned: at least any L1/L2 set span (an
+// 8-way 16MB L2 bank spans 2MB of sets), so a lock word's cache set follows
+// from its offset in the table.
+constexpr std::size_t kOrtAlignment = std::size_t{1} << 21;
 
 constexpr std::uint64_t kLockBit = 1;
 
@@ -84,38 +87,6 @@ std::size_t hash_word(std::uintptr_t word_addr) {
 // ---------------------------------------------------------------------------
 
 namespace detail {
-
-// 2MB: >= any L1/L2 set-aliasing span (an 8-way 16MB L2 bank would span
-// 2MB of sets), so every lock word's cache set index is determined by its
-// table offset alone. See the OrtTable comment in stm.hpp.
-constexpr std::size_t kOrtAlignment = std::size_t{1} << 21;
-
-OrtTable::OrtTable(std::size_t count) {
-  // Over-map, trim to the 2MB-aligned window (the PageProvider recipe, but
-  // host-level only: ORT metadata is runtime bookkeeping, not application
-  // memory, so it must not tick virtual time or count as a reservation).
-  const std::size_t size =
-      round_up(count * sizeof(VLock), std::size_t{4096});
-  const std::size_t over = size + kOrtAlignment;
-  void* raw = mmap(nullptr, over, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  TMX_ASSERT_MSG(raw != MAP_FAILED, "ORT mapping failed");
-  const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(raw);
-  const std::uintptr_t aligned = round_up(base, kOrtAlignment);
-  const std::size_t head = aligned - base;
-  if (head != 0) munmap(raw, head);
-  if (over - head - size != 0) {
-    munmap(reinterpret_cast<void*>(aligned + size), over - head - size);
-  }
-  base_ = reinterpret_cast<void*>(aligned);
-  length_ = size;
-  locks_ = static_cast<VLock*>(base_);
-  std::uninitialized_value_construct_n(locks_, count);
-}
-
-OrtTable::~OrtTable() {
-  if (base_ != nullptr) munmap(base_, length_);
-}
 
 int TxObjectCache::bin_for_request(std::size_t size) {
   if (size == 0) size = 1;
@@ -962,7 +933,7 @@ Stm::Stm(const Config& cfg) : cfg_(cfg) {
   TMX_ASSERT(cfg_.ort_log2 >= 4 && cfg_.ort_log2 <= 26);
   TMX_ASSERT(cfg_.shift < 64);  // ort_index shifts a uintptr_t by it
   ort_mask_ = (std::size_t{1} << cfg_.ort_log2) - 1;
-  ort_ = detail::OrtTable(ort_mask_ + 1);
+  ort_ = sim::make_region_array<detail::VLock>(ort_mask_ + 1, kOrtAlignment);
   if (cfg_.ort_shards > 1) {
     // Split the lock budget across per-node stripe tables (keeping at
     // least 2^10 stripes per shard so tiny configs don't degenerate into
@@ -976,7 +947,8 @@ Stm::Stm(const Config& cfg) : cfg_(cfg) {
     shard_mask_ = (std::size_t{1} << shard_log2) - 1;
     ort_shards_.reserve(shards);
     for (unsigned s = 0; s < shards; ++s) {
-      ort_shards_.push_back(detail::OrtTable(shard_mask_ + 1));
+      ort_shards_.push_back(sim::make_region_array<detail::VLock>(
+          shard_mask_ + 1, kOrtAlignment));
       sim::numa_register_range(ort_shards_.back().get(),
                                (shard_mask_ + 1) * sizeof(VLock), s);
     }

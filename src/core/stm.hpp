@@ -209,45 +209,6 @@ struct VLock {
   std::atomic<std::uint64_t> v{0};
 };
 
-// ORT lock-word storage, mapped directly from the OS rather than the host
-// heap. Lock words are probed through the cache model on every barrier, so
-// their placement is simulation-visible: (a) the base is 2MB-aligned —
-// covering any L1/L2 set span the cache geometry can produce — so every
-// lock word's cache set index is determined by its table offset, like the
-// 64MB-aligned data arenas; and (b) mmap is stateless, so consecutive runs
-// in one process lay their tables out identically, where ::operator new
-// would drift with glibc's heap state (dynamic mmap threshold, brk growth)
-// and break within-process repeatability of cache-model-on runs.
-class OrtTable {
- public:
-  OrtTable() = default;
-  explicit OrtTable(std::size_t count);  // count VLocks, value-initialized
-  ~OrtTable();
-  OrtTable(OrtTable&& o) noexcept
-      : locks_(o.locks_), base_(o.base_), length_(o.length_) {
-    o.locks_ = nullptr;
-    o.base_ = nullptr;
-    o.length_ = 0;
-  }
-  OrtTable& operator=(OrtTable&& o) noexcept {
-    if (this != &o) {
-      this->~OrtTable();
-      new (this) OrtTable(static_cast<OrtTable&&>(o));
-    }
-    return *this;
-  }
-  OrtTable(const OrtTable&) = delete;
-  OrtTable& operator=(const OrtTable&) = delete;
-
-  VLock* get() const { return locks_; }
-  VLock& operator[](std::size_t i) const { return locks_[i]; }
-
- private:
-  VLock* locks_ = nullptr;
-  void* base_ = nullptr;     // raw mapping (locks_ is the aligned window)
-  std::size_t length_ = 0;   // raw mapping length
-};
-
 struct WriteEntry {
   std::uintptr_t addr;  // 8-byte-aligned word address
   std::uint64_t value;  // buffered bytes, positioned per `mask`
@@ -592,10 +553,12 @@ class Stm {
   // instead of a virtual call, keeping their schedules bit-identical.
   bool tx_hints_ = false;
   std::size_t ort_mask_;
-  detail::OrtTable ort_;
+  // Lock words are probed on every barrier, so they live in the run's
+  // address space (see kOrtAlignment in stm.cpp).
+  sim::RegionPtr<detail::VLock[]> ort_;
   // Per-node stripe tables (empty unless cfg_.ort_shards > 1), each
   // registered with the NUMA registry as homed on its node.
-  std::vector<detail::OrtTable> ort_shards_;
+  std::vector<sim::RegionPtr<detail::VLock[]>> ort_shards_;
   std::size_t shard_mask_ = 0;
   alignas(kCacheLineSize) std::atomic<std::uint64_t> clock_{0};
   struct Flag {

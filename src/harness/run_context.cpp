@@ -36,6 +36,10 @@ RunContext::~RunContext() {
   reg.add_counter("sim.sched.heap_ops", ctx_.sched.heap_ops);
   reg.add_counter("sim.sched.queue_migrations", ctx_.sched.queue_migrations);
   reg.add_counter("sim.sched.batch_advances", ctx_.sched.batch_advances);
+  // Published only when nonzero: every probe should hit the address space.
+  if (ctx_.probe_unregistered != 0) {
+    reg.add_counter("sim.probe.unregistered", ctx_.probe_unregistered);
+  }
   if (ctx_.numa_nodes != 0) {
     reg.add_counter("sim.numa.nodes", ctx_.numa_nodes);
     reg.add_counter("sim.numa.local_accesses", ctx_.numa_local);

@@ -46,8 +46,10 @@ ServerMixResult run_on(const ServerMixConfig& cfg, int workers,
   // Shared transactional request counter: every publish transaction
   // read-modify-writes it, so concurrent commits genuinely conflict and the
   // abort-to-retry path carries real traffic (otherwise requests only touch
-  // their own blocks and the abort histogram stays empty).
-  alignas(64) std::uint64_t served = 0;
+  // their own blocks and the abort histogram stays empty). It is probed, so
+  // it lives in the run's address space.
+  const auto served_root = sim::make_region<std::uint64_t>();
+  std::uint64_t& served = *served_root;
   const std::unique_ptr<Mailbox[]> mail(new Mailbox[workers]);
   std::vector<prof::HdrHistogram> lat(static_cast<std::size_t>(workers));
   std::vector<std::vector<void*>> retained(static_cast<std::size_t>(workers));

@@ -94,11 +94,13 @@ SetBenchResult run_on(const SetBenchConfig& cfg, alloc::Allocator& allocator) {
   stm::Stm stm(cfg.stm_config(&allocator));
 
   const ds::SeqAccess seq{&allocator};
-  std::unique_ptr<SetOps> ops;
+  // The set's root words are probed, so they live in the run's address
+  // space, outside the model's placement.
+  sim::RegionPtr<SetOps> ops;
   switch (cfg.kind) {
-    case SetKind::kList: ops = std::make_unique<ListOps>(seq); break;
-    case SetKind::kHashSet: ops = std::make_unique<HashOps>(seq); break;
-    case SetKind::kRbTree: ops = std::make_unique<TreeOps>(); break;
+    case SetKind::kList: ops = sim::make_region<ListOps>(seq); break;
+    case SetKind::kHashSet: ops = sim::make_region<HashOps>(seq); break;
+    case SetKind::kRbTree: ops = sim::make_region<TreeOps>(); break;
   }
 
   // Sequential population by the main thread, as in the paper.

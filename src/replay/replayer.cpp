@@ -358,6 +358,7 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
 
   // Placement metrics, post-hoc and in record order.
   StripeTracker tracker(shift, ort_log2);
+  const sim::AddressSpace& space = sim::context().space;
   std::uint64_t fp = 14695981039346656037ull;  // FNV offset basis
   if (cfg.keep_addresses) res.addresses.reserve(res.mallocs);
   for (std::size_t i = 0; i < n; ++i) {
@@ -365,7 +366,9 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
     if (r.kind == OpKind::kMalloc) {
       const auto addr = reinterpret_cast<std::uint64_t>(replayed[i]);
       if (cfg.keep_addresses) res.addresses.push_back(addr);
-      fp = fnv1a(&addr, sizeof addr, fp);
+      // Region offsets: independent of where the host maps the region.
+      const std::uint64_t off = addr == 0 ? 0 : space.offset(addr);
+      fp = fnv1a(&off, sizeof off, fp);
       if (addr != 0) tracker.insert(r.tid, addr, r.size);
     } else if (r.kind == OpKind::kFree && match_of[i] >= 0) {
       tracker.erase(reinterpret_cast<std::uint64_t>(

@@ -28,17 +28,12 @@
 //     replay schedule.
 //
 // With cache_model off, replaying a capture through the allocator that
-// recorded it reproduces the allocation addresses and stripe statistics
-// exactly (tests/test_determinism.cpp pins this), and replaying any trace
-// through any model is run-to-run reproducible in-process. With the cache
-// model on, replay adds miss-ratio predictions, but latencies then depend
-// on concrete addresses — including a model's own host-heap metadata — so
-// cycle ties may resolve differently between runs, and placement for
-// models with timing-sensitive policies (tcmalloc's incremental batches)
-// can shift with them. Cross-allocator *placement comparison* is the
-// supported use either way; exact-address fidelity requires
-// cache_model = false. The "system" passthrough can never reproduce
-// addresses (the host heap is process-global state).
+// recorded it puts every block at its recorded offset in the address space
+// and reproduces the stripe statistics exactly (tests/test_determinism.cpp
+// pins this), and replaying any trace through any model is run-to-run
+// reproducible. With the cache model on, replay adds miss-ratio
+// predictions, and it repeats too: every probed address is carved from the
+// run's address space (sim/address_space.hpp).
 #pragma once
 
 #include <cstdint>
@@ -114,8 +109,9 @@ struct ReplayResult {
   std::uint64_t bytes_requested = 0;
   std::uint64_t live_at_end = 0;
 
-  // FNV-1a over the replayed malloc addresses in record order — the
-  // cheap equality check the determinism tests and CI compare.
+  // FNV-1a over the replayed malloc addresses' offsets in the address
+  // space, in record order — the cheap equality check the determinism
+  // tests and CI compare.
   std::uint64_t address_fingerprint = 0;
   // One entry per malloc record, in record order (null stays 0). Filled
   // only when ReplayConfig::keep_addresses.

@@ -46,10 +46,7 @@ CacheStats CacheModel::total_stats() const {
 
 CacheModel::SharerDirectory::SharerDirectory(unsigned cores)
     : words_((std::max(cores, 1u) + 63) / 64), stride_(words_ + 1) {
-  // Start small and let the table grow. The model simulates host
-  // addresses, so the host heap's layout reaches its results, and a large
-  // first allocation measurably unsettled the in-process repeatability
-  // that Determinism.RepeatableWithCacheModel checks.
+  // Start small and let the table grow as lines arrive.
   constexpr std::size_t slots = 16;
   shift_ = 64 - log2_floor(slots);
   mask_ = slots - 1;

@@ -1,7 +1,9 @@
 // The run context: the state one run owns that the layers below the
-// harness reach without plumbing — the NUMA view and placement policy, the
-// phase allocator's config, the checker callbacks, the per-thread region
-// markers, the opt-in plane states, and the engine's run totals.
+// harness reach without plumbing — the address space every simulated byte
+// is carved from (sim/address_space.hpp), the NUMA view and placement
+// policy, the phase allocator's config, the checker callbacks, the
+// per-thread region markers, the opt-in plane states, and the engine's run
+// totals.
 //
 // harness::RunContext builds one from a RunSpec and opens it on the host
 // thread for the run's lifetime. Hot paths reach it through one
@@ -21,7 +23,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <utility>
 
+#include "sim/address_space.hpp"
 #include "sim/numa.hpp"
 #include "util/macros.hpp"
 #include "util/padded.hpp"
@@ -102,6 +107,8 @@ struct CheckHooks {
 };
 
 struct RunContext {
+  // Where every simulated address lives; reserved on its first carve.
+  AddressSpace space;
   NumaRegistry numa;
   // Placement policy every PageProvider snapshots at construction.
   NumaOptions numa_policy{};
@@ -121,6 +128,7 @@ struct RunContext {
   std::uint64_t numa_nodes = 0;  // summed over multi-node runs only
   std::uint64_t numa_local = 0;
   std::uint64_t numa_remote = 0;
+  std::uint64_t probe_unregistered = 0;  // probes outside `space`
 };
 
 namespace detail {
@@ -144,5 +152,48 @@ class ContextScope {
  private:
   RunContext* prev_;
 };
+
+// Deleter of region objects (make_region): destroys them and returns their
+// pages to the space they were carved from.
+struct RegionDelete {
+  AddressSpace* space = nullptr;
+  std::size_t count = 0;
+  std::size_t bytes = 0;
+
+  template <class T>
+  void operator()(T* p) const {
+    std::destroy_n(p, count);
+    space->release(p, bytes);
+  }
+};
+
+template <class T>
+using RegionPtr = std::unique_ptr<T, RegionDelete>;
+
+// A T built in fresh pages of the calling thread's address space: for
+// simulator and workload state that is probed but that no allocator model
+// hands out (ORT tables, model metadata, workload roots).
+template <class T, class... Args>
+RegionPtr<T> make_region(Args&&... args) {
+  AddressSpace& space = context().space;
+  void* mem = space.carve(sizeof(T), AddressSpace::kPage,
+                          AddressSpace::End::kBase);
+  TMX_ASSERT_MSG(mem != nullptr, "address space exhausted");
+  return RegionPtr<T>(::new (mem) T(std::forward<Args>(args)...),
+                      {&space, 1, sizeof(T)});
+}
+
+// `n` value-initialized Ts, the first at an `alignment`-aligned offset.
+template <class T>
+RegionPtr<T[]> make_region_array(std::size_t n,
+                                 std::size_t alignment = AddressSpace::kPage) {
+  static_assert(alignof(T) <= AddressSpace::kPage);
+  AddressSpace& space = context().space;
+  void* mem = space.carve(n * sizeof(T), alignment, AddressSpace::End::kBase);
+  TMX_ASSERT_MSG(mem != nullptr, "address space exhausted");
+  T* p = static_cast<T*>(mem);
+  std::uninitialized_value_construct_n(p, n);
+  return RegionPtr<T[]>(p, {&space, n, n * sizeof(T)});
+}
 
 }  // namespace tmx::sim

@@ -109,6 +109,8 @@ bool runs_before(RunKey a, RunKey b) {
 }
 
 struct FiberEngine {
+  ~FiberEngine();  // returns the fiber stacks to the address space
+
 #if TMX_FAST_CTX
   void* main_sp = nullptr;
 #else
@@ -128,7 +130,10 @@ struct FiberEngine {
   std::uint64_t quantum_absorbed = 0;  // fast resumes in the open quantum
   unsigned last_core = 0;
   std::uint64_t watchdog = UINT64_MAX;  // per-run virtual-cycle budget
+  AddressSpace* space = nullptr;  // the fiber stacks' home
   std::size_t stack_size = 0;
+  std::uintptr_t space_base = 0;
+  std::uint64_t unregistered = 0;  // probes outside the address space
 #if TMX_ASAN_FIBERS
   void* main_fake_stack = nullptr;       // the scheduler context's save slot
   void* main_stack_bottom = nullptr;     // host-thread stack, for switches
@@ -193,7 +198,7 @@ struct Fiber {
 #else
   ucontext_t ctx{};
 #endif
-  std::unique_ptr<char[]> stack;
+  char* stack = nullptr;  // carved from the run's address space
   std::uint64_t vtime = 0;
   bool finished = false;
   int id = 0;
@@ -204,6 +209,10 @@ struct Fiber {
   void* fake_stack = nullptr;  // ASan save slot while switched away
 #endif
 };
+
+FiberEngine::~FiberEngine() {
+  for (const auto& f : fibers) space->release(f->stack, stack_size);
+}
 
 #if TMX_ASAN_FIBERS
 // Bracket a context switch: `save` is the outgoing context's save slot
@@ -274,7 +283,7 @@ extern "C" void tmx_fiber_entry() {
 // words (what a real call would inherit).
 void init_fiber_context(Fiber* f, std::size_t stack_size) {
   const std::uintptr_t top =
-      (reinterpret_cast<std::uintptr_t>(f->stack.get()) + stack_size) &
+      (reinterpret_cast<std::uintptr_t>(f->stack) + stack_size) &
       ~std::uintptr_t{15};
   auto* p = reinterpret_cast<std::uint64_t*>(top);
   p[-1] = 0;  // would-be return address of tmx_fiber_entry; never used
@@ -306,7 +315,7 @@ void trampoline(unsigned hi, unsigned lo) {
 // trampoline/swapcontext.
 [[gnu::noinline]] void init_fiber_context(Fiber* f, std::size_t stack_size) {
   TMX_ASSERT(getcontext(&f->ctx) == 0);
-  f->ctx.uc_stack.ss_sp = f->stack.get();
+  f->ctx.uc_stack.ss_sp = f->stack;
   f->ctx.uc_stack.ss_size = stack_size;
   f->ctx.uc_link = &f->engine->main_ctx;
   const auto p = reinterpret_cast<std::uintptr_t>(f);
@@ -335,6 +344,7 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
 
   FiberEngine eng;
   eng.body = &body;
+  eng.space = &ctx.space;
   eng.stack_size = stack_size;
   if (cfg.watchdog_cycles != 0) eng.watchdog = cfg.watchdog_cycles;
 #if TMX_ASAN_FIBERS
@@ -364,12 +374,16 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
     f->engine = &eng;
     f->core = i % cores;
     f->node = std::min(f->core / cpn, nodes - 1);
-    // Not value-initialised: only the pages a fiber touches become resident.
-    f->stack = std::make_unique_for_overwrite<char[]>(stack_size);
+    // Carved pages are zero-fill-on-demand: only the pages a fiber touches
+    // become resident.
+    f->stack = static_cast<char*>(ctx.space.carve(
+        stack_size, AddressSpace::kPage, AddressSpace::End::kBase));
+    TMX_ASSERT_MSG(f->stack != nullptr, "no address space for fiber stacks");
     init_fiber_context(f.get(), stack_size);
     eng.heap.push_back({0, f->id});
     eng.fibers.push_back(std::move(f));
   }
+  eng.space_base = ctx.space.base();
 
 #if TMX_TRACING
   // Run markers carry explicit timestamps: the main thread is outside any
@@ -400,7 +414,7 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
     eng.last_core = next->core;
     g_fiber = next;
     g_tid = next->id;
-    TMX_FIBER_SWITCH_BEGIN(&eng.main_fake_stack, next->stack.get(),
+    TMX_FIBER_SWITCH_BEGIN(&eng.main_fake_stack, next->stack,
                            eng.stack_size);
 #if TMX_FAST_CTX
     tmx_ctx_swap(&eng.main_sp, next->sp);
@@ -431,6 +445,7 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
   // them all.
   ++ctx.sim_runs;
   ctx.sched.add(eng.sched);
+  ctx.probe_unregistered += eng.unregistered;
   if (nodes > 1) {
     ctx.numa_nodes += nodes;
     ctx.numa_local += r.cache.numa_local;
@@ -544,7 +559,7 @@ void yield() {
   eng->last_core = next->core;
   g_fiber = next;
   g_tid = next->id;
-  TMX_FIBER_SWITCH_BEGIN(&f->fake_stack, next->stack.get(), eng->stack_size);
+  TMX_FIBER_SWITCH_BEGIN(&f->fake_stack, next->stack, eng->stack_size);
 #if TMX_FAST_CTX
   tmx_ctx_swap(&f->sp, next->sp);
 #else
@@ -570,6 +585,11 @@ void relax() {
 std::uint64_t probe(const void* addr, unsigned bytes, bool write) {
   Fiber* f = g_fiber;
   if (f == nullptr) return 0;
+  if (TMX_UNLIKELY(reinterpret_cast<std::uintptr_t>(addr) -
+                       f->engine->space_base >=
+                   AddressSpace::kBytes)) {
+    ++f->engine->unregistered;
+  }
   std::uint64_t lat = 0;
   if (f->engine->cache) {
     lat = f->engine->cache->access(f->core,

@@ -92,14 +92,14 @@ unsigned numa_node_of_core(unsigned core);
 int numa_self_node();
 
 // ---- Address -> home-node registry ----
-// Ranges come from page-provider reservations and never overlap (they are
-// distinct mmaps). Unregister on unmap or stale entries would mis-home
-// recycled host addresses.
+// Ranges come from page-provider reservations and sharded ORT tables,
+// distinct carves of the run's address space, so they never overlap.
+// Unregister on release or stale entries would mis-home recycled pages.
 void numa_register_range(const void* base, std::size_t len, unsigned node);
 void numa_unregister_range(const void* base);
 
-// Home node of `addr`, or -1 when no registered range covers it (foreign
-// memory: host globals, stacks, the ORT itself).
+// Home node of `addr`, or -1 when no registered range covers it (memory
+// no page provider reserved: the global ORT, fiber stacks, roots).
 int numa_home_node(std::uintptr_t addr);
 
 // Registered-range count (tests/introspection).

@@ -147,7 +147,9 @@ AppResult run_bayes(const AppContext& ctx) {
       }
     }
   }
-  ds::TxQueue queue(seq);
+  // Probed root: it lives in the run's address space.
+  const auto queue_root = sim::make_region<ds::TxQueue>(seq);
+  ds::TxQueue& queue = *queue_root;
   for (Task& t : tasks) queue.push(seq, &t);
 
   std::atomic<int> edges_added{0};

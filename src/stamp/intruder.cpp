@@ -111,10 +111,13 @@ AppResult run_intruder(const AppContext& ctx) {
     }
   }
 
-  ds::TxQueue packets(seq);
+  // Probed roots: they live in the run's address space.
+  const auto packets_root = sim::make_region<ds::TxQueue>(seq);
+  ds::TxQueue& packets = *packets_root;
   for (Fragment* f : fragments) packets.push(seq, f);
 
-  ds::TxRbTree sessions;  // flow id -> Session*
+  const auto sessions_root = sim::make_region<ds::TxRbTree>();
+  ds::TxRbTree& sessions = *sessions_root;  // flow id -> Session*
   std::atomic<int> attacks_found{0};
   std::atomic<int> flows_done{0};
 

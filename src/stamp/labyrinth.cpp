@@ -73,7 +73,9 @@ AppResult run_labyrinth(const AppContext& ctx) {
     }
   }
 
-  ds::TxQueue work(seq);
+  // Probed root: it lives in the run's address space.
+  const auto work_root = sim::make_region<ds::TxQueue>(seq);
+  ds::TxQueue& work = *work_root;
   for (int i = 0; i < P.routes; ++i) {
     work.push(seq, &requests[i]);
   }

@@ -71,8 +71,18 @@ AppResult run_vacation(const AppContext& ctx) {
   const ds::SeqAccess seq{&A};
 
   // ---- Sequential: populate the four tables ----
-  ds::TxRbTree tables[kNumKinds];
-  ds::TxRbTree customers;
+  // The trees' root words are probed, so they live in the run's address
+  // space, outside the model's placement. The padding fixes which roots
+  // share a 32-byte ORT stripe — cars and flights do, customers and rooms
+  // sit alone — the grouping vacation's recorded results were taken with.
+  struct Roots {
+    ds::TxRbTree customers;          // offset 0: stripe 0
+    std::uint64_t pad[5];
+    ds::TxRbTree tables[kNumKinds];  // offsets 48, 56: stripe 1; 64: stripe 2
+  };
+  const auto roots = sim::make_region<Roots>();
+  ds::TxRbTree* const tables = roots->tables;
+  ds::TxRbTree& customers = roots->customers;
   {
     Rng rng(ctx.run.seed);
     for (int kind = 0; kind < kNumKinds; ++kind) {

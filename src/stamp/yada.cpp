@@ -299,7 +299,10 @@ AppResult run_yada(const AppContext& ctx) {
   stm::Stm& stm = *ctx.stm;
   const ds::SeqAccess seq{&A};
 
-  Mesh mesh;
+  // Probed root (the live-seed pointer): it lives in the run's address
+  // space.
+  const auto mesh_root = sim::make_region<Mesh>();
+  Mesh& mesh = *mesh_root;
   mesh.min_angle = P.min_angle_deg;
   mesh.points.resize(3 + P.points + P.max_insertions + 16);
 
@@ -359,7 +362,9 @@ AppResult run_yada(const AppContext& ctx) {
                         mesh.points[t->v[2]]) < mesh.min_angle;
   };
 
-  ds::TxQueue work(seq);
+  // Probed root: it lives in the run's address space.
+  const auto work_root = sim::make_region<ds::TxQueue>(seq);
+  ds::TxQueue& work = *work_root;
   std::size_t initial_bad = 0;
   {
     std::vector<Tri*> live;

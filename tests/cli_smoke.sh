@@ -2,8 +2,9 @@
 # End-to-end drives of the shared run flags and the opt-in planes through
 # the CLI binaries: seeded runs must repeat byte for byte, every plane must
 # run clean on the shipped workloads, and each failure mode must exit with
-# its own code. The cache model is off for the same reason as in
-# plane_onoff.sh: cache set indices depend on absolute host addresses.
+# its own code. The drives run with the cache model on: every simulated
+# address lies in the run's own address space, so cache-on runs repeat
+# too.
 #
 #   cli_smoke.sh fault_repeat     <stamp_runner>  faulty run, metrics twice
 #   cli_smoke.sh fault_escalation <stamp_runner>  retry cap engages
@@ -30,6 +31,11 @@
 #                                 an unknown figure exits 2
 #   cli_smoke.sh paper_<figure>   <tmx_paper>     the figure runs clean at
 #                                 small scale and repeats byte for byte
+#   cli_smoke.sh paper_all        <tmx_paper>     --figure all prints the
+#                                 single-figure stdouts, concatenated
+#   cli_smoke.sh layout           <stamp_runner>  a seeded cache-on run
+#                                 repeats whatever the process's environment
+#                                 size or address-space randomization
 #   cli_smoke.sh flags <binary>...  each binary exits 2 naming an unknown
 #                                 flag, a positional argument or a malformed
 #                                 number, and its --help lists every flag it
@@ -44,7 +50,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"
 
-vacation=(--app vacation --alloc glibc --threads 4 --cache-model 0)
+vacation=(--app vacation --alloc glibc --threads 4)
 
 # Runs "$@" and fails unless it exits with code $want.
 expect_exit() {
@@ -100,7 +106,7 @@ case "$drive" in
       --fault-corrupt-tag-rate 0.05 --fault-corrupt-budget 4
     ;;
   server_mix_fault_order)
-    args=(--quick --cache-model 0 --fault-delay-free-rate 0.05
+    args=(--quick --fault-delay-free-rate 0.05
           --fault-spurious-rate 0.02 --fault-oom-rate 0.01
           --fault-oom-budget 5)
     "${bins[0]}" "${args[@]}" --alloc tbb | grep '^tbb ' > alone.out
@@ -111,19 +117,19 @@ case "$drive" in
     # stamp_runner exits 4 on any hard finding.
     for app in bayes genome intruder kmeans labyrinth ssca2 vacation yada; do
       "${bins[0]}" --app "$app" --alloc glibc --threads 4 --scale 0.3 \
-        --cache-model 0 --check > /dev/null
+        --check > /dev/null
     done
     ;;
   phase_compact_clean)
     # Exit 0 means verified and check-clean: relocation introduced no
     # lifetime bug the publication analysis missed.
-    "${bins[0]}" --quick --cache-model 0 --alloc glibc,phase --check \
+    "${bins[0]}" --quick --alloc glibc,phase --check \
       --phase-compact checked --phase-maintenance-every 32 > /dev/null
     "${bins[1]}" --app vacation --alloc phase --threads 4 --scale 0.3 \
-      --cache-model 0 --check --phase-compact checked > /dev/null
+      --check --phase-compact checked > /dev/null
     ;;
   phase_repeat)
-    args=(--quick --cache-model 0 --alloc phase --seed 7
+    args=(--quick --alloc phase --seed 7
           --phase-maintenance-every 32)
     "${bins[0]}" "${args[@]}" > a.out
     "${bins[0]}" "${args[@]}" > b.out
@@ -131,14 +137,13 @@ case "$drive" in
     ;;
   chaos_soak)
     # chaos_soak exits 1 on any detection mismatch.
-    "${bins[0]}" --quick --seed 7 --cache-model 0 > a.out
+    "${bins[0]}" --quick --seed 7 > a.out
     grep -q "4/4 rounds clean" a.out
-    "${bins[0]}" --quick --seed 7 --cache-model 0 > b.out
+    "${bins[0]}" --quick --seed 7 > b.out
     diff a.out b.out
     ;;
   prof_files)
-    "${bins[0]}" --quick --cache-model 0 --prof --prof-out mix > /dev/null \
-      2>&1
+    "${bins[0]}" --quick --prof --prof-out mix > /dev/null 2>&1
     head -1 mix.timeseries.csv | grep -qx \
       "label,cycles,live_bytes,reserved_bytes,reserved_pages,frag,commits,aborts,mallocs,frees"
     head -1 mix.sites.csv | grep -qx \
@@ -156,7 +161,7 @@ case "$drive" in
     cmp a.tmxtrc b.tmxtrc
     "${bins[0]}" --inspect a.tmxtrc > /dev/null
     "${bins[0]}" --replay-trace a.tmxtrc --alloc glibc,hoard,tbb,tcmalloc \
-      --cache-model 0 > /dev/null
+      > /dev/null
     ;;
   list_allocators)
     for i in 0 1 2; do "${bins[$i]}" --list-allocators > "l$i.out"; done
@@ -165,11 +170,11 @@ case "$drive" in
     grep -q '^phase' l0.out
     ;;
   trip_keeps_metrics)
-    expect_exit 5 "${bins[0]}" --quick --alloc glibc --cache-model 0 --guard \
+    expect_exit 5 "${bins[0]}" --quick --alloc glibc --guard \
       --guard-hard-cap 1 --fault-corrupt-tag-rate 0.2 \
       --fault-corrupt-budget 4 --metrics-out cap.json
     expect_metrics cap.json
-    expect_exit 3 "${bins[0]}" --quick --cache-model 0 \
+    expect_exit 3 "${bins[0]}" --quick \
       --watchdog-run-cycles 10000 --metrics-out mix_budget.json
     expect_metrics mix_budget.json
     expect_exit 3 "${bins[1]}" "${vacation[@]}" --scale 0.3 \
@@ -179,13 +184,12 @@ case "$drive" in
   metrics_write_fails)
     out=(--metrics-out nodir/m.json)
     expect_exit 3 "${bins[0]}" "${vacation[@]}" --scale 0.1 "${out[@]}"
-    expect_exit 3 "${bins[1]}" --quick --alloc glibc --cache-model 0 "${out[@]}"
-    expect_exit 3 "${bins[2]}" --quick --rounds 1 --cache-model 0 "${out[@]}"
+    expect_exit 3 "${bins[1]}" --quick --alloc glibc "${out[@]}"
+    expect_exit 3 "${bins[2]}" --quick --rounds 1 "${out[@]}"
     "${bins[3]}" --synth --threads 2 --ops 200 --record-trace t.tmxtrc \
       > /dev/null
-    expect_exit 3 "${bins[3]}" --replay-trace t.tmxtrc --alloc glibc \
-      --cache-model 0 "${out[@]}"
-    expect_exit 3 "${bins[4]}" --figure table2 --cache-model 0 "${out[@]}"
+    expect_exit 3 "${bins[3]}" --replay-trace t.tmxtrc --alloc glibc "${out[@]}"
+    expect_exit 3 "${bins[4]}" --figure table2 "${out[@]}"
     ;;
   paper_prof_runs)
     "${bins[0]}" --figure table4 --alloc glibc,tcmalloc --threads 2 --reps 2 \
@@ -262,8 +266,36 @@ case "$drive" in
       done
     done
     ;;
+  paper_all)
+    args=(--scale 0.1 --reps 1)
+    "${bins[0]}" --figure all "${args[@]}" > all.out
+    figures=$("${bins[0]}" --help |
+              awk '/in table order:$/ { on = 1; next } /^  --/ { on = 0 }
+                   on { print $1 }')
+    for figure in $figures; do
+      "${bins[0]}" --figure "$figure" "${args[@]}"
+    done > parts.out
+    [ "$(wc -w <<<"$figures")" -eq 19 ]
+    cmp all.out parts.out
+    ;;
+  layout)
+    args=(--app vacation --alloc tcmalloc --threads 4 --scale 0.2)
+    "${bins[0]}" "${args[@]}" --metrics-out m0.json > o0.out
+    PAD=$(printf '%04096d' 0) "${bins[0]}" "${args[@]}" \
+      --metrics-out m1.json > o1.out
+    runs=(0 1)
+    if setarch "$(uname -m)" -R true 2> /dev/null; then
+      env -i setarch "$(uname -m)" -R "${bins[0]}" "${args[@]}" \
+        --metrics-out m2.json > o2.out
+      runs+=(2)
+    fi
+    for i in "${runs[@]}"; do
+      cmp o0.out "o$i.out"
+      cmp m0.json "m$i.json"
+    done
+    ;;
   paper_*)
-    args=(--figure "${drive#paper_}" --cache-model 0 --scale 0.1 --reps 1
+    args=(--figure "${drive#paper_}" --scale 0.1 --reps 1
           --threads 1,4)
     "${bins[0]}" "${args[@]}" > a.out
     "${bins[0]}" "${args[@]}" > b.out

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Zero-perturbation smoke for one opt-in plane: a run with the plane on must
 # print exactly the stdout of the same run with it off. The checker's own
-# summary lines are dropped before the comparison. The cache model is off
-# because cache set indices depend on absolute host addresses, which any
-# wrapper in the allocator stack shifts.
+# summary lines are dropped before the comparison. The cache model is on:
+# a wrapper in the allocator stack must not move any simulated address.
 #
 #   plane_onoff.sh check <stamp_runner>
 #   plane_onoff.sh prof  <server_mix>
@@ -18,18 +17,18 @@ cd "$work"
 
 case "$plane" in
   check)
-    args=(--app intruder --alloc tbb --threads 4 --scale 0.3 --cache-model 0)
+    args=(--app intruder --alloc tbb --threads 4 --scale 0.3)
     "$bin" "${args[@]}" > off.out
     "$bin" "${args[@]}" --check > on.out
     grep -v '^check:' on.out > on.cmp || true
     ;;
   prof)
-    args=(--quick --cache-model 0)
+    args=(--quick)
     "$bin" "${args[@]}" > off.out
     "$bin" "${args[@]}" --prof --prof-out mix > on.cmp 2>/dev/null
     ;;
   guard)
-    args=(--quick --cache-model 0)
+    args=(--quick)
     "$bin" "${args[@]}" > off.out
     "$bin" "${args[@]}" --guard --guard-quarantine-epochs 0 > on.cmp
     ;;

@@ -14,20 +14,6 @@
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
-// ASan changes host-heap ("system") semantics on purpose: freed blocks sit
-// in a quarantine instead of being reused. Tests asserting reuse skip that
-// one combination; the model allocators manage raw arenas ASan does not
-// poison, so they keep full coverage.
-#if defined(__SANITIZE_ADDRESS__)
-#define TMX_HAS_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define TMX_HAS_ASAN 1
-#endif
-#endif
-#ifndef TMX_HAS_ASAN
-#define TMX_HAS_ASAN 0
-#endif
 
 namespace tmx::alloc {
 namespace {
@@ -91,9 +77,6 @@ TEST_P(AllocatorContract, BlocksDoNotOverlap) {
 }
 
 TEST_P(AllocatorContract, FreedMemoryIsReused) {
-  if (TMX_HAS_ASAN && GetParam() == "system") {
-    GTEST_SKIP() << "ASan quarantines freed host-heap blocks";
-  }
   // Steady-state churn must not grow the footprint without bound.
   std::set<void*> seen;
   for (int i = 0; i < 10000; ++i) {
@@ -202,13 +185,12 @@ TEST_P(AllocatorContract, TraitsAreFilledIn) {
 
 INSTANTIATE_TEST_SUITE_P(AllAllocators, AllocatorContract,
                          ::testing::Values("glibc", "hoard", "tbb",
-                                           "tcmalloc", "jemalloc", "phase",
-                                           "system"),
+                                           "tcmalloc", "jemalloc", "phase"),
                          [](const auto& pinfo) { return pinfo.param; });
 
 TEST(Registry, KnowsAllNamesAndRejectsNone) {
   const auto names = allocator_names();
-  EXPECT_EQ(names.size(), 7u);
+  EXPECT_EQ(names.size(), 6u);
   for (const auto& n : names) {
     EXPECT_TRUE(allocator_exists(n));
     EXPECT_NE(create_allocator(n), nullptr);

@@ -42,10 +42,8 @@ TEST_P(Footprint, SteadyStateChurnDoesNotGrow) {
     }
   }
   for (void* p : live) a_->deallocate(p);
-  // "system" reports 0; every model must stay within 2x of the warm size.
-  if (warm > 0) {
-    EXPECT_LE(a_->os_reserved(), 2 * warm) << GetParam();
-  }
+  // Every model must stay within 2x of the warm size.
+  EXPECT_LE(a_->os_reserved(), 2 * warm) << GetParam();
 }
 
 TEST_P(Footprint, SameSizeChurnReusesABoundedSet) {

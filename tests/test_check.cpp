@@ -377,7 +377,7 @@ TEST_F(CheckFixture, CheckerOnDoesNotPerturbVirtualTime) {
     cfg.kind = harness::SetKind::kList;
     cfg.allocator = "glibc";
     cfg.threads = 4;
-    cfg.cache_model = false;  // address-independent (see test_determinism)
+    cfg.cache_model = false;  // the cache-off golden (see test_determinism)
     cfg.initial = 512;
     cfg.key_range = 1024;
     cfg.ops_per_thread = 200;

@@ -6,26 +6,31 @@
 // change that perturbs scheduling order, barrier behavior or conflict
 // detection fails loudly instead of silently shifting every figure.
 //
-// The golden configurations run with the cache model OFF: cache set indices
-// depend on absolute addresses (mmap/ASLR), while with a flat probe cost the
-// outcome depends only on the schedule, the seeds and ORT stripe aliasing —
-// all of which are offset-determined for the model allocators (64MB-aligned
-// arenas / aligned superblocks), hence stable across processes and machines.
-// Verified empirically: identical across repeated fresh-process runs.
+// Most golden configurations run with the cache model OFF, where the outcome
+// depends only on the schedule, the seeds and ORT stripe aliasing. Every
+// address a run probes is carved from the run's own address space
+// (sim/address_space.hpp), whose base is aligned past every simulated
+// index, so cache-on outcomes are offsets-only too and have goldens of
+// their own below.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "alloc/glibc_model.hpp"
+#include "harness/run_context.hpp"
 #include "harness/setbench.hpp"
 #include "obs/tracer.hpp"
 #include "replay/recorder.hpp"
 #include "replay/replayer.hpp"
 #include "replay/trace_format.hpp"
+#include "sim/address_space.hpp"
+#include "stamp/app.hpp"
 
 namespace tmx {
 namespace {
@@ -45,24 +50,32 @@ std::ostream& operator<<(std::ostream& os, const Outcome& o) {
             << ", aborts=" << o.aborts << "}";
 }
 
+Outcome outcome_of(double seconds, const stm::TxStats& stats) {
+  Outcome o;
+  // RunResult reports seconds = cycles / (2.0 GHz); invert exactly.
+  o.cycles = static_cast<std::uint64_t>(std::llround(seconds * 2.0e9));
+  o.commits = stats.commits;
+  o.aborts = stats.aborts;
+  return o;
+}
+
+Outcome run_set(const harness::SetBenchConfig& cfg) {
+  const harness::SetBenchResult r = harness::run_set_bench(cfg);
+  EXPECT_TRUE(r.size_consistent);
+  return outcome_of(r.seconds, r.stats);
+}
+
 Outcome run_golden(harness::SetKind kind, const std::string& alloc) {
   harness::SetBenchConfig cfg;
   cfg.kind = kind;
   cfg.allocator = alloc;
   cfg.threads = 4;
-  cfg.cache_model = false;  // address-independent: see the header comment
+  cfg.cache_model = false;
   cfg.initial = 512;
   cfg.key_range = 1024;
   cfg.ops_per_thread = 200;
   cfg.seed = 20150207;
-  const harness::SetBenchResult r = harness::run_set_bench(cfg);
-  EXPECT_TRUE(r.size_consistent);
-  Outcome o;
-  // RunResult reports seconds = cycles / (2.0 GHz); invert exactly.
-  o.cycles = static_cast<std::uint64_t>(std::llround(r.seconds * 2.0e9));
-  o.commits = r.stats.commits;
-  o.aborts = r.stats.aborts;
-  return o;
+  return run_set(cfg);
 }
 
 // Golden constants recorded from the pre-optimization scheduler/STM/cache
@@ -89,61 +102,122 @@ TEST(Determinism, GoldenRbTree) {
             (Outcome{84668, 800, 80}));
 }
 
-// Within-process repeatability, independent of the committed constants:
-// re-running an identical configuration must reproduce itself exactly (this
-// also covers cache-model-on runs, whose absolute constants are
-// address-dependent and therefore not committable).
-//
-// The comparison starts from a WARMED process: the very first bench run in a
-// process triggers one-time lazy initialization (metric-name interning,
-// gtest/libc internals) whose host-heap growth can shift where subsequent
-// host allocations — including the bench fixture headers whose words the STM
-// probes through the cache model — land. That shift is a property of the
-// host allocator, not of the simulator; from the second run on, placement is
-// stable and every run must reproduce exactly.
+// A cache-on rbtree bench on the tcmalloc model.
+harness::SetBenchConfig cache_on_rbtree() {
+  harness::SetBenchConfig cfg;
+  cfg.kind = harness::SetKind::kRbTree;
+  cfg.allocator = "tcmalloc";
+  cfg.threads = 4;
+  cfg.cache_model = true;
+  cfg.initial = 256;
+  cfg.key_range = 512;
+  cfg.ops_per_thread = 100;
+  cfg.seed = 42;
+  return cfg;
+}
+
 TEST(Determinism, RepeatableWithCacheModel) {
-  auto once = [] {
-    harness::SetBenchConfig cfg;
-    cfg.kind = harness::SetKind::kRbTree;
-    cfg.allocator = "tcmalloc";
-    cfg.threads = 4;
-    cfg.cache_model = true;
-    cfg.initial = 256;
-    cfg.key_range = 512;
-    cfg.ops_per_thread = 100;
-    cfg.seed = 42;
-    const harness::SetBenchResult r = harness::run_set_bench(cfg);
-    Outcome o;
-    o.cycles = static_cast<std::uint64_t>(std::llround(r.seconds * 2.0e9));
-    o.commits = r.stats.commits;
-    o.aborts = r.stats.aborts;
-    return o;
-  };
-  (void)once();  // warm-up: absorbs one-time lazy process initialization
-  const Outcome a = once();
-  const Outcome b = once();
+  const Outcome a = run_set(cache_on_rbtree());
+  const Outcome b = run_set(cache_on_rbtree());
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.commits, 400u);
+}
+
+// Runs `cfg` `frames` calls further down the host stack.
+[[gnu::noinline]] Outcome run_deeper(const harness::SetBenchConfig& cfg,
+                                     int frames) {
+  volatile char pad[512] = {};
+  const Outcome o = frames == 0 ? run_set(cfg) : run_deeper(cfg, frames - 1);
+  (void)pad[0];  // keeps the frame alive across the call
+  return o;
+}
+
+// Where the host puts its heap blocks, its mappings and the caller's stack
+// frame reaches no simulated address.
+TEST(Determinism, CacheOnIndependentOfHostLayout) {
+  const Outcome first = run_set(cache_on_rbtree());
+  std::vector<std::unique_ptr<char[]>> blocks;
+  std::vector<std::pair<void*, std::size_t>> maps;
+  for (std::size_t k = 1; k <= 4; ++k) {
+    blocks.push_back(std::make_unique<char[]>(k * 4099 + 7));
+    const std::size_t len = k * 12288 + 4096;
+    void* m = mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ASSERT_NE(m, MAP_FAILED);
+    maps.emplace_back(m, len);
+  }
+  EXPECT_EQ(run_deeper(cache_on_rbtree(), 16), first);
+  for (const auto& [m, len] : maps) munmap(m, len);
+}
+
+// Cache-on golden constants, recorded when every probed address moved into
+// the run's address space: a Figure 5 cell, a Table 4 list cell and
+// vacation.
+TEST(Determinism, GoldenCacheOnFig05Cell) {
+  // Figure 5's tcmalloc cell at shift 5 (the figure itself runs cache-off):
+  // thread 0 writes x, thread 1 only reads the 16-byte-distant y.
+  harness::RunSpec spec;
+  spec.allocator = "tcmalloc";
+  harness::RunContext run(spec, 2);
+  alloc::Allocator& a = run.allocator(false);
+  stm::Stm stm(spec.stm_config(&a));
+  auto* x = static_cast<std::uint64_t*>(a.allocate(16));
+  auto* y = static_cast<std::uint64_t*>(a.allocate(16));
+  *x = *y = 0;
+  const sim::RunResult rr = sim::run_parallel(spec.run_config(2), [&](int tid) {
+    for (int i = 0; i < 200; ++i) {
+      stm.atomically([&](stm::Tx& tx) {
+        if (tid == 0) {
+          tx.store(x, tx.load(x) + 1);
+        } else {
+          tx.load(y);
+        }
+        sim::tick(300);
+      });
+    }
+  });
+  EXPECT_EQ(stm.ort_index(x), stm.ort_index(y));
+  EXPECT_EQ(outcome_of(rr.seconds, stm.stats()),
+            (Outcome{115062, 400, 825}));
+  a.deallocate(x);
+  a.deallocate(y);
+}
+
+TEST(Determinism, GoldenCacheOnTable4ListCell) {
+  // Table 4's tcmalloc list cell at 4 threads, --scale 0.25.
+  harness::SetBenchConfig cfg;
+  cfg.kind = harness::SetKind::kList;
+  cfg.allocator = "tcmalloc";
+  cfg.threads = 4;
+  cfg.initial = 256;
+  cfg.key_range = 512;
+  cfg.ops_per_thread = 12;
+  const harness::SetBenchResult r = harness::run_set_bench(cfg);
+  EXPECT_TRUE(r.size_consistent);
+  EXPECT_EQ(outcome_of(r.seconds, r.stats), (Outcome{73074, 48, 20}));
+  EXPECT_EQ(r.cache.l1_misses, 496u);
+}
+
+TEST(Determinism, GoldenCacheOnVacation) {
+  stamp::StampRun run;
+  run.app = "vacation";
+  run.allocator = "tcmalloc";
+  run.threads = 4;
+  run.scale = 0.2;
+  const stamp::StampOutcome out = stamp::run_stamp(run);
+  EXPECT_TRUE(out.result.verified) << out.result.detail;
+  EXPECT_EQ(outcome_of(out.result.seconds, out.result.stats),
+            (Outcome{473919, 409, 76}));
 }
 
 // Record -> replay fidelity: capture a list-bench run through the tracer,
 // replay the trace through the SAME allocator model, and compare the
 // placement it reproduces against what the capture recorded.
 //
-// What is pinned, and why (see replay/replayer.hpp for the full contract):
-//   * Within-region placement is exact for every model — each replayed
-//     address must match the recorded one at the same offset inside its
-//     64MB-aligned glibc arena, and the shift-invariant collision counts
-//     (cross-thread, same-thread, peak-live, blocks) must be identical
-//     for all models.
-//   * For glibc the FULL stripe statistics — including the hottest stripe
-//     index — are bit-for-bit equal: arenas are 64MB-aligned and 64MB is a
-//     multiple of the 2^(shift+ort_log2) = 32MB stripe aliasing period, so
-//     stripe indices do not depend on where the OS maps the arenas.
-//   * Absolute addresses usually reproduce too (the replayed instance
-//     re-maps the regions the destroyed capture instance vacated), but the
-//     host's mmap placement is not contractual, so the test only asserts
-//     the invariant parts.
+// Capture and replay run in different address spaces, both aligned to
+// their size (sim/address_space.hpp), so for every model each replayed
+// block must sit at its recorded offset in the space, and the full stripe
+// statistics — hottest stripe included — must be bit-for-bit equal.
 TEST(Determinism, RecordReplayReproducesPlacement) {
   if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   for (const char* model :
@@ -185,33 +259,15 @@ TEST(Determinism, RecordReplayReproducesPlacement) {
     EXPECT_EQ(r.mallocs, trace.count(replay::OpKind::kMalloc)) << model;
     EXPECT_EQ(r.unmatched_frees, 0u) << model;
 
-    // Shift-invariant collision structure must reproduce for every model.
-    const replay::StripeStats recorded =
-        replay::recorded_stripe_stats(trace);
-    EXPECT_EQ(r.stripes.blocks, recorded.blocks) << model;
-    EXPECT_EQ(r.stripes.cross_thread_collisions,
-              recorded.cross_thread_collisions)
-        << model;
-    EXPECT_EQ(r.stripes.same_thread_collisions,
-              recorded.same_thread_collisions)
-        << model;
-    EXPECT_EQ(r.stripes.peak_live_blocks, recorded.peak_live_blocks)
-        << model;
-
-    if (model == std::string("glibc")) {
-      // 64MB arena alignment makes glibc's stripe statistics — hottest
-      // stripe included — and within-arena offsets mmap-placement-proof.
-      EXPECT_TRUE(r.stripes == recorded) << "glibc stripe stats drifted";
-      const std::uint64_t arena_mask =
-          alloc::GlibcModelAllocator::kArenaSize - 1;
-      std::size_t mi = 0;
-      for (const replay::TraceRecord& rr : trace.records) {
-        if (rr.kind != replay::OpKind::kMalloc) continue;
-        ASSERT_LT(mi, r.addresses.size());
-        EXPECT_EQ(r.addresses[mi] & arena_mask, rr.addr & arena_mask)
-            << "glibc malloc #" << mi << " moved within its arena";
-        ++mi;
-      }
+    EXPECT_TRUE(r.stripes == replay::recorded_stripe_stats(trace)) << model;
+    constexpr std::uint64_t kOffsetMask = sim::AddressSpace::kBytes - 1;
+    std::size_t mi = 0;
+    for (const replay::TraceRecord& rr : trace.records) {
+      if (rr.kind != replay::OpKind::kMalloc) continue;
+      ASSERT_LT(mi, r.addresses.size());
+      EXPECT_EQ(r.addresses[mi] & kOffsetMask, rr.addr & kOffsetMask)
+          << model << " malloc #" << mi << " moved";
+      ++mi;
     }
 
     // Replay is run-to-run deterministic: a second replay of the same
@@ -250,7 +306,7 @@ TEST(Determinism, SerialIrrevocableEscalationBreaksLivelock) {
   rc.kind = sim::EngineKind::Sim;
   rc.threads = 2;
   rc.seed = 20150207;
-  rc.cache_model = false;  // address-independent: see the header comment
+  rc.cache_model = false;  // a cache-off golden: see the header comment
   sim::run_parallel(rc, [&](int tid) {
     alloc::RegionScope par(alloc::Region::Par);
     for (int t = 0; t < kTxPerThread; ++t) {

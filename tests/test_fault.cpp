@@ -331,11 +331,7 @@ TEST_F(FaultFixture, FaultScheduleSurvivesRecordReplay) {
   ASSERT_TRUE(r1.ok) << r1.error;
   EXPECT_EQ(r1.oom_records, oom1);
   const replay::ReplayResult r2 = replay::replay_trace(t1, rcfg);
-#if !defined(__SANITIZE_ADDRESS__)
-  // Absolute replayed addresses are non-contractual and ASan's interceptors
-  // perturb address-space reuse between in-process replays (see test_replay).
   EXPECT_EQ(r1.address_fingerprint, r2.address_fingerprint);
-#endif
   EXPECT_EQ(r1.stripes, r2.stripes);
 }
 

@@ -23,6 +23,7 @@
 #include "harness/options.hpp"
 #include "harness/run_context.hpp"
 #include "harness/server_mix.hpp"
+#include "harness/setbench.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
 #include "obs/metrics.hpp"
@@ -309,7 +310,7 @@ TEST(Options, RunSpecParsesEverySharedFlag) {
   EXPECT_EQ(s.phase.compact, phase::PhaseConfig::Compact::kAll);
   EXPECT_EQ(s.phase.slab_bytes, 32768u);
 
-  const auto backing = alloc::create_allocator("system");
+  const auto backing = alloc::create_allocator("glibc");
   const stm::Config c = s.stm_config(backing.get());
   EXPECT_EQ(c.allocator, backing.get());
   EXPECT_EQ(c.ort_log2, 20u);
@@ -408,6 +409,53 @@ TEST(ServerMix, HonoursTheWholeRunSpec) {
   ServerMixConfig hybrid = cfg;
   hybrid.htm_enabled = true;
   EXPECT_GT(run_server_mix(hybrid).stats.hw_starts, 0u);
+}
+
+// Every address a harness workload probes lies in its run's address space
+// (sim/address_space.hpp): sim.probe.unregistered, published only when
+// nonzero, stays where it was.
+TEST(AddressSpace, HarnessWorkloadsProbeOnlyTheirRegion) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const auto unregistered = [&] {
+    return reg.counter("sim.probe.unregistered");
+  };
+  const std::uint64_t before = unregistered();
+  {
+    // Positive control: a probe of the host stack is counted.
+    const RunContext run{RunSpec{}};
+    std::uint64_t host = 0;
+    sim::run_parallel(RunSpec{}.run_config(1),
+                      [&](int) { sim::probe(&host, 8, false); });
+  }
+  ASSERT_EQ(unregistered(), before + 1);
+
+  for (const auto& model : alloc::allocator_names()) {
+    for (SetKind kind : {SetKind::kList, SetKind::kHashSet, SetKind::kRbTree}) {
+      SetBenchConfig cfg;
+      cfg.kind = kind;
+      cfg.allocator = model;
+      cfg.threads = 4;
+      cfg.initial = 64;
+      cfg.key_range = 128;
+      cfg.ops_per_thread = 20;
+      run_set_bench(cfg);
+      EXPECT_EQ(unregistered(), before + 1)
+          << model << " " << set_kind_name(kind);
+    }
+  }
+  for (const auto& app : stamp::app_names()) {
+    stamp::StampRun run;
+    run.app = app;
+    run.allocator = "tcmalloc";
+    run.threads = 4;
+    run.scale = 0.1;
+    stamp::run_stamp(run);
+    EXPECT_EQ(unregistered(), before + 1) << app;
+  }
+  ServerMixConfig mix;
+  mix.requests = 96;
+  run_server_mix(mix);
+  EXPECT_EQ(unregistered(), before + 1) << "server_mix";
 }
 
 TEST(Table, CsvRoundTrip) {
@@ -528,23 +576,21 @@ TEST(RunContext, EachRunGetsItsOwnNumaPolicy) {
 
 // Two different seeded runs on two host threads at once get exactly the
 // results they get one after the other: the run contexts share no plane,
-// NUMA registry or per-thread marker. Run A injects faults, run B checks on
-// a sharded two-node machine; both keep the cache model off, whose set
-// indices still depend on host addresses.
+// NUMA registry, per-thread marker or address space. Run A injects faults,
+// run B checks on a sharded two-node machine, both with the cache model
+// on.
 TEST(RunContext, TwoRunsOnTwoHostThreadsMatchSequential) {
   stamp::StampRun a;
   a.app = "vacation";
   a.allocator = "tcmalloc";
   a.threads = 4;
   a.scale = 0.2;
-  a.cache_model = false;
   a.fault = fault::FaultPlan{};
   a.fault->spurious_abort_rate = 0.02;
   a.fault->delay_free_rate = 0.05;
 
   ServerMixConfig b;
   b.allocator = "tbb";
-  b.cache_model = false;
   b.check = check::CheckConfig{};
   b.topology.nodes = 2;
   b.numa.policy = alloc::NumaOptions::Policy::kInterleave;

@@ -4,8 +4,8 @@
 // depends only on the schedule and ORT aliasing, neither of which the
 // topology touches, so golden constants at 64 and 256 fibers must be
 // bit-identical across 1-node and 4-node machines. With the cache model ON
-// a multi-node run must be repeatable within-process and must actually
-// charge remote traffic (sim.numa.* would otherwise be decorative).
+// a multi-node run must be repeatable and must actually charge remote
+// traffic (sim.numa.* would otherwise be decorative).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -188,13 +188,8 @@ TEST(NumaDeterminism, OneNodeTopologyReproducesBaselineGolden) {
 }
 
 // Cache ON, 4 nodes, 256 fibers, interleaved pages, sharded ORT: the full
-// NUMA path must be within-process repeatable and must produce remote
-// traffic (absolute constants are address-dependent, so not committed).
+// NUMA path must be repeatable and must produce remote traffic.
 TEST(NumaDeterminism, RemoteTrafficRepeatableAt256Fibers) {
-  // Warm-up run first: one-time lazy process initialization can shift host
-  // heap placement between the first and second bench of a process (see
-  // Determinism.RepeatableWithCacheModel); the contract starts once warm.
-  (void)run_scale(256, 4, 8, true, 4);
   const harness::SetBenchResult a = run_scale(256, 4, 8, true, 4);
   const harness::SetBenchResult b = run_scale(256, 4, 8, true, 4);
   EXPECT_TRUE(a.size_consistent);

@@ -165,7 +165,7 @@ struct AttributionFixture : ::testing::Test {
     if (!kTracingCompiledIn) {
       GTEST_SKIP() << "built with -DTMX_TRACING=OFF";
     }
-    allocator = alloc::create_allocator("system");
+    allocator = alloc::create_allocator("glibc");
     Tracer::instance().enable(1u << 14);
   }
   void TearDown() override { Tracer::instance().disable(); }

@@ -19,7 +19,7 @@ struct OrtCase {
 class OrtSweep : public ::testing::TestWithParam<OrtCase> {
  protected:
   void SetUp() override {
-    allocator = alloc::create_allocator("system");
+    allocator = alloc::create_allocator("glibc");
     Config cfg;
     cfg.allocator = allocator.get();
     cfg.shift = GetParam().shift;
@@ -87,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(OrtAliasing, PaperSection52ArenaMath) {
   // 64MB-apart addresses alias for every table size the paper considers:
   // (64MB >> 5) is a multiple of 2^20.
-  auto allocator = alloc::create_allocator("system");
+  auto allocator = alloc::create_allocator("glibc");
   Config cfg;
   cfg.allocator = allocator.get();
   Stm stm(cfg);
@@ -103,7 +103,7 @@ TEST(OrtAliasing, PaperSection52ArenaMath) {
 TEST(OrtAliasing, SuperblockAlignmentsDoNotAlias) {
   // Hoard's 64KB and TBB's 16KB superblocks do *not* alias in a 2^20-entry
   // table (Section 5.2's contrast with Glibc's 64MB arenas).
-  auto allocator = alloc::create_allocator("system");
+  auto allocator = alloc::create_allocator("glibc");
   Config cfg;
   cfg.allocator = allocator.get();
   Stm stm(cfg);
@@ -118,7 +118,7 @@ TEST(OrtAliasing, FalseAbortDisappearsWithLargerStripeExactlyAtBoundary) {
   // Two nodes `spacing` bytes apart share a stripe iff spacing < stripe
   // and they sit in the same aligned window; verify the boundary cases
   // the paper's Figure 5 and Section 5.3 discuss.
-  auto allocator = alloc::create_allocator("system");
+  auto allocator = alloc::create_allocator("glibc");
   for (unsigned shift : {4u, 5u, 6u}) {
     Config cfg;
     cfg.allocator = allocator.get();

@@ -2,11 +2,9 @@
 // the zero-perturbation contract (a prof-ON run reproduces the prof-OFF
 // virtual-time results bit-for-bit).
 //
-// Everything runs with the cache model OFF for the same reason the golden
-// determinism tests do: cache set indices depend on absolute host
-// addresses, so inserting any wrapper shifts cache-on latencies; with a
-// flat probe cost the outcome depends only on the schedule, which the
-// profiler must not touch.
+// Everything runs with the cache model OFF, so a prof-ON run must match
+// the cache-off golden determinism constants: with a flat probe cost the
+// outcome depends only on the schedule, which the profiler must not touch.
 #include <gtest/gtest.h>
 
 #include <cmath>

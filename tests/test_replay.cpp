@@ -16,20 +16,6 @@
 #include "replay/trace_format.hpp"
 #include "util/rng.hpp"
 
-// ASan's interceptors perturb address-space reuse between two replays in
-// the same process, so absolute replayed addresses (documented as
-// non-contractual in replay/replayer.hpp) stop agreeing run-to-run; the
-// shift-invariant stripe/cycle comparisons still must.
-#if defined(__SANITIZE_ADDRESS__)
-#define TMX_HAS_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define TMX_HAS_ASAN 1
-#endif
-#endif
-#ifndef TMX_HAS_ASAN
-#define TMX_HAS_ASAN 0
-#endif
 
 namespace tmx {
 namespace {
@@ -296,15 +282,12 @@ TEST(Replay, RunToRunDeterministicAcrossModels) {
   const Trace t = replay::generate_synthetic(sc);
   ASSERT_FALSE(t.records.empty());
   for (const std::string& model : alloc::allocator_names()) {
-    if (model == "system") continue;  // host heap: never reproducible
     const replay::ReplayResult r1 = replay::replay_trace(t, exact_config(model));
     const replay::ReplayResult r2 = replay::replay_trace(t, exact_config(model));
     ASSERT_TRUE(r1.ok) << model << ": " << r1.error;
     ASSERT_TRUE(r2.ok) << model << ": " << r2.error;
-    if (!TMX_HAS_ASAN) {
-      EXPECT_EQ(r1.address_fingerprint, r2.address_fingerprint) << model;
-      EXPECT_EQ(r1.addresses, r2.addresses) << model;
-    }
+    EXPECT_EQ(r1.address_fingerprint, r2.address_fingerprint) << model;
+    EXPECT_EQ(r1.addresses, r2.addresses) << model;
     EXPECT_TRUE(r1.stripes == r2.stripes) << model;
     EXPECT_EQ(r1.cycles, r2.cycles) << model;
     EXPECT_EQ(r1.mallocs, t.count(OpKind::kMalloc)) << model;

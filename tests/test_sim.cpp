@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/address_space.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 
@@ -272,6 +273,77 @@ TEST(FiberEngine, ProbeChargesLatency) {
   EXPECT_EQ(r.cache.accesses, 2u);
   EXPECT_EQ(r.cache.l1_misses, 1u);
   EXPECT_EQ(r.cache.l1_hits, 1u);
+}
+
+// ---- Address space ----
+
+using End = AddressSpace::End;
+
+std::uintptr_t offset_of(const AddressSpace& space, const void* p) {
+  return space.offset(reinterpret_cast<std::uintptr_t>(p));
+}
+
+TEST(AddressSpace, BaseIsAlignedToTheRegionSize) {
+  AddressSpace space;
+  EXPECT_EQ(space.base(), 0u);
+  void* p = space.carve(1, AddressSpace::kPage, End::kBase);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(space.base() % AddressSpace::kBytes, 0u);
+  EXPECT_TRUE(space.contains(reinterpret_cast<std::uintptr_t>(p)));
+  EXPECT_FALSE(space.contains(reinterpret_cast<std::uintptr_t>(&space)));
+  space.release(p, 1);
+}
+
+TEST(AddressSpace, CarvesFromEachEndAligned) {
+  AddressSpace space;
+  auto* lo = static_cast<char*>(space.carve(100, 1 << 21, End::kBase));
+  auto* hi = static_cast<char*>(space.carve(3 << 20, 1 << 26, End::kTop));
+  ASSERT_NE(lo, nullptr);
+  ASSERT_NE(hi, nullptr);
+  EXPECT_EQ(offset_of(space, lo), 0u);
+  EXPECT_EQ(offset_of(space, hi),
+            AddressSpace::kBytes - (std::size_t{1} << 26));
+  lo[4095] = 1;  // read-write and zeroed
+  EXPECT_EQ(hi[(3 << 20) - 1], 0);
+  // A page-aligned carve fills the gap beside its end's last carve.
+  void* next = space.carve(1, AddressSpace::kPage, End::kBase);
+  EXPECT_EQ(offset_of(space, next), AddressSpace::kPage);
+  space.release(next, 1);
+  space.release(lo, 100);
+  space.release(hi, 3 << 20);
+}
+
+TEST(AddressSpace, ReleasedRangesCoalesceAndAreReusedFirstFit) {
+  AddressSpace space;
+  void* a = space.carve(8192, AddressSpace::kPage, End::kBase);
+  void* b = space.carve(4096, AddressSpace::kPage, End::kBase);
+  void* c = space.carve(4096, AddressSpace::kPage, End::kBase);
+  space.release(a, 8192);
+  space.release(b, 4096);  // merges with a's range
+  void* d = space.carve(12288, AddressSpace::kPage, End::kBase);
+  EXPECT_EQ(d, a);
+  space.release(d, 12288);
+  space.release(c, 4096);
+  // Everything returned: the next carve lands where the first did.
+  EXPECT_EQ(space.carve(4096, AddressSpace::kPage, End::kBase), a);
+}
+
+TEST(AddressSpace, RefusesWhatDoesNotFit) {
+  AddressSpace space;
+  EXPECT_EQ(space.carve(AddressSpace::kBytes + 1, AddressSpace::kPage,
+                        End::kTop),
+            nullptr);
+}
+
+TEST(AddressSpace, FiberStacksComeFromTheRunContext) {
+  RunConfig rc = sim_cfg(2);
+  rc.stack_size = 64 << 10;
+  std::uintptr_t local[2] = {};
+  run_parallel(rc, [&](int tid) {
+    std::uint64_t on_stack = 0;
+    local[tid] = reinterpret_cast<std::uintptr_t>(&on_stack);
+  });
+  for (std::uintptr_t a : local) EXPECT_TRUE(context().space.contains(a));
 }
 
 }  // namespace

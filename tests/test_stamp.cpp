@@ -173,7 +173,7 @@ TEST(StampOptions, HybridModeKeepsAppsCorrect) {
 
 TEST(StampOptions, ThreadEngineRunsApps) {
   for (const char* app : {"kmeans", "vacation"}) {
-    StampRun r = base_run(app, "system", 2);
+    StampRun r = base_run(app, "glibc", 2);
     r.engine = sim::EngineKind::Threads;
     const auto out = run_stamp(r);
     EXPECT_TRUE(out.result.verified) << app << ": " << out.result.detail;

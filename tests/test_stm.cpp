@@ -19,7 +19,7 @@ namespace {
 
 struct StmFixture : ::testing::Test {
   void SetUp() override {
-    allocator = alloc::create_allocator("system");
+    allocator = alloc::create_allocator("glibc");
     Config cfg;
     cfg.allocator = allocator.get();
     stm = std::make_unique<Stm>(cfg);
@@ -38,7 +38,7 @@ struct StmFixture : ::testing::Test {
 // The ORT maps an address with `addr >> shift`, undefined for shifts of 64
 // or more; the constructor refuses them.
 TEST(StmDeathTest, ShiftOf64OrMoreIsRejected) {
-  const auto allocator = alloc::create_allocator("system");
+  const auto allocator = alloc::create_allocator("glibc");
   Config cfg;
   cfg.allocator = allocator.get();
   cfg.shift = 64;
@@ -212,7 +212,7 @@ TEST_F(StmFixture, Figure5FalseAbortScenario) {
         round_up(reinterpret_cast<std::uintptr_t>(mem.get()), 32));
     auto* x = reinterpret_cast<std::uint64_t*>(p);
     auto* y = reinterpret_cast<std::uint64_t*>(p + spacing);
-    auto local_alloc = alloc::create_allocator("system");
+    auto local_alloc = alloc::create_allocator("glibc");
     Config cfg;
     cfg.allocator = local_alloc.get();
     Stm local(cfg);
@@ -345,7 +345,7 @@ struct MidWordConflict {
     std::uint64_t a, b, c;
   };
   std::unique_ptr<alloc::Allocator> allocator =
-      alloc::create_allocator("system");
+      alloc::create_allocator("glibc");
   std::unique_ptr<Stm> stm;
   Big v{1, 2, 3};
 
@@ -431,8 +431,8 @@ class OomInjector final : public alloc::Allocator {
 // Tx::malloc called directly returns nullptr when it dooms the attempt;
 // the store into that block does nothing and leaves for the checkpoint.
 TEST(StmAbortPath, DirectMallocUnderOomRollsBackAndRetries) {
-  auto system = alloc::create_allocator("system");
-  OomInjector oom(*system);
+  auto backing = alloc::create_allocator("glibc");
+  OomInjector oom(*backing);
   oom.fail_next = 1;
   Config cfg;
   cfg.allocator = &oom;
@@ -464,9 +464,9 @@ TEST(StmAbortPath, DirectMallocUnderOomRollsBackAndRetries) {
 // Each jump returns the fiber's stack to where the checkpoint left it:
 // 100k restarts fit a 256 KiB stack.
 TEST(StmAbortPath, RestartsDoNotGrowTheStack) {
-  auto system = alloc::create_allocator("system");
+  auto backing = alloc::create_allocator("glibc");
   Config cfg;
-  cfg.allocator = system.get();
+  cfg.allocator = backing.get();
   Stm s(cfg);
   constexpr int kRestarts = 100000;
   int attempts = 0;
@@ -484,8 +484,8 @@ TEST(StmAbortPath, RestartsDoNotGrowTheStack) {
   EXPECT_EQ(s.stats().commits, 1u);
 }
 
-// Descriptors sit on the host heap, whose layout cache-on runs observe: the
-// checkpoint lives on atomically's frame and a descriptor keeps its slot.
+// The checkpoint lives on atomically's frame and a descriptor keeps its
+// slot.
 TEST(StmAbortPath, DescriptorKeepsItsPaddedSize) {
   EXPECT_EQ(sizeof(Padded<Tx>), 2048u);
 }

@@ -23,7 +23,7 @@ sim::RunConfig sim_cfg(int threads) {
 
 struct DesignFixture : ::testing::TestWithParam<StmDesign> {
   void SetUp() override {
-    allocator = alloc::create_allocator("system");
+    allocator = alloc::create_allocator("glibc");
     Config cfg;
     cfg.allocator = allocator.get();
     cfg.design = GetParam();
@@ -121,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(CommitTimeLocking, StoresDoNotLockUntilCommit) {
-  auto allocator = alloc::create_allocator("system");
+  auto allocator = alloc::create_allocator("glibc");
   Config cfg;
   cfg.allocator = allocator.get();
   cfg.design = StmDesign::kCommitTimeLocking;
@@ -153,7 +153,7 @@ TEST(CommitTimeLocking, StoresDoNotLockUntilCommit) {
 }
 
 TEST(WriteThrough, MemoryUpdatedBeforeCommit) {
-  auto allocator = alloc::create_allocator("system");
+  auto allocator = alloc::create_allocator("glibc");
   Config cfg;
   cfg.allocator = allocator.get();
   cfg.design = StmDesign::kWriteThroughEtl;
