@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   // chaos_soak draws every run setting from its seed, so it reads no
   // other run flag.
   constexpr harness::Flag kFlags[] = {
-      {"alloc", K::kText, "a,b,...", "glibc,hoard,tbb,tcmalloc",
+      {"alloc", K::kModels, "a,b,...", "glibc,hoard,tbb,tcmalloc",
        "allocators, taken round-robin"},
       {"quick", K::kBare, nullptr, nullptr, "short soak"},
       {"rounds", K::kInt, "N", nullptr, "rounds (default 12; 4 with --quick)"},

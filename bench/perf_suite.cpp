@@ -55,9 +55,9 @@
 
 #include "check/check.hpp"
 #include "harness/options.hpp"
+#include "harness/replay.hpp"
 #include "harness/setbench.hpp"
 #include "harness/server_mix.hpp"
-#include "replay/replayer.hpp"
 #include "replay/synth.hpp"
 #include "sim/engine.hpp"
 
@@ -275,14 +275,12 @@ int main(int argc, char** argv) {
     sc.ops_per_thread = 4000 * scale;
     sc.live_per_thread = 256;
     const tmx::replay::Trace trace = tmx::replay::generate_synthetic(sc);
-    tmx::replay::ReplayConfig rc;
-    rc.allocator = "glibc";
-    rc.cache_model = true;
-    rc.keep_addresses = false;
+    tmx::harness::ReplayRun run;
+    run.trace = &trace;
     results.push_back(
         run_scenario("replay", trace.records.size(), reps, [&] {
           const tmx::replay::ReplayResult r =
-              tmx::replay::replay_trace(trace, rc);
+              tmx::harness::run_replay(run).result;
           if (!r.ok) std::fprintf(stderr, "replay: %s\n", r.error.c_str());
         }));
   }

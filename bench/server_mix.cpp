@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   using namespace tmx;
   using K = harness::Flag::Kind;
   constexpr harness::Flag kFlags[] = {
-      {"alloc", K::kText, "a,b,...", "glibc,hoard,tbb,tcmalloc",
+      {"alloc", K::kModels, "a,b,...", "glibc,hoard,tbb,tcmalloc",
        "allocators, one row each"},
       {"quick", K::kBare, nullptr, nullptr, "smaller run"},
       {"workers", K::kInt, "N", nullptr, "workers (default 8; 4 with --quick)"},

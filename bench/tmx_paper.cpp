@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   using K = harness::Flag::Kind;
   constexpr harness::Flag kFlags[] = {
       {"figure", K::kText, "NAME[,NAME...]", nullptr, "figures to run, or all"},
-      {"alloc", K::kText, "a,b,...", nullptr,
+      {"alloc", K::kModels, "a,b,...", nullptr,
        "allocators (default per figure)"},
       {"threads", K::kInts, "N,N,...", nullptr,
        "thread counts (default per figure)"},

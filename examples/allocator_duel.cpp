@@ -13,8 +13,8 @@ int main(int argc, char** argv) {
   using namespace tmx;
   using K = harness::Flag::Kind;
   constexpr harness::Flag kFlags[] = {
-      {"a", K::kText, "NAME", "glibc", "first allocator"},
-      {"b", K::kText, "NAME", "tcmalloc", "second allocator"},
+      {"a", K::kModel, "NAME", "glibc", "first allocator"},
+      {"b", K::kModel, "NAME", "tcmalloc", "second allocator"},
       {"struct", K::kText, "list|hashset|rbtree", "list",
        "transactional data structure"},
       {"threads", K::kInt, "N", "8", "client threads"},

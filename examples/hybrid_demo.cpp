@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace tmx;
   using K = harness::Flag::Kind;
   constexpr harness::Flag kFlags[] = {
-      {"alloc", K::kText, "NAME", "tcmalloc", "allocator model"},
+      {"alloc", K::kModel, "NAME", "tcmalloc", "allocator model"},
       {"threads", K::kInt, "N", "8", "client threads"},
       {"struct", K::kText, "list|hashset|rbtree", "rbtree",
        "transactional data structure"},

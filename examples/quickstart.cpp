@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   using namespace tmx;
   using K = harness::Flag::Kind;
   constexpr harness::Flag kFlags[] = {
-      {"alloc", K::kText, "NAME", "tcmalloc", "allocator model"},
+      {"alloc", K::kModel, "NAME", "tcmalloc", "allocator model"},
       {"threads", K::kInt, "N", "8", "threads moving money"},
   };
   const harness::Options opt(

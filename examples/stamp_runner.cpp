@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   const std::string app_help = "STAMP application (required):" + names;
   const harness::Flag flags[] = {
       {"app", K::kText, "NAME", nullptr, app_help.c_str()},
-      {"alloc", K::kText, "NAME", "glibc", "allocator model"},
+      {"alloc", K::kModel, "NAME", "glibc", "allocator model"},
       {"threads", K::kInt, "N", "8", "application threads"},
       {"scale", K::kReal, "X", "1", "workload scale factor"},
       {"profile", K::kBare, nullptr, nullptr, "print the Table 5 profile"},

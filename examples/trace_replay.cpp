@@ -14,6 +14,10 @@
 //   # in-process determinism self-check (CI): synth -> encode/decode
 //   # round-trip -> double replay through every model, all must agree
 //   ./build/examples/trace_replay --selfcheck
+//
+// Each replay is its own run (harness::run_replay). The flags are this
+// binary's own table, not kRunFlags: a replay runs no STM, so --design,
+// --cm and the rest would be silently ignored.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -21,7 +25,7 @@
 #include "alloc/allocator.hpp"
 #include "harness/obs_session.hpp"
 #include "harness/options.hpp"
-#include "harness/run_context.hpp"
+#include "harness/replay.hpp"
 #include "obs/metrics.hpp"
 #include "replay/replayer.hpp"
 #include "replay/synth.hpp"
@@ -39,12 +43,11 @@ constexpr harness::Flag kFlags[] = {
     {"replay-trace", K::kText, "PATH", nullptr, "replay through each --alloc"},
     {"inspect", K::kText, "PATH", nullptr, "print a trace's header and census"},
     {"selfcheck", K::kBare, nullptr, nullptr, "in-process determinism check"},
-    {"alloc", K::kText, "a,b,...", "glibc,hoard,tbb,tcmalloc",
+    {"alloc", K::kModels, "a,b,...", "glibc,hoard,tbb,tcmalloc",
      "replay allocators"},
     {"shift", K::kInt, "K", "0", "replay ORT shift (0 = the trace's)"},
     {"ort-log2", K::kInt, "L", "0", "replay ORT size (0 = the trace's)"},
-    {"cache-model", K::kInt, "0|1", nullptr,
-     "cache simulator (default 1; 0 with --selfcheck)"},
+    {"cache-model", K::kInt, "0|1", "1", "cache simulator"},
     {"strict-gaps", K::kBare, nullptr, nullptr, "refuse gappy traces"},
     {"seed", K::kInt, "S", "20150207", "synth and replay seed"},
     {"threads", K::kInt, "N", "4", "synth threads"},
@@ -70,15 +73,16 @@ replay::SynthConfig synth_config(const harness::Options& opt) {
   return sc;
 }
 
-replay::ReplayConfig replay_config(const harness::Options& opt) {
-  replay::ReplayConfig cfg;
-  cfg.shift = static_cast<unsigned>(opt.get_long("shift"));
-  cfg.ort_log2 = static_cast<unsigned>(opt.get_long("ort-log2"));
-  cfg.cache_model = opt.has("cache-model") ? opt.get_long("cache-model") != 0
-                                           : !opt.has("selfcheck");
-  cfg.strict_gaps = opt.has("strict-gaps");
-  cfg.seed = static_cast<std::uint64_t>(opt.get_long("seed"));
-  return cfg;
+// The replay settings the flags give; the caller sets the trace and the
+// allocator.
+harness::ReplayRun replay_run(const harness::Options& opt) {
+  harness::ReplayRun run;
+  run.shift = static_cast<unsigned>(opt.get_long("shift"));
+  run.ort_log2 = static_cast<unsigned>(opt.get_long("ort-log2"));
+  run.cache_model = opt.get_long("cache-model") != 0;
+  run.strict_gaps = opt.has("strict-gaps");
+  run.seed = static_cast<std::uint64_t>(opt.get_long("seed"));
+  return run;
 }
 
 int inspect(const std::string& path) {
@@ -132,10 +136,7 @@ bool results_agree(const replay::ReplayResult& a,
 }
 
 // CI's in-process determinism probe: every stage that claims to be a pure
-// function of its inputs is run twice and must agree with itself. Runs
-// with the cache model off — that is the exact-address contract
-// (replay/replayer.hpp); cache-on latencies depend on where a model's
-// host-heap metadata happens to land.
+// function of its inputs is run twice and must agree with itself.
 int selfcheck(const harness::Options& opt) {
   const replay::SynthConfig sc = synth_config(opt);
   const replay::Trace t = replay::generate_synthetic(sc);
@@ -163,14 +164,13 @@ int selfcheck(const harness::Options& opt) {
     return 1;
   }
 
-  const replay::ReplayConfig cfg = replay_config(opt);
-  const harness::RunContext context{harness::RunSpec{}};
+  harness::ReplayRun run = replay_run(opt);
+  run.trace = &rt;
   bool ok = true;
   for (const auto& model : alloc::allocator_names()) {
-    replay::ReplayConfig c = cfg;
-    c.allocator = model;
-    const replay::ReplayResult r1 = replay::replay_trace(rt, c);
-    const replay::ReplayResult r2 = replay::replay_trace(rt, c);
+    run.allocator = model;
+    const replay::ReplayResult r1 = harness::run_replay(run).result;
+    const replay::ReplayResult r2 = harness::run_replay(run).result;
     if (!r1.ok || !r2.ok) {
       std::fprintf(stderr, "selfcheck: replay through %s failed: %s\n",
                    model.c_str(),
@@ -244,13 +244,12 @@ int main(int argc, char** argv) {
   }
   // Only this mode reports: --synth takes --record-trace as its output.
   harness::ObsSession obs(opt);
+  harness::ReplayRun run = replay_run(opt);
+  run.trace = &t;
   std::vector<replay::ReplayResult> results;
-  {
-    // The replays share one run context: closing it publishes their sim.*
-    // totals.
-    const harness::RunContext context{harness::RunSpec{}};
-    results = replay::replay_compare(t, opt.get_list("alloc"),
-                                     replay_config(opt));
+  for (const std::string& name : opt.get_list("alloc")) {
+    run.allocator = name;
+    results.push_back(harness::run_replay(run).result);
   }
   replay::print_comparison(t, results, stdout);
   bool all_ok = true;

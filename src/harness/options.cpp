@@ -111,6 +111,19 @@ const char* malformed(Flag::Kind kind, const std::string& value) {
       }
       return items.empty() ? "a comma list of integers" : nullptr;
     }
+    case K::kModel:
+      return alloc::allocator_exists(value) ? nullptr
+                                            : "a registered allocator";
+    case K::kModels: {
+      const std::vector<std::string> items = split_list(value);
+      for (const auto& item : items) {
+        if (!alloc::allocator_exists(item)) {
+          return "a comma list of registered allocators";
+        }
+      }
+      return items.empty() ? "a comma list of registered allocators"
+                           : nullptr;
+    }
     default:
       return nullptr;
   }

@@ -8,7 +8,8 @@
 //  * accepts `--name value`, `--name=value` and bare `--name` for flags
 //    that take no value; list values are comma-separated;
 //  * exits 2, naming the argument on stderr, on an unknown flag, a
-//    positional argument, a missing value or a malformed number;
+//    positional argument, a missing value, a malformed number or an
+//    allocator name the registry does not know;
 //  * prints --help from the tables and exits 0, and prints the allocator
 //    registry for --list-allocators and exits 0 (every binary has both).
 //
@@ -34,6 +35,8 @@ struct Flag {
     kInt,
     kReal,
     kInts,      // comma list of integers: --threads 1,2,4
+    kModel,     // one registered allocator: --alloc tcmalloc
+    kModels,    // comma list of registered allocators: --alloc glibc,tbb
   };
   const char* name;      // without the leading "--"
   Kind kind;

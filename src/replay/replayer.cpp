@@ -100,46 +100,36 @@ class StripeTracker {
   std::unordered_map<std::uint64_t, Block> blocks_;
 };
 
-// Validates shape invariants replay depends on. The decoder enforces these
-// for files; hand-built traces (tests, synth) go through the same gate.
-std::string validate(const Trace& t) {
-  if (t.meta.threads == 0) return "trace declares zero threads";
-  if (t.meta.threads > static_cast<std::uint32_t>(kMaxThreads)) {
+}  // namespace
+
+// The decoder enforces the shape invariants for files; hand-built traces
+// (tests, synth) go through the same gate.
+std::string check_trace(const Trace& trace, bool strict_gaps) {
+  if (trace.meta.threads == 0) return "trace declares zero threads";
+  if (trace.meta.threads > static_cast<std::uint32_t>(kMaxThreads)) {
     return "trace uses more threads than the simulator supports";
   }
   std::uint64_t prev = 0;
-  for (const TraceRecord& r : t.records) {
+  for (const TraceRecord& r : trace.records) {
     if (r.cycle < prev) return "records are not cycle-sorted";
     prev = r.cycle;
-    if (r.tid >= t.meta.threads) return "record tid out of range";
+    if (r.tid >= trace.meta.threads) return "record tid out of range";
+  }
+  if (trace.gappy() && strict_gaps) {
+    return "trace is gappy (ring buffers dropped " +
+           std::to_string(trace.meta.dropped) +
+           " events); rerun capture with a larger --trace-capacity";
   }
   return "";
 }
 
-}  // namespace
-
-ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
+ReplayResult replay_trace(const Trace& trace, alloc::Allocator& allocator,
+                          const sim::RunConfig& run, unsigned shift,
+                          unsigned ort_log2) {
+  TMX_ASSERT(run.threads == static_cast<int>(trace.meta.threads));
   ReplayResult res;
-  res.allocator = cfg.allocator;
-  if (!alloc::allocator_exists(cfg.allocator)) {
-    res.error = "unknown allocator model: " + cfg.allocator;
-    return res;
-  }
-  if (std::string err = validate(trace); !err.empty()) {
-    res.error = err;
-    return res;
-  }
-  if (trace.gappy() && cfg.strict_gaps) {
-    res.error = "trace is gappy (ring buffers dropped " +
-                std::to_string(trace.meta.dropped) +
-                " events); rerun capture with a larger --trace-capacity";
-    return res;
-  }
-  const unsigned shift = cfg.shift != 0 ? cfg.shift : trace.meta.shift;
-  const unsigned ort_log2 =
-      cfg.ort_log2 != 0 ? cfg.ort_log2 : trace.meta.ort_log2;
-
-  alloc::InstrumentingAllocator ia(alloc::create_allocator(cfg.allocator));
+  if (shift == 0) shift = trace.meta.shift;
+  if (ort_log2 == 0) ort_log2 = trace.meta.ort_log2;
 
   const std::size_t n = trace.records.size();
   const std::vector<TraceRecord>& recs = trace.records;
@@ -200,8 +190,8 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
   // stream balanced even for gappy traces, which can drop a begin or
   // commit: an unmatched marker must not pin the minimum in-flight epoch
   // (that would silently stop phase reclamation for the rest of the run).
-  auto* phase_alloc = alloc::find_layer<phase::PhaseAllocator>(&ia);
-  const bool tx_hints = ia.wants_tx_hints();
+  auto* phase_alloc = alloc::find_layer<phase::PhaseAllocator>(&allocator);
+  const bool tx_hints = allocator.wants_tx_hints();
   std::vector<std::uint8_t> in_tx(static_cast<std::size_t>(kMaxThreads), 0);
 
   // When the phase allocator compacts (force_quiesce between groups), it
@@ -230,7 +220,7 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
   // Touching blocks feeds the cache model; with the model off a probe
   // degenerates to a flat time charge the capture never paid, which would
   // skew the replayed schedule — so touch only when there is a cache.
-  const bool touch = cfg.touch && cfg.cache_model;
+  const bool touch = run.cache_model;
   auto exec = [&](std::size_t idx) {
     const TraceRecord& r = recs[idx];
     switch (r.kind) {
@@ -241,7 +231,7 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
         if (r.addr == 0) break;
         alloc::RegionScope rs(static_cast<alloc::Region>(
             r.aux < alloc::kNumRegions ? r.aux : 0));
-        void* p = ia.allocate(static_cast<std::size_t>(r.size));
+        void* p = allocator.allocate(static_cast<std::size_t>(r.size));
         replayed[idx] = p;
         if (phase_alloc != nullptr && p != nullptr) live_idx[p] = idx;
         if (touch && p != nullptr) sim::probe(p, 8, true);
@@ -259,14 +249,14 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
         if (touch) sim::probe(p, 8, true);
         alloc::RegionScope rs(static_cast<alloc::Region>(
             r.aux < alloc::kNumRegions ? r.aux : 0));
-        ia.deallocate(p);
+        allocator.deallocate(p);
         if (phase_alloc != nullptr) live_idx.erase(p);
         break;
       }
       case OpKind::kTxBegin: {
         const auto t = static_cast<std::size_t>(sim::self_tid());
         if (tx_hints && !in_tx[t]) {
-          ia.tx_begin_hint(static_cast<int>(t));
+          allocator.tx_begin_hint(static_cast<int>(t));
           in_tx[t] = 1;
         }
         break;
@@ -274,7 +264,7 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
       case OpKind::kTxCommit: {
         const auto t = static_cast<std::size_t>(sim::self_tid());
         if (tx_hints && in_tx[t]) {
-          ia.tx_commit_hint(static_cast<int>(t));
+          allocator.tx_commit_hint(static_cast<int>(t));
           in_tx[t] = 0;
         }
         break;
@@ -282,7 +272,7 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
       case OpKind::kTxAbort: {
         const auto t = static_cast<std::size_t>(sim::self_tid());
         if (tx_hints && in_tx[t]) {
-          ia.tx_abort_hint(static_cast<int>(t));
+          allocator.tx_abort_hint(static_cast<int>(t));
           in_tx[t] = 0;
         }
         break;
@@ -311,12 +301,7 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
       for (std::size_t i = group; i < end; ++i) {
         per_tid[recs[i].tid].push_back(i);
       }
-      sim::RunConfig rc;
-      rc.kind = sim::EngineKind::Sim;
-      rc.threads = static_cast<int>(trace.meta.threads);
-      rc.seed = cfg.seed;
-      rc.cache_model = cfg.cache_model;
-      sim::RunResult rr = sim::run_parallel(rc, [&](int tid) {
+      sim::RunResult rr = sim::run_parallel(run, [&](int tid) {
         for (std::size_t idx : per_tid[static_cast<std::size_t>(tid)]) {
           sim::advance_to(recs[idx].cycle);
           // advance_to only moves the clock; the yield makes the jump a
@@ -349,7 +334,7 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
   if (tx_hints) {
     for (std::size_t t = 0; t < in_tx.size(); ++t) {
       if (in_tx[t]) {
-        ia.tx_abort_hint(static_cast<int>(t));
+        allocator.tx_abort_hint(static_cast<int>(t));
         in_tx[t] = 0;
       }
     }
@@ -360,14 +345,14 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
   StripeTracker tracker(shift, ort_log2);
   const sim::AddressSpace& space = sim::context().space;
   std::uint64_t fp = 14695981039346656037ull;  // FNV offset basis
-  if (cfg.keep_addresses) res.addresses.reserve(res.mallocs);
+  res.addresses.reserve(res.mallocs);
   for (std::size_t i = 0; i < n; ++i) {
     const TraceRecord& r = recs[i];
     if (r.kind == OpKind::kMalloc) {
       const auto addr = reinterpret_cast<std::uint64_t>(replayed[i]);
-      if (cfg.keep_addresses) res.addresses.push_back(addr);
       // Region offsets: independent of where the host maps the region.
       const std::uint64_t off = addr == 0 ? 0 : space.offset(addr);
+      res.addresses.push_back(off);
       fp = fnv1a(&off, sizeof off, fp);
       if (addr != 0) tracker.insert(r.tid, addr, r.size);
     } else if (r.kind == OpKind::kFree && match_of[i] >= 0) {
@@ -377,23 +362,13 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
   }
   res.address_fingerprint = fp;
   res.stripes = tracker.stats();
-  res.profile = ia.profile();
-  res.os_reserved = ia.os_reserved();
+  if (const auto* ia =
+          alloc::find_layer<alloc::InstrumentingAllocator>(&allocator)) {
+    res.profile = ia->profile();
+  }
+  res.os_reserved = allocator.os_reserved();
   res.ok = true;
   return res;
-}
-
-std::vector<ReplayResult> replay_compare(const Trace& trace,
-                                         const std::vector<std::string>& names,
-                                         const ReplayConfig& base) {
-  std::vector<ReplayResult> out;
-  out.reserve(names.size());
-  for (const std::string& name : names) {
-    ReplayConfig cfg = base;
-    cfg.allocator = name;
-    out.push_back(replay_trace(trace, cfg));
-  }
-  return out;
 }
 
 StripeStats recorded_stripe_stats(const Trace& trace, unsigned shift,

@@ -27,13 +27,16 @@
 //     in record order, so they depend only on placement — not on the
 //     replay schedule.
 //
-// With cache_model off, replaying a capture through the allocator that
-// recorded it puts every block at its recorded offset in the address space
-// and reproduces the stripe statistics exactly (tests/test_determinism.cpp
-// pins this), and replaying any trace through any model is run-to-run
-// reproducible. With the cache model on, replay adds miss-ratio
-// predictions, and it repeats too: every probed address is carved from the
-// run's address space (sim/address_space.hpp).
+// With the cache model off, replaying a capture through the allocator
+// that recorded it puts every block at its recorded offset in the address
+// space and reproduces the stripe statistics exactly
+// (tests/test_determinism.cpp pins this). With it on, a replay's probes —
+// its own, not the capture's accesses — add latency the capture never
+// paid, so the schedule may drift from the captured one. Either way a
+// replay repeats: harness::run_replay opens a fresh run context per
+// replay and every probed address is carved from its address space
+// (sim/address_space.hpp), so a seeded replay gives the same numbers in
+// every process, on any host thread, after any other run.
 #pragma once
 
 #include <cstdint>
@@ -43,28 +46,13 @@
 
 #include "alloc/instrument.hpp"
 #include "replay/trace_format.hpp"
-#include "sim/cache_model.hpp"
+#include "sim/engine.hpp"
 
 namespace tmx::obs {
 class MetricsRegistry;
 }
 
 namespace tmx::replay {
-
-struct ReplayConfig {
-  std::string allocator = "glibc";
-  // ORT geometry for stripe prediction; 0 = take from the trace header.
-  unsigned shift = 0;
-  unsigned ort_log2 = 0;
-  bool cache_model = true;   // model caches during the parallel phases
-  // Probe each block at malloc/free so the cache model sees the blocks'
-  // placement. Only honored while cache_model is on: with the model off a
-  // probe is a flat time charge the capture never paid.
-  bool touch = true;
-  bool keep_addresses = true;  // retain per-malloc addresses in the result
-  bool strict_gaps = false;  // refuse gappy traces instead of warning
-  std::uint64_t seed = 1;
-};
 
 // ORT-stripe placement statistics over a set of live blocks. A "collision"
 // is a block whose stripe range overlaps a block already live on the same
@@ -113,8 +101,9 @@ struct ReplayResult {
   // space, in record order — the cheap equality check the determinism
   // tests and CI compare.
   std::uint64_t address_fingerprint = 0;
-  // One entry per malloc record, in record order (null stays 0). Filled
-  // only when ReplayConfig::keep_addresses.
+  // The replayed malloc addresses' offsets in the address space, one per
+  // malloc record, in record order (null stays 0; no model places a block
+  // at offset 0, the base end of the space).
   std::vector<std::uint64_t> addresses;
 
   alloc::AllocationProfile profile;
@@ -122,21 +111,26 @@ struct ReplayResult {
   sim::CacheStats cache;
 };
 
-// Replays `trace` through a fresh instance of cfg.allocator.
-ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg);
+// Why `trace` cannot be replayed — a shape invariant broken, or gaps when
+// `strict_gaps` refuses them — or "" when it can.
+std::string check_trace(const Trace& trace, bool strict_gaps);
 
-// One capture, many allocators: replays through each name and returns the
-// results in order (failed replays carry ok=false and an error).
-std::vector<ReplayResult> replay_compare(const Trace& trace,
-                                         const std::vector<std::string>& names,
-                                         const ReplayConfig& base);
+// The replay workload: replays `trace` (check_trace must accept it)
+// through `allocator`, running each parallel phase under `run`, whose
+// thread count is the trace's. Stripe statistics use the ORT geometry
+// `shift` and `ort_log2`, 0 meaning the trace header's. The profile comes
+// from the stack's InstrumentingAllocator, when it has one. Opening the
+// run and building the stack is harness::run_replay's (harness/replay.hpp).
+ReplayResult replay_trace(const Trace& trace, alloc::Allocator& allocator,
+                          const sim::RunConfig& run, unsigned shift,
+                          unsigned ort_log2);
 
 // Stripe statistics of the *recorded* addresses (no replay): what the
 // capture allocator actually did, comparable against any replay's stripes.
 StripeStats recorded_stripe_stats(const Trace& trace, unsigned shift = 0,
                                   unsigned ort_log2 = 0);
 
-// Side-by-side placement table for replay_compare results.
+// Side-by-side placement table, one row per replay.
 void print_comparison(const Trace& trace,
                       const std::vector<ReplayResult>& results, FILE* out);
 

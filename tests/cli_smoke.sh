@@ -19,7 +19,8 @@
 #   cli_smoke.sh chaos_soak       <chaos_soak>    injected == detected, twice
 #   cli_smoke.sh prof_files       <server_mix>    all three prof data families
 #   cli_smoke.sh replay_synth     <trace_replay>  byte-stable capture, replayed
-#                                 through four models
+#                                 through four models; a model's row does not
+#                                 depend on the replays before it
 #   cli_smoke.sh list_allocators  <stamp_runner> <trace_replay> <allocator_duel>
 #   cli_smoke.sh trip_keeps_metrics <server_mix> <stamp_runner>  a guard-cap
 #                                 or watchdog trip still writes --metrics-out
@@ -37,9 +38,9 @@
 #                                 repeats whatever the process's environment
 #                                 size or address-space randomization
 #   cli_smoke.sh flags <binary>...  each binary exits 2 naming an unknown
-#                                 flag, a positional argument or a malformed
-#                                 number, and its --help lists every flag it
-#                                 reads
+#                                 flag, a positional argument, a malformed
+#                                 number or an unknown allocator, and its
+#                                 --help lists every flag it reads
 set -euo pipefail
 
 drive=$1
@@ -162,6 +163,11 @@ case "$drive" in
     "${bins[0]}" --inspect a.tmxtrc > /dev/null
     "${bins[0]}" --replay-trace a.tmxtrc --alloc glibc,hoard,tbb,tcmalloc \
       > /dev/null
+    "${bins[0]}" --replay-trace a.tmxtrc --alloc glibc |
+      grep '^glibc ' > alone.out
+    "${bins[0]}" --replay-trace a.tmxtrc --alloc tcmalloc,phase,glibc |
+      grep '^glibc ' > last.out
+    diff alone.out last.out
     ;;
   list_allocators)
     for i in 0 1 2; do "${bins[$i]}" --list-allocators > "l$i.out"; done
@@ -231,7 +237,9 @@ case "$drive" in
     report="metrics-out trace attribution attribution-topk trace-capacity
             record-trace prof-out"
     for bin in "${bins[@]}"; do
-      # number: a numeric flag the binary reads; reads: every flag it reads.
+      # number: a numeric flag the binary reads; models: the flags naming
+      # allocators; reads: every flag it reads.
+      models=alloc
       case "$(basename "$bin")" in
         stamp_runner) number=threads
           reads="app alloc threads scale profile $run $report" ;;
@@ -242,12 +250,12 @@ case "$drive" in
           reads="alloc quick rounds requests seed cache-model $report" ;;
         tmx_paper) number=threads
           reads="figure alloc threads reps scale apps csv $run $report" ;;
-        perf_suite) number=reps reads="quick out reps" ;;
+        perf_suite) number=reps models="" reads="quick out reps" ;;
         trace_replay) number=threads
           reads="synth replay-trace inspect selfcheck alloc shift ort-log2
                  cache-model strict-gaps seed threads ops live tx-fraction
                  op-cycles $report" ;;
-        allocator_duel) number=threads
+        allocator_duel) number=threads models="a b"
           reads="a b struct threads updates reps scale $run" ;;
         quickstart) number=threads reads="alloc threads $run" ;;
         hybrid_demo) number=threads reads="alloc threads struct scale $run" ;;
@@ -257,6 +265,11 @@ case "$drive" in
       expect_refused "--metrics_out" "$bin" --metrics_out x
       expect_refused "stray_arg" "$bin" stray_arg
       expect_refused "--$number expects" "$bin" "--$number" abc
+      for flag in $models; do
+        for value in nosuch glibc,nosuch; do
+          expect_refused "--$flag expects" "$bin" "--$flag" "$value"
+        done
+      done
       "$bin" --help > help.out
       for flag in $reads help list-allocators; do
         if ! grep -qE -- "^  --$flag( |$)" help.out; then

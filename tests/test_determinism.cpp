@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/replay.hpp"
 #include "harness/run_context.hpp"
 #include "harness/setbench.hpp"
 #include "obs/tracer.hpp"
@@ -251,10 +252,13 @@ TEST(Determinism, RecordReplayReproducesPlacement) {
     ASSERT_GT(trace.count(replay::OpKind::kMalloc), 0u) << model;
     ASSERT_GT(trace.count(replay::OpKind::kTxCommit), 0u) << model;
 
-    replay::ReplayConfig rc;
-    rc.allocator = model;
-    rc.cache_model = false;
-    const replay::ReplayResult r = replay::replay_trace(trace, rc);
+    harness::ReplayRun run;
+    run.trace = &trace;
+    run.allocator = model;
+    // A replay's probes are not the capture's accesses: with the cache
+    // model on they would move the replayed schedule off the captured one.
+    run.cache_model = false;
+    const replay::ReplayResult r = harness::run_replay(run).result;
     ASSERT_TRUE(r.ok) << model << ": " << r.error;
     EXPECT_EQ(r.mallocs, trace.count(replay::OpKind::kMalloc)) << model;
     EXPECT_EQ(r.unmatched_frees, 0u) << model;
@@ -272,7 +276,7 @@ TEST(Determinism, RecordReplayReproducesPlacement) {
 
     // Replay is run-to-run deterministic: a second replay of the same
     // trace through a fresh instance must agree bit-for-bit.
-    const replay::ReplayResult r2 = replay::replay_trace(trace, rc);
+    const replay::ReplayResult r2 = harness::run_replay(run).result;
     ASSERT_TRUE(r2.ok) << model << ": " << r2.error;
     EXPECT_EQ(r.address_fingerprint, r2.address_fingerprint) << model;
     EXPECT_TRUE(r.stripes == r2.stripes) << model;

@@ -14,6 +14,7 @@
 #include "core/stm.hpp"
 #include "fault/fault.hpp"
 #include "fault/fault_alloc.hpp"
+#include "harness/replay.hpp"
 #include "harness/run_context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -321,16 +322,15 @@ TEST_F(FaultFixture, FaultScheduleSurvivesRecordReplay) {
   EXPECT_EQ(stats1.oom_nulls, stats2.oom_nulls);
   EXPECT_EQ(t1.records.size(), t2.records.size());
 
-  // The capture carries the injected OOMs; replay reports them and is
-  // itself reproducible.
-  run_.reset();
-  replay::ReplayConfig rcfg;
-  rcfg.allocator = "tbb";
-  rcfg.cache_model = false;
-  const replay::ReplayResult r1 = replay::replay_trace(t1, rcfg);
+  // The capture carries the injected OOMs; replay, a run of its own with
+  // no fault plane, reports them and is itself reproducible.
+  harness::ReplayRun replay_run;
+  replay_run.trace = &t1;
+  replay_run.allocator = "tbb";
+  const replay::ReplayResult r1 = harness::run_replay(replay_run).result;
   ASSERT_TRUE(r1.ok) << r1.error;
   EXPECT_EQ(r1.oom_records, oom1);
-  const replay::ReplayResult r2 = replay::replay_trace(t1, rcfg);
+  const replay::ReplayResult r2 = harness::run_replay(replay_run).result;
   EXPECT_EQ(r1.address_fingerprint, r2.address_fingerprint);
   EXPECT_EQ(r1.stripes, r2.stripes);
 }

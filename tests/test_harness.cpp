@@ -21,6 +21,7 @@
 #include "guard/guard_alloc.hpp"
 #include "harness/obs_session.hpp"
 #include "harness/options.hpp"
+#include "harness/replay.hpp"
 #include "harness/run_context.hpp"
 #include "harness/server_mix.hpp"
 #include "harness/setbench.hpp"
@@ -29,6 +30,7 @@
 #include "obs/metrics.hpp"
 #include "prof/prof.hpp"
 #include "prof/prof_alloc.hpp"
+#include "replay/synth.hpp"
 #include "stamp/app.hpp"
 
 namespace tmx::harness {
@@ -456,6 +458,18 @@ TEST(AddressSpace, HarnessWorkloadsProbeOnlyTheirRegion) {
   mix.requests = 96;
   run_server_mix(mix);
   EXPECT_EQ(unregistered(), before + 1) << "server_mix";
+
+  // A replay is a run too: closing its context publishes its totals.
+  replay::SynthConfig sc;
+  sc.ops_per_thread = 50;
+  sc.live_per_thread = 16;
+  const replay::Trace trace = replay::generate_synthetic(sc);
+  ReplayRun replay_run;
+  replay_run.trace = &trace;
+  const std::uint64_t switches = reg.counter("sim.sched.switches");
+  ASSERT_TRUE(run_replay(replay_run).result.ok);
+  EXPECT_EQ(unregistered(), before + 1) << "replay";
+  EXPECT_GT(reg.counter("sim.sched.switches"), switches) << "replay";
 }
 
 TEST(Table, CsvRoundTrip) {

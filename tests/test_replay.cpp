@@ -1,6 +1,9 @@
 // tmx::replay tests: trace-format round-trips and strict rejection of
 // damaged files, synthetic-generator determinism, and the replayer's
-// run-to-run reproducibility contract (replay/replayer.hpp). The
+// run-to-run reproducibility contract (replay/replayer.hpp), each replay
+// in its own run (harness/replay.hpp). An unknown allocator name never
+// reaches a replay: trace_replay refuses it when it parses --alloc
+// (tests/cli_smoke.sh flags). The
 // capture-side fidelity test — record a real run, replay it through the
 // same allocator, compare placement — lives in test_determinism.cpp next
 // to the other golden-schedule tests.
@@ -8,9 +11,12 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc/allocator.hpp"
+#include "fault/fault.hpp"
+#include "harness/replay.hpp"
 #include "replay/replayer.hpp"
 #include "replay/synth.hpp"
 #include "replay/trace_format.hpp"
@@ -264,14 +270,17 @@ TEST(Synth, DegenerateConfigsComeUpEmpty) {
   EXPECT_TRUE(replay::generate_synthetic(cfg).records.empty());
 }
 
-replay::ReplayConfig exact_config(const std::string& model) {
-  replay::ReplayConfig cfg;
-  cfg.allocator = model;
-  // The exact-placement contract holds with the cache model off: latencies
-  // are then address-independent, so the replayed schedule is a pure
-  // function of the trace (replay/replayer.hpp).
-  cfg.cache_model = false;
-  return cfg;
+// A replay of `t` through `model`, cache model on.
+harness::ReplayRun replay_of(const Trace& t, const std::string& model) {
+  harness::ReplayRun run;
+  run.trace = &t;
+  run.allocator = model;
+  return run;
+}
+
+replay::ReplayResult replay_through(const Trace& t,
+                                    const std::string& model) {
+  return harness::run_replay(replay_of(t, model)).result;
 }
 
 TEST(Replay, RunToRunDeterministicAcrossModels) {
@@ -282,35 +291,65 @@ TEST(Replay, RunToRunDeterministicAcrossModels) {
   const Trace t = replay::generate_synthetic(sc);
   ASSERT_FALSE(t.records.empty());
   for (const std::string& model : alloc::allocator_names()) {
-    const replay::ReplayResult r1 = replay::replay_trace(t, exact_config(model));
-    const replay::ReplayResult r2 = replay::replay_trace(t, exact_config(model));
+    const replay::ReplayResult r1 = replay_through(t, model);
+    const replay::ReplayResult r2 = replay_through(t, model);
     ASSERT_TRUE(r1.ok) << model << ": " << r1.error;
     ASSERT_TRUE(r2.ok) << model << ": " << r2.error;
+    EXPECT_EQ(r1.allocator, model);
     EXPECT_EQ(r1.address_fingerprint, r2.address_fingerprint) << model;
     EXPECT_EQ(r1.addresses, r2.addresses) << model;
     EXPECT_TRUE(r1.stripes == r2.stripes) << model;
     EXPECT_EQ(r1.cycles, r2.cycles) << model;
+    EXPECT_EQ(r1.cache, r2.cache) << model;
     EXPECT_EQ(r1.mallocs, t.count(OpKind::kMalloc)) << model;
     EXPECT_EQ(r1.frees, t.count(OpKind::kFree)) << model;
     EXPECT_EQ(r1.unmatched_frees, 0u) << model;
   }
 }
 
-TEST(Replay, CompareRunsEveryRequestedModel) {
+// Each replay opens its own run context, so two replays on two host
+// threads — one of them with the fault plane on — give what they give one
+// after the other (the replay form of test_harness.cpp's
+// RunContext.TwoRunsOnTwoHostThreadsMatchSequential).
+TEST(Replay, TwoReplaysOnTwoHostThreadsMatchSequential) {
   replay::SynthConfig sc;
-  sc.threads = 2;
-  sc.ops_per_thread = 50;
-  sc.live_per_thread = 16;
+  sc.threads = 4;
+  sc.ops_per_thread = 200;
+  sc.live_per_thread = 32;
   const Trace t = replay::generate_synthetic(sc);
-  const auto results = replay::replay_compare(
-      t, {"glibc", "hoard", "no-such-model"}, exact_config("glibc"));
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok);
-  EXPECT_TRUE(results[1].ok);
-  EXPECT_EQ(results[0].allocator, "glibc");
-  EXPECT_EQ(results[1].allocator, "hoard");
-  EXPECT_FALSE(results[2].ok);
-  EXPECT_FALSE(results[2].error.empty());
+  harness::ReplayRun a = replay_of(t, "tcmalloc");
+  a.fault = fault::FaultPlan{};
+  a.fault->oom_rate = 0.02;
+  a.fault->oom_everywhere = true;
+  const harness::ReplayRun b = replay_of(t, "hoard");
+
+  harness::ReplayOutcome par_a, par_b;
+  std::thread ta([&] { par_a = harness::run_replay(a); });
+  std::thread tb([&] { par_b = harness::run_replay(b); });
+  ta.join();
+  tb.join();
+  const harness::ReplayOutcome seq_a = harness::run_replay(a);
+  const harness::ReplayOutcome seq_b = harness::run_replay(b);
+
+  const auto expect_same = [](const harness::ReplayOutcome& par,
+                              const harness::ReplayOutcome& seq) {
+    ASSERT_TRUE(seq.result.ok) << seq.result.error;
+    ASSERT_TRUE(par.result.ok) << par.result.error;
+    EXPECT_EQ(par.result.address_fingerprint, seq.result.address_fingerprint);
+    EXPECT_EQ(par.result.addresses, seq.result.addresses);
+    EXPECT_EQ(par.result.stripes, seq.result.stripes);
+    EXPECT_EQ(par.result.cycles, seq.result.cycles);
+    EXPECT_EQ(par.result.cache, seq.result.cache);
+    EXPECT_EQ(par.result.os_reserved, seq.result.os_reserved);
+    EXPECT_EQ(par.planes, seq.planes);
+  };
+  expect_same(par_a, seq_a);
+  expect_same(par_b, seq_b);
+  ASSERT_TRUE(seq_a.planes.fault);
+  EXPECT_GT(seq_a.planes.fault->injected[static_cast<int>(
+                fault::Site::kMalloc)],
+            0u);
+  EXPECT_FALSE(seq_b.planes.fault);
 }
 
 TEST(Replay, CountsAndUnmatchedFrees) {
@@ -332,7 +371,7 @@ TEST(Replay, CountsAndUnmatchedFrees) {
   rec(OpKind::kMalloc, 40, 0x2000, 32);
   rec(OpKind::kTxCommit, 50, 0, 0);
 
-  const replay::ReplayResult r = replay::replay_trace(t, exact_config("glibc"));
+  const replay::ReplayResult r = replay_through(t, "glibc");
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.mallocs, 2u);
   EXPECT_EQ(r.frees, 2u);
@@ -361,24 +400,19 @@ TEST(Replay, GapPolicy) {
   m.size = 64;
   t.records.push_back(m);
 
-  replay::ReplayConfig strict = exact_config("glibc");
+  harness::ReplayRun strict = replay_of(t, "glibc");
   strict.strict_gaps = true;
-  const replay::ReplayResult refused = replay::replay_trace(t, strict);
+  const replay::ReplayResult refused = harness::run_replay(strict).result;
   EXPECT_FALSE(refused.ok);
   EXPECT_NE(refused.error.find("gappy"), std::string::npos);
 
-  const replay::ReplayResult tolerated =
-      replay::replay_trace(t, exact_config("glibc"));
+  const replay::ReplayResult tolerated = replay_through(t, "glibc");
   ASSERT_TRUE(tolerated.ok) << tolerated.error;
   EXPECT_EQ(tolerated.gaps, 1u);
   EXPECT_EQ(tolerated.mallocs, 1u);
 }
 
 TEST(Replay, RejectsMalformedTraces) {
-  Trace unknown = replay::generate_synthetic({});
-  replay::ReplayConfig cfg = exact_config("not-an-allocator");
-  EXPECT_FALSE(replay::replay_trace(unknown, cfg).ok);
-
   Trace unsorted;
   unsorted.meta.threads = 1;
   TraceRecord a, b;
@@ -386,7 +420,7 @@ TEST(Replay, RejectsMalformedTraces) {
   a.cycle = 100;
   b.cycle = 50;
   unsorted.records = {a, b};
-  EXPECT_FALSE(replay::replay_trace(unsorted, exact_config("glibc")).ok);
+  EXPECT_FALSE(replay_through(unsorted, "glibc").ok);
 
   Trace bad_tid;
   bad_tid.meta.threads = 1;
@@ -394,7 +428,7 @@ TEST(Replay, RejectsMalformedTraces) {
   r.kind = OpKind::kTxBegin;
   r.tid = 3;
   bad_tid.records = {r};
-  EXPECT_FALSE(replay::replay_trace(bad_tid, exact_config("glibc")).ok);
+  EXPECT_FALSE(replay_through(bad_tid, "glibc").ok);
 }
 
 TEST(Replay, RecordedStripeStatsSeeAliasing) {
