@@ -1,5 +1,6 @@
 #include "alloc/glibc_model.hpp"
 
+#include <atomic>
 #include <cstring>
 
 #include "sim/engine.hpp"
@@ -28,8 +29,21 @@ ChunkHeader* header_of(void* payload) {
 void* payload_of(ChunkHeader* h) {
   return reinterpret_cast<char*>(h) + sizeof(ChunkHeader);
 }
+// The owner of an allocated chunk reads its size without the arena lock
+// (usable_size), while a neighbour's allocation or free rewrites the flag
+// bits of the same word under the lock. So every access to size_flags is a
+// relaxed atomic: the size bits the owner reads never change, and on
+// x86-64 both compile to a plain mov.
+std::size_t load_flags(const ChunkHeader* h) {
+  return std::atomic_ref<std::size_t>(const_cast<std::size_t&>(h->size_flags))
+      .load(std::memory_order_relaxed);
+}
+void store_flags(ChunkHeader* h, std::size_t v) {
+  std::atomic_ref<std::size_t>(h->size_flags)
+      .store(v, std::memory_order_relaxed);
+}
 std::size_t chunk_size(const ChunkHeader* h) {
-  return h->size_flags & ~kFlagMask;
+  return load_flags(h) & ~kFlagMask;
 }
 ChunkHeader* next_chunk(ChunkHeader* h) {
   return reinterpret_cast<ChunkHeader*>(reinterpret_cast<char*>(h) +
@@ -202,7 +216,7 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
     if (reinterpret_cast<char*>(nx) == a->top) {
       a->top_prev_in_use = true;
     } else {
-      nx->size_flags |= kPrevInUse;
+      store_flags(nx, load_flags(nx) | kPrevInUse);
     }
   };
   auto unlink = [&](FreeNode* n, FreeNode*& head) {
@@ -220,7 +234,7 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
       ChunkHeader* rem = reinterpret_cast<ChunkHeader*>(
           reinterpret_cast<char*>(h) + csize);
       const std::size_t rem_size = have - csize;
-      rem->size_flags = rem_size | kPrevInUse;  // `h` is being handed out
+      store_flags(rem, rem_size | kPrevInUse);  // `h` is being handed out
       // Footer for the remainder + mark it free for its successor.
       ChunkHeader* after = next_chunk(rem);
       if (reinterpret_cast<char*>(after) == a->top) {
@@ -228,9 +242,9 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
         a->top_prev_size = rem_size;
       } else {
         after->prev_size = rem_size;
-        after->size_flags &= ~kPrevInUse;
+        store_flags(after, load_flags(after) & ~kPrevInUse);
       }
-      h->size_flags = csize | (h->size_flags & kPrevInUse);
+      store_flags(h, csize | (load_flags(h) & kPrevInUse));
       // Insert remainder into its bin.
       auto* rn = static_cast<FreeNode*>(payload_of(rem));
       FreeNode*& head = rem_size <= kSmallMaxChunk
@@ -280,7 +294,7 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
   // 5. Carve from the top of the arena.
   if (a->top + csize <= a->end) {
     auto* h = reinterpret_cast<ChunkHeader*>(a->top);
-    h->size_flags = csize | (a->top_prev_in_use ? kPrevInUse : 0);
+    store_flags(h, csize | (a->top_prev_in_use ? kPrevInUse : 0));
     // Materialize the pending footer of a free chunk sitting below top.
     h->prev_size = a->top_prev_in_use ? 0 : a->top_prev_size;
     a->top += csize;
@@ -295,7 +309,7 @@ void GlibcModelAllocator::deallocate(void* p) {
   if (p == nullptr) return;
   note_free_bytes(usable_size(p));
   ChunkHeader* h = header_of(p);
-  if (h->size_flags & kIsMmapped) {
+  if (load_flags(h) & kIsMmapped) {
     // Large blocks were handed out by mmap; the pages stay with the
     // provider (virtual space only) — matching how rarely the modeled
     // workloads release >128KB blocks.
@@ -337,18 +351,18 @@ void GlibcModelAllocator::free_in(Arena* a, void* p) {
   };
 
   // Coalesce backward.
-  if (!(h->size_flags & kPrevInUse)) {
+  if (!(load_flags(h) & kPrevInUse)) {
     const std::size_t psz = h->prev_size;
     auto* prev = reinterpret_cast<ChunkHeader*>(
         reinterpret_cast<char*>(h) - psz);
     unlink_any(prev);
-    prev->size_flags = (psz + csize) | (prev->size_flags & kPrevInUse);
+    store_flags(prev, (psz + csize) | (load_flags(prev) & kPrevInUse));
     h = prev;
     csize += psz;
   }
   auto fold_into_top = [&](ChunkHeader* c) {
     a->top = reinterpret_cast<char*>(c);
-    a->top_prev_in_use = (c->size_flags & kPrevInUse) != 0;
+    a->top_prev_in_use = (load_flags(c) & kPrevInUse) != 0;
     a->top_prev_size = a->top_prev_in_use ? 0 : c->prev_size;
   };
   // Coalesce forward (or fold into top).
@@ -362,11 +376,11 @@ void GlibcModelAllocator::free_in(Arena* a, void* p) {
       chunk_size(nx) > kFastMaxChunk &&
       (reinterpret_cast<char*>(after_nx) == a->top
            ? !a->top_prev_in_use
-           : !(after_nx->size_flags & kPrevInUse));
+           : !(load_flags(after_nx) & kPrevInUse));
   if (next_free) {
     unlink_any(nx);
     csize += chunk_size(nx);
-    h->size_flags = csize | (h->size_flags & kPrevInUse);
+    store_flags(h, csize | (load_flags(h) & kPrevInUse));
     nx = next_chunk(h);
     if (reinterpret_cast<char*>(nx) == a->top) {
       fold_into_top(h);
@@ -375,7 +389,7 @@ void GlibcModelAllocator::free_in(Arena* a, void* p) {
   }
   // Mark free for the successor (footer + flag) and bin it.
   nx->prev_size = csize;
-  nx->size_flags &= ~kPrevInUse;
+  store_flags(nx, load_flags(nx) & ~kPrevInUse);
   auto* n = static_cast<FreeNode*>(payload_of(h));
   FreeNode*& head =
       csize <= kSmallMaxChunk ? a->smallbins[small_index(csize)] : a->large;
@@ -393,7 +407,7 @@ void* GlibcModelAllocator::allocate_mmap(std::size_t request) {
   if (TMX_UNLIKELY(mem == nullptr)) return nullptr;  // OS exhausted
   auto* h = reinterpret_cast<ChunkHeader*>(mem);
   h->prev_size = 0;
-  h->size_flags = (total & ~kFlagMask) | kIsMmapped | kPrevInUse;
+  store_flags(h, (total & ~kFlagMask) | kIsMmapped | kPrevInUse);
   return payload_of(h);
 }
 

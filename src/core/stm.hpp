@@ -63,13 +63,13 @@ struct HtmConfig {
 struct Config {
   unsigned ort_log2 = 20;  // number of versioned locks = 2^ort_log2
   unsigned shift = 5;      // bytes-per-stripe = 2^shift
-  // NUMA-sharded ORT (ROADMAP item 5): with ort_shards > 1, every NUMA
-  // node owns a private stripe table of 2^ort_log2 / shards versioned
-  // locks, homed on that node, and an address whose home node is known
-  // (page-provider memory) locks in its node's table; addresses with no
-  // registered home (globals, stacks) fall back to the shared global
-  // table. 0/1 keeps the paper's single global ORT — the configuration
-  // the golden determinism constants pin.
+  // NUMA-sharded ORT: with ort_shards > 1, every NUMA node owns a private
+  // stripe table of 2^ort_log2 / shards versioned locks, homed on that
+  // node, and an address whose home node is known (page-provider memory)
+  // locks in its node's table; addresses with no registered home
+  // (globals, stacks) fall back to the shared global table. 0/1 keeps the
+  // paper's single global ORT — the configuration the golden determinism
+  // constants pin.
   unsigned ort_shards = 0;
   StmDesign design = StmDesign::kWriteBackEtl;
   ContentionManager cm = ContentionManager::kSuicide;

@@ -4,13 +4,17 @@
 
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "sim/address_space.hpp"
 #include "sim/numa.hpp"
 
 namespace tmx::sim {
 
 CacheModel::CacheModel(const CacheGeometry& geo, const LatencyModel& lat)
     : geo_(geo), lat_(lat), sharers_(geo.cores) {
-  TMX_ASSERT(is_pow2(geo.line_size));
+  // 32 bytes and up keep kNoTag out of a window's line numbers; 256 and
+  // below keep a line offset in a byte.
+  TMX_ASSERT(is_pow2(geo.line_size) && geo.line_size >= 32 &&
+             geo.line_size <= 256);
   if (geo_.nodes == 0) geo_.nodes = 1;
   const unsigned cores_per_node =
       geo_.cores_per_node != 0
@@ -54,18 +58,18 @@ CacheModel::SharerDirectory::SharerDirectory(unsigned cores)
   for (std::size_t i = 0; i <= mask_; ++i) slot(i)[0] = kNoTag;
 }
 
-std::size_t CacheModel::SharerDirectory::probe(std::uintptr_t line) {
+std::size_t CacheModel::SharerDirectory::probe(Tag line) {
   std::size_t i = home(line);
   while (slot(i)[0] != line && slot(i)[0] != kNoTag) i = (i + 1) & mask_;
   return i;
 }
 
-std::uint64_t* CacheModel::SharerDirectory::find(std::uintptr_t line) {
+std::uint64_t* CacheModel::SharerDirectory::find(Tag line) {
   std::uint64_t* e = slot(probe(line));
   return e[0] == line ? e + 1 : nullptr;
 }
 
-void CacheModel::SharerDirectory::add(std::uintptr_t line, unsigned core) {
+void CacheModel::SharerDirectory::add(Tag line, unsigned core) {
   std::uint64_t* e = slot(probe(line));
   if (e[0] != line) {
     if (2 * (size_ + 1) > mask_ + 1) {
@@ -79,7 +83,7 @@ void CacheModel::SharerDirectory::add(std::uintptr_t line, unsigned core) {
   e[1 + (core >> 6)] |= std::uint64_t{1} << (core & 63);
 }
 
-void CacheModel::SharerDirectory::remove(std::uintptr_t line, unsigned core) {
+void CacheModel::SharerDirectory::remove(Tag line, unsigned core) {
   std::size_t i = probe(line);
   std::uint64_t* e = slot(i);
   TMX_ASSERT(e[0] == line);  // invariant: a cached tag has an entry
@@ -109,35 +113,34 @@ void CacheModel::SharerDirectory::grow() {
   for (std::size_t i = 0; i <= mask_; ++i) slot(i)[0] = kNoTag;
   for (std::size_t o = 0; o < old.size(); o += stride_) {
     if (old[o] == kNoTag) continue;
-    std::copy(&old[o], &old[o] + stride_, slot(probe(old[o])));
+    std::copy(&old[o], &old[o] + stride_,
+              slot(probe(static_cast<Tag>(old[o]))));
   }
 }
 
 // Compares every way, keeping the lowest match with a conditional move.
 // (A compare bitmask plus ctz measured slower: each way then costs a
 // variable shift.)
-int CacheModel::find_way(const std::uintptr_t* tags, unsigned ways,
-                         std::uintptr_t line_addr) {
+int CacheModel::find_way(const Tag* tags, unsigned ways, Tag tag) {
   int found = -1;
   for (unsigned w = ways; w-- > 0;) {
-    found = tags[w] == line_addr ? static_cast<int>(w) : found;
+    found = tags[w] == tag ? static_cast<int>(w) : found;
   }
   return found;
 }
 
-int CacheModel::find_way_scan(const std::uintptr_t* tags, unsigned ways,
-                              std::uintptr_t line_addr) {
+int CacheModel::find_way_scan(const Tag* tags, unsigned ways, Tag tag) {
   for (unsigned w = 0; w < ways; ++w) {
-    if (tags[w] == line_addr) return static_cast<int>(w);
+    if (tags[w] == tag) return static_cast<int>(w);
   }
   return -1;
 }
 
 // A conditional-move minimum; the strict compare keeps the lowest way on
 // ties.
-unsigned CacheModel::victim_way(const std::uint64_t* lru, unsigned ways) {
+unsigned CacheModel::victim_way(const Stamp* lru, unsigned ways) {
   unsigned v = 0;
-  std::uint64_t oldest = lru[0];
+  Stamp oldest = lru[0];
   for (unsigned w = 1; w < ways; ++w) {
     const bool older = lru[w] < oldest;
     v = older ? w : v;
@@ -146,8 +149,7 @@ unsigned CacheModel::victim_way(const std::uint64_t* lru, unsigned ways) {
   return v;
 }
 
-unsigned CacheModel::victim_way_scan(const std::uint64_t* lru,
-                                     unsigned ways) {
+unsigned CacheModel::victim_way_scan(const Stamp* lru, unsigned ways) {
   unsigned v = 0;
   for (unsigned w = 0; w < ways; ++w) {
     if (lru[w] == 0) return w;
@@ -171,29 +173,55 @@ std::uint64_t CacheModel::access(unsigned core, std::uintptr_t addr,
   return latency;
 }
 
+// Each set's nonzero stamps become their ranks 1..k among the set's stamps.
+// Stamps within a set are distinct (each line access stamps one way per
+// set it touches), so the order — and with it every victim choice — is
+// kept exactly.
+void CacheModel::renormalize_stamps() {
+  std::vector<Stamp> rank(std::max(geo_.l1_ways, geo_.l2_ways));
+  const auto renumber = [&rank](std::vector<Stamp>& lru, unsigned ways) {
+    for (std::size_t s = 0; s < lru.size(); s += ways) {
+      Stamp* set = &lru[s];
+      for (unsigned w = 0; w < ways; ++w) {
+        rank[w] = 0;
+        if (set[w] == 0) continue;
+        for (unsigned o = 0; o < ways; ++o) {
+          rank[w] += set[o] != 0 && set[o] <= set[w];
+        }
+      }
+      std::copy_n(rank.begin(), ways, set);
+    }
+  };
+  renumber(l1_lru_, geo_.l1_ways);
+  renumber(l2_lru_, geo_.l2_ways);
+  tick_ = std::max(geo_.l1_ways, geo_.l2_ways);
+}
+
 std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
                                       unsigned offset, bool write) {
+  if (TMX_UNLIKELY(tick_ == kMaxStamp)) renormalize_stamps();
   ++tick_;
   CacheStats& st = stats_[core];
   ++st.accesses;
   std::uint64_t latency = 0;
   const unsigned node = core_node_[core];
-  const std::uintptr_t line_no = line_addr >> line_shift_;
+  const Tag tag =
+      static_cast<Tag>((line_addr & (AddressSpace::kBytes - 1)) >> line_shift_);
 
-  const std::size_t set = line_no & (l1_sets_ - 1);
+  const std::size_t set = tag & (l1_sets_ - 1);
   const std::size_t base = l1_base(core, set);
-  std::uintptr_t* tags = &l1_tags_[base];
-  int way = find_way(tags, geo_.l1_ways, line_addr);
+  Tag* tags = &l1_tags_[base];
+  int way = find_way(tags, geo_.l1_ways, tag);
   if (way >= 0) {
     ++st.l1_hits;
     latency = lat_.l1_hit;
   } else {
     ++st.l1_misses;
     // Consult this node's L2 bank (the shared L2 of the flat machine).
-    const std::size_t set2 = line_no & (l2_sets_ - 1);
+    const std::size_t set2 = tag & (l2_sets_ - 1);
     const std::size_t base2 =
         (static_cast<std::size_t>(node) * l2_sets_ + set2) * geo_.l2_ways;
-    const int w2 = find_way_scan(&l2_tags_[base2], geo_.l2_ways, line_addr);
+    const int w2 = find_way_scan(&l2_tags_[base2], geo_.l2_ways, tag);
     if (w2 >= 0) {
       ++st.l2_hits;
       latency = lat_.l2_hit;
@@ -219,7 +247,7 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
         latency = lat_.memory;
       }
       const unsigned v2 = victim_way_scan(&l2_lru_[base2], geo_.l2_ways);
-      l2_tags_[base2 + v2] = line_addr;
+      l2_tags_[base2 + v2] = tag;
       l2_lru_[base2 + v2] = tick_;
     }
     TMX_OBS_EVENT(obs::EventKind::kCacheMiss, line_addr, latency,
@@ -228,11 +256,11 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
     // leaves this core, the new line enters it.
     way = static_cast<int>(victim_way(&l1_lru_[base], geo_.l1_ways));
     if (tags[way] != kNoTag) sharers_.remove(tags[way], core);
-    tags[way] = line_addr;
-    sharers_.add(line_addr, core);
+    tags[way] = tag;
+    sharers_.add(tag, core);
   }
   l1_lru_[base + way] = tick_;
-  l1_off_[base + way] = static_cast<std::uint16_t>(offset);
+  l1_off_[base + way] = static_cast<std::uint8_t>(offset);
 
   if (write) {
     // Write-invalidate coherence: purge the line from every other sharing
@@ -240,7 +268,7 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
     // the line, visited in ascending id as a full scan would, so the cost
     // is O(sharers) instead of O(cores). Afterwards only the writer holds
     // it.
-    std::uint64_t* mask = sharers_.find(line_addr);
+    std::uint64_t* mask = sharers_.find(tag);
     TMX_ASSERT(mask != nullptr);
     for (unsigned wd = 0; wd < sharers_.words(); ++wd) {
       const std::uint64_t own =
@@ -252,7 +280,7 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
             (wd << 6) + static_cast<unsigned>(__builtin_ctzll(bits));
         bits &= bits - 1;
         const std::size_t rbase = l1_base(c, set);
-        const int rw = find_way(&l1_tags_[rbase], geo_.l1_ways, line_addr);
+        const int rw = find_way(&l1_tags_[rbase], geo_.l1_ways, tag);
         TMX_ASSERT(rw >= 0);  // mask invariant: bit set => tag present
         l1_tags_[rbase + rw] = kNoTag;
         l1_lru_[rbase + rw] = 0;  // empty ways are the first victims

@@ -34,7 +34,7 @@ class MetricsRegistry;
 namespace tmx::sim {
 
 struct CacheGeometry {
-  std::size_t line_size = 64;
+  std::size_t line_size = 64;  // a power of two in [32, 256]
   std::size_t l1_size = 32 * 1024;
   unsigned l1_ways = 8;
   std::size_t l2_size = 6 * 1024 * 1024;  // per-node bank size
@@ -108,6 +108,10 @@ class CacheModel {
   // Simulates `core` touching [addr, addr+bytes). Returns the latency in
   // cycles. Deterministic: LRU is driven by a global access counter.
   // Out of line on purpose: perfbench's traced link interposes on it.
+  //
+  // Lines are tagged by their line number within their
+  // AddressSpace::kBytes-aligned window, so every line of one run's address
+  // space has its own tag; lines of different windows alias.
   std::uint64_t access(unsigned core, std::uintptr_t addr, unsigned bytes,
                        bool write);
 
@@ -116,9 +120,19 @@ class CacheModel {
   const CacheGeometry& geometry() const { return geo_; }
 
  private:
-  // An empty way. Tags are line-aligned addresses, so all-ones can never be
-  // a real tag and doubles as the "invalid" marker — no separate valid bit.
-  static constexpr std::uintptr_t kNoTag = ~std::uintptr_t{0};
+  friend struct CacheModelTestPeer;  // sets the LRU clock (tests only)
+
+  // A line's tag: its line number within its window. With lines of at
+  // least 32 bytes a window holds at most 2^31 lines, so all-ones is never
+  // a real tag and doubles as the empty-way marker — no separate valid bit.
+  using Tag = std::uint32_t;
+  static constexpr Tag kNoTag = ~Tag{0};
+  // LRU stamps: 0 marks an empty way, real stamps count up from 1. When
+  // the clock reaches kMaxStamp every set's stamps are renumbered 1..k in
+  // their order (renormalize_stamps), which picks the same victims as an
+  // unbounded clock would.
+  using Stamp = std::uint32_t;
+  static constexpr Stamp kMaxStamp = ~Stamp{0};
 
   // Each line's L1 sharer set as a core bitmask: write-invalidate consults
   // it instead of scanning every core's set, so a write costs O(sharers)
@@ -128,7 +142,7 @@ class CacheModel {
   // the table when its mask empties, which bounds the table by total L1
   // capacity.
   //
-  // One flat open-addressed table keyed by line address: linear probing
+  // One flat open-addressed table keyed by line tag: linear probing
   // from a multiplicative (Fibonacci) hash, backward-shift deletion (so no
   // tombstones), doubling at load 1/2. A slot is the key word followed by
   // ceil(cores / 64) mask words — 16 bytes at 8 cores — and the table
@@ -138,22 +152,22 @@ class CacheModel {
     explicit SharerDirectory(unsigned cores);
     // The mask words of `line`, or nullptr when no L1 holds it. Valid
     // until the next add or remove.
-    std::uint64_t* find(std::uintptr_t line);
+    std::uint64_t* find(Tag line);
     // Adds `core` to the sharers of `line`.
-    void add(std::uintptr_t line, unsigned core);
+    void add(Tag line, unsigned core);
     // Removes `core` from the sharers of `line`, which must list it;
     // erases the line when no sharer is left.
-    void remove(std::uintptr_t line, unsigned core);
+    void remove(Tag line, unsigned core);
     unsigned words() const { return words_; }
 
    private:
-    std::size_t home(std::uintptr_t line) const {
+    std::size_t home(std::uint64_t line) const {
       return static_cast<std::size_t>(
           (line * 0x9e3779b97f4a7c15ULL) >> shift_);
     }
     std::uint64_t* slot(std::size_t i) { return &slots_[i * stride_]; }
     // First slot at or after `line`'s home holding `line` or no key.
-    std::size_t probe(std::uintptr_t line);
+    std::size_t probe(Tag line);
     void grow();
 
     unsigned words_;
@@ -166,25 +180,26 @@ class CacheModel {
 
   std::uint64_t access_line(unsigned core, std::uintptr_t line_addr,
                             unsigned offset, bool write);
+  // Renumbers every set's stamps 1..k in their order and restarts the
+  // clock above them; runs once every ~2^32 line accesses.
+  void renormalize_stamps();
 
   std::size_t l1_base(unsigned core, std::size_t set) const {
     return (static_cast<std::size_t>(core) * l1_sets_ + set) * geo_.l1_ways;
   }
-  // Way holding `line_addr` within the set starting at `tags`, or -1.
-  // find_way is branch-free and serves the L1 sets: one host cache line of
-  // tags, hot, hit at a data-dependent way. find_way_scan exits early and
-  // serves the 24-way L2 sets: three host lines, often cold, so reading
+  // Way holding `tag` within the set starting at `tags`, or -1.
+  // find_way is branch-free and serves the L1 sets: half a host cache line
+  // of tags, hot, hit at a data-dependent way. find_way_scan exits early
+  // and serves the 24-way L2 sets: two host lines, often cold, so reading
   // only up to the hit costs less than a mispredicted exit.
-  static int find_way(const std::uintptr_t* tags, unsigned ways,
-                      std::uintptr_t line_addr);
-  static int find_way_scan(const std::uintptr_t* tags, unsigned ways,
-                           std::uintptr_t line_addr);
+  static int find_way(const Tag* tags, unsigned ways, Tag tag);
+  static int find_way_scan(const Tag* tags, unsigned ways, Tag tag);
   // LRU victim way: the first empty way, else the least recently used,
   // else the lowest. Empty ways carry stamp 0 and real stamps start at 1,
   // so this is the first way with the lowest stamp. Branch-free for L1
   // sets, early exit at an empty way for L2 sets, as above.
-  static unsigned victim_way(const std::uint64_t* lru, unsigned ways);
-  static unsigned victim_way_scan(const std::uint64_t* lru, unsigned ways);
+  static unsigned victim_way(const Stamp* lru, unsigned ways);
+  static unsigned victim_way_scan(const Stamp* lru, unsigned ways);
 
   CacheGeometry geo_;
   LatencyModel lat_;
@@ -196,14 +211,14 @@ class CacheModel {
   // [set][way] (L2): the tags of one set are contiguous, so an associative
   // search touches one or two host cache lines instead of striding over
   // padded structs.
-  std::vector<std::uintptr_t> l1_tags_;
-  std::vector<std::uint64_t> l1_lru_;  // 0 for an empty way
-  std::vector<std::uint16_t> l1_off_;  // last byte offset accessed in line
-  std::vector<std::uintptr_t> l2_tags_;  // [node][set][way]
-  std::vector<std::uint64_t> l2_lru_;
+  std::vector<Tag> l1_tags_;
+  std::vector<Stamp> l1_lru_;  // 0 for an empty way
+  std::vector<std::uint8_t> l1_off_;  // last byte offset accessed in line
+  std::vector<Tag> l2_tags_;  // [node][set][way]
+  std::vector<Stamp> l2_lru_;
   std::vector<CacheStats> stats_;
   SharerDirectory sharers_;
-  std::uint64_t tick_ = 0;
+  Stamp tick_ = 0;
 };
 
 }  // namespace tmx::sim

@@ -93,20 +93,23 @@ namespace {
 
 struct Fiber;
 
-// A runnable fiber's scheduling key, stored inline in the run heap so a
-// compare touches only the heap array. Discrete-event order: smallest
-// virtual time first, ties broken by fiber id — the exact order the
-// original O(threads) min-scan produced. Ids make every key unique.
-struct RunKey {
-  std::uint64_t vtime;
-  int id;
-};
+// A runnable fiber's scheduling key, packed into one word so a compare is
+// one integer compare: virtual time in the high 56 bits, fiber id in the
+// low 8. Discrete-event order — smallest virtual time first, ties broken by
+// fiber id — is then plain integer order, the exact order the original
+// O(threads) min-scan produced. Ids make every key unique.
+using RunKey = std::uint64_t;
+constexpr unsigned kIdBits = 8;
+static_assert(kMaxThreads <= (1 << kIdBits), "a fiber id must fit its field");
+// The largest virtual time a key can carry. A fiber that passes it trips
+// the watchdog at its next scheduling point (yield), before its key could
+// be packed and mis-ordered.
+constexpr std::uint64_t kMaxKeyVtime = (std::uint64_t{1} << (64 - kIdBits)) - 1;
 
-// Branch-free (| and & on the flags, not || and &&): which child of a heap
-// node is smaller is a coin flip the branch predictor cannot learn.
-bool runs_before(RunKey a, RunKey b) {
-  return (a.vtime < b.vtime) | ((a.vtime == b.vtime) & (a.id < b.id));
+RunKey run_key(std::uint64_t vtime, int id) {
+  return vtime << kIdBits | static_cast<std::uint64_t>(id);
 }
+int key_id(RunKey k) { return static_cast<int>(k & ((1u << kIdBits) - 1)); }
 
 struct FiberEngine {
   ~FiberEngine();  // returns the fiber stacks to the address space
@@ -117,19 +120,20 @@ struct FiberEngine {
   ucontext_t main_ctx{};
 #endif
   std::vector<std::unique_ptr<Fiber>> fibers;  // indexed by fiber id
-  // The runnable fibers: a binary min-heap of their keys. The currently
-  // executing fiber is never in it.
+  // The runnable fibers: a 4-ary min-heap of their keys (children of node i
+  // at 4i+1 .. 4i+4, 32 contiguous bytes). The currently executing fiber is
+  // never in it.
   std::vector<RunKey> heap;
   // The running fiber's scheduling quantum: the key of the best queued
-  // fiber, captured when the running fiber was resumed. The engine is
-  // single-threaded, so no queued fiber's key can change while one fiber
-  // runs — every yield inside the quantum batch-advances with this one
-  // cached compare and zero heap traffic.
-  RunKey quantum{};
-  bool q_valid = false;
+  // fiber, captured when the running fiber was resumed, or the largest key
+  // when none is queued. The engine is single-threaded, so no queued
+  // fiber's key can change while one fiber runs — every yield inside the
+  // quantum batch-advances with this one cached compare and zero heap
+  // traffic.
+  RunKey quantum = ~RunKey{0};
   std::uint64_t quantum_absorbed = 0;  // fast resumes in the open quantum
   unsigned last_core = 0;
-  std::uint64_t watchdog = UINT64_MAX;  // per-run virtual-cycle budget
+  std::uint64_t watchdog = kMaxKeyVtime;  // per-run virtual-cycle budget
   AddressSpace* space = nullptr;  // the fiber stacks' home
   std::size_t stack_size = 0;
   std::uintptr_t space_base = 0;
@@ -144,22 +148,38 @@ struct FiberEngine {
   const std::function<void(int)>* body = nullptr;
 
   // Puts `k` at the root, where the old minimum was, and sifts it down.
+  // A full node's smallest child is a branch-free tournament: which child
+  // wins is a coin flip the branch predictor cannot learn. The winner's
+  // offset is arithmetic on the three compare bits because GCC turns a
+  // `? :` between two indices into a branch here; the arithmetic form
+  // compiles to cmovs, worth about 1.09x on the 256-fiber hashset_numa
+  // benchmark's commit rate. Only the last, partial node scans.
   void sift_down_from_root(RunKey k) {
     const std::size_t n = heap.size();
+    RunKey* h = heap.data();
     std::size_t i = 0;
-    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
-      if (c + 1 < n) c += runs_before(heap[c + 1], heap[c]);
-      if (!runs_before(heap[c], k)) break;
-      heap[i] = heap[c];
-      i = c;
+    for (std::size_t c = 1; c < n; c = 4 * i + 1) {
+      std::size_t m = c;
+      if (c + 3 < n) {
+        const std::size_t l = h[c + 1] < h[c];
+        const std::size_t r = h[c + 3] < h[c + 2];
+        const std::size_t right =
+            std::min(h[c + 2], h[c + 3]) < std::min(h[c], h[c + 1]);
+        m = c + l + right * (2 + r - l);
+      } else {
+        for (std::size_t j = c + 1; j < n; ++j) m = h[j] < h[m] ? j : m;
+      }
+      if (k < h[m]) break;
+      h[i] = h[m];
+      i = m;
     }
-    heap[i] = k;
+    h[i] = k;
   }
 
   // Removes and returns the minimum (main loop, after a fiber finishes).
   Fiber* pop_min() {
     ++sched.heap_ops;
-    Fiber* top = fibers[static_cast<std::size_t>(heap.front().id)].get();
+    Fiber* top = fibers[static_cast<std::size_t>(key_id(heap.front()))].get();
     const RunKey last = heap.back();
     heap.pop_back();
     if (!heap.empty()) sift_down_from_root(last);
@@ -170,17 +190,14 @@ struct FiberEngine {
   // sift-down per genuine switch. `k` must not precede the minimum.
   Fiber* replace_min(RunKey k) {
     ++sched.heap_ops;
-    Fiber* top = fibers[static_cast<std::size_t>(heap.front().id)].get();
+    Fiber* top = fibers[static_cast<std::size_t>(key_id(heap.front()))].get();
     sift_down_from_root(k);
     return top;
   }
 
   // Opens the next quantum: caches the key of the best queued fiber so the
   // fast-resume compare in yield() needs no heap access.
-  void begin_quantum() {
-    q_valid = !heap.empty();
-    if (q_valid) quantum = heap.front();
-  }
+  void begin_quantum() { quantum = heap.empty() ? ~RunKey{0} : heap.front(); }
 
   // Closes a quantum at a genuine switch or a fiber finish: a quantum that
   // absorbed at least one fast resume was a batch advance.
@@ -346,7 +363,9 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
   eng.body = &body;
   eng.space = &ctx.space;
   eng.stack_size = stack_size;
-  if (cfg.watchdog_cycles != 0) eng.watchdog = cfg.watchdog_cycles;
+  if (cfg.watchdog_cycles != 0) {
+    eng.watchdog = std::min(cfg.watchdog_cycles, kMaxKeyVtime);
+  }
 #if TMX_ASAN_FIBERS
   {
     pthread_attr_t attr;
@@ -380,7 +399,7 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
         stack_size, AddressSpace::kPage, AddressSpace::End::kBase));
     TMX_ASSERT_MSG(f->stack != nullptr, "no address space for fiber stacks");
     init_fiber_context(f.get(), stack_size);
-    eng.heap.push_back({0, f->id});
+    eng.heap.push_back(run_key(0, f->id));
     eng.fibers.push_back(std::move(f));
   }
   eng.space_base = ctx.space.base();
@@ -531,18 +550,22 @@ void yield() {
   // Watchdog: every scheduling point costs one predictable compare. All
   // potentially unbounded loops in the codebase (lock spins, contention
   // backoff, quiescence waits) pass through yield, so a livelocked run is
-  // guaranteed to hit this check.
+  // guaranteed to hit this check. With no budget configured the limit is
+  // the largest virtual time a scheduling key can carry.
   if (TMX_UNLIKELY(f->vtime > eng->watchdog)) {
-    watchdog_trip("run", eng->watchdog, f->vtime);
+    watchdog_trip(eng->watchdog == kMaxKeyVtime ? "scheduling-key" : "run",
+                  eng->watchdog, f->vtime);
   }
   // Batched fast resume: while the yielding fiber stays ahead of the
-  // cached quantum bound — the (vtime, id) key of the best queued fiber,
-  // which cannot change while this fiber runs — the scheduler would pick
-  // it right back; keep executing with zero heap traffic. This is the
-  // overwhelmingly common case at low contention and preserves the
-  // min-virtual-time schedule exactly.
-  const RunKey self{f->vtime, f->id};
-  if (!eng->q_valid || runs_before(self, eng->quantum)) {
+  // cached quantum bound — the key of the best queued fiber, which cannot
+  // change while this fiber runs — the scheduler would pick it right back;
+  // keep executing with zero heap traffic. This is the overwhelmingly
+  // common case at low contention and preserves the min-virtual-time
+  // schedule exactly. (<=, not <: a queued key never equals the running
+  // fiber's, but with nothing queued the bound is the largest key, which
+  // the running fiber's may be.)
+  const RunKey self = run_key(f->vtime, f->id);
+  if (self <= eng->quantum) {
     ++eng->sched.fast_resumes;
     ++eng->quantum_absorbed;
     return;

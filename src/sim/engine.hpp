@@ -13,10 +13,12 @@
 //    account costs and expose interleavings.
 //
 //    The scheduler is organized for 256-fiber scale: the runnable fibers'
-//    (vtime, id) keys sit inline in one binary min-heap, and the running
-//    fiber caches the best queued key (its scheduling quantum) so a yield
-//    that stays inside the quantum batch-advances in place with a single
-//    compare — no heap traffic at all (the fast-resume path). A genuine
+//    (vtime, id) keys, packed into one word each (vtime << 8 | id), sit
+//    inline in one 4-ary min-heap, and the running fiber caches the best
+//    queued key (its scheduling quantum) so a yield that stays inside the
+//    quantum batch-advances in place with a single compare — no heap
+//    traffic at all (the fast-resume path). A fiber whose virtual time
+//    passes 2^56 - 1 no longer fits a key and trips the watchdog. A genuine
 //    switch replaces the heap's minimum with the yielder's key (one
 //    sift-down) and swaps fiber to fiber directly through a ~10ns assembly
 //    context switch on x86-64 (ucontext elsewhere) instead of
@@ -63,7 +65,8 @@ struct RunConfig {
   // a fiber touches become resident.
   std::size_t stack_size = 0;
   double ghz = 2.0;              // Sim only: cycles -> seconds conversion
-  // Sim only: per-run virtual-cycle watchdog (0 = unlimited). When any
+  // Sim only: per-run virtual-cycle watchdog (0 = none; either way the
+  // budget is at most 2^56 - 1, the largest scheduling-key vtime). When any
   // fiber's virtual clock passes the budget at a scheduling point, the run
   // is declared hung: diagnostics are printed, the installed watchdog
   // flush hook runs (so metrics/traces are persisted), and the process

@@ -8,6 +8,17 @@
 #include "util/rng.hpp"
 
 namespace tmx::sim {
+
+// The model's one test seam: moves its LRU clock forward, so a short
+// stream reaches the point where the 32-bit clock would wrap.
+struct CacheModelTestPeer {
+  static constexpr std::uint32_t kMaxStamp = CacheModel::kMaxStamp;
+  static void set_clock(CacheModel& c, std::uint32_t t) {
+    ASSERT_GE(t, c.tick_);  // forward only: keeps every set's stamp order
+    c.tick_ = t;
+  }
+};
+
 namespace {
 
 class CacheModelTest : public ::testing::Test {
@@ -107,6 +118,33 @@ TEST_F(CacheModelTest, PerCoreStatsAreSeparate) {
   EXPECT_EQ(c->core_stats(1).accesses, 0u);
 }
 
+TEST_F(CacheModelTest, LineAtTheTopOfAWindowBehavesLikeAnyOther) {
+  // The last line of a 2^36-byte window has the largest tag, 2^30 - 1:
+  // it is cached, shared and invalidated like any other line, and aliases
+  // no other line of its window.
+  auto c = make();
+  const std::uintptr_t window = std::uintptr_t{5} << 36;
+  const std::uintptr_t top = window + (std::uintptr_t{1} << 36) - 64;
+  EXPECT_EQ(c->access(0, top + 8, 8, false), lat.memory);
+  EXPECT_EQ(c->access(0, top + 56, 8, false), lat.l1_hit);
+  EXPECT_EQ(c->access(0, window, 8, false), lat.memory);
+  EXPECT_EQ(c->access(1, top + 63, 1, false), lat.l2_hit);
+  // Core 0 writes offset 0; core 1 last touched offset 63.
+  EXPECT_EQ(c->access(0, top, 8, true), lat.l1_hit + lat.coherence);
+  const CacheStats s = c->total_stats();
+  EXPECT_EQ(s.invalidations, 1u);
+  EXPECT_EQ(s.false_sharing, 1u);
+  EXPECT_EQ(c->access(1, top, 8, false), lat.l2_hit);
+  EXPECT_EQ(c->access(0, window, 8, false), lat.l1_hit);
+  // Lines that differ from it in one high offset bit have tags of their
+  // own: each misses to memory on a fresh core.
+  for (unsigned bit : {35u, 34u, 31u, 20u, 12u}) {
+    EXPECT_EQ(c->access(2, top ^ (std::uintptr_t{1} << bit), 8, false),
+              lat.memory)
+        << bit;
+  }
+}
+
 TEST_F(CacheModelTest, MissRatioComputation) {
   CacheStats s;
   s.accesses = 200;
@@ -141,7 +179,11 @@ struct StreamResult {
   std::uint64_t latency = 0;
 };
 
-StreamResult run_synthetic_stream(const CacheGeometry& geo, int accesses) {
+// With `clock_jump_every` nonzero, every that many accesses the model's
+// LRU clock is moved to half that many stamps short of wrapping, so the
+// stream crosses the wrap, and renormalises every set, many times.
+StreamResult run_synthetic_stream(const CacheGeometry& geo, int accesses,
+                                  int clock_jump_every = 0) {
   CacheModel c(geo, LatencyModel{});
   Rng rng(0x5eed'cac4e);
   const std::uintptr_t base = 0x40000000;
@@ -150,6 +192,11 @@ StreamResult run_synthetic_stream(const CacheGeometry& geo, int accesses) {
   StreamResult r;
   unsigned core = 0;
   for (int i = 0; i < accesses; ++i) {
+    if (clock_jump_every != 0 && i % clock_jump_every == 0) {
+      CacheModelTestPeer::set_clock(
+          c, CacheModelTestPeer::kMaxStamp -
+                 static_cast<std::uint32_t>(clock_jump_every / 2));
+    }
     // Each core issues a burst of four accesses, as a barrier does.
     if (i % 4 == 0) core = static_cast<unsigned>(rng.below(geo.cores));
     const bool write = rng.below(5) == 0;
@@ -218,6 +265,22 @@ TEST(CacheModelGolden, SyntheticStream256Cores4Nodes) {
   want.numa_local = 12544;
   want.numa_remote = 38073;
   expect_stream(r, want, 24637367);
+}
+
+// Renormalising the LRU stamps when the 32-bit clock would wrap keeps
+// every set's order, so the model picks the same victims as with a clock
+// that never wraps: the stream's counters and latency equal the unwrapped
+// run's.
+TEST(CacheModelGolden, StampWrapMatchesTheUnwrappedStream) {
+  CacheGeometry numa;
+  numa.cores = 256;
+  numa.nodes = 4;
+  for (const CacheGeometry& geo : {CacheGeometry{}, numa}) {
+    SCOPED_TRACE(testing::Message() << geo.cores << " cores");
+    const StreamResult plain = run_synthetic_stream(geo, 60000);
+    const StreamResult wrapped = run_synthetic_stream(geo, 60000, 6000);
+    expect_stream(wrapped, plain.stats, plain.latency);
+  }
 }
 
 // All 256 cores of a 4-node machine read one line, then core 0 writes it:

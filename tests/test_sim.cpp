@@ -135,12 +135,52 @@ std::uint64_t run_contract_check(const RunConfig& rc, int yields,
 }
 
 TEST(Scheduler, RunsTheMinimumKeyAtEveryResume) {
-  for (int n : {4, 64, 256}) {
+  // The run heap is 4-ary: 1, 2, 3, 5, 6 and 255 fibers leave its last
+  // node partial at some point of the run.
+  for (int n : {1, 2, 3, 4, 5, 6, 64, 255, 256}) {
     RunResult r;
     EXPECT_EQ(run_contract_check(sim_cfg(n), 12800 / n, &r), 0u)
         << n << " fibers";
-    EXPECT_GT(r.sched.switches, static_cast<std::uint64_t>(n)) << n;
+    if (n > 1) {
+      EXPECT_GT(r.sched.switches, static_cast<std::uint64_t>(n)) << n;
+    }
   }
+}
+
+// A scheduling key packs vtime << 8 | id into one word, so the largest
+// virtual time it carries is 2^56 - 1.
+constexpr std::uint64_t kMaxKeyVtime = (std::uint64_t{1} << 56) - 1;
+
+TEST(Scheduler, KeysAtTheTopOfTheRangeStillOrder) {
+  // Fibers 1, 2 and 255 climb to the largest virtual time, where they
+  // order by id. Fiber 255's key there is all ones, and its last yield,
+  // with nothing left to run, must resume it in place.
+  std::vector<int> order;
+  const RunResult r = run_parallel(sim_cfg(256), [&](int tid) {
+    if (tid != 1 && tid != 2 && tid != 255) return;
+    tick(kMaxKeyVtime);
+    for (int i = 0; i < 2; ++i) {
+      order.push_back(tid);
+      yield();
+    }
+  });
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 255, 1, 2, 255}));
+  // 256 seeds plus the three first yields; the three last yields resume
+  // in place.
+  EXPECT_EQ(r.sched.switches, 259u);
+  EXPECT_EQ(r.sched.fast_resumes, 3u);
+}
+
+TEST(SchedulerDeathTest, VtimePastTheKeyRangeTripsTheWatchdog) {
+  // One cycle past the largest key: the next scheduling point exits loudly
+  // instead of packing a key that would sort before every other.
+  EXPECT_EXIT(run_parallel(sim_cfg(2),
+                           [](int tid) {
+                             if (tid == 1) tick(kMaxKeyVtime + 1);
+                             yield();
+                           }),
+              ::testing::ExitedWithCode(kWatchdogExitCode),
+              "scheduling-key virtual-cycle budget breached");
 }
 
 TEST(Scheduler, RunsTheMinimumKeyOnMultiplexedCores) {
