@@ -1,5 +1,6 @@
 #include "alloc/tbb_model.hpp"
 
+#include <atomic>
 #include <new>
 
 #include "sim/engine.hpp"
@@ -22,6 +23,21 @@ constexpr std::size_t kClassTable[] = {
     160,  192,  224,  256,  320,  384,  448,  512,  640,  768,  896,  1024,
     1280, 1536, 1792, 2048, 2560, 3072, 3584, 4096, 5120, 6144, 7168, 8064};
 constexpr std::size_t kNumClasses = sizeof(kClassTable) / sizeof(std::size_t);
+
+// Words another thread may read without holding this model's locks, each
+// accessed as a relaxed atomic (on x86-64 the same mov as a plain access):
+// a free object's link word, which a doomed transaction's optimistic
+// Tx::load_word may read, and a block's public-list head, which its owner
+// peeks at before taking the list's lock.
+template <class T>
+T load_relaxed(const T& word) {
+  return std::atomic_ref<T>(const_cast<T&>(word))
+      .load(std::memory_order_relaxed);
+}
+template <class T>
+void store_relaxed(T& word, T v) {
+  std::atomic_ref<T>(word).store(v, std::memory_order_relaxed);
+}
 }  // namespace
 
 std::size_t TbbModelAllocator::num_classes() { return kNumClasses; }
@@ -157,13 +173,13 @@ void* TbbModelAllocator::allocate_small(std::size_t cls) {
     // 1. Private free list: no synchronization at all.
     if (scan->private_free != nullptr) {
       FreeNode* n = scan->private_free;
-      scan->private_free = n->next;
+      scan->private_free = load_relaxed(n->next);
       ++scan->used;
       sim::tick(sim::Cost::kAllocFast);
       return n;
     }
     // 2. Public free list: grab the whole list under its spinlock.
-    if (scan->public_free != nullptr) {
+    if (load_relaxed(scan->public_free) != nullptr) {
       FreeNode* grabbed;
       std::uint32_t count;
       {
@@ -173,7 +189,7 @@ void* TbbModelAllocator::allocate_small(std::size_t cls) {
         scan->public_free = nullptr;
         scan->public_count = 0;
       }
-      scan->private_free = grabbed->next;
+      scan->private_free = load_relaxed(grabbed->next);
       scan->used -= (count - 1);  // the node we return stays "used"
       sim::tick(sim::Cost::kAllocSlow);
       return grabbed;
@@ -212,7 +228,7 @@ void TbbModelAllocator::deallocate(void* p) {
   auto* n = static_cast<FreeNode*>(p);
   if (b->owner_tid == sim::self_tid()) {
     sim::probe(b, 64, true);
-    n->next = b->private_free;
+    store_relaxed(n->next, b->private_free);
     b->private_free = n;
     --b->used;
     sim::tick(sim::Cost::kAllocFast);
@@ -235,8 +251,8 @@ void TbbModelAllocator::deallocate(void* p) {
   // Cross-thread free: the public list, under its own spinlock.
   sim::SpinGuard pg(b->public_lock);
   sim::probe(&b->public_free, 16, true);
-  n->next = b->public_free;
-  b->public_free = n;
+  store_relaxed(n->next, b->public_free);
+  store_relaxed(b->public_free, n);
   ++b->public_count;
   sim::tick(sim::Cost::kAllocSlow);
 }

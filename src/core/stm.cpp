@@ -42,6 +42,10 @@ std::uint64_t make_locked(const Tx* tx) {
 }
 std::uint64_t make_version(std::uint64_t ts) { return ts << 1; }
 
+// A lock word as the atomic it is: every access keeps the memory order the
+// versioned-lock protocol needs.
+std::atomic_ref<VLock> lock_ref(VLock* l) { return std::atomic_ref<VLock>(*l); }
+
 // Transactional data words are read speculatively while a committer may be
 // writing them back (the versioned-lock re-check discards such reads), so
 // every access to them is a relaxed atomic: the same x86-64 code as a
@@ -248,7 +252,7 @@ std::uint64_t Tx::load_word(const void* addr) {
   sim::yield();
   VLock* l = stm_->lock_for(addr);
   sim::probe(l, 8, false);
-  std::uint64_t v = l->v.load(std::memory_order_acquire);
+  std::uint64_t v = lock_ref(l).load(std::memory_order_acquire);
   for (;;) {
     if (is_locked(v)) {
       if (owner_of(v) != this) {
@@ -270,7 +274,7 @@ std::uint64_t Tx::load_word(const void* addr) {
     const std::uint64_t ver = version_of(v);
     sim::probe(addr, 8, false);
     const std::uint64_t val = load_relaxed(addr);
-    const std::uint64_t v2 = l->v.load(std::memory_order_acquire);
+    const std::uint64_t v2 = lock_ref(l).load(std::memory_order_acquire);
     if (v2 != v) {  // concurrent commit touched this stripe; re-inspect
       v = v2;
       continue;
@@ -281,7 +285,7 @@ std::uint64_t Tx::load_word(const void* addr) {
         conflict(AbortCause::kValidation);
         return 0;
       }
-      v = l->v.load(std::memory_order_acquire);
+      v = lock_ref(l).load(std::memory_order_acquire);
       continue;
     }
     read_set_.push_back(ReadEntry{l, ver});
@@ -311,7 +315,7 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
     // TL2: buffer the store; locks are taken at commit.
     VLock* l0 = stm_->lock_for(addr);
     sim::probe(l0, 8, false);
-    const std::uint64_t v = l0->v.load(std::memory_order_acquire);
+    const std::uint64_t v = lock_ref(l0).load(std::memory_order_acquire);
     if (is_locked(v) && owner_of(v) != this) {
       conflict(AbortCause::kWriteLocked, addr);  // another commit in flight
       return;
@@ -333,7 +337,7 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
   const bool write_back = stm_->cfg_.design == StmDesign::kWriteBackEtl;
   VLock* l = stm_->lock_for(addr);
   sim::probe(l, 8, true);
-  std::uint64_t v = l->v.load(std::memory_order_acquire);
+  std::uint64_t v = lock_ref(l).load(std::memory_order_acquire);
   // Write-through applies the store to memory at encounter time; the
   // write set doubles as a first-touch undo log of whole words.
   auto apply_through = [&](std::uintptr_t word) {
@@ -371,13 +375,13 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
         conflict(AbortCause::kValidation);
         return;
       }
-      v = l->v.load(std::memory_order_acquire);
+      v = lock_ref(l).load(std::memory_order_acquire);
       continue;
     }
     // Encounter-time locking: acquire now.
     sim::tick(sim::Cost::kAtomicRmw);
-    if (!l->v.compare_exchange_strong(v, make_locked(this),
-                                      std::memory_order_acq_rel)) {
+    if (!lock_ref(l).compare_exchange_strong(v, make_locked(this),
+                                             std::memory_order_acq_rel)) {
       continue;  // v reloaded by the failed CAS
     }
     TMX_OBS_EVENT(obs::EventKind::kStripeAcquire,
@@ -401,7 +405,7 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
 
 bool Tx::validate() {
   for (const ReadEntry& r : read_set_) {
-    const std::uint64_t v = r.lock->v.load(std::memory_order_acquire);
+    const std::uint64_t v = lock_ref(r.lock).load(std::memory_order_acquire);
     if (is_locked(v)) {
       if (owner_of(v) != this) return false;
       // We own it; the version we read must still be the pre-lock version.
@@ -465,7 +469,7 @@ void Tx::commit() {
     // Acquire every written stripe now (TL2). A failure aborts; rollback
     // releases whatever was acquired.
     for (WriteEntry& e : write_set_) {
-      std::uint64_t v = e.lock->v.load(std::memory_order_acquire);
+      std::uint64_t v = lock_ref(e.lock).load(std::memory_order_acquire);
       if (is_locked(v)) {
         if (owner_of(v) == this) continue;  // duplicate stripe
         conflict(AbortCause::kWriteLocked,
@@ -477,8 +481,8 @@ void Tx::commit() {
         return;
       }
       sim::tick(sim::Cost::kAtomicRmw);
-      if (!e.lock->v.compare_exchange_strong(v, make_locked(this),
-                                             std::memory_order_acq_rel)) {
+      if (!lock_ref(e.lock).compare_exchange_strong(
+              v, make_locked(this), std::memory_order_acq_rel)) {
         conflict(AbortCause::kWriteLocked,
                  reinterpret_cast<const void*>(e.addr));
         return;
@@ -533,7 +537,7 @@ void Tx::commit() {
   for (const WriteEntry& e : write_set_) {
     if (e.acquired) {
       sim::probe(e.lock, 8, true);
-      e.lock->v.store(make_version(ts), std::memory_order_release);
+      lock_ref(e.lock).store(make_version(ts), std::memory_order_release);
       TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
                     stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
     }
@@ -574,7 +578,7 @@ void Tx::rollback(AbortCause cause, [[maybe_unused]] std::uintptr_t addr) {
   // Release encounter-time locks, restoring the pre-acquisition versions.
   for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
     if (it->acquired) {
-      it->lock->v.store(it->prev, std::memory_order_release);
+      lock_ref(it->lock).store(it->prev, std::memory_order_release);
       TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
                     stm_->ort_index(reinterpret_cast<const void*>(it->addr)));
     }
@@ -760,14 +764,14 @@ std::uint64_t Tx::load_word_hw(const void* addr) {
   sim::yield();
   VLock* l = stm_->lock_for(addr);
   sim::probe(l, 8, false);
-  const std::uint64_t v = l->v.load(std::memory_order_acquire);
+  const std::uint64_t v = lock_ref(l).load(std::memory_order_acquire);
   if (is_locked(v)) {
     hw_abort(HwAbortCause::kConflict);  // sw tx owns it
     return 0;
   }
   sim::probe(addr, 8, false);
   std::uint64_t mem = load_relaxed(addr);
-  const std::uint64_t v2 = l->v.load(std::memory_order_acquire);
+  const std::uint64_t v2 = lock_ref(l).load(std::memory_order_acquire);
   if (v2 != v || version_of(v) > end_ts_) {
     hw_abort(HwAbortCause::kConflict);  // line changed under the snapshot
     return 0;
@@ -789,7 +793,7 @@ void Tx::store_word_hw(void* addr, std::uint64_t value, std::uint64_t mask) {
   sim::yield();
   VLock* l = stm_->lock_for(addr);
   sim::probe(l, 8, false);
-  const std::uint64_t v = l->v.load(std::memory_order_acquire);
+  const std::uint64_t v = lock_ref(l).load(std::memory_order_acquire);
   if (is_locked(v) || version_of(v) > end_ts_) {
     hw_abort(HwAbortCause::kConflict);
     return;
@@ -831,15 +835,15 @@ void Tx::commit_hw() {
   // Acquire the written stripes (lazy TL2), validate, publish, release.
   std::size_t acquired = 0;
   for (WriteEntry& e : write_set_) {
-    std::uint64_t v = e.lock->v.load(std::memory_order_acquire);
+    std::uint64_t v = lock_ref(e.lock).load(std::memory_order_acquire);
     if (is_locked(v)) {
       if (owner_of(v) == this) continue;  // duplicate stripe in the set
       break;
     }
     if (version_of(v) > end_ts_) break;
     sim::tick(sim::Cost::kAtomicRmw);
-    if (!e.lock->v.compare_exchange_strong(v, make_locked(this),
-                                           std::memory_order_acq_rel)) {
+    if (!lock_ref(e.lock).compare_exchange_strong(
+            v, make_locked(this), std::memory_order_acq_rel)) {
       break;
     }
     e.prev = v;
@@ -853,7 +857,8 @@ void Tx::commit_hw() {
       write_set_.empty() ||
       [&] {
         for (const WriteEntry& e : write_set_) {
-          const std::uint64_t v = e.lock->v.load(std::memory_order_acquire);
+          const std::uint64_t v =
+              lock_ref(e.lock).load(std::memory_order_acquire);
           if (!is_locked(v) || owner_of(v) != this) return false;
         }
         return true;
@@ -876,7 +881,7 @@ void Tx::commit_hw() {
   }
   for (const WriteEntry& e : write_set_) {
     if (e.acquired) {
-      e.lock->v.store(make_version(ts), std::memory_order_release);
+      lock_ref(e.lock).store(make_version(ts), std::memory_order_release);
       TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
                     stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
     }
@@ -896,7 +901,7 @@ void Tx::commit_hw() {
 void Tx::rollback_hw(HwAbortCause cause) {
   for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
     if (it->acquired) {
-      it->lock->v.store(it->prev, std::memory_order_release);
+      lock_ref(it->lock).store(it->prev, std::memory_order_release);
       TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
                     stm_->ort_index(reinterpret_cast<const void*>(it->addr)));
     }

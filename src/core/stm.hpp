@@ -204,10 +204,12 @@ struct TxAbortSignal {
 
 namespace detail {
 
-struct VLock {
-  // Unlocked: (version << 1). Locked: (Tx* | 1).
-  std::atomic<std::uint64_t> v{0};
-};
+// A versioned lock word. Unlocked: (version << 1). Locked: (Tx* | 1).
+// All-zero bytes read "unlocked, version 0", so an ORT carved from fresh
+// pages needs no construction pass (sim::make_region_array); every access
+// goes through std::atomic_ref.
+using VLock = std::uint64_t;
+static_assert(alignof(VLock) >= std::atomic_ref<VLock>::required_alignment);
 
 struct WriteEntry {
   std::uintptr_t addr;  // 8-byte-aligned word address
@@ -512,6 +514,7 @@ class Stm {
 
  private:
   friend class Tx;
+  friend struct StmTestPeer;  // reads the lock tables (tests only)
 
   // Versioned lock guarding `addr`. With sharding enabled, home-known
   // addresses use their node's stripe table (ort_index/stripe attribution

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include "sim/address_space.hpp"
@@ -184,6 +185,9 @@ RegionPtr<T> make_region(Args&&... args) {
 }
 
 // `n` value-initialized Ts, the first at an `alignment`-aligned offset.
+// A carve maps fresh zero pages, which already hold a value-initialized
+// trivially default-constructible T; such arrays get no construction pass,
+// so their pages stay untouched (and out of the resident set) until used.
 template <class T>
 RegionPtr<T[]> make_region_array(std::size_t n,
                                  std::size_t alignment = AddressSpace::kPage) {
@@ -192,7 +196,9 @@ RegionPtr<T[]> make_region_array(std::size_t n,
   void* mem = space.carve(n * sizeof(T), alignment, AddressSpace::End::kBase);
   TMX_ASSERT_MSG(mem != nullptr, "address space exhausted");
   T* p = static_cast<T*>(mem);
-  std::uninitialized_value_construct_n(p, n);
+  if constexpr (!std::is_trivially_default_constructible_v<T>) {
+    std::uninitialized_value_construct_n(p, n);
+  }
   return RegionPtr<T[]>(p, {&space, n, n * sizeof(T)});
 }
 

@@ -622,6 +622,9 @@ std::uint64_t probe(const void* addr, unsigned bytes, bool write) {
     lat = 3;  // flat cost when the cache model is disabled
   }
   f->vtime += lat;
+  // The caller touches `addr` once this fiber resumes; start the host load
+  // now so it overlaps the switch. It reads no simulated state.
+  __builtin_prefetch(addr);
   // Every simulated memory access is a scheduling point: without this,
   // code paths with no other yields (e.g. allocator fast paths) execute as
   // atomic slices and cross-core effects — above all the sustained

@@ -1,14 +1,30 @@
 // Property tests of the ORT mapping function across shift amounts and
 // table sizes — the lever the whole paper turns on.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "alloc/allocator.hpp"
 #include "core/stm.hpp"
 
 namespace tmx::stm {
+
+// The lock tables, as the barriers see them.
+struct StmTestPeer {
+  static std::vector<std::span<const detail::VLock>> tables(const Stm& s) {
+    std::vector<std::span<const detail::VLock>> t{{s.ort_.get(), s.ort_size()}};
+    for (const auto& shard : s.ort_shards_) {
+      t.emplace_back(shard.get(), s.shard_mask_ + 1);
+    }
+    return t;
+  }
+};
+
 namespace {
 
 struct OrtCase {
@@ -131,6 +147,56 @@ TEST(OrtAliasing, FalseAbortDisappearsWithLargerStripeExactlyAtBoundary) {
         stm.ort_index(reinterpret_cast<void*>(base)) ==
         stm.ort_index(reinterpret_cast<void*>(base + 16));
     EXPECT_EQ(share, stripe > 16) << "shift " << shift;
+  }
+}
+
+// ---- Lock-table residency ----
+
+// Pages of `t` in the host's resident set, by mincore(2).
+std::size_t resident_pages(std::span<const detail::VLock> t) {
+  constexpr std::size_t kPage = 4096;
+  const std::size_t pages = (t.size_bytes() + kPage - 1) / kPage;
+  std::vector<unsigned char> in(pages);
+  void* base = const_cast<detail::VLock*>(t.data());
+  EXPECT_EQ(mincore(base, t.size_bytes(), in.data()), 0);
+  std::size_t n = 0;
+  for (unsigned char c : in) n += c & 1;
+  return n;
+}
+
+Config lock_config(alloc::Allocator* a, unsigned shards) {
+  Config cfg;
+  cfg.allocator = a;
+  cfg.ort_shards = shards;
+  return cfg;
+}
+
+TEST(OrtResidency, ABuiltStmLeavesItsLockTablesUntouched) {
+  // Carved pages are already zero, and zero is "unlocked, version 0": no
+  // construction pass writes (and so faults in) the 8 MiB global table or
+  // the per-node shards.
+  auto allocator = alloc::create_allocator("glibc");
+  for (unsigned shards : {0u, 4u}) {
+    Stm stm(lock_config(allocator.get(), shards));
+    const auto tables = StmTestPeer::tables(stm);
+    ASSERT_EQ(tables.size(), shards == 0 ? 1u : 1u + shards);
+    for (std::span<const detail::VLock> t : tables) {
+      EXPECT_LE(resident_pages(t), 4u)
+          << "shards " << shards << ", table of " << t.size() << " locks";
+    }
+  }
+}
+
+TEST(OrtResidency, SampledStripesReadUnlockedVersionZero) {
+  auto allocator = alloc::create_allocator("glibc");
+  for (unsigned shards : {0u, 4u}) {
+    Stm stm(lock_config(allocator.get(), shards));
+    for (std::span<const detail::VLock> t : StmTestPeer::tables(stm)) {
+      for (std::size_t i = 0; i < t.size(); i += 4099) {
+        EXPECT_EQ(t[i], 0u) << "stripe " << i;  // (version 0) << 1, unlocked
+      }
+      EXPECT_EQ(t.back(), 0u);
+    }
   }
 }
 

@@ -368,6 +368,25 @@ TEST(AddressSpace, ReleasedRangesCoalesceAndAreReusedFirstFit) {
   EXPECT_EQ(space.carve(4096, AddressSpace::kPage, End::kBase), a);
 }
 
+TEST(AddressSpace, ARangeCarvedAgainReadsZero) {
+  // make_region_array relies on this: whatever an earlier carve left in a
+  // range, carving it again yields all-zero bytes.
+  AddressSpace space;
+  constexpr std::size_t kLen = 5 * AddressSpace::kPage;
+  auto* first = static_cast<unsigned char*>(
+      space.carve(kLen, AddressSpace::kPage, End::kBase));
+  ASSERT_NE(first, nullptr);
+  for (std::size_t i = 0; i < kLen; ++i) first[i] = 0xa5;
+  space.release(first, kLen);
+  auto* again = static_cast<unsigned char*>(
+      space.carve(kLen, AddressSpace::kPage, End::kBase));
+  ASSERT_EQ(again, first);
+  std::size_t nonzero = 0;
+  for (std::size_t i = 0; i < kLen; ++i) nonzero += again[i] != 0;
+  EXPECT_EQ(nonzero, 0u);
+  space.release(again, kLen);
+}
+
 TEST(AddressSpace, RefusesWhatDoesNotFit) {
   AddressSpace space;
   EXPECT_EQ(space.carve(AddressSpace::kBytes + 1, AddressSpace::kPage,

@@ -14,12 +14,13 @@ slow phase of the host falls on both alike. Per binary and input the
 fastest pass counts, as in run.py.
 
 It prints each end-to-end metric of each workload for both builds and their
-ratio NEW/BASE, plus the per-input commit-rate ratios: their median and on
-how many inputs NEW was faster. It exits 1 if any input's simulated
-counters differ between the two builds or between passes of one build, 2 if
-a driver process fails.
+ratio NEW/BASE, and the same metric's per-input ratios: their median and on
+how many inputs NEW was better, in the direction BENCHMARK.json declares for
+it. It exits 1 if any input's simulated counters differ between the two
+builds or between passes of one build, 2 if a driver process fails.
 """
 import argparse
+import json
 import os
 import statistics
 import sys
@@ -28,9 +29,16 @@ import sys
 # own runner, so the ratios are of exactly the metrics it reports. No
 # bytecode cache: nothing is written under perfbench/.
 sys.dont_write_bytecode = True
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench"))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO, "perfbench"))
 import run  # noqa: E402
+
+
+def lower_is_better():
+    """Per end-to-end metric, True if BENCHMARK.json declares lower better."""
+    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
+        return {m["name"]: m["better"] == "lower"
+                for m in json.load(f)["end_to_end"]}
 
 
 def run_once(binary, workload, seed):
@@ -71,19 +79,20 @@ def compare(base, new, workload, seed, inputs, passes):
     best = {b: [fastest(runs[b][k]) for k in range(inputs)] for b in runs}
     m_base = run.end_to_end(best[base])
     m_new = run.end_to_end(best[new])
+    # Each input's metrics on their own, as end_to_end reports one input.
+    per_input = {b: [run.end_to_end([r]) for r in best[b]] for b in best}
+    lower = lower_is_better()
     print(f"{workload}: {inputs} inputs x {passes} passes")
-    print(f"  {'metric':<16} {'base':>12} {'new':>12} {'new/base':>9}")
+    print(f"  {'metric':<16} {'base':>12} {'new':>12} {'new/base':>9}"
+          f" {'per-input median':>17} {'new better':>11}")
     for name in m_base:
         a, b = m_base[name], m_new[name]
         ratio = b / a if a else float("nan")
-        print(f"  {name:<16} {a:>12.6g} {b:>12.6g} {ratio:>9.3f}")
-    rates = [(n["sim"]["stm.commits"] / n["run_s"]) /
-             (o["sim"]["stm.commits"] / o["run_s"])
-             for o, n in zip(best[base], best[new])]
-    wins = sum(r > 1.0 for r in rates)
-    print(f"  per-input commit-rate ratio: median "
-          f"{statistics.median(rates):.3f}, min {min(rates):.3f}, max "
-          f"{max(rates):.3f}; new faster on {wins} of {inputs}")
+        ratios = [n[name] / o[name] if o[name] else float("nan")
+                  for o, n in zip(per_input[base], per_input[new])]
+        wins = sum(r < 1.0 if lower[name] else r > 1.0 for r in ratios)
+        print(f"  {name:<16} {a:>12.6g} {b:>12.6g} {ratio:>9.3f}"
+              f" {statistics.median(ratios):>17.3f} {wins:>5} of {inputs}")
     return mismatched
 
 
