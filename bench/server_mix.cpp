@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
       {"alloc", K::kModels, "a,b,...", "glibc,hoard,tbb,tcmalloc",
        "allocators, one row each"},
       {"quick", K::kBare, nullptr, nullptr, "smaller run"},
-      {"workers", K::kInt, "N", nullptr, "workers (default 8; 4 with --quick)"},
+      {"workers", K::kInt, harness::kThreadsHint, nullptr,
+       "workers (default 8; 4 with --quick)"},
       {"requests", K::kInt, "N", nullptr,
        "open-loop requests (default 4096; 256 with --quick)"},
       {"arrival", K::kInt, "CYCLES", "2000", "cycles between arrivals"},

@@ -202,28 +202,37 @@ int main(int argc, char** argv) {
   using namespace tmx;
   using paper::Figure;
   using K = harness::Flag::Kind;
-  constexpr harness::Flag kFlags[] = {
-      {"figure", K::kText, "NAME[,NAME...]", nullptr, "figures to run, or all"},
-      {"alloc", K::kModels, "a,b,...", nullptr,
-       "allocators (default per figure)"},
-      {"threads", K::kInts, "N,N,...", nullptr,
-       "thread counts (default per figure)"},
-      {"reps", K::kInt, "N", nullptr, "repetitions (default per figure)"},
-      {"scale", K::kReal, "X", "1", "workload scale factor"},
-      {"apps", K::kText, "a,b,...",
-       "bayes,genome,intruder,labyrinth,vacation,yada", "fig07's apps"},
-      {"csv", K::kText, "PATH", nullptr,
-       "also write CSV; several figures write PATH.<figure>"},
-  };
   std::string title = "tmx_paper: the paper's figures, in table order:";
+  std::string figures;
   for (const Figure& f : paper::figures()) {
     char line[160];
     std::snprintf(line, sizeof(line), "\n  %-17s %s", f.name, f.title);
     title += line;
+    figures += std::string(f.name) + "|";
   }
+  figures += "all[,...]";
+  std::string apps;
+  for (const auto& n : stamp::app_names()) {
+    apps += (apps.empty() ? "" : "|") + n;
+  }
+  apps += "[,...]";
+  const std::string threads = std::string(harness::kThreadsHint) + "[,...]";
+  const harness::Flag flags[] = {
+      {"figure", K::kText, figures.c_str(), nullptr, "figures to run, or all"},
+      {"alloc", K::kModels, "a,b,...", nullptr,
+       "allocators (default per figure)"},
+      {"threads", K::kInts, threads.c_str(), nullptr,
+       "thread counts (default per figure)"},
+      {"reps", K::kInt, "N", nullptr, "repetitions (default per figure)"},
+      {"scale", K::kReal, "X", "1", "workload scale factor"},
+      {"apps", K::kText, apps.c_str(),
+       "bayes,genome,intruder,labyrinth,vacation,yada", "fig07's apps"},
+      {"csv", K::kText, "PATH", nullptr,
+       "also write CSV; several figures write PATH.<figure>"},
+  };
   const harness::Options opt(
       argc, argv,
-      {{title.c_str(), kFlags}, harness::kRunFlags, harness::kReportFlags});
+      {{title.c_str(), flags}, harness::kRunFlags, harness::kReportFlags});
   const auto names = opt.get_list("figure");
   const auto named = [&](const std::string& n) {
     return std::ranges::find(names, n) != names.end();
@@ -232,19 +241,7 @@ int main(int argc, char** argv) {
   for (const Figure& f : paper::figures()) {
     if (named("all") || named(f.name)) selected.push_back(&f);
   }
-  for (const auto& n : names) {
-    if (n != "all" && std::ranges::none_of(paper::figures(), [&](auto& f) {
-          return n == f.name;
-        })) {
-      std::fprintf(stderr, "tmx_paper: unknown figure '%s' (see --help)\n",
-                   n.c_str());
-      return 2;
-    }
-  }
-  if (selected.empty()) {
-    std::fprintf(stderr, "tmx_paper: --figure is required (see --help)\n");
-    return 2;
-  }
+  if (selected.empty()) opt.usage_error("--figure is required");
 
   harness::ObsSession obs(opt);
   for (const Figure* f : selected) {

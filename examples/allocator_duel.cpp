@@ -15,9 +15,10 @@ int main(int argc, char** argv) {
   constexpr harness::Flag kFlags[] = {
       {"a", K::kModel, "NAME", "glibc", "first allocator"},
       {"b", K::kModel, "NAME", "tcmalloc", "second allocator"},
+      // In SetKind's order: choice() indexes it.
       {"struct", K::kText, "list|hashset|rbtree", "list",
        "transactional data structure"},
-      {"threads", K::kInt, "N", "8", "client threads"},
+      {"threads", K::kInt, harness::kThreadsHint, "8", "client threads"},
       {"updates", K::kReal, "PCT", "60", "update percentage"},
       {"reps", K::kInt, "N", "3", "repetitions per allocator, averaged"},
       {"scale", K::kReal, "X", "1", "workload scale factor"},
@@ -29,14 +30,11 @@ int main(int argc, char** argv) {
   const std::string a = opt.get("a");
   const std::string b = opt.get("b");
   const std::string which = opt.get("struct");
+  const auto kind = static_cast<harness::SetKind>(opt.choice("struct"));
   const int threads = static_cast<int>(opt.get_long("threads"));
   const double updates = opt.get_double("updates") / 100.0;
   const int reps = static_cast<int>(opt.get_long("reps"));
   const double scale = opt.get_double("scale");
-
-  harness::SetKind kind = harness::SetKind::kList;
-  if (which == "hashset") kind = harness::SetKind::kHashSet;
-  if (which == "rbtree") kind = harness::SetKind::kRbTree;
 
   std::printf("duel: %s vs %s on %s, %d threads, %.0f%% updates\n\n",
               a.c_str(), b.c_str(), which.c_str(), threads, updates * 100);

@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   using K = harness::Flag::Kind;
   constexpr harness::Flag kFlags[] = {
       {"alloc", K::kModel, "NAME", "tcmalloc", "allocator model"},
-      {"threads", K::kInt, "N", "8", "client threads"},
+      {"threads", K::kInt, harness::kThreadsHint, "8", "client threads"},
+      // In SetKind's order: choice() indexes it.
       {"struct", K::kText, "list|hashset|rbtree", "rbtree",
        "transactional data structure"},
       {"scale", K::kReal, "X", "1", "workload scale factor"},
@@ -27,13 +28,10 @@ int main(int argc, char** argv) {
        harness::kRunFlags});
   const std::string alloc_name = opt.get("alloc");
   const int threads = static_cast<int>(opt.get_long("threads"));
-  const std::string which = opt.get("struct");
-  harness::SetKind kind = harness::SetKind::kRbTree;
-  if (which == "list") kind = harness::SetKind::kList;
-  if (which == "hashset") kind = harness::SetKind::kHashSet;
+  const auto kind = static_cast<harness::SetKind>(opt.choice("struct"));
 
   std::printf("workload: %s, %d threads, allocator %s, 60%% updates\n\n",
-              which.c_str(), threads, alloc_name.c_str());
+              opt.get("struct").c_str(), threads, alloc_name.c_str());
 
   for (bool hybrid : {false, true}) {
     harness::SetBenchConfig cfg{opt.run_spec()};

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using K = harness::Flag::Kind;
   constexpr harness::Flag kFlags[] = {
       {"alloc", K::kModel, "NAME", "tcmalloc", "allocator model"},
-      {"threads", K::kInt, "N", "8", "threads moving money"},
+      {"threads", K::kInt, harness::kThreadsHint, "8", "threads moving money"},
   };
   const harness::Options opt(
       argc, argv, {{"quickstart: concurrent bank transfers:", kFlags},

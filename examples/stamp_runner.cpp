@@ -18,13 +18,14 @@
 int main(int argc, char** argv) {
   using namespace tmx;
   using K = harness::Flag::Kind;
-  std::string names;
-  for (const auto& n : stamp::app_names()) names += " " + n;
-  const std::string app_help = "STAMP application (required):" + names;
+  std::string apps;
+  for (const auto& n : stamp::app_names()) {
+    apps += (apps.empty() ? "" : "|") + n;
+  }
   const harness::Flag flags[] = {
-      {"app", K::kText, "NAME", nullptr, app_help.c_str()},
+      {"app", K::kText, apps.c_str(), nullptr, "STAMP application (required)"},
       {"alloc", K::kModel, "NAME", "glibc", "allocator model"},
-      {"threads", K::kInt, "N", "8", "application threads"},
+      {"threads", K::kInt, harness::kThreadsHint, "8", "application threads"},
       {"scale", K::kReal, "X", "1", "workload scale factor"},
       {"profile", K::kBare, nullptr, nullptr, "print the Table 5 profile"},
   };
@@ -32,12 +33,8 @@ int main(int argc, char** argv) {
       argc, argv,
       {{"stamp_runner: one STAMP application run:", flags},
        harness::kRunFlags, harness::kReportFlags});
+  if (!opt.has("app")) opt.usage_error("--app is required");
   const std::string app = opt.get("app");
-  if (!stamp::app_exists(app)) {
-    std::fprintf(stderr, "stamp_runner: --app needs one of:%s (got '%s')\n",
-                 names.c_str(), app.c_str());
-    return 2;
-  }
 
   harness::ObsSession obs(opt);
 

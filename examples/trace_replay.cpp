@@ -45,12 +45,12 @@ constexpr harness::Flag kFlags[] = {
     {"selfcheck", K::kBare, nullptr, nullptr, "in-process determinism check"},
     {"alloc", K::kModels, "a,b,...", "glibc,hoard,tbb,tcmalloc",
      "replay allocators"},
-    {"shift", K::kInt, "K", "0", "replay ORT shift (0 = the trace's)"},
+    {"shift", K::kInt, "0..63", "0", "replay ORT shift (0 = the trace's)"},
     {"ort-log2", K::kInt, "L", "0", "replay ORT size (0 = the trace's)"},
     {"cache-model", K::kInt, "0|1", "1", "cache simulator"},
     {"strict-gaps", K::kBare, nullptr, nullptr, "refuse gappy traces"},
     {"seed", K::kInt, "S", "20150207", "synth and replay seed"},
-    {"threads", K::kInt, "N", "4", "synth threads"},
+    {"threads", K::kInt, harness::kThreadsHint, "4", "synth threads"},
     {"ops", K::kInt, "N", nullptr,
      "synth ops per thread (default 1000; 400 with --selfcheck)"},
     {"live", K::kInt, "N", nullptr,
@@ -210,10 +210,7 @@ int main(int argc, char** argv) {
 
   if (opt.has("synth")) {
     const std::string out = opt.get("record-trace");
-    if (out.empty()) {
-      std::fprintf(stderr, "--synth needs --record-trace PATH\n");
-      return 2;
-    }
+    if (out.empty()) opt.usage_error("--synth needs --record-trace PATH");
     const replay::Trace t = replay::generate_synthetic(synth_config(opt));
     if (t.records.empty()) {
       std::fprintf(stderr, "synth: degenerate configuration\n");
@@ -231,9 +228,8 @@ int main(int argc, char** argv) {
 
   const std::string in = opt.get("replay-trace");
   if (in.empty()) {
-    std::fprintf(stderr, "trace_replay: give one of --synth, --replay-trace, "
-                         "--inspect or --selfcheck (see --help)\n");
-    return 2;
+    opt.usage_error("give one of --synth, --replay-trace, --inspect or "
+                    "--selfcheck");
   }
   replay::Trace t;
   const replay::ReadStatus st = replay::read_trace(in, &t);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <type_traits>
 
 #include "sim/engine.hpp"
 
@@ -29,18 +30,28 @@ ChunkHeader* header_of(void* payload) {
 void* payload_of(ChunkHeader* h) {
   return reinterpret_cast<char*>(h) + sizeof(ChunkHeader);
 }
-// The owner of an allocated chunk reads its size without the arena lock
-// (usable_size), while a neighbour's allocation or free rewrites the flag
-// bits of the same word under the lock. So every access to size_flags is a
-// relaxed atomic: the size bits the owner reads never change, and on
-// x86-64 both compile to a plain mov.
-std::size_t load_flags(const ChunkHeader* h) {
-  return std::atomic_ref<std::size_t>(const_cast<std::size_t&>(h->size_flags))
+// Words another thread may read without this model's lock, each accessed
+// as a relaxed atomic (on x86-64 the same mov as a plain access). The
+// owner of an allocated chunk reads its size (usable_size) while a
+// neighbour's allocation or free rewrites the flag bits of the same word
+// under the lock; the size bits the owner reads never change. And a free
+// chunk's links and footer (fd, bk, the next chunk's prev_size) lie in
+// its payload, which a doomed transaction's optimistic Tx::load_word may
+// still read.
+template <class T>
+T load_relaxed(const T& word) {
+  return std::atomic_ref<T>(const_cast<T&>(word))
       .load(std::memory_order_relaxed);
 }
+template <class T>
+void store_relaxed(T& word, std::type_identity_t<T> v) {
+  std::atomic_ref<T>(word).store(v, std::memory_order_relaxed);
+}
+std::size_t load_flags(const ChunkHeader* h) {
+  return load_relaxed(h->size_flags);
+}
 void store_flags(ChunkHeader* h, std::size_t v) {
-  std::atomic_ref<std::size_t>(h->size_flags)
-      .store(v, std::memory_order_relaxed);
+  store_relaxed(h->size_flags, v);
 }
 std::size_t chunk_size(const ChunkHeader* h) {
   return load_flags(h) & ~kFlagMask;
@@ -52,10 +63,31 @@ ChunkHeader* next_chunk(ChunkHeader* h) {
 
 }  // namespace
 
-// Free chunks keep a doubly-linked node in their payload.
+// Free chunks keep a doubly-linked node in their payload (fastbins use
+// only fd). Its links are relaxed atomics: see load_relaxed.
 struct GlibcModelAllocator::FreeNode {
   FreeNode* fd;
   FreeNode* bk;
+
+  FreeNode* next() const { return load_relaxed(fd); }
+  // Pushes this node onto the front of the list `head` starts.
+  void push(FreeNode*& head) {
+    store_relaxed(fd, head);
+    store_relaxed(bk, nullptr);
+    if (head != nullptr) store_relaxed(head->bk, this);
+    head = this;
+  }
+  // Takes this node out of the list `head` starts.
+  void unlink(FreeNode*& head) {
+    FreeNode* const f = next();
+    FreeNode* const b = load_relaxed(bk);
+    if (b != nullptr) {
+      store_relaxed(b->fd, f);
+    } else {
+      head = f;
+    }
+    if (f != nullptr) store_relaxed(f->bk, b);
+  }
 };
 
 struct GlibcModelAllocator::Arena {
@@ -204,7 +236,7 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
     if (bin != nullptr) {
       FreeNode* n = bin;
       sim::probe(n, 16, true);
-      bin = n->fd;
+      bin = n->next();
       sim::tick(sim::Cost::kAllocFast);
       return n;  // header untouched: fast chunks stay "in use"
     }
@@ -218,14 +250,6 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
     } else {
       store_flags(nx, load_flags(nx) | kPrevInUse);
     }
-  };
-  auto unlink = [&](FreeNode* n, FreeNode*& head) {
-    if (n->bk != nullptr) {
-      n->bk->fd = n->fd;
-    } else {
-      head = n->fd;
-    }
-    if (n->fd != nullptr) n->fd->bk = n->bk;
   };
   // Carve `csize` from free chunk `h` of size `have`; the remainder (if any)
   // becomes a new free chunk that stays in the bins.
@@ -241,19 +265,15 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
         a->top_prev_in_use = false;
         a->top_prev_size = rem_size;
       } else {
-        after->prev_size = rem_size;
+        store_relaxed(after->prev_size, rem_size);
         store_flags(after, load_flags(after) & ~kPrevInUse);
       }
       store_flags(h, csize | (load_flags(h) & kPrevInUse));
       // Insert remainder into its bin.
-      auto* rn = static_cast<FreeNode*>(payload_of(rem));
-      FreeNode*& head = rem_size <= kSmallMaxChunk
-                            ? a->smallbins[small_index(rem_size)]
-                            : a->large;
-      rn->fd = head;
-      rn->bk = nullptr;
-      if (head != nullptr) head->bk = rn;
-      head = rn;
+      static_cast<FreeNode*>(payload_of(rem))
+          ->push(rem_size <= kSmallMaxChunk
+                     ? a->smallbins[small_index(rem_size)]
+                     : a->large);
     } else {
       set_in_use(h);
     }
@@ -267,7 +287,7 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
     sim::probe(&bin, 8, false);
     if (bin != nullptr) {
       FreeNode* n = bin;
-      unlink(n, bin);
+      n->unlink(bin);
       ChunkHeader* h = header_of(n);
       set_in_use(h);
       sim::probe(h, 16, true);
@@ -277,17 +297,17 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
     for (std::size_t i = small_index(csize) + 1; i < kNumSmallBins; ++i) {
       if (a->smallbins[i] != nullptr) {
         FreeNode* n = a->smallbins[i];
-        unlink(n, a->smallbins[i]);
+        n->unlink(a->smallbins[i]);
         ChunkHeader* h = header_of(n);
         return split_and_take(h, chunk_size(h));
       }
     }
   }
   // 4. Large list, first fit.
-  for (FreeNode* n = a->large; n != nullptr; n = n->fd) {
+  for (FreeNode* n = a->large; n != nullptr; n = n->next()) {
     ChunkHeader* h = header_of(n);
     if (chunk_size(h) >= csize) {
-      unlink(n, a->large);
+      n->unlink(a->large);
       return split_and_take(h, chunk_size(h));
     }
   }
@@ -296,7 +316,7 @@ void* GlibcModelAllocator::allocate_from(Arena* a, std::size_t csize) {
     auto* h = reinterpret_cast<ChunkHeader*>(a->top);
     store_flags(h, csize | (a->top_prev_in_use ? kPrevInUse : 0));
     // Materialize the pending footer of a free chunk sitting below top.
-    h->prev_size = a->top_prev_in_use ? 0 : a->top_prev_size;
+    store_relaxed(h->prev_size, a->top_prev_in_use ? 0 : a->top_prev_size);
     a->top += csize;
     a->top_prev_in_use = true;
     sim::probe(h, 16, true);
@@ -330,7 +350,7 @@ void GlibcModelAllocator::free_in(Arena* a, void* p) {
   if (csize <= kFastMaxChunk) {
     auto* n = static_cast<FreeNode*>(p);
     FreeNode*& bin = a->fastbins[fast_index(csize)];
-    n->fd = bin;
+    store_relaxed(n->fd, bin);
     bin = n;
     sim::tick(sim::Cost::kAllocFast);
     return;
@@ -338,21 +358,15 @@ void GlibcModelAllocator::free_in(Arena* a, void* p) {
   sim::tick(sim::Cost::kAllocSlow);
 
   auto unlink_any = [&](ChunkHeader* ch) {
-    auto* n = static_cast<FreeNode*>(payload_of(ch));
     const std::size_t sz = chunk_size(ch);
-    FreeNode*& head =
-        sz <= kSmallMaxChunk ? a->smallbins[small_index(sz)] : a->large;
-    if (n->bk != nullptr) {
-      n->bk->fd = n->fd;
-    } else {
-      head = n->fd;
-    }
-    if (n->fd != nullptr) n->fd->bk = n->bk;
+    static_cast<FreeNode*>(payload_of(ch))
+        ->unlink(sz <= kSmallMaxChunk ? a->smallbins[small_index(sz)]
+                                      : a->large);
   };
 
   // Coalesce backward.
   if (!(load_flags(h) & kPrevInUse)) {
-    const std::size_t psz = h->prev_size;
+    const std::size_t psz = load_relaxed(h->prev_size);
     auto* prev = reinterpret_cast<ChunkHeader*>(
         reinterpret_cast<char*>(h) - psz);
     unlink_any(prev);
@@ -363,7 +377,8 @@ void GlibcModelAllocator::free_in(Arena* a, void* p) {
   auto fold_into_top = [&](ChunkHeader* c) {
     a->top = reinterpret_cast<char*>(c);
     a->top_prev_in_use = (load_flags(c) & kPrevInUse) != 0;
-    a->top_prev_size = a->top_prev_in_use ? 0 : c->prev_size;
+    a->top_prev_size =
+        a->top_prev_in_use ? 0 : load_relaxed(c->prev_size);
   };
   // Coalesce forward (or fold into top).
   ChunkHeader* nx = next_chunk(h);
@@ -388,15 +403,11 @@ void GlibcModelAllocator::free_in(Arena* a, void* p) {
     }
   }
   // Mark free for the successor (footer + flag) and bin it.
-  nx->prev_size = csize;
+  store_relaxed(nx->prev_size, csize);
   store_flags(nx, load_flags(nx) & ~kPrevInUse);
-  auto* n = static_cast<FreeNode*>(payload_of(h));
   FreeNode*& head =
       csize <= kSmallMaxChunk ? a->smallbins[small_index(csize)] : a->large;
-  n->fd = head;
-  n->bk = nullptr;
-  if (head != nullptr) head->bk = n;
-  head = n;
+  static_cast<FreeNode*>(payload_of(h))->push(head);
   sim::probe(&head, 8, true);
 }
 
@@ -406,7 +417,7 @@ void* GlibcModelAllocator::allocate_mmap(std::size_t request) {
   char* mem = static_cast<char*>(pages_.reserve(total, 4096));
   if (TMX_UNLIKELY(mem == nullptr)) return nullptr;  // OS exhausted
   auto* h = reinterpret_cast<ChunkHeader*>(mem);
-  h->prev_size = 0;
+  store_relaxed(h->prev_size, 0);
   store_flags(h, (total & ~kFlagMask) | kIsMmapped | kPrevInUse);
   return payload_of(h);
 }

@@ -1,5 +1,6 @@
 #include "harness/options.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -14,11 +15,16 @@ namespace {
 
 using K = Flag::Kind;
 
+static_assert(kMaxThreads == 256, "kThreadsHint spells out kMaxThreads");
+
+// run_spec() maps a closed-set value through its index, so each set lists
+// its alternatives in the order of the enum it selects.
 constexpr Flag kRunFlagList[] = {
     {"engine", K::kText, "sim|threads", "sim", "execution engine"},
     {"cache-model", K::kInt, "0|1", "1", "cache simulator (sim engine)"},
     {"seed", K::kInt, "S", "20150207", "experiment seed"},
-    {"shift", K::kInt, "K", "5", "ORT stripe shift: 2^K bytes per lock"},
+    // Stm asserts it: ort_index shifts a uintptr_t by it.
+    {"shift", K::kInt, "0..63", "5", "ORT stripe shift: 2^K bytes per lock"},
     {"design", K::kText, "wb|wt|ctl", "wb",
      "write-back, write-through or commit-time locking STM"},
     {"cm", K::kText, "suicide|backoff", "suicide", "contention manager"},
@@ -50,7 +56,7 @@ constexpr Flag kRunFlagList[] = {
     {"fault-corrupt-reuse-rate", K::kReal, "P", "0",
      "P(write into quarantined memory)"},
     {"fault-corrupt-budget", K::kInt, "N", nullptr, "cap on corruptions"},
-    {"check", K::kOptional, "race,lifetime", nullptr,
+    {"check", K::kOptional, "race|lifetime|all[,...]", nullptr,
      "checkers (bare: both); a hard report exits 4"},
     {"check-max-reports", K::kInt, "N", "64", "verbatim reports kept"},
     // Any --guard* flag turns the guard plane on.
@@ -97,51 +103,83 @@ bool parse_double(const std::string& s, double* out) {
   return true;
 }
 
-// What `value` must look like for `kind`; nullptr when it does.
-const char* malformed(Flag::Kind kind, const std::string& value) {
+// What an item of a `kind` value must be when `item` is not; else nullptr.
+const char* misshapen(Flag::Kind kind, const std::string& item) {
   switch (kind) {
-    case K::kInt:
-      return parse_long(value, nullptr) ? nullptr : "an integer";
-    case K::kReal:
-      return parse_double(value, nullptr) ? nullptr : "a number";
-    case K::kInts: {
-      const std::vector<std::string> items = split_list(value);
-      for (const auto& item : items) {
-        if (!parse_long(item, nullptr)) return "a comma list of integers";
-      }
-      return items.empty() ? "a comma list of integers" : nullptr;
-    }
+    case K::kInt: return parse_long(item, nullptr) ? nullptr : "an integer";
+    case K::kReal: return parse_double(item, nullptr) ? nullptr : "a number";
+    case K::kInts:
+      return parse_long(item, nullptr) ? nullptr : "a comma list of integers";
     case K::kModel:
-      return alloc::allocator_exists(value) ? nullptr
-                                            : "a registered allocator";
-    case K::kModels: {
-      const std::vector<std::string> items = split_list(value);
-      for (const auto& item : items) {
-        if (!alloc::allocator_exists(item)) {
-          return "a comma list of registered allocators";
-        }
-      }
-      return items.empty() ? "a comma list of registered allocators"
-                           : nullptr;
-    }
-    default:
-      return nullptr;
+      return alloc::allocator_exists(item) ? nullptr : "a registered allocator";
+    case K::kModels:
+      return alloc::allocator_exists(item)
+                 ? nullptr
+                 : "a comma list of registered allocators";
+    default: return nullptr;
   }
 }
 
-// The value of `name` among `choices`; any other value exits 2.
-template <class T>
-T choose(const Options& o, const char* name,
-         std::initializer_list<std::pair<const char*, T>> choices) {
-  const std::string v = o.get(name);
-  std::string all;
-  for (const auto& [key, value] : choices) {
-    if (v == key) return value;
-    all += all.empty() ? key : std::string("|") + key;
+constexpr std::string_view kListSuffix = "[,...]";
+constexpr auto kOutside = std::string_view::npos;
+
+// `f`'s hint without its list suffix.
+std::string_view domain_of(const Flag& f) {
+  std::string_view d = f.hint != nullptr ? f.hint : "";
+  if (d.ends_with(kListSuffix)) d.remove_suffix(kListSuffix.size());
+  return d;
+}
+
+bool is_range(std::string_view d, long* lo, long* hi) {
+  const auto dots = d.find("..");
+  return dots != std::string_view::npos &&
+         parse_long(std::string(d.substr(0, dots)), lo) &&
+         parse_long(std::string(d.substr(dots + 2)), hi);
+}
+
+// The index of `item` among closed set `d`'s alternatives, or 0 when range
+// `d` holds it; else kOutside.
+std::size_t index_in(std::string_view d, const std::string& item) {
+  long lo = 0, hi = 0, v = 0;
+  if (is_range(d, &lo, &hi)) {
+    return parse_long(item, &v) && lo <= v && v <= hi ? 0 : kOutside;
   }
-  std::fprintf(stderr, "unknown --%s '%s' (%s)\n", name, v.c_str(),
-               all.c_str());
-  std::exit(2);
+  for (std::size_t i = 0, start = 0; start <= d.size(); ++i) {
+    const std::size_t end = std::min(d.find('|', start), d.size());
+    const std::string_view alt = d.substr(start, end - start);
+    const auto opt = alt.find("[:");  // "a[:NAME]" also takes "a:N", N >= 0
+    const std::string word(alt.substr(0, opt));
+    if (item == word || (opt != kOutside && item.starts_with(word + ":") &&
+                         parse_long(item.substr(word.size() + 1), &v) &&
+                         v >= 0)) {
+      return i;
+    }
+    start = end + 1;
+  }
+  return kOutside;
+}
+
+// What `f`'s value must be and the item of `value` that is not; "" when
+// every item is. A bare --check has no item; an empty list is one item "".
+std::string misfit(const Flag& f, const std::string& value) {
+  if (f.kind == K::kOptional && value.empty()) return "";
+  const std::string_view d = domain_of(f);
+  long lo = 0, hi = 0;
+  const bool bounded = d.find('|') != kOutside || is_range(d, &lo, &hi);
+  std::vector<std::string> items{value};
+  if (f.kind == K::kInts || f.kind == K::kModels ||
+      (bounded && std::string_view(f.hint).ends_with(kListSuffix))) {
+    items = split_list(value);
+    if (items.empty()) items.emplace_back();
+  }
+  for (const std::string& item : items) {
+    const char* want = misshapen(f.kind, item);
+    if (want == nullptr && bounded && index_in(d, item) == kOutside) {
+      want = f.hint;
+    }
+    if (want != nullptr) return std::string(want) + ", got '" + item + "'";
+  }
+  return "";
 }
 
 }  // namespace
@@ -170,6 +208,8 @@ Options::Options(int argc, char** argv,
   for (const FlagTable& t : tables_) {
     for (const Flag& f : t.flags) {
       TMX_ASSERT_MSG(find(f.name) == &f, "flag declared twice");
+      TMX_ASSERT_MSG(f.fallback == nullptr || misfit(f, f.fallback).empty(),
+                     "flag default outside its domain");
     }
   }
 
@@ -194,11 +234,13 @@ Options::Options(int argc, char** argv,
     } else if (f->kind != K::kBare && f->kind != K::kOptional) {
       usage_error("--" + name + " needs a value");
     }
-    if (const char* want = malformed(f->kind, value)) {
-      usage_error("--" + name + " expects " + want + ", got '" + value + "'");
+    if (const std::string why = misfit(*f, value); !why.empty()) {
+      usage_error("--" + name + " expects " + why);
     }
     help = help || name == "help";
-    kv_.emplace_back(name, value);
+    if (!kv_.emplace(name, value).second) {
+      usage_error("--" + name + " given twice");
+    }
   }
 
   if (help) {
@@ -224,19 +266,13 @@ std::string Options::help_text() const {
     s += t.title;
     s += '\n';
     for (const Flag& f : t.flags) {
-      std::string line = "  --";
-      line += f.name;
-      if (f.hint != nullptr) {
-        line += ' ';
-        line += f.hint;
-      }
+      std::string line = std::string("  --") + f.name;
+      if (f.hint != nullptr) line += std::string(" ") + f.hint;
       line += line.size() < indent.size() ? indent.substr(line.size())
                                           : '\n' + indent;
       line += f.help;
       if (f.fallback != nullptr && *f.fallback != '\0') {
-        line += " (default ";
-        line += f.fallback;
-        line += ')';
+        line += std::string(" (default ") + f.fallback + ')';
       }
       s += line + '\n';
     }
@@ -263,24 +299,17 @@ const Flag& Options::flag(std::string_view name) const {
 
 bool Options::has(std::string_view name) const {
   flag(name);
-  for (const auto& [k, v] : kv_) {
-    if (k == name) return true;
-  }
-  return false;
+  return kv_.contains(name);
 }
 
 bool Options::has_prefix(std::string_view prefix) const {
-  for (const auto& [k, v] : kv_) {
-    if (k.rfind(prefix, 0) == 0) return true;
-  }
-  return false;
+  const auto it = kv_.lower_bound(prefix);
+  return it != kv_.end() && it->first.starts_with(prefix);
 }
 
 std::string Options::get(std::string_view name) const {
   const Flag& f = flag(name);
-  for (const auto& [k, v] : kv_) {
-    if (k == name) return v;
-  }
+  if (const auto it = kv_.find(name); it != kv_.end()) return it->second;
   return f.fallback != nullptr ? f.fallback : "";
 }
 
@@ -300,46 +329,32 @@ std::vector<std::string> Options::get_list(std::string_view name) const {
   return split_list(get(name));
 }
 
+std::size_t Options::choice(std::string_view name) const {
+  const std::size_t i = index_in(domain_of(flag(name)), get(name));
+  TMX_ASSERT_MSG(i != kOutside, "choice() of a value outside a closed set");
+  return i;
+}
+
 RunSpec Options::run_spec() const {
-  using Compact = phase::PhaseConfig::Compact;
   RunSpec spec;
-  spec.engine = choose<sim::EngineKind>(
-      *this, "engine",
-      {{"sim", sim::EngineKind::Sim}, {"threads", sim::EngineKind::Threads}});
+  spec.engine = static_cast<sim::EngineKind>(choice("engine"));
   spec.cache_model = get_long("cache-model") != 0;
   spec.seed = static_cast<std::uint64_t>(get_long("seed"));
   spec.topology.nodes = static_cast<unsigned>(get_long("numa-nodes"));
   if (spec.topology.nodes == 0) spec.topology.nodes = 1;
   spec.topology.cores_per_node =
       static_cast<unsigned>(get_long("numa-cores-per-node"));
+  spec.numa.policy =
+      static_cast<alloc::NumaOptions::Policy>(choice("numa-policy"));
   const std::string policy = get("numa-policy");
-  if (policy == "interleave") {
-    spec.numa.policy = alloc::NumaOptions::Policy::kInterleave;
-  } else if (policy.rfind("bind", 0) == 0) {
-    spec.numa.policy = alloc::NumaOptions::Policy::kBind;
-    const auto colon = policy.find(':');
-    if (colon != std::string::npos) {
-      spec.numa.bind_node = static_cast<unsigned>(
-          std::strtol(policy.c_str() + colon + 1, nullptr, 10));
-    }
-  } else if (policy != "first-touch") {
-    std::fprintf(stderr,
-                 "unknown --numa-policy '%s' "
-                 "(first-touch|interleave|bind[:NODE])\n",
-                 policy.c_str());
-    std::exit(2);
+  if (const auto colon = policy.find(':'); colon != std::string::npos) {
+    spec.numa.bind_node = static_cast<unsigned>(
+        std::strtoul(policy.c_str() + colon + 1, nullptr, 10));
   }
   spec.ort_shards = static_cast<unsigned>(get_long("ort-shards"));
   spec.shift = static_cast<unsigned>(get_long("shift"));
-  spec.design = choose<stm::StmDesign>(
-      *this, "design",
-      {{"wb", stm::StmDesign::kWriteBackEtl},
-       {"wt", stm::StmDesign::kWriteThroughEtl},
-       {"ctl", stm::StmDesign::kCommitTimeLocking}});
-  spec.cm = choose<stm::ContentionManager>(
-      *this, "cm",
-      {{"suicide", stm::ContentionManager::kSuicide},
-       {"backoff", stm::ContentionManager::kBackoff}});
+  spec.design = static_cast<stm::StmDesign>(choice("design"));
+  spec.cm = static_cast<stm::ContentionManager>(choice("cm"));
   spec.tx_alloc_cache = get_long("txcache") != 0;
   spec.htm_enabled = get_long("hybrid") != 0;
   // Under injected faults, escalation is the liveness guarantee (an OOM
@@ -360,8 +375,7 @@ RunSpec Options::run_spec() const {
       plan.oom_budget =
           static_cast<std::uint64_t>(get_long("fault-oom-budget"));
     }
-    plan.oom_everywhere = choose<bool>(*this, "fault-oom-region",
-                                       {{"tx", false}, {"all", true}});
+    plan.oom_everywhere = choice("fault-oom-region") == 1;
     plan.reserve_rate = get_double("fault-reserve-rate");
     plan.reserve_cap_bytes =
         static_cast<std::uint64_t>(get_long("fault-reserve-cap"));
@@ -383,24 +397,13 @@ RunSpec Options::run_spec() const {
     ccfg.shift = spec.shift;
     ccfg.ort_log2 = spec.ort_log2;
     ccfg.max_reports = static_cast<std::size_t>(get_long("check-max-reports"));
-    const std::string v = get("check");
-    if (!v.empty() && v != "1" && v != "all") {
-      ccfg.race = false;
-      ccfg.lifetime = false;
-      for (const auto& item : split_list(v)) {
-        if (item == "race") {
-          ccfg.race = true;
-        } else if (item == "lifetime") {
-          ccfg.lifetime = true;
-        } else if (item == "all" || item == "1") {
-          ccfg.race = ccfg.lifetime = true;
-        } else {
-          std::fprintf(stderr,
-                       "unknown --check prong '%s' (race|lifetime|all)\n",
-                       item.c_str());
-          std::exit(2);
-        }
-      }
+    // Prongs race|lifetime|all; none given means all.
+    const std::vector<std::string> items = get_list("check");
+    if (!items.empty()) ccfg.race = ccfg.lifetime = false;
+    for (const std::string& item : items) {
+      const std::size_t p = index_in(domain_of(flag("check")), item);
+      ccfg.race = ccfg.race || p != 1;
+      ccfg.lifetime = ccfg.lifetime || p != 0;
     }
   }
 
@@ -421,10 +424,8 @@ RunSpec Options::run_spec() const {
       static_cast<std::uint64_t>(get_long("phase-commits-per-epoch"));
   spec.phase.slab_bytes =
       static_cast<std::size_t>(get_long("phase-slab-bytes"));
-  spec.phase.compact = choose<Compact>(*this, "phase-compact",
-                                       {{"off", Compact::kOff},
-                                        {"checked", Compact::kChecked},
-                                        {"all", Compact::kAll}});
+  spec.phase.compact =
+      static_cast<phase::PhaseConfig::Compact>(choice("phase-compact"));
   return spec;
 }
 

@@ -7,17 +7,24 @@
 //
 //  * accepts `--name value`, `--name=value` and bare `--name` for flags
 //    that take no value; list values are comma-separated;
-//  * exits 2, naming the argument on stderr, on an unknown flag, a
-//    positional argument, a missing value, a malformed number or an
-//    allocator name the registry does not know;
+//  * exits 2, naming the argument on stderr, on an unknown or repeated
+//    flag, a positional argument, a missing value, or a value outside its
+//    flag's domain;
 //  * prints --help from the tables and exits 0, and prints the allocator
 //    registry for --list-allocators and exits 0 (every binary has both).
 //
-// Reading a flag no table declares is a programming error (it aborts), so
-// --help lists every flag a binary reads.
+// A flag's domain is its kind (numbers, registered allocators) and its
+// hint, which --help prints: "a|b|c" is a closed set ("0|1" for toggles;
+// an alternative "a[:NAME]" also takes "a:N"), "lo..hi" an integer range,
+// and either ending in "[,...]" a comma list; any other hint ("N", "PATH")
+// only names the value. Every given value is checked in the constructor,
+// so code that reads a flag takes it as valid. Reading a flag no table
+// declares is a programming error (it aborts), so --help lists every flag
+// a binary reads.
 #pragma once
 
 #include <initializer_list>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -40,7 +47,7 @@ struct Flag {
   };
   const char* name;      // without the leading "--"
   Kind kind;
-  const char* hint;      // value placeholder in --help ("N", "PATH")
+  const char* hint;      // the domain, or a placeholder ("N", "PATH")
   const char* fallback;  // value when the flag is absent; nullptr = none
   const char* help;      // --help text
 };
@@ -53,6 +60,9 @@ struct FlagTable {
 // Every flag Options::run_spec() reads.
 extern const FlagTable kRunFlags;
 
+// Thread and worker counts: sim::run_parallel's bound, 1..kMaxThreads.
+inline constexpr const char* kThreadsHint = "1..256";
+
 class Options {
  public:
   Options(int argc, char** argv, std::initializer_list<FlagTable> tables);
@@ -64,15 +74,18 @@ class Options {
   long get_long(std::string_view name) const;
   double get_double(std::string_view name) const;
   std::vector<std::string> get_list(std::string_view name) const;
+  // The index of a closed-set flag's value among its hint's alternatives.
+  std::size_t choice(std::string_view name) const;
+  // Prints "<program>: <why> (see --help)" and exits 2.
+  [[noreturn]] void usage_error(const std::string& why) const;
 
   // Every run setting, parsed once from kRunFlags, the planes included:
   // `fault` is set when any --fault-* flag is given, `check` by --check
   // race,lifetime (bare --check or --check all = both prongs), `guard` by
-  // any --guard* flag, and `phase` from the --phase-* flags. Unknown
-  // --engine, --cm, --design, --numa-policy, --check, --phase-compact and
-  // --fault-oom-region values exit 2; --stm-retry-cap defaults to 64 when
-  // fault injection is on. `allocator` keeps its default: each binary
-  // declares its own --alloc (one model or a list it sweeps).
+  // any --guard* flag, and `phase` from the --phase-* flags.
+  // --stm-retry-cap defaults to 64 when fault injection is on. `allocator`
+  // keeps its default: each binary declares its own --alloc (one model or
+  // a list it sweeps).
   RunSpec run_spec() const;
 
  private:
@@ -80,12 +93,11 @@ class Options {
   bool has_prefix(std::string_view prefix) const;
   const Flag* find(std::string_view name) const;
   const Flag& flag(std::string_view name) const;  // aborts when undeclared
-  [[noreturn]] void usage_error(const std::string& why) const;
   std::string help_text() const;
 
   std::string program_;
   std::vector<FlagTable> tables_;
-  std::vector<std::pair<std::string, std::string>> kv_;
+  std::map<std::string, std::string, std::less<>> kv_;  // given flags
 };
 
 // Splits a comma list, dropping empty items.

@@ -29,7 +29,7 @@
 #                                 --metrics-out exits 3
 #   cli_smoke.sh paper_prof_runs  <tmx_paper>     --prof-out holds every run
 #   cli_smoke.sh paper_shared_flags <tmx_paper>   --cache-model reaches table4;
-#                                 an unknown figure exits 2
+#                                 an unknown figure exits 2 naming --figure
 #   cli_smoke.sh paper_<figure>   <tmx_paper>     the figure runs clean at
 #                                 small scale and repeats byte for byte
 #   cli_smoke.sh paper_all        <tmx_paper>     --figure all prints the
@@ -38,8 +38,9 @@
 #                                 repeats whatever the process's environment
 #                                 size or address-space randomization
 #   cli_smoke.sh flags <binary>...  each binary exits 2 naming an unknown
-#                                 flag, a positional argument, a malformed
-#                                 number or an unknown allocator, and its
+#                                 or repeated flag, a positional argument, a
+#                                 malformed number, an unknown allocator or
+#                                 a value outside its flag's domain, and its
 #                                 --help lists every flag it reads
 set -euo pipefail
 
@@ -220,7 +221,7 @@ case "$drive" in
            for (i in col) if ($i != "0.0%") bad = 1
          }
          END { exit (rows == 0 || bad) }' t4.out
-    expect_exit 2 "${bins[0]}" --figure nosuch
+    expect_refused "--figure expects" "${bins[0]}" --figure nosuch
     ;;
   flags)
     run="engine cache-model seed shift design cm txcache hybrid numa-nodes
@@ -238,28 +239,33 @@ case "$drive" in
             record-trace prof-out"
     for bin in "${bins[@]}"; do
       # number: a numeric flag the binary reads; models: the flags naming
-      # allocators; reads: every flag it reads.
-      models=alloc
+      # allocators; outside: flag=value pairs outside the flag's domain,
+      # each given after run_args; reads: every flag it reads.
+      models=alloc outside="" run_args=()
       case "$(basename "$bin")" in
-        stamp_runner) number=threads
+        stamp_runner) number=threads outside="app=bogus threads=0"
           reads="app alloc threads scale profile $run $report" ;;
-        server_mix) number=workers
+        server_mix) number=workers outside="workers=300 engine=bogus"
           reads="alloc quick workers requests arrival allocs-per-req retain mu
                  sigma phase-maintenance-every $run $report" ;;
-        chaos_soak) number=rounds
+        chaos_soak) number=rounds outside="cache-model=2"
           reads="alloc quick rounds requests seed cache-model $report" ;;
-        tmx_paper) number=threads
+        tmx_paper) number=threads run_args=(--figure table1)
+          outside="engine=bogus apps=bogus threads=0"
           reads="figure alloc threads reps scale apps csv $run $report" ;;
         perf_suite) number=reps models="" reads="quick out reps" ;;
-        trace_replay) number=threads
+        trace_replay) number=threads outside="shift=64 cache-model=2"
           reads="synth replay-trace inspect selfcheck alloc shift ort-log2
                  cache-model strict-gaps seed threads ops live tx-fraction
                  op-cycles $report" ;;
-        allocator_duel) number=threads models="a b"
+        allocator_duel) number=threads models="a b" outside="struct=bogus"
           reads="a b struct threads updates reps scale $run" ;;
-        quickstart) number=threads reads="alloc threads $run" ;;
-        hybrid_demo) number=threads reads="alloc threads struct scale $run" ;;
-        ort_mapping_explorer) number=size reads="alloc size count $run" ;;
+        quickstart) number=threads outside="threads=0 hybrid=7"
+          reads="alloc threads $run" ;;
+        hybrid_demo) number=threads outside="struct=bogus numa-policy=bindxyz"
+          reads="alloc threads struct scale $run" ;;
+        ort_mapping_explorer) number=size outside="design=bogus"
+          reads="alloc size count $run" ;;
         *) echo "cli_smoke.sh: no flag list for $bin" >&2; exit 1 ;;
       esac
       expect_refused "--metrics_out" "$bin" --metrics_out x
@@ -270,6 +276,12 @@ case "$drive" in
           expect_refused "--$flag expects" "$bin" "--$flag" "$value"
         done
       done
+      for pair in $outside; do
+        expect_refused "--${pair%%=*} expects" "$bin" "${run_args[@]}" \
+          "--$pair"
+      done
+      expect_refused "--$number given twice" "$bin" "--$number" 1 \
+        "--$number" 1
       "$bin" --help > help.out
       for flag in $reads help list-allocators; do
         if ! grep -qE -- "^  --$flag( |$)" help.out; then

@@ -130,7 +130,7 @@ TEST(Fmt, Numbers) {
 }
 
 constexpr Flag kTestFlags[] = {
-    {"threads", Flag::Kind::kInts, "1,2,4,8", "1,2,4,8", "thread counts"},
+    {"threads", Flag::Kind::kInts, "1..256[,...]", "1,2,4,8", "thread counts"},
     {"reps", Flag::Kind::kInt, "N", "3", "repetitions"},
     {"scale", Flag::Kind::kReal, "X", "1", "scale factor"},
     {"name", Flag::Kind::kText, "S", "dflt", "a text flag"},
@@ -170,7 +170,8 @@ TEST(Options, AbsentFlagsReadTheirTableDefault) {
 // --check takes a value only when one follows it.
 TEST(Options, CheckTakesAnOptionalValue) {
   for (const auto& args : {std::vector<const char*>{"--check"},
-                           {"--check", "--quick"}, {"--check", "all"}}) {
+                           {"--check", "--quick"}, {"--check", "all"},
+                           {"--check", "race,lifetime"}}) {
     const RunSpec s = parse(args).run_spec();
     ASSERT_TRUE(s.check);
     EXPECT_TRUE(s.check->race);
@@ -238,6 +239,13 @@ TEST(OptionsDeathTest, RefusedArgumentsExit2NamingTheArgument) {
       {{"--scale", "1.5.2"}, "--scale expects a number, got '1.5.2'"},
       {{"--threads", "1,x"}, "--threads expects a comma list of integers"},
       {{"--quick=1"}, "--quick takes no value"},
+      {{"--design", "bogus"}, "--design expects wb\\|wt\\|ctl, got 'bogus'"},
+      {{"--txcache", "2"}, "--txcache expects 0\\|1, got '2'"},
+      {{"--shift", "64"}, "--shift expects 0\\.\\.63, got '64'"},
+      {{"--threads", "1,0"}, "--threads expects 1\\.\\.256.*, got '0'"},
+      {{"--numa-policy", "bindxyz"}, "--numa-policy expects .*, got 'bindxyz'"},
+      {{"--check", "race,bogus"}, "--check expects .*, got 'bogus'"},
+      {{"--reps", "1", "--reps=2"}, "--reps given twice"},
   };
   for (const auto& [args, message] : cases) {
     EXPECT_EXIT(parse(args), ::testing::ExitedWithCode(2), message);
@@ -257,6 +265,15 @@ TEST(OptionsDeathTest, ReadingAnUndeclaredFlagAborts) {
 TEST(Options, EngineSelection) {
   EXPECT_EQ(parse({"--engine", "threads"}).run_spec().engine,
             sim::EngineKind::Threads);
+}
+
+// An alternative "bind[:NODE]" takes "bind" and "bind:N".
+TEST(Options, NumaPolicyBindTakesANode) {
+  for (const char* policy : {"bind", "bind:3"}) {
+    const RunSpec s = parse({"--numa-policy", policy}).run_spec();
+    EXPECT_EQ(s.numa.policy, alloc::NumaOptions::Policy::kBind);
+    EXPECT_EQ(s.numa.bind_node, policy[4] == ':' ? 3u : 0u);
+  }
 }
 
 // Every shared flag lands in its RunSpec field, and from there in the
@@ -359,12 +376,6 @@ TEST(Options, RetryCapDefaultsTo64WhenFaultsAreOn) {
                 .run_spec()
                 .retry_cap,
             8u);
-}
-
-TEST(OptionsDeathTest, UnknownDesignExits2) {
-  const Options o = parse({"--design", "bogus"});
-  EXPECT_EXIT(o.run_spec(), ::testing::ExitedWithCode(2),
-              "unknown --design 'bogus' \\(wb\\|wt\\|ctl\\)");
 }
 
 // The check and guard refusals shared by stamp_runner and server_mix.

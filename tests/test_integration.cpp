@@ -35,10 +35,14 @@ TEST(SetBenchIntegration, CommitsEqualOpsRegardlessOfAborts) {
   EXPECT_TRUE(res.size_consistent);
 }
 
-TEST(SetBenchIntegration, ThreadsEngineMatchesSemantics) {
+// Real host threads: the models' free-list writes race with no optimistic
+// transactional read (TSan runs both instances).
+class SetBenchThreads : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SetBenchThreads, ThreadsEngineMatchesSemantics) {
   harness::SetBenchConfig cfg;
   cfg.kind = harness::SetKind::kHashSet;
-  cfg.allocator = "tbb";
+  cfg.allocator = GetParam();
   cfg.threads = 4;
   cfg.engine = sim::EngineKind::Threads;
   cfg.initial = 256;
@@ -48,6 +52,10 @@ TEST(SetBenchIntegration, ThreadsEngineMatchesSemantics) {
   EXPECT_TRUE(res.size_consistent);
   EXPECT_EQ(res.stats.commits, res.ops);
 }
+
+INSTANTIATE_TEST_SUITE_P(Models, SetBenchThreads,
+                         ::testing::Values("glibc", "tbb"),
+                         [](const auto& pinfo) { return pinfo.param; });
 
 TEST(SetBenchIntegration, ReadOnlyWorkloadNeverAborts) {
   harness::SetBenchConfig cfg;
