@@ -53,8 +53,8 @@ struct Sample {
 // What a figure body sees: its resolved grid and the cell runners.
 //
 // A cell is one grid point of one allocator. Its runner repeats it `reps`
-// times at seed + 1000003·r, refuses plane combinations
-// harness::planes_compatible rejects, asserts size_consistent (set bench)
+// times at seed + 1000003·r (each run's context refuses a spec it cannot
+// run), asserts size_consistent (set bench)
 // and verified (STAMP) on every run, reports each run's planes through
 // the session under "<figure>.<alloc>.<cell>.r<r>.", and publishes the
 // summed stm.* and cache.* metrics under "<figure>.<alloc>.<cell>.".

@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
   base.phase_maintenance_every =
       static_cast<std::size_t>(opt.get_long("phase-maintenance-every"));
 
-  if (!harness::planes_compatible(base)) return 2;
   harness::ObsSession obs(opt);
 
   std::printf("server_mix: %d workers, %zu requests, arrival every %llu "

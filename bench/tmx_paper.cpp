@@ -12,7 +12,6 @@
 // report, 5 the guard plane found heap corruption.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -103,7 +102,6 @@ harness::SetBenchConfig Ctx::set(const std::string& alloc,
 template <class R, class F>
 std::vector<R> Ctx::cell(const harness::RunSpec& spec, const std::string& cell,
                          F once) {
-  if (!harness::planes_compatible(spec)) std::exit(2);
   const std::string prefix =
       std::string(fig.name) + "." + spec.allocator + "." + cell + ".";
   auto& reg = obs::MetricsRegistry::global();

@@ -6,6 +6,7 @@
 //       --struct list --threads 8 --updates 60
 #include <cstdio>
 
+#include "harness/obs_session.hpp"
 #include "harness/options.hpp"
 #include "harness/setbench.hpp"
 
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
   const harness::Options opt(
       argc, argv,
       {{"allocator_duel: two allocators head to head:", kFlags},
-       harness::kRunFlags});
+       harness::kRunFlags, harness::kReportFlags});
   const std::string a = opt.get("a");
   const std::string b = opt.get("b");
   const std::string which = opt.get("struct");
@@ -35,6 +36,7 @@ int main(int argc, char** argv) {
   const double updates = opt.get_double("updates") / 100.0;
   const int reps = static_cast<int>(opt.get_long("reps"));
   const double scale = opt.get_double("scale");
+  harness::ObsSession obs(opt);
 
   std::printf("duel: %s vs %s on %s, %d threads, %.0f%% updates\n\n",
               a.c_str(), b.c_str(), which.c_str(), threads, updates * 100);
@@ -59,6 +61,7 @@ int main(int argc, char** argv) {
                                    scale);
       cfg.seed += 1000003ull * r;
       const auto res = harness::run_set_bench(cfg);
+      obs.report(names[s] + ".r" + std::to_string(r) + ".", res.planes);
       sides[s].tput += res.throughput / reps;
       sides[s].aborts += res.stats.abort_ratio() / reps;
       sides[s].l1 += res.cache.l1_miss_ratio() / reps;
@@ -83,5 +86,5 @@ int main(int argc, char** argv) {
     std::printf("diagnosis: mixed — inspect with tmx_paper --figure "
                 "table4,fig06.\n");
   }
-  return 0;
+  return obs.finish(0);
 }

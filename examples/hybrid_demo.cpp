@@ -7,6 +7,7 @@
 //   ./build/examples/hybrid_demo [--alloc tcmalloc] [--threads 8]
 #include <cstdio>
 
+#include "harness/obs_session.hpp"
 #include "harness/options.hpp"
 #include "harness/setbench.hpp"
 
@@ -25,10 +26,11 @@ int main(int argc, char** argv) {
       argc, argv,
       {{"hybrid_demo: software-only, then hybrid (sets --hybrid itself):",
         kFlags},
-       harness::kRunFlags});
+       harness::kRunFlags, harness::kReportFlags});
   const std::string alloc_name = opt.get("alloc");
   const int threads = static_cast<int>(opt.get_long("threads"));
   const auto kind = static_cast<harness::SetKind>(opt.choice("struct"));
+  harness::ObsSession obs(opt);
 
   std::printf("workload: %s, %d threads, allocator %s, 60%% updates\n\n",
               opt.get("struct").c_str(), threads, alloc_name.c_str());
@@ -44,6 +46,7 @@ int main(int argc, char** argv) {
     cfg.ops_per_thread =
         static_cast<std::size_t>(128 * opt.get_double("scale"));
     const auto res = harness::run_set_bench(cfg);
+    obs.report(hybrid ? "hybrid." : "software.", res.planes);
     const auto& st = res.stats;
     std::printf("%s mode:\n", hybrid ? "hybrid (HTM + STM fallback)"
                                      : "software-only (STM)");
@@ -67,7 +70,7 @@ int main(int argc, char** argv) {
                 100.0 * st.abort_ratio());
     if (!res.size_consistent) {
       std::printf("CONSISTENCY VIOLATION\n");
-      return 1;
+      return obs.finish(1);
     }
   }
   std::printf(
@@ -76,5 +79,5 @@ int main(int argc, char** argv) {
       "expects its allocator conclusions to\ncarry over to hybrid systems "
       "(Section 1). Try --struct list: long traversals overflow\nthe "
       "hardware read capacity and nearly everything falls back.\n");
-  return 0;
+  return obs.finish(0);
 }

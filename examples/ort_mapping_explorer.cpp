@@ -12,6 +12,7 @@
 
 #include "alloc/allocator.hpp"
 #include "core/stm.hpp"
+#include "harness/obs_session.hpp"
 #include "harness/options.hpp"
 #include "harness/run_context.hpp"
 
@@ -27,10 +28,11 @@ int main(int argc, char** argv) {
   const harness::Options opt(
       argc, argv,
       {{"ort_mapping_explorer: block layout vs ORT locks:", kFlags},
-       harness::kRunFlags});
+       harness::kRunFlags, harness::kReportFlags});
   harness::RunSpec spec = opt.run_spec();
   const std::size_t size = static_cast<std::size_t>(opt.get_long("size"));
   const int count = static_cast<int>(opt.get_long("count"));
+  harness::ObsSession obs(opt);
 
   std::printf("ORT mapping: index = (addr >> %u) mod 2^%u  "
               "(stripe = %u bytes)\n\n", spec.shift, spec.ort_log2,
@@ -39,48 +41,53 @@ int main(int argc, char** argv) {
   for (const auto& name : opt.get_list("alloc")) {
     spec.allocator = name;
     harness::RunContext run(spec);
-    alloc::Allocator& allocator = run.allocator(/*instrument=*/false);
-    stm::Stm stm(spec.stm_config(&allocator));
-    const sim::AddressSpace& space = sim::context().space;
+    {  // the STM ends before the run closes
+      alloc::Allocator& allocator = run.allocator(/*instrument=*/false);
+      stm::Stm stm(spec.stm_config(&allocator));
+      const sim::AddressSpace& space = sim::context().space;
 
-    std::vector<void*> blocks;
-    for (int i = 0; i < count; ++i) blocks.push_back(allocator.allocate(size));
+      std::vector<void*> blocks;
+      for (int i = 0; i < count; ++i) {
+        blocks.push_back(allocator.allocate(size));
+      }
 
-    std::printf("%s: %d consecutive %zu-byte allocations\n", name.c_str(),
-                count, size);
-    int collisions = 0;
-    for (int i = 0; i < count; ++i) {
-      if (blocks[i] == nullptr) {  // an OOM the fault plane injected
-        std::printf("  block %d: allocation failed\n", i);
-        continue;
+      std::printf("%s: %d consecutive %zu-byte allocations\n", name.c_str(),
+                  count, size);
+      int collisions = 0;
+      for (int i = 0; i < count; ++i) {
+        if (blocks[i] == nullptr) {  // an OOM the fault plane injected
+          std::printf("  block %d: allocation failed\n", i);
+          continue;
+        }
+        const std::uintptr_t offset =
+            space.offset(reinterpret_cast<std::uintptr_t>(blocks[i]));
+        const std::size_t usable = allocator.usable_size(blocks[i]);
+        const std::size_t lo = stm.ort_index(blocks[i]);
+        const std::size_t hi =
+            stm.ort_index(static_cast<const char*>(blocks[i]) + usable - 1);
+        bool shares_prev = false;
+        if (i > 0 && blocks[i - 1] != nullptr) {
+          const auto prev = static_cast<const char*>(blocks[i - 1]);
+          const std::size_t prev_hi =
+              stm.ort_index(prev + allocator.usable_size(blocks[i - 1]) - 1);
+          shares_prev = prev_hi == lo || stm.ort_index(blocks[i - 1]) == lo;
+          if (shares_prev) ++collisions;
+        }
+        std::printf("  block %d @ +0x%09llx  usable %3zu  "
+                    "ORT [%7zu..%7zu]%s\n",
+                    i, static_cast<unsigned long long>(offset), usable, lo, hi,
+                    shares_prev ? "  <-- shares a versioned lock with the "
+                                  "previous block" : "");
       }
-      const std::uintptr_t offset =
-          space.offset(reinterpret_cast<std::uintptr_t>(blocks[i]));
-      const std::size_t usable = allocator.usable_size(blocks[i]);
-      const std::size_t lo = stm.ort_index(blocks[i]);
-      const std::size_t hi =
-          stm.ort_index(static_cast<const char*>(blocks[i]) + usable - 1);
-      bool shares_prev = false;
-      if (i > 0 && blocks[i - 1] != nullptr) {
-        const auto prev = static_cast<const char*>(blocks[i - 1]);
-        const std::size_t prev_hi =
-            stm.ort_index(prev + allocator.usable_size(blocks[i - 1]) - 1);
-        shares_prev = prev_hi == lo || stm.ort_index(blocks[i - 1]) == lo;
-        if (shares_prev) ++collisions;
-      }
-      std::printf("  block %d @ +0x%09llx  usable %3zu  "
-                  "ORT [%7zu..%7zu]%s\n",
-                  i, static_cast<unsigned long long>(offset), usable, lo, hi,
-                  shares_prev ? "  <-- shares a versioned lock with the "
-                                "previous block" : "");
+      std::printf("  => %d of %d adjacent pairs share an ORT entry\n\n",
+                  collisions, count - 1);
+      for (void* b : blocks) allocator.deallocate(b);
     }
-    std::printf("  => %d of %d adjacent pairs share an ORT entry\n\n",
-                collisions, count - 1);
-    for (void* b : blocks) allocator.deallocate(b);
+    obs.report(name + ".", run.finish());
   }
   std::printf(
       "Blocks sharing a versioned lock falsely conflict: a writer of one "
       "aborts readers of\nthe other (paper Figure 5). Try --shift 4, or "
       "--size 48 to see the rbtree case.\n");
-  return 0;
+  return obs.finish(0);
 }

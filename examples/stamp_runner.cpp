@@ -47,8 +47,6 @@ int main(int argc, char** argv) {
   run.instrument = opt.has("profile") || obs.recording();
   obs.set_trace_meta(run.allocator, run.shift, run.ort_log2, run.seed);
 
-  if (!harness::planes_compatible(run)) return 2;
-
   const auto out = stamp::run_stamp(run);
   const auto& r = out.result;
   const harness::PlaneOutputs& planes = out.planes;

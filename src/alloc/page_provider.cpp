@@ -23,7 +23,9 @@ unsigned PageProvider::home_node_for_next_reservation() {
     case NumaOptions::Policy::kInterleave:
       return interleave_next_.fetch_add(1, std::memory_order_relaxed) % nodes;
     case NumaOptions::Policy::kBind:
-      return std::min(numa_.bind_node, nodes - 1);
+      // harness::RunContext refuses a bind node the topology lacks.
+      TMX_ASSERT(numa_.bind_node < nodes);
+      return numa_.bind_node;
     case NumaOptions::Policy::kFirstTouch:
       break;
   }

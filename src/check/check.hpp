@@ -226,10 +226,6 @@ void publish(const void* p);
 void on_block_alloc(void* p, std::size_t usable);
 bool on_block_free(void* p);
 
-// True when `addr` lies inside a freed, not-yet-recycled block (lifetime
-// prong). Used by the STM barrier to decide whether to classify an access.
-bool is_freed(const void* addr);
-
 // Phase-compaction gating (the relocatable/on_relocated check hooks).
 // relocatable: the block starting at `payload` was proven private by the
 // publication analysis — transactional origin, owner committed, and no

@@ -488,13 +488,6 @@ void flush_leak_suspects(State& s) {
 
 }  // namespace detail
 
-bool is_freed(const void* addr) {
-  State* s = detail::state();
-  if (s == nullptr || !s->alloc_tracking) return false;
-  return detail::find_tomb(*s, reinterpret_cast<std::uintptr_t>(addr),
-                           nullptr) != nullptr;
-}
-
 // ---------------------------------------------------------------------------
 // Phase-compaction bridge (tmx::phase)
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "harness/run_context.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_json.hpp"
@@ -35,8 +36,14 @@ ObsSession::ObsSession(const Options& opts)
       top_k_(static_cast<int>(opts.get_long("attribution-topk"))),
       trace_path_(opts.get("trace")),
       metrics_path_(opts.get("metrics-out")),
-      record_path_(opts.get("record-trace")),
-      prof_out_(opts.get("prof-out")) {
+      record_path_(opts.get("record-trace")) {
+  // A plane that writes files takes their prefix from --<name>-out.
+  for (const Plane& p : kPlanes) {
+    outs_.push_back(p.file_suffixes.empty()
+                        ? ""
+                        : opts.get(std::string(p.name) + "-out"));
+  }
+  files_.resize(outs_.size());
   const bool want_tracing =
       attribution_ || !trace_path_.empty() || !record_path_.empty();
   if (want_tracing) {
@@ -105,33 +112,15 @@ void ObsSession::report_attribution_and_clear(const std::string& label) {
 
 void publish_metrics(const PlaneOutputs& planes, obs::MetricsRegistry& reg,
                      const std::string& prefix) {
-  if (planes.fault) {
-    fault::publish_metrics(*planes.fault, reg, prefix + "fault.");
+  for (const Plane& p : kPlanes) {
+    p.publish(planes, reg, prefix + p.name + ".");
   }
-  if (planes.check) {
-    check::publish_metrics(*planes.check, reg, prefix + "check.");
-  }
-  if (planes.guard) {
-    guard::publish_metrics(*planes.guard, reg, prefix + "guard.");
-  }
-  if (planes.prof) prof::publish_metrics(*planes.prof, reg, prefix + "prof.");
 }
 
 void ObsSession::report(const std::string& prefix, const PlaneOutputs& planes) {
   publish_metrics(planes, obs::MetricsRegistry::global(), prefix);
-  if (const auto& cs = planes.check; cs && cs->hard_count() > 0) {
-    hard_reports_ += cs->hard_count();
-    check::print_reports(*cs, stdout);
-  }
-  if (const auto& gs = planes.guard; gs && gs->corruptions() > 0) {
-    corruptions_ += gs->corruptions();
-    guard::print_findings(*gs, stderr);
-  }
-  if (planes.prof) {
-    timeseries_csv_ += planes.prof->timeseries_csv;
-    sites_csv_ += planes.prof->sites_csv;
-    folded_ += planes.prof->folded;
-    profiled_ = true;
+  for (std::size_t i = 0; i < kPlanes.size(); ++i) {
+    plane_rc_ = std::max(plane_rc_, kPlanes[i].report(planes, files_[i]));
   }
 }
 
@@ -150,9 +139,7 @@ bool write_text(const std::string& path, const std::string& text) {
 int ObsSession::finish(int rc) {
   write_artifacts();
   if (!ok_) return 3;  // a run whose evidence is missing never succeeds
-  if (corruptions_ > 0) return guard::kExitCode;
-  if (hard_reports_ > 0) return 4;  // dirty run, distinct from rc 1
-  return rc;
+  return plane_rc_ != 0 ? plane_rc_ : rc;
 }
 
 void ObsSession::write_artifacts() {
@@ -160,16 +147,22 @@ void ObsSession::write_artifacts() {
   finished_ = true;
   collect();
 
-  if (profiled_) {
-    if (write_text(prof_out_ + ".timeseries.csv",
-                   prof::timeseries_csv_header() + timeseries_csv_) &&
-        write_text(prof_out_ + ".sites.csv",
-                   prof::sites_csv_header() + sites_csv_) &&
-        write_text(prof_out_ + ".folded", folded_)) {
-      std::fprintf(stderr, "prof: wrote %s.{timeseries.csv,sites.csv,folded}\n",
-                   prof_out_.c_str());
+  for (std::size_t i = 0; i < kPlanes.size(); ++i) {
+    const Plane& p = kPlanes[i];
+    if (files_[i].empty()) continue;
+    const std::string& out = outs_[i];
+    bool wrote = true;
+    std::string names;
+    for (std::size_t f = 0; f < p.file_suffixes.size(); ++f) {
+      const std::string suffix = p.file_suffixes[f];
+      wrote = wrote && write_text(out + "." + suffix, files_[i][f]);
+      names += (f == 0 ? "" : ",") + suffix;
+    }
+    if (wrote) {
+      std::fprintf(stderr, "%s: wrote %s.{%s}\n", p.name, out.c_str(),
+                   names.c_str());
     } else {
-      std::fprintf(stderr, "prof: failed to write %s.*\n", prof_out_.c_str());
+      std::fprintf(stderr, "%s: failed to write %s.*\n", p.name, out.c_str());
       ok_ = false;
     }
   }

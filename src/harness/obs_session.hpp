@@ -3,18 +3,19 @@
 // A binary opens one ObsSession for the process, hands it each run's plane
 // outputs with report(), and returns finish(rc) from main:
 //
-//  * report(prefix, planes) publishes the fault/check/guard/prof outputs
-//    under "<prefix><plane>." (publish_metrics below), prints check
-//    reports to stdout and guard findings to stderr (they carry raw
-//    addresses, so stdout stays byte-stable), counts hard reports and
-//    corruptions, and appends the run's prof rows to the --prof-out files.
-//  * finish(rc) writes every artifact: the profiler files
+//  * report(prefix, planes) hands the run's planes to their rows of
+//    kPlanes (run_context.hpp): each publishes its output under
+//    "<prefix><plane>." (publish_metrics below), prints the findings that
+//    fail the process (check reports to stdout, guard findings to stderr)
+//    and appends its rows to its files (prof's to the --prof-out files).
+//  * finish(rc) writes every artifact: the planes' files
 //    (<prof-out>.timeseries.csv / .sites.csv / .folded), the
 //    abort-attribution report (--attribution), the Chrome trace (--trace),
 //    the replayable tmx-trace-v1 capture (--record-trace) and the
 //    tmx-metrics-v1 document (--metrics-out). It returns the exit code:
-//    3 when an artifact failed to write, else 5 for heap corruption, else
-//    4 for a hard check report, else the workload's `rc`.
+//    3 when an artifact failed to write, else the highest exit code of a
+//    plane that reported a finding (5 heap corruption, 4 a hard check
+//    report), else the workload's `rc`.
 //  * The constructor installs the process's exit-flush hook
 //    (sim::install_exit_flush), so a watchdog or guard hard-cap trip still
 //    writes every artifact before it exits.
@@ -89,17 +90,15 @@ class ObsSession {
   bool finished_ = false;
   bool ok_ = true;  // false once a requested artifact failed to persist
   bool reported_per_case_ = false;
-  bool profiled_ = false;  // some report() carried a profile
   int top_k_ = 8;
-  std::uint64_t hard_reports_ = 0;
-  std::uint64_t corruptions_ = 0;
+  int plane_rc_ = 0;  // the highest exit code of a plane that reported
   std::string trace_path_;
   std::string metrics_path_;
   std::string record_path_;
-  std::string prof_out_;
-  std::string timeseries_csv_;
-  std::string sites_csv_;
-  std::string folded_;
+  // Per kPlanes row: its files' prefix, and their text so far (empty
+  // until a report() carries the plane's rows).
+  std::vector<std::string> outs_;
+  std::vector<std::vector<std::string>> files_;
   std::vector<obs::Event> collected_;
   std::uint64_t drops_by_thread_[kMaxThreads] = {};
   replay::Recorder recorder_;

@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "alloc/allocator.hpp"
+#include "harness/run_context.hpp"
 #include "util/macros.hpp"
 
 namespace tmx::harness {
@@ -357,69 +358,12 @@ RunSpec Options::run_spec() const {
   spec.cm = static_cast<stm::ContentionManager>(choice("cm"));
   spec.tx_alloc_cache = get_long("txcache") != 0;
   spec.htm_enabled = get_long("hybrid") != 0;
-  // Under injected faults, escalation is the liveness guarantee (an OOM
-  // storm would otherwise retry forever), so it defaults on.
-  const bool faulty = has_prefix("fault-");
-  spec.retry_cap = static_cast<unsigned>(
-      has("stm-retry-cap") ? get_long("stm-retry-cap") : faulty ? 64 : 0);
+  spec.retry_cap = static_cast<unsigned>(get_long("stm-retry-cap"));
   spec.tx_cycle_budget =
       static_cast<std::uint64_t>(get_long("watchdog-tx-cycles"));
   spec.watchdog_cycles =
       static_cast<std::uint64_t>(get_long("watchdog-run-cycles"));
-
-  if (faulty) {
-    fault::FaultPlan& plan = spec.fault.emplace();
-    plan.seed = static_cast<std::uint64_t>(get_long("fault-seed"));
-    plan.oom_rate = get_double("fault-oom-rate");
-    if (has("fault-oom-budget")) {
-      plan.oom_budget =
-          static_cast<std::uint64_t>(get_long("fault-oom-budget"));
-    }
-    plan.oom_everywhere = choice("fault-oom-region") == 1;
-    plan.reserve_rate = get_double("fault-reserve-rate");
-    plan.reserve_cap_bytes =
-        static_cast<std::uint64_t>(get_long("fault-reserve-cap"));
-    plan.spurious_abort_rate = get_double("fault-spurious-rate");
-    plan.delay_free_rate = get_double("fault-delay-free-rate");
-    plan.delay_free_cycles =
-        static_cast<std::uint64_t>(get_long("fault-delay-free-cycles"));
-    plan.corrupt_tag_rate = get_double("fault-corrupt-tag-rate");
-    plan.corrupt_overflow_rate = get_double("fault-corrupt-overflow-rate");
-    plan.corrupt_reuse_rate = get_double("fault-corrupt-reuse-rate");
-    if (has("fault-corrupt-budget")) {
-      plan.corrupt_budget =
-          static_cast<std::uint64_t>(get_long("fault-corrupt-budget"));
-    }
-  }
-
-  if (has("check")) {
-    check::CheckConfig& ccfg = spec.check.emplace();
-    ccfg.shift = spec.shift;
-    ccfg.ort_log2 = spec.ort_log2;
-    ccfg.max_reports = static_cast<std::size_t>(get_long("check-max-reports"));
-    // Prongs race|lifetime|all; none given means all.
-    const std::vector<std::string> items = get_list("check");
-    if (!items.empty()) ccfg.race = ccfg.lifetime = false;
-    for (const std::string& item : items) {
-      const std::size_t p = index_in(domain_of(flag("check")), item);
-      ccfg.race = ccfg.race || p != 1;
-      ccfg.lifetime = ccfg.lifetime || p != 0;
-    }
-  }
-
-  if (has_prefix("guard")) {
-    guard::GuardConfig& gc = spec.guard.emplace();
-    gc.quarantine_epochs =
-        static_cast<std::uint64_t>(get_long("guard-quarantine-epochs"));
-    gc.commits_per_epoch =
-        static_cast<std::uint64_t>(get_long("guard-commits-per-epoch"));
-    gc.max_findings = static_cast<std::size_t>(get_long("guard-max-findings"));
-    gc.hard_cap = static_cast<std::size_t>(get_long("guard-hard-cap"));
-  }
-
-  spec.prof = has("prof");
-  spec.prof_sample_cycles =
-      static_cast<std::uint64_t>(get_long("prof-sample-cycles"));
+  for (const Plane& p : kPlanes) p.parse(*this, spec);
   spec.phase.commits_per_epoch =
       static_cast<std::uint64_t>(get_long("phase-commits-per-epoch"));
   spec.phase.slab_bytes =
@@ -427,38 +371,6 @@ RunSpec Options::run_spec() const {
   spec.phase.compact =
       static_cast<phase::PhaseConfig::Compact>(choice("phase-compact"));
   return spec;
-}
-
-bool planes_compatible(const RunSpec& spec) {
-  const auto refuse = [](const char* why) {
-    std::fprintf(stderr, "error: %s\n", why);
-    return false;
-  };
-  const bool on_sim = spec.engine == sim::EngineKind::Sim;
-  if (spec.check) {
-    if (!on_sim) return refuse("--check requires --engine sim");
-    if (spec.htm_enabled) {
-      return refuse("--check requires --hybrid 0 (the hardware path is not "
-                    "instrumented)");
-    }
-    if (spec.tx_alloc_cache) {
-      return refuse("--check requires --txcache 0 (the transactional object "
-                    "cache recycles blocks outside the checked allocator)");
-    }
-  }
-  if (spec.guard) {
-    if (!on_sim) return refuse("--guard requires --engine sim");
-    if (spec.tx_alloc_cache) {
-      return refuse("--guard requires --txcache 0 (the object cache bins by "
-                    "usable_size, which the guard narrows to the requested "
-                    "size)");
-    }
-    if (spec.phase.compact != phase::PhaseConfig::Compact::kOff) {
-      return refuse("--guard requires --phase-compact off (relocation "
-                    "breaks the guard's address-keyed tables)");
-    }
-  }
-  return true;
 }
 
 }  // namespace tmx::harness

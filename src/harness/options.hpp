@@ -74,23 +74,20 @@ class Options {
   long get_long(std::string_view name) const;
   double get_double(std::string_view name) const;
   std::vector<std::string> get_list(std::string_view name) const;
+  // True when some flag whose name starts with `prefix` was given.
+  bool has_prefix(std::string_view prefix) const;
   // The index of a closed-set flag's value among its hint's alternatives.
   std::size_t choice(std::string_view name) const;
   // Prints "<program>: <why> (see --help)" and exits 2.
   [[noreturn]] void usage_error(const std::string& why) const;
 
-  // Every run setting, parsed once from kRunFlags, the planes included:
-  // `fault` is set when any --fault-* flag is given, `check` by --check
-  // race,lifetime (bare --check or --check all = both prongs), `guard` by
-  // any --guard* flag, and `phase` from the --phase-* flags.
-  // --stm-retry-cap defaults to 64 when fault injection is on. `allocator`
-  // keeps its default: each binary declares its own --alloc (one model or
-  // a list it sweeps).
+  // Every run setting, parsed once from kRunFlags: each plane's fields by
+  // its row of harness::kPlanes (run_context.hpp), and `phase` from the
+  // --phase-* flags. `allocator` keeps its default: each binary declares
+  // its own --alloc (one model or a list it sweeps).
   RunSpec run_spec() const;
 
  private:
-  // True when some flag whose name starts with `prefix` was given.
-  bool has_prefix(std::string_view prefix) const;
   const Flag* find(std::string_view name) const;
   const Flag& flag(std::string_view name) const;  // aborts when undeclared
   std::string help_text() const;
@@ -102,15 +99,5 @@ class Options {
 
 // Splits a comma list, dropping empty items.
 std::vector<std::string> split_list(const std::string& s);
-
-// The one compatibility check for the check and guard planes (stamp_runner
-// and server_mix both call it before running). Both planes keep host-side
-// block tables without synchronization, valid only under the sim engine,
-// and the transactional object cache bypasses them; the checker also
-// cannot see the hardware path, and the guard's address-keyed tables break
-// under phase compaction. Prints the refusal and returns false when a
-// plane `spec` turns on cannot run with the rest of it; the caller should
-// then exit 2.
-bool planes_compatible(const RunSpec& spec);
 
 }  // namespace tmx::harness

@@ -1,13 +1,13 @@
 #include "harness/run_context.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
+#include <string>
 
 #include "alloc/instrument.hpp"
-#include "check/check_alloc.hpp"
-#include "fault/fault_alloc.hpp"
-#include "guard/guard_alloc.hpp"
 #include "obs/metrics.hpp"
-#include "prof/prof_alloc.hpp"
 #include "util/macros.hpp"
 
 namespace tmx::harness {
@@ -15,15 +15,33 @@ namespace tmx::harness {
 namespace {
 // Contexts may close on several host threads at once.
 std::mutex g_metrics_mu;
+
+[[noreturn]] void refuse(const std::string& why) {
+  std::fprintf(stderr, "error: %s\n", why.c_str());
+  std::exit(2);
+}
+
 }  // namespace
 
 RunContext::RunContext(const RunSpec& spec, int threads) : spec_(spec) {
+  for (const Plane& p : kPlanes) {
+    if (!p.on(spec_)) continue;
+    for (const Constraint& c : p.constraints) {
+      if (!meets(spec_, c.needs)) refuse(c.refusal);
+    }
+  }
+  const unsigned nodes = std::max(1u, spec_.topology.nodes);
+  if (spec_.numa.policy == alloc::NumaOptions::Policy::kBind &&
+      spec_.numa.bind_node >= nodes) {
+    refuse("--numa-policy bind:" + std::to_string(spec_.numa.bind_node) +
+           " requires a node below --numa-nodes " + std::to_string(nodes));
+  }
   ctx_.numa.configure(spec_.topology, static_cast<unsigned>(threads));
   ctx_.numa_policy = spec_.numa;
   ctx_.phase = &spec_.phase;
-  if (spec_.fault) fault::open(ctx_, *spec_.fault);
-  if (spec_.check) check::open(ctx_, *spec_.check);
-  if (spec_.guard) guard::open(ctx_, *spec_.guard);
+  for (const Plane& p : kPlanes) {
+    if (p.on(spec_)) p.open(ctx_, spec_);
+  }
 }
 
 RunContext::~RunContext() {
@@ -50,18 +68,11 @@ RunContext::~RunContext() {
 alloc::Allocator& RunContext::allocator(bool instrument) {
   TMX_ASSERT(allocator_ == nullptr && &sim::context() == &ctx_);
   std::unique_ptr<alloc::Allocator> a = alloc::create_allocator(spec_.allocator);
-  if (ctx_.check) a = std::make_unique<check::CheckedAllocator>(std::move(a));
-  if (ctx_.guard) a = std::make_unique<guard::GuardedAllocator>(std::move(a));
-  if (ctx_.fault) a = std::make_unique<fault::FaultyAllocator>(std::move(a));
-  if (instrument) {
-    a = std::make_unique<alloc::InstrumentingAllocator>(std::move(a));
-  }
-  if (spec_.prof) {
-    a = std::make_unique<prof::ProfilingAllocator>(std::move(a));
-    prof::ProfConfig pcfg;
-    pcfg.sample_cycles = spec_.prof_sample_cycles;
-    pcfg.allocator = a.get();
-    prof::open(ctx_, pcfg);
+  for (std::size_t i = 0; i < kPlanes.size(); ++i) {
+    if (i == kInstrumentingAt && instrument) {
+      a = std::make_unique<alloc::InstrumentingAllocator>(std::move(a));
+    }
+    a = kPlanes[i].wrap(std::move(a), ctx_, spec_);
   }
   allocator_ = std::move(a);
   return *allocator_;
@@ -71,10 +82,7 @@ PlaneOutputs RunContext::finish() {
   TMX_ASSERT(&sim::context() == &ctx_);
   allocator_.reset();
   PlaneOutputs out;
-  if (ctx_.fault) out.fault = fault::stats();
-  if (ctx_.check) out.check = check::summary();
-  if (ctx_.guard) out.guard = guard::summary();
-  if (ctx_.prof) out.prof = prof::profile(spec_.allocator);
+  for (const Plane& p : kPlanes) p.finish(ctx_, spec_, out);
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "sim/address_space.hpp"
 #include "util/macros.hpp"
 
 namespace tmx::obs {
@@ -49,6 +50,12 @@ const Owner* pick_owner(const std::vector<Owner>& owners, std::uint32_t tid,
 }
 
 std::uint64_t word_of(std::uint64_t addr) { return round_down(addr, 8); }
+
+// `addr`'s offset in its run's address space, whose base is aligned to the
+// space's size: the same in every process.
+std::uint64_t offset_of(std::uint64_t addr) {
+  return addr & (sim::AddressSpace::kBytes - 1);
+}
 
 }  // namespace
 
@@ -153,13 +160,13 @@ void print_report(const AttributionReport& report, std::FILE* out) {
                "false", "evidence (aborter addr vs owner addr)");
   for (const StripeAttribution& s : report.top) {
     std::fprintf(
-        out, "  %-12llu %8llu %8llu %8llu   0x%llx vs 0x%llx%s\n",
+        out, "  %-12llu %8llu %8llu %8llu   +0x%llx vs +0x%llx%s\n",
         static_cast<unsigned long long>(s.stripe),
         static_cast<unsigned long long>(s.aborts),
         static_cast<unsigned long long>(s.true_conflicts),
         static_cast<unsigned long long>(s.false_aborts),
-        static_cast<unsigned long long>(s.sample_aborter_addr),
-        static_cast<unsigned long long>(s.sample_owner_addr),
+        static_cast<unsigned long long>(offset_of(s.sample_aborter_addr)),
+        static_cast<unsigned long long>(offset_of(s.sample_owner_addr)),
         s.false_aborts > 0 ? "  <- distinct words share this stripe" : "");
   }
 }

@@ -34,6 +34,8 @@
 #                                 small scale and repeats byte for byte
 #   cli_smoke.sh paper_all        <tmx_paper>     --figure all prints the
 #                                 single-figure stdouts, concatenated
+#   cli_smoke.sh paper_attribution <tmx_paper>    fig05's abort attribution
+#                                 repeats byte for byte
 #   cli_smoke.sh layout           <stamp_runner>  a seeded cache-on run
 #                                 repeats whatever the process's environment
 #                                 size or address-space randomization
@@ -41,7 +43,10 @@
 #                                 or repeated flag, a positional argument, a
 #                                 malformed number, an unknown allocator or
 #                                 a value outside its flag's domain, and its
-#                                 --help lists every flag it reads
+#                                 --help lists every flag it reads; each
+#                                 binary that reads the run flags refuses a
+#                                 plane on a setting its row rules out and
+#                                 an out-of-range bind node
 set -euo pipefail
 
 drive=$1
@@ -240,10 +245,12 @@ case "$drive" in
     for bin in "${bins[@]}"; do
       # number: a numeric flag the binary reads; models: the flags naming
       # allocators; outside: flag=value pairs outside the flag's domain,
-      # each given after run_args; reads: every flag it reads.
-      models=alloc outside="" run_args=()
+      # each given after run_args; reads: every flag it reads; runs: the
+      # arguments of a short run.
+      models=alloc outside="" run_args=() runs=()
       case "$(basename "$bin")" in
         stamp_runner) number=threads outside="app=bogus threads=0"
+          runs=(--app kmeans --threads 2 --scale 0.1)
           reads="app alloc threads scale profile $run $report" ;;
         server_mix) number=workers outside="workers=300 engine=bogus"
           reads="alloc quick workers requests arrival allocs-per-req retain mu
@@ -251,6 +258,7 @@ case "$drive" in
         chaos_soak) number=rounds outside="cache-model=2"
           reads="alloc quick rounds requests seed cache-model $report" ;;
         tmx_paper) number=threads run_args=(--figure table1)
+          runs=(--figure table4 --alloc glibc --threads 2 --reps 1 --scale 0.1)
           outside="engine=bogus apps=bogus threads=0"
           reads="figure alloc threads reps scale apps csv $run $report" ;;
         perf_suite) number=reps models="" reads="quick out reps" ;;
@@ -259,13 +267,13 @@ case "$drive" in
                  cache-model strict-gaps seed threads ops live tx-fraction
                  op-cycles $report" ;;
         allocator_duel) number=threads models="a b" outside="struct=bogus"
-          reads="a b struct threads updates reps scale $run" ;;
+          reads="a b struct threads updates reps scale $run $report" ;;
         quickstart) number=threads outside="threads=0 hybrid=7"
-          reads="alloc threads $run" ;;
+          reads="alloc threads $run $report" ;;
         hybrid_demo) number=threads outside="struct=bogus numa-policy=bindxyz"
-          reads="alloc threads struct scale $run" ;;
+          reads="alloc threads struct scale $run $report" ;;
         ort_mapping_explorer) number=size outside="design=bogus"
-          reads="alloc size count $run" ;;
+          reads="alloc size count $run $report" ;;
         *) echo "cli_smoke.sh: no flag list for $bin" >&2; exit 1 ;;
       esac
       expect_refused "--metrics_out" "$bin" --metrics_out x
@@ -282,6 +290,15 @@ case "$drive" in
       done
       expect_refused "--$number given twice" "$bin" "--$number" 1 \
         "--$number" 1
+      # Every run refuses a spec it cannot run, whichever binary opens it.
+      if [[ " $reads " == *" engine "* ]]; then
+        expect_refused "error: --check requires --engine sim" "$bin" \
+          "${runs[@]}" --check --engine threads
+        expect_refused "error: --guard requires --txcache 0" "$bin" \
+          "${runs[@]}" --guard --txcache 1
+        expect_refused "error: --numa-policy bind:9 requires" "$bin" \
+          "${runs[@]}" --numa-nodes 2 --numa-policy bind:9
+      fi
       "$bin" --help > help.out
       for flag in $reads help list-allocators; do
         if ! grep -qE -- "^  --$flag( |$)" help.out; then
@@ -318,6 +335,14 @@ case "$drive" in
       cmp o0.out "o$i.out"
       cmp m0.json "m$i.json"
     done
+    ;;
+  paper_attribution)
+    # Sample addresses print as offsets in the run's address space.
+    args=(--figure fig05 --scale 0.1 --reps 1 --attribution)
+    "${bins[0]}" "${args[@]}" > a.out
+    "${bins[0]}" "${args[@]}" > b.out
+    grep -q ' +0x[0-9a-f]* vs +0x' a.out
+    cmp a.out b.out
     ;;
   paper_*)
     args=(--figure "${drive#paper_}" --scale 0.1 --reps 1

@@ -4,8 +4,12 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -378,30 +382,121 @@ TEST(Options, RetryCapDefaultsTo64WhenFaultsAreOn) {
             8u);
 }
 
-// The check and guard refusals shared by stamp_runner and server_mix.
-TEST(Options, PlanesCompatibleRefusesWhatThePlanesCannotSee) {
-  const RunSpec c{.check = check::CheckConfig{}};
-  const RunSpec g{.guard = guard::GuardConfig{}};
-  RunSpec gc = g;
-  gc.phase.compact = phase::PhaseConfig::Compact::kChecked;
-  EXPECT_TRUE(planes_compatible(c));
-  EXPECT_TRUE(planes_compatible(g));
-  EXPECT_FALSE(planes_compatible(gc));
-  for (const RunSpec* o : {&c, &g}) {
-    RunSpec threads = *o;
-    threads.engine = sim::EngineKind::Threads;
-    EXPECT_FALSE(planes_compatible(threads));
-    RunSpec txcache = *o;
-    txcache.tx_alloc_cache = true;
-    EXPECT_FALSE(planes_compatible(txcache));
+// ---- Plane table ----
+
+constexpr Needs kEveryNeed[] = {Needs::kSimEngine, Needs::kNoHybrid,
+                                Needs::kNoTxcache, Needs::kNoCompaction};
+
+// The spec a binary runs with when only `plane`'s flag is given.
+RunSpec only(const std::string& plane) {
+  if (plane == "fault") return parse({"--fault-seed", "7"}).run_spec();
+  const std::string flag = "--" + plane;
+  return parse({flag.c_str()}).run_spec();
+}
+
+// `spec` with the setting `needs` rules out.
+RunSpec breaking(RunSpec spec, Needs needs) {
+  switch (needs) {
+    case Needs::kSimEngine: spec.engine = sim::EngineKind::Threads; break;
+    case Needs::kNoHybrid: spec.htm_enabled = true; break;
+    case Needs::kNoTxcache: spec.tx_alloc_cache = true; break;
+    case Needs::kNoCompaction:
+      spec.phase.compact = phase::PhaseConfig::Compact::kChecked;
+      break;
   }
-  RunSpec hybrid_c = c;
-  hybrid_c.htm_enabled = true;
-  EXPECT_FALSE(planes_compatible(hybrid_c));
-  RunSpec hybrid_g = g;
-  hybrid_g.htm_enabled = true;
-  EXPECT_TRUE(planes_compatible(hybrid_g));
-  EXPECT_TRUE(planes_compatible({.htm_enabled = true}));
+  return spec;
+}
+
+// `s` as a POSIX extended regular expression that matches it literally.
+std::string literal(const std::string& s) {
+  std::string re;
+  for (const char c : s) {
+    if (std::strchr("\\^$.|?*+()[]{}", c) != nullptr) re += '\\';
+    re += c;
+  }
+  return re;
+}
+
+// Opening a run whose spec turns on a plane with a setting the plane's row
+// rules out exits 2 with the row's message; every other setting runs. So
+// does a NUMA bind node the topology lacks.
+TEST(RunContextDeathTest, RefusesExactlyWhatThePlaneRowsRuleOut) {
+  const std::map<std::pair<std::string, Needs>, std::string> refused = {
+      {{"check", Needs::kSimEngine}, "--check requires --engine sim"},
+      {{"check", Needs::kNoHybrid},
+       "--check requires --hybrid 0 (the hardware path is not "
+       "instrumented)"},
+      {{"check", Needs::kNoTxcache},
+       "--check requires --txcache 0 (the transactional object cache "
+       "recycles blocks outside the checked allocator)"},
+      {{"guard", Needs::kSimEngine}, "--guard requires --engine sim"},
+      {{"guard", Needs::kNoTxcache},
+       "--guard requires --txcache 0 (the object cache bins by usable_size, "
+       "which the guard narrows to the requested size)"},
+      {{"guard", Needs::kNoCompaction},
+       "--guard requires --phase-compact off (relocation breaks the guard's "
+       "address-keyed tables)"},
+  };
+  std::size_t refusals = 0;
+  for (const Plane& p : kPlanes) {
+    const RunSpec on = only(p.name);
+    ASSERT_TRUE(p.on(on)) << p.name;
+    for (const Needs needs : kEveryNeed) {
+      ASSERT_TRUE(meets(on, needs));
+      const RunSpec spec = breaking(on, needs);
+      const auto it = refused.find({p.name, needs});
+      if (it == refused.end()) {
+        EXPECT_EXIT(
+            {
+              const RunContext run(spec);
+              std::exit(0);
+            },
+            ::testing::ExitedWithCode(0), "")
+            << p.name;
+        continue;
+      }
+      ++refusals;
+      EXPECT_EXIT(const RunContext run(spec), ::testing::ExitedWithCode(2),
+                  "^error: " + literal(it->second) + "\n$");
+    }
+  }
+  EXPECT_EQ(refusals, refused.size());
+
+  RunSpec bind{.topology = {2, 0},
+               .numa = {alloc::NumaOptions::Policy::kBind, 2}};
+  EXPECT_EXIT(const RunContext run(bind), ::testing::ExitedWithCode(2),
+              "^error: --numa-policy bind:2 requires a node below "
+              "--numa-nodes 2\n$");
+  bind.numa.bind_node = 1;
+  const RunContext run(bind);
+}
+
+// README's two "Requires the sim engine; `--check` with ... is rejected"
+// sentences list each plane row's constraints, in the row's order.
+TEST(Planes, ReadmeStatesEachRowsConstraints) {
+  std::ifstream in(TMX_SOURCE_DIR "/README.md");
+  ASSERT_TRUE(in);
+  std::string readme, word;
+  while (in >> word) readme += word + ' ';
+  const std::map<Needs, std::string> setting = {
+      {Needs::kSimEngine, "`--engine threads`"},
+      {Needs::kNoHybrid, "`--hybrid 1`"},
+      {Needs::kNoTxcache, "`--txcache 1`"},
+      {Needs::kNoCompaction, "`--phase-compact checked|all`"},
+  };
+  for (const Plane& p : kPlanes) {
+    const std::size_t n = p.constraints.size();
+    if (n == 0) continue;
+    std::string sentence = "`--" + std::string(p.name) + "` with ";
+    for (std::size_t i = 0; i < n; ++i) {
+      sentence += (i == 0 ? "" : i + 1 == n ? " or " : ", ") +
+                  setting.at(p.constraints[i].needs);
+    }
+    sentence += " is rejected";
+    EXPECT_NE(readme.find("Requires the sim engine; " + sentence),
+              std::string::npos)
+        << sentence;
+  }
 }
 
 // server_mix runs on its whole spec: fields it used to drop (here the NUMA
