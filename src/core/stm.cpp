@@ -245,6 +245,7 @@ WriteEntry* Tx::find_write(std::uintptr_t word_addr) {
 
 std::uint64_t Tx::load_word(const void* addr) {
   if (TMX_UNLIKELY(doomed_)) return 0;
+  if (doom_if_wild(addr)) return 0;
   TMX_ASSERT((reinterpret_cast<std::uintptr_t>(addr) & 7) == 0);
   if (hw_mode_) return load_word_hw(addr);
   ++stats_.reads;
@@ -303,6 +304,7 @@ std::uint64_t Tx::load_word(const void* addr) {
 
 void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
   if (TMX_UNLIKELY(doomed_)) return;
+  if (doom_if_wild(addr)) return;
   TMX_ASSERT((reinterpret_cast<std::uintptr_t>(addr) & 7) == 0);
   if (hw_mode_) {
     store_word_hw(addr, value, mask);
@@ -724,7 +726,7 @@ void Tx::abort_jump() {
   // their stack redzones.
   __asan_handle_no_return();
 #endif
-  __builtin_longjmp(checkpoint_, 1);
+  TMX_TX_JUMP(checkpoint_);
 }
 
 

@@ -17,10 +17,12 @@
 #pragma once
 
 #include <atomic>
+#include <csetjmp>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "alloc/allocator.hpp"
@@ -253,6 +255,21 @@ class TxObjectCache {
   std::uint32_t counts_[kNumBins] = {};
 };
 
+// An attempt's checkpoint and the jump back to it. The builtin pair saves
+// only the frame and stack pointers and the resume address, all a jump
+// within one thread needs. ThreadSanitizer sees only the library pair: a
+// builtin jump skips frames behind its back, its shadow call stack grows
+// with every abort, and it dies. Its builds use the library pair.
+#if defined(__SANITIZE_THREAD__)
+using Checkpoint = std::jmp_buf;
+#define TMX_TX_CHECKPOINT(cp) setjmp(cp)
+#define TMX_TX_JUMP(cp) std::longjmp((cp), 1)
+#else
+using Checkpoint = void* [5];  // the layout __builtin_setjmp requires
+#define TMX_TX_CHECKPOINT(cp) __builtin_setjmp(cp)
+#define TMX_TX_JUMP(cp) __builtin_longjmp((cp), 1)
+#endif
+
 }  // namespace detail
 
 // A transaction descriptor. One per logical thread, reused across
@@ -333,6 +350,22 @@ class Tx {
                              reinterpret_cast<std::uintptr_t>(addr)};
     doomed_ = true;
   }
+  // Dooms the attempt, through its mode's abort path, when `addr` has a
+  // bit above 46 set, which no user-space address has. Only a zombie gets
+  // one: it followed a stale pointer out of a block that a committed free
+  // handed back and the guard poisoned. A committed free versions none of
+  // the block's stripes, so validation alone cannot stop that read.
+  bool doom_if_wild(const void* addr) {
+    if (TMX_LIKELY(reinterpret_cast<std::uintptr_t>(addr) >> 47 == 0)) {
+      return false;
+    }
+    if (hw_mode_) {
+      hw_abort(HwAbortCause::kConflict);
+    } else {
+      conflict(AbortCause::kValidation, addr);
+    }
+    return true;
+  }
   // The one jump back to the checkpoint: cold, out of line, and only ever
   // called from the body's frames (the inline accessors and restart), never
   // from inside an out-of-line entry point, so wrappers around those stay
@@ -363,9 +396,9 @@ class Tx {
   int tid_ = 0;
   bool hw_mode_ = false;
   bool doomed_ = false;  // the current attempt must roll back
-  // The running atomically's checkpoint (a __builtin_setjmp buffer on its
+  // The running atomically's checkpoint (a detail::Checkpoint on its
   // frame), and why the current attempt is doomed.
-  void** checkpoint_ = nullptr;
+  std::remove_extent_t<detail::Checkpoint>* checkpoint_ = nullptr;
   TxAbortSignal pending_{};
   std::uint64_t start_ts_ = 0;
   std::uint64_t end_ts_ = 0;
@@ -410,7 +443,7 @@ class Stm {
   // it commits. The allocation-instrumentation region is set to Tx for the
   // duration. Must not be nested.
   //
-  // Every attempt starts from a __builtin_setjmp checkpoint on this frame.
+  // Every attempt starts from a checkpoint on this frame.
   // A doomed attempt comes back to it either by the jump (Tx::abort_jump,
   // from the body's frames) or by returning from the body and the commit,
   // which do nothing once doomed; either way it is rolled back here.
@@ -423,7 +456,7 @@ class Stm {
     in_tx_[tid]->flag = true;
     tx.stm_ = this;
     tx.tid_ = tid;
-    void* checkpoint[5];  // the layout __builtin_setjmp requires
+    detail::Checkpoint checkpoint;
     tx.checkpoint_ = checkpoint;
     // Per-transaction watchdog: the clock is read once up front only when
     // the budget is armed, so the disabled path costs a single branch.
@@ -440,7 +473,7 @@ class Stm {
         if (TMX_UNLIKELY(cfg_.retry_cap != 0)) serial_gate(tx);
         if (TMX_UNLIKELY(tx_hints_)) maintenance_gate(tx);
         tx.begin_hw();
-        if (__builtin_setjmp(checkpoint) == 0) {
+        if (TMX_TX_CHECKPOINT(checkpoint) == 0) {
           body(tx);
           tx.commit_hw();
           done = !tx.doomed_;
@@ -456,7 +489,7 @@ class Stm {
       if (TMX_UNLIKELY(cfg_.retry_cap != 0)) serial_gate(tx);
       if (TMX_UNLIKELY(tx_hints_)) maintenance_gate(tx);
       tx.begin();
-      if (__builtin_setjmp(checkpoint) == 0) {
+      if (TMX_TX_CHECKPOINT(checkpoint) == 0) {
         body(tx);
         tx.commit();
         done = !tx.doomed_;

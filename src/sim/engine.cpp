@@ -45,6 +45,17 @@
 #include <pthread.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
+// ThreadSanitizer, too, keeps one shadow call stack and one set of setjmp
+// buffers per OS thread: a transaction's abort jump on one fiber would not
+// find the checkpoint its fiber took. Each fiber gets its own TSan context,
+// and every switch names the context it enters. The switch synchronizes:
+// the fibers of a run take turns on one thread.
+#if defined(__SANITIZE_THREAD__)
+#define TMX_TSAN_FIBERS 1
+#include <sanitizer/tsan_interface.h>
+#else
+#define TMX_TSAN_FIBERS 0
+#endif
 
 #if TMX_FAST_CTX
 // tmx_ctx_swap(save_sp, restore_sp): park the current context on its own
@@ -143,6 +154,9 @@ struct FiberEngine {
   void* main_stack_bottom = nullptr;     // host-thread stack, for switches
   std::size_t main_stack_size = 0;       //   back into the main context
 #endif
+#if TMX_TSAN_FIBERS
+  void* main_tsan = nullptr;  // the scheduler context's TSan context
+#endif
   SchedStats sched;
   std::unique_ptr<CacheModel> cache;
   const std::function<void(int)>* body = nullptr;
@@ -225,22 +239,35 @@ struct Fiber {
 #if TMX_ASAN_FIBERS
   void* fake_stack = nullptr;  // ASan save slot while switched away
 #endif
+#if TMX_TSAN_FIBERS
+  void* tsan = __tsan_create_fiber(0);  // this fiber's TSan context
+#endif
 };
 
 FiberEngine::~FiberEngine() {
-  for (const auto& f : fibers) space->release(f->stack, stack_size);
+  for (const auto& f : fibers) {
+    space->release(f->stack, stack_size);
+#if TMX_TSAN_FIBERS
+    __tsan_destroy_fiber(f->tsan);
+#endif
+  }
 }
 
+// Bracket a context switch: `save` is the outgoing context's ASan save
+// slot (nullptr when it is finishing for good, which frees its fake
+// stack), (bottom, size) the incoming context's real stack, `tsan` its
+// TSan context.
 #if TMX_ASAN_FIBERS
-// Bracket a context switch: `save` is the outgoing context's save slot
-// (nullptr when it is finishing for good, which frees its fake stack),
-// (bottom, size) the incoming context's real stack.
-#define TMX_FIBER_SWITCH_BEGIN(save, bottom, size) \
+#define TMX_FIBER_SWITCH_BEGIN(save, bottom, size, tsan) \
   __sanitizer_start_switch_fiber((save), (bottom), (size))
 #define TMX_FIBER_SWITCH_END(saved) \
   __sanitizer_finish_switch_fiber((saved), nullptr, nullptr)
+#elif TMX_TSAN_FIBERS
+#define TMX_FIBER_SWITCH_BEGIN(save, bottom, size, tsan) \
+  __tsan_switch_to_fiber((tsan), 0)
+#define TMX_FIBER_SWITCH_END(saved) ((void)0)
 #else
-#define TMX_FIBER_SWITCH_BEGIN(save, bottom, size) ((void)0)
+#define TMX_FIBER_SWITCH_BEGIN(save, bottom, size, tsan) ((void)0)
 #define TMX_FIBER_SWITCH_END(saved) ((void)0)
 #endif
 
@@ -271,7 +298,7 @@ const bool g_obs_time_source_installed = [] {
 void fiber_finish_to_main(Fiber* f) {
   f->finished = true;
   TMX_FIBER_SWITCH_BEGIN(nullptr, f->engine->main_stack_bottom,
-                         f->engine->main_stack_size);
+                         f->engine->main_stack_size, f->engine->main_tsan);
 #if TMX_FAST_CTX
   tmx_ctx_swap(&f->sp, f->engine->main_sp);
 #else
@@ -376,6 +403,9 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
     }
   }
 #endif
+#if TMX_TSAN_FIBERS
+  eng.main_tsan = __tsan_get_current_fiber();
+#endif
   if (cfg.cache_model) {
     CacheGeometry geo = cfg.geometry;
     if (geo.cores < cores) geo.cores = cores;
@@ -434,7 +464,7 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
     g_fiber = next;
     g_tid = next->id;
     TMX_FIBER_SWITCH_BEGIN(&eng.main_fake_stack, next->stack,
-                           eng.stack_size);
+                           eng.stack_size, next->tsan);
 #if TMX_FAST_CTX
     tmx_ctx_swap(&eng.main_sp, next->sp);
 #else
@@ -582,7 +612,8 @@ void yield() {
   eng->last_core = next->core;
   g_fiber = next;
   g_tid = next->id;
-  TMX_FIBER_SWITCH_BEGIN(&f->fake_stack, next->stack, eng->stack_size);
+  TMX_FIBER_SWITCH_BEGIN(&f->fake_stack, next->stack, eng->stack_size,
+                         next->tsan);
 #if TMX_FAST_CTX
   tmx_ctx_swap(&f->sp, next->sp);
 #else
@@ -594,6 +625,24 @@ void yield() {
 void relax() {
   Fiber* f = g_fiber;
   if (f != nullptr) {
+    // Collapsed spin: every turn whose key stays within the quantum and
+    // whose vtime stays within the watchdog budget would fast-resume this
+    // fiber, and no other fiber runs between them, so the caller's spin
+    // predicate cannot change across them. Take them all at once, with
+    // the counts yield() would have kept, then take the one turn that
+    // switches or trips through yield() itself. `last` is the largest
+    // vtime whose key is at most `bound` (ties by id, as run_key packs
+    // them); a key below this fiber's id leaves no such vtime.
+    FiberEngine* eng = f->engine;
+    const auto id = static_cast<RunKey>(f->id);
+    const RunKey bound = std::min(eng->quantum, run_key(eng->watchdog, f->id));
+    const std::uint64_t last = bound >= id ? (bound - id) >> kIdBits : 0;
+    if (last > f->vtime) {
+      const std::uint64_t turns = (last - f->vtime) / Cost::kSpin;
+      f->vtime += turns * Cost::kSpin;
+      eng->sched.fast_resumes += turns;
+      eng->quantum_absorbed += turns;
+    }
     f->vtime += Cost::kSpin;
     yield();
   } else {

@@ -107,8 +107,12 @@ void advance_to(std::uint64_t t);
 // Scheduling point: lets the discrete-event scheduler switch fibers.
 void yield();
 
-// Contended-spin pause: accounts spin cost and yields (sim), or emits a CPU
-// pause (threads).
+// Contended-spin pause, for loops of the form `while (pred) relax();`
+// whose predicate only another fiber can change. Under sim it spins until
+// another fiber has run: it takes every Cost::kSpin turn that would resume
+// the caller in place in one step, then the turn that switches (or trips
+// the watchdog), with the schedule, virtual time and counters of spinning
+// turn by turn. Under threads it emits one CPU pause.
 void relax();
 
 // Simulated memory access: runs the address through the cache model and

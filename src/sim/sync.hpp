@@ -14,6 +14,9 @@
 
 namespace tmx::sim {
 
+// Test-and-test-and-set lock. A waiter spins in relax(), which under the
+// simulator returns only after another fiber has run, the only way the
+// lock can have been released; each turn still costs Cost::kSpin.
 class SpinLock {
  public:
   SpinLock() = default;

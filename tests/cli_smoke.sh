@@ -39,6 +39,9 @@
 #   cli_smoke.sh layout           <stamp_runner>  a seeded cache-on run
 #                                 repeats whatever the process's environment
 #                                 size or address-space randomization
+#   cli_smoke.sh guard_zombies <allocator_duel> <hybrid_demo>  rbtree runs
+#                                 under the quarantining guard, whose zombie
+#                                 transactions read poisoned pointers, exit 0
 #   cli_smoke.sh flags <binary>...  each binary exits 2 naming an unknown
 #                                 or repeated flag, a positional argument, a
 #                                 malformed number, an unknown allocator or
@@ -335,6 +338,11 @@ case "$drive" in
       cmp o0.out "o$i.out"
       cmp m0.json "m$i.json"
     done
+    ;;
+  guard_zombies)
+    # A zombie that follows a poisoned child pointer must abort, not fault.
+    expect_exit 0 "${bins[0]}" --struct rbtree --guard --reps 1 --scale 0.3
+    expect_exit 0 "${bins[1]}" --scale 0.5 --guard
     ;;
   paper_attribution)
     # Sample addresses print as offsets in the run's address space.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/address_space.hpp"
@@ -260,6 +262,123 @@ TEST(SpinLock, TryLockFailsWhenHeld) {
       EXPECT_FALSE(lock.try_lock());
     }
   });
+}
+
+// SpinLock with relax() unrolled into its single turns, each one tick of
+// Cost::kSpin and one scheduling point: the schedule a collapsed spin must
+// reproduce exactly.
+class TurnByTurnLock {
+ public:
+  void lock() {
+    tick(Cost::kAtomicRmw);
+    while (std::exchange(locked_, true)) {
+      do {
+        tick(Cost::kSpin);
+        yield();
+      } while (locked_);
+      tick(Cost::kAtomicRmw);
+    }
+    advance_to(busy_until_);
+    yield();
+  }
+  void unlock() {
+    busy_until_ = std::max(busy_until_, now_cycles());
+    locked_ = false;
+  }
+
+ private:
+  bool locked_ = false;
+  std::uint64_t busy_until_ = 0;
+};
+
+// Fibers contend on one lock per eight of them. All costs are multiples of
+// 10 cycles and spin turns land on a 20-cycle grid, so a spinning fiber
+// often reaches a queued fiber's exact vtime and the tie goes by id.
+template <typename Lock>
+RunResult contended_locks(int threads) {
+  std::vector<Lock> locks(static_cast<std::size_t>((threads + 7) / 8));
+  return run_parallel(sim_cfg(threads), [&](int tid) {
+    std::uint64_t x =
+        0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(tid + 1);
+    for (int i = 0; i < 6; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      Lock& l = locks[(static_cast<std::size_t>(tid) + x) % locks.size()];
+      tick(10 * (x % 8));
+      l.lock();
+      tick(20 * ((x >> 8) % 40));
+      yield();
+      l.unlock();
+    }
+  });
+}
+
+TEST(SpinLock, CollapsedSpinsScheduleLikeSingleTurns) {
+  for (int n : {2, 8, 256}) {
+    const RunResult got = contended_locks<SpinLock>(n);
+    const RunResult want = contended_locks<TurnByTurnLock>(n);
+    EXPECT_GT(want.sched.fast_resumes, 0u) << n << " fibers";
+    EXPECT_EQ(got.sched.switches, want.sched.switches) << n;
+    EXPECT_EQ(got.sched.fast_resumes, want.sched.fast_resumes) << n;
+    EXPECT_EQ(got.sched.heap_ops, want.sched.heap_ops) << n;
+    EXPECT_EQ(got.sched.queue_migrations, want.sched.queue_migrations) << n;
+    EXPECT_EQ(got.sched.batch_advances, want.sched.batch_advances) << n;
+    EXPECT_EQ(got.thread_cycles, want.thread_cycles) << n;
+    EXPECT_EQ(got.cycles, want.cycles) << n;
+  }
+}
+
+// Spins that never end, under a 10000-cycle budget. Here fiber 0 takes
+// lock `a` and returns without releasing it; fiber 1 spins on `a` alone
+// once fiber 0 has finished, and trips at its first turn past the budget,
+// 70 + 497 * 20 = 10010. Only the budget bounds that spin.
+template <typename Lock>
+void spin_on_a_finished_holder() {
+  RunConfig rc = sim_cfg(2);
+  rc.watchdog_cycles = 10'000;
+  Lock a;
+  run_parallel(rc, [&](int tid) {
+    if (tid == 1) tick(30);
+    a.lock();
+  });
+}
+
+// Here fiber 0 holds `a` and waits for `b`, fiber 1 holds `b` and waits for
+// `a`. Fiber 0 yields at exactly the budget, 10000, so fiber 1's spin ends
+// in a tie at 10000 that fiber 0, the lower id, wins: fiber 0 trips at
+// 10040, after its exchange and one turn, while fiber 1 stays at 10000.
+template <typename Lock>
+void spin_in_a_deadlock() {
+  RunConfig rc = sim_cfg(2);
+  rc.watchdog_cycles = 10'000;
+  Lock a;
+  Lock b;
+  run_parallel(rc, [&](int tid) {
+    (tid == 0 ? a : b).lock();
+    tick(tid == 0 ? 10'000 - 20 : 20);
+    yield();
+    (tid == 0 ? b : a).lock();
+  });
+}
+
+TEST(SpinLockDeathTest, CollapsedSpinsTripLikeSingleTurns) {
+  const char* const finished =
+      "budget breached \\(limit=10000, now=10010\\)\n"
+      "  fiber 0: vtime=20 \\(finished\\)\n"
+      "  fiber 1: vtime=10010 \\(running\\)\n";
+  EXPECT_EXIT(spin_on_a_finished_holder<TurnByTurnLock>(),
+              ::testing::ExitedWithCode(kWatchdogExitCode), finished);
+  EXPECT_EXIT(spin_on_a_finished_holder<SpinLock>(),
+              ::testing::ExitedWithCode(kWatchdogExitCode), finished);
+  const char* const deadlock =
+      "budget breached \\(limit=10000, now=10040\\)\n"
+      "  fiber 0: vtime=10040 \\(running\\)\n"
+      "  fiber 1: vtime=10000\n";
+  EXPECT_EXIT(spin_in_a_deadlock<TurnByTurnLock>(),
+              ::testing::ExitedWithCode(kWatchdogExitCode), deadlock);
+  EXPECT_EXIT(spin_in_a_deadlock<SpinLock>(),
+              ::testing::ExitedWithCode(kWatchdogExitCode), deadlock);
 }
 
 TEST(Barrier, SynchronizesFibers) {

@@ -16,11 +16,16 @@ fastest pass counts, as in run.py.
 It prints each end-to-end metric of each workload for both builds and their
 ratio NEW/BASE, and the same metric's per-input ratios: their median and on
 how many inputs NEW was better, in the direction BENCHMARK.json declares for
-it. It exits 1 if any input's simulated counters differ between the two
-builds or between passes of one build, 2 if a driver process fails.
+it. Under the table, each metric gets each build's quartiles over the
+inputs and a verdict on the rule for claiming a gain: NEW is better on at
+least nine tenths of the inputs (ties count for neither), and its median
+beats BASE's by more than BASE's interquartile range. It exits 1 if any
+input's simulated counters differ between the two builds or between passes
+of one build, 2 if a driver process fails.
 """
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -58,6 +63,26 @@ def fastest(reps):
     return best
 
 
+def quartiles(xs):
+    """(q1, median, q3) of xs."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def verdict(base, new, wins, lower):
+    """Whether NEW, better than BASE on `wins` of these paired per-input
+    values, meets the claim rule for a gain."""
+    need = math.ceil(0.9 * len(base))
+    bq1, bmed, bq3 = quartiles(base)
+    gap = (bmed - quartiles(new)[1]) * (1 if lower else -1)
+    holds = wins >= need and gap > bq3 - bq1
+    return (f"{'holds' if holds else 'not met'}: better on {wins} of "
+            f"{len(base)} (needs {need}), median gain {gap:.4g} vs base "
+            f"IQR {bq3 - bq1:.4g}")
+
+
 def compare(base, new, workload, seed, inputs, passes):
     """Runs one workload; returns the number of inputs whose simulated
     counters were not identical across builds and passes."""
@@ -85,14 +110,23 @@ def compare(base, new, workload, seed, inputs, passes):
     print(f"{workload}: {inputs} inputs x {passes} passes")
     print(f"  {'metric':<16} {'base':>12} {'new':>12} {'new/base':>9}"
           f" {'per-input median':>17} {'new better':>11}")
+    notes = []
     for name in m_base:
         a, b = m_base[name], m_new[name]
         ratio = b / a if a else float("nan")
-        ratios = [n[name] / o[name] if o[name] else float("nan")
-                  for o, n in zip(per_input[base], per_input[new])]
+        side = {k: [m[name] for m in per_input[k]] for k in per_input}
+        ratios = [n / o if o else float("nan")
+                  for o, n in zip(side[base], side[new])]
         wins = sum(r < 1.0 if lower[name] else r > 1.0 for r in ratios)
         print(f"  {name:<16} {a:>12.6g} {b:>12.6g} {ratio:>9.3f}"
               f" {statistics.median(ratios):>17.3f} {wins:>5} of {inputs}")
+        notes.append(
+            f"  {name}: quartiles base "
+            + " / ".join(f"{q:.6g}" for q in quartiles(side[base]))
+            + ", new " + " / ".join(f"{q:.6g}" for q in quartiles(side[new]))
+            + f"\n  {name}: gain "
+            + verdict(side[base], side[new], wins, lower[name]))
+    print("\n".join(notes))
     return mismatched
 
 
