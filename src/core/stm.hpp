@@ -260,14 +260,24 @@ class TxObjectCache {
 // within one thread needs. ThreadSanitizer sees only the library pair: a
 // builtin jump skips frames behind its back, its shadow call stack grows
 // with every abort, and it dies. Its builds use the library pair.
+//
+// AcrossCheckpoint<T> is the type of a local that atomically keeps across
+// its checkpoint. None is changed between the checkpoint and a jump back,
+// but GCC cannot prove that for the library setjmp and warns that each
+// might be clobbered (-Wclobbered); volatile keeps them in memory there.
+// The builtin pair draws no warning, so other builds keep the plain type.
 #if defined(__SANITIZE_THREAD__)
 using Checkpoint = std::jmp_buf;
 #define TMX_TX_CHECKPOINT(cp) setjmp(cp)
 #define TMX_TX_JUMP(cp) std::longjmp((cp), 1)
+template <typename T>
+using AcrossCheckpoint = volatile T;
 #else
 using Checkpoint = void* [5];  // the layout __builtin_setjmp requires
 #define TMX_TX_CHECKPOINT(cp) __builtin_setjmp(cp)
 #define TMX_TX_JUMP(cp) __builtin_longjmp((cp), 1)
+template <typename T>
+using AcrossCheckpoint = T;
 #endif
 
 }  // namespace detail
@@ -462,11 +472,11 @@ class Stm {
     // the budget is armed, so the disabled path costs a single branch.
     const std::uint64_t tx_cycles0 =
         TMX_UNLIKELY(cfg_.tx_cycle_budget != 0) ? sim::now_cycles() : 0;
-    bool done = false;
+    detail::AcrossCheckpoint<bool> done = false;
     if (cfg_.htm.enabled) {
       // Hybrid: a few best-effort hardware attempts, then fall back.
-      for (int attempt = 0; attempt < cfg_.htm.attempts && !done;
-           ++attempt) {
+      for (detail::AcrossCheckpoint<int> attempt = 0;
+           attempt < cfg_.htm.attempts && !done;) {
         // Hardware attempts must also respect a running irrevocable
         // transaction (consecutive_aborts_ is 0 here, so this only blocks —
         // it never escalates).
@@ -479,6 +489,7 @@ class Stm {
           done = !tx.doomed_;
         }
         if (!done) tx.rollback_hw(tx.pending_.hw_cause);
+        attempt = attempt + 1;  // C++20 deprecates ++ on a volatile
       }
       if (!done) ++tx.stats_.fallbacks;
     }

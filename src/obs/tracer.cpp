@@ -20,11 +20,11 @@ int default_tid() { return 0; }
 ClockFn g_clock = &default_clock;
 TidFn g_tid = &default_tid;
 
-// The runtime guard. Relaxed is enough: enable()/disable() happen at
-// quiescent points and a stale read merely records (or skips) one event.
-std::atomic<bool> g_enabled{false};
-
 }  // namespace
+
+namespace detail {
+std::atomic<bool> g_trace_enabled{false};
+}  // namespace detail
 
 const char* event_kind_name(EventKind k) {
   switch (k) {
@@ -49,8 +49,6 @@ void install_time_source(ClockFn clock, TidFn tid) {
   if (tid != nullptr) g_tid = tid;
 }
 
-bool trace_enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
 std::uint64_t trace_clock() { return g_clock(); }
 
 void record_event(EventKind kind, std::uint64_t a, std::uint64_t b,
@@ -72,14 +70,14 @@ void Tracer::enable(std::size_t capacity_per_thread) {
     pb->slots = std::make_unique<Event[]>(cap);
     pb->head = 0;
   }
-  g_enabled.store(true, std::memory_order_relaxed);
+  detail::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
 
-void Tracer::disable() { g_enabled.store(false, std::memory_order_relaxed); }
-
-bool Tracer::enabled() const {
-  return g_enabled.load(std::memory_order_relaxed);
+void Tracer::disable() {
+  detail::g_trace_enabled.store(false, std::memory_order_relaxed);
 }
+
+bool Tracer::enabled() const { return trace_enabled(); }
 
 void Tracer::record(EventKind kind, std::uint64_t a, std::uint64_t b,
                     std::uint8_t arg0, std::uint16_t arg1) {

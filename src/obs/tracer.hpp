@@ -17,6 +17,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -101,8 +102,18 @@ class Tracer {
   std::size_t mask_ = 0;
 };
 
-// Cheap global guard read by the recording macro: a single relaxed load.
-bool trace_enabled();
+namespace detail {
+// The runtime guard, set by Tracer::enable()/disable(). Relaxed is enough:
+// those run at quiescent points, and a stale read merely records (or
+// skips) one event.
+extern std::atomic<bool> g_trace_enabled;
+}  // namespace detail
+
+// Cheap global guard read by the recording macro: a single relaxed load,
+// inline so that a disabled hook costs no call.
+inline bool trace_enabled() {
+  return detail::g_trace_enabled.load(std::memory_order_relaxed);
+}
 
 // The currently installed clock source (virtual cycles inside a simulation,
 // steady-clock nanoseconds elsewhere). Lets hooks stamp an event with the

@@ -10,7 +10,7 @@
 namespace tmx::sim {
 
 CacheModel::CacheModel(const CacheGeometry& geo, const LatencyModel& lat)
-    : geo_(geo), lat_(lat), sharers_(geo.cores) {
+    : geo_(geo), lat_(lat), words_((std::max(geo.cores, 1u) + 63) / 64) {
   // 32 bytes and up keep kNoTag out of a window's line numbers; 256 and
   // below keep a line offset in a byte.
   TMX_ASSERT(is_pow2(geo.line_size) && geo.line_size >= 32 &&
@@ -40,6 +40,7 @@ CacheModel::CacheModel(const CacheGeometry& geo, const LatencyModel& lat)
   l2_tags_.assign(l2_lines, kNoTag);
   l2_lru_.assign(l2_lines, 0);
   stats_.assign(geo.cores, {});
+  holders_.assign(std::size_t{l1_sets_} * kBuckets * words_, 0);
 }
 
 CacheStats CacheModel::total_stats() const {
@@ -48,74 +49,16 @@ CacheStats CacheModel::total_stats() const {
   return t;
 }
 
-CacheModel::SharerDirectory::SharerDirectory(unsigned cores)
-    : words_((std::max(cores, 1u) + 63) / 64), stride_(words_ + 1) {
-  // Start small and let the table grow as lines arrive.
-  constexpr std::size_t slots = 16;
-  shift_ = 64 - log2_floor(slots);
-  mask_ = slots - 1;
-  slots_.assign(slots * stride_, 0);
-  for (std::size_t i = 0; i <= mask_; ++i) slot(i)[0] = kNoTag;
-}
-
-std::size_t CacheModel::SharerDirectory::probe(Tag line) {
-  std::size_t i = home(line);
-  while (slot(i)[0] != line && slot(i)[0] != kNoTag) i = (i + 1) & mask_;
-  return i;
-}
-
-std::uint64_t* CacheModel::SharerDirectory::find(Tag line) {
-  std::uint64_t* e = slot(probe(line));
-  return e[0] == line ? e + 1 : nullptr;
-}
-
-void CacheModel::SharerDirectory::add(Tag line, unsigned core) {
-  std::uint64_t* e = slot(probe(line));
-  if (e[0] != line) {
-    if (2 * (size_ + 1) > mask_ + 1) {
-      grow();
-      e = slot(probe(line));
-    }
-    e[0] = line;
-    std::fill(e + 1, e + stride_, 0);
-    ++size_;
+void CacheModel::recompute_holder(unsigned core, std::size_t set,
+                                  unsigned b) {
+  const Tag* tags = &l1_tags_[l1_base(core, set)];
+  bool held = false;
+  for (unsigned w = 0; w < geo_.l1_ways; ++w) {
+    held |= tags[w] != kNoTag && bucket(tags[w]) == b;
   }
-  e[1 + (core >> 6)] |= std::uint64_t{1} << (core & 63);
-}
-
-void CacheModel::SharerDirectory::remove(Tag line, unsigned core) {
-  std::size_t i = probe(line);
-  std::uint64_t* e = slot(i);
-  TMX_ASSERT(e[0] == line);  // invariant: a cached tag has an entry
-  e[1 + (core >> 6)] &= ~(std::uint64_t{1} << (core & 63));
-  std::uint64_t any = 0;
-  for (unsigned w = 1; w < stride_; ++w) any |= e[w];
-  if (any != 0) return;
-  // Backward-shift deletion: pull each later entry of the probe run into
-  // the hole unless that would move it before its home slot.
-  for (std::size_t j = (i + 1) & mask_;; j = (j + 1) & mask_) {
-    std::uint64_t* next = slot(j);
-    if (next[0] == kNoTag) break;
-    if (((j - home(next[0])) & mask_) >= ((j - i) & mask_)) {
-      std::copy(next, next + stride_, slot(i));
-      i = j;
-    }
-  }
-  slot(i)[0] = kNoTag;
-  --size_;
-}
-
-void CacheModel::SharerDirectory::grow() {
-  const std::vector<std::uint64_t> old = std::move(slots_);
-  slots_.assign(2 * (mask_ + 1) * stride_, 0);
-  mask_ = 2 * mask_ + 1;
-  --shift_;
-  for (std::size_t i = 0; i <= mask_; ++i) slot(i)[0] = kNoTag;
-  for (std::size_t o = 0; o < old.size(); o += stride_) {
-    if (old[o] == kNoTag) continue;
-    std::copy(&old[o], &old[o] + stride_,
-              slot(probe(static_cast<Tag>(old[o]))));
-  }
+  std::uint64_t& word = holder_mask(set, b)[core >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (core & 63);
+  word = held ? word | bit : word & ~bit;
 }
 
 // Compares every way, keeping the lowest match with a conditional move.
@@ -252,38 +195,43 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
     }
     TMX_OBS_EVENT(obs::EventKind::kCacheMiss, line_addr, latency,
                   /*miss level=*/w2 >= 0 ? 1 : 2);
-    // Fill L1, updating the sharer directory: the victim line (if any)
-    // leaves this core, the new line enters it.
+    // Fill L1. The new line's bucket gains this core; the victim's bucket
+    // keeps it only if another of its lines is still in the set.
     way = static_cast<int>(victim_way(&l1_lru_[base], geo_.l1_ways));
-    if (tags[way] != kNoTag) sharers_.remove(tags[way], core);
+    const Tag victim = tags[way];
     tags[way] = tag;
-    sharers_.add(tag, core);
+    const unsigned b = bucket(tag);
+    holder_mask(set, b)[core >> 6] |= std::uint64_t{1} << (core & 63);
+    if (victim != kNoTag && bucket(victim) != b) {
+      recompute_holder(core, set, bucket(victim));
+    }
   }
   l1_lru_[base + way] = tick_;
   l1_off_[base + way] = static_cast<std::uint8_t>(offset);
 
   if (write) {
-    // Write-invalidate coherence: purge the line from every other sharing
-    // core's L1. The sharer mask lists exactly the cores whose L1 holds
-    // the line, visited in ascending id as a full scan would, so the cost
-    // is O(sharers) instead of O(cores). Afterwards only the writer holds
-    // it.
-    std::uint64_t* mask = sharers_.find(tag);
-    TMX_ASSERT(mask != nullptr);
-    for (unsigned wd = 0; wd < sharers_.words(); ++wd) {
+    // Write-invalidate coherence: purge the line from every other core's
+    // L1. The holder mask names every core whose set holds a line of this
+    // bucket, visited in ascending id as a full scan would; a candidate
+    // whose set holds only another line of the bucket is skipped, so the
+    // cost is O(candidates) instead of O(cores). Afterwards only the writer
+    // holds the line.
+    const unsigned b = bucket(tag);
+    const std::uint64_t* mask = holder_mask(set, b);
+    for (unsigned wd = 0; wd < words_; ++wd) {
       const std::uint64_t own =
           (core >> 6) == wd ? std::uint64_t{1} << (core & 63) : 0;
       std::uint64_t bits = mask[wd] & ~own;
-      mask[wd] = own;
       while (bits != 0) {
         const unsigned c =
             (wd << 6) + static_cast<unsigned>(__builtin_ctzll(bits));
         bits &= bits - 1;
         const std::size_t rbase = l1_base(c, set);
         const int rw = find_way(&l1_tags_[rbase], geo_.l1_ways, tag);
-        TMX_ASSERT(rw >= 0);  // mask invariant: bit set => tag present
+        if (rw < 0) continue;  // holds another line of the bucket
         l1_tags_[rbase + rw] = kNoTag;
         l1_lru_[rbase + rw] = 0;  // empty ways are the first victims
+        recompute_holder(c, set, b);
         ++st.invalidations;
         const bool false_shared = l1_off_[rbase + rw] != offset;
         if (false_shared) ++st.false_sharing;

@@ -17,8 +17,10 @@
 // original flat machine.
 //
 // The hierarchy is not inclusive: an L2 eviction leaves L1 copies in place,
-// and each node has its own L2 bank, so the L2 tags cannot double as the
-// sharer directory; the model keeps its own (SharerDirectory below).
+// and each node has its own L2 bank, so the L2 tags cannot name a line's
+// sharers. Write-invalidate finds them through per-set holder masks
+// instead (holders_ below), which the model allocates once, in its
+// constructor, and never again.
 #pragma once
 
 #include <cstdint>
@@ -120,7 +122,8 @@ class CacheModel {
   const CacheGeometry& geometry() const { return geo_; }
 
  private:
-  friend struct CacheModelTestPeer;  // sets the LRU clock (tests only)
+  // Tests only: sets the LRU clock, checks the holder masks.
+  friend struct CacheModelTestPeer;
 
   // A line's tag: its line number within its window. With lines of at
   // least 32 bytes a window holds at most 2^31 lines, so all-ones is never
@@ -134,49 +137,29 @@ class CacheModel {
   using Stamp = std::uint32_t;
   static constexpr Stamp kMaxStamp = ~Stamp{0};
 
-  // Each line's L1 sharer set as a core bitmask: write-invalidate consults
-  // it instead of scanning every core's set, so a write costs O(sharers)
-  // rather than O(cores) — the difference between 8 and 256 simulated
-  // cores. Invariant: bit (core) is set iff the line's tag is in that
-  // core's L1; maintained at fill, eviction and invalidation. A line leaves
-  // the table when its mask empties, which bounds the table by total L1
-  // capacity.
-  //
-  // One flat open-addressed table keyed by line tag: linear probing
-  // from a multiplicative (Fibonacci) hash, backward-shift deletion (so no
-  // tombstones), doubling at load 1/2. A slot is the key word followed by
-  // ceil(cores / 64) mask words — 16 bytes at 8 cores — and the table
-  // allocates only when it grows.
-  class SharerDirectory {
-   public:
-    explicit SharerDirectory(unsigned cores);
-    // The mask words of `line`, or nullptr when no L1 holds it. Valid
-    // until the next add or remove.
-    std::uint64_t* find(Tag line);
-    // Adds `core` to the sharers of `line`.
-    void add(Tag line, unsigned core);
-    // Removes `core` from the sharers of `line`, which must list it;
-    // erases the line when no sharer is left.
-    void remove(Tag line, unsigned core);
-    unsigned words() const { return words_; }
-
-   private:
-    std::size_t home(std::uint64_t line) const {
-      return static_cast<std::size_t>(
-          (line * 0x9e3779b97f4a7c15ULL) >> shift_);
-    }
-    std::uint64_t* slot(std::size_t i) { return &slots_[i * stride_]; }
-    // First slot at or after `line`'s home holding `line` or no key.
-    std::size_t probe(Tag line);
-    void grow();
-
-    unsigned words_;
-    unsigned stride_;  // 1 + words_
-    unsigned shift_;   // 64 - log2(capacity)
-    std::size_t mask_;  // capacity - 1
-    std::size_t size_ = 0;
-    std::vector<std::uint64_t> slots_;
-  };
+  // Write-invalidate finds the other L1 copies of a line through holder
+  // masks: one core bitmask of words_ words per (L1 set, bucket), where a
+  // line's bucket is a hash of its whole tag. Invariant: bit c of
+  // (set, bucket) is set iff core c's L1 set holds at least one line of
+  // that bucket. A fill sets the filler's bit for the new line's bucket and
+  // recomputes it for the victim's; a write visits the mask's other cores
+  // in ascending id, skips those whose set holds only another line of the
+  // bucket, and recomputes the bit of each core it invalidates. So a write
+  // costs O(candidates) rather than O(cores), and a fill one bit set plus,
+  // when the victim is of another bucket, a scan of the set's ways.
+  static constexpr unsigned kBuckets = 64;
+  // Multiplicative hash of the whole tag, top 6 bits. Tags that differ
+  // only above the set index must spread: the glibc model's 64 MiB-aligned
+  // arenas put every core's arena header at the same offset, and a hash of
+  // the bits just above the set index sent them all to one bucket.
+  static unsigned bucket(Tag tag) {
+    return static_cast<unsigned>(static_cast<Tag>(tag * 0x9e3779b9u) >> 26);
+  }
+  std::uint64_t* holder_mask(std::size_t set, unsigned b) {
+    return &holders_[(set * kBuckets + b) * words_];
+  }
+  // Sets or clears `core`'s bit of (set, b) from the core's L1 ways.
+  void recompute_holder(unsigned core, std::size_t set, unsigned b);
 
   std::uint64_t access_line(unsigned core, std::uintptr_t line_addr,
                             unsigned offset, bool write);
@@ -217,7 +200,8 @@ class CacheModel {
   std::vector<Tag> l2_tags_;  // [node][set][way]
   std::vector<Stamp> l2_lru_;
   std::vector<CacheStats> stats_;
-  SharerDirectory sharers_;
+  unsigned words_;  // ceil(cores / 64): words per holder mask
+  std::vector<std::uint64_t> holders_;  // [set][bucket][word]
   Stamp tick_ = 0;
 };
 

@@ -9,13 +9,37 @@
 
 namespace tmx::sim {
 
-// The model's one test seam: moves its LRU clock forward, so a short
-// stream reaches the point where the 32-bit clock would wrap.
+// The model's one test seam. It moves the LRU clock forward, so a short
+// stream reaches the point where the 32-bit clock would wrap, and checks
+// the holder masks against the L1 tags they summarise.
 struct CacheModelTestPeer {
   static constexpr std::uint32_t kMaxStamp = CacheModel::kMaxStamp;
   static void set_clock(CacheModel& c, std::uint32_t t) {
     ASSERT_GE(t, c.tick_);  // forward only: keeps every set's stamp order
     c.tick_ = t;
+  }
+  // Rebuilds every holder mask from the L1 tags: bit c of (set, bucket) is
+  // set iff core c's set holds a line of that bucket. Counts the mask
+  // words that differ from the model's.
+  static void expect_holders_exact(const CacheModel& c) {
+    std::vector<std::uint64_t> want(c.holders_.size(), 0);
+    for (unsigned core = 0; core < c.geo_.cores; ++core) {
+      for (std::size_t set = 0; set < c.l1_sets_; ++set) {
+        const std::size_t base = c.l1_base(core, set);
+        for (unsigned w = 0; w < c.geo_.l1_ways; ++w) {
+          const CacheModel::Tag tag = c.l1_tags_[base + w];
+          if (tag == CacheModel::kNoTag) continue;
+          want[(set * CacheModel::kBuckets + CacheModel::bucket(tag)) *
+                   c.words_ +
+               (core >> 6)] |= std::uint64_t{1} << (core & 63);
+        }
+      }
+    }
+    std::size_t wrong = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      wrong += want[i] != c.holders_[i];
+    }
+    EXPECT_EQ(wrong, 0u) << "holder mask words out of step with the L1 tags";
   }
 };
 
@@ -284,7 +308,7 @@ TEST(CacheModelGolden, StampWrapMatchesTheUnwrappedStream) {
 }
 
 // All 256 cores of a 4-node machine read one line, then core 0 writes it:
-// the directory must name all 255 other copies, and the write pays a
+// the holder mask must name all 255 other copies, and the write pays a
 // same-node or a cross-node invalidation for each.
 TEST(CacheModelDirectory, WriteInvalidatesAll255Sharers) {
   CacheGeometry geo;
@@ -309,9 +333,9 @@ TEST(CacheModelDirectory, WriteInvalidatesAll255Sharers) {
   }
 }
 
-// The reference for the churn test: the same L1s with no sharer directory.
+// The reference for the churn test: the same L1s with no holder masks.
 // A write scans every other core's L1 set for the line, as the model did
-// before it kept a directory.
+// before it kept any sharer index.
 class NaiveL1 {
  public:
   explicit NaiveL1(const CacheGeometry& geo)
@@ -390,14 +414,17 @@ class NaiveL1 {
 };
 
 // Small 2-way L1s make most fills evictions. Phases alternate between
-// private lines (every L1 full of distinct lines: the directory at its
-// fullest) and a small shared pool with frequent writes (most entries
-// evicted or invalidated away), so the directory drains and refills many
-// times and its probe runs wrap around the table's end. The directory
-// starts small, so each geometry also regrows it several times.
+// private lines (every L1 full of distinct lines: the holder masks at
+// their fullest) and a small shared pool with frequent writes (most lines
+// evicted or invalidated away), so the masks drain and refill many times;
+// after each phase they must match the L1 tags exactly. With
+// `private_stride` nonzero, each core's private lines start that many
+// bytes after the previous core's instead of right after them.
 void expect_churn_matches_reference(unsigned cores, unsigned l1_sets,
-                                    int phases) {
-  SCOPED_TRACE(testing::Message() << cores << " cores, " << l1_sets << " sets");
+                                    int phases,
+                                    std::uintptr_t private_stride = 0) {
+  SCOPED_TRACE(testing::Message() << cores << " cores, " << l1_sets
+                                  << " sets, stride " << private_stride);
   CacheGeometry geo;
   geo.cores = cores;
   geo.l1_ways = 2;
@@ -408,6 +435,8 @@ void expect_churn_matches_reference(unsigned cores, unsigned l1_sets,
   NaiveL1 ref(geo);
   Rng rng(cores);
   const unsigned private_lines = 2 * l1_sets * geo.l1_ways;
+  const std::uintptr_t core_lines =
+      private_stride != 0 ? private_stride / 64 : private_lines;
   const std::uint64_t per_phase =
       std::max<std::uint64_t>(4000, std::uint64_t{cores} * private_lines);
   for (int phase = 0; phase < phases; ++phase) {
@@ -416,14 +445,14 @@ void expect_churn_matches_reference(unsigned cores, unsigned l1_sets,
       const unsigned core = static_cast<unsigned>(rng.below(cores));
       const std::uintptr_t line =
           shared ? rng.below(12)
-                 : core * std::uint64_t{private_lines} +
-                       rng.below(private_lines);
+                 : core * core_lines + rng.below(private_lines);
       const std::uintptr_t a = 0x20000000 + line * 64 + rng.below(4) * 16 +
                                (rng.below(16) == 0 ? 56 : 0);
       const bool write = rng.below(shared ? 3 : 10) == 0;
       model.access(core, a, 8, write);
       ref.access(core, a, 8, write);
     }
+    CacheModelTestPeer::expect_holders_exact(model);
   }
   std::uint64_t invalidations = 0;
   for (unsigned c = 0; c < cores; ++c) {
@@ -443,6 +472,9 @@ TEST(CacheModelDirectory, EvictionChurnMatchesNaiveScan) {
   expect_churn_matches_reference(100, 4, 60);
   expect_churn_matches_reference(256, 4, 60);
   expect_churn_matches_reference(256, 32, 6);  // 16384 L1 lines
+  // hashset_numa's arena shape: each core's private lines at the same
+  // offset of its own 64 MiB-aligned region (256 regions, 16 GiB).
+  expect_churn_matches_reference(256, 4, 60, std::uintptr_t{64} << 20);
 }
 
 }  // namespace
