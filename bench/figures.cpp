@@ -238,8 +238,8 @@ void fig04(Ctx& c) {
   Table table3({"Application", "Best", "Worst", "Perf. Diff.", "Threads"});
   for (const Kind& k : kinds) {
     const char* name = harness::set_kind_name(k.kind);
-    std::printf("--- %s (60%% updates) — throughput (tx/s, virtual) ---\n",
-                name);
+    std::printf("--- %s (60%% updates) — throughput (tx/s, %s) ---\n", name,
+                c.clock());
     std::vector<std::string> headers = {"threads"};
     for (const auto& a : c.allocs) headers.push_back(a);
     Table fig(headers);
@@ -361,8 +361,8 @@ void fig06(Ctx& c) {
 void fig07(Ctx& c) {
   Table table6({"Application", "Best", "Worst", "Perf. Diff.", "Threads"});
   for (const auto& app : c.opt.get_list("apps")) {
-    std::printf("--- %s — execution time (virtual seconds) ---\n",
-                app.c_str());
+    std::printf("--- %s — execution time (%s seconds) ---\n", app.c_str(),
+                c.clock());
     std::vector<std::string> headers = {"threads"};
     for (const auto& a : c.allocs) headers.push_back(a);
     Table fig(headers);

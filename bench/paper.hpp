@@ -68,6 +68,8 @@ class Ctx {
   std::vector<int> threads;
   int reps = 1;
   double scale;
+  // --engine threads: times are the host's wall clock, not virtual.
+  bool wall_clock;
   std::string csv_path;
 
   // opt.run_spec() for allocator `alloc`.
@@ -87,6 +89,9 @@ class Ctx {
       std::function<Sample(harness::RunContext&, const sim::RunConfig&)>;
   std::vector<Sample> raw(const harness::RunSpec& spec, int threads,
                           const std::string& cell, const RawBody& body);
+
+  // The clock the figure's times are read from, as a unit's qualifier.
+  const char* clock() const { return wall_clock ? "wall-clock" : "virtual"; }
 
   // Writes `t` to the figure's --csv path (no-op without --csv).
   void csv(const harness::Table& t) const { t.write_csv(csv_path); }

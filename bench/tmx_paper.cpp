@@ -12,6 +12,8 @@
 // report, 5 the guard plane found heap corruption.
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -62,7 +64,11 @@ void check_run(const Sample&) {}
 }  // namespace
 
 Ctx::Ctx(const Figure& f, const harness::Options& o, harness::ObsSession& obs)
-    : fig(f), opt(o), scale(f.scale * o.get_double("scale")), obs_(obs) {
+    : fig(f),
+      opt(o),
+      scale(f.scale * o.get_double("scale")),
+      wall_clock(o.run_spec().engine == sim::EngineKind::Threads),
+      obs_(obs) {
   // The figure's defaults stand in for an absent --alloc, --threads or
   // --reps; a figure without one pins the value in its body.
   if (f.allocs) {
@@ -169,12 +175,18 @@ namespace {
 // Runs `fig` once, or once per thread count for a single-count figure.
 void run_figure(const Figure& fig, const harness::Options& opt,
                 harness::ObsSession& obs, const std::string& csv) {
-  std::printf("== %s ==\n", fig.title);
-  std::printf("reproduces: %s\n", fig.reproduces);
-  std::printf(
-      "(virtual-time simulation; compare shapes/ratios with the paper, "
-      "not absolute values)\n\n");
   Ctx ctx(fig, opt, obs);
+  // A provenance line that states a unit of time states the engine's.
+  std::string reproduces = fig.reproduces;
+  if (const auto at = reproduces.find("virtual"); at != std::string::npos) {
+    reproduces.replace(at, std::strlen("virtual"), ctx.clock());
+  }
+  std::printf("== %s ==\n", fig.title);
+  std::printf("reproduces: %s\n", reproduces.c_str());
+  std::printf("(%s; compare shapes/ratios with the paper, not absolute "
+              "values)\n\n",
+              ctx.wall_clock ? "wall-clock run on host threads"
+                             : "virtual-time simulation");
   ctx.csv_path = csv;
   const bool per_count =
       fig.threads != nullptr && std::string(fig.threads).find(',') ==

@@ -16,21 +16,15 @@
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
-  using namespace tmx;
-  using K = harness::Flag::Kind;
-  constexpr harness::Flag kFlags[] = {
-      {"alloc", K::kModel, "NAME", "tcmalloc", "allocator model"},
-      {"threads", K::kInt, harness::kThreadsHint, "8", "threads moving money"},
-  };
-  const harness::Options opt(
-      argc, argv, {{"quickstart: concurrent bank transfers:", kFlags},
-                   harness::kRunFlags, harness::kReportFlags});
-  harness::RunSpec spec = opt.run_spec();
-  spec.allocator = opt.get("alloc");
-  const int threads = static_cast<int>(opt.get_long("threads"));
-  harness::ObsSession obs(opt);
+using namespace tmx;
 
+namespace {
+
+// Runs the transfers in a run context of their own and reports it. The
+// context closes on return, before the session writes its artifacts, so
+// its scheduler totals and abort tallies reach them.
+int transfer(const harness::RunSpec& spec, int threads,
+             harness::ObsSession& obs) {
   // 1. Open a run context: it builds the allocator model (the study's
   //    LD_PRELOAD equivalent) with any plane the flags turn on.
   harness::RunContext context(spec, threads);
@@ -95,5 +89,23 @@ int main(int argc, char** argv) {
 
   // 6. Close the run: its planes report what they found.
   obs.report("", context.finish());
-  return obs.finish(rc);
+  return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using K = harness::Flag::Kind;
+  constexpr harness::Flag kFlags[] = {
+      {"alloc", K::kModel, "NAME", "tcmalloc", "allocator model"},
+      {"threads", K::kInt, harness::kThreadsHint, "8", "threads moving money"},
+  };
+  const harness::Options opt(
+      argc, argv, {{"quickstart: concurrent bank transfers:", kFlags},
+                   harness::kRunFlags, harness::kReportFlags});
+  harness::RunSpec spec = opt.run_spec();
+  spec.allocator = opt.get("alloc");
+  const int threads = static_cast<int>(opt.get_long("threads"));
+  harness::ObsSession obs(opt);
+  return obs.finish(transfer(spec, threads, obs));
 }

@@ -243,6 +243,22 @@ WriteEntry* Tx::find_write(std::uintptr_t word_addr) {
   return nullptr;
 }
 
+void Tx::lock_conflict(AbortCause cause, const void* addr, Tx* owner,
+                       const VLock* lock) {
+  conflict(cause, addr);
+  if (!sim::in_sim()) return;  // the owner runs on, its write set in flux
+  const auto word = reinterpret_cast<std::uintptr_t>(addr);
+  pending_.conflict = owner->find_write(word) != nullptr
+                          ? obs::Conflict::kTrue
+                          : obs::Conflict::kFalse;
+  for (const WriteEntry& e : owner->write_set_) {
+    if (e.acquired && e.lock == lock) {
+      pending_.owner_addr = e.addr;
+      break;
+    }
+  }
+}
+
 std::uint64_t Tx::load_word(const void* addr) {
   if (TMX_UNLIKELY(doomed_)) return 0;
   if (doom_if_wild(addr)) return 0;
@@ -257,7 +273,7 @@ std::uint64_t Tx::load_word(const void* addr) {
   for (;;) {
     if (is_locked(v)) {
       if (owner_of(v) != this) {
-        conflict(AbortCause::kReadLocked, addr);
+        lock_conflict(AbortCause::kReadLocked, addr, owner_of(v), l);
         return 0;
       }
       // Read-own-write. Write-through already updated memory; write-back
@@ -319,7 +335,8 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
     sim::probe(l0, 8, false);
     const std::uint64_t v = lock_ref(l0).load(std::memory_order_acquire);
     if (is_locked(v) && owner_of(v) != this) {
-      conflict(AbortCause::kWriteLocked, addr);  // another commit in flight
+      // another commit in flight
+      lock_conflict(AbortCause::kWriteLocked, addr, owner_of(v), l0);
       return;
     }
     if (!is_locked(v) && version_of(v) > end_ts_ && !extend()) {
@@ -355,7 +372,7 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
   for (;;) {
     if (is_locked(v)) {
       if (owner_of(v) != this) {
-        conflict(AbortCause::kWriteLocked, addr);
+        lock_conflict(AbortCause::kWriteLocked, addr, owner_of(v), l);
         return;
       }
       const auto word = reinterpret_cast<std::uintptr_t>(addr);
@@ -472,10 +489,10 @@ void Tx::commit() {
     // releases whatever was acquired.
     for (WriteEntry& e : write_set_) {
       std::uint64_t v = lock_ref(e.lock).load(std::memory_order_acquire);
+      const auto* addr = reinterpret_cast<const void*>(e.addr);
       if (is_locked(v)) {
         if (owner_of(v) == this) continue;  // duplicate stripe
-        conflict(AbortCause::kWriteLocked,
-                 reinterpret_cast<const void*>(e.addr));
+        lock_conflict(AbortCause::kWriteLocked, addr, owner_of(v), e.lock);
         return;
       }
       if (version_of(v) > end_ts_ && !extend()) {
@@ -485,14 +502,18 @@ void Tx::commit() {
       sim::tick(sim::Cost::kAtomicRmw);
       if (!lock_ref(e.lock).compare_exchange_strong(
               v, make_locked(this), std::memory_order_acq_rel)) {
-        conflict(AbortCause::kWriteLocked,
-                 reinterpret_cast<const void*>(e.addr));
+        // v holds the word the CAS found.
+        if (is_locked(v)) {
+          lock_conflict(AbortCause::kWriteLocked, addr, owner_of(v), e.lock);
+        } else {
+          conflict(AbortCause::kWriteLocked, addr);
+        }
         return;
       }
       e.prev = v;
       e.acquired = true;
       TMX_OBS_EVENT(obs::EventKind::kStripeAcquire, e.addr,
-                    stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
+                    stm_->ort_index(addr));
     }
   }
   sim::tick(sim::Cost::kAtomicRmw);
@@ -569,7 +590,7 @@ void Tx::release_deferred_frees() {
   }
 }
 
-void Tx::rollback(AbortCause cause, [[maybe_unused]] std::uintptr_t addr) {
+void Tx::rollback(AbortCause cause, std::uintptr_t addr) {
   // Write-through: undo the in-place stores before releasing any lock
   // (readers are shut out while the locks are held).
   if (stm_->cfg_.design == StmDesign::kWriteThroughEtl) {
@@ -598,6 +619,16 @@ void Tx::rollback(AbortCause cause, [[maybe_unused]] std::uintptr_t addr) {
   }
   ++stats_.aborts;
   ++stats_.aborts_by_cause[static_cast<int>(cause)];
+  if (pending_.conflict == obs::Conflict::kTrue) ++stats_.true_conflict_aborts;
+  if (pending_.conflict == obs::Conflict::kFalse) {
+    ++stats_.false_conflict_aborts;
+  }
+  if (sim::in_sim()) {
+    sim::context().aborts.count(
+        pending_.conflict, addr,
+        addr != 0 ? stm_->ort_index(reinterpret_cast<const void*>(addr)) : 0,
+        pending_.owner_addr);
+  }
   // Same-cause streak tracking: a livelocking stripe shows up as a long
   // read_locked/write_locked streak in the metrics before the retry cap
   // ever trips.
@@ -916,11 +947,14 @@ void Tx::rollback_hw(HwAbortCause cause) {
     stm_->cfg_.allocator->tx_abort_hint(tid_);
   }
   ++stats_.hw_aborts_by_cause[static_cast<int>(cause)];
+  // Hardware aborts carry no faulting address: they count as unattributed.
+  if (sim::in_sim()) {
+    sim::context().aborts.count(obs::Conflict::kUnclassified, 0, 0, 0);
+  }
   if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_abort(tid_);
   // Hardware-path causes are traced offset past the five software causes
   // (5 = hw conflict, 6 = capacity, 7 = spurious, 8 = explicit) and carry
-  // no faulting address, so the attribution profiler leaves them
-  // unattributed rather than guessing.
+  // no faulting address.
   TMX_OBS_EVENT(obs::EventKind::kTxAbort, 0, 0,
                 static_cast<std::uint8_t>(kNumAbortCauses +
                                           static_cast<int>(cause)));
@@ -1012,6 +1046,9 @@ void publish_metrics(const TxStats& stats, obs::MetricsRegistry& reg,
     reg.set_counter(prefix + "aborts." + kCauses[i],
                     stats.aborts_by_cause[i]);
   }
+  reg.set_counter(prefix + "aborts.true_conflict", stats.true_conflict_aborts);
+  reg.set_counter(prefix + "aborts.false_conflict",
+                  stats.false_conflict_aborts);
   reg.set_counter(prefix + "extensions", stats.extensions);
   reg.set_counter(prefix + "tx_mallocs", stats.tx_mallocs);
   reg.set_counter(prefix + "tx_frees", stats.tx_frees);

@@ -27,14 +27,11 @@
 
 #include "alloc/allocator.hpp"
 #include "alloc/instrument.hpp"
+#include "obs/attribution.hpp"
 #include "sim/engine.hpp"
 #include "util/macros.hpp"
 #include "util/padded.hpp"
 #include "util/rng.hpp"
-
-namespace tmx::obs {
-class MetricsRegistry;
-}
 
 namespace tmx::stm {
 
@@ -93,7 +90,7 @@ struct Config {
 
 // Abort causes, tallied separately (the synthetic-benchmark analysis keys on
 // which barrier detected the conflict).
-enum class AbortCause : int {
+enum class AbortCause : std::uint8_t {
   kReadLocked = 0,   // read found the lock held by another transaction
   kWriteLocked = 1,  // write found the lock held by another transaction
   kValidation = 2,   // snapshot extension or commit validation failed
@@ -103,7 +100,7 @@ enum class AbortCause : int {
 inline constexpr int kNumAbortCauses = 5;
 
 // Hardware-path abort causes (hybrid mode).
-enum class HwAbortCause : int {
+enum class HwAbortCause : std::uint8_t {
   kConflict = 0,  // commit validation failed / stripe already locked
   kCapacity = 1,  // read or write set exceeded the hardware bound
   kSpurious = 2,  // best-effort hardware gives no guarantees
@@ -115,6 +112,11 @@ struct TxStats {
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;
   std::uint64_t aborts_by_cause[kNumAbortCauses] = {};
+  // Lock-collision aborts (kReadLocked/kWriteLocked) the sim engine
+  // classified: the lock's owner had written the aborter's word (true) or
+  // only other words of its stripe (false; see obs/attribution.hpp).
+  std::uint64_t true_conflict_aborts = 0;
+  std::uint64_t false_conflict_aborts = 0;
   std::uint64_t extensions = 0;
   std::uint64_t tx_mallocs = 0;
   std::uint64_t tx_frees = 0;
@@ -156,6 +158,8 @@ struct TxStats {
     for (int i = 0; i < kNumAbortCauses; ++i) {
       aborts_by_cause[i] += o.aborts_by_cause[i];
     }
+    true_conflict_aborts += o.true_conflict_aborts;
+    false_conflict_aborts += o.false_conflict_aborts;
     extensions += o.extensions;
     tx_mallocs += o.tx_mallocs;
     tx_frees += o.tx_frees;
@@ -196,12 +200,16 @@ void publish_metrics(const TxStats& stats, obs::MetricsRegistry& reg,
 // hardware-path one (hybrid mode), kExplicit for software causes raised on
 // the hardware path (restart, OOM). `addr` is the faulting address when the
 // conflict was detected at a specific barrier (read/write lock collisions),
-// 0 for validation failures and explicit restarts — the abort-attribution
-// profiler keys on it.
+// 0 for validation failures and explicit restarts. At a lock collision on
+// the sim engine, `conflict` says whether the lock's owner had written
+// `addr`'s word, and `owner_addr` is the word whose write acquired the lock
+// (Tx::lock_conflict); the rollback tallies both.
 struct TxAbortSignal {
   AbortCause cause = AbortCause::kValidation;
   HwAbortCause hw_cause = HwAbortCause::kExplicit;
+  obs::Conflict conflict = obs::Conflict::kUnclassified;
   std::uintptr_t addr = 0;
+  std::uintptr_t owner_addr = 0;
 };
 
 namespace detail {
@@ -357,9 +365,15 @@ class Tx {
   // attempt is rolled back.
   void conflict(AbortCause cause, const void* addr = nullptr) {
     pending_ = TxAbortSignal{cause, HwAbortCause::kExplicit,
+                             obs::Conflict::kUnclassified,
                              reinterpret_cast<std::uintptr_t>(addr)};
     doomed_ = true;
   }
+  // conflict(cause, addr) for a collision with `lock`, held by `owner`.
+  // On the sim engine it also classifies the collision from the owner's
+  // write set: host-side only, as the owner is parked at a yield.
+  void lock_conflict(AbortCause cause, const void* addr, Tx* owner,
+                     const detail::VLock* lock);
   // Dooms the attempt, through its mode's abort path, when `addr` has a
   // bit above 46 set, which no user-space address has. Only a zombie gets
   // one: it followed a stale pointer out of a block that a committed free
@@ -430,10 +444,10 @@ class Tx {
   detail::TxObjectCache alloc_cache_;
   TxStats stats_;
   Rng backoff_rng_{0xb0ffu};
-  unsigned consecutive_aborts_ = 0;
   // Same-cause abort streak (stats only): length of the current run of
   // aborts sharing one cause, 0 when the last attempt committed.
   std::uint64_t cause_streak_ = 0;
+  unsigned consecutive_aborts_ = 0;
   AbortCause last_abort_cause_ = AbortCause::kReadLocked;
   // Serial-irrevocable mode: set while this descriptor holds the global
   // serial token (see Stm::enter_serial). An irrevocable transaction runs

@@ -9,6 +9,7 @@
 #include "obs/trace_json.hpp"
 #include "obs/tracer.hpp"
 #include "sim/engine.hpp"
+#include "util/macros.hpp"
 
 namespace tmx::harness {
 
@@ -33,7 +34,7 @@ const FlagTable kReportFlags{"reports and artifacts:", kReportFlagList};
 
 ObsSession::ObsSession(const Options& opts)
     : attribution_(opts.has("attribution")),
-      top_k_(static_cast<int>(opts.get_long("attribution-topk"))),
+      top_k_(static_cast<std::size_t>(opts.get_long("attribution-topk"))),
       trace_path_(opts.get("trace")),
       metrics_path_(opts.get("metrics-out")),
       record_path_(opts.get("record-trace")) {
@@ -44,14 +45,12 @@ ObsSession::ObsSession(const Options& opts)
                         : opts.get(std::string(p.name) + "-out"));
   }
   files_.resize(outs_.size());
-  const bool want_tracing =
-      attribution_ || !trace_path_.empty() || !record_path_.empty();
-  if (want_tracing) {
+  if (!trace_path_.empty() || !record_path_.empty()) {
     if (!obs::kTracingCompiledIn) {
       std::fprintf(stderr,
-                   "warning: --trace/--attribution/--record-trace requested "
-                   "but the binary was built with -DTMX_TRACING=OFF; no "
-                   "events will be recorded\n");
+                   "warning: --trace/--record-trace requested but the binary "
+                   "was built with -DTMX_TRACING=OFF; no events will be "
+                   "recorded\n");
     }
     obs::Tracer::instance().enable(
         static_cast<std::size_t>(opts.get_long("trace-capacity")));
@@ -73,40 +72,12 @@ void ObsSession::set_trace_meta(const std::string& allocator, unsigned shift,
   recorder_.meta.seed = seed;
 }
 
-// Bookkeeping that must run before any tracer.clear(): clear() resets the
-// per-thread drop counters, so drops are accumulated here per window, and
-// the recorder drains each window in per-thread emission order.
-void ObsSession::absorb_window() {
-  obs::Tracer& tracer = obs::Tracer::instance();
-  for (int t = 0; t < kMaxThreads; ++t) {
-    drops_by_thread_[t] += tracer.dropped_by_thread(t);
-  }
-  if (recording()) recorder_.drain(tracer);
-}
-
-void ObsSession::collect() {
-  if (!tracing_) return;
-  obs::Tracer& tracer = obs::Tracer::instance();
-  std::vector<obs::Event> events = tracer.snapshot();
-  collected_.insert(collected_.end(), events.begin(), events.end());
-  absorb_window();
-  tracer.clear();
-}
-
 void ObsSession::report_attribution_and_clear(const std::string& label) {
-  if (!tracing_ || !attribution_) return;
-  obs::Tracer& tracer = obs::Tracer::instance();
-  const std::vector<obs::Event> events = tracer.snapshot();
+  if (!attribution_) return;
+  const obs::AbortTally tally = take_abort_tally();
   std::printf("\n[attribution] %s\n", label.c_str());
-  if (tracer.dropped() > 0) {
-    std::printf("  (ring overflow: %llu oldest events dropped; report "
-                "covers the surviving window)\n",
-                static_cast<unsigned long long>(tracer.dropped()));
-  }
-  obs::print_report(obs::attribute_aborts(events, static_cast<std::size_t>(top_k_)));
-  collected_.insert(collected_.end(), events.begin(), events.end());
-  absorb_window();
-  tracer.clear();
+  obs::print_report(obs::make_report(tally, top_k_));
+  aborts_.add(tally);
   reported_per_case_ = true;
 }
 
@@ -145,7 +116,6 @@ int ObsSession::finish(int rc) {
 void ObsSession::write_artifacts() {
   if (finished_) return;
   finished_ = true;
-  collect();
 
   for (std::size_t i = 0; i < kPlanes.size(); ++i) {
     const Plane& p = kPlanes[i];
@@ -167,51 +137,62 @@ void ObsSession::write_artifacts() {
     }
   }
 
-  if (attribution_ && !reported_per_case_ && tracing_) {
-    std::printf("\n[attribution] whole run\n");
-    obs::print_report(obs::attribute_aborts(collected_, static_cast<std::size_t>(top_k_)));
-  }
-  if (attribution_ && tracing_) {
-    obs::publish_metrics(obs::attribute_aborts(collected_, static_cast<std::size_t>(top_k_)),
-                         obs::MetricsRegistry::global());
+  if (attribution_) {
+    aborts_.add(take_abort_tally());
+    const obs::AttributionReport report = obs::make_report(aborts_, top_k_);
+    if (!reported_per_case_) {
+      std::printf("\n[attribution] whole run\n");
+      obs::print_report(report);
+    }
+    obs::publish_metrics(report, obs::MetricsRegistry::global());
   }
 
+  if (tracing_) write_trace_artifacts();
+
+  if (!metrics_path_.empty()) {
+    if (obs::MetricsRegistry::global().write_json(metrics_path_)) {
+      std::fprintf(stderr, "metrics: wrote %s\n", metrics_path_.c_str());
+    } else {
+      std::fprintf(stderr, "metrics: failed to write %s\n",
+                   metrics_path_.c_str());
+      ok_ = false;
+    }
+  }
+}
+
+void ObsSession::write_trace_artifacts() {
+  obs::Tracer& tracer = obs::Tracer::instance();
   if (!trace_path_.empty()) {
-    // Events were collected per-case; keep global timestamp order.
-    std::stable_sort(collected_.begin(), collected_.end(),
-                     [](const obs::Event& x, const obs::Event& y) {
-                       return x.ts < y.ts;
-                     });
-    if (obs::write_chrome_trace(trace_path_, collected_)) {
-      std::fprintf(stderr, "trace: wrote %zu events to %s\n",
-                   collected_.size(), trace_path_.c_str());
+    const std::vector<obs::Event> events = tracer.snapshot();
+    if (obs::write_chrome_trace(trace_path_, events)) {
+      std::fprintf(stderr, "trace: wrote %zu events to %s\n", events.size(),
+                   trace_path_.c_str());
     } else {
       std::fprintf(stderr, "trace: failed to write %s\n", trace_path_.c_str());
       ok_ = false;
     }
   }
 
-  if (tracing_) {
-    // Ring-overflow accounting: a truncated window silently biases any
-    // downstream analysis, so it is always published and printed.
-    std::uint64_t total_drops = 0;
-    auto& reg = obs::MetricsRegistry::global();
-    for (int t = 0; t < kMaxThreads; ++t) {
-      if (drops_by_thread_[t] == 0) continue;
-      total_drops += drops_by_thread_[t];
-      reg.set_counter("obs.trace.dropped.t" + std::to_string(t),
-                      drops_by_thread_[t]);
-    }
-    reg.set_counter("obs.trace.dropped", total_drops);
-    if (total_drops > 0) {
-      std::fprintf(stderr,
-                   "trace: ring overflow dropped %llu events; raise "
-                   "--trace-capacity for complete captures\n",
-                   static_cast<unsigned long long>(total_drops));
-    }
+  // Ring-overflow accounting: a truncated window silently biases any
+  // downstream analysis, so it is always published and printed.
+  std::uint64_t total_drops = 0;
+  auto& reg = obs::MetricsRegistry::global();
+  for (int t = 0; t < kMaxThreads; ++t) {
+    const std::uint64_t drops = tracer.dropped_by_thread(t);
+    if (drops == 0) continue;
+    total_drops += drops;
+    reg.set_counter("obs.trace.dropped.t" + std::to_string(t), drops);
+  }
+  reg.set_counter("obs.trace.dropped", total_drops);
+  if (total_drops > 0) {
+    std::fprintf(stderr,
+                 "trace: ring overflow dropped %llu events; raise "
+                 "--trace-capacity for complete captures\n",
+                 static_cast<unsigned long long>(total_drops));
   }
 
   if (recording()) {
+    recorder_.drain(tracer);
     const replay::Trace t = recorder_.build();
     if (replay::write_trace(record_path_, t)) {
       std::fprintf(stderr, "trace: recorded %zu records to %s%s\n",
@@ -223,18 +204,7 @@ void ObsSession::write_artifacts() {
       ok_ = false;
     }
   }
-
-  if (!metrics_path_.empty()) {
-    if (obs::MetricsRegistry::global().write_json(metrics_path_)) {
-      std::fprintf(stderr, "metrics: wrote %s\n", metrics_path_.c_str());
-    } else {
-      std::fprintf(stderr, "metrics: failed to write %s\n",
-                   metrics_path_.c_str());
-      ok_ = false;
-    }
-  }
-
-  if (tracing_) obs::Tracer::instance().disable();
+  tracer.disable();
 }
 
 }  // namespace tmx::harness

@@ -10,7 +10,8 @@
 //    and appends its rows to its files (prof's to the --prof-out files).
 //  * finish(rc) writes every artifact: the planes' files
 //    (<prof-out>.timeseries.csv / .sites.csv / .folded), the
-//    abort-attribution report (--attribution), the Chrome trace (--trace),
+//    abort-attribution report and its attribution.* metrics
+//    (--attribution), the Chrome trace (--trace),
 //    the replayable tmx-trace-v1 capture (--record-trace) and the
 //    tmx-metrics-v1 document (--metrics-out). It returns the exit code:
 //    3 when an artifact failed to write, else the highest exit code of a
@@ -21,11 +22,13 @@
 //    writes every artifact before it exits.
 //
 // Every flag the session reads is in kReportFlags. The tracer is on when
-// any of --trace / --attribution / --record-trace is given; events are collected across the runs. Ring-overflow drop counts
-// are published as obs.trace.dropped metrics and printed either way.
-// Binaries with several independent cases call
-// report_attribution_and_clear() between them to get a per-case report
-// and a fresh trace window.
+// --trace or --record-trace is given, and collects events across the
+// runs; its ring-overflow drop counts are published as obs.trace.dropped
+// metrics and printed. --attribution needs no tracer: it reports the abort
+// tallies the STM keeps in each simulated run's context, which closing a
+// RunContext folds into the process's (take_abort_tally). Binaries with
+// several independent cases call report_attribution_and_clear() between
+// them to get a per-case report.
 #pragma once
 
 #include <string>
@@ -33,9 +36,8 @@
 
 #include "harness/options.hpp"
 #include "harness/run_context.hpp"
-#include "obs/event.hpp"
+#include "obs/attribution.hpp"
 #include "replay/recorder.hpp"
-#include "util/macros.hpp"
 
 namespace tmx::obs {
 class MetricsRegistry;
@@ -70,10 +72,9 @@ class ObsSession {
   // Reports one run's planes into the global registry (see above).
   void report(const std::string& prefix, const PlaneOutputs& planes);
 
-  // Prints the abort-attribution report for the events recorded since the
-  // last call (or session start), labeled `label`, then clears the tracer
-  // so the next case starts from an empty window. The events are kept for
-  // the final Chrome trace. No-op unless --attribution and tracing are on.
+  // Prints the abort-attribution report, labeled `label`, for the runs
+  // closed since the last call (or session start), and starts the next
+  // case from empty tallies. No-op unless --attribution is on.
   void report_attribution_and_clear(const std::string& label);
 
   // Writes every artifact once and returns the exit code (see above). The
@@ -81,16 +82,15 @@ class ObsSession {
   int finish(int rc);
 
  private:
-  void collect();
-  void absorb_window();
   void write_artifacts();
+  void write_trace_artifacts();  // --trace, the drop counts, --record-trace
 
   bool tracing_ = false;
   bool attribution_ = false;
   bool finished_ = false;
   bool ok_ = true;  // false once a requested artifact failed to persist
   bool reported_per_case_ = false;
-  int top_k_ = 8;
+  std::size_t top_k_ = 8;
   int plane_rc_ = 0;  // the highest exit code of a plane that reported
   std::string trace_path_;
   std::string metrics_path_;
@@ -99,8 +99,7 @@ class ObsSession {
   // until a report() carries the plane's rows).
   std::vector<std::string> outs_;
   std::vector<std::vector<std::string>> files_;
-  std::vector<obs::Event> collected_;
-  std::uint64_t drops_by_thread_[kMaxThreads] = {};
+  obs::AbortTally aborts_;  // every case's tallies, for the metrics
   replay::Recorder recorder_;
 };
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "alloc/instrument.hpp"
 #include "obs/metrics.hpp"
@@ -15,6 +16,7 @@ namespace tmx::harness {
 namespace {
 // Contexts may close on several host threads at once.
 std::mutex g_metrics_mu;
+obs::AbortTally g_aborts;  // closed contexts' tallies, under g_metrics_mu
 
 [[noreturn]] void refuse(const std::string& why) {
   std::fprintf(stderr, "error: %s\n", why.c_str());
@@ -48,6 +50,7 @@ RunContext::~RunContext() {
   allocator_.reset();  // while the context is still current
   if (ctx_.sim_runs == 0) return;
   std::lock_guard<std::mutex> g(g_metrics_mu);
+  g_aborts.add(ctx_.aborts);
   auto& reg = obs::MetricsRegistry::global();
   reg.add_counter("sim.sched.switches", ctx_.sched.switches);
   reg.add_counter("sim.sched.fast_resumes", ctx_.sched.fast_resumes);
@@ -76,6 +79,11 @@ alloc::Allocator& RunContext::allocator(bool instrument) {
   }
   allocator_ = std::move(a);
   return *allocator_;
+}
+
+obs::AbortTally take_abort_tally() {
+  std::lock_guard<std::mutex> g(g_metrics_mu);
+  return std::exchange(g_aborts, {});
 }
 
 PlaneOutputs RunContext::finish() {

@@ -54,7 +54,8 @@
 // FaultyAllocator's parked frees run then — and returns what the planes
 // found, which the harnesses hand back in their results. Closing the
 // context adds its simulated runs' sim.sched.* and sim.numa.* totals to
-// the process metrics registry.
+// the process metrics registry, and their abort tallies to the process's
+// (take_abort_tally).
 #pragma once
 
 #include <cstdint>
@@ -132,6 +133,10 @@ struct Plane {
 // kInstrumentingAt.
 extern const std::span<const Plane> kPlanes;
 inline constexpr std::size_t kInstrumentingAt = 3;  // prof
+
+// The abort tallies (obs/attribution.hpp) of every context closed since
+// the last call, folded into one; the process's table is left empty.
+obs::AbortTally take_abort_tally();
 
 class RunContext {
  public:

@@ -1,55 +1,13 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "sim/address_space.hpp"
-#include "util/macros.hpp"
 
 namespace tmx::obs {
 
 namespace {
-
-// Last known acquisition of a stripe by one thread.
-struct Owner {
-  std::uint32_t tid = 0;
-  std::uint64_t addr = 0;
-  std::uint64_t ts = 0;
-  bool live = false;  // acquired and not yet released
-};
-
-// The acquisition the aborter collided with: prefer a still-held (live)
-// acquisition by another thread at or before the abort timestamp; virtual
-// per-fiber clocks can skew a few cycles, so a live acquisition slightly in
-// the future is accepted before falling back to the most recent released
-// one (commit may release before the aborter's rollback gets stamped).
-const Owner* pick_owner(const std::vector<Owner>& owners, std::uint32_t tid,
-                        std::uint64_t abort_ts) {
-  const Owner* best_live_past = nullptr;
-  const Owner* best_live_any = nullptr;
-  const Owner* best_dead_past = nullptr;
-  for (const Owner& o : owners) {
-    if (o.tid == tid) continue;
-    if (o.live) {
-      if (o.ts <= abort_ts &&
-          (best_live_past == nullptr || o.ts > best_live_past->ts)) {
-        best_live_past = &o;
-      }
-      if (best_live_any == nullptr || o.ts < best_live_any->ts) {
-        best_live_any = &o;
-      }
-    } else if (o.ts <= abort_ts &&
-               (best_dead_past == nullptr || o.ts > best_dead_past->ts)) {
-      best_dead_past = &o;
-    }
-  }
-  if (best_live_past != nullptr) return best_live_past;
-  if (best_live_any != nullptr) return best_live_any;
-  return best_dead_past;
-}
-
-std::uint64_t word_of(std::uint64_t addr) { return round_down(addr, 8); }
 
 // `addr`'s offset in its run's address space, whose base is aligned to the
 // space's size: the same in every process.
@@ -57,81 +15,66 @@ std::uint64_t offset_of(std::uint64_t addr) {
   return addr & (sim::AddressSpace::kBytes - 1);
 }
 
+// `t`'s row for `stripe`, made on first use.
+StripeAttribution& row(AbortTally& t, std::uint64_t stripe) {
+  if (t.stripes == nullptr) {
+    t.stripes = std::make_unique<
+        std::unordered_map<std::uint64_t, StripeAttribution>>();
+  }
+  StripeAttribution& s = (*t.stripes)[stripe];
+  s.stripe = stripe;
+  return s;
+}
+
 }  // namespace
 
-AttributionReport attribute_aborts(const std::vector<Event>& events,
-                                   std::size_t top_k) {
-  AttributionReport report;
-  // stripe -> one Owner slot per acquiring thread (small vectors: a stripe
-  // is contended by a handful of threads at most).
-  std::unordered_map<std::uint64_t, std::vector<Owner>> owners;
-  std::unordered_map<std::uint64_t, StripeAttribution> stripes;
+void AbortTally::count(Conflict kind, std::uint64_t addr,
+                       std::uint64_t stripe, std::uint64_t owner_addr) {
+  ++aborts;
+  if (kind == Conflict::kTrue) ++true_conflicts;
+  if (kind == Conflict::kFalse) ++false_aborts;
+  if (addr == 0) return;
+  StripeAttribution& s = row(*this, stripe);
+  ++s.aborts;
+  if (kind == Conflict::kUnclassified) {
+    ++s.unattributed;
+    return;
+  }
+  ++(kind == Conflict::kTrue ? s.true_conflicts : s.false_aborts);
+  if (s.sample_aborter_addr == 0) {
+    s.sample_aborter_addr = addr;
+    s.sample_owner_addr = owner_addr;
+  }
+}
 
-  for (const Event& e : events) {
-    switch (e.kind) {
-      case EventKind::kStripeAcquire: {
-        auto& v = owners[e.b];
-        Owner* slot = nullptr;
-        for (Owner& o : v) {
-          if (o.tid == e.tid) slot = &o;
-        }
-        if (slot == nullptr) {
-          v.push_back(Owner{});
-          slot = &v.back();
-          slot->tid = e.tid;
-        }
-        slot->addr = e.a;
-        slot->ts = e.ts;
-        slot->live = true;
-        break;
-      }
-      case EventKind::kStripeRelease: {
-        auto it = owners.find(e.b);
-        if (it == owners.end()) break;
-        for (Owner& o : it->second) {
-          if (o.tid == e.tid) o.live = false;
-        }
-        break;
-      }
-      case EventKind::kTxAbort: {
-        ++report.total_aborts;
-        if (e.a == 0) {
-          ++report.unattributed;
-          break;
-        }
-        StripeAttribution& s = stripes[e.b];
-        s.stripe = e.b;
-        ++s.aborts;
-        const auto it = owners.find(e.b);
-        const Owner* owner =
-            it == owners.end() ? nullptr
-                               : pick_owner(it->second, e.tid, e.ts);
-        if (owner == nullptr) {
-          ++report.unattributed;
-          ++s.unattributed;
-          break;
-        }
-        const bool same_word = word_of(owner->addr) == word_of(e.a);
-        if (same_word) {
-          ++report.true_conflicts;
-          ++s.true_conflicts;
-        } else {
-          ++report.false_aborts;
-          ++s.false_aborts;
-        }
-        if (s.sample_aborter_addr == 0) {
-          s.sample_aborter_addr = e.a;
-          s.sample_owner_addr = owner->addr;
-        }
-        break;
-      }
-      default:
-        break;
+void AbortTally::add(const AbortTally& o) {
+  aborts += o.aborts;
+  true_conflicts += o.true_conflicts;
+  false_aborts += o.false_aborts;
+  if (o.stripes == nullptr) return;
+  for (const auto& [stripe, x] : *o.stripes) {
+    StripeAttribution& s = row(*this, stripe);
+    s.aborts += x.aborts;
+    s.true_conflicts += x.true_conflicts;
+    s.false_aborts += x.false_aborts;
+    s.unattributed += x.unattributed;
+    if (s.sample_aborter_addr == 0) {
+      s.sample_aborter_addr = x.sample_aborter_addr;
+      s.sample_owner_addr = x.sample_owner_addr;
     }
   }
+}
 
-  report.top.reserve(stripes.size());
-  for (const auto& [stripe, s] : stripes) report.top.push_back(s);
+AttributionReport make_report(const AbortTally& tally, std::size_t top_k) {
+  AttributionReport report;
+  report.total_aborts = tally.aborts;
+  report.true_conflicts = tally.true_conflicts;
+  report.false_aborts = tally.false_aborts;
+  report.unattributed =
+      tally.aborts - tally.true_conflicts - tally.false_aborts;
+  if (tally.stripes != nullptr) {
+    for (const auto& [stripe, s] : *tally.stripes) report.top.push_back(s);
+  }
   std::sort(report.top.begin(), report.top.end(),
             [](const StripeAttribution& x, const StripeAttribution& y) {
               if (x.aborts != y.aborts) return x.aborts > y.aborts;

@@ -5,7 +5,9 @@
 // exactly 32N bytes. The `a`/`b`/`arg0`/`arg1` payload fields are
 // interpreted per kind; the table below is the contract shared by the
 // recording hooks (core/stm.cpp, sim/cache_model.cpp, alloc/instrument.cpp),
-// the Chrome-trace exporter and the abort-attribution profiler.
+// the Chrome-trace exporter and the trace recorder (replay/recorder.hpp).
+// Abort attribution reads no events: the STM classifies each abort where
+// it detects it (obs/attribution.hpp).
 //
 //   kind            a                  b               arg0            arg1
 //   --------------  -----------------  --------------  --------------  ----

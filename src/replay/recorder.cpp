@@ -96,12 +96,6 @@ void Recorder::drain(const obs::Tracer& tracer) {
   }
 }
 
-std::uint64_t Recorder::events() const {
-  std::uint64_t n = 0;
-  for (const auto& s : streams_) n += s.size();
-  return n;
-}
-
 std::uint64_t Recorder::dropped() const {
   std::uint64_t n = 0;
   for (std::uint64_t d : drops_) n += d;
@@ -259,10 +253,6 @@ Trace Recorder::build() const {
   t.records.reserve(t.records.size() + placed.size());
   for (const Placed& p : placed) t.records.push_back(to_record(p));
   return t;
-}
-
-bool Recorder::write(const std::string& path) const {
-  return write_trace(path, build());
 }
 
 }  // namespace tmx::replay

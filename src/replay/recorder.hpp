@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/event.hpp"
@@ -59,10 +58,6 @@ class Recorder {
   // trace as described above.
   Trace build() const;
 
-  // build() + write_trace().
-  bool write(const std::string& path) const;
-
-  std::uint64_t events() const;
   std::uint64_t dropped() const;
 
  private:

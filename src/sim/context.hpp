@@ -2,8 +2,8 @@
 // harness reach without plumbing — the address space every simulated byte
 // is carved from (sim/address_space.hpp), the NUMA view and placement
 // policy, the phase allocator's config, the checker callbacks, the
-// per-thread region markers, the opt-in plane states, and the engine's run
-// totals.
+// per-thread region markers, the opt-in plane states, and the engine's and
+// the STM's run totals.
 //
 // harness::RunContext builds one from a RunSpec and opens it on the host
 // thread for the run's lifetime. Hot paths reach it through one
@@ -27,6 +27,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "obs/attribution.hpp"
 #include "sim/address_space.hpp"
 #include "sim/numa.hpp"
 #include "util/macros.hpp"
@@ -126,6 +127,9 @@ struct RunContext {
   // Totals over every simulated run_parallel in the context.
   std::uint64_t sim_runs = 0;
   SchedStats sched{};
+  // The STM's aborts, classified where it detects them (core/stm.cpp);
+  // tallied on the sim engine only.
+  obs::AbortTally aborts;
   std::uint64_t numa_nodes = 0;  // summed over multi-node runs only
   std::uint64_t numa_local = 0;
   std::uint64_t numa_remote = 0;

@@ -1,8 +1,9 @@
 // The observability layer: ring-buffer tracer semantics, metrics JSON
-// round-trip, Chrome trace schema, and the abort-attribution profiler on a
+// round-trip, Chrome trace schema, and the STM's abort attribution on a
 // deterministic false-abort scenario (the Figure 5 mechanism).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -158,27 +159,25 @@ TEST(TraceJson, EmptyTraceIsValidJson) {
   EXPECT_TRUE(trace_events->is_array());
 }
 
-// -- End-to-end attribution through the STM hooks (needs TMX_TRACING=ON) --
+// -- Attribution at the conflict: the STM's tallies in the run's context --
 
 struct AttributionFixture : ::testing::Test {
-  void SetUp() override {
-    if (!kTracingCompiledIn) {
-      GTEST_SKIP() << "built with -DTMX_TRACING=OFF";
-    }
-    allocator = alloc::create_allocator("glibc");
-    Tracer::instance().enable(1u << 14);
-  }
-  void TearDown() override { Tracer::instance().disable(); }
+  sim::RunContext ctx;
+  sim::ContextScope scope{ctx};
+  std::unique_ptr<alloc::Allocator> allocator =
+      alloc::create_allocator("glibc");
 
-  std::unique_ptr<alloc::Allocator> allocator;
-
-  // Two sim threads hammer `writer_word` (read-modify-write) and
-  // `reader_word` (read-only) under the given stripe shift.
-  stm::TxStats run_conflict(unsigned shift, std::uint64_t* writer_word,
-                            std::uint64_t* reader_word) {
+  // Two threads hammer `writer_word` (read-modify-write) and `reader_word`
+  // (read-only, or read-modify-write when `both_write`) under the given
+  // stripe shift and design.
+  stm::TxStats run_conflict(
+      unsigned shift, std::uint64_t* writer_word, std::uint64_t* reader_word,
+      stm::StmDesign design = stm::StmDesign::kWriteBackEtl,
+      bool both_write = false) {
     stm::Config cfg;
     cfg.allocator = allocator.get();
     cfg.shift = shift;
+    cfg.design = design;
     stm::Stm stm(cfg);
     sim::RunConfig rc;
     rc.threads = 2;
@@ -192,7 +191,8 @@ struct AttributionFixture : ::testing::Test {
           });
         } else {
           stm.atomically([&](stm::Tx& tx) {
-            tx.load(reader_word);
+            const std::uint64_t v = tx.load(reader_word);
+            if (both_write) tx.store(reader_word, v + 1);
             sim::tick(300);
           });
         }
@@ -200,6 +200,10 @@ struct AttributionFixture : ::testing::Test {
     });
     last_stripe_ = stm.ort_index(writer_word);
     return stm.stats();
+  }
+
+  AttributionReport report(std::size_t top_k = 4) const {
+    return make_report(ctx.aborts, top_k);
   }
 
   std::size_t last_stripe_ = 0;
@@ -212,17 +216,21 @@ TEST_F(AttributionFixture, ClassifiesFalseAborts) {
   const stm::TxStats stats = run_conflict(5, &buf[0], &buf[1]);
   ASSERT_GT(stats.aborts, 0u);
 
-  const AttributionReport report =
-      attribute_aborts(Tracer::instance().snapshot(), /*top_k=*/4);
-  EXPECT_EQ(report.total_aborts, stats.aborts);
-  EXPECT_GT(report.false_aborts, 0u);
-  EXPECT_EQ(report.true_conflicts, 0u);
-  EXPECT_DOUBLE_EQ(report.false_abort_ratio(), 1.0);
-  ASSERT_FALSE(report.top.empty());
-  EXPECT_EQ(report.top[0].stripe, last_stripe_);
-  // The evidence pair shows two distinct words sharing the stripe.
-  EXPECT_NE(report.top[0].sample_aborter_addr,
-            report.top[0].sample_owner_addr);
+  const AttributionReport r = report();
+  EXPECT_EQ(r.total_aborts, stats.aborts);
+  EXPECT_GT(r.false_aborts, 0u);
+  EXPECT_EQ(r.true_conflicts, 0u);
+  EXPECT_EQ(stats.false_conflict_aborts, r.false_aborts);
+  EXPECT_EQ(stats.true_conflict_aborts, 0u);
+  EXPECT_DOUBLE_EQ(r.false_abort_ratio(), 1.0);
+  ASSERT_FALSE(r.top.empty());
+  EXPECT_EQ(r.top[0].stripe, last_stripe_);
+  // The evidence pair: the reader's word, and the word whose write took
+  // the stripe's lock.
+  EXPECT_EQ(r.top[0].sample_aborter_addr,
+            reinterpret_cast<std::uintptr_t>(&buf[1]));
+  EXPECT_EQ(r.top[0].sample_owner_addr,
+            reinterpret_cast<std::uintptr_t>(&buf[0]));
 }
 
 TEST_F(AttributionFixture, ClassifiesTrueConflicts) {
@@ -231,13 +239,34 @@ TEST_F(AttributionFixture, ClassifiesTrueConflicts) {
   const stm::TxStats stats = run_conflict(5, &buf[0], &buf[0]);
   ASSERT_GT(stats.aborts, 0u);
 
-  const AttributionReport report =
-      attribute_aborts(Tracer::instance().snapshot(), /*top_k=*/4);
-  EXPECT_GT(report.true_conflicts, 0u);
-  EXPECT_EQ(report.false_aborts, 0u);
-  EXPECT_DOUBLE_EQ(report.false_abort_ratio(), 0.0);
-  ASSERT_FALSE(report.top.empty());
-  EXPECT_EQ(report.top[0].stripe, last_stripe_);
+  const AttributionReport r = report();
+  EXPECT_GT(r.true_conflicts, 0u);
+  EXPECT_EQ(r.false_aborts, 0u);
+  EXPECT_EQ(stats.true_conflict_aborts, r.true_conflicts);
+  EXPECT_EQ(stats.false_conflict_aborts, 0u);
+  EXPECT_DOUBLE_EQ(r.false_abort_ratio(), 0.0);
+  ASSERT_FALSE(r.top.empty());
+  EXPECT_EQ(r.top[0].stripe, last_stripe_);
+}
+
+TEST_F(AttributionFixture, ClassifiesUnderCommitTimeLocking) {
+  // Commit-time locking holds a stripe's lock only while it commits: the
+  // other writer's barriers and commit collide with it there.
+  alignas(64) static std::uint64_t buf[8] = {};
+  const stm::TxStats stats =
+      run_conflict(5, &buf[0], &buf[1], stm::StmDesign::kCommitTimeLocking,
+                   /*both_write=*/true);
+  ASSERT_GT(stats.aborts_by_cause[static_cast<int>(
+                stm::AbortCause::kWriteLocked)],
+            0u);
+  const AttributionReport r = report();
+  EXPECT_EQ(r.true_conflicts, 0u);
+  EXPECT_EQ(r.false_aborts,
+            stats.aborts_by_cause[static_cast<int>(
+                stm::AbortCause::kReadLocked)] +
+                stats.aborts_by_cause[static_cast<int>(
+                    stm::AbortCause::kWriteLocked)]);
+  EXPECT_EQ(stats.false_conflict_aborts, r.false_aborts);
 }
 
 TEST_F(AttributionFixture, SeparateStripesProduceNoAborts) {
@@ -245,12 +274,53 @@ TEST_F(AttributionFixture, SeparateStripesProduceNoAborts) {
   alignas(64) static std::uint64_t buf[8] = {};
   const stm::TxStats stats = run_conflict(4, &buf[0], &buf[4]);
   EXPECT_EQ(stats.aborts, 0u);
-  const AttributionReport report =
-      attribute_aborts(Tracer::instance().snapshot());
-  EXPECT_EQ(report.total_aborts, 0u);
+  const AttributionReport r = report();
+  EXPECT_EQ(r.total_aborts, 0u);
+  EXPECT_TRUE(r.top.empty());
+}
+
+TEST_F(AttributionFixture, ThreadsEngineLeavesLockedAbortsUnclassified) {
+  // On real threads the lock's owner is still running, so its write set
+  // cannot be read: the collision counts, unclassified, and nothing is
+  // tallied. The owner holds the lock until the reader starts a second
+  // attempt, so the reader's first attempt collides with it.
+  alignas(64) static std::uint64_t buf[8] = {};
+  stm::Config cfg;
+  cfg.allocator = allocator.get();
+  stm::Stm stm(cfg);
+  std::atomic<bool> held{false};
+  std::atomic<int> attempts{0};
+  sim::RunConfig rc;
+  rc.kind = sim::EngineKind::Threads;
+  rc.threads = 2;
+  sim::run_parallel(rc, [&](int tid) {
+    if (tid == 0) {
+      stm.atomically([&](stm::Tx& tx) {
+        tx.store(&buf[0], tx.load(&buf[0]) + 1);
+        held.store(true);
+        while (attempts.load() < 2) sim::relax();
+      });
+    } else {
+      while (!held.load()) sim::relax();
+      stm.atomically([&](stm::Tx& tx) {
+        attempts.fetch_add(1);
+        tx.load(&buf[0]);
+      });
+    }
+  });
+  const stm::TxStats stats = stm.stats();
+  EXPECT_GE(
+      stats.aborts_by_cause[static_cast<int>(stm::AbortCause::kReadLocked)],
+      1u);
+  EXPECT_EQ(stats.true_conflict_aborts, 0u);
+  EXPECT_EQ(stats.false_conflict_aborts, 0u);
+  EXPECT_EQ(ctx.aborts.aborts, 0u);
 }
 
 TEST_F(AttributionFixture, StmTraceExportsAsValidChromeTrace) {
+  if (!kTracingCompiledIn) GTEST_SKIP() << "built with -DTMX_TRACING=OFF";
+  TracerGuard guard;
+  Tracer::instance().enable(1u << 14);
   alignas(64) static std::uint64_t buf[8] = {};
   run_conflict(5, &buf[0], &buf[1]);
   const std::vector<Event> events = Tracer::instance().snapshot();
@@ -276,15 +346,17 @@ TEST_F(AttributionFixture, StmTraceExportsAsValidChromeTrace) {
 
 TEST_F(AttributionFixture, PublishMetricsExposesTotals) {
   alignas(64) static std::uint64_t buf[8] = {};
-  run_conflict(5, &buf[0], &buf[1]);
-  const AttributionReport report =
-      attribute_aborts(Tracer::instance().snapshot());
+  const stm::TxStats stats = run_conflict(5, &buf[0], &buf[1]);
+  const AttributionReport r = report();
   MetricsRegistry reg;
-  publish_metrics(report, reg);
-  EXPECT_EQ(reg.counter("attribution.total_aborts"), report.total_aborts);
-  EXPECT_EQ(reg.counter("attribution.false_aborts"), report.false_aborts);
-  EXPECT_EQ(reg.counter("attribution.true_conflicts"),
-            report.true_conflicts);
+  publish_metrics(r, reg);
+  EXPECT_EQ(reg.counter("attribution.total_aborts"), r.total_aborts);
+  EXPECT_EQ(reg.counter("attribution.false_aborts"), r.false_aborts);
+  EXPECT_EQ(reg.counter("attribution.true_conflicts"), r.true_conflicts);
+  // Every run's document carries the split beside the cause counters.
+  stm::publish_metrics(stats, reg);
+  EXPECT_EQ(reg.counter("stm.aborts.false_conflict"), r.false_aborts);
+  EXPECT_EQ(reg.counter("stm.aborts.true_conflict"), r.true_conflicts);
 }
 
 }  // namespace
