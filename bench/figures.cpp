@@ -7,7 +7,6 @@
 #include "alloc/allocator.hpp"
 #include "alloc/tcmalloc_model.hpp"
 #include "harness/stats.hpp"
-#include "obs/tracer.hpp"
 #include "paper.hpp"
 #include "sim/cache_model.hpp"
 #include "sim/sync.hpp"
@@ -157,7 +156,7 @@ void fig02(Ctx& c) {
   const auto runs = c.raw(
       c.spec("tcmalloc"), 2, p(2),
       [&](harness::RunContext& run, const sim::RunConfig& rc) {
-        alloc::Allocator& a = run.allocator(obs::trace_enabled());
+        alloc::Allocator& a = run.allocator(false);
         const auto rr = sim::run_parallel(rc, [&](int tid) {
           for (int i = 0; i < kRounds; ++i) {
             void* blk = a.allocate(16);
@@ -211,7 +210,7 @@ void fig03(Ctx& c) {
       const auto runs = c.raw(
           c.spec(a), th, "b" + std::to_string(block) + "." + p(th),
           [&](harness::RunContext& run, const sim::RunConfig& rc) {
-            return threadtest(run.allocator(obs::trace_enabled()), rc, block,
+            return threadtest(run.allocator(false), rc, block,
                               pairs);
           });
       row.push_back(fmt_si(mean(runs, value), 2));
@@ -286,7 +285,7 @@ void fig05(Ctx& c) {
       const auto runs = c.raw(
           spec, 2, "shift" + std::to_string(shift),
           [&](harness::RunContext& run, const sim::RunConfig& rc) {
-            alloc::Allocator& a = run.allocator(obs::trace_enabled());
+            alloc::Allocator& a = run.allocator(false);
             stm::Stm stm(spec.stm_config(&a));
             // Two 16-byte nodes in sequence, as the list benchmark's main
             // thread allocates them.
@@ -740,7 +739,7 @@ void ext_larson(Ctx& c) {
       const auto runs = c.raw(
           c.spec(name), th, range + "." + p(th),
           [&](harness::RunContext& run, const sim::RunConfig& rc) {
-            alloc::Allocator& a = run.allocator(obs::trace_enabled());
+            alloc::Allocator& a = run.allocator(false);
             std::vector<std::vector<void*>> slots(th);
             for (auto& v : slots) v.assign(kSlots, nullptr);
             sim::Barrier barrier(th);

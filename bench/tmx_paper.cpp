@@ -16,7 +16,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "obs/tracer.hpp"
 #include "paper.hpp"
 
 namespace tmx::paper {
@@ -116,7 +115,6 @@ std::vector<R> Ctx::cell(const harness::RunSpec& spec, const std::string& cell,
   sim::CacheStats cache;
   for (int r = 0; r < reps; ++r) {
     const std::uint64_t seed = spec.seed + 1000003ull * r;
-    obs_.set_trace_meta(spec.allocator, spec.shift, spec.ort_log2, seed);
     R run = once(seed);
     check_run(run);
     if (const auto* s = stats_of(run)) stats.add(*s);
@@ -150,9 +148,6 @@ std::vector<stamp::StampOutcome> Ctx::stamp(const stamp::StampRun& run,
   return cell<stamp::StampOutcome>(run, cell_name, [&](std::uint64_t seed) {
     stamp::StampRun r = run;
     r.seed = seed;
-    // Trace capture needs the kAlloc/kFree events of the instrumenting
-    // wrapper, as in run_set_bench.
-    r.instrument = r.instrument || obs::trace_enabled();
     return stamp::run_stamp(r);
   });
 }

@@ -42,10 +42,7 @@ int main(int argc, char** argv) {
   run.allocator = opt.get("alloc");
   run.threads = static_cast<int>(opt.get_long("threads"));
   run.scale = opt.get_double("scale");
-  // Recording rides on the same instrumenting wrapper profiling uses: it
-  // is the only layer that emits kAlloc/kFree events.
-  run.instrument = opt.has("profile") || obs.recording();
-  obs.set_trace_meta(run.allocator, run.shift, run.ort_log2, run.seed);
+  run.instrument = opt.has("profile");
 
   const auto out = stamp::run_stamp(run);
   const auto& r = out.result;

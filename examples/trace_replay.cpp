@@ -48,7 +48,6 @@ constexpr harness::Flag kFlags[] = {
     {"shift", K::kInt, "0..63", "0", "replay ORT shift (0 = the trace's)"},
     {"ort-log2", K::kInt, "L", "0", "replay ORT size (0 = the trace's)"},
     {"cache-model", K::kInt, "0|1", "1", "cache simulator"},
-    {"strict-gaps", K::kBare, nullptr, nullptr, "refuse gappy traces"},
     {"seed", K::kInt, "S", "20150207", "synth and replay seed"},
     {"threads", K::kInt, harness::kThreadsHint, "4", "synth threads"},
     {"ops", K::kInt, "N", nullptr,
@@ -80,7 +79,6 @@ harness::ReplayRun replay_run(const harness::Options& opt) {
   run.shift = static_cast<unsigned>(opt.get_long("shift"));
   run.ort_log2 = static_cast<unsigned>(opt.get_long("ort-log2"));
   run.cache_model = opt.get_long("cache-model") != 0;
-  run.strict_gaps = opt.has("strict-gaps");
   run.seed = static_cast<std::uint64_t>(opt.get_long("seed"));
   return run;
 }
@@ -102,7 +100,7 @@ int inspect(const std::string& path) {
   std::printf("seed:      %llu\n",
               static_cast<unsigned long long>(t.meta.seed));
   std::printf("records:   %zu  (malloc %llu, free %llu, tx %llu/%llu/%llu "
-              "begin/commit/abort, gaps %llu)\n",
+              "begin/commit/abort)\n",
               t.records.size(),
               static_cast<unsigned long long>(t.count(replay::OpKind::kMalloc)),
               static_cast<unsigned long long>(t.count(replay::OpKind::kFree)),
@@ -111,12 +109,7 @@ int inspect(const std::string& path) {
               static_cast<unsigned long long>(
                   t.count(replay::OpKind::kTxCommit)),
               static_cast<unsigned long long>(
-                  t.count(replay::OpKind::kTxAbort)),
-              static_cast<unsigned long long>(t.count(replay::OpKind::kGap)));
-  if (t.gappy()) {
-    std::printf("GAPPY:     %llu events lost to ring truncation\n",
-                static_cast<unsigned long long>(t.meta.dropped));
-  }
+                  t.count(replay::OpKind::kTxAbort)));
   const replay::StripeStats rec = replay::recorded_stripe_stats(t);
   if (rec.blocks > 0) {
     std::printf("recorded placement: %llu blocks, %llu cross-thread stripe "

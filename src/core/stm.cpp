@@ -42,6 +42,20 @@ std::uint64_t make_locked(const Tx* tx) {
 }
 std::uint64_t make_version(std::uint64_t ts) { return ts << 1; }
 
+// Appends a transaction record to the run's capture log, stamped now.
+// Callers guard it with Stm::capture_. Cold and out of line: a run that
+// does not capture keeps its lifecycle paths compact.
+[[gnu::cold, gnu::noinline]] void capture_tx(replay::OpKind kind,
+                                             std::uint64_t reads = 0,
+                                             std::uint64_t writes = 0,
+                                             std::uint8_t cause = 0) {
+  sim::capture({.cycle = sim::now_cycles(),
+                .kind = kind,
+                .aux = cause,
+                .size = reads,
+                .size2 = writes});
+}
+
 // A lock word as the atomic it is: every access keeps the memory order the
 // versioned-lock protocol needs.
 std::atomic_ref<VLock> lock_ref(VLock* l) { return std::atomic_ref<VLock>(*l); }
@@ -176,6 +190,7 @@ void Tx::begin() {
   // mirrors.
   if (TMX_UNLIKELY(check::enabled())) check::on_tx_begin(tid_);
   if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_begin(tid_);
+  if (TMX_UNLIKELY(stm_->capture_)) capture_tx(replay::OpKind::kTxBegin);
   TMX_OBS_EVENT(obs::EventKind::kTxBegin);
   sim::tick(sim::Cost::kBarrier);
 }
@@ -477,6 +492,10 @@ void Tx::commit() {
     ++stats_.commits;
     if (TMX_UNLIKELY(irrevocable_)) ++stats_.irrevocable_commits;
     if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_commit(tid_);
+    if (TMX_UNLIKELY(stm_->capture_)) {
+      capture_tx(replay::OpKind::kTxCommit, read_set_.size(),
+                 write_set_.size());
+    }
     TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
                   write_set_.size());
     consecutive_aborts_ = 0;
@@ -573,6 +592,10 @@ void Tx::commit() {
   ++stats_.commits;
   if (TMX_UNLIKELY(irrevocable_)) ++stats_.irrevocable_commits;
   if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_commit(tid_);
+  if (TMX_UNLIKELY(stm_->capture_)) {
+    capture_tx(replay::OpKind::kTxCommit, read_set_.size(),
+               write_set_.size());
+  }
   TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
                 write_set_.size());
   consecutive_aborts_ = 0;
@@ -642,6 +665,10 @@ void Tx::rollback(AbortCause cause, std::uintptr_t addr) {
         cause_streak_;
   }
   if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_abort(tid_);
+  if (TMX_UNLIKELY(stm_->capture_)) {
+    capture_tx(replay::OpKind::kTxAbort, 0, 0,
+               static_cast<std::uint8_t>(cause));
+  }
   TMX_OBS_EVENT(obs::EventKind::kTxAbort, addr,
                 addr != 0
                     ? stm_->ort_index(reinterpret_cast<const void*>(addr))
@@ -785,6 +812,7 @@ void Tx::begin_hw() {
   }
   ++stats_.hw_starts;
   if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_begin(tid_);
+  if (TMX_UNLIKELY(stm_->capture_)) capture_tx(replay::OpKind::kTxBegin);
   TMX_OBS_EVENT(obs::EventKind::kTxBegin);
   sim::tick(sim::Cost::kBarrier);
 }
@@ -859,6 +887,10 @@ void Tx::commit_hw() {
     }
     ++stats_.hw_commits;
     if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_commit(tid_);
+    if (TMX_UNLIKELY(stm_->capture_)) {
+      capture_tx(replay::OpKind::kTxCommit, read_set_.size(),
+                 write_set_.size());
+    }
     TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
                   write_set_.size());
     hw_mode_ = false;
@@ -925,6 +957,10 @@ void Tx::commit_hw() {
   }
   ++stats_.hw_commits;
   if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_commit(tid_);
+  if (TMX_UNLIKELY(stm_->capture_)) {
+    capture_tx(replay::OpKind::kTxCommit, read_set_.size(),
+               write_set_.size());
+  }
   TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
                 write_set_.size());
   hw_mode_ = false;
@@ -952,12 +988,15 @@ void Tx::rollback_hw(HwAbortCause cause) {
     sim::context().aborts.count(obs::Conflict::kUnclassified, 0, 0, 0);
   }
   if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_abort(tid_);
-  // Hardware-path causes are traced offset past the five software causes
+  // Hardware-path causes are recorded offset past the five software causes
   // (5 = hw conflict, 6 = capacity, 7 = spurious, 8 = explicit) and carry
   // no faulting address.
-  TMX_OBS_EVENT(obs::EventKind::kTxAbort, 0, 0,
-                static_cast<std::uint8_t>(kNumAbortCauses +
-                                          static_cast<int>(cause)));
+  const auto hw_cause =
+      static_cast<std::uint8_t>(kNumAbortCauses + static_cast<int>(cause));
+  if (TMX_UNLIKELY(stm_->capture_)) {
+    capture_tx(replay::OpKind::kTxAbort, 0, 0, hw_cause);
+  }
+  TMX_OBS_EVENT(obs::EventKind::kTxAbort, 0, 0, hw_cause);
   hw_mode_ = false;
   stm_->tx_window_[tid_]->flag = false;
   sim::tick(sim::Cost::kBarrier);
@@ -971,6 +1010,7 @@ Stm::Stm(const Config& cfg) : cfg_(cfg) {
   TMX_ASSERT_MSG(cfg_.allocator != nullptr,
                  "Stm requires a backing allocator");
   tx_hints_ = cfg_.allocator->wants_tx_hints();
+  capture_ = sim::context().capture != nullptr;
   TMX_ASSERT(cfg_.ort_log2 >= 4 && cfg_.ort_log2 <= 26);
   TMX_ASSERT(cfg_.shift < 64);  // ort_index shifts a uintptr_t by it
   ort_mask_ = (std::size_t{1} << cfg_.ort_log2) - 1;

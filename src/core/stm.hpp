@@ -613,6 +613,10 @@ class Stm {
   // per-object ones) pay one predictable branch per lifecycle event
   // instead of a virtual call, keeping their schedules bit-identical.
   bool tx_hints_ = false;
+  // Whether the run context this Stm was built in captures
+  // (sim::RunContext::capture): begin, commit and rollback append their
+  // records only then.
+  bool capture_ = false;
   std::size_t ort_mask_;
   // Lock words are probed on every barrier, so they live in the run's
   // address space (see kOrtAlignment in stm.cpp).

@@ -45,31 +45,25 @@ ObsSession::ObsSession(const Options& opts)
                         : opts.get(std::string(p.name) + "-out"));
   }
   files_.resize(outs_.size());
-  if (!trace_path_.empty() || !record_path_.empty()) {
+  if (!trace_path_.empty()) {
     if (!obs::kTracingCompiledIn) {
       std::fprintf(stderr,
-                   "warning: --trace/--record-trace requested but the binary "
-                   "was built with -DTMX_TRACING=OFF; no events will be "
-                   "recorded\n");
+                   "warning: --trace requested but the binary was built with "
+                   "-DTMX_TRACING=OFF; no events will be recorded\n");
     }
     obs::Tracer::instance().enable(
         static_cast<std::size_t>(opts.get_long("trace-capacity")));
-    tracing_ = true;
   }
+  set_report(Report::kAttribution, attribution_);
+  set_report(Report::kCapture, !record_path_.empty());
   sim::install_exit_flush([this] { write_artifacts(); });
 }
 
 ObsSession::~ObsSession() {
   write_artifacts();
+  set_report(Report::kAttribution, false);
+  set_report(Report::kCapture, false);
   sim::install_exit_flush({});
-}
-
-void ObsSession::set_trace_meta(const std::string& allocator, unsigned shift,
-                                unsigned ort_log2, std::uint64_t seed) {
-  recorder_.meta.allocator = allocator;
-  recorder_.meta.shift = shift;
-  recorder_.meta.ort_log2 = ort_log2;
-  recorder_.meta.seed = seed;
 }
 
 void ObsSession::report_attribution_and_clear(const std::string& label) {
@@ -147,7 +141,8 @@ void ObsSession::write_artifacts() {
     obs::publish_metrics(report, obs::MetricsRegistry::global());
   }
 
-  if (tracing_) write_trace_artifacts();
+  if (!trace_path_.empty()) write_trace();
+  if (!record_path_.empty()) write_capture();
 
   if (!metrics_path_.empty()) {
     if (obs::MetricsRegistry::global().write_json(metrics_path_)) {
@@ -160,17 +155,15 @@ void ObsSession::write_artifacts() {
   }
 }
 
-void ObsSession::write_trace_artifacts() {
+void ObsSession::write_trace() {
   obs::Tracer& tracer = obs::Tracer::instance();
-  if (!trace_path_.empty()) {
-    const std::vector<obs::Event> events = tracer.snapshot();
-    if (obs::write_chrome_trace(trace_path_, events)) {
-      std::fprintf(stderr, "trace: wrote %zu events to %s\n", events.size(),
-                   trace_path_.c_str());
-    } else {
-      std::fprintf(stderr, "trace: failed to write %s\n", trace_path_.c_str());
-      ok_ = false;
-    }
+  const std::vector<obs::Event> events = tracer.snapshot();
+  if (obs::write_chrome_trace(trace_path_, events)) {
+    std::fprintf(stderr, "trace: wrote %zu events to %s\n", events.size(),
+                 trace_path_.c_str());
+  } else {
+    std::fprintf(stderr, "trace: failed to write %s\n", trace_path_.c_str());
+    ok_ = false;
   }
 
   // Ring-overflow accounting: a truncated window silently biases any
@@ -187,24 +180,21 @@ void ObsSession::write_trace_artifacts() {
   if (total_drops > 0) {
     std::fprintf(stderr,
                  "trace: ring overflow dropped %llu events; raise "
-                 "--trace-capacity for complete captures\n",
+                 "--trace-capacity for complete traces\n",
                  static_cast<unsigned long long>(total_drops));
   }
-
-  if (recording()) {
-    recorder_.drain(tracer);
-    const replay::Trace t = recorder_.build();
-    if (replay::write_trace(record_path_, t)) {
-      std::fprintf(stderr, "trace: recorded %zu records to %s%s\n",
-                   t.records.size(), record_path_.c_str(),
-                   t.gappy() ? " (GAPPY: replays are approximate)" : "");
-    } else {
-      std::fprintf(stderr, "trace: failed to write %s\n",
-                   record_path_.c_str());
-      ok_ = false;
-    }
-  }
   tracer.disable();
+}
+
+void ObsSession::write_capture() {
+  const replay::Trace t = take_capture();
+  if (replay::write_trace(record_path_, t)) {
+    std::fprintf(stderr, "trace: recorded %zu records to %s\n",
+                 t.records.size(), record_path_.c_str());
+  } else {
+    std::fprintf(stderr, "trace: failed to write %s\n", record_path_.c_str());
+    ok_ = false;
+  }
 }
 
 }  // namespace tmx::harness

@@ -22,11 +22,14 @@
 //    writes every artifact before it exits.
 //
 // Every flag the session reads is in kReportFlags. The tracer is on when
-// --trace or --record-trace is given, and collects events across the
-// runs; its ring-overflow drop counts are published as obs.trace.dropped
-// metrics and printed. --attribution needs no tracer: it reports the abort
-// tallies the STM keeps in each simulated run's context, which closing a
-// RunContext folds into the process's (take_abort_tally). Binaries with
+// --trace is given, and collects events across the runs; its ring-overflow
+// drop counts are published as obs.trace.dropped metrics and printed.
+// --attribution and --record-trace need no tracer: the session turns them
+// on for the process (set_report), so every run opened afterwards keeps
+// its own abort tallies and capture log in its context, and refuses
+// --engine threads. Closing a RunContext folds them into the process's
+// (take_abort_tally, take_capture), so a watchdog or guard trip writes
+// what the contexts closed before it captured and tallied. Binaries with
 // several independent cases call report_attribution_and_clear() between
 // them to get a per-case report.
 #pragma once
@@ -37,7 +40,6 @@
 #include "harness/options.hpp"
 #include "harness/run_context.hpp"
 #include "obs/attribution.hpp"
-#include "replay/recorder.hpp"
 
 namespace tmx::obs {
 class MetricsRegistry;
@@ -60,15 +62,6 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  bool recording() const { return !record_path_.empty(); }
-
-  // Stamps the capture configuration into the recorded trace header so a
-  // replay knows which allocator/ORT geometry produced it. Call before
-  // finish(); the last call wins (single-configuration captures are the
-  // ones with an exact-replay guarantee — see replay/recorder.hpp).
-  void set_trace_meta(const std::string& allocator, unsigned shift,
-                      unsigned ort_log2, std::uint64_t seed);
-
   // Reports one run's planes into the global registry (see above).
   void report(const std::string& prefix, const PlaneOutputs& planes);
 
@@ -83,9 +76,9 @@ class ObsSession {
 
  private:
   void write_artifacts();
-  void write_trace_artifacts();  // --trace, the drop counts, --record-trace
+  void write_trace();    // --trace and the drop counts
+  void write_capture();  // --record-trace
 
-  bool tracing_ = false;
   bool attribution_ = false;
   bool finished_ = false;
   bool ok_ = true;  // false once a requested artifact failed to persist
@@ -100,7 +93,6 @@ class ObsSession {
   std::vector<std::string> outs_;
   std::vector<std::vector<std::string>> files_;
   obs::AbortTally aborts_;  // every case's tallies, for the metrics
-  replay::Recorder recorder_;
 };
 
 }  // namespace tmx::harness

@@ -8,7 +8,7 @@ ReplayOutcome run_replay(const ReplayRun& run) {
   TMX_ASSERT(run.trace != nullptr && run.engine == sim::EngineKind::Sim);
   const replay::Trace& trace = *run.trace;
   ReplayOutcome out;
-  out.result.error = replay::check_trace(trace, run.strict_gaps);
+  out.result.error = replay::check_trace(trace);
   if (out.result.error.empty()) {
     const int threads = static_cast<int>(trace.meta.threads);
     RunContext context(run, threads);

@@ -17,7 +17,6 @@ namespace tmx::harness {
 // STM settings go unused. The fields here describe the workload.
 struct ReplayRun : RunSpec {
   const replay::Trace* trace = nullptr;  // outlives the call
-  bool strict_gaps = false;  // refuse gappy traces instead of warning
 };
 
 struct ReplayOutcome {

@@ -54,8 +54,15 @@
 // FaultyAllocator's parked frees run then — and returns what the planes
 // found, which the harnesses hand back in their results. Closing the
 // context adds its simulated runs' sim.sched.* and sim.numa.* totals to
-// the process metrics registry, and their abort tallies to the process's
-// (take_abort_tally).
+// the process metrics registry, their abort tallies to the process's
+// (take_abort_tally) and, while the process captures, its capture log to
+// the process's capture (take_capture).
+//
+// Two reports read every run of the process, in virtual time: the abort
+// attribution (--attribution) and the capture (--record-trace). ObsSession
+// turns them on (set_report) before any run opens; while one is on, every
+// RunContext refuses --engine threads with the report's kReportNeeds row,
+// as it refuses a plane's broken constraint.
 #pragma once
 
 #include <cstdint>
@@ -71,6 +78,7 @@
 #include "guard/guard.hpp"
 #include "harness/run_spec.hpp"
 #include "prof/prof.hpp"
+#include "replay/trace_format.hpp"
 #include "sim/context.hpp"
 
 namespace tmx::obs {
@@ -138,6 +146,21 @@ inline constexpr std::size_t kInstrumentingAt = 3;  // prof
 // the last call, folded into one; the process's table is left empty.
 obs::AbortTally take_abort_tally();
 
+// The process-wide reports (above), indexing kReportNeeds.
+enum class Report { kAttribution, kCapture };
+extern const Constraint kReportNeeds[2];
+void set_report(Report report, bool on);
+
+// The capture of every context closed since the last call, in one trace;
+// the process's is left empty. Each closing context stable-sorts each
+// simulated run's records by (cycle, tid), the scheduler's own order, and
+// rebases them onto one cycle axis: a sequential record sits at the
+// current base, a run's record at the base plus its cycle, and the base
+// then moves past the run's makespan plus 1. The header's allocator,
+// shift, ort_log2 and seed are the last closed context's RunSpec's, and
+// its thread count covers every record's tid.
+replay::Trace take_capture();
+
 class RunContext {
  public:
   explicit RunContext(const RunSpec& spec, int threads = 1);
@@ -147,7 +170,9 @@ class RunContext {
 
   // Builds the allocator stack (once, before the run allocates anything)
   // and opens the prof plane on its outermost layer. `instrument` adds the
-  // InstrumentingAllocator.
+  // InstrumentingAllocator for the caller's own Table 5 profile; it is
+  // there anyway while the process traces or captures, as the layer whose
+  // records those carry.
   alloc::Allocator& allocator(bool instrument);
 
   // Destroys the allocator stack — whatever uses it must be gone by now —

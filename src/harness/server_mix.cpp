@@ -9,7 +9,6 @@
 #include "alloc/allocator.hpp"
 #include "alloc/instrument.hpp"
 #include "guard/guard.hpp"
-#include "obs/tracer.hpp"
 #include "prof/prof.hpp"
 #include "sim/sync.hpp"
 #include "util/rng.hpp"
@@ -189,8 +188,7 @@ ServerMixResult run_on(const ServerMixConfig& cfg, int workers,
 ServerMixResult run_server_mix(const ServerMixConfig& cfg) {
   const int workers = cfg.workers > 0 ? cfg.workers : 1;
   RunContext run(cfg, workers);
-  ServerMixResult res =
-      run_on(cfg, workers, run.allocator(obs::trace_enabled()));
+  ServerMixResult res = run_on(cfg, workers, run.allocator(false));
   res.planes = run.finish();
   return res;
 }

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "alloc/instrument.hpp"
-#include "obs/tracer.hpp"
 #include "structs/tx_hashset.hpp"
 #include "structs/tx_list.hpp"
 #include "structs/tx_rbtree.hpp"
@@ -172,9 +171,7 @@ SetBenchResult run_on(const SetBenchConfig& cfg, alloc::Allocator& allocator) {
 
 SetBenchResult run_set_bench(const SetBenchConfig& cfg) {
   RunContext run(cfg, cfg.threads);
-  // Trace capture needs the kAlloc/kFree events only the instrumenting
-  // wrapper emits; untraced runs keep the direct call path.
-  SetBenchResult res = run_on(cfg, run.allocator(obs::trace_enabled()));
+  SetBenchResult res = run_on(cfg, run.allocator(false));
   res.planes = run.finish();
   return res;
 }

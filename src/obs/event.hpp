@@ -3,11 +3,12 @@
 // Every event is a fixed-size 32-byte POD so that the per-thread ring
 // buffers never allocate on the hot path and a trace of N events costs
 // exactly 32N bytes. The `a`/`b`/`arg0`/`arg1` payload fields are
-// interpreted per kind; the table below is the contract shared by the
-// recording hooks (core/stm.cpp, sim/cache_model.cpp, alloc/instrument.cpp),
-// the Chrome-trace exporter and the trace recorder (replay/recorder.hpp).
-// Abort attribution reads no events: the STM classifies each abort where
-// it detects it (obs/attribution.hpp).
+// interpreted per kind; the table below is the contract between the
+// recording hooks (core/stm.cpp, sim/cache_model.cpp, alloc/instrument.cpp)
+// and the Chrome-trace exporter, their only reader. Abort attribution and
+// trace capture read no events: the STM classifies each abort where it
+// detects it (obs/attribution.hpp), and each run logs its own operations
+// for --record-trace (replay/record.hpp).
 //
 //   kind            a                  b               arg0            arg1
 //   --------------  -----------------  --------------  --------------  ----

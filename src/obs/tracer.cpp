@@ -67,7 +67,7 @@ void Tracer::enable(std::size_t capacity_per_thread) {
   capacity_ = cap;
   mask_ = cap - 1;
   for (auto& pb : buffers_) {
-    pb->slots = std::make_unique<Event[]>(cap);
+    pb->slots = std::make_unique_for_overwrite<Event[]>(cap);
     pb->head = 0;
   }
   detail::g_trace_enabled.store(true, std::memory_order_relaxed);
@@ -119,19 +119,6 @@ std::vector<Event> Tracer::snapshot() const {
 
 void Tracer::clear() {
   for (auto& pb : buffers_) pb->head = 0;
-}
-
-std::vector<Event> Tracer::thread_events(int tid) const {
-  std::vector<Event> out;
-  if (tid < 0 || tid >= kMaxThreads || capacity_ == 0) return out;
-  const ThreadBuffer& buf = *buffers_[tid];
-  if (buf.slots == nullptr) return out;
-  const std::uint64_t count = std::min<std::uint64_t>(buf.head, capacity_);
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = buf.head - count; i < buf.head; ++i) {
-    out.push_back(buf.slots[i & mask_]);
-  }
-  return out;
 }
 
 std::uint64_t Tracer::dropped_by_thread(int tid) const {

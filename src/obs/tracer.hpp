@@ -1,5 +1,8 @@
 // The transaction-event tracer: one fixed-capacity ring buffer per logical
-// thread, drop-oldest on overflow, zero allocation on the hot path.
+// thread, drop-oldest on overflow, zero allocation on the hot path. It
+// feeds the Chrome trace (--trace) only: a capture (--record-trace) is
+// each run's own log (sim::RunContext::capture), complete whatever the
+// ring size.
 //
 // Overhead contract:
 //   * compile-time: with -DTMX_TRACING=OFF every TMX_OBS_EVENT expansion is
@@ -48,7 +51,9 @@ class Tracer {
   static Tracer& instance();
 
   // Allocates one `capacity`-event buffer per logical thread (rounded up to
-  // a power of two, minimum 8) and starts recording. Idempotent reconfig:
+  // a power of two, minimum 8) and starts recording. The slots are left
+  // unwritten, so a buffer's untouched pages stay out of the resident set:
+  // snapshot() reads only slots a record wrote. Idempotent reconfig:
   // calling again resizes and clears.
   void enable(std::size_t capacity_per_thread = 1u << 16);
   void disable();
@@ -70,20 +75,14 @@ class Tracer {
   // (ties keep thread order). Call only at quiescent points.
   std::vector<Event> snapshot() const;
 
-  // One thread's surviving events in ring-buffer (emission) order. Unlike
-  // snapshot(), this preserves true per-thread ordering even across
-  // timestamp domains (wall-clock prologue vs. in-simulation cycles),
-  // which is what the trace recorder needs. Call only at quiescent points.
-  std::vector<Event> thread_events(int tid) const;
-
   // Forgets all recorded events (buffers stay allocated and recording stays
   // on). Call only at quiescent points.
   void clear();
 
   // Events overwritten by drop-oldest since enable()/clear().
   std::uint64_t dropped() const;
-  // Per-thread share of dropped(); recorded traces declare these as gap
-  // markers and the harness surfaces them as obs.trace.dropped metrics.
+  // Per-thread share of dropped(); the harness publishes them as
+  // obs.trace.dropped metrics.
   std::uint64_t dropped_by_thread(int tid) const;
   // Events currently held across all buffers.
   std::size_t size() const;

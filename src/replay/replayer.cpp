@@ -104,7 +104,7 @@ class StripeTracker {
 
 // The decoder enforces the shape invariants for files; hand-built traces
 // (tests, synth) go through the same gate.
-std::string check_trace(const Trace& trace, bool strict_gaps) {
+std::string check_trace(const Trace& trace) {
   if (trace.meta.threads == 0) return "trace declares zero threads";
   if (trace.meta.threads > static_cast<std::uint32_t>(kMaxThreads)) {
     return "trace uses more threads than the simulator supports";
@@ -114,11 +114,6 @@ std::string check_trace(const Trace& trace, bool strict_gaps) {
     if (r.cycle < prev) return "records are not cycle-sorted";
     prev = r.cycle;
     if (r.tid >= trace.meta.threads) return "record tid out of range";
-  }
-  if (trace.gappy() && strict_gaps) {
-    return "trace is gappy (ring buffers dropped " +
-           std::to_string(trace.meta.dropped) +
-           " events); rerun capture with a larger --trace-capacity";
   }
   return "";
 }
@@ -169,7 +164,6 @@ ReplayResult replay_trace(const Trace& trace, alloc::Allocator& allocator,
         case OpKind::kTxBegin: ++res.tx_begins; break;
         case OpKind::kTxCommit: ++res.tx_commits; break;
         case OpKind::kTxAbort: ++res.tx_aborts; break;
-        case OpKind::kGap: ++res.gaps; break;
       }
     }
     res.live_at_end = live.size();
@@ -187,7 +181,7 @@ ReplayResult replay_trace(const Trace& trace, alloc::Allocator& allocator,
   // parallel groups that is the record's own tid (records are partitioned
   // per tid), in sequential groups everything collapses onto worker 0 —
   // exactly where the allocations themselves land. in_tx keeps the hint
-  // stream balanced even for gappy traces, which can drop a begin or
+  // stream balanced even for a hand-built trace that lacks a begin or a
   // commit: an unmatched marker must not pin the minimum in-flight epoch
   // (that would silently stop phase reclamation for the rest of the run).
   auto* phase_alloc = alloc::find_layer<phase::PhaseAllocator>(&allocator);
@@ -277,8 +271,6 @@ ReplayResult replay_trace(const Trace& trace, alloc::Allocator& allocator,
         }
         break;
       }
-      default:
-        break;  // gaps carry no replayable operation
     }
     done[idx] = 1;
   };
@@ -396,12 +388,6 @@ void print_comparison(const Trace& trace,
                trace.meta.threads,
                trace.meta.allocator.empty() ? "-" : trace.meta.allocator.c_str(),
                static_cast<unsigned long long>(trace.meta.seed));
-  if (trace.gappy()) {
-    std::fprintf(out,
-                 "WARNING: gappy capture (%llu events lost to ring "
-                 "truncation) — results are approximate\n",
-                 static_cast<unsigned long long>(trace.meta.dropped));
-  }
   std::fprintf(out, "%-10s %12s %12s %10s %10s %9s %12s %10s %18s\n",
                "allocator", "xthr-coll", "same-coll", "coll/blk", "peak-live",
                "l1-miss", "os-reserved", "Mcycles", "addr-fp");
@@ -434,7 +420,6 @@ void publish_metrics(const ReplayResult& r, obs::MetricsRegistry& reg,
   reg.set_counter(prefix + "frees", r.frees);
   reg.set_counter(prefix + "unmatched_frees", r.unmatched_frees);
   if (r.oom_records > 0) reg.set_counter(prefix + "oom_records", r.oom_records);
-  reg.set_counter(prefix + "gaps", r.gaps);
   reg.set_counter(prefix + "tx_commits", r.tx_commits);
   reg.set_counter(prefix + "tx_aborts", r.tx_aborts);
   reg.set_counter(prefix + "cycles", r.cycles);

@@ -17,7 +17,7 @@
 //     thread). Each fiber advances its virtual clock to the record's cycle
 //     before issuing the operation, so operations are issued in recorded
 //     (cycle, tid) order — the same discipline the capture scheduler used.
-//     Capture stamps alloc events at allocator *entry* (instrument.cpp),
+//     A capture stamps a malloc at allocator *entry* (instrument.cpp),
 //     so re-paying the allocator's internal cost cannot push an operation
 //     past its successor on the same thread.
 //   * A free waits until the malloc it matches (pre-computed from the
@@ -27,9 +27,11 @@
 //     in record order, so they depend only on placement — not on the
 //     replay schedule.
 //
-// With the cache model off, replaying a capture through the allocator
-// that recorded it puts every block at its recorded offset in the address
-// space and reproduces the stripe statistics exactly
+// A capture holds every operation of its runs, each block as its offset
+// in the run's address space (harness/run_context.hpp). With the cache
+// model off, replaying a capture through the allocator that recorded it
+// puts every block at its recorded offset in the replay's address space
+// and reproduces the stripe statistics exactly
 // (tests/test_determinism.cpp pins this). With it on, a replay's probes —
 // its own, not the capture's accesses — add latency the capture never
 // paid, so the schedule may drift from the captured one. Either way a
@@ -86,7 +88,6 @@ struct ReplayResult {
   std::uint64_t frees = 0;
   std::uint64_t oom_records = 0;      // captured allocations that returned null
   std::uint64_t unmatched_frees = 0;  // no live malloc in the trace
-  std::uint64_t gaps = 0;             // ring-truncation markers in the input
   std::uint64_t tx_begins = 0;
   std::uint64_t tx_commits = 0;
   std::uint64_t tx_aborts = 0;
@@ -111,9 +112,9 @@ struct ReplayResult {
   sim::CacheStats cache;
 };
 
-// Why `trace` cannot be replayed — a shape invariant broken, or gaps when
-// `strict_gaps` refuses them — or "" when it can.
-std::string check_trace(const Trace& trace, bool strict_gaps);
+// Why `trace` cannot be replayed — a shape invariant it breaks — or "" when
+// it can.
+std::string check_trace(const Trace& trace);
 
 // The replay workload: replays `trace` (check_trace must accept it)
 // through `allocator`, running each parallel phase under `run`, whose

@@ -98,7 +98,6 @@ const char* op_kind_name(OpKind k) {
     case OpKind::kTxBegin: return "tx_begin";
     case OpKind::kTxCommit: return "tx_commit";
     case OpKind::kTxAbort: return "tx_abort";
-    case OpKind::kGap: return "gap";
   }
   return "?";
 }
@@ -143,25 +142,17 @@ bool encode_trace(const Trace& t, std::string* out) {
   if (t.meta.allocator.size() > kMaxAllocatorNameLen) return false;
   if (t.records.size() > kMaxTraceRecords) return false;
   if (t.meta.threads == 0 || t.meta.threads > kMaxTraceThreads) return false;
-  // The gap records must account for exactly the declared drop count — the
-  // reader enforces the same invariant, so an inconsistent Trace is refused
-  // here rather than producing an unreadable file.
-  std::uint64_t gap_total = 0;
-  for (const TraceRecord& r : t.records) {
-    if (r.kind == OpKind::kGap) gap_total += r.size;
-  }
-  if (gap_total != t.meta.dropped) return false;
 
   out->clear();
   out->append(kTraceMagic, sizeof kTraceMagic);
   put_u32(out, kTraceVersion);
-  put_u32(out, t.meta.dropped != 0 ? 1u : 0u);
+  put_u32(out, 0);  // flags
   put_u32(out, t.meta.threads);
   put_u32(out, static_cast<std::uint32_t>(t.meta.allocator.size()));
   put_u32(out, t.meta.shift);
   put_u32(out, t.meta.ort_log2);
   put_u64(out, t.meta.seed);
-  put_u64(out, t.meta.dropped);
+  put_u64(out, 0);  // reserved
   put_u64(out, t.records.size());
   put_u64(out, meta_fingerprint(t.meta));
   out->append(t.meta.allocator);
@@ -198,9 +189,6 @@ bool encode_trace(const Trace& t, std::string* out) {
       case OpKind::kTxAbort:
         out->push_back(static_cast<char>(r.aux));
         break;
-      case OpKind::kGap:
-        put_varint(out, r.size);
-        break;
     }
   }
   put_u64(out, fnv1a(out->data(), out->size()));
@@ -217,16 +205,16 @@ ReadStatus decode_trace(const std::string& bytes, Trace* out) {
     return ReadStatus::kBadMagic;
   }
   std::uint32_t version = 0, flags = 0, name_len = 0;
-  std::uint64_t record_count = 0, fingerprint = 0;
+  std::uint64_t reserved = 0, record_count = 0, fingerprint = 0;
   TraceMeta& m = out->meta;
   if (!c.u32(&version)) return ReadStatus::kTruncated;
   if (version != kTraceVersion) return ReadStatus::kBadVersion;
   if (!c.u32(&flags) || !c.u32(&m.threads) || !c.u32(&name_len) ||
       !c.u32(&m.shift) || !c.u32(&m.ort_log2) || !c.u64(&m.seed) ||
-      !c.u64(&m.dropped) || !c.u64(&record_count) || !c.u64(&fingerprint)) {
+      !c.u64(&reserved) || !c.u64(&record_count) || !c.u64(&fingerprint)) {
     return ReadStatus::kTruncated;
   }
-  if (flags > 1 || (flags == 1) != (m.dropped != 0)) return ReadStatus::kCorrupt;
+  if (flags != 0 || reserved != 0) return ReadStatus::kCorrupt;
   if (m.threads == 0 || m.threads > kMaxTraceThreads) return ReadStatus::kCorrupt;
   if (name_len > kMaxAllocatorNameLen) return ReadStatus::kCorrupt;
   if (record_count > kMaxTraceRecords) return ReadStatus::kCorrupt;
@@ -242,7 +230,6 @@ ReadStatus decode_trace(const std::string& bytes, Trace* out) {
   std::uint64_t cycle = 0;
   std::uint64_t prev_addr = 0;
   bool ok = true;
-  std::uint64_t gap_total = 0;
   for (std::uint64_t i = 0; i < record_count; ++i) {
     TraceRecord r;
     std::uint8_t tag = 0;
@@ -290,11 +277,6 @@ ReadStatus decode_trace(const std::string& bytes, Trace* out) {
         // Software causes 0-4; hybrid hardware causes are offset by 5.
         if (r.aux > 8) return ReadStatus::kCorrupt;
         break;
-      case OpKind::kGap:
-        if (!c.varint(&r.size, &ok)) return ReadStatus::kTruncated;
-        if (!ok) return ReadStatus::kCorrupt;
-        gap_total += r.size;
-        break;
     }
     out->records.push_back(r);
   }
@@ -304,7 +286,6 @@ ReadStatus decode_trace(const std::string& bytes, Trace* out) {
   if (!c.u64(&checksum)) return ReadStatus::kTruncated;
   if (c.pos != bytes.size()) return ReadStatus::kCorrupt;  // trailing bytes
   if (checksum != fnv1a(bytes.data(), payload_end)) return ReadStatus::kCorrupt;
-  if (gap_total != m.dropped) return ReadStatus::kCorrupt;
   return ReadStatus::kOk;
 }
 

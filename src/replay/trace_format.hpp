@@ -15,13 +15,13 @@
 //
 //   magic            8 bytes  "tmxtrc1\n"
 //   version          u32      1
-//   flags            u32      bit0 = gappy (ring buffers dropped events)
+//   flags            u32      0 (the reader refuses any other value)
 //   threads          u32      logical thread count (tids are < threads)
 //   name_len         u32      length of the allocator name (<= 64)
 //   shift            u32      ORT bytes-per-stripe = 2^shift at capture
 //   ort_log2         u32      ORT size = 2^ort_log2 at capture
 //   seed             u64      experiment seed
-//   dropped          u64      ring events lost before capture (gap total)
+//   reserved         u64      0 (likewise)
 //   record_count     u64      number of records that follow
 //   fingerprint      u64      meta_fingerprint() of the fields above
 //   name             name_len bytes (the recording allocator model)
@@ -41,17 +41,22 @@
 //     kTxBegin   -
 //     kTxCommit  reads varint, writes varint
 //     kTxAbort   cause u8
-//     kGap       dropped-count varint (ring truncation marker, see
-//                recorder.hpp — replay tools warn or refuse on these)
 //
-// The reader is strict: bad magic/version, an oversized name, an unknown
-// tag bit, an out-of-range tid/region, a record-count mismatch, trailing
-// bytes or a checksum mismatch all reject the file with a typed status.
+// A capture holds every operation of its runs (harness/run_context.hpp),
+// with addresses as offsets in the run's address space, so a seeded
+// capture writes the same bytes in every process.
+//
+// The reader is strict: bad magic/version, a nonzero reserved field, an
+// oversized name, an unknown tag or tag bit, an out-of-range tid/region, a
+// record-count mismatch, trailing bytes or a checksum mismatch all reject
+// the file with a typed status.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "replay/record.hpp"
 
 namespace tmx::replay {
 
@@ -62,30 +67,7 @@ inline constexpr std::size_t kMaxAllocatorNameLen = 64;
 inline constexpr std::uint64_t kMaxTraceRecords = 1ull << 28;
 inline constexpr std::uint32_t kMaxTraceThreads = 1u << 12;
 
-enum class OpKind : std::uint8_t {
-  kMalloc = 0,
-  kFree = 1,
-  kTxBegin = 2,
-  kTxCommit = 3,
-  kTxAbort = 4,
-  kGap = 5,
-};
-inline constexpr int kNumOpKinds = 6;
-
 const char* op_kind_name(OpKind k);
-
-struct TraceRecord {
-  std::uint64_t cycle = 0;  // rebased virtual cycle (monotone over the file)
-  std::uint32_t tid = 0;    // logical thread id
-  OpKind kind = OpKind::kMalloc;
-  bool parallel = false;    // true: inside a simulated parallel region
-  std::uint8_t aux = 0;     // malloc/free: alloc::Region; tx-abort: cause
-  std::uint64_t addr = 0;   // malloc/free: block address (or synthetic id)
-  std::uint64_t size = 0;   // malloc: bytes; commit: reads; gap: dropped
-  std::uint64_t size2 = 0;  // commit: writes
-
-  bool operator==(const TraceRecord&) const = default;
-};
 
 struct TraceMeta {
   std::string allocator;     // recording model ("" / "synthetic" = none)
@@ -93,7 +75,6 @@ struct TraceMeta {
   std::uint32_t shift = 5;
   std::uint32_t ort_log2 = 20;
   std::uint64_t seed = 0;
-  std::uint64_t dropped = 0;  // ring events lost before capture
 
   bool operator==(const TraceMeta&) const = default;
 };
@@ -101,10 +82,6 @@ struct TraceMeta {
 struct Trace {
   TraceMeta meta;
   std::vector<TraceRecord> records;  // non-decreasing cycle order
-
-  // True when the capture lost events to ring truncation: the trace then
-  // contains kGap markers and replays of it are approximate.
-  bool gappy() const { return meta.dropped != 0; }
 
   std::uint64_t count(OpKind k) const;
 };

@@ -2,8 +2,8 @@
 // harness reach without plumbing — the address space every simulated byte
 // is carved from (sim/address_space.hpp), the NUMA view and placement
 // policy, the phase allocator's config, the checker callbacks, the
-// per-thread region markers, the opt-in plane states, and the engine's and
-// the STM's run totals.
+// per-thread region markers, the opt-in plane states, the engine's and
+// the STM's run totals, and the capture log of --record-trace.
 //
 // harness::RunContext builds one from a RunSpec and opens it on the host
 // thread for the run's lifetime. Hot paths reach it through one
@@ -28,6 +28,7 @@
 #include <utility>
 
 #include "obs/attribution.hpp"
+#include "replay/record.hpp"
 #include "sim/address_space.hpp"
 #include "sim/numa.hpp"
 #include "util/macros.hpp"
@@ -130,6 +131,11 @@ struct RunContext {
   // The STM's aborts, classified where it detects them (core/stm.cpp);
   // tallied on the sim engine only.
   obs::AbortTally aborts;
+  // Every malloc, free and transaction begin, commit and abort, as the
+  // InstrumentingAllocator and the STM make them (sim::capture); null, as
+  // in the idle context, unless the process captures
+  // (harness/run_context.hpp).
+  std::unique_ptr<replay::Capture> capture;
   std::uint64_t numa_nodes = 0;  // summed over multi-node runs only
   std::uint64_t numa_local = 0;
   std::uint64_t numa_remote = 0;

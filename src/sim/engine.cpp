@@ -449,6 +449,9 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
   if (TMX_UNLIKELY(check_hooks_on())) {
     if (auto* fork = ctx.check_hooks.run_fork) fork(cfg.threads);
   }
+  // The run's span of the capture log: the records its fibers append.
+  const std::size_t capture_begin =
+      ctx.capture != nullptr ? ctx.capture->records.size() : 0;
   // Discrete-event loop: resume the runnable fiber with the smallest
   // virtual time (ties broken by id for determinism). Yields switch fiber
   // to fiber directly, so control returns here only when a fiber finishes;
@@ -499,6 +502,10 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
     ctx.numa_nodes += nodes;
     ctx.numa_local += r.cache.numa_local;
     ctx.numa_remote += r.cache.numa_remote;
+  }
+  if (ctx.capture != nullptr) {
+    ctx.capture->runs.push_back(
+        {capture_begin, ctx.capture->records.size(), r.cycles});
   }
 #if TMX_TRACING
   if (obs::trace_enabled()) {
@@ -683,6 +690,14 @@ std::uint64_t probe(const void* addr, unsigned bytes, bool write) {
 }
 
 std::uint64_t now_cycles() { return g_fiber != nullptr ? g_fiber->vtime : 0; }
+
+[[gnu::cold]] void capture(replay::TraceRecord r) {
+  RunContext& ctx = context();
+  r.tid = static_cast<std::uint32_t>(g_tid);
+  r.parallel = g_fiber != nullptr;
+  if (r.addr != 0) r.addr = ctx.space.offset(r.addr);
+  ctx.capture->records.push_back(r);
+}
 
 namespace {
 std::function<void()>& exit_flush_hook() {

@@ -122,6 +122,12 @@ std::uint64_t probe(const void* addr, unsigned bytes, bool write);
 // Calling fiber's virtual time (0 outside sim).
 std::uint64_t now_cycles();
 
+// Appends `r` to the run context's capture log, which must exist, as the
+// calling thread's (tid, and parallel when on a fiber) with its address as
+// an offset in the context's address space. The caller stamps r.cycle.
+// Host-side only: no tick, yield or probe.
+void capture(replay::TraceRecord r);
+
 // ---- Watchdog ----
 // Exceptions cannot unwind a ucontext trampoline, so a breached budget
 // terminates the process — but only after flushing whatever observability

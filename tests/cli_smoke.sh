@@ -18,6 +18,10 @@
 #   cli_smoke.sh phase_repeat     <server_mix>    seeded stdout twice
 #   cli_smoke.sh chaos_soak       <chaos_soak>    injected == detected, twice
 #   cli_smoke.sh prof_files       <server_mix>    all three prof data families
+#   cli_smoke.sh record_repeat    <stamp_runner> <trace_replay>  two
+#                                 processes capture one seeded run byte for
+#                                 byte, without changing its stdout, and the
+#                                 capture inspects
 #   cli_smoke.sh replay_synth     <trace_replay>  byte-stable capture, replayed
 #                                 through four models; a model's row does not
 #                                 depend on the replays before it
@@ -48,8 +52,9 @@
 #                                 a value outside its flag's domain, and its
 #                                 --help lists every flag it reads; each
 #                                 binary that reads the run flags refuses a
-#                                 plane on a setting its row rules out and
-#                                 an out-of-range bind node
+#                                 plane on a setting its row rules out, an
+#                                 out-of-range bind node, and --attribution
+#                                 or --record-trace with --engine threads
 set -euo pipefail
 
 drive=$1
@@ -164,6 +169,16 @@ case "$drive" in
     done
     grep -q "request;parse" mix.folded
     ;;
+  record_repeat)
+    args=(--app vacation --alloc tcmalloc --threads 4 --scale 0.2)
+    "${bins[0]}" "${args[@]}" --record-trace a.tmxtrc > a.out
+    "${bins[0]}" "${args[@]}" --record-trace b.tmxtrc > /dev/null
+    "${bins[0]}" "${args[@]}" > plain.out
+    cmp a.tmxtrc b.tmxtrc
+    cmp a.out plain.out
+    "${bins[1]}" --inspect a.tmxtrc > inspect.out
+    grep -q '^allocator: tcmalloc$' inspect.out
+    ;;
   replay_synth)
     synth=(--synth --threads 4 --ops 2000 --seed 7)
     "${bins[0]}" "${synth[@]}" --record-trace a.tmxtrc > /dev/null
@@ -267,7 +282,7 @@ case "$drive" in
         perf_suite) number=reps models="" reads="quick out reps" ;;
         trace_replay) number=threads outside="shift=64 cache-model=2"
           reads="synth replay-trace inspect selfcheck alloc shift ort-log2
-                 cache-model strict-gaps seed threads ops live tx-fraction
+                 cache-model seed threads ops live tx-fraction
                  op-cycles $report" ;;
         allocator_duel) number=threads models="a b" outside="struct=bogus"
           reads="a b struct threads updates reps scale $run $report" ;;
@@ -301,6 +316,10 @@ case "$drive" in
           "${runs[@]}" --guard --txcache 1
         expect_refused "error: --numa-policy bind:9 requires" "$bin" \
           "${runs[@]}" --numa-nodes 2 --numa-policy bind:9
+        expect_refused "error: --attribution requires --engine sim" "$bin" \
+          "${runs[@]}" --attribution --engine threads
+        expect_refused "error: --record-trace requires --engine sim" "$bin" \
+          "${runs[@]}" --record-trace t.tmxtrc --engine threads
       fi
       "$bin" --help > help.out
       for flag in $reads help list-allocators; do

@@ -26,11 +26,8 @@
 #include "harness/replay.hpp"
 #include "harness/run_context.hpp"
 #include "harness/setbench.hpp"
-#include "obs/tracer.hpp"
-#include "replay/recorder.hpp"
 #include "replay/replayer.hpp"
 #include "replay/trace_format.hpp"
-#include "sim/address_space.hpp"
 #include "stamp/app.hpp"
 
 namespace tmx {
@@ -211,20 +208,62 @@ TEST(Determinism, GoldenCacheOnVacation) {
             (Outcome{473919, 409, 76}));
 }
 
-// Record -> replay fidelity: capture a list-bench run through the tracer,
-// replay the trace through the SAME allocator model, and compare the
-// placement it reproduces against what the capture recorded.
+// The capture of every run `body` opens, as --record-trace takes it.
+template <class F>
+replay::Trace capture_of(F body) {
+  harness::set_report(harness::Report::kCapture, true);
+  body();
+  harness::set_report(harness::Report::kCapture, false);
+  return harness::take_capture();
+}
+
+// A capture holds every operation of its run, however many: its census
+// equals the run's own commits, aborts, mallocs and frees. kmeans makes
+// more than the 65,536 records per thread that a tracer ring of the
+// default size holds, and intruder mallocs and frees in all three regions.
+TEST(Capture, CensusEqualsTheRunsOwnCounts) {
+  for (const char* app : {"kmeans", "intruder"}) {
+    stamp::StampRun run;
+    run.app = app;
+    run.threads = 8;
+    stamp::StampOutcome out;
+    const replay::Trace trace =
+        capture_of([&] { out = stamp::run_stamp(run); });
+    ASSERT_TRUE(out.result.verified) << app << ": " << out.result.detail;
+    EXPECT_EQ(trace.meta.threads, 8u) << app;
+    EXPECT_EQ(trace.count(replay::OpKind::kTxBegin),
+              out.result.stats.commits + out.result.stats.aborts)
+        << app;
+    EXPECT_EQ(trace.count(replay::OpKind::kTxCommit), out.result.stats.commits)
+        << app;
+    EXPECT_EQ(trace.count(replay::OpKind::kTxAbort), out.result.stats.aborts)
+        << app;
+    // The capture put the InstrumentingAllocator in the stack itself.
+    std::uint64_t mallocs = 0, frees = 0;
+    for (const alloc::RegionProfile& r : out.profile.regions) {
+      mallocs += r.mallocs;
+      frees += r.frees;
+    }
+    EXPECT_GT(mallocs, 0u) << app;
+    EXPECT_EQ(trace.count(replay::OpKind::kMalloc), mallocs) << app;
+    EXPECT_EQ(trace.count(replay::OpKind::kFree), frees) << app;
+    if (std::string(app) == "kmeans") {
+      EXPECT_GT(trace.records.size(), 8u * 65536u);
+    }
+  }
+}
+
+// Record -> replay fidelity: capture a list-bench run, replay the trace
+// through the SAME allocator model, and compare the placement it
+// reproduces against what the capture recorded.
 //
-// Capture and replay run in different address spaces, both aligned to
-// their size (sim/address_space.hpp), so for every model each replayed
-// block must sit at its recorded offset in the space, and the full stripe
+// Capture and replay run in different address spaces, and a trace holds
+// each block as its offset in its run's space, so for every model each
+// replayed block must sit at its recorded offset, and the full stripe
 // statistics — hottest stripe included — must be bit-for-bit equal.
 TEST(Determinism, RecordReplayReproducesPlacement) {
-  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   for (const char* model :
        {"glibc", "hoard", "tbb", "tcmalloc", "jemalloc"}) {
-    obs::Tracer::instance().enable(1u << 16);
-
     harness::SetBenchConfig cfg;
     cfg.kind = harness::SetKind::kList;
     cfg.allocator = model;
@@ -234,21 +273,12 @@ TEST(Determinism, RecordReplayReproducesPlacement) {
     cfg.key_range = 512;
     cfg.ops_per_thread = 100;
     cfg.seed = 20150207;
-    const harness::SetBenchResult bench = harness::run_set_bench(cfg);
+    harness::SetBenchResult bench;
+    const replay::Trace trace =
+        capture_of([&] { bench = harness::run_set_bench(cfg); });
     EXPECT_TRUE(bench.size_consistent) << model;
-
-    replay::Recorder rec;
-    rec.meta.allocator = model;
-    rec.meta.shift = cfg.shift;
-    rec.meta.ort_log2 = cfg.ort_log2;
-    rec.meta.seed = cfg.seed;
-    rec.drain(obs::Tracer::instance());
-    obs::Tracer::instance().clear();
-    obs::Tracer::instance().disable();
-
-    const replay::Trace trace = rec.build();
-    ASSERT_FALSE(trace.records.empty()) << model;
-    ASSERT_FALSE(trace.gappy()) << model << ": capture overflowed the ring";
+    EXPECT_EQ(trace.meta.allocator, model);
+    EXPECT_EQ(trace.meta.seed, cfg.seed) << model;
     ASSERT_GT(trace.count(replay::OpKind::kMalloc), 0u) << model;
     ASSERT_GT(trace.count(replay::OpKind::kTxCommit), 0u) << model;
 
@@ -264,15 +294,11 @@ TEST(Determinism, RecordReplayReproducesPlacement) {
     EXPECT_EQ(r.unmatched_frees, 0u) << model;
 
     EXPECT_TRUE(r.stripes == replay::recorded_stripe_stats(trace)) << model;
-    constexpr std::uint64_t kOffsetMask = sim::AddressSpace::kBytes - 1;
-    std::size_t mi = 0;
+    std::vector<std::uint64_t> recorded;
     for (const replay::TraceRecord& rr : trace.records) {
-      if (rr.kind != replay::OpKind::kMalloc) continue;
-      ASSERT_LT(mi, r.addresses.size());
-      EXPECT_EQ(r.addresses[mi] & kOffsetMask, rr.addr & kOffsetMask)
-          << model << " malloc #" << mi << " moved";
-      ++mi;
+      if (rr.kind == replay::OpKind::kMalloc) recorded.push_back(rr.addr);
     }
+    EXPECT_EQ(r.addresses, recorded) << model;
 
     // Replay is run-to-run deterministic: a second replay of the same
     // trace through a fresh instance must agree bit-for-bit.

@@ -17,8 +17,6 @@
 #include "harness/replay.hpp"
 #include "harness/run_context.hpp"
 #include "obs/metrics.hpp"
-#include "obs/tracer.hpp"
-#include "replay/recorder.hpp"
 #include "replay/replayer.hpp"
 #include "sim/engine.hpp"
 
@@ -263,51 +261,51 @@ TEST_F(FaultFixture, ReserveCapExhaustsProvider) {
 // captured trace carries the injected OOMs (address 0) so a replay counts
 // them without re-issuing the allocations.
 TEST_F(FaultFixture, FaultScheduleSurvivesRecordReplay) {
-  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   FaultPlan plan;
   plan.oom_rate = 0.2;
   open_run(plan);
 
+  // Each run is captured, as --record-trace captures it.
   auto run_once = [&](replay::Trace* trace_out) {
+    harness::set_report(harness::Report::kCapture, true);
     open_run(plan);  // fresh streams and counters
-    auto allocator = std::make_unique<alloc::InstrumentingAllocator>(
-        std::make_unique<FaultyAllocator>(alloc::create_allocator("tbb")));
-    stm::Config cfg;
-    cfg.allocator = allocator.get();
-    cfg.retry_cap = 8;
-    stm::Stm stm(cfg);
+    std::pair<std::uint64_t, stm::TxStats> out;
+    {
+      auto allocator = std::make_unique<alloc::InstrumentingAllocator>(
+          std::make_unique<FaultyAllocator>(alloc::create_allocator("tbb")));
+      stm::Config cfg;
+      cfg.allocator = allocator.get();
+      cfg.retry_cap = 8;
+      stm::Stm stm(cfg);
 
-    obs::Tracer::instance().enable(1u << 16);
-    sim::RunConfig rc;
-    rc.kind = sim::EngineKind::Sim;
-    rc.threads = 2;
-    rc.cache_model = false;
-    std::vector<void*> survivors;
-    sim::run_parallel(rc, [&](int tid) {
-      alloc::RegionScope par(alloc::Region::Par);
-      for (int i = 0; i < 64; ++i) {
-        void* p = nullptr;
-        stm.atomically([&](stm::Tx& tx) { p = tx.malloc(48 + 16 * (i % 4)); });
-        if (p != nullptr && i % 2 == 0) {
-          stm.atomically([&](stm::Tx& tx) { tx.free(p); });
-        } else if (p != nullptr && tid == 0) {
-          survivors.push_back(p);
-        } else if (p != nullptr) {
-          stm.seq_free(p);
+      sim::RunConfig rc;
+      rc.kind = sim::EngineKind::Sim;
+      rc.threads = 2;
+      rc.cache_model = false;
+      std::vector<void*> survivors;
+      sim::run_parallel(rc, [&](int tid) {
+        alloc::RegionScope par(alloc::Region::Par);
+        for (int i = 0; i < 64; ++i) {
+          void* p = nullptr;
+          stm.atomically(
+              [&](stm::Tx& tx) { p = tx.malloc(48 + 16 * (i % 4)); });
+          if (p != nullptr && i % 2 == 0) {
+            stm.atomically([&](stm::Tx& tx) { tx.free(p); });
+          } else if (p != nullptr && tid == 0) {
+            survivors.push_back(p);
+          } else if (p != nullptr) {
+            stm.seq_free(p);
+          }
         }
-      }
-    });
-    for (void* p : survivors) stm.seq_free(p);
-
-    replay::Recorder rec;
-    rec.meta.allocator = "tbb";
-    rec.drain(obs::Tracer::instance());
-    obs::Tracer::instance().disable();
-    *trace_out = rec.build();
-
-    const FaultStats fs = stats();
-    return std::pair<std::uint64_t, stm::TxStats>(
-        fs.injected[static_cast<int>(Site::kMalloc)], stm.stats());
+      });
+      for (void* p : survivors) stm.seq_free(p);
+      out = {stats().injected[static_cast<int>(Site::kMalloc)], stm.stats()};
+    }
+    // Closing the run hands its log to the process's capture.
+    run_.reset();
+    harness::set_report(harness::Report::kCapture, false);
+    *trace_out = harness::take_capture();
+    return out;
   };
 
   replay::Trace t1, t2;
@@ -320,7 +318,7 @@ TEST_F(FaultFixture, FaultScheduleSurvivesRecordReplay) {
   EXPECT_EQ(stats1.commits, stats2.commits);
   EXPECT_EQ(stats1.aborts, stats2.aborts);
   EXPECT_EQ(stats1.oom_nulls, stats2.oom_nulls);
-  EXPECT_EQ(t1.records.size(), t2.records.size());
+  EXPECT_EQ(t1.records, t2.records);
 
   // The capture carries the injected OOMs; replay, a run of its own with
   // no fault plane, reports them and is itself reproducible.

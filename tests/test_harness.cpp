@@ -471,8 +471,30 @@ TEST(RunContextDeathTest, RefusesExactlyWhatThePlaneRowsRuleOut) {
   const RunContext run(bind);
 }
 
-// README's two "Requires the sim engine; `--check` with ... is rejected"
-// sentences list each plane row's constraints, in the row's order.
+// While a process-wide report is on, every run refuses what the report's
+// kReportNeeds row rules out, with the row's message, as for a plane row.
+TEST(RunContextDeathTest, ReportsRefuseTheThreadsEngine) {
+  const RunSpec threads{.engine = sim::EngineKind::Threads};
+  for (const Report report : {Report::kAttribution, Report::kCapture}) {
+    const Constraint& c = kReportNeeds[static_cast<int>(report)];
+    EXPECT_EQ(c.needs, Needs::kSimEngine);
+    EXPECT_EXIT(
+        {
+          set_report(report, true);
+          const RunContext run(threads);
+        },
+        ::testing::ExitedWithCode(2), "^error: " + literal(c.refusal) + "\n$");
+  }
+  EXPECT_EQ(std::string(kReportNeeds[0].refusal),
+            "--attribution requires --engine sim");
+  EXPECT_EQ(std::string(kReportNeeds[1].refusal),
+            "--record-trace requires --engine sim");
+  const RunContext run(threads);  // no report on: it opens
+}
+
+// README's "Requires the sim engine; `--check` with ... is rejected"
+// sentences list each plane row's constraints, in the row's order, and
+// each report's.
 TEST(Planes, ReadmeStatesEachRowsConstraints) {
   std::ifstream in(TMX_SOURCE_DIR "/README.md");
   ASSERT_TRUE(in);
@@ -496,6 +518,13 @@ TEST(Planes, ReadmeStatesEachRowsConstraints) {
     EXPECT_NE(readme.find("Requires the sim engine; " + sentence),
               std::string::npos)
         << sentence;
+  }
+  // And one for each process-wide report.
+  for (const char* flag : {"attribution", "record-trace"}) {
+    const std::string sentence = "Requires the sim engine; `--" +
+                                 std::string(flag) +
+                                 "` with `--engine threads` is rejected";
+    EXPECT_NE(readme.find(sentence), std::string::npos) << sentence;
   }
 }
 
@@ -662,7 +691,6 @@ TEST(AllocStack, EveryPlaneOnWrapsInContractOrder) {
                   .check = check::CheckConfig{},
                   .guard = guard::GuardConfig{},
                   .prof = true});
-  // Harnesses pass obs::trace_enabled() as `instrument`.
   alloc::Allocator* const a = &run.allocator(true);
   std::vector<std::string> layers;
   alloc::Allocator* layer = a;
@@ -680,6 +708,19 @@ TEST(AllocStack, EveryPlaneOnWrapsInContractOrder) {
   EXPECT_EQ(layer->traits().name, "glibc");
   EXPECT_EQ(alloc::find_layer<guard::GuardedAllocator>(a),
             a->inner_allocator()->inner_allocator()->inner_allocator());
+}
+
+// A capture records the Instrumenting layer's mallocs and frees, so the
+// stack has that layer whenever the process captures.
+TEST(AllocStack, CaptureAddsTheInstrumentingLayer) {
+  set_report(Report::kCapture, true);
+  {
+    RunContext run({.allocator = "tcmalloc"});
+    alloc::Allocator* const a = &run.allocator(false);
+    EXPECT_NE(alloc::find_layer<alloc::InstrumentingAllocator>(a), nullptr);
+  }
+  set_report(Report::kCapture, false);
+  EXPECT_TRUE(take_capture().records.empty());
 }
 
 // ---- Run context ----

@@ -32,8 +32,8 @@ using replay::Trace;
 using replay::TraceRecord;
 
 // A structurally valid random trace: cycle-sorted records, tids under
-// meta.threads, regions in range, and kGap totals matching meta.dropped —
-// the invariants encode_trace() enforces and decode_trace() re-checks.
+// meta.threads and regions in range — the invariants encode_trace()
+// enforces and decode_trace() re-checks.
 Trace random_trace(std::uint64_t seed) {
   Rng rng(seed);
   Trace t;
@@ -52,7 +52,7 @@ Trace random_trace(std::uint64_t seed) {
     r.cycle = cycle;
     r.tid = static_cast<std::uint32_t>(rng.below(t.meta.threads));
     r.parallel = rng.below(2) != 0;
-    switch (rng.below(6)) {
+    switch (rng.below(5)) {
       case 0:
         r.kind = OpKind::kMalloc;
         r.size = 1 + rng.below(4096);
@@ -73,14 +73,9 @@ Trace random_trace(std::uint64_t seed) {
         r.size = rng.below(64);
         r.size2 = rng.below(64);
         break;
-      case 4:
+      default:
         r.kind = OpKind::kTxAbort;
         r.aux = static_cast<std::uint8_t>(rng.below(8));
-        break;
-      default:
-        r.kind = OpKind::kGap;
-        r.size = 1 + rng.below(1000);
-        t.meta.dropped += r.size;
         break;
     }
     t.records.push_back(r);
@@ -126,10 +121,52 @@ TEST(TraceFormat, EncodeRejectsInvalidInput) {
   long_name.meta.allocator.assign(replay::kMaxAllocatorNameLen + 1, 'x');
   EXPECT_FALSE(replay::encode_trace(long_name, &bytes));
 
-  // Gap records must account for exactly meta.dropped lost events.
-  Trace bad_gaps = random_trace(3);
-  bad_gaps.meta.dropped += 1;
-  EXPECT_FALSE(replay::encode_trace(bad_gaps, &bytes));
+  Trace bad_kind = random_trace(3);
+  ASSERT_FALSE(bad_kind.records.empty());
+  bad_kind.records.back().kind = static_cast<OpKind>(replay::kNumOpKinds);
+  EXPECT_FALSE(replay::encode_trace(bad_kind, &bytes));
+}
+
+// Rewrites the checksum trailer after a deliberate edit, so the decoder
+// judges the edit itself rather than the checksum.
+void reseal(std::string* bytes) {
+  const std::size_t body = bytes->size() - 8;
+  const std::uint64_t sum = replay::fnv1a(bytes->data(), body);
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[body + i] = static_cast<char>(sum >> (8 * i));
+  }
+}
+
+// The header's flags (u32 at byte 12) and reserved word (u64 at byte 40)
+// are written as 0, and any other value is refused, as is record tag 5:
+// no capture has gaps.
+TEST(TraceFormat, RejectsFlagsReservedAndTagFive) {
+  Trace t;
+  t.meta.threads = 1;
+  TraceRecord begin;
+  begin.kind = OpKind::kTxBegin;
+  t.records = {begin};
+  std::string bytes;
+  ASSERT_TRUE(replay::encode_trace(t, &bytes));
+  Trace out;
+  ASSERT_EQ(replay::decode_trace(bytes, &out), ReadStatus::kOk);
+
+  std::string flags = bytes;
+  flags[12] = 1;
+  reseal(&flags);
+  EXPECT_EQ(replay::decode_trace(flags, &out), ReadStatus::kCorrupt);
+
+  std::string reserved = bytes;
+  reserved[40] = 5;
+  reseal(&reserved);
+  EXPECT_EQ(replay::decode_trace(reserved, &out), ReadStatus::kCorrupt);
+
+  // The one record's tag follows the 64-byte header and the empty name.
+  std::string tag5 = bytes;
+  ASSERT_EQ(tag5[64], static_cast<char>(OpKind::kTxBegin));
+  tag5[64] = 5;
+  reseal(&tag5);
+  EXPECT_EQ(replay::decode_trace(tag5, &out), ReadStatus::kCorrupt);
 }
 
 TEST(TraceFormat, RejectsDamagedFiles) {
@@ -242,7 +279,6 @@ TEST(Synth, ShapeMatchesConfig) {
   const Trace t = replay::generate_synthetic(cfg);
   EXPECT_EQ(t.meta.threads, 2u);
   EXPECT_EQ(t.meta.allocator, "synthetic");
-  EXPECT_FALSE(t.gappy());
   // Warm-up fills each window, churn replaces one slot per op.
   EXPECT_EQ(t.count(OpKind::kMalloc),
             2u * (cfg.live_per_thread + cfg.ops_per_thread));
@@ -383,33 +419,6 @@ TEST(Replay, CountsAndUnmatchedFrees) {
   ASSERT_EQ(r.addresses.size(), 2u);
   EXPECT_NE(r.addresses[0], 0u);
   EXPECT_NE(r.addresses[1], 0u);
-}
-
-TEST(Replay, GapPolicy) {
-  Trace t;
-  t.meta.threads = 1;
-  t.meta.dropped = 5;
-  TraceRecord gap;
-  gap.kind = OpKind::kGap;
-  gap.size = 5;
-  t.records.push_back(gap);
-  TraceRecord m;
-  m.kind = OpKind::kMalloc;
-  m.cycle = 10;
-  m.addr = 0x1000;
-  m.size = 64;
-  t.records.push_back(m);
-
-  harness::ReplayRun strict = replay_of(t, "glibc");
-  strict.strict_gaps = true;
-  const replay::ReplayResult refused = harness::run_replay(strict).result;
-  EXPECT_FALSE(refused.ok);
-  EXPECT_NE(refused.error.find("gappy"), std::string::npos);
-
-  const replay::ReplayResult tolerated = replay_through(t, "glibc");
-  ASSERT_TRUE(tolerated.ok) << tolerated.error;
-  EXPECT_EQ(tolerated.gaps, 1u);
-  EXPECT_EQ(tolerated.mallocs, 1u);
 }
 
 TEST(Replay, RejectsMalformedTraces) {
