@@ -1,7 +1,6 @@
 #include "alloc/instrument.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/tracer.hpp"
 #include "sim/engine.hpp"
 
 namespace tmx::alloc {
@@ -34,50 +33,27 @@ const char* size_bucket_name(int bucket) {
   return names[bucket];
 }
 
-namespace {
-
-// Whether the tracer records; false when its hooks are compiled out.
-bool tracing() {
-#if TMX_TRACING
-  return obs::trace_enabled();
-#else
-  return false;
-#endif
-}
-
-}  // namespace
-
 void* InstrumentingAllocator::allocate(std::size_t size) {
-  const int tid = sim::self_tid();
-  Counters& c = *counters_[tid];
+  Counters& c = *counters_[sim::self_tid()];
   const int r = static_cast<int>(current_region());
   ++c.by_bucket[r][size_bucket(size)];
   ++c.mallocs[r];
   c.bytes[r] += size;
-  const bool capture = sim::context().capture != nullptr;
-  if (TMX_LIKELY(!capture && !tracing())) return inner_->allocate(size);
+  if (TMX_LIKELY(sim::context().capture == nullptr)) {
+    return inner_->allocate(size);
+  }
   // The record needs the returned address but carries the time at which
   // the allocator was *entered*: trace replay re-executes the call at the
   // recorded cycle and re-pays the allocator's internal cost, so a
   // post-call stamp would double-count it and skew the replayed
   // interleaving (see replay/replayer.hpp).
   const std::uint64_t entry = sim::now_cycles();
-  const std::uint64_t ts = tracing() ? obs::trace_clock() : 0;
   void* p = inner_->allocate(size);
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  if (capture) {
-    sim::capture({.cycle = entry,
-                  .kind = replay::OpKind::kMalloc,
-                  .aux = static_cast<std::uint8_t>(r),
-                  .addr = addr,
-                  .size = size});
-  }
-  if (tracing()) {
-    obs::Tracer::instance().record_at(
-        ts, tid, obs::EventKind::kAlloc, addr, size,
-        static_cast<std::uint8_t>(r),
-        static_cast<std::uint16_t>(size_bucket(size)));
-  }
+  sim::capture({.cycle = entry,
+                .kind = replay::OpKind::kMalloc,
+                .aux = static_cast<std::uint8_t>(r),
+                .addr = reinterpret_cast<std::uintptr_t>(p),
+                .size = size});
   return p;
 }
 
@@ -92,9 +68,6 @@ void InstrumentingAllocator::deallocate(void* p) {
                   .aux = static_cast<std::uint8_t>(r),
                   .addr = reinterpret_cast<std::uintptr_t>(p)});
   }
-  TMX_OBS_EVENT(obs::EventKind::kFree,
-                reinterpret_cast<std::uintptr_t>(p), 0,
-                static_cast<std::uint8_t>(r));
   inner_->deallocate(p);
 }
 

@@ -9,7 +9,7 @@
 
 #include "check/check_internal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/tracer.hpp"
+#include "sim/address_space.hpp"
 #include "sim/engine.hpp"
 
 namespace tmx::check {
@@ -36,8 +36,6 @@ void emit(Report r) {
   State* s = state();
   if (s == nullptr) return;
   ++s->found.counts[static_cast<int>(r.kind)];
-  TMX_OBS_EVENT(obs::EventKind::kCheckReport, r.addr, r.stripe,
-                static_cast<std::uint8_t>(r.kind));
   // One stored report per (kind, site, other-site): a racy loop floods the
   // counters, not the report list.
   for (const Report& prev : s->found.reports) {
@@ -137,9 +135,10 @@ void print_reports(const Summary& s, std::FILE* out) {
                total, s.hard_count(), s.reports.size());
   for (const Report& r : s.reports) {
     std::fprintf(out,
-                 "  [%s] tid=%d cycle=%" PRIu64 " addr=0x%" PRIxPTR
+                 "  [%s] tid=%d cycle=%" PRIu64 " addr=+0x%" PRIxPTR
                  " stripe=%zu site=%s",
-                 report_kind_name(r.kind), r.tid, r.cycle, r.addr, r.stripe,
+                 report_kind_name(r.kind), r.tid, r.cycle,
+                 sim::AddressSpace::offset_of(r.addr), r.stripe,
                  r.site.empty() ? "?" : r.site.c_str());
     if (r.other_tid >= 0) {
       std::fprintf(out, " other{tid=%d cycle=%" PRIu64 " site=%s}",

@@ -159,8 +159,8 @@ inline State* state() { return sim::context().check.get(); }
 // `fallback`, or "?".
 const char* site_or(int tid, const char* fallback);
 
-// Appends a finding: always counts, stores/emits subject to dedup and the
-// report cap, and mirrors it into the obs trace as kCheckReport.
+// Appends a finding: always counts, and stores it subject to dedup and the
+// report cap.
 void emit(Report r);
 
 // Turns the surviving leak suspects into kTxLeak findings (lifetime.cpp).

@@ -13,7 +13,6 @@
 #include "check/check.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
-#include "obs/tracer.hpp"
 #include "prof/prof.hpp"
 
 namespace tmx::stm {
@@ -191,7 +190,6 @@ void Tx::begin() {
   if (TMX_UNLIKELY(check::enabled())) check::on_tx_begin(tid_);
   if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_begin(tid_);
   if (TMX_UNLIKELY(stm_->capture_)) capture_tx(replay::OpKind::kTxBegin);
-  TMX_OBS_EVENT(obs::EventKind::kTxBegin);
   sim::tick(sim::Cost::kBarrier);
 }
 
@@ -418,9 +416,6 @@ void Tx::store_word(void* addr, std::uint64_t value, std::uint64_t mask) {
                                              std::memory_order_acq_rel)) {
       continue;  // v reloaded by the failed CAS
     }
-    TMX_OBS_EVENT(obs::EventKind::kStripeAcquire,
-                  reinterpret_cast<std::uintptr_t>(addr),
-                  stm_->ort_index(addr));
     const auto word = reinterpret_cast<std::uintptr_t>(addr);
     if (!write_back) {
       auto* wp = reinterpret_cast<std::uint64_t*>(word);
@@ -496,8 +491,6 @@ void Tx::commit() {
       capture_tx(replay::OpKind::kTxCommit, read_set_.size(),
                  write_set_.size());
     }
-    TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
-                  write_set_.size());
     consecutive_aborts_ = 0;
     cause_streak_ = 0;
     stm_->tx_window_[tid_]->flag = false;
@@ -531,8 +524,6 @@ void Tx::commit() {
       }
       e.prev = v;
       e.acquired = true;
-      TMX_OBS_EVENT(obs::EventKind::kStripeAcquire, e.addr,
-                    stm_->ort_index(addr));
     }
   }
   sim::tick(sim::Cost::kAtomicRmw);
@@ -580,8 +571,6 @@ void Tx::commit() {
     if (e.acquired) {
       sim::probe(e.lock, 8, true);
       lock_ref(e.lock).store(make_version(ts), std::memory_order_release);
-      TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
-                    stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
     }
   }
   // Deferred frees execute only now that the transaction is durable.
@@ -596,8 +585,6 @@ void Tx::commit() {
     capture_tx(replay::OpKind::kTxCommit, read_set_.size(),
                write_set_.size());
   }
-  TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
-                write_set_.size());
   consecutive_aborts_ = 0;
   cause_streak_ = 0;
   stm_->tx_window_[tid_]->flag = false;
@@ -625,8 +612,6 @@ void Tx::rollback(AbortCause cause, std::uintptr_t addr) {
   for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
     if (it->acquired) {
       lock_ref(it->lock).store(it->prev, std::memory_order_release);
-      TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
-                    stm_->ort_index(reinterpret_cast<const void*>(it->addr)));
     }
   }
   // Transactional allocations never happened: return them.
@@ -669,11 +654,6 @@ void Tx::rollback(AbortCause cause, std::uintptr_t addr) {
     capture_tx(replay::OpKind::kTxAbort, 0, 0,
                static_cast<std::uint8_t>(cause));
   }
-  TMX_OBS_EVENT(obs::EventKind::kTxAbort, addr,
-                addr != 0
-                    ? stm_->ort_index(reinterpret_cast<const void*>(addr))
-                    : 0,
-                static_cast<std::uint8_t>(cause));
   ++consecutive_aborts_;
   stm_->tx_window_[tid_]->flag = false;
   sim::tick(sim::Cost::kBarrier);
@@ -813,7 +793,6 @@ void Tx::begin_hw() {
   ++stats_.hw_starts;
   if (TMX_UNLIKELY(prof::enabled())) prof::on_tx_begin(tid_);
   if (TMX_UNLIKELY(stm_->capture_)) capture_tx(replay::OpKind::kTxBegin);
-  TMX_OBS_EVENT(obs::EventKind::kTxBegin);
   sim::tick(sim::Cost::kBarrier);
 }
 
@@ -891,8 +870,6 @@ void Tx::commit_hw() {
       capture_tx(replay::OpKind::kTxCommit, read_set_.size(),
                  write_set_.size());
     }
-    TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
-                  write_set_.size());
     hw_mode_ = false;
     stm_->tx_window_[tid_]->flag = false;
     return;
@@ -913,8 +890,6 @@ void Tx::commit_hw() {
     }
     e.prev = v;
     e.acquired = true;
-    TMX_OBS_EVENT(obs::EventKind::kStripeAcquire, e.addr,
-                  stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
     ++acquired;
     (void)acquired;
   }
@@ -947,8 +922,6 @@ void Tx::commit_hw() {
   for (const WriteEntry& e : write_set_) {
     if (e.acquired) {
       lock_ref(e.lock).store(make_version(ts), std::memory_order_release);
-      TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
-                    stm_->ort_index(reinterpret_cast<const void*>(e.addr)));
     }
   }
   release_deferred_frees();
@@ -961,8 +934,6 @@ void Tx::commit_hw() {
     capture_tx(replay::OpKind::kTxCommit, read_set_.size(),
                write_set_.size());
   }
-  TMX_OBS_EVENT(obs::EventKind::kTxCommit, read_set_.size(),
-                write_set_.size());
   hw_mode_ = false;
   stm_->tx_window_[tid_]->flag = false;
 }
@@ -971,8 +942,6 @@ void Tx::rollback_hw(HwAbortCause cause) {
   for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
     if (it->acquired) {
       lock_ref(it->lock).store(it->prev, std::memory_order_release);
-      TMX_OBS_EVENT(obs::EventKind::kStripeRelease, 0,
-                    stm_->ort_index(reinterpret_cast<const void*>(it->addr)));
     }
   }
   for (const auto& [p, size] : tx_allocs_) {
@@ -996,7 +965,6 @@ void Tx::rollback_hw(HwAbortCause cause) {
   if (TMX_UNLIKELY(stm_->capture_)) {
     capture_tx(replay::OpKind::kTxAbort, 0, 0, hw_cause);
   }
-  TMX_OBS_EVENT(obs::EventKind::kTxAbort, 0, 0, hw_cause);
   hw_mode_ = false;
   stm_->tx_window_[tid_]->flag = false;
   sim::tick(sim::Cost::kBarrier);

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "obs/metrics.hpp"
+#include "sim/address_space.hpp"
 #include "sim/engine.hpp"
 #include "util/macros.hpp"
 
@@ -113,9 +114,10 @@ void print_findings(const Summary& s, std::FILE* out) {
                s.corruptions(), s.findings.size());
   for (const Finding& f : s.findings) {
     std::fprintf(out,
-                 "  [%s] tid=%d cycle=%" PRIu64 " addr=0x%" PRIxPTR
+                 "  [%s] tid=%d cycle=%" PRIu64 " addr=+0x%" PRIxPTR
                  " requested=%zu usable=%zu alloc_site=%s site=%s",
-                 finding_kind_name(f.kind), f.tid, f.cycle, f.addr,
+                 finding_kind_name(f.kind), f.tid, f.cycle,
+                 sim::AddressSpace::offset_of(f.addr),
                  f.requested, f.usable,
                  f.alloc_site.empty() ? "?" : f.alloc_site.c_str(),
                  f.site.empty() ? "?" : f.site.c_str());

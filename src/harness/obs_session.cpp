@@ -6,10 +6,8 @@
 #include "harness/run_context.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace_json.hpp"
-#include "obs/tracer.hpp"
+#include "replay/trace_json.hpp"
 #include "sim/engine.hpp"
-#include "util/macros.hpp"
 
 namespace tmx::harness {
 
@@ -22,7 +20,6 @@ constexpr Flag kReportFlagList[] = {
     {"trace", K::kText, "PATH", nullptr, "write a Chrome trace (Perfetto)"},
     {"attribution", K::kBare, nullptr, nullptr, "print abort attribution"},
     {"attribution-topk", K::kInt, "K", "8", "stripes in the attribution"},
-    {"trace-capacity", K::kInt, "N", "65536", "per-thread event ring size"},
     {"record-trace", K::kText, "PATH", nullptr, "capture a tmx-trace-v1 trace"},
     {"prof-out", K::kText, "PREFIX", "prof",
      "with --prof: PREFIX.{timeseries.csv,sites.csv,folded}"},
@@ -45,17 +42,9 @@ ObsSession::ObsSession(const Options& opts)
                         : opts.get(std::string(p.name) + "-out"));
   }
   files_.resize(outs_.size());
-  if (!trace_path_.empty()) {
-    if (!obs::kTracingCompiledIn) {
-      std::fprintf(stderr,
-                   "warning: --trace requested but the binary was built with "
-                   "-DTMX_TRACING=OFF; no events will be recorded\n");
-    }
-    obs::Tracer::instance().enable(
-        static_cast<std::size_t>(opts.get_long("trace-capacity")));
-  }
   set_report(Report::kAttribution, attribution_);
   set_report(Report::kCapture, !record_path_.empty());
+  set_report(Report::kTrace, !trace_path_.empty());
   sim::install_exit_flush([this] { write_artifacts(); });
 }
 
@@ -63,6 +52,7 @@ ObsSession::~ObsSession() {
   write_artifacts();
   set_report(Report::kAttribution, false);
   set_report(Report::kCapture, false);
+  set_report(Report::kTrace, false);
   sim::install_exit_flush({});
 }
 
@@ -141,8 +131,7 @@ void ObsSession::write_artifacts() {
     obs::publish_metrics(report, obs::MetricsRegistry::global());
   }
 
-  if (!trace_path_.empty()) write_trace();
-  if (!record_path_.empty()) write_capture();
+  if (!trace_path_.empty() || !record_path_.empty()) write_capture();
 
   if (!metrics_path_.empty()) {
     if (obs::MetricsRegistry::global().write_json(metrics_path_)) {
@@ -155,39 +144,18 @@ void ObsSession::write_artifacts() {
   }
 }
 
-void ObsSession::write_trace() {
-  obs::Tracer& tracer = obs::Tracer::instance();
-  const std::vector<obs::Event> events = tracer.snapshot();
-  if (obs::write_chrome_trace(trace_path_, events)) {
-    std::fprintf(stderr, "trace: wrote %zu events to %s\n", events.size(),
-                 trace_path_.c_str());
-  } else {
-    std::fprintf(stderr, "trace: failed to write %s\n", trace_path_.c_str());
-    ok_ = false;
-  }
-
-  // Ring-overflow accounting: a truncated window silently biases any
-  // downstream analysis, so it is always published and printed.
-  std::uint64_t total_drops = 0;
-  auto& reg = obs::MetricsRegistry::global();
-  for (int t = 0; t < kMaxThreads; ++t) {
-    const std::uint64_t drops = tracer.dropped_by_thread(t);
-    if (drops == 0) continue;
-    total_drops += drops;
-    reg.set_counter("obs.trace.dropped.t" + std::to_string(t), drops);
-  }
-  reg.set_counter("obs.trace.dropped", total_drops);
-  if (total_drops > 0) {
-    std::fprintf(stderr,
-                 "trace: ring overflow dropped %llu events; raise "
-                 "--trace-capacity for complete traces\n",
-                 static_cast<unsigned long long>(total_drops));
-  }
-  tracer.disable();
-}
-
 void ObsSession::write_capture() {
   const replay::Trace t = take_capture();
+  if (!trace_path_.empty()) {
+    if (write_text(trace_path_, replay::chrome_trace_json(t))) {
+      std::fprintf(stderr, "trace: wrote %zu events to %s\n",
+                   t.records.size(), trace_path_.c_str());
+    } else {
+      std::fprintf(stderr, "trace: failed to write %s\n", trace_path_.c_str());
+      ok_ = false;
+    }
+  }
+  if (record_path_.empty()) return;
   if (replay::write_trace(record_path_, t)) {
     std::fprintf(stderr, "trace: recorded %zu records to %s\n",
                  t.records.size(), record_path_.c_str());

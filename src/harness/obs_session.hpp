@@ -21,17 +21,17 @@
 //    (sim::install_exit_flush), so a watchdog or guard hard-cap trip still
 //    writes every artifact before it exits.
 //
-// Every flag the session reads is in kReportFlags. The tracer is on when
-// --trace is given, and collects events across the runs; its ring-overflow
-// drop counts are published as obs.trace.dropped metrics and printed.
-// --attribution and --record-trace need no tracer: the session turns them
-// on for the process (set_report), so every run opened afterwards keeps
-// its own abort tallies and capture log in its context, and refuses
-// --engine threads. Closing a RunContext folds them into the process's
-// (take_abort_tally, take_capture), so a watchdog or guard trip writes
-// what the contexts closed before it captured and tallied. Binaries with
-// several independent cases call report_attribution_and_clear() between
-// them to get a per-case report.
+// Every flag the session reads is in kReportFlags. --attribution,
+// --record-trace and --trace read the runs' own logs: the session turns
+// them on for the process (set_report), so every run opened afterwards
+// keeps its own abort tallies and, for either trace flag, its capture log
+// in its context, and refuses --engine threads. Closing a RunContext folds
+// them into the process's (take_abort_tally, take_capture), so a watchdog
+// or guard trip writes what the contexts closed before it captured and
+// tallied. finish() takes the capture once and writes it as the
+// tmx-trace-v1 file, the Chrome trace (replay/trace_json.hpp), or both.
+// Binaries with several independent cases call
+// report_attribution_and_clear() between them to get a per-case report.
 #pragma once
 
 #include <string>
@@ -76,8 +76,7 @@ class ObsSession {
 
  private:
   void write_artifacts();
-  void write_trace();    // --trace and the drop counts
-  void write_capture();  // --record-trace
+  void write_capture();  // --trace and --record-trace
 
   bool attribution_ = false;
   bool finished_ = false;

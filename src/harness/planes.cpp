@@ -111,10 +111,11 @@ int report_check(const PlaneOutputs& out, std::vector<std::string>&) {
   return 4;
 }
 
-// Findings carry raw addresses, so they go to stderr.
+// Findings print offsets in the run's address space, so they go to stdout
+// too.
 int report_guard(const PlaneOutputs& out, std::vector<std::string>&) {
   if (!out.guard || out.guard->corruptions() == 0) return 0;
-  guard::print_findings(*out.guard, stderr);
+  guard::print_findings(*out.guard, stdout);
   return guard::kExitCode;
 }
 

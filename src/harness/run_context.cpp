@@ -10,7 +10,6 @@
 
 #include "alloc/instrument.hpp"
 #include "obs/metrics.hpp"
-#include "obs/tracer.hpp"
 #include "util/macros.hpp"
 
 namespace tmx::harness {
@@ -28,6 +27,12 @@ std::atomic<bool> g_reports[std::size(kReportNeeds)];
 
 bool report_on(Report report) {
   return g_reports[static_cast<int>(report)].load(std::memory_order_relaxed);
+}
+
+// Whether runs log their operations: --record-trace writes the capture,
+// and --trace exports it.
+bool capturing() {
+  return report_on(Report::kCapture) || report_on(Report::kTrace);
 }
 
 [[noreturn]] void refuse(const std::string& why) {
@@ -77,9 +82,10 @@ bool report_on(Report report) {
 
 }  // namespace
 
-const Constraint kReportNeeds[2] = {
+const Constraint kReportNeeds[3] = {
     {Needs::kSimEngine, "--attribution requires --engine sim"},
     {Needs::kSimEngine, "--record-trace requires --engine sim"},
+    {Needs::kSimEngine, "--trace requires --engine sim"},
 };
 
 void set_report(Report report, bool on) {
@@ -111,7 +117,7 @@ RunContext::RunContext(const RunSpec& spec, int threads) : spec_(spec) {
   for (const Plane& p : kPlanes) {
     if (p.on(spec_)) p.open(ctx_, spec_);
   }
-  if (report_on(Report::kCapture)) {
+  if (capturing()) {
     ctx_.capture = std::make_unique<replay::Capture>();
   }
 }
@@ -142,8 +148,7 @@ RunContext::~RunContext() {
 alloc::Allocator& RunContext::allocator(bool instrument) {
   TMX_ASSERT(allocator_ == nullptr && &sim::context() == &ctx_);
   std::unique_ptr<alloc::Allocator> a = alloc::create_allocator(spec_.allocator);
-  instrument = instrument || report_on(Report::kCapture) ||
-               obs::trace_enabled();
+  instrument = instrument || capturing();
   for (std::size_t i = 0; i < kPlanes.size(); ++i) {
     if (i == kInstrumentingAt && instrument) {
       a = std::make_unique<alloc::InstrumentingAllocator>(std::move(a));

@@ -58,11 +58,12 @@
 // (take_abort_tally) and, while the process captures, its capture log to
 // the process's capture (take_capture).
 //
-// Two reports read every run of the process, in virtual time: the abort
-// attribution (--attribution) and the capture (--record-trace). ObsSession
-// turns them on (set_report) before any run opens; while one is on, every
-// RunContext refuses --engine threads with the report's kReportNeeds row,
-// as it refuses a plane's broken constraint.
+// Three reports read every run of the process, in virtual time: the abort
+// attribution (--attribution), the capture (--record-trace) and its Chrome
+// export (--trace). ObsSession turns them on (set_report) before any run
+// opens; while one is on, every RunContext refuses --engine threads with
+// the report's kReportNeeds row, as it refuses a plane's broken
+// constraint.
 #pragma once
 
 #include <cstdint>
@@ -147,8 +148,8 @@ inline constexpr std::size_t kInstrumentingAt = 3;  // prof
 obs::AbortTally take_abort_tally();
 
 // The process-wide reports (above), indexing kReportNeeds.
-enum class Report { kAttribution, kCapture };
-extern const Constraint kReportNeeds[2];
+enum class Report { kAttribution, kCapture, kTrace };
+extern const Constraint kReportNeeds[3];
 void set_report(Report report, bool on);
 
 // The capture of every context closed since the last call, in one trace;
@@ -171,8 +172,8 @@ class RunContext {
   // Builds the allocator stack (once, before the run allocates anything)
   // and opens the prof plane on its outermost layer. `instrument` adds the
   // InstrumentingAllocator for the caller's own Table 5 profile; it is
-  // there anyway while the process traces or captures, as the layer whose
-  // records those carry.
+  // there anyway while the process captures, as the layer whose records
+  // the capture carries.
   alloc::Allocator& allocator(bool instrument);
 
   // Destroys the allocator stack — whatever uses it must be gone by now —

@@ -9,12 +9,6 @@ namespace tmx::obs {
 
 namespace {
 
-// `addr`'s offset in its run's address space, whose base is aligned to the
-// space's size: the same in every process.
-std::uint64_t offset_of(std::uint64_t addr) {
-  return addr & (sim::AddressSpace::kBytes - 1);
-}
-
 // `t`'s row for `stripe`, made on first use.
 StripeAttribution& row(AbortTally& t, std::uint64_t stripe) {
   if (t.stripes == nullptr) {
@@ -108,8 +102,10 @@ void print_report(const AttributionReport& report, std::FILE* out) {
         static_cast<unsigned long long>(s.aborts),
         static_cast<unsigned long long>(s.true_conflicts),
         static_cast<unsigned long long>(s.false_aborts),
-        static_cast<unsigned long long>(offset_of(s.sample_aborter_addr)),
-        static_cast<unsigned long long>(offset_of(s.sample_owner_addr)),
+        static_cast<unsigned long long>(
+            sim::AddressSpace::offset_of(s.sample_aborter_addr)),
+        static_cast<unsigned long long>(
+            sim::AddressSpace::offset_of(s.sample_owner_addr)),
         s.false_aborts > 0 ? "  <- distinct words share this stripe" : "");
   }
 }

@@ -71,6 +71,13 @@ class AddressSpace {
   // `addr`'s offset in the region (contains(addr) must hold).
   std::uintptr_t offset(std::uintptr_t addr) const { return addr - base(); }
 
+  // `addr`'s offset in whichever run's region holds it. Every region's base
+  // is aligned to kBytes, so this needs no region at hand, and a seeded run
+  // prints the same offsets in every process.
+  static constexpr std::uintptr_t offset_of(std::uintptr_t addr) {
+    return addr & (kBytes - 1);
+  }
+
  private:
   struct Free {
     std::uintptr_t begin;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "obs/tracer.hpp"
 #include "sim/address_space.hpp"
 #include "sim/numa.hpp"
 
@@ -193,8 +192,6 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
       l2_tags_[base2 + v2] = tag;
       l2_lru_[base2 + v2] = tick_;
     }
-    TMX_OBS_EVENT(obs::EventKind::kCacheMiss, line_addr, latency,
-                  /*miss level=*/w2 >= 0 ? 1 : 2);
     // Fill L1. The new line's bucket gains this core; the victim's bucket
     // keeps it only if another of its lines is still in the set.
     way = static_cast<int>(victim_way(&l1_lru_[base], geo_.l1_ways));
@@ -237,8 +234,6 @@ std::uint64_t CacheModel::access_line(unsigned core, std::uintptr_t line_addr,
         if (false_shared) ++st.false_sharing;
         latency += core_node_[c] == node ? lat_.coherence
                                          : lat_.remote_coherence;
-        TMX_OBS_EVENT(obs::EventKind::kCacheInval, line_addr, c,
-                      /*false sharing=*/false_shared ? 1 : 0);
       }
     }
   }

@@ -8,7 +8,6 @@
 #include <memory>
 #include <thread>
 
-#include "obs/tracer.hpp"
 #include "sim/context.hpp"
 #include "util/macros.hpp"
 
@@ -277,22 +276,6 @@ FiberEngine::~FiberEngine() {
 thread_local Fiber* g_fiber = nullptr;
 thread_local int g_tid = 0;
 
-// Observability time source: trace timestamps are the fiber's virtual
-// cycles inside a simulation and steady-clock nanoseconds elsewhere (the
-// real-thread engine). Installed once before main() runs.
-std::uint64_t obs_clock() {
-  if (g_fiber != nullptr) return g_fiber->vtime;
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-const bool g_obs_time_source_installed = [] {
-  obs::install_time_source(&obs_clock, &self_tid);
-  return true;
-}();
-
 // Shared fiber body: run the workload, mark the fiber done, hand control
 // back to the scheduler context for the next seed. Never returns.
 void fiber_finish_to_main(Fiber* f) {
@@ -434,17 +417,6 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
   }
   eng.space_base = ctx.space.base();
 
-#if TMX_TRACING
-  // Run markers carry explicit timestamps: the main thread is outside any
-  // fiber, so the installed clock would stamp them in wall time instead of
-  // the virtual cycle domain the fibers trace in.
-  if (obs::trace_enabled()) {
-    obs::Tracer::instance().record_at(
-        0, 0, obs::EventKind::kRunBegin,
-        static_cast<std::uint64_t>(cfg.threads));
-  }
-#endif
-
   const int saved_tid = g_tid;
   if (TMX_UNLIKELY(check_hooks_on())) {
     if (auto* fork = ctx.check_hooks.run_fork) fork(cfg.threads);
@@ -507,13 +479,6 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
     ctx.capture->runs.push_back(
         {capture_begin, ctx.capture->records.size(), r.cycles});
   }
-#if TMX_TRACING
-  if (obs::trace_enabled()) {
-    obs::Tracer::instance().record_at(
-        r.cycles, 0, obs::EventKind::kRunEnd,
-        static_cast<std::uint64_t>(cfg.threads));
-  }
-#endif
   return r;
 }
 
@@ -540,15 +505,11 @@ RunResult run_threads(const RunConfig& cfg,
   while (ready.load(std::memory_order_acquire) != cfg.threads - 1) {
     std::this_thread::yield();
   }
-  TMX_OBS_EVENT(obs::EventKind::kRunBegin,
-                static_cast<std::uint64_t>(cfg.threads));
   const auto t0 = std::chrono::steady_clock::now();
   go.store(true, std::memory_order_release);
   body(0);  // the calling thread doubles as worker 0, as in STAMP
   for (auto& w : workers) w.join();
   const auto t1 = std::chrono::steady_clock::now();
-  TMX_OBS_EVENT(obs::EventKind::kRunEnd,
-                static_cast<std::uint64_t>(cfg.threads));
 
   RunResult r;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();

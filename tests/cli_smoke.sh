@@ -19,9 +19,9 @@
 #   cli_smoke.sh chaos_soak       <chaos_soak>    injected == detected, twice
 #   cli_smoke.sh prof_files       <server_mix>    all three prof data families
 #   cli_smoke.sh record_repeat    <stamp_runner> <trace_replay>  two
-#                                 processes capture one seeded run byte for
-#                                 byte, without changing its stdout, and the
-#                                 capture inspects
+#                                 processes capture and trace one seeded run
+#                                 byte for byte, without changing its
+#                                 stdout, and the capture inspects
 #   cli_smoke.sh replay_synth     <trace_replay>  byte-stable capture, replayed
 #                                 through four models; a model's row does not
 #                                 depend on the replays before it
@@ -40,9 +40,10 @@
 #                                 single-figure stdouts, concatenated
 #   cli_smoke.sh paper_attribution <tmx_paper>    fig05's abort attribution
 #                                 repeats byte for byte
-#   cli_smoke.sh layout           <stamp_runner>  a seeded cache-on run
-#                                 repeats whatever the process's environment
-#                                 size or address-space randomization
+#   cli_smoke.sh layout           <stamp_runner>  a seeded cache-on run,
+#                                 and a guard run's findings, repeat
+#                                 whatever the process's environment size or
+#                                 address-space randomization
 #   cli_smoke.sh guard_zombies <allocator_duel> <hybrid_demo>  rbtree runs
 #                                 under the quarantining guard, whose zombie
 #                                 transactions read poisoned pointers, exit 0
@@ -53,8 +54,9 @@
 #                                 --help lists every flag it reads; each
 #                                 binary that reads the run flags refuses a
 #                                 plane on a setting its row rules out, an
-#                                 out-of-range bind node, and --attribution
-#                                 or --record-trace with --engine threads
+#                                 out-of-range bind node, and --attribution,
+#                                 --record-trace or --trace with --engine
+#                                 threads
 set -euo pipefail
 
 drive=$1
@@ -171,10 +173,13 @@ case "$drive" in
     ;;
   record_repeat)
     args=(--app vacation --alloc tcmalloc --threads 4 --scale 0.2)
-    "${bins[0]}" "${args[@]}" --record-trace a.tmxtrc > a.out
-    "${bins[0]}" "${args[@]}" --record-trace b.tmxtrc > /dev/null
+    "${bins[0]}" "${args[@]}" --trace a.json --record-trace a.tmxtrc > a.out
+    "${bins[0]}" "${args[@]}" --trace b.json --record-trace b.tmxtrc \
+      > /dev/null
     "${bins[0]}" "${args[@]}" > plain.out
     cmp a.tmxtrc b.tmxtrc
+    cmp a.json b.json
+    grep -q '^{"displayTimeUnit":"ms","traceEvents":\[' a.json
     cmp a.out plain.out
     "${bins[1]}" --inspect a.tmxtrc > inspect.out
     grep -q '^allocator: tcmalloc$' inspect.out
@@ -258,8 +263,8 @@ case "$drive" in
          guard-quarantine-epochs guard-commits-per-epoch guard-max-findings
          guard-hard-cap prof prof-sample-cycles phase-commits-per-epoch
          phase-slab-bytes phase-compact"
-    report="metrics-out trace attribution attribution-topk trace-capacity
-            record-trace prof-out"
+    report="metrics-out trace attribution attribution-topk record-trace
+            prof-out"
     for bin in "${bins[@]}"; do
       # number: a numeric flag the binary reads; models: the flags naming
       # allocators; outside: flag=value pairs outside the flag's domain,
@@ -320,6 +325,8 @@ case "$drive" in
           "${runs[@]}" --attribution --engine threads
         expect_refused "error: --record-trace requires --engine sim" "$bin" \
           "${runs[@]}" --record-trace t.tmxtrc --engine threads
+        expect_refused "error: --trace requires --engine sim" "$bin" \
+          "${runs[@]}" --trace t.json --engine threads
       fi
       "$bin" --help > help.out
       for flag in $reads help list-allocators; do
@@ -344,18 +351,29 @@ case "$drive" in
     ;;
   layout)
     args=(--app vacation --alloc tcmalloc --threads 4 --scale 0.2)
+    # A guard run whose injected corruption it finds (exit 5): the
+    # findings print offsets in the run's address space.
+    guard=(--app vacation --alloc glibc --threads 4 --scale 0.3 --guard
+           --fault-corrupt-tag-rate 0.05 --fault-corrupt-budget 4)
     "${bins[0]}" "${args[@]}" --metrics-out m0.json > o0.out
+    expect_exit 5 "${bins[0]}" "${guard[@]}"
+    "${bins[0]}" "${guard[@]}" > g0.out || true
     PAD=$(printf '%04096d' 0) "${bins[0]}" "${args[@]}" \
       --metrics-out m1.json > o1.out
+    PAD=$(printf '%04096d' 0) "${bins[0]}" "${guard[@]}" > g1.out || true
     runs=(0 1)
     if setarch "$(uname -m)" -R true 2> /dev/null; then
       env -i setarch "$(uname -m)" -R "${bins[0]}" "${args[@]}" \
         --metrics-out m2.json > o2.out
+      env -i setarch "$(uname -m)" -R "${bins[0]}" "${guard[@]}" \
+        > g2.out || true
       runs+=(2)
     fi
+    grep -q '^  \[tag_smash\] .* addr=+0x' g0.out
     for i in "${runs[@]}"; do
       cmp o0.out "o$i.out"
       cmp m0.json "m$i.json"
+      cmp g0.out "g$i.out"
     done
     ;;
   guard_zombies)

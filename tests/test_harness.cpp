@@ -475,7 +475,8 @@ TEST(RunContextDeathTest, RefusesExactlyWhatThePlaneRowsRuleOut) {
 // kReportNeeds row rules out, with the row's message, as for a plane row.
 TEST(RunContextDeathTest, ReportsRefuseTheThreadsEngine) {
   const RunSpec threads{.engine = sim::EngineKind::Threads};
-  for (const Report report : {Report::kAttribution, Report::kCapture}) {
+  for (const Report report :
+       {Report::kAttribution, Report::kCapture, Report::kTrace}) {
     const Constraint& c = kReportNeeds[static_cast<int>(report)];
     EXPECT_EQ(c.needs, Needs::kSimEngine);
     EXPECT_EXIT(
@@ -489,6 +490,8 @@ TEST(RunContextDeathTest, ReportsRefuseTheThreadsEngine) {
             "--attribution requires --engine sim");
   EXPECT_EQ(std::string(kReportNeeds[1].refusal),
             "--record-trace requires --engine sim");
+  EXPECT_EQ(std::string(kReportNeeds[2].refusal),
+            "--trace requires --engine sim");
   const RunContext run(threads);  // no report on: it opens
 }
 
@@ -520,7 +523,7 @@ TEST(Planes, ReadmeStatesEachRowsConstraints) {
         << sentence;
   }
   // And one for each process-wide report.
-  for (const char* flag : {"attribution", "record-trace"}) {
+  for (const char* flag : {"attribution", "record-trace", "trace"}) {
     const std::string sentence = "Requires the sim engine; `--" +
                                  std::string(flag) +
                                  "` with `--engine threads` is rejected";

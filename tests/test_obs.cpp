@@ -1,82 +1,27 @@
-// The observability layer: ring-buffer tracer semantics, metrics JSON
-// round-trip, Chrome trace schema, and the STM's abort attribution on a
+// The observability layer: metrics JSON round-trip, the Chrome trace
+// exported from a capture, and the STM's abort attribution on a
 // deterministic false-abort scenario (the Figure 5 mechanism).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "alloc/allocator.hpp"
 #include "core/stm.hpp"
+#include "harness/run_context.hpp"
 #include "obs/attribution.hpp"
-#include "obs/event.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace_json.hpp"
-#include "obs/tracer.hpp"
+#include "replay/trace_json.hpp"
 #include "sim/engine.hpp"
+#include "stamp/app.hpp"
 
 namespace tmx::obs {
 namespace {
-
-// Guards every test that records through the Tracer singleton: tests run
-// single-binary so enable/disable pairs must not leak into each other.
-struct TracerGuard {
-  ~TracerGuard() { Tracer::instance().disable(); }
-};
-
-TEST(Tracer, RingWraparoundDropsOldest) {
-  TracerGuard guard;
-  Tracer& t = Tracer::instance();
-  t.enable(/*capacity_per_thread=*/8);
-  ASSERT_TRUE(t.enabled());
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    t.record(EventKind::kTxBegin, /*a=*/i);
-  }
-  const std::vector<Event> events = t.snapshot();
-  ASSERT_EQ(events.size(), 8u);  // capacity survivors only
-  EXPECT_EQ(t.dropped(), 12u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].a, 12 + i);  // the oldest 12 were overwritten
-  }
-}
-
-TEST(Tracer, CapacityRoundsUpToPowerOfTwo) {
-  TracerGuard guard;
-  Tracer& t = Tracer::instance();
-  t.enable(/*capacity_per_thread=*/20);
-  EXPECT_EQ(t.capacity_per_thread(), 32u);
-  t.enable(/*capacity_per_thread=*/1);
-  EXPECT_EQ(t.capacity_per_thread(), 8u);  // floor
-}
-
-TEST(Tracer, DisabledRecordsNothing) {
-  TracerGuard guard;
-  Tracer& t = Tracer::instance();
-  t.enable(16);
-  t.disable();
-  EXPECT_FALSE(trace_enabled());
-  // The macro guard is off, and even a direct record is dropped.
-  TMX_OBS_EVENT(EventKind::kTxBegin);
-  t.record(EventKind::kTxBegin);
-  EXPECT_EQ(t.snapshot().size(), 0u);
-}
-
-TEST(Tracer, ClearKeepsRecordingOn) {
-  TracerGuard guard;
-  Tracer& t = Tracer::instance();
-  t.enable(16);
-  t.record(EventKind::kTxBegin);
-  t.clear();
-  EXPECT_TRUE(t.enabled());
-  EXPECT_EQ(t.size(), 0u);
-  t.record(EventKind::kTxCommit);
-  EXPECT_EQ(t.snapshot().size(), 1u);
-}
 
 TEST(Metrics, JsonRoundTrip) {
   MetricsRegistry reg;
@@ -102,61 +47,181 @@ TEST(Metrics, FromJsonRejectsWrongSchema) {
   EXPECT_FALSE(MetricsRegistry::from_json("not json at all", &out));
 }
 
-// Synthesizes a tiny trace directly so the exporter's schema can be checked
-// even in a -DTMX_TRACING=OFF build (the exporter itself is always built).
-TEST(TraceJson, SchemaAndBalancedSlices) {
-  std::vector<Event> events;
-  const auto ev = [&](std::uint64_t ts, std::uint32_t tid, EventKind k,
-                      std::uint64_t a = 0, std::uint64_t b = 0,
-                      std::uint8_t arg0 = 0) {
-    events.push_back(Event{ts, a, b, tid, k, arg0, 0});
-  };
-  ev(0, 0, EventKind::kRunBegin, 2);
-  ev(10, 0, EventKind::kTxBegin);
-  ev(12, 1, EventKind::kTxBegin);
-  ev(15, 0, EventKind::kStripeAcquire, 0x1000, 7);
-  ev(20, 0, EventKind::kTxCommit, 3, 1);
-  ev(25, 1, EventKind::kTxAbort, 0x1008, 7, /*cause=*/0);
-  ev(30, 1, EventKind::kTxBegin);  // left open: exporter must close it
-  // An abort whose begin was dropped: exporter must skip the orphan closer.
-  ev(35, 2, EventKind::kTxAbort, 0, 0, 2);
-  ev(40, 0, EventKind::kRunEnd, 2);
+// -- The Chrome trace of a capture (replay/trace_json.hpp) --
 
-  const std::string text = chrome_trace_json(events, /*ticks_per_us=*/1.0);
-  bool ok = false;
-  std::string error;
-  const json::Value root = json::parse(text, &ok, &error);
-  ASSERT_TRUE(ok) << error;
-  const json::Value* trace_events = root.find("traceEvents");
-  ASSERT_NE(trace_events, nullptr);
-  ASSERT_TRUE(trace_events->is_array());
+// What a Chrome trace holds: its tx slices by outcome, abort causes and
+// allocator instants, and each thread's open slices.
+struct ChromeCensus {
+  std::uint64_t begins = 0, commits = 0, aborts = 0, mallocs = 0, frees = 0;
+  std::map<std::string, std::uint64_t> causes;
+  std::map<std::uint64_t, int> open;  // tid -> open tx slices
 
-  int begins = 0, ends = 0;
-  for (const json::Value& e : trace_events->array) {
-    ASSERT_TRUE(e.is_object());
-    const json::Value* ph = e.find("ph");
-    ASSERT_NE(ph, nullptr);
-    ASSERT_TRUE(ph->is_string());
-    EXPECT_NE(e.find("pid"), nullptr);
-    EXPECT_NE(e.find("tid"), nullptr);
-    EXPECT_NE(e.find("name"), nullptr);
-    if (ph->str != "M") {
-      EXPECT_NE(e.find("ts"), nullptr);
+  bool balanced() const {
+    for (const auto& [tid, depth] : open) {
+      if (depth != 0) return false;
     }
-    if (ph->str == "B") ++begins;
-    if (ph->str == "E") ++ends;
+    return true;
   }
-  EXPECT_EQ(begins, 3);
-  EXPECT_EQ(begins, ends);  // orphan E skipped, trailing B force-closed
+};
+
+// Reads a Chrome trace event by event, so that the trace of a whole STAMP
+// run (kmeans: 820k events) checks in bounded memory. The envelope must be
+// the exporter's and each element of traceEvents must parse as an object
+// with pid, tid, ts, ph and name. Timestamps must not go back, and a
+// thread's tx slices must neither nest nor close unopened.
+void read_chrome_trace(const std::string& text, ChromeCensus* c) {
+  const std::string head = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  ASSERT_EQ(text.compare(0, head.size(), head), 0);
+  ASSERT_GE(text.size(), head.size() + 2);
+  ASSERT_EQ(text.substr(text.size() - 2), "]}");
+  const std::size_t end = text.size() - 2;
+  double last_ts = 0;
+  for (std::size_t pos = head.size(); pos < end;) {
+    // The element ends at the brace that closes its first one.
+    std::size_t i = pos;
+    bool in_string = false;
+    for (int depth = 0; i < end; ++i) {
+      const char ch = text[i];
+      if (in_string) {
+        if (ch == '\\') ++i;
+        if (ch == '"') in_string = false;
+      } else if (ch == '"') {
+        in_string = true;
+      } else if (ch == '{') {
+        ++depth;
+      } else if (ch == '}' && --depth == 0) {
+        ++i;
+        break;
+      }
+    }
+    bool ok = false;
+    std::string error;
+    const json::Value e = json::parse(text.substr(pos, i - pos), &ok, &error);
+    ASSERT_TRUE(ok) << error << " at " << pos;
+    ASSERT_TRUE(e.is_object());
+    for (const char* key : {"pid", "tid", "ts", "ph", "name"}) {
+      ASSERT_NE(e.find(key), nullptr) << key << " at " << pos;
+    }
+    pos = i;
+    if (pos < end) {
+      ASSERT_EQ(text[pos], ',');
+      ++pos;
+      ASSERT_LT(pos, end);
+    }
+    const std::string& ph = e.find("ph")->str;
+    if (ph == "M") continue;
+    const double ts = e.find("ts")->number;
+    EXPECT_LE(last_ts, ts);
+    last_ts = ts;
+    const json::Value* args = e.find("args");
+    int& open = c->open[static_cast<std::uint64_t>(e.find("tid")->number)];
+    if (ph == "B") {
+      ++c->begins;
+      ASSERT_EQ(open++, 0) << "nested slice at " << pos;
+    } else if (ph == "E") {
+      ASSERT_EQ(open--, 1) << "unopened slice closes at " << pos;
+      ASSERT_NE(args, nullptr);
+      const std::string& outcome = args->find("outcome")->str;
+      if (outcome == "commit") {
+        ++c->commits;
+        EXPECT_NE(args->find("reads"), nullptr);
+        EXPECT_NE(args->find("writes"), nullptr);
+      } else {
+        ASSERT_EQ(outcome, "abort");
+        ++c->aborts;
+        ++c->causes[args->find("cause")->str];
+      }
+    } else {
+      ASSERT_EQ(ph, "i");
+      const std::string& name = e.find("name")->str;
+      (name == "malloc" ? c->mallocs : c->frees) += 1;
+      ASSERT_NE(args, nullptr);
+      EXPECT_EQ(args->find("addr")->str.rfind("+0x", 0), 0u);
+      EXPECT_NE(args->find("region"), nullptr);
+    }
+  }
 }
 
-TEST(TraceJson, EmptyTraceIsValidJson) {
+// One slice per transaction attempt, closed by its outcome, and one
+// instant per malloc and free, at the capture's cycles.
+TEST(TraceJson, SliceAndInstantPerRecord) {
+  using replay::OpKind;
+  replay::Trace t;
+  t.records = {
+      {.cycle = 0, .kind = OpKind::kMalloc, .aux = 0, .addr = 0x40,
+       .size = 32},
+      {.cycle = 10, .kind = OpKind::kTxBegin},
+      {.cycle = 12, .tid = 1, .kind = OpKind::kTxBegin},
+      {.cycle = 15, .kind = OpKind::kMalloc, .parallel = true, .aux = 2,
+       .addr = 0x80, .size = 16},
+      {.cycle = 20, .kind = OpKind::kTxCommit, .size = 3, .size2 = 1},
+      {.cycle = 25, .tid = 1, .kind = OpKind::kTxAbort, .aux = 0},
+      {.cycle = 30, .tid = 1, .kind = OpKind::kTxBegin},
+      {.cycle = 2500, .tid = 1, .kind = OpKind::kTxAbort, .aux = 6},
+      {.cycle = 2600, .kind = OpKind::kFree, .parallel = true, .aux = 1,
+       .addr = 0x80},
+  };
+  const std::string text = replay::chrome_trace_json(t);
   bool ok = false;
-  const json::Value root = json::parse(chrome_trace_json({}), &ok);
+  std::string error;
+  json::parse(text, &ok, &error);
+  ASSERT_TRUE(ok) << error;
+  ChromeCensus c;
+  ASSERT_NO_FATAL_FAILURE(read_chrome_trace(text, &c));
+  EXPECT_EQ(c.begins, 3u);
+  EXPECT_EQ(c.commits, 1u);
+  EXPECT_EQ(c.aborts, 2u);
+  EXPECT_EQ(c.causes, (std::map<std::string, std::uint64_t>{
+                          {"read_locked", 1}, {"hw_capacity", 1}}));
+  EXPECT_EQ(c.mallocs, 2u);
+  EXPECT_EQ(c.frees, 1u);
+  EXPECT_TRUE(c.balanced());
+  EXPECT_NE(text.find("\"ts\":2.500,\"ph\":\"E\""), std::string::npos);
+  EXPECT_NE(text.find("\"reads\":3,\"writes\":1"), std::string::npos);
+  EXPECT_NE(text.find("\"size\":16,\"region\":\"tx\",\"addr\":\"+0x80\""),
+            std::string::npos);
+  EXPECT_NE(text.find("\"name\":\"free\",\"args\":{\"region\":\"par\""),
+            std::string::npos);
+}
+
+TEST(TraceJson, EmptyCaptureIsValidJson) {
+  bool ok = false;
+  const json::Value root =
+      json::parse(replay::chrome_trace_json(replay::Trace{}), &ok);
   ASSERT_TRUE(ok);
   const json::Value* trace_events = root.find("traceEvents");
   ASSERT_NE(trace_events, nullptr);
-  EXPECT_TRUE(trace_events->is_array());
+  ASSERT_TRUE(trace_events->is_array());
+  EXPECT_EQ(trace_events->array.size(), 1u);  // the process name
+}
+
+// --trace exports the run's capture: a tx slice for every attempt, closed
+// by every commit and abort the run counted, and an instant for every
+// malloc and free, as Capture.CensusEqualsTheRunsOwnCounts checks of the
+// capture itself.
+TEST(TraceJson, StampRunsExportEveryAttempt) {
+  for (const char* app : {"kmeans", "intruder"}) {
+    stamp::StampRun run;
+    run.app = app;
+    run.threads = 8;
+    harness::set_report(harness::Report::kTrace, true);
+    const stamp::StampOutcome out = stamp::run_stamp(run);
+    harness::set_report(harness::Report::kTrace, false);
+    const replay::Trace trace = harness::take_capture();
+    ASSERT_TRUE(out.result.verified) << app << ": " << out.result.detail;
+    ChromeCensus c;
+    ASSERT_NO_FATAL_FAILURE(
+        read_chrome_trace(replay::chrome_trace_json(trace), &c))
+        << app;
+    const stm::TxStats& stats = out.result.stats;
+    EXPECT_EQ(c.begins, stats.commits + stats.aborts) << app;
+    EXPECT_EQ(c.commits, stats.commits) << app;
+    EXPECT_EQ(c.aborts, stats.aborts) << app;
+    EXPECT_TRUE(c.balanced()) << app;
+    EXPECT_GT(c.mallocs, 0u) << app;
+    EXPECT_EQ(c.mallocs, trace.count(replay::OpKind::kMalloc)) << app;
+    EXPECT_EQ(c.frees, trace.count(replay::OpKind::kFree)) << app;
+  }
 }
 
 // -- Attribution at the conflict: the STM's tallies in the run's context --
@@ -315,33 +380,6 @@ TEST_F(AttributionFixture, ThreadsEngineLeavesLockedAbortsUnclassified) {
   EXPECT_EQ(stats.true_conflict_aborts, 0u);
   EXPECT_EQ(stats.false_conflict_aborts, 0u);
   EXPECT_EQ(ctx.aborts.aborts, 0u);
-}
-
-TEST_F(AttributionFixture, StmTraceExportsAsValidChromeTrace) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "built with -DTMX_TRACING=OFF";
-  TracerGuard guard;
-  Tracer::instance().enable(1u << 14);
-  alignas(64) static std::uint64_t buf[8] = {};
-  run_conflict(5, &buf[0], &buf[1]);
-  const std::vector<Event> events = Tracer::instance().snapshot();
-  ASSERT_FALSE(events.empty());
-  // Snapshot must come out time-sorted (the exporter depends on it).
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].ts, events[i].ts);
-  }
-  bool ok = false;
-  std::string error;
-  const json::Value root = json::parse(chrome_trace_json(events), &ok, &error);
-  ASSERT_TRUE(ok) << error;
-  int begins = 0, ends = 0;
-  for (const json::Value& e : root.find("traceEvents")->array) {
-    const json::Value* ph = e.find("ph");
-    ASSERT_NE(ph, nullptr);
-    if (ph->str == "B") ++begins;
-    if (ph->str == "E") ++ends;
-  }
-  EXPECT_GT(begins, 0);
-  EXPECT_EQ(begins, ends);
 }
 
 TEST_F(AttributionFixture, PublishMetricsExposesTotals) {
