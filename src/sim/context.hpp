@@ -60,8 +60,11 @@ namespace tmx::sim {
 // main loop when a fiber finishes); `fast_resumes` counts yields where the
 // running fiber was still inside its quantum (ahead of every queued
 // fiber in (vtime, id) order) and kept executing without any context
-// switch; `heap_ops` counts run-heap operations: a pop when a fiber
-// finishes and one replace-top per genuine switch from yield;
+// switch; `heap_ops` counts run-queue updates, one per resume (the
+// fiber taken off the queue when a fiber finishes, and at each genuine
+// switch from yield), so it equals `switches`. It keeps the name and the
+// values it had when the run queue was a heap, because the benchmark
+// driver (perfbench) reads it;
 // `queue_migrations` counts genuine switches where the incoming fiber is
 // pinned to a different core than the outgoing fiber (with the default
 // one-fiber-per-core topology every genuine switch migrates);

@@ -130,15 +130,21 @@ struct FiberEngine {
   ucontext_t main_ctx{};
 #endif
   std::vector<std::unique_ptr<Fiber>> fibers;  // indexed by fiber id
-  // The runnable fibers: a 4-ary min-heap of their keys (children of node i
-  // at 4i+1 .. 4i+4, 32 contiguous bytes). The currently executing fiber is
-  // never in it.
-  std::vector<RunKey> heap;
+  // The run queue: a winner tree over fiber ids. Leaf `id` is
+  // tree[leaves + id] (leaves = threads rounded up to a power of two) and
+  // holds that fiber's key while it is runnable, and all ones while it runs,
+  // after it finishes, and for ids past the last fiber. Every inner node
+  // holds the smaller of its two children, so tree[1] is the next fiber's
+  // key. An all-ones root does not mean "nothing runnable": it is also
+  // fiber 255's key at the largest virtual time, so the main loop counts
+  // unfinished fibers instead.
+  std::vector<RunKey> tree;
+  std::size_t leaves = 1;
   // The running fiber's scheduling quantum: the key of the best queued
   // fiber, captured when the running fiber was resumed, or the largest key
   // when none is queued. The engine is single-threaded, so no queued
   // fiber's key can change while one fiber runs — every yield inside the
-  // quantum batch-advances with this one cached compare and zero heap
+  // quantum batch-advances with this one cached compare and no run-queue
   // traffic.
   RunKey quantum = ~RunKey{0};
   std::uint64_t quantum_absorbed = 0;  // fast resumes in the open quantum
@@ -160,57 +166,32 @@ struct FiberEngine {
   std::unique_ptr<CacheModel> cache;
   const std::function<void(int)>* body = nullptr;
 
-  // Puts `k` at the root, where the old minimum was, and sifts it down.
-  // A full node's smallest child is a branch-free tournament: which child
-  // wins is a coin flip the branch predictor cannot learn. The winner's
-  // offset is arithmetic on the three compare bits because GCC turns a
-  // `? :` between two indices into a branch here; the arithmetic form
-  // compiles to cmovs, worth about 1.09x on the 256-fiber hashset_numa
-  // benchmark's commit rate. Only the last, partial node scans.
-  void sift_down_from_root(RunKey k) {
-    const std::size_t n = heap.size();
-    RunKey* h = heap.data();
-    std::size_t i = 0;
-    for (std::size_t c = 1; c < n; c = 4 * i + 1) {
-      std::size_t m = c;
-      if (c + 3 < n) {
-        const std::size_t l = h[c + 1] < h[c];
-        const std::size_t r = h[c + 3] < h[c + 2];
-        const std::size_t right =
-            std::min(h[c + 2], h[c + 3]) < std::min(h[c], h[c + 1]);
-        m = c + l + right * (2 + r - l);
-      } else {
-        for (std::size_t j = c + 1; j < n; ++j) m = h[j] < h[m] ? j : m;
-      }
-      if (k < h[m]) break;
-      h[i] = h[m];
-      i = m;
+  // Writes `k` into fiber `id`'s leaf and recomputes its leaf-to-root
+  // path, carrying the running minimum in a register: one sibling load per
+  // level, at addresses that do not depend on the keys, and no branch on
+  // them. Recomputing a node as the minimum of its two children instead
+  // reads back the value just stored, which measured slower.
+  void set_leaf(int id, RunKey k) {
+    RunKey* t = tree.data();
+    std::size_t i = leaves + static_cast<std::size_t>(id);
+    t[i] = k;
+    for (; i > 1; i >>= 1) {
+      k = std::min(k, t[i ^ 1]);
+      t[i >> 1] = k;
     }
-    h[i] = k;
   }
 
-  // Removes and returns the minimum (main loop, after a fiber finishes).
-  Fiber* pop_min() {
+  // Takes fiber `id`, the root's, off the run queue to resume it: its leaf
+  // leaves the race. One run-queue update (sched.heap_ops) per resume.
+  Fiber* take(int id) {
     ++sched.heap_ops;
-    Fiber* top = fibers[static_cast<std::size_t>(key_id(heap.front()))].get();
-    const RunKey last = heap.back();
-    heap.pop_back();
-    if (!heap.empty()) sift_down_from_root(last);
-    return top;
-  }
-
-  // Swaps `k` in for the minimum and returns the minimum's fiber: one
-  // sift-down per genuine switch. `k` must not precede the minimum.
-  Fiber* replace_min(RunKey k) {
-    ++sched.heap_ops;
-    Fiber* top = fibers[static_cast<std::size_t>(key_id(heap.front()))].get();
-    sift_down_from_root(k);
-    return top;
+    set_leaf(id, ~RunKey{0});
+    return fibers[static_cast<std::size_t>(id)].get();
   }
 
   // Opens the next quantum: caches the key of the best queued fiber so the
-  // fast-resume compare in yield() needs no heap access.
-  void begin_quantum() { quantum = heap.empty() ? ~RunKey{0} : heap.front(); }
+  // fast-resume compare in yield() needs no run-queue access.
+  void begin_quantum() { quantum = tree[1]; }
 
   // Closes a quantum at a genuine switch or a fiber finish: a quantum that
   // absorbed at least one fast resume was a batch advance.
@@ -397,9 +378,10 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
     eng.cache = std::make_unique<CacheModel>(geo, cfg.latency);
   }
 
-  // Every fiber starts runnable at vtime 0; keys in id order already form
-  // a heap.
-  eng.heap.reserve(threads);
+  // Every fiber starts runnable at vtime 0; the tree is built bottom-up
+  // once they all are.
+  while (eng.leaves < threads) eng.leaves *= 2;
+  eng.tree.assign(2 * eng.leaves, ~RunKey{0});
   for (unsigned i = 0; i < threads; ++i) {
     auto f = std::make_unique<Fiber>();
     f->id = static_cast<int>(i);
@@ -412,8 +394,11 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
         stack_size, AddressSpace::kPage, AddressSpace::End::kBase));
     TMX_ASSERT_MSG(f->stack != nullptr, "no address space for fiber stacks");
     init_fiber_context(f.get(), stack_size);
-    eng.heap.push_back(run_key(0, f->id));
+    eng.tree[eng.leaves + i] = run_key(0, f->id);
     eng.fibers.push_back(std::move(f));
+  }
+  for (std::size_t i = eng.leaves - 1; i >= 1; --i) {
+    eng.tree[i] = std::min(eng.tree[2 * i], eng.tree[2 * i + 1]);
   }
   eng.space_base = ctx.space.base();
 
@@ -429,8 +414,8 @@ RunResult run_sim(const RunConfig& cfg, const std::function<void(int)>& body) {
   // to fiber directly, so control returns here only when a fiber finishes;
   // the loop then seeds the next minimum (or exits when all are done).
   bool seeded = false;
-  while (!eng.heap.empty()) {
-    Fiber* next = eng.pop_min();
+  for (unsigned unfinished = threads; unfinished != 0; --unfinished) {
+    Fiber* next = eng.take(key_id(eng.tree[1]));
     eng.begin_quantum();
     ++eng.sched.switches;
     if (seeded && next->core != eng.last_core) ++eng.sched.queue_migrations;
@@ -557,7 +542,7 @@ void yield() {
   // Batched fast resume: while the yielding fiber stays ahead of the
   // cached quantum bound — the key of the best queued fiber, which cannot
   // change while this fiber runs — the scheduler would pick it right back;
-  // keep executing with zero heap traffic. This is the overwhelmingly
+  // keep executing with no run-queue traffic. This is the overwhelmingly
   // common case at low contention and preserves the min-virtual-time
   // schedule exactly. (<=, not <: a queued key never equals the running
   // fiber's, but with nothing queued the bound is the largest key, which
@@ -570,10 +555,14 @@ void yield() {
   }
   // Genuine switch: hand the core straight to the new minimum instead of
   // bouncing through the scheduler context. The yielding fiber is behind
-  // the quantum bound, so the minimum it replaces is the next to run.
-  // Control returns to the scheduler context only when a fiber finishes.
+  // the quantum bound, so the quantum's fiber, the root's, runs next: the
+  // yielder's key enters its leaf and the next fiber's leaf leaves the
+  // race, two leaf-to-root updates. Control returns to the scheduler
+  // context only when a fiber finishes.
   eng->end_quantum();
-  Fiber* next = eng->replace_min(self);
+  const int next_id = key_id(eng->quantum);  // the root's fiber
+  eng->set_leaf(f->id, self);
+  Fiber* next = eng->take(next_id);
   eng->begin_quantum();
   ++eng->sched.switches;
   if (next->core != f->core) ++eng->sched.queue_migrations;

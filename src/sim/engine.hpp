@@ -14,16 +14,18 @@
 //
 //    The scheduler is organized for 256-fiber scale: the runnable fibers'
 //    (vtime, id) keys, packed into one word each (vtime << 8 | id), sit
-//    inline in one 4-ary min-heap, and the running fiber caches the best
-//    queued key (its scheduling quantum) so a yield that stays inside the
-//    quantum batch-advances in place with a single compare — no heap
-//    traffic at all (the fast-resume path). A fiber whose virtual time
-//    passes 2^56 - 1 no longer fits a key and trips the watchdog. A genuine
-//    switch replaces the heap's minimum with the yielder's key (one
-//    sift-down) and swaps fiber to fiber directly through a ~10ns assembly
-//    context switch on x86-64 (ucontext elsewhere) instead of
-//    round-tripping through the scheduler context. All of this is pure
-//    mechanics under the same min-virtual-time discipline:
+//    in the leaves of a winner tree over fiber ids whose root is the next
+//    fiber's key, and the running fiber caches that root (its scheduling
+//    quantum) so a yield that stays inside the quantum batch-advances in
+//    place with a single compare — no run-queue traffic at all (the
+//    fast-resume path). A fiber whose virtual time passes 2^56 - 1 no
+//    longer fits a key and trips the watchdog. A genuine switch writes the
+//    yielder's key into its leaf and takes the root's fiber out of the
+//    race: two leaf-to-root paths of log2(leaves) sibling loads each, with
+//    no branch on the keys. It then swaps fiber to fiber directly through
+//    a ~10ns assembly context switch on x86-64 (ucontext elsewhere)
+//    instead of round-tripping through the scheduler context. All of this
+//    is pure mechanics under the same min-virtual-time discipline:
 //    tests/test_determinism.cpp pins the schedule bit-for-bit, at 4, 64
 //    and 256 fibers and across topologies.
 //    Reported time = makespan in cycles / frequency.

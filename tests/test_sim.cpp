@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -101,7 +102,8 @@ TEST(FiberEngine, HooksAreNoopsOutside) {
 // a shared table (indexed by id) before each yield and tick pseudo-random
 // multiples of 10 cycles, zero included, so equal vtimes — broken by id —
 // are common. Returns the number of contract violations seen after resumes.
-std::uint64_t run_contract_check(const RunConfig& rc, int yields,
+std::uint64_t run_contract_check(const RunConfig& rc,
+                                 const std::function<int(int)>& yields,
                                  RunResult* out) {
   struct Published {
     std::uint64_t vtime = 0;
@@ -122,7 +124,7 @@ std::uint64_t run_contract_check(const RunConfig& rc, int yields,
     std::uint64_t x =
         0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(tid + 1);
     check(tid);
-    for (int i = 0; i < yields; ++i) {
+    for (int i = 0; i < yields(tid); ++i) {
       x ^= x << 13;
       x ^= x >> 7;
       x ^= x << 17;
@@ -137,15 +139,40 @@ std::uint64_t run_contract_check(const RunConfig& rc, int yields,
 }
 
 TEST(Scheduler, RunsTheMinimumKeyAtEveryResume) {
-  // The run heap is 4-ary: 1, 2, 3, 5, 6 and 255 fibers leave its last
-  // node partial at some point of the run.
-  for (int n : {1, 2, 3, 4, 5, 6, 64, 255, 256}) {
+  // The run queue is a winner tree whose leaves are the fiber count
+  // rounded up to a power of two: 3, 5, 6, 7, 9, 100, 129 and 255 fibers
+  // leave padding leaves beside the real ones, and 1 fiber is a tree of
+  // one leaf.
+  for (int n : {1, 2, 3, 4, 5, 6, 7, 9, 64, 100, 129, 255, 256}) {
     RunResult r;
-    EXPECT_EQ(run_contract_check(sim_cfg(n), 12800 / n, &r), 0u)
+    EXPECT_EQ(run_contract_check(sim_cfg(n), [n](int) { return 12800 / n; },
+                                 &r),
+              0u)
         << n << " fibers";
     if (n > 1) {
       EXPECT_GT(r.sched.switches, static_cast<std::uint64_t>(n)) << n;
     }
+  }
+}
+
+TEST(Scheduler, RunsTheMinimumKeyAfterStaggeredFinishes) {
+  // Fiber 0 and the highest id, the leftmost and rightmost leaves, finish
+  // early while the others keep yielding, so the run goes on with finished
+  // leaves at both edges of the tree.
+  for (int n : {2, 3, 9, 100, 129, 256}) {
+    const auto yields = [n](int tid) {
+      return tid == 0 || tid == n - 1 ? 3 : 6400 / n;
+    };
+    RunResult r;
+    EXPECT_EQ(run_contract_check(sim_cfg(n), yields, &r), 0u)
+        << n << " fibers";
+    // Every fiber is entered once and every yield resumes once, in place
+    // or by a switch back to it.
+    auto resumes = static_cast<std::uint64_t>(n);
+    for (int t = 0; t < n; ++t) {
+      resumes += static_cast<std::uint64_t>(yields(t));
+    }
+    EXPECT_EQ(r.sched.switches + r.sched.fast_resumes, resumes) << n;
   }
 }
 
@@ -191,17 +218,18 @@ TEST(Scheduler, RunsTheMinimumKeyOnMultiplexedCores) {
   rc.topology.nodes = 2;
   rc.topology.cores_per_node = 4;
   RunResult r;
-  EXPECT_EQ(run_contract_check(rc, 200, &r), 0u);
+  EXPECT_EQ(run_contract_check(rc, [](int) { return 200; }, &r), 0u);
   EXPECT_GT(r.sched.queue_migrations, 0u);
 }
 
 TEST(Scheduler, CountersPinnedAt256Fibers) {
   // Scheduler counters of one 256-fiber contract run, recorded before the
-  // run structure became a single heap. heap_ops is not pinned: it counts
-  // operations of whichever heap the scheduler uses.
+  // run structure became a single heap. heap_ops counts one run-queue
+  // update per resume, so it equals switches whatever the queue's shape.
   RunResult r;
-  ASSERT_EQ(run_contract_check(sim_cfg(256), 50, &r), 0u);
+  ASSERT_EQ(run_contract_check(sim_cfg(256), [](int) { return 50; }, &r), 0u);
   EXPECT_EQ(r.sched.switches, 9848u);
+  EXPECT_EQ(r.sched.heap_ops, 9848u);
   EXPECT_EQ(r.sched.fast_resumes, 3208u);
   EXPECT_EQ(r.sched.queue_migrations, 9847u);
   EXPECT_EQ(r.sched.batch_advances, 2432u);
