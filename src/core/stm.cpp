@@ -750,6 +750,20 @@ void* Tx::malloc(std::size_t size) {
 
 void Tx::free(void* p) {
   if (p == nullptr || TMX_UNLIKELY(doomed_)) return;
+  if (stm_->cfg_.design == StmDesign::kWriteThroughEtl) {
+    // Write-through zombies store to memory as soon as they lock a stripe,
+    // and a stripe's version is all that stops them. Take every stripe of
+    // the block, as TinySTM's stm_free2 does, so a committed free versions
+    // them all: a doomed transaction that still holds the pointer finds a
+    // newer version there, fails to extend and aborts before it writes the
+    // freed block or its next owner's bytes.
+    auto* w = static_cast<std::uint64_t*>(p);
+    const std::size_t words = stm_->cfg_.allocator->usable_size(p) / 8;
+    for (std::size_t i = 0; i < words && !doomed_; ++i) {
+      store_word(w + i, 0, /*mask=*/0);
+    }
+    if (doomed_) return;
+  }
   ++stats_.tx_frees;
   tx_frees_.push_back(p);
   if (TMX_UNLIKELY(check::enabled()) && !hw_mode_) {

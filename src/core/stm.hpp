@@ -377,8 +377,9 @@ class Tx {
   // Dooms the attempt, through its mode's abort path, when `addr` has a
   // bit above 46 set, which no user-space address has. Only a zombie gets
   // one: it followed a stale pointer out of a block that a committed free
-  // handed back and the guard poisoned. A committed free versions none of
-  // the block's stripes, so validation alone cannot stop that read.
+  // handed back and the guard poisoned. Outside write-through a committed
+  // free versions none of the block's stripes, so validation alone cannot
+  // stop that read.
   bool doom_if_wild(const void* addr) {
     if (TMX_LIKELY(reinterpret_cast<std::uintptr_t>(addr) >> 47 == 0)) {
       return false;

@@ -6,7 +6,10 @@
 #include <vector>
 
 #include "alloc/allocator.hpp"
+#include "check/check.hpp"
+#include "check/check_alloc.hpp"
 #include "core/stm.hpp"
+#include "harness/run_context.hpp"
 #include "harness/setbench.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
@@ -163,6 +166,56 @@ TEST(WriteThrough, MemoryUpdatedBeforeCommit) {
     tx.store(&x, std::uint64_t{2});
     EXPECT_EQ(x, 2u);  // write-through: memory already holds the value
   });
+}
+
+// A zombie's write-through store must not reach a block that a committed
+// transaction freed: the free takes every stripe of the block, so the
+// zombie finds a newer version there, fails to extend its snapshot and
+// aborts before it writes. Otherwise it writes the block's next owner's
+// memory, and its undo log later restores a stale value over that owner's
+// bytes.
+TEST(WriteThrough, ZombieDoesNotWriteAFreedBlock) {
+  harness::RunContext run(harness::RunSpec{.check = check::CheckConfig{}});
+  auto allocator = std::make_unique<check::CheckedAllocator>(
+      alloc::create_allocator("glibc"));
+  Config cfg;
+  cfg.allocator = allocator.get();
+  cfg.design = StmDesign::kWriteThroughEtl;
+  Stm stm(cfg);
+  auto* block = static_cast<std::uint64_t*>(allocator->allocate(64));
+  alignas(8) std::uint64_t slot = reinterpret_cast<std::uintptr_t>(block);
+  std::uint64_t* reused = nullptr;
+  sim::run_parallel(sim_cfg(2), [&](int tid) {
+    if (tid == 0) {
+      // The zombie: reads the pointer, then stores through it after the
+      // other fiber has unlinked and freed the block.
+      stm.atomically([&](Tx& tx) {
+        auto* p = reinterpret_cast<std::uint64_t*>(tx.load(&slot));
+        if (p == nullptr) return;
+        sim::tick(10'000);
+        tx.store(p, std::uint64_t{0xdead});
+        sim::tick(10'000);
+      });
+    } else {
+      sim::tick(100);
+      stm.atomically([&](Tx& tx) {
+        auto* p = reinterpret_cast<std::uint64_t*>(tx.load(&slot));
+        tx.store(&slot, std::uint64_t{0});
+        tx.free(p);
+      });
+      // The block's next owner writes it, then writes it again after the
+      // zombie's store and before the zombie's abort.
+      reused = static_cast<std::uint64_t*>(allocator->allocate(64));
+      *reused = 1;
+      sim::tick(10'000);
+      sim::yield();
+      *reused = 2;
+    }
+  });
+  ASSERT_EQ(reused, block);  // the glibc model hands the block straight back
+  EXPECT_EQ(*reused, 2u);
+  EXPECT_EQ(check::summary().hard_count(), 0u);
+  allocator->deallocate(reused);
 }
 
 TEST(WriteThrough, SetBenchSemanticsHold) {
