@@ -131,9 +131,10 @@ struct FiberEngine {
 #endif
   std::vector<std::unique_ptr<Fiber>> fibers;  // indexed by fiber id
   // The run queue: a winner tree over fiber ids. Leaf `id` is
-  // tree[leaves + id] (leaves = threads rounded up to a power of two) and
-  // holds that fiber's key while it is runnable, and all ones while it runs,
-  // after it finishes, and for ids past the last fiber. Every inner node
+  // tree[leaves + id] (leaves = threads rounded up to a power of two, so
+  // every leaf-to-root path has the same length) and holds that fiber's key
+  // while it is runnable, and all ones while it runs, after it finishes,
+  // and for ids past the last fiber. Every inner node
   // holds the smaller of its two children, so tree[1] is the next fiber's
   // key. An all-ones root does not mean "nothing runnable": it is also
   // fiber 255's key at the largest virtual time, so the main loop counts
