@@ -4,9 +4,8 @@
 //   TMX_PCSAMPLE_OUT=/tmp/run LD_PRELOAD=.../libtmx_pc_sampler.so PROGRAM ...
 //   python3 tools/pc_report.py /tmp/run.*
 //
-// A POSIX timer on CLOCK_MONOTONIC raises SIGPROF about TMX_PCSAMPLE_HZ
-// times a second (default 20000); the handler stores the interrupted
-// program counter. At exit the process writes TMX_PCSAMPLE_OUT.<pid>: a
+// A POSIX timer on CLOCK_MONOTONIC raises SIGPROF 20000 times a second;
+// the handler stores the interrupted program counter. At exit the process writes TMX_PCSAMPLE_OUT.<pid>: a
 // header, its executable mappings from /proc/self/maps, then one PC per
 // line, all in hex. Without TMX_PCSAMPLE_OUT the library does nothing.
 //
@@ -37,7 +36,7 @@ std::atomic<std::size_t> g_count{0};
 timer_t g_timer{};
 bool g_armed = false;
 pid_t g_pid = 0;  // the sampled process; a forked child writes nothing
-long g_hz = 20000;
+constexpr long kHz = 20000;
 
 void on_sample(int, siginfo_t*, void* uctx) {
   const auto* uc = static_cast<const ucontext_t*>(uctx);
@@ -74,8 +73,6 @@ void write_maps(std::FILE* out) {
 
 __attribute__((constructor)) void start() {
   if (std::getenv("TMX_PCSAMPLE_OUT") == nullptr) return;
-  if (const char* hz = std::getenv("TMX_PCSAMPLE_HZ")) g_hz = std::atol(hz);
-  if (g_hz <= 0 || g_hz > 1000000) g_hz = 20000;
   void* buf = mmap(nullptr, kCapacity * sizeof(std::uint64_t),
                    PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
@@ -90,10 +87,8 @@ __attribute__((constructor)) void start() {
   ev.sigev_notify = SIGEV_SIGNAL;
   ev.sigev_signo = SIGPROF;
   if (timer_create(CLOCK_MONOTONIC, &ev, &g_timer) != 0) return;
-  const long ns = 1000000000L / g_hz;
   struct itimerspec its = {};
-  its.it_interval.tv_sec = ns / 1000000000L;
-  its.it_interval.tv_nsec = ns % 1000000000L;
+  its.it_interval.tv_nsec = 1000000000L / kHz;
   its.it_value = its.it_interval;
   g_pid = getpid();
   g_armed = timer_settime(g_timer, 0, &its, nullptr) == 0;
@@ -111,7 +106,7 @@ __attribute__((destructor)) void finish() {
                 static_cast<long>(getpid()));
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) return;
-  std::fprintf(out, "tmx-pcsample-v1 hz %ld samples %zu dropped %zu\n", g_hz,
+  std::fprintf(out, "tmx-pcsample-v1 hz %ld samples %zu dropped %zu\n", kHz,
                kept, taken - kept);
   write_maps(out);
   for (std::size_t i = 0; i < kept; ++i) {
