@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The wall-clock PC sampler (tools/pc_sampler.cpp) samples a short
 # stamp_runner drive without changing its stdout, and its report
-# (tools/pc_report.py) attributes every sample and names the library's
-# functions.
+# (tools/pc_report.py) counts every sample the file holds and names the
+# library's functions.
 #
 #   pc_sampler_smoke.sh <libtmx_pc_sampler.so> <pc_report.py> <stamp_runner>
 set -euo pipefail
@@ -20,12 +20,9 @@ TMX_PCSAMPLE_OUT="$work/s" LD_PRELOAD="$sampler" "$runner" "${args[@]}" \
 cmp plain.out sampled.out
 files=(s.*)
 [ "${#files[@]}" -eq 1 ]
-head -1 "${files[0]}" | grep -q '^tmx-pcsample-v1 hz 20000 samples [1-9]'
-python3 "$report" "${files[@]}" --json report.json > report.out
+header=$(head -1 "${files[0]}")
+[[ $header =~ ^tmx-pcsample-v1\ hz\ 20000\ samples\ ([1-9][0-9]*)\  ]]
+taken=${BASH_REMATCH[1]}
+python3 "$report" "${files[@]}" > report.out
+head -1 report.out | grep -qx "samples $taken in 1 file(s)"
 grep -q 'tmx::' report.out
-python3 - <<'PY'
-import json
-d = json.load(open("report.json"))
-assert d["samples"] > 0, d["samples"]
-assert sum(d["functions"].values()) == d["samples"]
-PY

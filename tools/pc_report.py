@@ -1,52 +1,29 @@
 #!/usr/bin/env python3
 """Self-time report of the PC samples pc_sampler writes.
 
-    python3 tools/pc_report.py FILE [FILE ...] [--top N] [--lines N]
-                               [--json OUT]
+    python3 tools/pc_report.py FILE [FILE ...]
 
 Each FILE is a TMX_PCSAMPLE_OUT.<pid> file (see tools/pc_sampler.cpp). The
-script maps every sampled program counter through the executable mappings
-its process recorded to an address in the mapped ELF file, symbolizes the
-distinct addresses with `addr2line -f -C` (the innermost inlined function
-and its source line), and sums the samples of all files. It prints the
-total, then the top functions and the top source lines by their share of
-self time. With --json it also writes every function's and line's sample
-count. Samples outside a mapped file count as "[unmapped]", addresses
-addr2line cannot name as "[BINARY+0xADDR]".
+script finds the executable segment each sampled program counter falls in,
+subtracts that object's load bias to get its link-time address, symbolizes
+the distinct addresses with `addr2line -f -C` (the innermost inlined
+function and its source line), and sums the samples of all files. It
+prints the total, then the 25 functions and the 25 source lines with the
+largest share of self time. Samples outside a loaded file count as
+"[unmapped]", addresses addr2line cannot name as "[BINARY+0xADDR]".
 """
-import argparse
 import bisect
 import collections
-import json
 import os
-import struct
 import subprocess
 import sys
 
-
-def load_segments(path):
-    """PT_LOAD segments of an ELF file as (p_offset, p_vaddr, p_filesz)."""
-    with open(path, "rb") as f:
-        ident = f.read(64)
-        if ident[:4] != b"\x7fELF" or ident[4] != 2:
-            return []
-        end = "<" if ident[5] == 1 else ">"
-        phoff, = struct.unpack_from(end + "Q", ident, 32)
-        phentsize, phnum = struct.unpack_from(end + "HH", ident, 54)
-        f.seek(phoff)
-        table = f.read(phentsize * phnum)
-    segs = []
-    for i in range(phnum):
-        p_type, _, p_offset, p_vaddr, _, p_filesz = struct.unpack_from(
-            end + "IIQQQQ", table, i * phentsize)
-        if p_type == 1:  # PT_LOAD
-            segs.append((p_offset, p_vaddr, p_filesz))
-    return segs
+ROWS = 25
 
 
 def read_samples(path, counts):
-    """Adds one file's samples to counts[(binary, file offset)]; returns its
-    sample count and dropped count."""
+    """Adds one file's samples to counts[(binary, link-time address)];
+    returns how many it added and the file's dropped count."""
     with open(path) as f:
         header = f.readline().split()
         if not header or header[0] != "tmx-pcsample-v1":
@@ -55,8 +32,8 @@ def read_samples(path, counts):
         maps, pcs = [], []
         for line in f:
             if line.startswith("map "):
-                _, lo, hi, off, binary = line.rstrip("\n").split(" ", 4)
-                maps.append((int(lo, 16), int(hi, 16), int(off, 16), binary))
+                _, lo, hi, bias, binary = line.rstrip("\n").split(" ", 4)
+                maps.append((int(lo, 16), int(hi, 16), int(bias, 16), binary))
             else:
                 pcs.append(int(line, 16))
     maps.sort()
@@ -66,27 +43,20 @@ def read_samples(path, counts):
         if i < 0 or pc >= maps[i][1]:
             counts[("[unmapped]", 0)] += 1
             continue
-        lo, _, off, binary = maps[i]
-        counts[(binary, pc - lo + off)] += 1
-    return int(fields.get("samples", 0)), int(fields.get("dropped", 0))
+        _, _, bias, binary = maps[i]
+        counts[(binary, pc - bias)] += 1
+    return len(pcs), int(fields.get("dropped", 0))
 
 
-def to_vaddr(segs, file_off):
-    for p_offset, p_vaddr, p_filesz in segs:
-        if p_offset <= file_off < p_offset + p_filesz:
-            return file_off - p_offset + p_vaddr
-    return None
-
-
-def symbolize(binary, vaddrs):
-    """{vaddr: (function, "file:line")} from one addr2line process."""
+def symbolize(binary, addrs):
+    """{addr: (function, "file:line")} from one addr2line process."""
     proc = subprocess.run(
         ["addr2line", "-f", "-C", "-e", binary],
-        input="".join(f"{a:x}\n" for a in vaddrs),
+        input="".join(f"{a:x}\n" for a in addrs),
         capture_output=True, text=True, check=False)
     out = proc.stdout.splitlines()
     names = {}
-    for k, a in enumerate(vaddrs):
+    for k, a in enumerate(addrs):
         fn = out[2 * k] if 2 * k < len(out) else "??"
         where = out[2 * k + 1] if 2 * k + 1 < len(out) else "??:0"
         where = where.split(" (discriminator")[0]
@@ -97,60 +67,43 @@ def symbolize(binary, vaddrs):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("files", nargs="+")
-    ap.add_argument("--top", type=int, default=25,
-                    help="functions to print (default 25)")
-    ap.add_argument("--lines", type=int, default=25,
-                    help="source lines to print (default 25)")
-    ap.add_argument("--json", help="write every count to this file")
-    args = ap.parse_args()
+    files = sys.argv[1:]
+    if not files or any(f.startswith("-") for f in files):
+        sys.exit("usage: pc_report.py FILE [FILE ...]")
 
-    offsets = collections.Counter()
+    addrs = collections.Counter()
     total = dropped = 0
-    for path in args.files:
-        n, d = read_samples(path, offsets)
+    for path in files:
+        n, d = read_samples(path, addrs)
         total += n
         dropped += d
     if total == 0:
         sys.exit("pc_report: no samples")
 
     per_binary = collections.defaultdict(dict)
-    for (binary, file_off), n in offsets.items():
-        per_binary[binary][file_off] = n
+    for (binary, addr), n in addrs.items():
+        per_binary[binary][addr] = n
     functions = collections.Counter()
     lines = collections.Counter()
-    for binary, by_off in per_binary.items():
+    for binary, by_addr in per_binary.items():
         if binary == "[unmapped]":
-            functions["[unmapped]"] += sum(by_off.values())
+            functions["[unmapped]"] += sum(by_addr.values())
             continue
-        try:
-            segs = load_segments(binary)
-        except OSError:
-            segs = []
-        vaddr_of = {off: to_vaddr(segs, off) for off in by_off}
-        names = symbolize(binary, sorted({v for v in vaddr_of.values()
-                                          if v is not None}))
-        for off, n in by_off.items():
-            v = vaddr_of[off]
-            fn, where = names.get(v, (f"[{os.path.basename(binary)}]", "??:0"))
+        names = symbolize(binary, sorted(by_addr))
+        for addr, n in by_addr.items():
+            fn, where = names[addr]
             functions[fn] += n
             lines[where if not where.startswith("??") else
                   f"[no line: {fn}]"] += n
 
-    print(f"samples {total} in {len(args.files)} file(s)"
+    print(f"samples {total} in {len(files)} file(s)"
           + (f", {dropped} dropped past the buffer" if dropped else ""))
     print(f"{'self%':>6} {'samples':>8}  function")
-    for fn, n in functions.most_common(args.top):
+    for fn, n in functions.most_common(ROWS):
         print(f"{100.0 * n / total:6.2f} {n:8d}  {fn[:110]}")
     print(f"{'self%':>6} {'samples':>8}  line")
-    for where, n in lines.most_common(args.lines):
+    for where, n in lines.most_common(ROWS):
         print(f"{100.0 * n / total:6.2f} {n:8d}  {where}")
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump({"samples": total, "dropped": dropped,
-                       "functions": dict(functions.most_common()),
-                       "lines": dict(lines.most_common())}, f, indent=1)
 
 
 if __name__ == "__main__":

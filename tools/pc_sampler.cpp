@@ -5,9 +5,12 @@
 //   python3 tools/pc_report.py /tmp/run.*
 //
 // A POSIX timer on CLOCK_MONOTONIC raises SIGPROF 20000 times a second;
-// the handler stores the interrupted program counter. At exit the process writes TMX_PCSAMPLE_OUT.<pid>: a
-// header, its executable mappings from /proc/self/maps, then one PC per
-// line, all in hex. Without TMX_PCSAMPLE_OUT the library does nothing.
+// the handler stores the interrupted program counter. At exit the process
+// writes TMX_PCSAMPLE_OUT.<pid>: a header, one "map LO HI BIAS PATH" line
+// per executable PT_LOAD segment of each loaded object (BIAS is the
+// loader's dlpi_addr, so PC - BIAS is the link-time address addr2line
+// takes), then one PC per line, all in hex. Without TMX_PCSAMPLE_OUT the
+// library does nothing.
 //
 // The timer is a timer_create timer, not setitimer: an execve deletes it,
 // so a program that re-executes itself (perfbench's ASLR re-exec) is not
@@ -16,6 +19,7 @@
 // children do not inherit the timer and write nothing. A process that
 // leaves through _exit skips the write, and so does one whose buffer was
 // never reached by a sample.
+#include <link.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <time.h>
@@ -52,23 +56,28 @@ void on_sample(int, siginfo_t*, void* uctx) {
   if (i < kCapacity) g_pcs[i] = pc;
 }
 
-// Copies the executable mappings of /proc/self/maps: start-end offset path.
-void write_maps(std::FILE* out) {
-  std::FILE* maps = std::fopen("/proc/self/maps", "r");
-  if (maps == nullptr) return;
-  char line[4096];
-  while (std::fgets(line, sizeof line, maps) != nullptr) {
-    unsigned long long lo = 0, hi = 0, off = 0;
-    char perms[8] = {};
-    int path_at = 0;
-    if (std::sscanf(line, "%llx-%llx %7s %llx %*s %*s %n", &lo, &hi, perms,
-                    &off, &path_at) < 4 ||
-        perms[2] != 'x' || line[path_at] != '/') {
-      continue;
-    }
-    std::fprintf(out, "map %llx %llx %llx %s", lo, hi, off, line + path_at);
+// Writes each loaded object's executable segments. The main program's
+// dlpi_name is empty, so its path comes from /proc/self/exe; objects with
+// no file (the vDSO) are skipped and their samples report as unmapped.
+int write_object(dl_phdr_info* info, std::size_t, void* data) {
+  auto* out = static_cast<std::FILE*>(data);
+  char exe[4096];
+  const char* path = info->dlpi_name;
+  if (path[0] == '\0') {
+    const ssize_t n = readlink("/proc/self/exe", exe, sizeof exe - 1);
+    if (n <= 0) return 0;
+    exe[n] = '\0';
+    path = exe;
   }
-  std::fclose(maps);
+  if (path[0] != '/') return 0;
+  for (int k = 0; k < info->dlpi_phnum; ++k) {
+    const ElfW(Phdr)& ph = info->dlpi_phdr[k];
+    if (ph.p_type != PT_LOAD || (ph.p_flags & PF_X) == 0) continue;
+    const unsigned long long lo = info->dlpi_addr + ph.p_vaddr;
+    std::fprintf(out, "map %llx %llx %llx %s\n", lo, lo + ph.p_memsz,
+                 static_cast<unsigned long long>(info->dlpi_addr), path);
+  }
+  return 0;
 }
 
 __attribute__((constructor)) void start() {
@@ -108,7 +117,7 @@ __attribute__((destructor)) void finish() {
   if (out == nullptr) return;
   std::fprintf(out, "tmx-pcsample-v1 hz %ld samples %zu dropped %zu\n", kHz,
                kept, taken - kept);
-  write_maps(out);
+  dl_iterate_phdr(write_object, out);
   for (std::size_t i = 0; i < kept; ++i) {
     std::fprintf(out, "%llx\n", static_cast<unsigned long long>(g_pcs[i]));
   }
